@@ -213,32 +213,25 @@ def jacobi_eigenvalues(sym: list[list[float]]) -> list[float]:
 
 
 def analyze_structure(
-    ts: TransferStructure, s: SystemSpec, sd: SpectralData | None = None
+    ts: TransferStructure, s: SystemSpec, sd: SpectralData
 ) -> StructureReport:
     """Exact rank, numeric spectrum, and the rank-law verdict for M.
 
-    The prediction is min(n - 1, K).  ``degenerate`` flags instances where
-    some Psi_i h1 vanishes exactly or all transport diagonals coincide;
-    the rank law is not asserted for those.
+    The prediction is min(n - 1, K).  ``degenerate`` is the one definition
+    of degeneracy, rank span{Psi_i h1} < min(n - 1, K), where the rank law
+    is not asserted; campaigns read it, and the generator screens it out.
     """
-    if sd is None:
-        from .model import null_pair_normalized
-
-        h1, h1_star = null_pair_normalized(s.A)
-        sd = SpectralData(h1=h1, h1_star=h1_star, normalized=True, stable=True)
     rank = rank_exact(ts.M)
     eigs = tuple(jacobi_eigenvalues(ts.M.to_float()))
     predicted = min(s.n - 1, s.K)
-    zero = (Fraction(0),) * s.n
-    psi_kills_h1 = any(psi.matvec(sd.h1) == zero for psi in ts.Psi)
-    all_equal = all(d == s.D[0] for d in s.D)
+    pushed = RationalMatrix([psi.matvec(sd.h1) for psi in ts.Psi])
     kernel = tuple(nullspace(ts.M, side="right"))
     return StructureReport(
         rank_exact=rank,
         eigenvalues=eigs,
         predicted_rank=predicted,
         rank_matches_prediction=rank == predicted,
-        degenerate=psi_kills_h1 or all_equal,
+        degenerate=rank_exact(pushed) < predicted,
         kernel_directions=kernel,
     )
 
@@ -258,6 +251,17 @@ def _require_dissipative(m: RationalMatrix) -> None:
         )
 
 
+def _gaussian(m: RationalMatrix, q: ProfileQuery, zeta: tuple[float, ...]) -> float:
+    sigma = _covariance(m, q.t, q.sigma0)
+    det = float(np.linalg.det(sigma))
+    if det <= 0:
+        raise SingularCovariance("covariance is not positive definite")
+    z = np.array(zeta, dtype=float)
+    quad = float(z @ np.linalg.solve(sigma, z))
+    det0 = q.sigma0 ** (2 * m.rows)
+    return q.amplitude * math.sqrt(det0 / det) * math.exp(-0.5 * quad)
+
+
 def phi0_eval(m: RationalMatrix, q: ProfileQuery, zeta: tuple[float, ...]) -> float:
     """Leading-order scalar profile at comoving point zeta and time q.t.
 
@@ -269,14 +273,7 @@ def phi0_eval(m: RationalMatrix, q: ProfileQuery, zeta: tuple[float, ...]) -> fl
     if len(zeta) != k:
         raise ValueError(f"zeta must have length {k}")
     _require_dissipative(m)
-    sigma = _covariance(m, q.t, q.sigma0)
-    det = float(np.linalg.det(sigma))
-    if det <= 0:
-        raise SingularCovariance("covariance is not positive definite")
-    z = np.array(zeta, dtype=float)
-    quad = float(z @ np.linalg.solve(sigma, z))
-    det0 = q.sigma0 ** (2 * k)
-    return q.amplitude * math.sqrt(det0 / det) * math.exp(-0.5 * quad)
+    return _gaussian(m, q, zeta)
 
 
 def leading_term_eval(
@@ -311,18 +308,17 @@ def pde_residual(
     if q.t - h < 0:
         raise ValueError("step h must keep t - h nonnegative")
     k = m.rows
+    center = phi0_eval(m, q, zeta)  # checks zeta and dissipativity once
 
     def phi(tval: float, point: tuple[float, ...]) -> float:
-        return phi0_eval(m, replace(q, t=tval), point)
+        return _gaussian(m, replace(q, t=tval), point)
 
     def shifted(base: tuple[float, ...], idx: int, delta: float) -> tuple[float, ...]:
         moved = list(base)
         moved[idx] += delta
         return tuple(moved)
 
-    d_t = (phi(q.t + h, zeta) - phi(q.t - h, zeta)) / (2.0 * h)
-    center = phi(q.t, zeta)
-    total = d_t
+    total = (phi(q.t + h, zeta) - phi(q.t - h, zeta)) / (2.0 * h)
     for i in range(k):
         for j in range(k):
             mij = float(m[i, j])

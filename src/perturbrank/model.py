@@ -105,7 +105,6 @@ class SpectralData:
 
     h1: Vector
     h1_star: Vector
-    normalized: bool
     stable: bool
 
 
@@ -164,7 +163,7 @@ def _validate_interaction(a: RationalMatrix) -> SpectralData:
     deflated = Polynomial(coeffs[1:])
     if not hurwitz_stable(deflated):
         raise NotStable("nonzero spectrum is not contained in the open left half-plane")
-    return SpectralData(h1=h1, h1_star=h1_star, normalized=True, stable=True)
+    return SpectralData(h1=h1, h1_star=h1_star, stable=True)
 
 
 def validate_system(s: SystemSpec) -> SpectralData:
@@ -242,7 +241,9 @@ def _sample_diagonals(
     Each diagonal has n distinct entries, the vectors are pairwise
     distinct, no pushed vector Psi_i h1 = (D_i - v_i) h1 vanishes, and
     together the pushed vectors span the full generic dimension
-    min(K, n - 1).  The span screen matters: the rank law is a
+    min(K, n - 1), so no generated instance is degenerate: the span screen
+    is the incremental form of ``analyze_structure``'s degeneracy test,
+    rank span{Psi_i h1} < min(n - 1, K).  It matters: the rank law is a
     generic-rank statement, and a bounded rational grid lands on the
     lower-rank stratum with small but real probability — affinely
     dependent diagonals such as D_2 = a D_1 + b (1,...,1) force
@@ -281,10 +282,11 @@ def _sample_diagonals(
     return tuple(diagonals)
 
 
-def generate_instance(cfg: GeneratorConfig) -> SystemSpec:
+def generate_instance(cfg: GeneratorConfig) -> tuple[SystemSpec, SpectralData]:
     """Deterministically generate an admissible random instance.
 
-    The same config always returns the identical instance; all rejection
+    Returns the instance with the spectral data of its validation.  The
+    same config always returns the identical instance; all rejection
     loops draw from the one seeded stream and are attempt-bounded.
     """
     rng = random.Random(cfg.seed)
@@ -292,4 +294,4 @@ def generate_instance(cfg: GeneratorConfig) -> SystemSpec:
     data = _validate_interaction(a)
     diagonals = _sample_diagonals(cfg, rng, data.h1, data.h1_star)
     label = f"{cfg.family}-n{cfg.n}-K{cfg.K}-seed{cfg.seed}"
-    return SystemSpec(n=cfg.n, K=cfg.K, D=diagonals, A=a, label=label)
+    return SystemSpec(n=cfg.n, K=cfg.K, D=diagonals, A=a, label=label), data

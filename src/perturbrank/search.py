@@ -4,8 +4,9 @@ Campaigns sweep a grid of (n, K) cells, sample admissible systems from the
 generator families, and classify each instance exactly:
 
   match       rank M equals min(n-1, K)
-  degenerate  some Psi_i h1 vanishes identically (the rank law is not
-              asserted there; such instances are tallied, not judged)
+  degenerate  rank span{Psi_i h1} < min(n-1, K), as analyze_structure
+              defines it (the rank law is not asserted there; the
+              generator screens its draws off this stratum)
   violation   a rank mismatch on a non-degenerate instance
 
 Alongside the rank verdict, two monitored invariants are measured on
@@ -39,12 +40,12 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .asymptotics import (
     DISSIPATIVITY_TOLERANCE,
     RANK_AGREEMENT_TOLERANCE,
     StructureReport,
+    TransferStructure,
     analyze_structure,
     build_M,
 )
@@ -52,10 +53,10 @@ from .formats import FORMAT_VERSION, build_report, dumps, instance_to_dict
 from .model import (
     FAMILIES,
     GeneratorConfig,
+    SpectralData,
     SystemSpec,
     GenerationFailed,
     generate_instance,
-    validate_system,
 )
 
 __all__ = [
@@ -120,12 +121,15 @@ class Classification:
 
     ``outcome`` depends only on exact degeneracy and the rank law; each
     entry of ``breaches`` is a JSON-ready detail dict with a ``kind``
-    from BREACH_KINDS and the offending numbers.
+    from BREACH_KINDS and the offending numbers.  ``sd`` and ``ts`` are
+    the data the verdict came from, so a full report needs no second pass.
     """
 
     outcome: str
     report: StructureReport
     breaches: tuple[dict, ...]
+    sd: SpectralData
+    ts: TransferStructure
 
 
 @dataclass(frozen=True)
@@ -180,13 +184,13 @@ def derive_instance_seed(seed: int, n: int, k: int, index: int) -> int:
     return int.from_bytes(digest, "big")
 
 
-def classify_instance(s: SystemSpec) -> Classification:
-    """Exact verdict for one admissible instance.
+def classify_instance(s: SystemSpec, sd: SpectralData) -> Classification:
+    """Exact verdict for one admissible instance with its spectral data.
 
-    Degeneracy means some Psi_i h1 = 0 identically (possible only when a
-    transport diagonal is a multiple of the identity, given entrywise
-    nonzero kernels); the rank law is not asserted there.  Otherwise the
-    instance matches iff rank M = min(n - 1, K) exactly.
+    ``sd`` comes from ``validate_system`` or ``generate_instance``; ``s``
+    is not validated again.  The instance is degenerate when
+    rank span{Psi_i h1} < min(n - 1, K) (``StructureReport.degenerate``);
+    otherwise it matches iff rank M = min(n - 1, K) exactly.
 
     Independently of that partition, two invariants are measured on every
     instance and returned as breach records when they fail: no numeric
@@ -194,11 +198,8 @@ def classify_instance(s: SystemSpec) -> Classification:
     between the numerically nonzero eigenvalue count and the exact rank.
     Breaches never change the outcome.
     """
-    sd = validate_system(s)
     ts = build_M(s, sd)
     report = analyze_structure(ts, s, sd)
-    zero = (Fraction(0),) * s.n
-    psi_degenerate = any(psi.matvec(sd.h1) == zero for psi in ts.Psi)
 
     scale = float(ts.M.max_abs())
     breaches: list[dict] = []
@@ -225,13 +226,13 @@ def classify_instance(s: SystemSpec) -> Classification:
             }
         )
 
-    if psi_degenerate:
+    if report.degenerate:
         outcome = DEGENERATE
     elif report.rank_exact == report.predicted_rank:
         outcome = MATCH
     else:
         outcome = VIOLATION
-    return Classification(outcome, report, tuple(breaches))
+    return Classification(outcome, report, tuple(breaches), sd, ts)
 
 
 def _violation_name(n: int, k: int, index: int) -> str:
@@ -262,24 +263,22 @@ def _run_cell(
         instance_seed = derive_instance_seed(cfg.seed, n, k, index)
         gen = GeneratorConfig(n=n, K=k, seed=instance_seed, family=family)
         try:
-            spec = generate_instance(gen)
+            spec, sd = generate_instance(gen)
         except GenerationFailed as exc:
             raise GenerationFailed(f"cell n={n}, K={k}, index={index}: {exc}") from exc
-        verdict = classify_instance(spec)
+        verdict = classify_instance(spec, sd)
         if verdict.outcome == MATCH:
             matches += 1
         elif verdict.outcome == DEGENERATE:
             degenerate += 1
         else:
-            sd = validate_system(spec)
-            ts = build_M(spec, sd)
             violations.append(
                 Violation(
                     index=index,
                     instance_seed=instance_seed,
                     family=family,
                     instance=instance_to_dict(spec),
-                    report=build_report(spec, sd, ts, verdict.report),
+                    report=build_report(spec, verdict.sd, verdict.ts, verdict.report),
                     artifact=_write_artifact(
                         artifact_dir, _violation_name(n, k, index), spec
                     ),

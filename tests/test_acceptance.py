@@ -131,9 +131,8 @@ def test_rank_law_on_extended_grid(extended_grid):
     for cell in report.cells:
         for violation in cell.violations:
             assert violation.artifact is not None
-            again = classify_instance(
-                parse_instance(os.path.join(art, violation.artifact))
-            )
+            spec = parse_instance(os.path.join(art, violation.artifact))
+            again = classify_instance(spec, validate_system(spec))
             assert again.outcome == "violation"
             assert again.report.rank_exact == violation.report["structure"]["rank_exact"]
             replayed += 1
@@ -176,8 +175,7 @@ def test_exact_identity_suite():
         n, k = grid[index % len(grid)]
         family = FAMILIES[index % len(FAMILIES)]
         seed = derive_instance_seed(99, n, k, index)
-        s = generate_instance(GeneratorConfig(n=n, K=k, seed=seed, family=family))
-        sd = validate_system(s)
+        s, sd = generate_instance(GeneratorConfig(n=n, K=k, seed=seed, family=family))
         ts = build_M(s, sd)
 
         zero_n = (Fraction(0),) * n
@@ -250,7 +248,8 @@ def test_dissipativity_measured_and_breaches_replayable(small_grid, extended_gri
             breach.detail["tolerance"] * breach.detail["scale"]
         )
         assert breach.artifact is not None
-        again = classify_instance(parse_instance(os.path.join(art, breach.artifact)))
+        spec = parse_instance(os.path.join(art, breach.artifact))
+        again = classify_instance(spec, validate_system(spec))
         replay = next(
             (d for d in again.breaches if d["kind"] == "dissipativity"), None
         )

@@ -101,7 +101,7 @@ class TestGroupInverse:
         rng = random.Random(424242)
         for family in FAMILIES:
             for _ in range(6):
-                s = generate_instance(
+                s, _ = generate_instance(
                     GeneratorConfig(
                         n=rng.randint(2, 5), K=2, seed=rng.getrandbits(40), family=family
                     )
@@ -134,7 +134,7 @@ class TestBuildM:
     def test_symmetry_exact(self):
         rng = random.Random(11)
         for _ in range(10):
-            s = generate_instance(
+            s, _ = generate_instance(
                 GeneratorConfig(n=rng.randint(2, 4), K=rng.randint(2, 4), seed=rng.getrandbits(40))
             )
             _, ts = _pipeline(s)
@@ -182,7 +182,6 @@ class TestBuildM:
         rescaled = SpectralData(
             h1=tuple(x * scale for x in sd.h1),
             h1_star=tuple(x / scale for x in sd.h1_star),
-            normalized=True,
             stable=True,
         )
         assert build_M(TRIPLE, rescaled).M == ts.M
@@ -201,11 +200,10 @@ class TestAnalyzeStructure:
         assert abs(report.eigenvalues[0] + 0.25) < 1e-10
         assert abs(report.eigenvalues[1]) < 1e-10
 
-    def test_report_without_spectral_data(self):
-        _, ts = _pipeline(W1)
-        assert analyze_structure(ts, W1) == analyze_structure(ts, W1, validate_system(W1))
-
-    def test_degenerate_constant_diagonal(self):
+    def test_one_constant_diagonal_matches(self):
+        # Psi_1 h1 = 0, but Psi_2 h1 alone spans min(n - 1, K) = 1
+        # dimension, so the instance is in general position and has the
+        # predicted rank
         s = SystemSpec(
             n=2,
             K=2,
@@ -213,7 +211,10 @@ class TestAnalyzeStructure:
             A=W1.A,
         )
         sd, ts = _pipeline(s)
-        assert analyze_structure(ts, s, sd).degenerate
+        report = analyze_structure(ts, s, sd)
+        assert not report.degenerate
+        assert report.rank_exact == 1
+        assert report.rank_matches_prediction
 
     def test_degenerate_equal_diagonals(self):
         d = (Fraction(1), Fraction(2), Fraction(3))
@@ -242,7 +243,7 @@ class TestAnalyzeStructure:
         rng = random.Random(2024)
         for family in FAMILIES:
             for _ in range(10):
-                s = generate_instance(
+                s, _ = generate_instance(
                     GeneratorConfig(
                         n=rng.randint(2, 5),
                         K=rng.randint(2, 5),
@@ -374,6 +375,24 @@ class TestResidual:
         zeta = (0.5, 0.5)
         local = phi0_eval(ts.M, q, zeta)
         assert pde_residual(ts.M, q, zeta, 1e-3) <= 1e-5 * local
+
+    def test_dissipativity_checked_once(self, monkeypatch):
+        import perturbrank.asymptotics as asymptotics
+
+        calls = []
+        original = asymptotics.jacobi_eigenvalues
+
+        def counted(sym):
+            calls.append(len(sym))
+            return original(sym)
+
+        monkeypatch.setattr(asymptotics, "jacobi_eigenvalues", counted)
+        m = RationalMatrix([[-2, 1, 0], [1, -3, 1], [0, 1, -2]])
+        q = ProfileQuery(epsilon=1.0, t=1.0, x=(0.0,) * 3, sigma0=2.0, amplitude=1.0)
+        assert pde_residual(m, q, (0.1, -0.2, 0.3), 1e-2) < 1e-3
+        assert calls == [3]
+        with pytest.raises(NotDissipative):
+            pde_residual(RationalMatrix([[1, 0], [0, -1]]), q, (0.0, 0.0), 1e-2)
 
     def test_step_validation(self):
         _, ts = _pipeline(W1)

@@ -1,18 +1,23 @@
 """Tests for campaign orchestration, classification, and violation capture."""
 
+import dataclasses
 import json
 import os
 
 import pytest
 
+import perturbrank.model
+from perturbrank.asymptotics import analyze_structure, build_M
+from perturbrank.cli import run_command
 from perturbrank.exact_linalg import RationalMatrix
-from perturbrank.formats import parse_instance
+from perturbrank.formats import build_report, dumps, instance_to_dict, parse_instance
 from perturbrank.model import (
     FAMILIES,
     GenerationFailed,
     GeneratorConfig,
     SystemSpec,
     generate_instance,
+    validate_system,
 )
 from perturbrank.search import (
     CampaignConfig,
@@ -32,6 +37,11 @@ W1 = SystemSpec(
 )
 
 TRIPLE_A = RationalMatrix([[-2, 1, 1], [1, -2, 1], [1, 1, -2]])
+PATH_A = RationalMatrix([[-1, 1, 0], [1, -2, 1], [0, 1, -1]])
+
+
+def _classify(spec: SystemSpec) -> Classification:
+    return classify_instance(spec, validate_system(spec))
 
 
 class TestCampaignConfig:
@@ -80,7 +90,7 @@ class TestSeedDerivation:
 
 class TestClassifyInstance:
     def test_w1_matches(self):
-        verdict = classify_instance(W1)
+        verdict = _classify(W1)
         assert isinstance(verdict, Classification)
         assert verdict.outcome == "match"
         assert verdict.breaches == ()
@@ -93,41 +103,41 @@ class TestClassifyInstance:
             D=((3, 3), (3, 3)),
             A=RationalMatrix([[-1, 1], [1, -1]]),
         )
-        verdict = classify_instance(spec)
+        verdict = _classify(spec)
         assert verdict.outcome == "degenerate"
         assert verdict.report.rank_exact == 0
 
-    def test_equal_nonconstant_diagonals_violate(self):
+    def test_equal_nonconstant_diagonals_degenerate(self):
         # both directions carry diag(1, 2, 3): Psi_i h1 = (-1, 0, 1) != 0,
-        # yet M is the rank-one multiple -2/9 of the all-ones matrix while
-        # min(n-1, K) = 2 — flagged, by design, as a violation
+        # but the two pushed vectors coincide and span 1 < min(n-1, K) = 2
+        # dimensions, so M is the rank-one multiple -2/9 of the all-ones
+        # matrix and the rank law is not asserted
         spec = SystemSpec(n=3, K=2, D=((1, 2, 3), (1, 2, 3)), A=TRIPLE_A)
-        verdict = classify_instance(spec)
-        assert verdict.outcome == "violation"
+        verdict = _classify(spec)
+        assert verdict.outcome == "degenerate"
         assert verdict.breaches == ()
         assert verdict.report.rank_exact == 1
-        assert verdict.report.degenerate  # report flag covers equal diagonals
+        assert verdict.report.degenerate
 
-    def test_affinely_dependent_diagonals_violate(self):
+    def test_affinely_dependent_diagonals_degenerate(self):
         # D_2 = 2 D_1 - 3 (1,1,1) pushes both directions onto one line:
         # Psi_2 h1 = 2 Psi_1 h1, so rank M = 1 below the generic prediction
         # of 2 even though neither direction is degenerate on its own.
-        # Hand-fed instances off the general-position stratum classify as
-        # honest violations; the generator screens its samples off it.
-        a = RationalMatrix([[-1, 1, 0], [1, -2, 1], [0, 1, -1]])
-        spec = SystemSpec(n=3, K=2, D=((1, 2, 4), (-1, 1, 5)), A=a)
-        verdict = classify_instance(spec)
-        assert verdict.outcome == "violation"
+        # The span test puts such hand-fed instances off the
+        # general-position stratum, where the generator never samples.
+        spec = SystemSpec(n=3, K=2, D=((1, 2, 4), (-1, 1, 5)), A=PATH_A)
+        verdict = _classify(spec)
+        assert verdict.outcome == "degenerate"
         assert verdict.report.rank_exact == 1
         assert verdict.report.predicted_rank == 2
-        assert not verdict.report.degenerate
+        assert verdict.report.degenerate
 
     def test_generated_instances_within_rank_ceiling(self):
         for seed in range(6):
-            spec = generate_instance(
+            spec, sd = generate_instance(
                 GeneratorConfig(n=4, K=3, seed=seed, family=FAMILIES[seed % 2])
             )
-            verdict = classify_instance(spec)
+            verdict = classify_instance(spec, sd)
             assert verdict.report.rank_exact <= verdict.report.predicted_rank
 
     def test_breaches_never_change_the_outcome(self):
@@ -136,12 +146,12 @@ class TestClassifyInstance:
         # carries its offending numbers
         seen_kinds = set()
         for seed in range(40):
-            spec = generate_instance(
+            spec, sd = generate_instance(
                 GeneratorConfig(
                     n=2, K=3, seed=seed, family="similarity_transformed"
                 )
             )
-            verdict = classify_instance(spec)
+            verdict = classify_instance(spec, sd)
             assert verdict.outcome in ("match", "degenerate", "violation")
             for detail in verdict.breaches:
                 seen_kinds.add(detail["kind"])
@@ -156,6 +166,47 @@ class TestClassifyInstance:
         # the similarity family is known to produce indefinite M sometimes;
         # losing that signal entirely would mean the check went dead
         assert "dissipativity" in seen_kinds
+
+    def test_generated_instances_never_degenerate(self):
+        # the generator's span screen is the incremental form of the
+        # degeneracy test, so no draw lands on the degenerate stratum
+        for index in range(24):
+            n, k = 2 + index % 3, 2 + (index // 3) % 3
+            spec, sd = generate_instance(
+                GeneratorConfig(n=n, K=k, seed=700 + index, family=FAMILIES[index % 2])
+            )
+            verdict = classify_instance(spec, sd)
+            assert not verdict.report.degenerate
+            assert verdict.outcome == "match"
+
+
+# Hand-fed instances on and off the general-position stratum, with whether
+# rank span{Psi_i h1} < min(n - 1, K) makes them degenerate.
+AGREEMENT_CASES = {
+    "w1": (W1, False),
+    "n3-equal-diagonals": (
+        SystemSpec(n=3, K=2, D=((1, 2, 3), (1, 2, 3)), A=TRIPLE_A), True
+    ),
+    "n3-affinely-dependent": (
+        SystemSpec(n=3, K=2, D=((1, 2, 4), (-1, 1, 5)), A=PATH_A), True
+    ),
+    "n2-all-constant": (SystemSpec(n=2, K=2, D=((3, 3), (5, 5)), A=W1.A), True),
+    "n2-one-constant": (SystemSpec(n=2, K=2, D=((3, 3), (1, 2)), A=W1.A), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AGREEMENT_CASES))
+def test_analyze_and_search_agree_on_degeneracy(name, tmp_path, capsys):
+    spec, degenerate = AGREEMENT_CASES[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(dumps(instance_to_dict(spec)), encoding="utf-8")
+    assert run_command(["analyze", str(path)]) == 0
+    structure = json.loads(capsys.readouterr().out)["structure"]
+    verdict = _classify(parse_instance(str(path)))
+    assert structure["degenerate"] is degenerate
+    assert (verdict.outcome == "degenerate") is degenerate
+    if not degenerate:
+        assert verdict.outcome == "match"
 
 
 class TestRunCampaign:
@@ -220,14 +271,20 @@ class TestRunCampaign:
             run_campaign(cfg)
 
     def test_violation_artifact_replays_identically(self, monkeypatch, tmp_path):
+        # no known instance breaks the rank law, so the classifier is made
+        # to call this degenerate one a violation
         rigged = SystemSpec(
             n=3, K=2, D=((1, 2, 3), (1, 2, 3)), A=TRIPLE_A, label="rigged"
         )
 
         def fixed_instance(gen_cfg):
-            return rigged
+            return rigged, validate_system(rigged)
+
+        def always_violation(spec, sd):
+            return dataclasses.replace(classify_instance(spec, sd), outcome="violation")
 
         monkeypatch.setattr("perturbrank.search.generate_instance", fixed_instance)
+        monkeypatch.setattr("perturbrank.search.classify_instance", always_violation)
         cfg = CampaignConfig(n_range=(3, 3), K_range=(2, 2), samples_per_cell=1, seed=5)
         report = run_campaign(cfg, artifact_dir=str(tmp_path))
         assert report.verdict == "violations_found"
@@ -239,9 +296,47 @@ class TestRunCampaign:
         assert os.path.exists(path)
         replayed = parse_instance(path)
         assert replayed == rigged
-        again = classify_instance(replayed)
-        assert again.outcome == "violation"
-        assert again.report.rank_exact == 1
+        again = _classify(replayed)
+        assert again.report.rank_exact == violation.report["structure"]["rank_exact"] == 1
+
+    def test_violation_report_comes_from_the_single_pass(self, monkeypatch):
+        # force the first instance of a tiny campaign to be a violation; its
+        # report must equal a fresh analysis, and every instance must be
+        # validated (one characteristic polynomial) exactly once
+        charpolys = []
+        original_charpoly = perturbrank.model.charpoly_exact
+
+        def counted_charpoly(a):
+            charpolys.append(a)
+            return original_charpoly(a)
+
+        classified = []
+
+        def first_violates(spec, sd):
+            verdict = classify_instance(spec, sd)
+            classified.append(spec)
+            if len(classified) == 1:
+                verdict = dataclasses.replace(verdict, outcome="violation")
+            return verdict
+
+        monkeypatch.setattr(perturbrank.model, "charpoly_exact", counted_charpoly)
+        monkeypatch.setattr("perturbrank.search.classify_instance", first_violates)
+        cfg = CampaignConfig(n_range=(2, 3), K_range=(2, 2), samples_per_cell=2, seed=13)
+        report = run_campaign(cfg)
+        monkeypatch.undo()
+
+        assert len(classified) == 4
+        assert len(charpolys) == len(classified)
+        assert report.verdict == "violations_found"
+        (violation,) = report.cells[0].violations
+        spec, _ = generate_instance(
+            GeneratorConfig(n=2, K=2, seed=violation.instance_seed, family=violation.family)
+        )
+        assert spec == classified[0]
+        sd = validate_system(spec)
+        ts = build_M(spec, sd)
+        fresh = build_report(spec, sd, ts, analyze_structure(ts, spec, sd))
+        assert dumps(violation.report) == dumps(fresh)
 
     def test_breach_artifact_replays_identically(self, tmp_path):
         cfg = CampaignConfig(n_range=(2, 3), K_range=(2, 3), samples_per_cell=6, seed=7)
@@ -254,7 +349,7 @@ class TestRunCampaign:
             path = os.path.join(str(tmp_path), breach.artifact)
             assert os.path.exists(path)
             replayed = parse_instance(path)
-            again = classify_instance(replayed)
+            again = _classify(replayed)
             kinds = [detail["kind"] for detail in again.breaches]
             assert breach.kind in kinds
 
