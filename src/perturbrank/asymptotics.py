@@ -7,11 +7,13 @@ correction is governed by the symmetric K x K matrix
     M_ij = ((Psi_i G Psi_j + Psi_j G Psi_i) h1, h1_star) / 2,
 
 where Psi_i = D_i - v_i I and G is the constrained pseudo-inverse of A
-determined by A G = I - h1 h1_starᵀ and h1_starᵀ G = 0.  M is built
-exactly; its rank comes from fraction-free elimination and its spectrum
-from a hand-written cyclic Jacobi sweep on the float image, so the two
-routes stay independent.  The limiting profile itself is an anisotropic
-Gaussian with covariance sigma0² I - 2 M t, evaluated in floats.
+determined by A G = I - h1 h1_starᵀ and h1_starᵀ G = 0.  G and M are
+built exactly: G from one fraction-free elimination of
+[A | I - h1 h1_starᵀ], and the rank of M from the same exact elimination
+routine.  The spectrum of M comes from a hand-written cyclic Jacobi sweep
+on its float image, so the two routes stay independent.  The limiting
+profile itself is an anisotropic Gaussian with covariance
+sigma0² I - 2 M t, evaluated in floats.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .exact_linalg import (
     nullspace,
     outer,
     rank_exact,
-    solve_constrained,
+    solve_particular,
 )
 from .model import SpectralData, SystemSpec
 
@@ -129,25 +131,18 @@ def velocities(s: SystemSpec, sd: SpectralData) -> Vector:
 def group_inverse(a: RationalMatrix, sd: SpectralData) -> RationalMatrix:
     """Constrained pseudo-inverse: A G = I - h1 h1_starᵀ with h1_starᵀ G = 0.
 
-    All columns are solved in one elimination of [A | I - h1 h1_starᵀ] and
-    then shifted onto the constraint hyperplane along h1 (the same result,
-    column for column, as ``solve_constrained`` with c = h1_star).
+    All columns are solved in one fraction-free elimination of
+    [A | I - h1 h1_starᵀ] (``solve_particular``) and then shifted onto the
+    constraint hyperplane along h1 (the same result, column for column, as
+    ``solve_constrained`` with c = h1_star).
     """
-    n = a.rows
-    target = RationalMatrix.identity(n) - outer(sd.h1, sd.h1_star)
-    aug = [list(row) + list(trow) for row, trow in zip(a.data, target.data)]
-    from .exact_linalg import _rref  # local import keeps the helper private
-
-    rref_rows, pivot_cols = _rref(aug)
-    if any(pc >= n for pc in pivot_cols):
-        raise ValueError("projector is not in the range of A")  # cannot happen
+    target = RationalMatrix.identity(a.rows) - outer(sd.h1, sd.h1_star)
+    x = solve_particular(a, target)
     cols: list[list[Fraction]] = []
-    for j in range(n):
-        x = [Fraction(0)] * n
-        for row_idx, pc in enumerate(pivot_cols):
-            x[pc] = rref_rows[row_idx][n + j]
-        shift = dot(x, sd.h1_star)  # (h1, h1_star) = 1, so no division needed
-        cols.append([xi - shift * hi for xi, hi in zip(x, sd.h1)])
+    for j in range(a.cols):
+        col = x.column(j)
+        shift = dot(col, sd.h1_star)  # (h1, h1_star) = 1, so no division needed
+        cols.append([xi - shift * hi for xi, hi in zip(col, sd.h1)])
     return RationalMatrix(zip(*cols))
 
 

@@ -2,18 +2,19 @@
 
 Scalars are ``fractions.Fraction`` values, which are always in canonical
 form (coprime numerator/denominator, positive denominator).  Matrices are
-immutable, dense and row-major.  Rank and determinant use fraction-free
-(Bareiss) elimination on denominator-cleared integer rows, so intermediate
-values stay integral; kernels and linear solves use plain rational
-Gauss-Jordan elimination.  Nothing here is approximate: every returned
-value is exact.
+immutable, dense and row-major.  Rank, determinant, kernels, linear
+solves, the inverse and the Hurwitz test all run one fraction-free
+(Bareiss) Gauss-Jordan elimination on denominator-cleared integer rows,
+so intermediate values stay integral and every division is checked to be
+exact; Fractions appear again only in the returned values.  Nothing here
+is approximate: every returned value is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -42,7 +43,7 @@ __all__ = [
     "outer",
     "rank_exact",
     "solve_constrained",
-    "vector",
+    "solve_particular",
 ]
 
 
@@ -75,7 +76,7 @@ def as_rational(value: int | str | Fraction) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
-def vector(values: Iterable[int | str | Fraction]) -> Vector:
+def _vector(values: Iterable[int | str | Fraction]) -> Vector:
     return tuple(as_rational(v) for v in values)
 
 
@@ -117,7 +118,7 @@ class RationalMatrix:
 
     @classmethod
     def diagonal(cls, entries: Sequence[int | str | Fraction]) -> "RationalMatrix":
-        d = vector(entries)
+        d = _vector(entries)
         n = len(d)
         return cls(
             tuple(d[i] if i == j else Fraction(0) for j in range(n)) for i in range(n)
@@ -211,15 +212,17 @@ def outer(u: Sequence[Fraction], v: Sequence[Fraction]) -> RationalMatrix:
     return RationalMatrix(tuple(a * b for b in v) for a in u)
 
 
-def _cleared_int_rows(m: RationalMatrix) -> tuple[list[list[int]], list[int]]:
+def _cleared_int_rows(
+    rows: Iterable[Sequence[Fraction]],
+) -> tuple[list[list[int]], list[int]]:
     """Scale each row to integers; returns (rows, per-row multipliers)."""
-    rows: list[list[int]] = []
+    cleared: list[list[int]] = []
     mults: list[int] = []
-    for row in m.data:
-        mult = lcm(*(x.denominator for x in row)) if row else 1
-        rows.append([int(x * mult) for x in row])
+    for row in rows:
+        mult = lcm(*(x.denominator for x in row))
+        cleared.append([int(x * mult) for x in row])
         mults.append(mult)
-    return rows, mults
+    return cleared, mults
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -229,100 +232,64 @@ def _exact_div(num: int, den: int) -> int:
     return q
 
 
-def rank_exact(m: RationalMatrix) -> int:
-    """Rank over the rationals, by fraction-free Bareiss elimination.
+def _eliminate(a: list[list[int]]) -> tuple[list[int], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
 
-    Row scaling does not change rank, so rows are first cleared to
-    integers; pivoting uses exact nonzero tests (first nonzero in the
-    current column), and every update divides exactly by the previous
-    pivot.
+    Pivots are the first nonzero entry in the current column; each step
+    updates every other row as (p·row - f·pivot_row) / previous pivot,
+    a division that is exact (Bareiss, Math. Comp. 1968).  Returns the
+    pivot columns, the pivot values and the number of row swaps.  After
+    it, row k holds the last pivot value d in pivot column k and zero in
+    every other pivot column, so rows / d is the reduced row echelon
+    form; without swaps, the k-th pivot value is the k-th leading
+    principal minor of the input rows.
     """
-    a, _ = _cleared_int_rows(m)
-    n_rows, n_cols = m.rows, m.cols
-    pivots = 0
+    n_rows = len(a)
+    pivot_cols: list[int] = []
+    pivot_vals: list[int] = []
+    swaps = 0
     prev = 1
-    for col in range(n_cols):
-        if pivots == n_rows:
+    for col in range(len(a[0])):
+        k = len(pivot_cols)
+        if k == n_rows:
             break
-        pivot_row = next((r for r in range(pivots, n_rows) if a[r][col] != 0), None)
+        pivot_row = next((r for r in range(k, n_rows) if a[r][col] != 0), None)
         if pivot_row is None:
             continue
-        if pivot_row != pivots:
-            a[pivots], a[pivot_row] = a[pivot_row], a[pivots]
-        p = a[pivots][col]
-        top = a[pivots]
-        for r in range(pivots + 1, n_rows):
-            cur = a[r]
-            factor = cur[col]
-            for c in range(col + 1, n_cols):
-                cur[c] = _exact_div(p * cur[c] - factor * top[c], prev)
-            cur[col] = 0
+        if pivot_row != k:
+            a[k], a[pivot_row] = a[pivot_row], a[k]
+            swaps += 1
+        top = a[k]
+        p = top[col]
+        for r in range(n_rows):
+            if r != k:
+                f = a[r][col]
+                # a pair of zeros updates to zero; skip its division
+                a[r] = [
+                    _exact_div(p * x - f * y, prev) if x or y else 0
+                    for x, y in zip(a[r], top)
+                ]
+        pivot_cols.append(col)
+        pivot_vals.append(p)
         prev = p
-        pivots += 1
-    return pivots
+    return pivot_cols, pivot_vals, swaps
+
+
+def rank_exact(m: RationalMatrix) -> int:
+    """Rank over the rationals: the pivot count of the fraction-free elimination."""
+    pivot_cols, _, _ = _eliminate(_cleared_int_rows(m.data)[0])
+    return len(pivot_cols)
 
 
 def det_exact(m: RationalMatrix) -> Fraction:
-    """Determinant by fraction-free Bareiss elimination."""
+    """Determinant from the last pivot of the fraction-free elimination."""
     if not m.is_square():
         raise ValueError("determinant of a non-square matrix")
-    a, mults = _cleared_int_rows(m)
-    n = m.rows
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        pivot_row = next((r for r in range(k, n) if a[r][k] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        p = a[k][k]
-        top = a[k]
-        for r in range(k + 1, n):
-            cur = a[r]
-            factor = cur[k]
-            for c in range(k + 1, n):
-                cur[c] = _exact_div(p * cur[c] - factor * top[c], prev)
-            cur[k] = 0
-        prev = p
-    cleared_det = sign * a[n - 1][n - 1]
-    scale = 1
-    for mult in mults:
-        scale *= mult
-    return Fraction(cleared_det, scale)
-
-
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot column list)."""
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        if r == n_rows:
-            break
-        pivot_row = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(n_rows):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
-        pivot_cols.append(c)
-        r += 1
-    return rows, pivot_cols
-
-
-def _normalize_first_nonzero(v: Sequence[Fraction]) -> Vector:
-    lead = next((x for x in v if x != 0), None)
-    if lead is None:
-        return tuple(v)
-    inv = Fraction(1) / lead
-    return tuple(x * inv for x in v)
+    a, mults = _cleared_int_rows(m.data)
+    _, pivot_vals, swaps = _eliminate(a)
+    if len(pivot_vals) < m.rows:
+        return Fraction(0)
+    return Fraction((-1) ** swaps * pivot_vals[-1], prod(mults))
 
 
 def nullspace(m: RationalMatrix, side: str = "right") -> list[Vector]:
@@ -333,36 +300,44 @@ def nullspace(m: RationalMatrix, side: str = "right") -> list[Vector]:
     the output deterministic.
     """
     if side == "left":
-        work = m.transpose()
+        rows, width = zip(*m.data), m.rows
     elif side == "right":
-        work = m
+        rows, width = m.data, m.cols
     else:
         raise ValueError(f"side must be 'right' or 'left', not {side!r}")
-    rows = [list(row) for row in work.data]
-    rref_rows, pivot_cols = _rref(rows)
-    pivot_set = set(pivot_cols)
+    a, _ = _cleared_int_rows(rows)
+    pivot_cols, pivot_vals, _ = _eliminate(a)
+    d = pivot_vals[-1] if pivot_vals else 1
     basis: list[Vector] = []
-    for free in range(work.cols):
-        if free in pivot_set:
-            continue
-        v = [Fraction(0)] * work.cols
-        v[free] = Fraction(1)
-        for row_idx, pc in enumerate(pivot_cols):
-            v[pc] = -rref_rows[row_idx][free]
-        basis.append(_normalize_first_nonzero(v))
+    for free in sorted(set(range(width)) - set(pivot_cols)):
+        # d·v with v the RREF kernel vector of this free column
+        v = [0] * width
+        v[free] = d
+        for row, pc in zip(a, pivot_cols):
+            v[pc] = -row[free]
+        lead = next(x for x in v if x != 0)
+        basis.append(tuple(Fraction(x, lead) for x in v))
     return basis
 
 
-def _solve_particular(m: RationalMatrix, y: Sequence[Fraction]) -> Vector:
-    """One exact solution of m·x = y with free variables set to zero."""
-    aug = [list(row) + [yy] for row, yy in zip(m.data, y)]
-    rref_rows, pivot_cols = _rref(aug)
-    if m.cols in pivot_cols:
+def solve_particular(m: RationalMatrix, y: RationalMatrix) -> RationalMatrix:
+    """One exact solution X of m·X = Y, with the free variables set to zero.
+
+    ``[m | Y]`` is eliminated once; a pivot in the Y block means some
+    column of Y is not in the range of m, which raises
+    ``InconsistentSystem``.
+    """
+    if y.rows != m.rows:
+        raise ValueError(f"right-hand side has {y.rows} rows against {m.rows}")
+    a, _ = _cleared_int_rows(row + yrow for row, yrow in zip(m.data, y.data))
+    pivot_cols, pivot_vals, _ = _eliminate(a)
+    if pivot_cols and pivot_cols[-1] >= m.cols:
         raise InconsistentSystem("right-hand side is not in the range")
-    x = [Fraction(0)] * m.cols
-    for row_idx, pc in enumerate(pivot_cols):
-        x[pc] = rref_rows[row_idx][m.cols]
-    return tuple(x)
+    d = pivot_vals[-1] if pivot_vals else 1
+    x = [[Fraction(0)] * y.cols for _ in range(m.cols)]
+    for row, pc in zip(a, pivot_cols):
+        x[pc] = [Fraction(v, d) for v in row[m.cols:]]
+    return RationalMatrix(x)
 
 
 def solve_constrained(
@@ -378,8 +353,8 @@ def solve_constrained(
     """
     if not m.is_square():
         raise ValueError("constrained solve expects a square matrix")
-    y = vector(y)
-    c = vector(c)
+    y = _vector(y)
+    c = _vector(c)
     if len(y) != m.rows or len(c) != m.cols:
         raise ValueError("right-hand side or constraint has the wrong length")
     kernel = nullspace(m, side="right")
@@ -389,24 +364,19 @@ def solve_constrained(
     ch = dot(c, h)
     if ch == 0:
         raise DegenerateConstraint("constraint vector is orthogonal to the kernel")
-    x0 = _solve_particular(m, y)
+    x0 = solve_particular(m, RationalMatrix((yi,) for yi in y)).column(0)
     shift = dot(x0, c) / ch
     return tuple(a - shift * b for a, b in zip(x0, h))
 
 
 def inverse(m: RationalMatrix) -> RationalMatrix:
-    """Exact inverse by Gauss-Jordan; raises ValueError when singular."""
+    """Exact inverse, the solution of m·X = I; raises ValueError when singular."""
     if not m.is_square():
         raise ValueError("inverse of a non-square matrix")
-    n = m.rows
-    aug = [
-        list(row) + [Fraction(1 if i == j else 0) for j in range(n)]
-        for i, row in enumerate(m.data)
-    ]
-    rref_rows, pivot_cols = _rref(aug)
-    if pivot_cols != list(range(n)):
-        raise ValueError("matrix is singular")
-    return RationalMatrix(tuple(row[n:]) for row in rref_rows)
+    try:
+        return solve_particular(m, RationalMatrix.identity(m.rows))
+    except InconsistentSystem:
+        raise ValueError("matrix is singular") from None
 
 
 @dataclass(frozen=True)
@@ -477,30 +447,28 @@ def hurwitz_stable(p: Polynomial) -> bool:
 
     Classical Hurwitz-determinant criterion, evaluated exactly: after
     normalizing the leading coefficient positive, all leading principal
-    minors of the Hurwitz matrix must be strictly positive.  A nonzero
-    constant has no roots and counts as stable.
+    minors of the Hurwitz matrix must be strictly positive.  One
+    fraction-free elimination of the Hurwitz matrix gives them all as its
+    pivots, so the test is: no row swap, n pivots, every pivot positive.
+    A nonzero constant has no roots and counts as stable.
     """
     if p.is_zero():
         raise ZeroPolynomial("the zero polynomial has no stability verdict")
     coeffs = p.coefficients
-    if coeffs[-1] < 0:
-        coeffs = tuple(-c for c in coeffs)
     n = len(coeffs) - 1
     if n == 0:
         return True
-    desc = tuple(reversed(coeffs))  # desc[0] is the (positive) leading coefficient
+    # A positive multiple clears the denominators and the leading sign.
+    scale = lcm(*(c.denominator for c in coeffs))
+    if coeffs[-1] < 0:
+        scale = -scale
+    desc = [int(c * scale) for c in reversed(coeffs)]  # desc[0] > 0 leads
     # Positive coefficients are necessary; bail out early when violated.
     if any(c <= 0 for c in desc[1:]):
         return False
-
-    def entry(i: int, j: int) -> Fraction:
-        idx = 2 * j - i + 1
-        return desc[idx] if 0 <= idx <= n else Fraction(0)
-
-    for k in range(1, n + 1):
-        minor = RationalMatrix(
-            tuple(entry(i, j) for j in range(k)) for i in range(k)
-        )
-        if det_exact(minor) <= 0:
-            return False
-    return True
+    hurwitz = [
+        [desc[2 * j - i + 1] if 0 <= 2 * j - i + 1 <= n else 0 for j in range(n)]
+        for i in range(n)
+    ]
+    pivot_cols, pivot_vals, swaps = _eliminate(hurwitz)
+    return swaps == 0 and len(pivot_cols) == n and all(v > 0 for v in pivot_vals)

@@ -152,18 +152,22 @@ def null_pair_normalized(a: RationalMatrix) -> tuple[Vector, Vector]:
     return h1, h1_star
 
 
-def _validate_interaction(a: RationalMatrix) -> SpectralData:
+def _check_spectrum(a: RationalMatrix) -> None:
+    """Raise unless A has a simple zero eigenvalue and a Hurwitz remainder.
+
+    A simple zero root makes both kernels one-dimensional and the null
+    vectors non-orthogonal, so ``null_pair_normalized`` cannot raise once
+    this check has passed.
+    """
     p = charpoly_exact(a)
     coeffs = p.coefficients
     if coeffs[0] != 0:
         raise KernelDimensionError("zero is not an eigenvalue")
     if len(coeffs) < 2 or coeffs[1] == 0:
         raise KernelDimensionError("zero eigenvalue is not simple")
-    h1, h1_star = null_pair_normalized(a)
     deflated = Polynomial(coeffs[1:])
     if not hurwitz_stable(deflated):
         raise NotStable("nonzero spectrum is not contained in the open left half-plane")
-    return SpectralData(h1=h1, h1_star=h1_star, stable=True)
 
 
 def validate_system(s: SystemSpec) -> SpectralData:
@@ -173,7 +177,9 @@ def validate_system(s: SystemSpec) -> SpectralData:
     repeated, or defective (λ² dividing the characteristic polynomial),
     and ``NotStable`` when the deflated polynomial is not Hurwitz.
     """
-    return _validate_interaction(s.A)
+    _check_spectrum(s.A)
+    h1, h1_star = null_pair_normalized(s.A)
+    return SpectralData(h1=h1, h1_star=h1_star, stable=True)
 
 
 def _positive_fraction(rng: random.Random, bound: int) -> Fraction:
@@ -214,19 +220,22 @@ def _random_invertible(rng: random.Random, n: int, bound: int) -> RationalMatrix
     raise GenerationFailed("could not sample an invertible transform")
 
 
-def _sample_interaction(cfg: GeneratorConfig, rng: random.Random) -> RationalMatrix:
-    if cfg.family == MARKOV_FAMILY:
-        return _markov_generator(rng, cfg.n, cfg.entry_bound)
+def _sample_interaction(
+    cfg: GeneratorConfig, rng: random.Random
+) -> tuple[RationalMatrix, tuple[Vector, Vector]]:
+    """One interaction matrix with its normalized null pair."""
     base = _markov_generator(rng, cfg.n, cfg.entry_bound)
+    if cfg.family == MARKOV_FAMILY:
+        return base, null_pair_normalized(base)
     t_bound = min(cfg.entry_bound, 3)  # keeps conjugated denominators modest
     for _ in range(_MAX_GENERATION_ATTEMPTS):
         t = _random_invertible(rng, cfg.n, t_bound)
         a = t @ base @ inverse(t)
-        h1, h1_star = null_pair_normalized(a)
+        h1, h1_star = pair = null_pair_normalized(a)
         # Stay inside the rank law's evident hypothesis class: the
         # conjugation must not park a null vector on a coordinate plane.
         if all(x != 0 for x in h1) and all(x != 0 for x in h1_star):
-            return a
+            return a, pair
     raise GenerationFailed("similarity transform kept zeroing a null-vector entry")
 
 
@@ -290,8 +299,9 @@ def generate_instance(cfg: GeneratorConfig) -> tuple[SystemSpec, SpectralData]:
     loops draw from the one seeded stream and are attempt-bounded.
     """
     rng = random.Random(cfg.seed)
-    a = _sample_interaction(cfg, rng)
-    data = _validate_interaction(a)
+    a, (h1, h1_star) = _sample_interaction(cfg, rng)
+    _check_spectrum(a)
+    data = SpectralData(h1=h1, h1_star=h1_star, stable=True)
     diagonals = _sample_diagonals(cfg, rng, data.h1, data.h1_star)
     label = f"{cfg.family}-n{cfg.n}-K{cfg.K}-seed{cfg.seed}"
     return SystemSpec(n=cfg.n, K=cfg.K, D=diagonals, A=a, label=label), data

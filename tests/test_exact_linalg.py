@@ -26,6 +26,7 @@ from perturbrank.exact_linalg import (
     outer,
     rank_exact,
     solve_constrained,
+    solve_particular,
 )
 
 fractions_st = st.fractions(
@@ -50,6 +51,25 @@ def _rref_rank(m: RationalMatrix) -> int:
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def _rational_det(rows: list[list[Fraction]]) -> Fraction:
+    # Independent oracle: plain rational Gaussian elimination, no Bareiss.
+    rows = [list(r) for r in rows]
+    n = len(rows)
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if rows[i][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for i in range(col + 1, n):
+            f = rows[i][col] / rows[col][col]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
+    return det
 
 
 def _random_matrix(rng: random.Random, rows: int, cols: int, bound: int = 6) -> RationalMatrix:
@@ -147,6 +167,38 @@ class TestRank:
             assert rank_exact(prod) <= r
 
 
+class TestDeterminant:
+    def test_row_swap_and_denominators(self):
+        m = RationalMatrix([[0, "1/2"], ["1/3", 0]])
+        assert det_exact(m) == Fraction(-1, 6)
+
+    def test_three_by_three_with_swap(self):
+        m = RationalMatrix([[0, 2, 1], ["1/2", 1, 0], [1, 0, "1/3"]])
+        assert det_exact(m) == _rational_det([list(r) for r in m.data])
+        assert det_exact(m) == Fraction(-4, 3)
+
+    def test_singular(self):
+        assert det_exact(RationalMatrix([[1, "1/2"], [2, 1]])) == 0
+        assert det_exact(RationalMatrix([[0, 1], [0, 2]])) == 0
+
+    def test_one_by_one(self):
+        assert det_exact(RationalMatrix([["-3/4"]])) == Fraction(-3, 4)
+        assert det_exact(RationalMatrix([[0]])) == 0
+
+    def test_non_square(self):
+        with pytest.raises(ValueError):
+            det_exact(RationalMatrix.zeros(2, 3))
+
+    def test_agrees_with_rational_elimination(self):
+        rng = random.Random(6167)
+        for _ in range(60):
+            n = rng.randint(1, 6)
+            m = _random_matrix(rng, n, n, bound=4)
+            if rng.random() < 0.3:  # force a zero leading entry
+                m = RationalMatrix([[0] + list(m.row(0)[1:])] + [list(r) for r in m.data[1:]])
+            assert det_exact(m) == _rational_det([list(r) for r in m.data])
+
+
 class TestNullspace:
     def test_kernel_of_difference_matrix(self):
         m = RationalMatrix([[-1, 1], [1, -1]])
@@ -223,6 +275,33 @@ class TestSolveConstrained:
             done += 1
 
 
+class TestSolveParticular:
+    def test_free_variables_are_zero(self):
+        # x + 2y + 3z = 6 with y, z free: the particular solution is (6, 0, 0)
+        m = RationalMatrix([[1, 2, 3], [2, 4, 6]])
+        x = solve_particular(m, RationalMatrix([[6], [12]]))
+        assert x == RationalMatrix([[6], [0], [0]])
+
+    def test_several_right_hand_sides(self):
+        rng = random.Random(2718)
+        for _ in range(30):
+            n = rng.randint(1, 5)
+            m = _random_matrix(rng, n, n, bound=4)
+            if det_exact(m) == 0:
+                continue
+            y = _random_matrix(rng, n, 3, bound=4)
+            assert m @ solve_particular(m, y) == y
+
+    def test_inconsistent(self):
+        m = RationalMatrix([[1, 1], [2, 2]])
+        with pytest.raises(InconsistentSystem):
+            solve_particular(m, RationalMatrix([[1, 0], [2, 1]]))
+
+    def test_row_count_mismatch(self):
+        with pytest.raises(ValueError):
+            solve_particular(RationalMatrix.identity(2), RationalMatrix([[1]]))
+
+
 class TestInverse:
     def test_round_trip(self):
         rng = random.Random(33)
@@ -236,6 +315,15 @@ class TestInverse:
     def test_singular_raises(self):
         with pytest.raises(ValueError):
             inverse(RationalMatrix([[1, 1], [1, 1]]))
+
+    def test_first_pivot_needs_a_swap(self):
+        m = RationalMatrix([[0, 2, 1], ["1/2", 1, 0], [1, 0, "1/3"]])
+        inv = inverse(m)
+        assert m @ inv == RationalMatrix.identity(3)
+        assert inv @ m == RationalMatrix.identity(3)
+        assert inverse(RationalMatrix([[0, "1/2"], ["1/3", 0]])) == RationalMatrix(
+            [[0, 3], [2, 0]]
+        )
 
 
 class TestPolynomial:
@@ -320,6 +408,45 @@ class TestHurwitz:
     def test_zero_polynomial_raises(self):
         with pytest.raises(ZeroPolynomial):
             hurwitz_stable(Polynomial(()))
+
+    def test_positive_coefficients_with_vanishing_minor(self):
+        # x³ + x² + x + 1 = (x + 1)(x² + 1): roots ±i, Δ2 = 0
+        assert hurwitz_stable(Polynomial((1, 1, 1, 1))) is False
+
+    def test_positive_coefficients_with_negative_minor(self):
+        # x³ + x² + x + 2: Δ2 = 1·1 - 1·2 = -1
+        assert hurwitz_stable(Polynomial((2, 1, 1, 1))) is False
+
+    def test_positive_coefficients_stable_cubic(self):
+        # (x + 1)(x + 2)(x + 3) = x³ + 6x² + 11x + 6, with denominators
+        assert hurwitz_stable(Polynomial(("3/2", "11/4", "3/2", "1/4"))) is True
+
+    def test_agreement_with_leading_minors(self):
+        # The verdict against each leading Hurwitz minor, computed one by
+        # one with plain rational elimination.
+        rng = random.Random(41729)
+        stable = 0
+        for _ in range(2000):
+            degree = rng.randint(1, 7)
+            coeffs = [
+                Fraction(rng.randint(-1, 9), rng.randint(1, 4)) for _ in range(degree)
+            ] + [Fraction(rng.randint(1, 9), rng.randint(1, 4))]
+            if rng.random() < 0.3:
+                coeffs = [-c for c in coeffs]
+            sign = 1 if coeffs[-1] > 0 else -1
+            desc = [sign * c for c in reversed(coeffs)]
+
+            def entry(i: int, j: int) -> Fraction:
+                idx = 2 * j - i + 1
+                return desc[idx] if 0 <= idx <= degree else Fraction(0)
+
+            expected = all(
+                _rational_det([[entry(i, j) for j in range(k)] for i in range(k)]) > 0
+                for k in range(1, degree + 1)
+            )
+            assert hurwitz_stable(Polynomial(tuple(coeffs))) is expected, coeffs
+            stable += expected
+        assert 200 < stable < 1800
 
     def test_agreement_with_float_eigenvalues(self):
         # 1000 random integer matrices, sizes up to 5: the exact verdict on the

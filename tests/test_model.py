@@ -190,6 +190,44 @@ class TestGenerateInstance:
         base = _markov_generator(random.Random(cfg.seed), cfg.n, cfg.entry_bound)
         assert charpoly_exact(s.A) == charpoly_exact(base)
 
+    def test_null_pair_computed_once_per_draw(self, monkeypatch):
+        # The similarity family screens each conjugated draw by its null
+        # pair; the accepted draw's pair is the one returned, not recomputed.
+        import perturbrank.model as model
+
+        calls = {"null_pair": 0, "inverse": 0, "charpoly": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for attr, name in (
+            ("null_pair_normalized", "null_pair"),
+            ("inverse", "inverse"),
+            ("charpoly_exact", "charpoly"),
+        ):
+            monkeypatch.setattr(model, attr, counted(name, getattr(model, attr)))
+        draws = []
+        for seed in range(12):
+            for key in calls:
+                calls[key] = 0
+            s, data = generate_instance(GeneratorConfig(n=4, K=3, seed=seed))
+            assert calls == {"null_pair": 1, "inverse": 0, "charpoly": 1}
+            assert (data.h1, data.h1_star) == null_pair_normalized(s.A)
+            for key in calls:
+                calls[key] = 0
+            s, data = generate_instance(
+                GeneratorConfig(n=4, K=3, seed=seed, family=SIMILARITY_FAMILY)
+            )
+            assert calls["null_pair"] == calls["inverse"] >= 1  # one per draw
+            assert calls["charpoly"] == 1
+            assert (data.h1, data.h1_star) == null_pair_normalized(s.A)
+            draws.append(calls["inverse"])
+        assert max(draws) > 1  # some seed's screen rejected a draw
+
     def test_similarity_is_not_markov(self):
         found_non_markov = False
         for seed in range(20):
