@@ -9,11 +9,12 @@ correction is governed by the symmetric K x K matrix
 where Psi_i = D_i - v_i I and G is the constrained pseudo-inverse of A
 determined by A G = I - h1 h1_starᵀ and h1_starᵀ G = 0.  G and M are
 built exactly: G from one fraction-free elimination of
-[A | I - h1 h1_starᵀ], and the rank of M from the same exact elimination
-routine.  The spectrum of M comes from a hand-written cyclic Jacobi sweep
-on its float image, so the two routes stay independent.  The limiting
-profile itself is an anisotropic Gaussian with covariance
-sigma0² I - 2 M t, evaluated in floats.
+[A | I - h1 h1_starᵀ], and the kernel of M, hence its rank, from one
+more run of the same exact elimination routine.  The spectrum of M comes
+from a hand-written cyclic Jacobi sweep on its float image, so the two
+routes stay independent.  The limiting profile itself is an anisotropic
+Gaussian with covariance sigma0² I - 2 M t, evaluated in floats; every
+query value must be finite.
 """
 
 from __future__ import annotations
@@ -112,6 +113,9 @@ class ProfileQuery:
     amplitude: float
 
     def __post_init__(self):
+        values = (self.epsilon, self.t, self.sigma0, self.amplitude, *self.x)
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError("epsilon, t, sigma0, amplitude and x must be finite")
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
         if self.t < 0:
@@ -212,15 +216,18 @@ def analyze_structure(
 ) -> StructureReport:
     """Exact rank, numeric spectrum, and the rank-law verdict for M.
 
-    The prediction is min(n - 1, K).  ``degenerate`` is the one definition
-    of degeneracy, rank span{Psi_i h1} < min(n - 1, K), where the rank law
-    is not asserted; campaigns read it, and the generator screens it out.
+    The exact rank is K minus the dimension of the exact kernel, both
+    read off one elimination of M; the Jacobi spectrum is the independent
+    float route.  The prediction is min(n - 1, K).  ``degenerate`` is the
+    one definition of degeneracy, rank span{Psi_i h1} < min(n - 1, K),
+    where the rank law is not asserted; campaigns read it, and the
+    generator screens it out.
     """
-    rank = rank_exact(ts.M)
+    kernel = tuple(nullspace(ts.M, side="right"))
+    rank = ts.M.cols - len(kernel)
     eigs = tuple(jacobi_eigenvalues(ts.M.to_float()))
     predicted = min(s.n - 1, s.K)
     pushed = RationalMatrix([psi.matvec(sd.h1) for psi in ts.Psi])
-    kernel = tuple(nullspace(ts.M, side="right"))
     return StructureReport(
         rank_exact=rank,
         eigenvalues=eigs,
@@ -267,6 +274,8 @@ def phi0_eval(m: RationalMatrix, q: ProfileQuery, zeta: tuple[float, ...]) -> fl
     k = m.rows
     if len(zeta) != k:
         raise ValueError(f"zeta must have length {k}")
+    if not all(math.isfinite(z) for z in zeta):
+        raise ValueError("zeta must be finite")
     _require_dissipative(m)
     return _gaussian(m, q, zeta)
 

@@ -5,9 +5,11 @@ form (coprime numerator/denominator, positive denominator).  Matrices are
 immutable, dense and row-major.  Rank, determinant, kernels, linear
 solves, the inverse and the Hurwitz test all run one fraction-free
 (Bareiss) Gauss-Jordan elimination on denominator-cleared integer rows,
-so intermediate values stay integral and every division is checked to be
-exact; Fractions appear again only in the returned values.  Nothing here
-is approximate: every returned value is exact.
+and the characteristic polynomial runs the Faddeev-LeVerrier recurrence
+on the matrix times the lcm of its denominators.  So intermediate values
+stay integral and every division is checked to be exact; Fractions
+appear again only in the returned values.  Nothing here is approximate:
+every returned value is exact.
 """
 
 from __future__ import annotations
@@ -113,10 +115,6 @@ class RationalMatrix:
         )
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls(tuple(Fraction(0) for _ in range(cols)) for _ in range(rows))
-
-    @classmethod
     def diagonal(cls, entries: Sequence[int | str | Fraction]) -> "RationalMatrix":
         d = _vector(entries)
         n = len(d)
@@ -128,9 +126,6 @@ class RationalMatrix:
         i, j = ij
         return self.data[i][j]
 
-    def row(self, i: int) -> Vector:
-        return self.data[i]
-
     def column(self, j: int) -> Vector:
         return tuple(row[j] for row in self.data)
 
@@ -140,24 +135,11 @@ class RationalMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        self._require_same_shape(other)
-        return RationalMatrix(
-            tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.data, other.data)
-        )
-
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
         self._require_same_shape(other)
         return RationalMatrix(
             tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.data, other.data)
         )
-
-    def __neg__(self) -> "RationalMatrix":
-        return RationalMatrix(tuple(-a for a in row) for row in self.data)
-
-    def scale(self, factor: int | str | Fraction) -> "RationalMatrix":
-        f = as_rational(factor)
-        return RationalMatrix(tuple(f * a for a in row) for row in self.data)
 
     def __matmul__(self, other):
         if isinstance(other, RationalMatrix):
@@ -175,17 +157,6 @@ class RationalMatrix:
         if len(v) != self.cols:
             raise ValueError(f"vector of length {len(v)} against {self.cols} columns")
         return tuple(dot(row, v) for row in self.data)
-
-    def vecmat(self, v: Sequence[Fraction]) -> Vector:
-        """Left product vᵀ·M, returned as a plain vector."""
-        if len(v) != self.rows:
-            raise ValueError(f"vector of length {len(v)} against {self.rows} rows")
-        return tuple(dot(v, self.column(j)) for j in range(self.cols))
-
-    def trace(self) -> Fraction:
-        if not self.is_square():
-            raise ValueError("trace of a non-square matrix")
-        return sum((self.data[i][i] for i in range(self.rows)), Fraction(0))
 
     def max_abs(self) -> Fraction:
         return max(abs(x) for row in self.data for x in row)
@@ -228,7 +199,7 @@ def _cleared_int_rows(
 def _exact_div(num: int, den: int) -> int:
     q, r = divmod(num, den)
     if r:
-        raise ArithmeticError("fraction-free elimination produced a non-integer")
+        raise ArithmeticError("fraction-free step produced a non-integer")
     return q
 
 
@@ -422,23 +393,29 @@ class Polynomial:
 def charpoly_exact(m: RationalMatrix) -> Polynomial:
     """Characteristic polynomial det(λI - m) by the Faddeev-LeVerrier recurrence.
 
-    Exact over the rationals; the constant coefficient equals
-    (-1)^n · det(m), which is asserted against the independent Bareiss
-    determinant elsewhere in the test suite.
+    The recurrence runs on the integer matrix B = d·m, with d the lcm of
+    all entry denominators (one common multiplier, so B's polynomial is
+    the same one rescaled): B_1 = B, c_k = -tr(B_k) / k, an exact integer
+    division, and B_(k+1) = B·(B_k + c_k I).  The coefficient of λ^(n-k)
+    in the polynomial of m is then c_k / d^k.
     """
     if not m.is_square():
         raise ValueError("characteristic polynomial of a non-square matrix")
     n = m.rows
     if n > CHARPOLY_SIZE_LIMIT:
         raise SizeLimitExceeded(f"matrix size {n} exceeds limit {CHARPOLY_SIZE_LIMIT}")
-    ident = RationalMatrix.identity(n)
+    d = lcm(*(x.denominator for row in m.data for x in row))
+    b = [[int(x * d) for x in row] for row in m.data]
     descending = [Fraction(1)]  # coefficient of λ^n
-    bk = m
+    bk = [row[:] for row in b]
     for k in range(1, n + 1):
-        ck = -bk.trace() / k
-        descending.append(ck)
+        ck = _exact_div(-sum(bk[i][i] for i in range(n)), k)
+        descending.append(Fraction(ck, d**k))
         if k < n:
-            bk = m @ (bk + ident.scale(ck))
+            for i in range(n):
+                bk[i][i] += ck
+            cols = list(zip(*bk))
+            bk = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in b]
     return Polynomial(tuple(reversed(descending)))
 
 

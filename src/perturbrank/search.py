@@ -321,12 +321,17 @@ def run_campaign(cfg: CampaignConfig, artifact_dir: str | None = None) -> Search
 
     With worker_count > 1 cells are distributed across processes; the
     per-instance seed derivation makes the outcome identical to a serial
-    run.  When artifact_dir is given, each violation is written there as
-    a standalone instance file named violation-n{n}-K{k}-index{i}.json,
-    and each invariant breach as breach-{kind}-n{n}-K{k}-index{i}.json.
+    run; no more workers are started than there are cells.  When
+    artifact_dir is given, each violation is written there as a standalone
+    instance file named violation-n{n}-K{k}-index{i}.json, and each
+    invariant breach as breach-{kind}-n{n}-K{k}-index{i}.json.  An
+    artifact_dir that already holds files raises ValueError before any
+    instance runs, so no artifact of an earlier campaign is left mixed in.
     The verdict reflects the rank law alone.
     """
     if artifact_dir is not None:
+        if os.path.isdir(artifact_dir) and os.listdir(artifact_dir):
+            raise ValueError(f"artifact directory {artifact_dir} is not empty")
         os.makedirs(artifact_dir, exist_ok=True)
     started = time.monotonic()
     coords = [
@@ -336,7 +341,8 @@ def run_campaign(cfg: CampaignConfig, artifact_dir: str | None = None) -> Search
     ]
     if cfg.worker_count > 1:
         tasks = [(cfg, n, k, artifact_dir) for n, k in coords]
-        with ProcessPoolExecutor(max_workers=cfg.worker_count) as pool:
+        workers = min(cfg.worker_count, len(coords))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             cells = list(pool.map(_cell_task, tasks))
     else:
         cells = [_run_cell(cfg, n, k, artifact_dir) for n, k in coords]

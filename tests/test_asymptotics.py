@@ -112,7 +112,7 @@ class TestGroupInverse:
 
                 projector = RationalMatrix.identity(s.n) - outer(sd.h1, sd.h1_star)
                 assert s.A @ g == projector
-                assert g.vecmat(sd.h1_star) == (Fraction(0),) * s.n
+                assert g.transpose().matvec(sd.h1_star) == (Fraction(0),) * s.n
                 assert s.A @ g @ s.A == s.A
                 # dual route: each column must equal the one-column solver
                 for j in range(s.n):
@@ -148,7 +148,7 @@ class TestBuildM:
             A=W1.A,
         )
         _, ts = _pipeline(s)
-        assert ts.M == RationalMatrix.zeros(2, 2)
+        assert ts.M == RationalMatrix([[0, 0], [0, 0]])
 
     def test_two_state_closed_form(self):
         # For A = [[-a, b], [k a, -k b]] the matrix must be exactly
@@ -294,7 +294,7 @@ class TestProfile:
             phi0_eval(RationalMatrix([[1]]), q, (0.0,))
 
     def test_zero_matrix_is_stationary(self):
-        m = RationalMatrix.zeros(2, 2)
+        m = RationalMatrix([[0, 0], [0, 0]])
         point = (0.3, -0.4)
         values = []
         for t in (0.0, 0.5, 2.0):
@@ -329,6 +329,13 @@ class TestProfile:
             ProfileQuery(epsilon=1.0, t=1.0, x=(0.0,), sigma0=0.0, amplitude=1.0)
         with pytest.raises(ValueError):
             ProfileQuery(epsilon=1.0, t=1.0, x=(0.0,), sigma0=1.0, amplitude=0.0)
+        with pytest.raises(ValueError, match="finite"):
+            ProfileQuery(epsilon=1.0, t=math.inf, x=(0.0,), sigma0=1.0, amplitude=1.0)
+        with pytest.raises(ValueError, match="finite"):
+            ProfileQuery(epsilon=1.0, t=1.0, x=(math.nan,), sigma0=1.0, amplitude=1.0)
+        q = ProfileQuery(epsilon=1.0, t=1.0, x=(0.0,), sigma0=1.0, amplitude=1.0)
+        with pytest.raises(ValueError, match="zeta must be finite"):
+            phi0_eval(RationalMatrix([[-1]]), q, (math.inf,))
 
 
 class TestLeadingTerm:
@@ -357,7 +364,7 @@ class TestLeadingTerm:
 
 class TestResidual:
     def test_zero_matrix_residual_is_tiny(self):
-        m = RationalMatrix.zeros(2, 2)
+        m = RationalMatrix([[0, 0], [0, 0]])
         q = ProfileQuery(epsilon=1.0, t=1.0, x=(0.0, 0.0), sigma0=1.0, amplitude=1.0)
         assert pde_residual(m, q, (0.4, -0.2), 1e-3) < 1e-10
 

@@ -176,6 +176,29 @@ class TestSearchCommand:
         for name in names:
             parse_instance(os.path.join(artifact_dir, name))
 
+    def test_reused_output_path_exits_one(self, tmp_path, capsys):
+        out = str(tmp_path / "r.json")
+        argv = [
+            "search",
+            "--n-min", "2", "--n-max", "3",
+            "--k-min", "2", "--k-max", "3",
+            "--samples", "6", "--seed", "7",
+            "--out", out,
+        ]
+        assert run_command(argv) == 0
+        artifact_dir = tmp_path / "r-artifacts"
+        first = {p.name: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        assert any(name.startswith("breach-") for name in first)
+        capsys.readouterr()
+
+        argv[argv.index("--seed") + 1] = "8"
+        assert run_command(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err and str(artifact_dir) in captured.err
+        after = {p.name: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        assert after == first
+
     def test_exit_two_on_rank_violations(self, tmp_path, monkeypatch):
         def fake_run_campaign(cfg, artifact_dir=None):
             os.makedirs(artifact_dir, exist_ok=True)
@@ -365,6 +388,28 @@ class TestProfileCommands:
         )
         assert rc == 1
         assert "comma-separated numbers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["residual", "--t", "nan", "--zeta", "0.3,-0.2", "--h", "0.01"],
+            ["residual", "--t", "1", "--zeta", "inf,0", "--h", "0.01"],
+            ["residual", "--t", "1", "--zeta", "0.3,-0.2", "--h", "inf"],
+            ["phi0", "--sigma", "1", "--t", "1", "--eps", "0.1",
+             "--amplitude", "1", "--point", "nan,0"],
+            ["phi0", "--sigma", "inf", "--t", "1", "--eps", "0.1",
+             "--amplitude", "1", "--point", "0.5,0.5"],
+            ["phi0", "--sigma", "1", "--t", "1", "--eps", "inf",
+             "--amplitude", "1", "--point", "0.5,0.5"],
+        ],
+        ids=["t-nan", "zeta-inf", "h-inf", "point-nan", "sigma-inf", "eps-inf"],
+    )
+    def test_non_finite_inputs_exit_one(self, w1_path, capsys, argv):
+        rc = run_command([argv[0], "--instance", w1_path, *argv[1:]])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
 
     def test_phi0_rejects_nonpositive_epsilon(self, w1_path, capsys):
         rc = run_command(

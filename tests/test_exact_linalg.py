@@ -28,6 +28,7 @@ from perturbrank.exact_linalg import (
     solve_constrained,
     solve_particular,
 )
+from perturbrank.model import FAMILIES, GeneratorConfig, generate_instance
 
 fractions_st = st.fractions(
     min_value=-9, max_value=9, max_denominator=7
@@ -113,11 +114,6 @@ class TestRationalMatrix:
         d = RationalMatrix.diagonal(["1/2", 3])
         assert d.matvec((2, 2)) == (Fraction(1), Fraction(6))
 
-    def test_vecmat_matches_transpose(self):
-        m = RationalMatrix([[1, 2], [3, 4]])
-        v = (Fraction(1), Fraction(-1))
-        assert m.vecmat(v) == m.transpose().matvec(v)
-
     def test_outer(self):
         assert outer((1, 2), (3, 4)) == RationalMatrix([[3, 4], [6, 8]])
 
@@ -131,7 +127,7 @@ class TestRank:
         assert rank_exact(RationalMatrix.identity(3)) == 3
 
     def test_zero_matrix(self):
-        assert rank_exact(RationalMatrix.zeros(2, 5)) == 0
+        assert rank_exact(RationalMatrix([[0] * 5, [0] * 5])) == 0
 
     def test_near_dependent_rows_are_independent(self):
         # Rows differ by 1e-12-ish rationally; exact arithmetic must see rank 2.
@@ -187,7 +183,7 @@ class TestDeterminant:
 
     def test_non_square(self):
         with pytest.raises(ValueError):
-            det_exact(RationalMatrix.zeros(2, 3))
+            det_exact(RationalMatrix([[0, 0, 0], [0, 0, 0]]))
 
     def test_agrees_with_rational_elimination(self):
         rng = random.Random(6167)
@@ -195,7 +191,7 @@ class TestDeterminant:
             n = rng.randint(1, 6)
             m = _random_matrix(rng, n, n, bound=4)
             if rng.random() < 0.3:  # force a zero leading entry
-                m = RationalMatrix([[0] + list(m.row(0)[1:])] + [list(r) for r in m.data[1:]])
+                m = RationalMatrix([[0] + list(m.data[0][1:])] + [list(r) for r in m.data[1:]])
             assert det_exact(m) == _rational_det([list(r) for r in m.data])
 
 
@@ -259,7 +255,8 @@ class TestSolveConstrained:
             if det_exact(b) == 0:
                 continue
             # m = b·(I - h hᵀ/(hᵀh)) has kernel exactly span(h)
-            proj = RationalMatrix.identity(n) - outer(h, h).scale(Fraction(1) / dot(h, h))
+            hh = dot(h, h)
+            proj = RationalMatrix.identity(n) - outer(h, tuple(x / hh for x in h))
             m = b @ proj
             z = tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
             y = m.matvec(z)
@@ -342,7 +339,41 @@ class TestPolynomial:
         assert p("1/2") == Fraction(49, 4)
 
 
+def _assert_charpoly_matches_det(m: RationalMatrix) -> None:
+    # Second route: det(λI - m) by elimination at n + 1 distinct λ fixes a
+    # polynomial of degree n.
+    n = m.rows
+    p = charpoly_exact(m)
+    assert p.degree == n
+    for j in range(n + 1):
+        lam = Fraction(2 * j - n, 3)
+        shifted = RationalMatrix(
+            [[(lam if i == k else 0) - m[i, k] for k in range(n)] for i in range(n)]
+        )
+        assert p(lam) == det_exact(shifted), (m, lam)
+
+
 class TestCharpoly:
+    def test_denominators_enter_per_power(self):
+        m = RationalMatrix([["1/2", "1/3"], ["1/5", "1/7"]])
+        assert charpoly_exact(m).coefficients == (
+            Fraction(1, 210),
+            Fraction(-9, 14),
+            Fraction(1),
+        )
+
+    def test_agrees_with_shifted_determinants(self):
+        rng = random.Random(5023)
+        for _ in range(200):
+            n = rng.randint(1, 8)
+            _assert_charpoly_matches_det(_random_matrix(rng, n, n, bound=9))
+
+    def test_generated_instances_agree_with_shifted_determinants(self):
+        for family in FAMILIES:
+            for seed in range(4):
+                s, _ = generate_instance(GeneratorConfig(n=8, K=2, seed=seed, family=family))
+                _assert_charpoly_matches_det(s.A)
+
     def test_symmetric_exchange_generator(self):
         m = RationalMatrix([[-2, 1, 1], [1, -2, 1], [1, 1, -2]])
         p = charpoly_exact(m)
@@ -382,7 +413,7 @@ class TestCharpoly:
 
     def test_non_square(self):
         with pytest.raises(ValueError):
-            charpoly_exact(RationalMatrix.zeros(2, 3))
+            charpoly_exact(RationalMatrix([[0, 0, 0], [0, 0, 0]]))
 
 
 class TestHurwitz:

@@ -261,6 +261,47 @@ class TestRunCampaign:
         b["config"].pop("worker_count")
         assert a == b
 
+    def test_worker_pool_bounded_by_cell_count(self, monkeypatch):
+        # a fake pool records its size and runs the cells in this process
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr("perturbrank.search.ProcessPoolExecutor", RecordingPool)
+        one_cell = CampaignConfig(
+            n_range=(2, 2), K_range=(2, 2), samples_per_cell=1, seed=3, worker_count=5000
+        )
+        report = run_campaign(one_cell)
+        four_cells = dataclasses.replace(one_cell, n_range=(2, 3), K_range=(2, 3))
+        run_campaign(four_cells)
+        assert sizes == [1, 4]
+        assert report_to_dict(report)["config"]["worker_count"] == 5000
+
+    def test_non_empty_artifact_dir_rejected_before_any_instance(
+        self, monkeypatch, tmp_path
+    ):
+        def never_called(gen_cfg):
+            raise AssertionError("an instance ran")
+
+        stale = tmp_path / "breach-dissipativity-n2-K2-index0.json"
+        stale.write_text("{}", encoding="utf-8")
+        monkeypatch.setattr("perturbrank.search.generate_instance", never_called)
+        cfg = CampaignConfig(n_range=(2, 2), K_range=(2, 2), samples_per_cell=1, seed=0)
+        with pytest.raises(ValueError, match="not empty"):
+            run_campaign(cfg, artifact_dir=str(tmp_path))
+        assert stale.read_text(encoding="utf-8") == "{}"
+
     def test_generation_failure_carries_cell_context(self, monkeypatch):
         def always_fails(gen_cfg):
             raise GenerationFailed("synthetic failure")
