@@ -7,14 +7,19 @@ correction is governed by the symmetric K x K matrix
     M_ij = ((Psi_i G Psi_j + Psi_j G Psi_i) h1, h1_star) / 2,
 
 where Psi_i = D_i - v_i I and G is the constrained pseudo-inverse of A
-determined by A G = I - h1 h1_starᵀ and h1_starᵀ G = 0.  G and M are
-built exactly: G from one fraction-free elimination of
-[A | I - h1 h1_starᵀ], and the kernel of M, hence its rank, from one
-more run of the same exact elimination routine.  The spectrum of M comes
-from a hand-written cyclic Jacobi sweep on its float image, so the two
-routes stay independent.  The limiting profile itself is an anisotropic
-Gaussian with covariance sigma0² I - 2 M t, evaluated in floats; every
-query value must be finite.
+determined by A G = I - h1 h1_starᵀ and h1_starᵀ G = 0.  M needs G only
+on the K pushed vectors p_j = Psi_j h1.  Since h1_starᵀ p_j = 0, G p_j
+solves A x = p_j; any other solution differs from it by a multiple of
+h1, and q_i · h1 = 0 for q_i = psi_i ∘ h1_star.  So M = Sym(Qᵀ X) for X
+from one fraction-free elimination of [A | P] with K right-hand sides,
+assembled on denominator-cleared integers.  The full G (n right-hand
+sides) is built only for reports (``group_inverse``).  The kernel of M,
+hence its rank, comes from one more run of the same exact elimination
+routine.  The spectrum of M comes from a hand-written cyclic Jacobi
+sweep on its float image, so the two routes stay independent.  The
+limiting profile itself is an anisotropic Gaussian with covariance
+sigma0² I - 2 M t, evaluated in floats; every query value must be
+finite.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -74,17 +80,22 @@ class NotDissipative(ValueError):
 
 
 class SingularCovariance(ValueError):
-    """The profile covariance failed to be positive definite."""
+    """The profile covariance failed to be positive definite, or its
+    determinant is out of float range."""
 
 
 @dataclass(frozen=True)
 class TransferStructure:
-    """Exact transfer data: speeds v, shifted transports Psi, pseudo-inverse G,
-    and the symmetric diffusion matrix M."""
+    """Exact transfer data: speeds v, pushed vectors P and the symmetric
+    diffusion matrix M.
+
+    ``P[j]`` is Psi_j h1 = ((D_j[m] - v_j) h1[m])_m.  M is built from K
+    column solves against P; the full pseudo-inverse G is not kept, and
+    reports build it with ``group_inverse``.
+    """
 
     v: Vector
-    Psi: tuple[RationalMatrix, ...]
-    G: RationalMatrix
+    P: tuple[Vector, ...]
     M: RationalMatrix
 
 
@@ -138,7 +149,8 @@ def group_inverse(a: RationalMatrix, sd: SpectralData) -> RationalMatrix:
     All columns are solved in one fraction-free elimination of
     [A | I - h1 h1_starᵀ] (``solve_particular``) and then shifted onto the
     constraint hyperplane along h1 (the same result, column for column, as
-    ``solve_constrained`` with c = h1_star).
+    ``solve_constrained`` with c = h1_star).  Only reports need G;
+    ``build_M`` solves K columns instead.
     """
     target = RationalMatrix.identity(a.rows) - outer(sd.h1, sd.h1_star)
     x = solve_particular(a, target)
@@ -150,29 +162,41 @@ def group_inverse(a: RationalMatrix, sd: SpectralData) -> RationalMatrix:
     return RationalMatrix(zip(*cols))
 
 
+def _over_common_denominator(
+    rows: Sequence[Sequence[Fraction]],
+) -> tuple[list[list[int]], int]:
+    """Integer rows N and one denominator d with rows = N / d."""
+    d = math.lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
+
+
 def build_M(s: SystemSpec, sd: SpectralData) -> TransferStructure:
-    """Assemble speeds, shifted transports, pseudo-inverse and the matrix M."""
+    """Assemble the speeds, the pushed vectors P and the matrix M.
+
+    M needs G only on P.  As h1_starᵀ P = 0, G P is a solution X of
+    A X = P (``solve_particular``, K right-hand sides, not n) shifted
+    along h1, and the shift drops out of M because
+    q_i · h1 = h1_starᵀ Psi_i h1 = 0.  So M = Sym(Qᵀ X) with
+    q_i = psi_i ∘ h1_star, assembled on denominator-cleared integers
+    Q / dq and X / dx: one Fraction(num, 2·dq·dx) per entry.  G itself
+    is not built.
+    """
     v = velocities(s, sd)
-    psi_diags = tuple(
-        tuple(di - vi for di in d) for d, vi in zip(s.D, v)
-    )
-    g = group_inverse(s.A, sd)
-    pushed = [tuple(p * h for p, h in zip(diag, sd.h1)) for diag in psi_diags]
-    lifted = [g.matvec(w) for w in pushed]
+    psi = [tuple(di - vi for di in d) for d, vi in zip(s.D, v)]
+    pushed = tuple(tuple(p * h for p, h in zip(row, sd.h1)) for row in psi)
+    solved = solve_particular(s.A, RationalMatrix(zip(*pushed)))
+    x, dx = _over_common_denominator(solved.transpose().data)
+    psi_int, dp = _over_common_denominator(psi)
+    (hs,), ds = _over_common_denominator([sd.h1_star])
+    q = [[a * b for a, b in zip(row, hs)] for row in psi_int]  # Q = dp·ds·q
+    den = 2 * dp * ds * dx
     m_rows = [[Fraction(0)] * s.K for _ in range(s.K)]
     for i in range(s.K):
         for j in range(i, s.K):
-            first = dot(tuple(p * u for p, u in zip(psi_diags[i], lifted[j])), sd.h1_star)
-            second = dot(tuple(p * u for p, u in zip(psi_diags[j], lifted[i])), sd.h1_star)
-            value = (first + second) / 2
-            m_rows[i][j] = value
-            m_rows[j][i] = value
-    return TransferStructure(
-        v=v,
-        Psi=tuple(RationalMatrix.diagonal(diag) for diag in psi_diags),
-        G=g,
-        M=RationalMatrix(m_rows),
-    )
+            num = sum(a * b for a, b in zip(q[i], x[j]))
+            num += sum(a * b for a, b in zip(q[j], x[i]))
+            m_rows[i][j] = m_rows[j][i] = Fraction(num, den)
+    return TransferStructure(v=v, P=pushed, M=RationalMatrix(m_rows))
 
 
 def jacobi_eigenvalues(sym: list[list[float]]) -> list[float]:
@@ -227,13 +251,12 @@ def analyze_structure(
     rank = ts.M.cols - len(kernel)
     eigs = tuple(jacobi_eigenvalues(ts.M.to_float()))
     predicted = min(s.n - 1, s.K)
-    pushed = RationalMatrix([psi.matvec(sd.h1) for psi in ts.Psi])
     return StructureReport(
         rank_exact=rank,
         eigenvalues=eigs,
         predicted_rank=predicted,
         rank_matches_prediction=rank == predicted,
-        degenerate=rank_exact(pushed) < predicted,
+        degenerate=rank_exact(RationalMatrix(ts.P)) < predicted,
         kernel_directions=kernel,
     )
 
@@ -256,11 +279,16 @@ def _require_dissipative(m: RationalMatrix) -> None:
 def _gaussian(m: RationalMatrix, q: ProfileQuery, zeta: tuple[float, ...]) -> float:
     sigma = _covariance(m, q.t, q.sigma0)
     det = float(np.linalg.det(sigma))
-    if det <= 0:
+    if not det > 0:  # also catches the NaN of an overflowed sigma0²
         raise SingularCovariance("covariance is not positive definite")
     z = np.array(zeta, dtype=float)
     quad = float(z @ np.linalg.solve(sigma, z))
-    det0 = q.sigma0 ** (2 * m.rows)
+    try:
+        det0 = q.sigma0 ** (2 * m.rows)
+    except OverflowError:
+        raise SingularCovariance(
+            f"sigma0 ** {2 * m.rows} overflows a float; use a smaller sigma0"
+        ) from None
     return q.amplitude * math.sqrt(det0 / det) * math.exp(-0.5 * quad)
 
 

@@ -114,14 +114,6 @@ class RationalMatrix:
             tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
         )
 
-    @classmethod
-    def diagonal(cls, entries: Sequence[int | str | Fraction]) -> "RationalMatrix":
-        d = _vector(entries)
-        n = len(d)
-        return cls(
-            tuple(d[i] if i == j else Fraction(0) for j in range(n)) for i in range(n)
-        )
-
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
         return self.data[i][j]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from perturbrank.exact_linalg import (
     rank_exact,
     solve_constrained,
 )
+from perturbrank.formats import parse_instance
 from perturbrank.model import (
     FAMILIES,
     GeneratorConfig,
@@ -34,6 +36,9 @@ from perturbrank.model import (
     validate_system,
 )
 
+VIOLATION_PATH = os.path.join(
+    os.path.dirname(__file__), os.pardir, "instances", "violation-n3-K1.json"
+)
 W1 = SystemSpec(
     n=2,
     K=2,
@@ -128,8 +133,44 @@ class TestBuildM:
 
     def test_psi_definition(self):
         sd, ts = _pipeline(W1)
-        for psi, d, vi in zip(ts.Psi, W1.D, ts.v):
-            assert psi == RationalMatrix.diagonal(tuple(x - vi for x in d))
+        for p, d, vi in zip(ts.P, W1.D, ts.v):
+            assert p == tuple((x - vi) * h for x, h in zip(d, sd.h1))
+
+    def test_solves_only_the_K_pushed_columns(self, monkeypatch):
+        import perturbrank.asymptotics as asymptotics
+
+        shapes = []
+        original = asymptotics.solve_particular
+
+        def recorded(m, y):
+            shapes.append((y.rows, y.cols))
+            return original(m, y)
+
+        monkeypatch.setattr(asymptotics, "solve_particular", recorded)
+        s, sd = generate_instance(GeneratorConfig(n=6, K=3, seed=5))
+        build_M(s, sd)
+        assert shapes == [(6, 3)]
+
+    def test_quadratic_form_route(self):
+        # second exact route: M = Pᵀ B P with B = Sym(S G),
+        # S = diag(h1_star_k / h1_k) and G the full n-column group inverse
+        cases = [W1, parse_instance(VIOLATION_PATH)]
+        for family in FAMILIES:
+            for n in range(2, 9):
+                for k in range(2, 9):
+                    cfg = GeneratorConfig(n=n, K=k, seed=100 * n + k, family=family)
+                    cases.append(generate_instance(cfg)[0])
+        for s in cases:
+            sd, ts = _pipeline(s)
+            sg = RationalMatrix(
+                [[sd.h1_star[r] / sd.h1[r] * x for x in row]
+                 for r, row in enumerate(group_inverse(s.A, sd).data)]
+            )
+            b = RationalMatrix(
+                [[(sg[r, c] + sg[c, r]) / 2 for c in range(s.n)] for r in range(s.n)]
+            )
+            p = RationalMatrix(zip(*ts.P))
+            assert p.transpose() @ b @ p == ts.M
 
     def test_symmetry_exact(self):
         rng = random.Random(11)

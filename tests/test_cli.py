@@ -411,6 +411,31 @@ class TestProfileCommands:
         assert captured.out == ""
         assert "error:" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["phi0", "--sigma", "1e200", "--t", "1", "--eps", "0.1",
+             "--amplitude", "1", "--point", "0.5,0.5"],
+            ["phi0", "--sigma", "1e150", "--t", "1", "--eps", "0.1",
+             "--amplitude", "1", "--point", "0.5,0.5"],
+            ["residual", "--sigma", "1e200", "--t", "1", "--zeta", "0.3,-0.2", "--h", "0.01"],
+            ["residual", "--sigma", "1e150", "--t", "1", "--zeta", "0.3,-0.2", "--h", "0.01"],
+            ["phi0", "--sigma", "1", "--t", "1e308", "--eps", "1",
+             "--amplitude", "1", "--point", "0,0"],
+        ],
+        # sigma 1e200 overflows sigma0² (the covariance determinant is
+        # NaN), 1e150 overflows sigma0 ** (2K) (a traceback before), and
+        # t 1e308 overflows the determinant to NaN (NaN printed before)
+        ids=["phi0-sigma-1e200", "phi0-sigma-1e150", "residual-sigma-1e200",
+             "residual-sigma-1e150", "phi0-t-1e308"],
+    )
+    def test_float_overflow_exits_one(self, w1_path, capsys, argv):
+        rc = run_command([argv[0], "--instance", w1_path, *argv[1:]])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+
     def test_phi0_rejects_nonpositive_epsilon(self, w1_path, capsys):
         rc = run_command(
             [

@@ -111,7 +111,7 @@ class TestRationalMatrix:
         assert m.transpose().transpose() == m
 
     def test_diagonal_and_matvec(self):
-        d = RationalMatrix.diagonal(["1/2", 3])
+        d = RationalMatrix([["1/2", 0], [0, 3]])
         assert d.matvec((2, 2)) == (Fraction(1), Fraction(6))
 
     def test_outer(self):

@@ -167,6 +167,20 @@ class TestClassifyInstance:
         # losing that signal entirely would mean the check went dead
         assert "dissipativity" in seen_kinds
 
+    def test_shipped_non_degenerate_violation(self, capsys):
+        # n = 3, K = 1: the pushed vector is nonzero, so the instance is in
+        # general position, yet it is isotropic for the quadratic form
+        # Sym(S G) and M = 0 breaks the rank law
+        path = os.path.join(
+            os.path.dirname(__file__), os.pardir, "instances", "violation-n3-K1.json"
+        )
+        assert run_command(["analyze", path]) == 0
+        structure = json.loads(capsys.readouterr().out)["structure"]
+        assert structure["rank_exact"] == 0
+        assert structure["predicted_rank"] == 1
+        assert structure["degenerate"] is False
+        assert _classify(parse_instance(path)).outcome == "violation"
+
     def test_generated_instances_never_degenerate(self):
         # the generator's span screen is the incremental form of the
         # degeneracy test, so no draw lands on the degenerate stratum
