@@ -27,13 +27,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
 from .exact_linalg import (
     RationalMatrix,
     Vector,
+    _over_common_denominator,
     dot,
     nullspace,
     outer,
@@ -138,9 +138,11 @@ class ProfileQuery:
 
 
 def velocities(s: SystemSpec, sd: SpectralData) -> Vector:
-    """Exact transport speeds v_i = (D_i h1, h1_star)."""
-    weights = tuple(a * b for a, b in zip(sd.h1, sd.h1_star))
-    return tuple(dot(d, weights) for d in s.D)
+    """Exact transport speeds v_i = (D_i h1, h1_star), one Fraction each."""
+    (h, hs), dh = _over_common_denominator((sd.h1, sd.h1_star))
+    d, dd = _over_common_denominator(s.D)
+    den = dd * dh * dh
+    return tuple(Fraction(sum(x * a * b for x, a, b in zip(row, h, hs)), den) for row in d)
 
 
 def group_inverse(a: RationalMatrix, sd: SpectralData) -> RationalMatrix:
@@ -160,14 +162,6 @@ def group_inverse(a: RationalMatrix, sd: SpectralData) -> RationalMatrix:
         shift = dot(col, sd.h1_star)  # (h1, h1_star) = 1, so no division needed
         cols.append([xi - shift * hi for xi, hi in zip(col, sd.h1)])
     return RationalMatrix(zip(*cols))
-
-
-def _over_common_denominator(
-    rows: Sequence[Sequence[Fraction]],
-) -> tuple[list[list[int]], int]:
-    """Integer rows N and one denominator d with rows = N / d."""
-    d = math.lcm(*(x.denominator for row in rows for x in row))
-    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
 
 
 def build_M(s: SystemSpec, sd: SpectralData) -> TransferStructure:
@@ -277,18 +271,20 @@ def _require_dissipative(m: RationalMatrix) -> None:
 
 
 def _gaussian(m: RationalMatrix, q: ProfileQuery, zeta: tuple[float, ...]) -> float:
-    sigma = _covariance(m, q.t, q.sigma0)
-    det = float(np.linalg.det(sigma))
-    if not det > 0:  # also catches the NaN of an overflowed sigma0²
-        raise SingularCovariance("covariance is not positive definite")
-    z = np.array(zeta, dtype=float)
-    quad = float(z @ np.linalg.solve(sigma, z))
-    try:
+    try:  # first: a finite sigma0 ** (2K) keeps sigma0² I finite too
         det0 = q.sigma0 ** (2 * m.rows)
     except OverflowError:
         raise SingularCovariance(
             f"sigma0 ** {2 * m.rows} overflows a float; use a smaller sigma0"
         ) from None
+    # an overflowed covariance has a NaN determinant, rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma = _covariance(m, q.t, q.sigma0)
+        det = float(np.linalg.det(sigma))
+    if not det > 0:
+        raise SingularCovariance("covariance is not positive definite")
+    z = np.array(zeta, dtype=float)
+    quad = float(z @ np.linalg.solve(sigma, z))
     return q.amplitude * math.sqrt(det0 / det) * math.exp(-0.5 * quad)
 
 

@@ -6,17 +6,17 @@ immutable, dense and row-major.  Rank, determinant, kernels, linear
 solves, the inverse and the Hurwitz test all run one fraction-free
 (Bareiss) Gauss-Jordan elimination on denominator-cleared integer rows,
 and the characteristic polynomial runs the Faddeev-LeVerrier recurrence
-on the matrix times the lcm of its denominators.  So intermediate values
-stay integral and every division is checked to be exact; Fractions
-appear again only in the returned values.  Nothing here is approximate:
-every returned value is exact.
+on the matrix times the lcm of its denominators.  One helper clears all
+denominators, with integer products only.  So intermediate values stay
+integral and every division is checked to be exact; Fractions appear
+again only in the returned values.  Nothing here is approximate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import lcm
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -150,9 +150,6 @@ class RationalMatrix:
             raise ValueError(f"vector of length {len(v)} against {self.cols} columns")
         return tuple(dot(row, v) for row in self.data)
 
-    def max_abs(self) -> Fraction:
-        return max(abs(x) for row in self.data for x in row)
-
     def to_float(self) -> list[list[float]]:
         return [[float(x) for x in row] for row in self.data]
 
@@ -175,17 +172,17 @@ def outer(u: Sequence[Fraction], v: Sequence[Fraction]) -> RationalMatrix:
     return RationalMatrix(tuple(a * b for b in v) for a in u)
 
 
-def _cleared_int_rows(
-    rows: Iterable[Sequence[Fraction]],
-) -> tuple[list[list[int]], list[int]]:
-    """Scale each row to integers; returns (rows, per-row multipliers)."""
-    cleared: list[list[int]] = []
-    mults: list[int] = []
-    for row in rows:
-        mult = lcm(*(x.denominator for x in row))
-        cleared.append([int(x * mult) for x in row])
-        mults.append(mult)
-    return cleared, mults
+def _over_common_denominator(
+    rows: Sequence[Sequence[Fraction]],
+) -> tuple[list[list[int]], int]:
+    """Integer rows N and the lcm d of the denominators, rows = N / d."""
+    d = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
+
+
+def _cleared_int_rows(rows: Iterable[Sequence[Fraction]]) -> list[list[int]]:
+    """Each row times the lcm of its own denominators, as integers."""
+    return [_over_common_denominator((row,))[0][0] for row in rows]
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -240,7 +237,7 @@ def _eliminate(a: list[list[int]]) -> tuple[list[int], list[int], int]:
 
 def rank_exact(m: RationalMatrix) -> int:
     """Rank over the rationals: the pivot count of the fraction-free elimination."""
-    pivot_cols, _, _ = _eliminate(_cleared_int_rows(m.data)[0])
+    pivot_cols, _, _ = _eliminate(_cleared_int_rows(m.data))
     return len(pivot_cols)
 
 
@@ -248,11 +245,11 @@ def det_exact(m: RationalMatrix) -> Fraction:
     """Determinant from the last pivot of the fraction-free elimination."""
     if not m.is_square():
         raise ValueError("determinant of a non-square matrix")
-    a, mults = _cleared_int_rows(m.data)
+    a, d = _over_common_denominator(m.data)
     _, pivot_vals, swaps = _eliminate(a)
     if len(pivot_vals) < m.rows:
         return Fraction(0)
-    return Fraction((-1) ** swaps * pivot_vals[-1], prod(mults))
+    return Fraction((-1) ** swaps * pivot_vals[-1], d**m.rows)
 
 
 def nullspace(m: RationalMatrix, side: str = "right") -> list[Vector]:
@@ -268,7 +265,7 @@ def nullspace(m: RationalMatrix, side: str = "right") -> list[Vector]:
         rows, width = m.data, m.cols
     else:
         raise ValueError(f"side must be 'right' or 'left', not {side!r}")
-    a, _ = _cleared_int_rows(rows)
+    a = _cleared_int_rows(rows)
     pivot_cols, pivot_vals, _ = _eliminate(a)
     d = pivot_vals[-1] if pivot_vals else 1
     basis: list[Vector] = []
@@ -292,7 +289,7 @@ def solve_particular(m: RationalMatrix, y: RationalMatrix) -> RationalMatrix:
     """
     if y.rows != m.rows:
         raise ValueError(f"right-hand side has {y.rows} rows against {m.rows}")
-    a, _ = _cleared_int_rows(row + yrow for row, yrow in zip(m.data, y.data))
+    a = _cleared_int_rows(row + yrow for row, yrow in zip(m.data, y.data))
     pivot_cols, pivot_vals, _ = _eliminate(a)
     if pivot_cols and pivot_cols[-1] >= m.cols:
         raise InconsistentSystem("right-hand side is not in the range")
@@ -396,8 +393,7 @@ def charpoly_exact(m: RationalMatrix) -> Polynomial:
     n = m.rows
     if n > CHARPOLY_SIZE_LIMIT:
         raise SizeLimitExceeded(f"matrix size {n} exceeds limit {CHARPOLY_SIZE_LIMIT}")
-    d = lcm(*(x.denominator for row in m.data for x in row))
-    b = [[int(x * d) for x in row] for row in m.data]
+    b, d = _over_common_denominator(m.data)
     descending = [Fraction(1)]  # coefficient of λ^n
     bk = [row[:] for row in b]
     for k in range(1, n + 1):
@@ -428,10 +424,9 @@ def hurwitz_stable(p: Polynomial) -> bool:
     if n == 0:
         return True
     # A positive multiple clears the denominators and the leading sign.
-    scale = lcm(*(c.denominator for c in coeffs))
-    if coeffs[-1] < 0:
-        scale = -scale
-    desc = [int(c * scale) for c in reversed(coeffs)]  # desc[0] > 0 leads
+    (desc,), _ = _over_common_denominator((coeffs[::-1],))
+    if desc[0] < 0:
+        desc = [-c for c in desc]  # desc[0] > 0 leads
     # Positive coefficients are necessary; bail out early when violated.
     if any(c <= 0 for c in desc[1:]):
         return False

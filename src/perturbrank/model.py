@@ -13,8 +13,9 @@ with positive off-diagonal entries and zero column sums, which satisfy the
 admissibility conditions by construction (irreducible generator: simple
 zero eigenvalue, Hurwitz remainder, strictly positive null vectors).
 ``similarity_transformed`` conjugates such a matrix by a random invertible
-integer matrix, producing the same exact spectrum without the sign
-structure.  Generation is fully deterministic in the seed.
+integer matrix T (one fraction-free elimination of [T | I], then integer
+products), producing the same exact spectrum without the sign structure.
+Generation is fully deterministic in the seed.
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ from .exact_linalg import (
     Polynomial,
     RationalMatrix,
     Vector,
+    _eliminate,
+    _over_common_denominator,
     charpoly_exact,
-    det_exact,
     dot,
     hurwitz_stable,
-    inverse,
     nullspace,
     rank_exact,
 )
@@ -191,33 +192,41 @@ def _signed_fraction(rng: random.Random, bound: int) -> Fraction:
 
 
 def _markov_generator(rng: random.Random, n: int, bound: int) -> RationalMatrix:
-    """Matrix with positive off-diagonal entries and zero column sums."""
-    cols: list[list[Fraction]] = []
-    for _ in range(n):
-        col = [_positive_fraction(rng, bound) for _ in range(n - 1)]
-        cols.append(col)
+    """Matrix with positive off-diagonal entries and zero column sums,
+    drawn column by column."""
     rows = [[Fraction(0)] * n for _ in range(n)]
     for j in range(n):
-        off = iter(cols[j])
-        total = Fraction(0)
         for i in range(n):
-            if i == j:
-                continue
-            x = next(off)
-            rows[i][j] = x
-            total += x
-        rows[j][j] = -total
+            if i != j:
+                rows[i][j] = _positive_fraction(rng, bound)
+        rows[j][j] = -sum(rows[i][j] for i in range(n))
     return RationalMatrix(rows)
 
 
-def _random_invertible(rng: random.Random, n: int, bound: int) -> RationalMatrix:
+def _random_similar(rng: random.Random, base: RationalMatrix, bound: int) -> RationalMatrix:
+    """T B T⁻¹ for a random integer T, redrawn while singular.
+
+    Eliminating [T | I] finds fewer than n pivots in the T block when T is
+    singular, and otherwise leaves d·T⁻¹ in the right block (d the last
+    pivot).  With B = N / db, T · N · (d·T⁻¹) / (d·db) runs on integers.
+    """
+    n = base.rows
     for _ in range(_MAX_GENERATION_ATTEMPTS):
-        t = RationalMatrix(
-            [[Fraction(rng.randint(-bound, bound)) for _ in range(n)] for _ in range(n)]
-        )
-        if det_exact(t) != 0:
-            return t
-    raise GenerationFailed("could not sample an invertible transform")
+        t = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+        rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate(t)]
+        pivot_cols, pivot_vals, _ = _eliminate(rows)
+        if pivot_cols[-1] < n:
+            break
+    else:
+        raise GenerationFailed("could not sample an invertible transform")
+    b, db = _over_common_denominator(base.data)
+    b_cols = list(zip(*b))
+    t_inv = list(zip(*(row[n:] for row in rows)))  # columns of d·T⁻¹
+    tb = [[sum(x * y for x, y in zip(row, col)) for col in b_cols] for row in t]
+    den = pivot_vals[-1] * db
+    return RationalMatrix(
+        [Fraction(sum(x * y for x, y in zip(row, col)), den) for col in t_inv] for row in tb
+    )
 
 
 def _sample_interaction(
@@ -229,8 +238,7 @@ def _sample_interaction(
         return base, null_pair_normalized(base)
     t_bound = min(cfg.entry_bound, 3)  # keeps conjugated denominators modest
     for _ in range(_MAX_GENERATION_ATTEMPTS):
-        t = _random_invertible(rng, cfg.n, t_bound)
-        a = t @ base @ inverse(t)
+        a = _random_similar(rng, base, t_bound)
         h1, h1_star = pair = null_pair_normalized(a)
         # Stay inside the rank law's evident hypothesis class: the
         # conjugation must not park a null vector on a coordinate plane.

@@ -201,7 +201,7 @@ def classify_instance(s: SystemSpec, sd: SpectralData) -> Classification:
     ts = build_M(s, sd)
     report = analyze_structure(ts, s, sd)
 
-    scale = float(ts.M.max_abs())
+    scale = max(abs(x) for row in ts.M.to_float() for x in row)
     breaches: list[dict] = []
     if report.eigenvalues and report.eigenvalues[-1] > DISSIPATIVITY_TOLERANCE * scale:
         breaches.append(

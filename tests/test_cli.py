@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -423,18 +424,24 @@ class TestProfileCommands:
             ["phi0", "--sigma", "1", "--t", "1e308", "--eps", "1",
              "--amplitude", "1", "--point", "0,0"],
         ],
-        # sigma 1e200 overflows sigma0² (the covariance determinant is
-        # NaN), 1e150 overflows sigma0 ** (2K) (a traceback before), and
-        # t 1e308 overflows the determinant to NaN (NaN printed before)
+        # sigma 1e200 and 1e150 overflow sigma0 ** (2K), which is checked
+        # before any numpy arithmetic, and t 1e308 overflows the covariance
+        # (NaN determinant); numpy's overflow warnings must not leak out
         ids=["phi0-sigma-1e200", "phi0-sigma-1e150", "residual-sigma-1e200",
              "residual-sigma-1e150", "phi0-t-1e308"],
     )
     def test_float_overflow_exits_one(self, w1_path, capsys, argv):
-        rc = run_command([argv[0], "--instance", w1_path, *argv[1:]])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run_command([argv[0], "--instance", w1_path, *argv[1:]])
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "error:" in captured.err
+        assert [str(w.message) for w in caught] == []
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        if "--sigma" in argv and argv[argv.index("--sigma") + 1] != "1":
+            assert "sigma0 ** 4 overflows" in lines[0]
 
     def test_phi0_rejects_nonpositive_epsilon(self, w1_path, capsys):
         rc = run_command(

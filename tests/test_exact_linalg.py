@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from perturbrank.exact_linalg import (
     RationalMatrix,
     SizeLimitExceeded,
     ZeroPolynomial,
+    _cleared_int_rows,
+    _over_common_denominator,
     as_rational,
     charpoly_exact,
     det_exact,
@@ -116,6 +119,27 @@ class TestRationalMatrix:
 
     def test_outer(self):
         assert outer((1, 2), (3, 4)) == RationalMatrix([[3, 4], [6, 8]])
+
+
+class TestClearing:
+    def test_matches_fraction_products(self):
+        # Oracle: the Fraction product int(x * mult) the helper replaced.
+        rng = random.Random(7)
+
+        def entry():
+            if rng.random() < 0.2:
+                return Fraction(0)
+            return Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+
+        for _ in range(200):
+            rows = [[entry() for _ in range(rng.randint(1, 6))] for _ in range(rng.randint(1, 4))]
+            mult = lcm(*(x.denominator for row in rows for x in row))
+            ints, d = _over_common_denominator(rows)
+            assert d == mult
+            assert ints == [[int(x * mult) for x in row] for row in rows]
+            mults = [lcm(*(x.denominator for x in row)) for row in rows]
+            expected = [[int(x * m) for x in row] for row, m in zip(rows, mults)]
+            assert _cleared_int_rows(rows) == expected
 
 
 class TestRank:

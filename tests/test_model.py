@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -8,9 +9,12 @@ import pytest
 from perturbrank.exact_linalg import (
     RationalMatrix,
     charpoly_exact,
+    det_exact,
     dot,
+    inverse,
     rank_exact,
 )
+from perturbrank.formats import dumps, instance_to_dict
 from perturbrank.model import (
     FAMILIES,
     MARKOV_FAMILY,
@@ -23,10 +27,16 @@ from perturbrank.model import (
     SpectralData,
     SystemSpec,
     _markov_generator,
+    _random_similar,
     generate_instance,
     null_pair_normalized,
     validate_system,
 )
+
+#: SHA-256 of every generated instance and its spectral data over both
+#: families, n, K in 2..8 and seeds 0-2, recorded from the Fraction-based
+#: generator; a change in draw order or in any drawn value changes it.
+GENERATOR_DIGEST = "9ff9241370af407c63019b85a1ec2f89a268814cb6790cdc065bf20f3997df3e"
 
 W1_A = RationalMatrix([[-1, 1], [1, -1]])
 TRIPLE_A = RationalMatrix([[-2, 1, 1], [1, -2, 1], [1, 1, -2]])
@@ -141,6 +151,44 @@ class TestGeneratorConfig:
             GeneratorConfig(n=2, K=2, seed=0, entry_bound=0)
 
 
+def _fraction_similar(
+    rng: random.Random, base: RationalMatrix, bound: int
+) -> tuple[RationalMatrix, int]:
+    """Oracle: the Fraction route, T @ base @ inverse(T) for the first T
+    with det T != 0, drawn as the generator draws it; also the draw count."""
+    n = base.rows
+    for draws in range(1, 201):
+        t = RationalMatrix(
+            [[Fraction(rng.randint(-bound, bound)) for _ in range(n)] for _ in range(n)]
+        )
+        if det_exact(t) != 0:
+            return t @ base @ inverse(t), draws
+    raise AssertionError("no invertible transform drawn")
+
+
+class TestRandomSimilar:
+    def test_matches_fraction_conjugation(self):
+        redrawn = 0
+        for family in FAMILIES:
+            for n in range(2, 9):
+                for seed in range(20):
+                    s, _ = generate_instance(
+                        GeneratorConfig(n=n, K=2, seed=seed, family=family)
+                    )
+                    ours = random.Random(100 * n + seed)
+                    oracle = random.Random(100 * n + seed)
+                    expected, draws = _fraction_similar(oracle, s.A, 3)
+                    assert _random_similar(ours, s.A, 3) == expected
+                    # same draws from the stream, singular ones included
+                    assert ours.getstate() == oracle.getstate()
+                    redrawn += draws > 1
+        assert redrawn > 0  # some seed drew a singular transform first
+
+    def test_always_singular_transform_fails(self):
+        with pytest.raises(GenerationFailed, match="invertible"):
+            _random_similar(random.Random(0), TRIPLE_A, 0)
+
+
 class TestGenerateInstance:
     def test_deterministic(self):
         for family in FAMILIES:
@@ -195,7 +243,7 @@ class TestGenerateInstance:
         # pair; the accepted draw's pair is the one returned, not recomputed.
         import perturbrank.model as model
 
-        calls = {"null_pair": 0, "inverse": 0, "charpoly": 0}
+        calls = {"null_pair": 0, "similar": 0, "charpoly": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -206,7 +254,7 @@ class TestGenerateInstance:
 
         for attr, name in (
             ("null_pair_normalized", "null_pair"),
-            ("inverse", "inverse"),
+            ("_random_similar", "similar"),
             ("charpoly_exact", "charpoly"),
         ):
             monkeypatch.setattr(model, attr, counted(name, getattr(model, attr)))
@@ -215,17 +263,17 @@ class TestGenerateInstance:
             for key in calls:
                 calls[key] = 0
             s, data = generate_instance(GeneratorConfig(n=4, K=3, seed=seed))
-            assert calls == {"null_pair": 1, "inverse": 0, "charpoly": 1}
+            assert calls == {"null_pair": 1, "similar": 0, "charpoly": 1}
             assert (data.h1, data.h1_star) == null_pair_normalized(s.A)
             for key in calls:
                 calls[key] = 0
             s, data = generate_instance(
                 GeneratorConfig(n=4, K=3, seed=seed, family=SIMILARITY_FAMILY)
             )
-            assert calls["null_pair"] == calls["inverse"] >= 1  # one per draw
+            assert calls["null_pair"] == calls["similar"] >= 1  # one per draw
             assert calls["charpoly"] == 1
             assert (data.h1, data.h1_star) == null_pair_normalized(s.A)
-            draws.append(calls["inverse"])
+            draws.append(calls["similar"])
         assert max(draws) > 1  # some seed's screen rejected a draw
 
     def test_similarity_is_not_markov(self):
@@ -265,3 +313,21 @@ class TestGenerateInstance:
                 v = dot(d, weights)
                 pushed.append(tuple((di - v) * h for di, h in zip(d, data.h1)))
             assert rank_exact(RationalMatrix(pushed)) == min(k, n - 1)
+
+    def test_outputs_pinned_by_digest(self):
+        digest = hashlib.sha256()
+        for family in FAMILIES:
+            for n in range(2, 9):
+                for k in range(2, 9):
+                    for seed in range(3):
+                        s, data = generate_instance(
+                            GeneratorConfig(n=n, K=k, seed=seed, family=family)
+                        )
+                        spectral = [
+                            [str(x) for x in data.h1],
+                            [str(x) for x in data.h1_star],
+                            data.stable,
+                        ]
+                        digest.update(dumps(instance_to_dict(s)).encode("utf-8"))
+                        digest.update(dumps(spectral).encode("utf-8"))
+        assert digest.hexdigest() == GENERATOR_DIGEST
