@@ -69,7 +69,6 @@ from .formats import (
     build_report,
     instance_to_dict,
     load_instance_file,
-    parse_instance,
     parse_rational,
 )
 from .multipoly import MultiPoly, RatFunc, ZeroDenominator, poly_divexact, poly_gcd

@@ -238,8 +238,9 @@ def analyze_structure(
     read off one elimination of M; the Jacobi spectrum is the independent
     float route.  The prediction is min(n - 1, K).  ``degenerate`` is the
     one definition of degeneracy, rank span{Psi_i h1} < min(n - 1, K),
-    where the rank law is not asserted; campaigns read it, and the
-    generator screens it out.
+    where the rank law is not asserted; campaigns read it.  The generator
+    screens it out by rank[1; D] - 1, equal to it only for an h1 without
+    zero entries; a hand-fed h1 may have one, so this test stays on P.
     """
     kernel = tuple(nullspace(ts.M, side="right"))
     rank = ts.M.cols - len(kernel)

@@ -25,13 +25,12 @@ __all__ = [
     "dumps",
     "instance_to_dict",
     "load_instance_file",
-    "parse_instance",
     "parse_rational",
 ]
 
 FORMAT_VERSION = 1
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 _INSTANCE_KEYS = {"format_version", "n", "K", "A", "D", "H", "label"}
 
@@ -55,7 +54,7 @@ def parse_rational(value: object, where: str = "value") -> Fraction:
             f"{where}: floats are not accepted; write an exact rational "
             f'string like "3/10"'
         )
-    if not isinstance(value, str) or not _RATIONAL_RE.match(value):
+    if not isinstance(value, str) or not _RATIONAL_RE.fullmatch(value):
         raise ParseError(f"{where}: {value!r} is not of the form 'p' or 'p/q'")
     try:
         return Fraction(value)
@@ -132,11 +131,6 @@ def load_instance_file(path: str) -> tuple[SystemSpec, Vector | None]:
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
     return _instance_from_dict(data)
-
-
-def parse_instance(path: str) -> SystemSpec:
-    """Read and validate an instance file, discarding the optional H."""
-    return load_instance_file(path)[0]
 
 
 def _rational_str(value: Fraction) -> str:

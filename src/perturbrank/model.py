@@ -247,52 +247,45 @@ def _sample_interaction(
     raise GenerationFailed("similarity transform kept zeroing a null-vector entry")
 
 
-def _sample_diagonals(
-    cfg: GeneratorConfig,
-    rng: random.Random,
-    h1: Vector,
-    h1_star: Vector,
-) -> tuple[Vector, ...]:
+def _sample_diagonals(cfg: GeneratorConfig, rng: random.Random) -> tuple[Vector, ...]:
     """K diagonals in general position for the rank law.
 
     Each diagonal has n distinct entries, the vectors are pairwise
-    distinct, no pushed vector Psi_i h1 = (D_i - v_i) h1 vanishes, and
-    together the pushed vectors span the full generic dimension
-    min(K, n - 1), so no generated instance is degenerate: the span screen
-    is the incremental form of ``analyze_structure``'s degeneracy test,
-    rank span{Psi_i h1} < min(n - 1, K).  It matters: the rank law is a
-    generic-rank statement, and a bounded rational grid lands on the
-    lower-rank stratum with small but real probability — affinely
-    dependent diagonals such as D_2 = a D_1 + b (1,...,1) force
-    Psi_2 h1 parallel to Psi_1 h1, capping rank M below the prediction
-    without any single direction being degenerate.  The screen reads
-    only the input data (D, h1, h1_star), never M, so a genuine rank
-    anomaly on general-position data stays observable downstream.
+    distinct, and the rows 1, D_1, ..., D_K have rank min(K, n - 1) + 1,
+    so no generated instance is degenerate.  That affine rank is
+    ``analyze_structure``'s degeneracy test read off the diagonals alone.
+    Lemma: let H = diag(h1) have no zero entry, (h1, h1_star) = 1 and
+    v_i = h1_starᵀ H D_i.  The functional x -> h1_starᵀ H x is 1 on the
+    ones vector and 0 on every D_i - v_i 1, so
+    span{1, D_i} = span{1} ⊕ span{D_i - v_i 1}, and H is invertible;
+    hence rank{Psi_i h1} = rank{H (D_i - v_i 1)} = rank[1; D] - 1.  Both
+    families meet the hypothesis (Markov h1 > 0; the similarity family
+    redraws a zero entry), so the screen needs neither v nor h1.
+
+    The screen matters: the rank law is a generic-rank statement, and a
+    bounded rational grid lands on the lower-rank stratum with small but
+    real probability — affinely dependent diagonals such as
+    D_2 = a D_1 + b (1,...,1) cap rank M below the prediction without any
+    single direction being degenerate.  It reads only the input data,
+    never M, so a genuine rank anomaly on general-position data stays
+    observable downstream.
 
     Entries are rejection-sampled one diagonal at a time, so the retry
     budget bounds the failure odds per vector instead of compounding
     across all K (a whole-batch restart makes n = K = 8 genuinely flaky).
     """
-    weights = tuple(a * b for a, b in zip(h1, h1_star))
+    ones = (Fraction(1),) * cfg.n
     diagonals: list[Vector] = []
-    pushed: list[Vector] = []
-    span = 0
     for _ in range(cfg.K):
         for _ in range(_MAX_GENERATION_ATTEMPTS):
             d = tuple(_signed_fraction(rng, cfg.entry_bound) for _ in range(cfg.n))
             if len(set(d)) != cfg.n or any(d == prev for prev in diagonals):
                 continue
-            v = dot(d, weights)  # transport speed of the conserved mode
-            x = tuple((di - v) * h for di, h in zip(d, h1))
-            if all(xi == 0 for xi in x):
-                continue  # Psi_i h1 = 0 (unreachable for distinct entries)
-            if span < cfg.n - 1:
-                grown = rank_exact(RationalMatrix(pushed + [x]))
-                if grown == span:
-                    continue  # direction already spanned: lower-rank stratum
-                span = grown
+            if len(diagonals) < cfg.n - 1:
+                rows = [ones, *diagonals, d]
+                if rank_exact(RationalMatrix(rows)) < len(rows):
+                    continue  # affinely dependent: lower-rank stratum
             diagonals.append(d)
-            pushed.append(x)
             break
         else:
             raise GenerationFailed("could not sample admissible transport diagonals")
@@ -310,6 +303,6 @@ def generate_instance(cfg: GeneratorConfig) -> tuple[SystemSpec, SpectralData]:
     a, (h1, h1_star) = _sample_interaction(cfg, rng)
     _check_spectrum(a)
     data = SpectralData(h1=h1, h1_star=h1_star, stable=True)
-    diagonals = _sample_diagonals(cfg, rng, data.h1, data.h1_star)
+    diagonals = _sample_diagonals(cfg, rng)
     label = f"{cfg.family}-n{cfg.n}-K{cfg.K}-seed{cfg.seed}"
     return SystemSpec(n=cfg.n, K=cfg.K, D=diagonals, A=a, label=label), data

@@ -30,7 +30,6 @@ __all__ = [
     "poly_divexact",
     "poly_gcd",
     "poly_tree",
-    "ratfunc_normalize",
     "ratfunc_tree",
 ]
 
@@ -542,11 +541,6 @@ class RatFunc:
 
     def __repr__(self) -> str:
         return f"RatFunc({self})"
-
-
-def ratfunc_normalize(f: RatFunc) -> RatFunc:
-    """Re-run canonical reduction; idempotent on already-reduced values."""
-    return RatFunc(f.num, f.den)
 
 
 # -- structured expression export ----------------------------------------

@@ -121,14 +121,13 @@ class Classification:
 
     ``outcome`` depends only on exact degeneracy and the rank law; each
     entry of ``breaches`` is a JSON-ready detail dict with a ``kind``
-    from BREACH_KINDS and the offending numbers.  ``sd`` and ``ts`` are
-    the data the verdict came from, so a full report needs no second pass.
+    from BREACH_KINDS and the offending numbers.  ``ts`` is the transfer
+    structure the verdict came from, so a full report needs no second pass.
     """
 
     outcome: str
     report: StructureReport
     breaches: tuple[dict, ...]
-    sd: SpectralData
     ts: TransferStructure
 
 
@@ -232,7 +231,7 @@ def classify_instance(s: SystemSpec, sd: SpectralData) -> Classification:
         outcome = MATCH
     else:
         outcome = VIOLATION
-    return Classification(outcome, report, tuple(breaches), sd, ts)
+    return Classification(outcome, report, tuple(breaches), ts)
 
 
 def _violation_name(n: int, k: int, index: int) -> str:
@@ -243,11 +242,11 @@ def _breach_name(kind: str, n: int, k: int, index: int) -> str:
     return f"breach-{kind.replace('_', '-')}-n{n}-K{k}-index{index}.json"
 
 
-def _write_artifact(artifact_dir: str | None, name: str, spec: SystemSpec) -> str | None:
+def _write_artifact(artifact_dir: str | None, name: str, instance: dict) -> str | None:
     if artifact_dir is None:
         return None
     with open(os.path.join(artifact_dir, name), "w", encoding="utf-8") as fh:
-        fh.write(dumps(instance_to_dict(spec)))
+        fh.write(dumps(instance))
     return name
 
 
@@ -271,16 +270,19 @@ def _run_cell(
             matches += 1
         elif verdict.outcome == DEGENERATE:
             degenerate += 1
-        else:
+        if verdict.outcome != VIOLATION and not verdict.breaches:
+            continue
+        instance = instance_to_dict(spec)  # one dict per flagged instance
+        if verdict.outcome == VIOLATION:
             violations.append(
                 Violation(
                     index=index,
                     instance_seed=instance_seed,
                     family=family,
-                    instance=instance_to_dict(spec),
-                    report=build_report(spec, verdict.sd, verdict.ts, verdict.report),
+                    instance=instance,
+                    report=build_report(spec, sd, verdict.ts, verdict.report),
                     artifact=_write_artifact(
-                        artifact_dir, _violation_name(n, k, index), spec
+                        artifact_dir, _violation_name(n, k, index), instance
                     ),
                 )
             )
@@ -293,9 +295,9 @@ def _run_cell(
                     instance_seed=instance_seed,
                     family=family,
                     detail={key: val for key, val in detail.items() if key != "kind"},
-                    instance=instance_to_dict(spec),
+                    instance=instance,
                     artifact=_write_artifact(
-                        artifact_dir, _breach_name(kind, n, k, index), spec
+                        artifact_dir, _breach_name(kind, n, k, index), instance
                     ),
                 )
             )

@@ -41,7 +41,6 @@ __all__ = [
     "MAX_SYMBOLIC_DIRECTIONS",
     "build_M_parametric",
     "eigen_closed_form_n2",
-    "family_variables",
     "symbolic_report",
     "verify_rank_one_identity",
 ]
@@ -75,7 +74,7 @@ class ClosedFormSpectrum:
     zero_multiplicity: int
 
 
-def family_variables(K: int) -> tuple[str, ...]:
+def _family_variables(K: int) -> tuple[str, ...]:
     """Variable names: rates a, b, k then speeds d{i}_1, d{i}_2 per direction."""
     names = ["a", "b", "k"]
     for i in range(1, K + 1):
@@ -120,7 +119,7 @@ def build_M_parametric(K: int) -> SymbolicStructure:
             f"symbolic construction supports 2..{MAX_SYMBOLIC_DIRECTIONS} "
             f"directions, got {K}"
         )
-    names = family_variables(K)
+    names = _family_variables(K)
 
     def const(v: int) -> RatFunc:
         return RatFunc.constant(names, v)

@@ -24,7 +24,7 @@ from perturbrank.asymptotics import (
 )
 from perturbrank.cli import run_command
 from perturbrank.exact_linalg import RationalMatrix, dot, outer
-from perturbrank.formats import parse_instance
+from perturbrank.formats import load_instance_file
 from perturbrank.model import (
     FAMILIES,
     MARKOV_FAMILY,
@@ -132,7 +132,7 @@ def test_rank_law_on_extended_grid(extended_grid):
     for cell in report.cells:
         for violation in cell.violations:
             assert violation.artifact is not None
-            spec = parse_instance(os.path.join(art, violation.artifact))
+            spec = load_instance_file(os.path.join(art, violation.artifact))[0]
             again = classify_instance(spec, validate_system(spec))
             assert again.outcome == "violation"
             assert again.report.rank_exact == violation.report["structure"]["rank_exact"]
@@ -250,7 +250,7 @@ def test_dissipativity_measured_and_breaches_replayable(small_grid, extended_gri
             breach.detail["tolerance"] * breach.detail["scale"]
         )
         assert breach.artifact is not None
-        spec = parse_instance(os.path.join(art, breach.artifact))
+        spec = load_instance_file(os.path.join(art, breach.artifact))[0]
         again = classify_instance(spec, validate_system(spec))
         replay = next(
             (d for d in again.breaches if d["kind"] == "dissipativity"), None
@@ -273,7 +273,7 @@ def test_profile_residual_second_order(capsys):
     """On the canonical instance the discrete residual of
     φ_t + Σ M_ij φ_ij contracts like h² at 20 seeded points, and the
     h = 1e-3 residual sits below 1e-5 of the local profile value."""
-    s = parse_instance(W1_PATH)
+    s = load_instance_file(W1_PATH)[0]
     sd = validate_system(s)
     ts = build_M(s, sd)
     rng = random.Random(20260818)

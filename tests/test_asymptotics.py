@@ -27,7 +27,7 @@ from perturbrank.exact_linalg import (
     rank_exact,
     solve_constrained,
 )
-from perturbrank.formats import parse_instance
+from perturbrank.formats import load_instance_file
 from perturbrank.model import (
     FAMILIES,
     GeneratorConfig,
@@ -154,7 +154,7 @@ class TestBuildM:
     def test_quadratic_form_route(self):
         # second exact route: M = Pᵀ B P with B = Sym(S G),
         # S = diag(h1_star_k / h1_k) and G the full n-column group inverse
-        cases = [W1, parse_instance(VIOLATION_PATH)]
+        cases = [W1, load_instance_file(VIOLATION_PATH)[0]]
         for family in FAMILIES:
             for n in range(2, 9):
                 for k in range(2, 9):

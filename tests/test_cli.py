@@ -13,7 +13,7 @@ import pytest
 import perturbrank
 from perturbrank.asymptotics import ProfileQuery, build_M, leading_term_eval
 from perturbrank.cli import run_command
-from perturbrank.formats import parse_instance
+from perturbrank.formats import load_instance_file
 from perturbrank.model import validate_system
 
 W1_DICT = {
@@ -98,6 +98,15 @@ class TestAnalyze:
         assert run_command(["analyze", path]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry", ["1\n", "\u0661", "1/\u0662"])
+    def test_non_canonical_rational_exits_one(self, tmp_path, capsys, entry):
+        # A trailing newline and non-ASCII digits both parse as Fractions,
+        # but neither is of the form 'p' or 'p/q' with ASCII digits.
+        path = _write_instance(tmp_path, "bad.json", D=[[entry, "0"], ["0", "1"]])
+        assert run_command(["analyze", path]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "D[0][0]" in err
+
 
 class TestUsageErrors:
     def test_missing_argument_remapped_to_one(self, capsys):
@@ -175,7 +184,7 @@ class TestSearchCommand:
         assert names and all(n.startswith("breach-dissipativity-") for n in names)
         # every artifact replays through the ordinary instance parser
         for name in names:
-            parse_instance(os.path.join(artifact_dir, name))
+            load_instance_file(os.path.join(artifact_dir, name))
 
     def test_reused_output_path_exits_one(self, tmp_path, capsys):
         out = str(tmp_path / "r.json")
@@ -352,7 +361,7 @@ class TestProfileCommands:
         ]
         assert run_command(argv) == 0
         cli_value = json.loads(capsys.readouterr().out)
-        spec = parse_instance(w1_path)
+        spec = load_instance_file(w1_path)[0]
         sd = validate_system(spec)
         ts = build_M(spec, sd)
         q = ProfileQuery(

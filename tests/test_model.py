@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from perturbrank.asymptotics import analyze_structure, build_M
 from perturbrank.exact_linalg import (
     RationalMatrix,
     charpoly_exact,
@@ -331,3 +332,73 @@ class TestGenerateInstance:
                         digest.update(dumps(instance_to_dict(s)).encode("utf-8"))
                         digest.update(dumps(spectral).encode("utf-8"))
         assert digest.hexdigest() == GENERATOR_DIGEST
+
+
+def _pushed_rank(diagonals, h1, h1_star) -> int:
+    """rank{P_i}, P_i = H (d_i - v_i 1) with v_i = h1_star^T H d_i."""
+    weights = tuple(a * b for a, b in zip(h1, h1_star))
+    pushed = []
+    for d in diagonals:
+        v = dot(d, weights)
+        pushed.append(tuple((di - v) * h for di, h in zip(d, h1)))
+    return rank_exact(RationalMatrix(pushed))
+
+
+def _affine_rank(diagonals) -> int:
+    """rank[1; d_1; ...; d_j], the quantity the diagonal screen tests."""
+    ones = (Fraction(1),) * len(diagonals[0])
+    return rank_exact(RationalMatrix([ones, *diagonals]))
+
+
+class TestAffineRankLemma:
+    """rank{P_1..P_j} = rank[1; d_1; ...; d_j] - 1 when h1 has no zero
+    entry and (h1, h1_star) = 1: the identity behind the generator's
+    diagonal screen."""
+
+    def test_ranks_agree_on_random_data(self):
+        rng = random.Random(8)
+
+        def frac(lo: int) -> Fraction:
+            return Fraction(rng.randint(lo, 4), rng.randint(1, 4))
+
+        kinds = {"random": 0, "repeat": 0, "affine": 0, "constant": 0}
+        for _ in range(400):
+            n = rng.randint(2, 7)
+            h1 = tuple(frac(1) * rng.choice((-1, 1)) for _ in range(n))  # no zero
+            while True:
+                raw = tuple(frac(-4) for _ in range(n))  # zeros allowed here
+                pairing = dot(raw, h1)
+                if pairing != 0:
+                    break
+            h1_star = tuple(x / pairing for x in raw)
+            assert dot(h1, h1_star) == 1
+            diagonals = []
+            for _ in range(rng.randint(1, n + 2)):
+                kind = rng.choice(tuple(kinds)) if diagonals else "random"
+                if kind == "repeat":
+                    d = rng.choice(diagonals)
+                elif kind == "affine":
+                    a, b = frac(-4), frac(-4)
+                    d = tuple(a * x + b for x in rng.choice(diagonals))
+                elif kind == "constant":
+                    d = (frac(-4),) * n
+                else:
+                    d = tuple(frac(-4) for _ in range(n))
+                kinds[kind] += 1
+                diagonals.append(d)
+                assert _pushed_rank(diagonals, h1, h1_star) == _affine_rank(diagonals) - 1
+        assert all(count > 0 for count in kinds.values())
+
+    def test_zero_entry_in_h1_breaks_the_identity(self):
+        # A hand-fed A may have h1 with a zero entry; then H is singular and
+        # the affine rank overstates rank{P_i}.  That is why
+        # analyze_structure tests degeneracy on P, not on the diagonals.
+        a = RationalMatrix([[0, 1], [0, -1]])
+        diagonals = ((Fraction(0), Fraction(1)), (Fraction(0), Fraction(2)))
+        spec = SystemSpec(n=2, K=2, D=diagonals, A=a)
+        data = validate_system(spec)
+        assert data.h1 == (1, 0)
+        assert _affine_rank(spec.D) - 1 == 1 == min(spec.K, spec.n - 1)
+        assert _pushed_rank(spec.D, data.h1, data.h1_star) == 0
+        ts = build_M(spec, data)
+        assert analyze_structure(ts, spec, data).degenerate

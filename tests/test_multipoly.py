@@ -14,7 +14,6 @@ from perturbrank.multipoly import (
     poly_divexact,
     poly_gcd,
     poly_tree,
-    ratfunc_normalize,
     ratfunc_tree,
 )
 
@@ -27,6 +26,11 @@ def P(terms):
 
 def var(name):
     return MultiPoly.variable(VARS, name)
+
+
+def ratfunc_normalize(f):
+    """Re-run canonical reduction; idempotent on already-reduced values."""
+    return RatFunc(f.num, f.den)
 
 
 A, B, K = var("a"), var("b"), var("k")

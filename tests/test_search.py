@@ -10,7 +10,12 @@ import perturbrank.model
 from perturbrank.asymptotics import analyze_structure, build_M
 from perturbrank.cli import run_command
 from perturbrank.exact_linalg import RationalMatrix
-from perturbrank.formats import build_report, dumps, instance_to_dict, parse_instance
+from perturbrank.formats import (
+    build_report,
+    dumps,
+    instance_to_dict,
+    load_instance_file,
+)
 from perturbrank.model import (
     FAMILIES,
     GenerationFailed,
@@ -179,7 +184,7 @@ class TestClassifyInstance:
         assert structure["rank_exact"] == 0
         assert structure["predicted_rank"] == 1
         assert structure["degenerate"] is False
-        assert _classify(parse_instance(path)).outcome == "violation"
+        assert _classify(load_instance_file(path)[0]).outcome == "violation"
 
     def test_generated_instances_never_degenerate(self):
         # the generator's span screen is the incremental form of the
@@ -216,7 +221,7 @@ def test_analyze_and_search_agree_on_degeneracy(name, tmp_path, capsys):
     path.write_text(dumps(instance_to_dict(spec)), encoding="utf-8")
     assert run_command(["analyze", str(path)]) == 0
     structure = json.loads(capsys.readouterr().out)["structure"]
-    verdict = _classify(parse_instance(str(path)))
+    verdict = _classify(load_instance_file(str(path))[0])
     assert structure["degenerate"] is degenerate
     assert (verdict.outcome == "degenerate") is degenerate
     if not degenerate:
@@ -349,7 +354,7 @@ class TestRunCampaign:
 
         path = os.path.join(str(tmp_path), violation.artifact)
         assert os.path.exists(path)
-        replayed = parse_instance(path)
+        replayed = load_instance_file(path)[0]
         assert replayed == rigged
         again = _classify(replayed)
         assert again.report.rank_exact == violation.report["structure"]["rank_exact"] == 1
@@ -403,7 +408,7 @@ class TestRunCampaign:
             assert breach.artifact.startswith("breach-dissipativity-")
             path = os.path.join(str(tmp_path), breach.artifact)
             assert os.path.exists(path)
-            replayed = parse_instance(path)
+            replayed = load_instance_file(path)[0]
             again = _classify(replayed)
             kinds = [detail["kind"] for detail in again.breaches]
             assert breach.kind in kinds

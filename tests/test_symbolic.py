@@ -17,7 +17,6 @@ from perturbrank.symbolic import (
     RankIdentityFailed,
     build_M_parametric,
     eigen_closed_form_n2,
-    family_variables,
     symbolic_report,
     verify_rank_one_identity,
 )
@@ -52,10 +51,12 @@ def numeric_counterpart(values, K):
 
 class TestFamilyVariables:
     def test_order_and_names(self):
-        assert family_variables(2) == ("a", "b", "k", "d1_1", "d1_2", "d2_1", "d2_2")
+        assert build_M_parametric(2).variables == (
+            "a", "b", "k", "d1_1", "d1_2", "d2_1", "d2_2"
+        )
 
     def test_count(self):
-        assert len(family_variables(6)) == 15
+        assert len(build_M_parametric(6).variables) == 15
 
 
 class TestBuildMParametric:
