@@ -84,15 +84,10 @@ from .symbolic import (
 )
 from .search import (
     BREACH_KINDS,
-    Breach,
     CampaignConfig,
-    CellResult,
     Classification,
-    SearchReport,
-    Violation,
     classify_instance,
     derive_instance_seed,
-    report_to_dict,
     run_campaign,
 )
 

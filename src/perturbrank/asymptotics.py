@@ -242,7 +242,7 @@ def analyze_structure(
     screens it out by rank[1; D] - 1, equal to it only for an h1 without
     zero entries; a hand-fed h1 may have one, so this test stays on P.
     """
-    kernel = tuple(nullspace(ts.M, side="right"))
+    kernel = tuple(nullspace(ts.M))
     rank = ts.M.cols - len(kernel)
     eigs = tuple(jacobi_eigenvalues(ts.M.to_float()))
     predicted = min(s.n - 1, s.K)

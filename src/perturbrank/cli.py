@@ -27,7 +27,7 @@ from .asymptotics import (
 )
 from .formats import build_report, dumps, load_instance_file
 from .model import FAMILIES, GenerationFailed, validate_system
-from .search import CampaignConfig, report_to_dict, run_campaign
+from .search import CampaignConfig, run_campaign
 from .symbolic import symbolic_report
 
 __all__ = ["main", "run_command"]
@@ -159,8 +159,7 @@ def _cmd_search(args) -> int:
         worker_count=workers,
     )
     artifact_dir = os.path.splitext(args.out)[0] + "-artifacts"
-    report = run_campaign(cfg, artifact_dir=artifact_dir)
-    data = report_to_dict(report)
+    data = run_campaign(cfg, artifact_dir=artifact_dir)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(dumps(data))
     if not os.listdir(artifact_dir):

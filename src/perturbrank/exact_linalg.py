@@ -252,26 +252,20 @@ def det_exact(m: RationalMatrix) -> Fraction:
     return Fraction((-1) ** swaps * pivot_vals[-1], d**m.rows)
 
 
-def nullspace(m: RationalMatrix, side: str = "right") -> list[Vector]:
+def nullspace(m: RationalMatrix) -> list[Vector]:
     """Exact kernel basis, each vector scaled so its first nonzero entry is 1.
 
-    ``side="right"`` solves m·v = 0, ``side="left"`` solves vᵀ·m = 0.
+    Solves m·v = 0; the left kernel vᵀ·m = 0 is ``nullspace(m.transpose())``.
     Basis vectors are ordered by their free column, ascending, which makes
     the output deterministic.
     """
-    if side == "left":
-        rows, width = zip(*m.data), m.rows
-    elif side == "right":
-        rows, width = m.data, m.cols
-    else:
-        raise ValueError(f"side must be 'right' or 'left', not {side!r}")
-    a = _cleared_int_rows(rows)
+    a = _cleared_int_rows(m.data)
     pivot_cols, pivot_vals, _ = _eliminate(a)
     d = pivot_vals[-1] if pivot_vals else 1
     basis: list[Vector] = []
-    for free in sorted(set(range(width)) - set(pivot_cols)):
+    for free in sorted(set(range(m.cols)) - set(pivot_cols)):
         # d·v with v the RREF kernel vector of this free column
-        v = [0] * width
+        v = [0] * m.cols
         v[free] = d
         for row, pc in zip(a, pivot_cols):
             v[pc] = -row[free]
@@ -317,7 +311,7 @@ def solve_constrained(
     c = _vector(c)
     if len(y) != m.rows or len(c) != m.cols:
         raise ValueError("right-hand side or constraint has the wrong length")
-    kernel = nullspace(m, side="right")
+    kernel = nullspace(m)
     if len(kernel) != 1:
         raise ValueError(f"kernel dimension is {len(kernel)}, need exactly 1")
     h = kernel[0]

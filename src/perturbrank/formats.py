@@ -133,16 +133,12 @@ def load_instance_file(path: str) -> tuple[SystemSpec, Vector | None]:
     return _instance_from_dict(data)
 
 
-def _rational_str(value: Fraction) -> str:
-    return str(value)
-
-
 def _vector_strs(v: Vector) -> list[str]:
-    return [_rational_str(x) for x in v]
+    return [str(x) for x in v]
 
 
 def _matrix_strs(m: RationalMatrix) -> list[list[str]]:
-    return [[_rational_str(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
+    return [[str(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
 
 
 def instance_to_dict(spec: SystemSpec, h: Vector | None = None) -> dict:
@@ -150,10 +146,7 @@ def instance_to_dict(spec: SystemSpec, h: Vector | None = None) -> dict:
         "format_version": FORMAT_VERSION,
         "n": spec.n,
         "K": spec.K,
-        "A": [
-            [_rational_str(spec.A[i, j]) for j in range(spec.n)]
-            for i in range(spec.n)
-        ],
+        "A": _matrix_strs(spec.A),
         "D": [_vector_strs(d) for d in spec.D],
         "label": spec.label,
     }

@@ -135,12 +135,12 @@ def null_pair_normalized(a: RationalMatrix) -> tuple[Vector, Vector]:
     ``NonNormalizable`` when the vectors are orthogonal (defective zero
     eigenvalue), in which case no such scaling exists.
     """
-    right = nullspace(a, side="right")
+    right = nullspace(a)
     if len(right) != 1:
         raise KernelDimensionError(
             f"right kernel dimension is {len(right)}, need exactly 1"
         )
-    left = nullspace(a, side="left")
+    left = nullspace(a.transpose())
     if len(left) != 1:
         raise KernelDimensionError(
             f"left kernel dimension is {len(left)}, need exactly 1"

@@ -40,6 +40,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import product, repeat
 
 from .asymptotics import (
     DISSIPATIVITY_TOLERANCE,
@@ -61,16 +62,11 @@ from .model import (
 
 __all__ = [
     "BREACH_KINDS",
-    "Breach",
     "CampaignConfig",
-    "CellResult",
     "Classification",
     "RANGE_LIMITS",
-    "SearchReport",
-    "Violation",
     "classify_instance",
     "derive_instance_seed",
-    "report_to_dict",
     "run_campaign",
 ]
 
@@ -129,50 +125,6 @@ class Classification:
     report: StructureReport
     breaches: tuple[dict, ...]
     ts: TransferStructure
-
-
-@dataclass(frozen=True)
-class Violation:
-    """One rank-law failure, carried in full so it can be replayed."""
-
-    index: int
-    instance_seed: int
-    family: str
-    instance: dict
-    report: dict
-    artifact: str | None
-
-
-@dataclass(frozen=True)
-class Breach:
-    """One monitored-invariant failure, replayable like a violation."""
-
-    kind: str
-    index: int
-    instance_seed: int
-    family: str
-    detail: dict
-    instance: dict
-    artifact: str | None
-
-
-@dataclass(frozen=True)
-class CellResult:
-    n: int
-    K: int
-    samples: int
-    matches: int
-    degenerate: int
-    violations: tuple[Violation, ...]
-    breaches: tuple[Breach, ...]
-
-
-@dataclass(frozen=True)
-class SearchReport:
-    config: CampaignConfig
-    cells: tuple[CellResult, ...]
-    runtime_seconds: float
-    verdict: str
 
 
 def derive_instance_seed(seed: int, n: int, k: int, index: int) -> int:
@@ -250,13 +202,17 @@ def _write_artifact(artifact_dir: str | None, name: str, instance: dict) -> str 
     return name
 
 
-def _run_cell(
-    cfg: CampaignConfig, n: int, k: int, artifact_dir: str | None
-) -> CellResult:
-    matches = 0
-    degenerate = 0
-    violations: list[Violation] = []
-    breaches: list[Breach] = []
+def _run_cell(cfg: CampaignConfig, n: int, k: int, artifact_dir: str | None) -> dict:
+    """Classify one (n, K) cell; returns its JSON-ready report entry."""
+    cell: dict = {
+        "n": n,
+        "K": k,
+        "samples": cfg.samples_per_cell,
+        "matches": 0,
+        "degenerate": 0,
+        "violations": [],
+        "breaches": [],
+    }
     for index in range(cfg.samples_per_cell):
         family = cfg.families[index % len(cfg.families)]
         instance_seed = derive_instance_seed(cfg.seed, n, k, index)
@@ -267,61 +223,49 @@ def _run_cell(
             raise GenerationFailed(f"cell n={n}, K={k}, index={index}: {exc}") from exc
         verdict = classify_instance(spec, sd)
         if verdict.outcome == MATCH:
-            matches += 1
+            cell["matches"] += 1
         elif verdict.outcome == DEGENERATE:
-            degenerate += 1
+            cell["degenerate"] += 1
         if verdict.outcome != VIOLATION and not verdict.breaches:
             continue
         instance = instance_to_dict(spec)  # one dict per flagged instance
         if verdict.outcome == VIOLATION:
-            violations.append(
-                Violation(
-                    index=index,
-                    instance_seed=instance_seed,
-                    family=family,
-                    instance=instance,
-                    report=build_report(spec, sd, verdict.ts, verdict.report),
-                    artifact=_write_artifact(
+            cell["violations"].append(
+                {
+                    "index": index,
+                    "instance_seed": instance_seed,
+                    "family": family,
+                    "instance": instance,
+                    "report": build_report(spec, sd, verdict.ts, verdict.report),
+                    "artifact": _write_artifact(
                         artifact_dir, _violation_name(n, k, index), instance
                     ),
-                )
+                }
             )
         for detail in verdict.breaches:
             kind = detail["kind"]
-            breaches.append(
-                Breach(
-                    kind=kind,
-                    index=index,
-                    instance_seed=instance_seed,
-                    family=family,
-                    detail={key: val for key, val in detail.items() if key != "kind"},
-                    instance=instance,
-                    artifact=_write_artifact(
+            cell["breaches"].append(
+                {
+                    "kind": kind,
+                    "index": index,
+                    "instance_seed": instance_seed,
+                    "family": family,
+                    "detail": {key: val for key, val in detail.items() if key != "kind"},
+                    "instance": instance,
+                    "artifact": _write_artifact(
                         artifact_dir, _breach_name(kind, n, k, index), instance
                     ),
-                )
+                }
             )
-    result = CellResult(
-        n=n,
-        K=k,
-        samples=cfg.samples_per_cell,
-        matches=matches,
-        degenerate=degenerate,
-        violations=tuple(violations),
-        breaches=tuple(breaches),
-    )
-    assert result.matches + result.degenerate + len(result.violations) == result.samples
-    return result
+    assert cell["matches"] + cell["degenerate"] + len(cell["violations"]) == cell["samples"]
+    return cell
 
 
-def _cell_task(args: tuple[CampaignConfig, int, int, str | None]) -> CellResult:
-    return _run_cell(*args)
+def run_campaign(cfg: CampaignConfig, artifact_dir: str | None = None) -> dict:
+    """Run the sweep; returns the JSON-ready campaign report.
 
-
-def run_campaign(cfg: CampaignConfig, artifact_dir: str | None = None) -> SearchReport:
-    """Run the sweep; deterministic up to the runtime field.
-
-    With worker_count > 1 cells are distributed across processes; the
+    The report is deterministic except for runtime_seconds.  With
+    worker_count > 1 cells are distributed across processes; the
     per-instance seed derivation makes the outcome identical to a serial
     run; no more workers are started than there are cells.  When
     artifact_dir is given, each violation is written there as a standalone
@@ -336,75 +280,27 @@ def run_campaign(cfg: CampaignConfig, artifact_dir: str | None = None) -> Search
             raise ValueError(f"artifact directory {artifact_dir} is not empty")
         os.makedirs(artifact_dir, exist_ok=True)
     started = time.monotonic()
-    coords = [
-        (n, k)
-        for n in range(cfg.n_range[0], cfg.n_range[1] + 1)
-        for k in range(cfg.K_range[0], cfg.K_range[1] + 1)
-    ]
-    if cfg.worker_count > 1:
-        tasks = [(cfg, n, k, artifact_dir) for n, k in coords]
-        workers = min(cfg.worker_count, len(coords))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(_cell_task, tasks))
-    else:
-        cells = [_run_cell(cfg, n, k, artifact_dir) for n, k in coords]
-    cells.sort(key=lambda c: (c.n, c.K))
-    total_violations = sum(len(c.violations) for c in cells)
-    verdict = "all_match" if total_violations == 0 else "violations_found"
-    return SearchReport(
-        config=cfg,
-        cells=tuple(cells),
-        runtime_seconds=time.monotonic() - started,
-        verdict=verdict,
-    )
-
-
-def report_to_dict(report: SearchReport) -> dict:
-    """JSON-ready campaign report; runtime_seconds is the only field not
-    determined by the configuration."""
-    cfg = report.config
-    cells = []
-    totals = {"samples": 0, "matches": 0, "degenerate": 0, "violations": 0}
-    breach_totals = {kind: 0 for kind in BREACH_KINDS}
-    for cell in report.cells:
-        totals["samples"] += cell.samples
-        totals["matches"] += cell.matches
-        totals["degenerate"] += cell.degenerate
-        totals["violations"] += len(cell.violations)
-        for breach in cell.breaches:
-            breach_totals[breach.kind] += 1
-        cells.append(
-            {
-                "n": cell.n,
-                "K": cell.K,
-                "samples": cell.samples,
-                "matches": cell.matches,
-                "degenerate": cell.degenerate,
-                "violations": [
-                    {
-                        "index": v.index,
-                        "instance_seed": v.instance_seed,
-                        "family": v.family,
-                        "instance": v.instance,
-                        "report": v.report,
-                        "artifact": v.artifact,
-                    }
-                    for v in cell.violations
-                ],
-                "breaches": [
-                    {
-                        "kind": b.kind,
-                        "index": b.index,
-                        "instance_seed": b.instance_seed,
-                        "family": b.family,
-                        "detail": b.detail,
-                        "instance": b.instance,
-                        "artifact": b.artifact,
-                    }
-                    for b in cell.breaches
-                ],
-            }
+    ns, ks = zip(
+        *product(
+            range(cfg.n_range[0], cfg.n_range[1] + 1),
+            range(cfg.K_range[0], cfg.K_range[1] + 1),
         )
+    )
+    args = (repeat(cfg), ns, ks, repeat(artifact_dir))
+    if cfg.worker_count > 1:
+        workers = min(cfg.worker_count, len(ns))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            cells = list(pool.map(_run_cell, *args))
+    else:
+        cells = list(map(_run_cell, *args))
+    totals = {
+        key: sum(cell[key] for cell in cells) for key in ("samples", "matches", "degenerate")
+    }
+    totals["violations"] = sum(len(cell["violations"]) for cell in cells)
+    breach_totals = dict.fromkeys(BREACH_KINDS, 0)
+    for cell in cells:
+        for breach in cell["breaches"]:
+            breach_totals[breach["kind"]] += 1
     return {
         "format_version": FORMAT_VERSION,
         "config": {
@@ -418,10 +314,10 @@ def report_to_dict(report: SearchReport) -> dict:
         "cells": cells,
         "totals": totals,
         "breach_totals": breach_totals,
-        "verdict": report.verdict,
+        "verdict": "all_match" if totals["violations"] == 0 else "violations_found",
         "evidence_note": (
             "a clean sweep is randomized evidence for the predicted rank "
             "structure, not a proof"
         ),
-        "runtime_seconds": report.runtime_seconds,
+        "runtime_seconds": time.monotonic() - started,
     }

@@ -220,7 +220,10 @@ def _entry_payload(f: RatFunc) -> dict:
 def symbolic_report(K: int) -> dict:
     """JSON-ready exact description of the K-direction two-state family."""
     structure = build_M_parametric(K)
-    identity_holds = verify_rank_one_identity(structure)
+    try:
+        spectrum = eigen_closed_form_n2(structure)
+    except RankIdentityFailed:
+        spectrum = None
     report: dict = {
         "family": "two-state-exchange",
         "K": K,
@@ -235,10 +238,9 @@ def symbolic_report(K: int) -> dict:
         "M": [[_entry_payload(f) for f in row] for row in structure.M],
         "c": _entry_payload(structure.c),
         "deltas": [_entry_payload(f) for f in structure.deltas],
-        "rank_one_identity": identity_holds,
+        "rank_one_identity": spectrum is not None,
     }
-    if identity_holds:
-        spectrum = eigen_closed_form_n2(structure)
+    if spectrum is not None:
         report["spectrum"] = {
             "nonzero_eigenvalue": _entry_payload(spectrum.nonzero_eigenvalue),
             "zero_multiplicity": spectrum.zero_multiplicity,

@@ -106,18 +106,18 @@ def test_rank_law_on_small_grid(small_grid):
     """16 cells, 200 non-degenerate instances each, both families:
     rank M = min(n-1, K) with zero violations, exactly."""
     report, _ = small_grid
-    assert report.config.families == FAMILIES and len(FAMILIES) == 2
-    assert len(report.cells) == 16
-    for cell in report.cells:
-        assert cell.samples == 200
-        assert cell.degenerate == 0  # all 200 count as non-degenerate
-        assert cell.violations == ()
-        assert cell.matches == 200
-    ok = report.verdict == "all_match"
+    assert tuple(report["config"]["families"]) == FAMILIES and len(FAMILIES) == 2
+    assert len(report["cells"]) == 16
+    for cell in report["cells"]:
+        assert cell["samples"] == 200
+        assert cell["degenerate"] == 0  # all 200 count as non-degenerate
+        assert cell["violations"] == []
+        assert cell["matches"] == 200
+    ok = report["verdict"] == "all_match"
     assert _line(
         ok,
         "rank law, n,K in 2..5",
-        f"3200 instances, verdict {report.verdict}, 0 violations",
+        f"3200 instances, verdict {report['verdict']}, 0 violations",
     )
 
 
@@ -125,20 +125,20 @@ def test_rank_law_on_extended_grid(extended_grid):
     """49 cells, 50 instances each: zero violations; any violation would be
     serialized, replayable, and reproduce identically."""
     report, art = extended_grid
-    assert len(report.cells) == 49
-    total = sum(cell.samples for cell in report.cells)
+    assert len(report["cells"]) == 49
+    total = sum(cell["samples"] for cell in report["cells"])
     assert total == 49 * 50
     replayed = 0
-    for cell in report.cells:
-        for violation in cell.violations:
-            assert violation.artifact is not None
-            spec = load_instance_file(os.path.join(art, violation.artifact))[0]
+    for cell in report["cells"]:
+        for violation in cell["violations"]:
+            assert violation["artifact"] is not None
+            spec = load_instance_file(os.path.join(art, violation["artifact"]))[0]
             again = classify_instance(spec, validate_system(spec))
             assert again.outcome == "violation"
-            assert again.report.rank_exact == violation.report["structure"]["rank_exact"]
+            assert again.report.rank_exact == violation["report"]["structure"]["rank_exact"]
             replayed += 1
-    violations = sum(len(cell.violations) for cell in report.cells)
-    ok = violations == 0 and report.verdict == "all_match"
+    violations = sum(len(cell["violations"]) for cell in report["cells"])
+    ok = violations == 0 and report["verdict"] == "all_match"
     assert _line(
         ok,
         "rank law, n,K in 2..8",
@@ -235,31 +235,31 @@ def test_dissipativity_measured_and_breaches_replayable(small_grid, extended_gri
     total = 0
     breaches = []
     for report, art in (small_grid, extended_grid):
-        total += sum(cell.samples for cell in report.cells)
-        for cell in report.cells:
-            for breach in cell.breaches:
-                if breach.kind == "dissipativity":
+        total += sum(cell["samples"] for cell in report["cells"])
+        for cell in report["cells"]:
+            for breach in cell["breaches"]:
+                if breach["kind"] == "dissipativity":
                     breaches.append((breach, art))
 
     for breach, art in breaches:
-        assert breach.family == SIMILARITY_FAMILY, (
+        assert breach["family"] == SIMILARITY_FAMILY, (
             f"dissipativity breach outside the similarity family: "
-            f"{breach.family} seed {breach.instance_seed}"
+            f"{breach['family']} seed {breach['instance_seed']}"
         )
-        assert breach.detail["max_eigenvalue"] > (
-            breach.detail["tolerance"] * breach.detail["scale"]
+        assert breach["detail"]["max_eigenvalue"] > (
+            breach["detail"]["tolerance"] * breach["detail"]["scale"]
         )
-        assert breach.artifact is not None
-        spec = load_instance_file(os.path.join(art, breach.artifact))[0]
+        assert breach["artifact"] is not None
+        spec = load_instance_file(os.path.join(art, breach["artifact"]))[0]
         again = classify_instance(spec, validate_system(spec))
         replay = next(
             (d for d in again.breaches if d["kind"] == "dissipativity"), None
         )
         assert replay is not None, "breach did not reproduce on replay"
-        assert {k: v for k, v in replay.items() if k != "kind"} == breach.detail
+        assert {k: v for k, v in replay.items() if k != "kind"} == breach["detail"]
 
-    markov_clean = all(b.family != MARKOV_FAMILY for b, _ in breaches)
-    ok = markov_clean and all(b.artifact is not None for b, _ in breaches)
+    markov_clean = all(b["family"] != MARKOV_FAMILY for b, _ in breaches)
+    ok = markov_clean and all(b["artifact"] is not None for b, _ in breaches)
     assert _line(
         ok,
         "dissipativity monitoring",
@@ -311,10 +311,10 @@ def test_numeric_and_exact_rank_agree_everywhere(small_grid, extended_grid):
     total = 0
     disagreements = 0
     for report, _ in (small_grid, extended_grid):
-        total += sum(cell.samples for cell in report.cells)
-        for cell in report.cells:
+        total += sum(cell["samples"] for cell in report["cells"])
+        for cell in report["cells"]:
             disagreements += sum(
-                1 for b in cell.breaches if b.kind == "rank_agreement"
+                1 for b in cell["breaches"] if b["kind"] == "rank_agreement"
             )
     ok = disagreements == 0
     assert _line(

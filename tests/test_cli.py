@@ -210,22 +210,19 @@ class TestSearchCommand:
         assert after == first
 
     def test_exit_two_on_rank_violations(self, tmp_path, monkeypatch):
+        report = {
+            "verdict": "violations_found",
+            "totals": {
+                "samples": 1, "matches": 0, "degenerate": 0, "violations": 1,
+            },
+            "breach_totals": {"dissipativity": 0, "rank_agreement": 0},
+        }
+
         def fake_run_campaign(cfg, artifact_dir=None):
             os.makedirs(artifact_dir, exist_ok=True)
-            return "sentinel"
-
-        def fake_report_to_dict(report):
-            assert report == "sentinel"
-            return {
-                "verdict": "violations_found",
-                "totals": {
-                    "samples": 1, "matches": 0, "degenerate": 0, "violations": 1,
-                },
-                "breach_totals": {"dissipativity": 0, "rank_agreement": 0},
-            }
+            return report
 
         monkeypatch.setattr("perturbrank.cli.run_campaign", fake_run_campaign)
-        monkeypatch.setattr("perturbrank.cli.report_to_dict", fake_report_to_dict)
         rc = run_command(
             [
                 "search",
@@ -236,6 +233,8 @@ class TestSearchCommand:
             ]
         )
         assert rc == 2
+        # the report is written as run_campaign returned it
+        assert json.loads((tmp_path / "r.json").read_text(encoding="utf-8")) == report
 
     def test_workers_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PERTURB_RANK_WORKERS", "2")

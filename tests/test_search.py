@@ -1,6 +1,7 @@
 """Tests for campaign orchestration, classification, and violation capture."""
 
 import dataclasses
+import hashlib
 import json
 import os
 
@@ -29,7 +30,6 @@ from perturbrank.search import (
     Classification,
     classify_instance,
     derive_instance_seed,
-    report_to_dict,
     run_campaign,
 )
 
@@ -40,6 +40,12 @@ W1 = SystemSpec(
     A=RationalMatrix([[-1, 1], [1, -1]]),
     label="w1",
 )
+
+# SHA-256 of the campaign output of test_report_and_artifacts_pinned_by_digest:
+# the report as dumps writes it, without runtime_seconds, and the artifact
+# names and bytes in name order.
+REPORT_DIGEST = "d126d22673c53e167bbc0e077d396a5312f9701528b2f9fd932c68cc130eb835"
+ARTIFACT_DIGEST = "faf9acb8f02960c84333f96b6d80e7bf41a80ebea3829a0d172a9ac089694cbe"
 
 TRIPLE_A = RationalMatrix([[-2, 1, 1], [1, -2, 1], [1, 1, -2]])
 PATH_A = RationalMatrix([[-1, 1, 0], [1, -2, 1], [0, 1, -1]])
@@ -232,17 +238,20 @@ class TestRunCampaign:
     def test_small_sweep_all_match(self):
         cfg = CampaignConfig(n_range=(2, 3), K_range=(2, 3), samples_per_cell=6, seed=7)
         report = run_campaign(cfg)
-        assert report.verdict == "all_match"
-        assert len(report.cells) == 4
-        for cell in report.cells:
-            assert cell.matches + cell.degenerate + len(cell.violations) == cell.samples
-            assert cell.violations == ()
+        assert report["verdict"] == "all_match"
+        assert len(report["cells"]) == 4
+        for cell in report["cells"]:
+            assert (
+                cell["matches"] + cell["degenerate"] + len(cell["violations"])
+                == cell["samples"]
+            )
+            assert cell["violations"] == []
         # this sweep is known to hit indefinite-M similarity instances;
         # they are recorded as breaches without disturbing the verdict
-        breaches = [b for cell in report.cells for b in cell.breaches]
+        breaches = [b for cell in report["cells"] for b in cell["breaches"]]
         assert breaches
-        assert all(b.kind == "dissipativity" for b in breaches)
-        assert all(b.family == "similarity_transformed" for b in breaches)
+        assert all(b["kind"] == "dissipativity" for b in breaches)
+        assert all(b["family"] == "similarity_transformed" for b in breaches)
 
     def test_markov_family_never_breaches_dissipativity(self):
         cfg = CampaignConfig(
@@ -253,13 +262,13 @@ class TestRunCampaign:
             families=("markov_generator",),
         )
         report = run_campaign(cfg)
-        assert report.verdict == "all_match"
-        assert all(cell.breaches == () for cell in report.cells)
+        assert report["verdict"] == "all_match"
+        assert all(cell["breaches"] == [] for cell in report["cells"])
 
     def test_reports_are_pure_functions_of_config(self):
         cfg = CampaignConfig(n_range=(2, 2), K_range=(2, 3), samples_per_cell=5, seed=11)
-        first = report_to_dict(run_campaign(cfg))
-        second = report_to_dict(run_campaign(cfg))
+        first = run_campaign(cfg)
+        second = run_campaign(cfg)
         first.pop("runtime_seconds")
         second.pop("runtime_seconds")
         assert first == second
@@ -271,8 +280,8 @@ class TestRunCampaign:
         parallel = CampaignConfig(
             n_range=(2, 3), K_range=(2, 2), samples_per_cell=4, seed=3, worker_count=2
         )
-        a = report_to_dict(run_campaign(serial))
-        b = report_to_dict(run_campaign(parallel))
+        a = run_campaign(serial)
+        b = run_campaign(parallel)
         a.pop("runtime_seconds")
         b.pop("runtime_seconds")
         # worker_count is configuration echo, not result content
@@ -294,8 +303,8 @@ class TestRunCampaign:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
-                return map(fn, tasks)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         monkeypatch.setattr("perturbrank.search.ProcessPoolExecutor", RecordingPool)
         one_cell = CampaignConfig(
@@ -305,7 +314,7 @@ class TestRunCampaign:
         four_cells = dataclasses.replace(one_cell, n_range=(2, 3), K_range=(2, 3))
         run_campaign(four_cells)
         assert sizes == [1, 4]
-        assert report_to_dict(report)["config"]["worker_count"] == 5000
+        assert report["config"]["worker_count"] == 5000
 
     def test_non_empty_artifact_dir_rejected_before_any_instance(
         self, monkeypatch, tmp_path
@@ -347,17 +356,17 @@ class TestRunCampaign:
         monkeypatch.setattr("perturbrank.search.classify_instance", always_violation)
         cfg = CampaignConfig(n_range=(3, 3), K_range=(2, 2), samples_per_cell=1, seed=5)
         report = run_campaign(cfg, artifact_dir=str(tmp_path))
-        assert report.verdict == "violations_found"
-        (cell,) = report.cells
-        (violation,) = cell.violations
-        assert violation.artifact == "violation-n3-K2-index0.json"
+        assert report["verdict"] == "violations_found"
+        (cell,) = report["cells"]
+        (violation,) = cell["violations"]
+        assert violation["artifact"] == "violation-n3-K2-index0.json"
 
-        path = os.path.join(str(tmp_path), violation.artifact)
+        path = os.path.join(str(tmp_path), violation["artifact"])
         assert os.path.exists(path)
         replayed = load_instance_file(path)[0]
         assert replayed == rigged
         again = _classify(replayed)
-        assert again.report.rank_exact == violation.report["structure"]["rank_exact"] == 1
+        assert again.report.rank_exact == violation["report"]["structure"]["rank_exact"] == 1
 
     def test_violation_report_comes_from_the_single_pass(self, monkeypatch):
         # force the first instance of a tiny campaign to be a violation; its
@@ -387,37 +396,64 @@ class TestRunCampaign:
 
         assert len(classified) == 4
         assert len(charpolys) == len(classified)
-        assert report.verdict == "violations_found"
-        (violation,) = report.cells[0].violations
+        assert report["verdict"] == "violations_found"
+        (violation,) = report["cells"][0]["violations"]
         spec, _ = generate_instance(
-            GeneratorConfig(n=2, K=2, seed=violation.instance_seed, family=violation.family)
+            GeneratorConfig(
+                n=2, K=2, seed=violation["instance_seed"], family=violation["family"]
+            )
         )
         assert spec == classified[0]
         sd = validate_system(spec)
         ts = build_M(spec, sd)
         fresh = build_report(spec, sd, ts, analyze_structure(ts, spec, sd))
-        assert dumps(violation.report) == dumps(fresh)
+        assert dumps(violation["report"]) == dumps(fresh)
+
+    def test_report_and_artifacts_pinned_by_digest(self, monkeypatch, tmp_path):
+        # a grid with dissipativity breaches, and its first instance forced
+        # to a violation, so every report field and artifact kind is pinned
+        classified = []
+
+        def first_violates(spec, sd):
+            verdict = classify_instance(spec, sd)
+            classified.append(spec)
+            if len(classified) == 1:
+                verdict = dataclasses.replace(verdict, outcome="violation")
+            return verdict
+
+        monkeypatch.setattr("perturbrank.search.classify_instance", first_violates)
+        cfg = CampaignConfig(n_range=(2, 3), K_range=(2, 3), samples_per_cell=6, seed=7)
+        report = run_campaign(cfg, artifact_dir=str(tmp_path))
+        assert report["totals"]["violations"] == 1
+        assert report["breach_totals"]["dissipativity"] > 0
+        report.pop("runtime_seconds")
+        assert hashlib.sha256(dumps(report).encode("utf-8")).hexdigest() == REPORT_DIGEST
+        digest = hashlib.sha256()
+        for path in sorted(tmp_path.iterdir()):
+            digest.update(path.name.encode("utf-8") + b"\0")
+            digest.update(path.read_bytes())
+        assert digest.hexdigest() == ARTIFACT_DIGEST
 
     def test_breach_artifact_replays_identically(self, tmp_path):
         cfg = CampaignConfig(n_range=(2, 3), K_range=(2, 3), samples_per_cell=6, seed=7)
         report = run_campaign(cfg, artifact_dir=str(tmp_path))
-        breaches = [b for cell in report.cells for b in cell.breaches]
+        breaches = [b for cell in report["cells"] for b in cell["breaches"]]
         assert breaches
         for breach in breaches:
-            assert breach.artifact is not None
-            assert breach.artifact.startswith("breach-dissipativity-")
-            path = os.path.join(str(tmp_path), breach.artifact)
+            assert breach["artifact"] is not None
+            assert breach["artifact"].startswith("breach-dissipativity-")
+            path = os.path.join(str(tmp_path), breach["artifact"])
             assert os.path.exists(path)
             replayed = load_instance_file(path)[0]
             again = _classify(replayed)
             kinds = [detail["kind"] for detail in again.breaches]
-            assert breach.kind in kinds
+            assert breach["kind"] in kinds
 
 
 class TestReportToDict:
     def test_shape_and_totals(self):
         cfg = CampaignConfig(n_range=(2, 2), K_range=(2, 2), samples_per_cell=3, seed=1)
-        data = report_to_dict(run_campaign(cfg))
+        data = run_campaign(cfg)
         assert data["format_version"] == 1
         assert data["verdict"] == "all_match"
         assert data["totals"] == {
@@ -438,7 +474,7 @@ class TestReportToDict:
             seed=9,
             families=("markov_generator",),
         )
-        data = report_to_dict(run_campaign(cfg))
+        data = run_campaign(cfg)
         assert data["config"] == {
             "n_range": [2, 3],
             "K_range": [2, 2],

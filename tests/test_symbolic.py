@@ -166,6 +166,28 @@ class TestSymbolicReport:
         assert report["c"]["text"].startswith("(a*b*k)/(")
         assert len(report["M"]) == 2 and len(report["M"][0]) == 2
 
+    def test_identity_verified_once_per_report(self, monkeypatch):
+        calls = []
+
+        def counted(structure):
+            calls.append(structure.K)
+            return verify_rank_one_identity(structure)
+
+        monkeypatch.setattr("perturbrank.symbolic.verify_rank_one_identity", counted)
+        symbolic_report(3)
+        assert calls == [3]
+
+    def test_report_without_identity_has_no_spectrum(self, monkeypatch):
+        st = build_M_parametric(2)
+        one = RatFunc.constant(st.variables, 1)
+        rows = [list(row) for row in st.M]
+        rows[0][0] = rows[0][0] + one
+        broken = dataclasses.replace(st, M=tuple(tuple(row) for row in rows))
+        monkeypatch.setattr("perturbrank.symbolic.build_M_parametric", lambda K: broken)
+        report = symbolic_report(2)
+        assert report["rank_one_identity"] is False
+        assert "spectrum" not in report
+
     def test_report_is_json_serializable_and_deterministic(self):
         first = json.dumps(symbolic_report(3), sort_keys=True)
         second = json.dumps(symbolic_report(3), sort_keys=True)
