@@ -1,17 +1,23 @@
 """Multivariate polynomials and rational functions with exact coefficients.
 
 Polynomials live over a fixed, ordered tuple of variable names; terms map
-dense exponent vectors to ``fractions.Fraction`` coefficients, with zero
-coefficients never stored.  Monomials are compared graded-lexicographically
-(total degree first, then the exponent vector), which fixes leading terms,
+dense exponent vectors of non-negative ``int`` to ``fractions.Fraction``
+coefficients, with zero coefficients never stored.  The public constructor
+validates and coerces its input; arithmetic inside the module builds its
+results through the trusted ``MultiPoly._make``, which only drops zero
+coefficients.  Monomials are compared graded-lexicographically (total
+degree first, then the exponent vector), which fixes leading terms,
 printing order, and sign conventions.
 
 Rational functions are kept fully reduced at all times: numerator and
-denominator are divided by their polynomial GCD (computed by a primitive
-pseudo-remainder sequence, recursing over the variables) and scaled so the
+denominator are divided by their polynomial GCD and scaled so the
 denominator is primitive with integer coefficients and a positive leading
-coefficient.  Structural equality of the reduced pairs is therefore a
-sound and complete equality test for the represented functions.
+coefficient.  The GCD first reduces each side to its content in the
+variables the other side lacks, so the primitive pseudo-remainder
+sequence, recursing over the variables, only ever runs on two
+polynomials in the same variables.  Structural equality of the reduced
+pairs is therefore a sound and complete equality test for the
+represented functions.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import reduce
+from operator import add
 from typing import Mapping, Sequence
 
 from .exact_linalg import as_rational
@@ -64,7 +71,7 @@ class MultiPoly:
         clean: dict[tuple[int, ...], Fraction] = {}
         for exps, coeff in (terms or {}).items():
             e = tuple(exps)
-            if len(e) != width or any(x < 0 for x in e):
+            if len(e) != width or any(type(x) is not int or x < 0 for x in e):
                 raise ValueError(f"bad exponent vector {e} for {width} variables")
             c = as_rational(coeff)
             if c != 0:
@@ -72,23 +79,35 @@ class MultiPoly:
         self.vars = names
         self.terms = clean
 
+    @classmethod
+    def _make(
+        cls, names: tuple[str, ...], terms: Mapping[tuple[int, ...], Fraction]
+    ) -> "MultiPoly":
+        """Trusted constructor for terms built by the kernel itself: exponent
+        vectors and Fraction coefficients are taken as valid, and only zero
+        coefficients are dropped."""
+        obj = object.__new__(cls)
+        obj.vars = names
+        obj.terms = {e: c for e, c in terms.items() if c}
+        return obj
+
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def zero(cls, variables: Sequence[str]) -> "MultiPoly":
-        return cls(variables, {})
+        return cls._make(tuple(variables), {})
 
     @classmethod
     def constant(cls, variables: Sequence[str], value: int | str | Fraction) -> "MultiPoly":
         names = tuple(variables)
-        return cls(names, {(0,) * len(names): as_rational(value)})
+        return cls._make(names, {(0,) * len(names): as_rational(value)})
 
     @classmethod
     def variable(cls, variables: Sequence[str], name: str) -> "MultiPoly":
         names = tuple(variables)
         idx = names.index(name)
         exps = tuple(1 if i == idx else 0 for i in range(len(names)))
-        return cls(names, {exps: Fraction(1)})
+        return cls._make(names, {exps: Fraction(1)})
 
     # -- basic structure ------------------------------------------------
 
@@ -104,6 +123,12 @@ class MultiPoly:
 
     def degree_in(self, index: int) -> int:
         return max((e[index] for e in self.terms), default=0)
+
+    def degrees(self) -> tuple[int, ...]:
+        """Degree in every variable, in one pass; all 0 for the zero poly."""
+        if not self.terms:
+            return (0,) * len(self.vars)
+        return tuple(map(max, zip(*self.terms)))
 
     def leading(self) -> tuple[tuple[int, ...], Fraction]:
         if not self.terms:
@@ -137,41 +162,40 @@ class MultiPoly:
         self._require_same_vars(other)
         acc = dict(self.terms)
         for e, c in other.terms.items():
-            acc[e] = acc.get(e, Fraction(0)) + c
-        return MultiPoly(self.vars, acc)
+            acc[e] = acc[e] + c if e in acc else c
+        return MultiPoly._make(self.vars, acc)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         self._require_same_vars(other)
         acc = dict(self.terms)
         for e, c in other.terms.items():
-            acc[e] = acc.get(e, Fraction(0)) - c
-        return MultiPoly(self.vars, acc)
+            acc[e] = acc[e] - c if e in acc else -c
+        return MultiPoly._make(self.vars, acc)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._make(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._require_same_vars(other)
         acc: dict[tuple[int, ...], Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                acc[e] = acc.get(e, Fraction(0)) + c1 * c2
-        return MultiPoly(self.vars, acc)
+                e = tuple(map(add, e1, e2))
+                acc[e] = acc[e] + c1 * c2 if e in acc else c1 * c2
+        return MultiPoly._make(self.vars, acc)
 
     def scale(self, factor: int | str | Fraction) -> "MultiPoly":
         f = as_rational(factor)
         if f == 0:
             return MultiPoly.zero(self.vars)
-        return MultiPoly(self.vars, {e: c * f for e, c in self.terms.items()})
+        return MultiPoly._make(self.vars, {e: c * f for e, c in self.terms.items()})
 
-    def mul_term(self, exponents: tuple[int, ...], coeff: Fraction) -> "MultiPoly":
-        if coeff == 0:
-            return MultiPoly.zero(self.vars)
-        return MultiPoly(
+    def _mul_term(self, exponents: tuple[int, ...], coeff: Fraction) -> "MultiPoly":
+        """Product with one monomial whose exponents the kernel computed."""
+        return MultiPoly._make(
             self.vars,
             {
-                tuple(a + b for a, b in zip(e, exponents)): c * coeff
+                tuple(map(add, e, exponents)): c * coeff
                 for e, c in self.terms.items()
             },
         )
@@ -262,13 +286,13 @@ def poly_divexact(f: MultiPoly, g: MultiPoly) -> MultiPoly:
             raise ValueError("polynomials do not divide exactly")
         c = r_coeff / g_coeff
         quotient[diff] = c
-        rem = rem - g.mul_term(diff, c)
-    return MultiPoly(f.vars, quotient)
+        rem = rem - g._mul_term(diff, c)
+    return MultiPoly._make(f.vars, quotient)
 
 
 def _divides_degreewise(f: MultiPoly, g: MultiPoly) -> bool:
     """Cheap necessary condition for g | f on per-variable degrees."""
-    return all(f.degree_in(i) >= g.degree_in(i) for i in range(len(f.vars)))
+    return all(x >= y for x, y in zip(f.degrees(), g.degrees()))
 
 
 def _try_divexact(f: MultiPoly, g: MultiPoly) -> MultiPoly | None:
@@ -295,7 +319,7 @@ def _strip_monomial(f: MultiPoly) -> tuple[tuple[int, ...], MultiPoly]:
     lows = _monomial_content(f)
     if not any(lows):
         return lows, f
-    stripped = MultiPoly(
+    stripped = MultiPoly._make(
         f.vars,
         {tuple(x - m for x, m in zip(e, lows)): c for e, c in f.terms.items()},
     )
@@ -307,19 +331,24 @@ def _strip_cheap(f: MultiPoly) -> MultiPoly:
     return _strip_monomial(f.primitive())[1]
 
 
-def _coeff_map(f: MultiPoly, v: int) -> dict[int, MultiPoly]:
-    """View f as univariate in variable v: degree -> coefficient polynomial."""
-    out: dict[int, dict[tuple[int, ...], Fraction]] = {}
+def _coeff_map(
+    f: MultiPoly, idx: tuple[int, ...]
+) -> dict[tuple[int, ...], MultiPoly]:
+    """View f as a polynomial in the variables idx: their exponents ->
+    coefficient polynomial in the remaining variables."""
+    keep = tuple(0 if i in idx else 1 for i in range(len(f.vars)))
+    out: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
     for e, c in f.terms.items():
-        d = e[v]
-        stripped = tuple(0 if i == v else x for i, x in enumerate(e))
-        out.setdefault(d, {})[stripped] = c
-    return {d: MultiPoly(f.vars, terms) for d, terms in out.items()}
+        key = tuple(e[i] for i in idx)
+        stripped = tuple(x * m for x, m in zip(e, keep))
+        out.setdefault(key, {})[stripped] = c
+    return {key: MultiPoly._make(f.vars, terms) for key, terms in out.items()}
 
 
-def _content_wrt(f: MultiPoly, v: int) -> MultiPoly:
-    """GCD of the coefficient polynomials of f viewed as univariate in v."""
-    coeffs = sorted(_coeff_map(f, v).values(), key=lambda p: len(p.terms))
+def _content_wrt(f: MultiPoly, idx: tuple[int, ...]) -> MultiPoly:
+    """GCD of the coefficient polynomials of f viewed as a polynomial in the
+    variables idx."""
+    coeffs = sorted(_coeff_map(f, idx).values(), key=lambda p: len(p.terms))
     content = coeffs[0].primitive()
     one = MultiPoly.constant(f.vars, 1)
     for c in coeffs[1:]:
@@ -332,18 +361,18 @@ def _content_wrt(f: MultiPoly, v: int) -> MultiPoly:
 def _prem(f: MultiPoly, g: MultiPoly, v: int) -> MultiPoly:
     """Pseudo-remainder of f by g in the variable v, up to multipliers of
     v-degree zero (sufficient for tracking primitive parts)."""
-    g_map = _coeff_map(g, v)
-    dg = max(g_map)
-    lc_g = g_map[dg]
+    g_map = _coeff_map(g, (v,))
+    (dg,) = max(g_map)
+    lc_g = g_map[(dg,)]
     rem = f
     while not rem.is_zero():
-        r_map = _coeff_map(rem, v)
-        dr = max(r_map)
+        r_map = _coeff_map(rem, (v,))
+        (dr,) = max(r_map)
         if dr < dg:
             break
-        lc_r = r_map[dr]
+        lc_r = r_map[(dr,)]
         shift = tuple(dr - dg if i == v else 0 for i in range(len(f.vars)))
-        rem = lc_g * rem - (lc_r * g).mul_term(shift, Fraction(1))
+        rem = lc_g * rem - (lc_r * g)._mul_term(shift, Fraction(1))
     return rem
 
 
@@ -351,8 +380,13 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     """GCD over Q[vars], normalized primitive with positive leading coefficient.
 
     gcd(0, 0) = 0; nonzero constants are units, so their gcd is 1.  The
-    general case strips monomial content, tries exact trial divisions, and
-    falls back to a pseudo-remainder sequence in a common variable of
+    general case strips monomial content, then reduces to the shared
+    variables: a common factor divides g, so it is free of every variable
+    g lacks, and therefore divides the content of f in those variables
+    (the gcd of f's coefficients as a polynomial in them); likewise for
+    g.  Each side is replaced by that content and the gcd recurses.  On
+    two polynomials in the same variables it tries exact trial divisions
+    and falls back to a pseudo-remainder sequence in a common variable of
     minimal degree.  Remainders are renormalized per step only by rational
     and monomial content (both unit-cheap and provably disjoint from the
     gcd once monomial content is stripped up front); the single recursive
@@ -368,27 +402,32 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     lows_f, f = _strip_monomial(f)
     lows_g, g = _strip_monomial(g)
     shared = tuple(min(a, b) for a, b in zip(lows_f, lows_g))
-    monomial = MultiPoly(f.vars, {shared: Fraction(1)})
+    monomial = MultiPoly._make(f.vars, {shared: Fraction(1)})
     if f.is_constant() or g.is_constant():
         return monomial
     if f == g or f == -g:
         return (monomial * f).primitive()
+    deg_f, deg_g = f.degrees(), g.degrees()
+    common = [i for i, (x, y) in enumerate(zip(deg_f, deg_g)) if x and y]
+    if not common:
+        return monomial  # disjoint supports: no non-unit common factor
+    # a common factor lives in the shared variables only: reduce each side
+    # to its content in the variables the other side lacks
+    own_f = tuple(i for i, (x, y) in enumerate(zip(deg_f, deg_g)) if x and not y)
+    own_g = tuple(i for i, (x, y) in enumerate(zip(deg_f, deg_g)) if y and not x)
+    if own_f or own_g:
+        reduced_f = _content_wrt(f, own_f) if own_f else f
+        reduced_g = _content_wrt(g, own_g) if own_g else g
+        return (monomial * poly_gcd(reduced_f, reduced_g)).primitive()
     # exact trial division settles the nested-factor cases outright
     if f.total_degree() >= g.total_degree():
         if _try_divexact(f, g) is not None:
             return (monomial * g).primitive()
     elif _try_divexact(g, f) is not None:
         return (monomial * f).primitive()
-    common = [
-        i
-        for i in range(len(f.vars))
-        if f.degree_in(i) > 0 and g.degree_in(i) > 0
-    ]
-    if not common:
-        return monomial  # disjoint supports: no non-unit common factor
-    v = min(common, key=lambda i: min(f.degree_in(i), g.degree_in(i)))
-    cont_f = _content_wrt(f, v)
-    cont_g = _content_wrt(g, v)
+    v = min(common, key=lambda i: min(deg_f[i], deg_g[i]))
+    cont_f = _content_wrt(f, (v,))
+    cont_g = _content_wrt(g, (v,))
     cont = poly_gcd(cont_f, cont_g)
     prim_f = poly_divexact(f, cont_f)
     prim_g = poly_divexact(g, cont_g)
@@ -399,7 +438,7 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         prim_f = prim_g
         prim_g = rem if rem.is_zero() else _strip_cheap(rem)
     if prim_g.is_zero():
-        core = poly_divexact(prim_f, _content_wrt(prim_f, v))
+        core = poly_divexact(prim_f, _content_wrt(prim_f, (v,)))
     else:
         core = MultiPoly.constant(f.vars, 1)  # coprime in the chosen variable
     return (monomial * cont * core).primitive()

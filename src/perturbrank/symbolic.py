@@ -141,20 +141,19 @@ def build_M_parametric(K: int) -> SymbolicStructure:
     velocities = tuple(
         d1 * weights[0] + d2 * weights[1] for d1, d2 in d_vars
     )
-    # componentwise symbols of Psi_i = D_i - v_i I, and their push-through
+    # componentwise symbols of Psi_i = D_i - v_i I, their push-through
+    # p_i = Psi_i h1 and their pull-back q_i = psi_i o h1_star
     psi = [
         (d1 - v, d2 - v) for (d1, d2), v in zip(d_vars, velocities)
     ]
     pushed = [(p0 * h1[0], p1 * h1[1]) for p0, p1 in psi]
+    pulled = [(p0 * h1_star[0], p1 * h1_star[1]) for p0, p1 in psi]
     lifted = [
         _solve_interaction_constrained(a, k, w, h1, h1_star) for w in pushed
     ]
 
     def pairing(i: int, j: int) -> RatFunc:
-        return (
-            psi[i][0] * lifted[j][0] * h1_star[0]
-            + psi[i][1] * lifted[j][1] * h1_star[1]
-        )
+        return pulled[i][0] * lifted[j][0] + pulled[i][1] * lifted[j][1]
 
     half = RatFunc.constant(names, Fraction(1, 2))
     m_rows: list[tuple[RatFunc, ...]] = []
@@ -182,12 +181,16 @@ def build_M_parametric(K: int) -> SymbolicStructure:
 
 
 def verify_rank_one_identity(structure: SymbolicStructure) -> bool:
-    """Check M_ij + c * Delta_i * Delta_j == 0 identically for all i, j."""
-    c = structure.c
+    """Check M_ij + c * Delta_i * Delta_j == 0 identically for all i, j.
+
+    The right-hand side is symmetric, so the identity is tested on j >= i
+    together with M_ji == M_ij.
+    """
+    M, deltas = structure.M, structure.deltas
     for i in range(structure.K):
-        for j in range(structure.K):
-            residual = structure.M[i][j] + c * structure.deltas[i] * structure.deltas[j]
-            if not residual.is_zero():
+        c_delta = structure.c * deltas[i]
+        for j in range(i, structure.K):
+            if M[j][i] != M[i][j] or not (M[i][j] + c_delta * deltas[j]).is_zero():
                 return False
     return True
 

@@ -46,6 +46,20 @@ def random_poly(rng, max_terms=3, max_exp=2, bound=5):
     return P(terms)
 
 
+# six variables: a, b shared by both sides of a gcd, x1, x2 private to the
+# first side and y1, y2 private to the second
+WIDE = ("a", "b", "x1", "x2", "y1", "y2")
+
+
+def wide_poly(rng, names, max_terms=3, max_exp=2):
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        exps = tuple(rng.randint(0, max_exp) if v in names else 0 for v in WIDE)
+        coeff = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+        terms[exps] = terms.get(exps, Fraction(0)) + coeff
+    return MultiPoly(WIDE, terms)
+
+
 def random_point(rng):
     # avoid 0 so random denominators rarely vanish
     return {name: Fraction(rng.randint(1, 9), rng.randint(1, 4)) for name in VARS}
@@ -61,6 +75,19 @@ class TestMultiPoly:
             P({(1, 0): 1})
         with pytest.raises(ValueError):
             P({(-1, 0, 0): 1})
+
+    def test_non_integer_exponent_rejected(self):
+        with pytest.raises(ValueError):
+            MultiPoly(("a", "b"), {(1.5, 0): 1})
+        for bad in (2.0, True, Fraction(1), "1"):
+            with pytest.raises(ValueError):
+                P({(bad, 0, 0): 1})
+
+    def test_degrees(self):
+        p = P({(2, 0, 1): 1, (0, 3, 0): Fraction(-1, 2)})
+        assert p.degrees() == (2, 3, 1)
+        assert p.degrees() == tuple(p.degree_in(i) for i in range(3))
+        assert MultiPoly.zero(VARS).degrees() == (0, 0, 0)
 
     def test_ring_ops(self):
         p = A + B
@@ -193,6 +220,47 @@ class TestGcd:
             d = poly_gcd(f, g)
             poly_divexact(f, d)
             poly_divexact(g, d)  # would raise if not a divisor
+
+
+class TestSharedVariableGcd:
+    """Both sides carry variables the other lacks; the common factor lives
+    in the shared ones."""
+
+    def test_common_factor_recovered(self):
+        rng = random.Random(2024)
+        checked = 0
+        while checked < 40:
+            f = wide_poly(rng, ("a", "b", "x1", "x2"))
+            g = wide_poly(rng, ("a", "b", "y1", "y2"))
+            h = wide_poly(rng, ("a", "b"))
+            deg_f, deg_g = f.degrees(), g.degrees()
+            if h.is_constant() or not any(deg_f[2:4]) or not any(deg_g[4:6]):
+                continue
+            d = poly_gcd(f * h, g * h)
+            assert d == (poly_gcd(f, g) * h).primitive()
+            poly_divexact(f * h, d)
+            poly_divexact(g * h, d)  # would raise if not a divisor
+            checked += 1
+
+    def test_private_content_takes_every_coefficient(self):
+        a, b, x1, x2, y1, y2 = (MultiPoly.variable(WIDE, n) for n in WIDE)
+        s = a + b
+        f = s * (a * x1 + b * x2)
+        g = s * y1 + b * y2  # coefficients s and b: content 1, not s
+        one = MultiPoly.constant(WIDE, 1)
+        assert poly_gcd(f, g) == one
+        assert poly_gcd(g, f) == one
+        assert poly_gcd(f * s, g * s) == s
+
+    def test_sum_over_fourth_power_reduces(self):
+        names = ("a", "b", "k", "d1_1", "d1_2", "d2_1", "d2_2")
+        a, b, k, d11, d12, d21, d22 = (MultiPoly.variable(names, n) for n in names)
+        s = a + b * k
+        top = (d11 - d12) * (d21 - d22) + d11 * d22.scale(3)
+        total = RatFunc(top * b * k, s**4) + RatFunc(top * a, s**4)
+        assert total.num == top
+        assert total.den == s**3
+        assert poly_gcd(top * s, s**4) == s
 
 
 class TestRatFunc:

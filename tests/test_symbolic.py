@@ -2,6 +2,7 @@
 closed-form constant, and exact agreement with the numeric pipeline."""
 
 import dataclasses
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ import pytest
 
 from perturbrank.exact_linalg import RationalMatrix, SizeLimitExceeded
 from perturbrank.asymptotics import build_M, velocities
+from perturbrank.formats import dumps
 from perturbrank.model import SystemSpec, validate_system
 from perturbrank.multipoly import MultiPoly, RatFunc
 from perturbrank.symbolic import (
@@ -20,6 +22,17 @@ from perturbrank.symbolic import (
     symbolic_report,
     verify_rank_one_identity,
 )
+
+
+# SHA-256 of dumps(symbolic_report(K)); a change that is meant to alter
+# the report bytes must re-record them
+REPORT_DIGESTS = {
+    2: "fc68ba45e9bef1656e695b0f103d2456c4f2cf8534f6db6a5fd3132c0ae01ea8",
+    3: "05e10711471442fbe3cc7f301b2ef8648b31c267d5044e4d0e0dfe2c0071fd59",
+    4: "8a103570b98e24cc89f438df646f67b3ff8b37493fc44878153c8614f4bcaeec",
+    5: "27f12276cb96fe2c986fb18e9a953c6175ea9a6e2ed362a6f76df508b075ffd0",
+    6: "a9b2cd9d079a2d5d23b9b35dfdf6187d84de31768f3029338fe2bafd53c2de4e",
+}
 
 
 def closed_form_c(names):
@@ -96,6 +109,18 @@ class TestBuildMParametric:
         one = RatFunc.constant(st.variables, 1)
         rows = [list(row) for row in st.M]
         rows[0][1] = rows[0][1] + one
+        rows[1][0] = rows[1][0] + one
+        broken = dataclasses.replace(
+            st, M=tuple(tuple(row) for row in rows)
+        )
+        assert not verify_rank_one_identity(broken)
+        with pytest.raises(RankIdentityFailed):
+            eigen_closed_form_n2(broken)
+
+    def test_identity_detects_lower_triangle_mutation(self):
+        st = build_M_parametric(3)
+        one = RatFunc.constant(st.variables, 1)
+        rows = [list(row) for row in st.M]
         rows[1][0] = rows[1][0] + one
         broken = dataclasses.replace(
             st, M=tuple(tuple(row) for row in rows)
@@ -192,6 +217,11 @@ class TestSymbolicReport:
         first = json.dumps(symbolic_report(3), sort_keys=True)
         second = json.dumps(symbolic_report(3), sort_keys=True)
         assert first == second
+
+    @pytest.mark.parametrize("K", sorted(REPORT_DIGESTS))
+    def test_reports_pinned_by_digest(self, K):
+        text = dumps(symbolic_report(K))
+        assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[K]
 
     def test_report_tree_roundtrip_of_constant(self):
         report = symbolic_report(2)
