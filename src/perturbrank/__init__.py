@@ -11,7 +11,6 @@ symbolically, and evaluates the limiting Gaussian profile numerically.
 
 from .exact_linalg import (
     CHARPOLY_SIZE_LIMIT,
-    DegenerateConstraint,
     InconsistentSystem,
     Polynomial,
     Rational,
@@ -21,14 +20,11 @@ from .exact_linalg import (
     ZeroPolynomial,
     as_rational,
     charpoly_exact,
-    det_exact,
     dot,
     hurwitz_stable,
-    inverse,
     nullspace,
     outer,
     rank_exact,
-    solve_constrained,
 )
 from .model import (
     FAMILIES,

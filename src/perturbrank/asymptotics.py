@@ -18,8 +18,9 @@ hence its rank, comes from one more run of the same exact elimination
 routine.  The spectrum of M comes from a hand-written cyclic Jacobi
 sweep on its float image, so the two routes stay independent.  The
 limiting profile itself is an anisotropic Gaussian with covariance
-sigma0² I - 2 M t, evaluated in floats; every query value must be
-finite.
+sigma0² I - 2 M t, evaluated in floats with numpy; only that Gaussian
+imports numpy, on its first call, so the exact routes never load it.
+Every query value must be finite.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-
-import numpy as np
 
 from .exact_linalg import (
     RationalMatrix,
@@ -149,10 +148,10 @@ def group_inverse(a: RationalMatrix, sd: SpectralData) -> RationalMatrix:
     """Constrained pseudo-inverse: A G = I - h1 h1_starᵀ with h1_starᵀ G = 0.
 
     All columns are solved in one fraction-free elimination of
-    [A | I - h1 h1_starᵀ] (``solve_particular``) and then shifted onto the
-    constraint hyperplane along h1 (the same result, column for column, as
-    ``solve_constrained`` with c = h1_star).  Only reports need G;
-    ``build_M`` solves K columns instead.
+    [A | I - h1 h1_starᵀ] (``solve_particular``) and then shifted along h1,
+    the kernel of A, onto the constraint hyperplane h1_starᵀ x = 0, where
+    each column's solution is unique.  Only reports need G; ``build_M``
+    solves K columns instead.
     """
     target = RationalMatrix.identity(a.rows) - outer(sd.h1, sd.h1_star)
     x = solve_particular(a, target)
@@ -256,7 +255,9 @@ def analyze_structure(
     )
 
 
-def _covariance(m: RationalMatrix, t: float, sigma0: float) -> np.ndarray:
+def _covariance(m: RationalMatrix, t: float, sigma0: float):
+    import numpy as np
+
     mf = np.array(m.to_float(), dtype=float)
     return sigma0 * sigma0 * np.eye(m.rows) - 2.0 * t * mf
 
@@ -272,6 +273,8 @@ def _require_dissipative(m: RationalMatrix) -> None:
 
 
 def _gaussian(m: RationalMatrix, q: ProfileQuery, zeta: tuple[float, ...]) -> float:
+    import numpy as np
+
     try:  # first: a finite sigma0 ** (2K) keeps sigma0² I finite too
         det0 = q.sigma0 ** (2 * m.rows)
     except OverflowError:

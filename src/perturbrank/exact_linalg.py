@@ -2,14 +2,14 @@
 
 Scalars are ``fractions.Fraction`` values, which are always in canonical
 form (coprime numerator/denominator, positive denominator).  Matrices are
-immutable, dense and row-major.  Rank, determinant, kernels, linear
-solves, the inverse and the Hurwitz test all run one fraction-free
-(Bareiss) Gauss-Jordan elimination on denominator-cleared integer rows,
-and the characteristic polynomial runs the Faddeev-LeVerrier recurrence
-on the matrix times the lcm of its denominators.  One helper clears all
-denominators, with integer products only.  So intermediate values stay
-integral and every division is checked to be exact; Fractions appear
-again only in the returned values.  Nothing here is approximate.
+immutable, dense and row-major.  Rank, kernels, linear solves and the
+Hurwitz test all run one fraction-free (Bareiss) Gauss-Jordan elimination
+on denominator-cleared integer rows, and the characteristic polynomial
+runs the Faddeev-LeVerrier recurrence on the matrix times the lcm of its
+denominators.  One helper clears all denominators, with integer products
+only.  So intermediate values stay integral and every division is checked
+to be exact; Fractions appear again only in the returned values.  Nothing
+here is approximate.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ CHARPOLY_SIZE_LIMIT = 32
 
 __all__ = [
     "CHARPOLY_SIZE_LIMIT",
-    "DegenerateConstraint",
     "InconsistentSystem",
     "Polynomial",
     "Rational",
@@ -37,14 +36,11 @@ __all__ = [
     "ZeroPolynomial",
     "as_rational",
     "charpoly_exact",
-    "det_exact",
     "dot",
     "hurwitz_stable",
-    "inverse",
     "nullspace",
     "outer",
     "rank_exact",
-    "solve_constrained",
     "solve_particular",
 ]
 
@@ -61,10 +57,6 @@ class InconsistentSystem(ValueError):
     """The right-hand side is not in the range of the matrix."""
 
 
-class DegenerateConstraint(ValueError):
-    """The constraint vector annihilates the kernel direction."""
-
-
 def as_rational(value: int | str | Fraction) -> Fraction:
     """Coerce an int, an exact ``"p"``/``"p/q"`` string, or a Fraction.
 
@@ -76,10 +68,6 @@ def as_rational(value: int | str | Fraction) -> Fraction:
     if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
-
-
-def _vector(values: Iterable[int | str | Fraction]) -> Vector:
-    return tuple(as_rational(v) for v in values)
 
 
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
@@ -241,17 +229,6 @@ def rank_exact(m: RationalMatrix) -> int:
     return len(pivot_cols)
 
 
-def det_exact(m: RationalMatrix) -> Fraction:
-    """Determinant from the last pivot of the fraction-free elimination."""
-    if not m.is_square():
-        raise ValueError("determinant of a non-square matrix")
-    a, d = _over_common_denominator(m.data)
-    _, pivot_vals, swaps = _eliminate(a)
-    if len(pivot_vals) < m.rows:
-        return Fraction(0)
-    return Fraction((-1) ** swaps * pivot_vals[-1], d**m.rows)
-
-
 def nullspace(m: RationalMatrix) -> list[Vector]:
     """Exact kernel basis, each vector scaled so its first nonzero entry is 1.
 
@@ -292,45 +269,6 @@ def solve_particular(m: RationalMatrix, y: RationalMatrix) -> RationalMatrix:
     for row, pc in zip(a, pivot_cols):
         x[pc] = [Fraction(v, d) for v in row[m.cols:]]
     return RationalMatrix(x)
-
-
-def solve_constrained(
-    m: RationalMatrix,
-    y: Sequence[int | str | Fraction],
-    c: Sequence[int | str | Fraction],
-) -> Vector:
-    """Solve m·x = y subject to (x, c) = 0, for m with a one-dimensional kernel.
-
-    The kernel direction h makes the unconstrained solution unique only up
-    to multiples of h; the constraint picks the representative with
-    (x, c) = 0, which exists and is unique iff (c, h) != 0.
-    """
-    if not m.is_square():
-        raise ValueError("constrained solve expects a square matrix")
-    y = _vector(y)
-    c = _vector(c)
-    if len(y) != m.rows or len(c) != m.cols:
-        raise ValueError("right-hand side or constraint has the wrong length")
-    kernel = nullspace(m)
-    if len(kernel) != 1:
-        raise ValueError(f"kernel dimension is {len(kernel)}, need exactly 1")
-    h = kernel[0]
-    ch = dot(c, h)
-    if ch == 0:
-        raise DegenerateConstraint("constraint vector is orthogonal to the kernel")
-    x0 = solve_particular(m, RationalMatrix((yi,) for yi in y)).column(0)
-    shift = dot(x0, c) / ch
-    return tuple(a - shift * b for a, b in zip(x0, h))
-
-
-def inverse(m: RationalMatrix) -> RationalMatrix:
-    """Exact inverse, the solution of m·X = I; raises ValueError when singular."""
-    if not m.is_square():
-        raise ValueError("inverse of a non-square matrix")
-    try:
-        return solve_particular(m, RationalMatrix.identity(m.rows))
-    except InconsistentSystem:
-        raise ValueError("matrix is singular") from None
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,6 @@ from __future__ import annotations
 import hashlib
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product, repeat
 
@@ -288,6 +287,8 @@ def run_campaign(cfg: CampaignConfig, artifact_dir: str | None = None) -> dict:
     )
     args = (repeat(cfg), ns, ks, repeat(artifact_dir))
     if cfg.worker_count > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         workers = min(cfg.worker_count, len(ns))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             cells = list(pool.map(_run_cell, *args))

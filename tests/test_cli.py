@@ -518,6 +518,36 @@ def test_import_does_not_run_module_entry_point():
     assert proc.stdout.strip() == "False"
 
 
+_IMPORT_SET_PROBE = """
+import contextlib, io, json, sys
+from perturbrank.cli import run_command
+
+w1, out = sys.argv[1:]
+lazy = ("numpy", "concurrent.futures")
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        run_command(["analyze", w1]),
+        run_command(["symbolic", "--k", "2"]),
+        run_command(["search", "--n-min", "2", "--n-max", "2", "--k-min", "2",
+                     "--k-max", "2", "--samples", "1", "--seed", "0",
+                     "--workers", "1", "--out", out]),
+    ]
+    exact = [m for m in lazy if m in sys.modules]
+    codes.append(run_command(["phi0", "--instance", w1, "--sigma", "1", "--t", "1",
+                              "--eps", "1", "--amplitude", "1", "--point", "0,0"]))
+print(json.dumps({"codes": codes, "exact": exact, "phi0": "numpy" in sys.modules}))
+"""
+
+
+def test_exact_commands_load_neither_numpy_nor_the_process_pool(tmp_path):
+    # a cold start of analyze, symbolic and a one-worker search pays for
+    # neither import; the float Gaussian of phi0 still loads numpy
+    w1 = os.path.join(os.path.dirname(__file__), os.pardir, "instances", "w1.json")
+    proc = _run_python("-c", _IMPORT_SET_PROBE, w1, str(tmp_path / "campaign.json"))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"codes": [0, 0, 0, 0], "exact": [], "phi0": True}
+
+
 @pytest.mark.skipif(
     shutil.which("perturbrank") is None, reason="no perturbrank script on PATH"
 )

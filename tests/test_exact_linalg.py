@@ -11,24 +11,21 @@ from hypothesis import strategies as st
 
 from perturbrank.exact_linalg import (
     CHARPOLY_SIZE_LIMIT,
-    DegenerateConstraint,
     InconsistentSystem,
     Polynomial,
     RationalMatrix,
     SizeLimitExceeded,
     ZeroPolynomial,
     _cleared_int_rows,
+    _eliminate,
     _over_common_denominator,
     as_rational,
     charpoly_exact,
-    det_exact,
     dot,
     hurwitz_stable,
-    inverse,
     nullspace,
     outer,
     rank_exact,
-    solve_constrained,
     solve_particular,
 )
 from perturbrank.model import FAMILIES, GeneratorConfig, generate_instance
@@ -187,27 +184,37 @@ class TestRank:
             assert rank_exact(prod) <= r
 
 
+def _pivot_det(m: RationalMatrix) -> Fraction:
+    # the determinant as the fraction-free elimination leaves it: the last
+    # pivot of the rows over one denominator d, signed by the swaps, over d^n
+    a, d = _over_common_denominator(m.data)
+    _, pivot_vals, swaps = _eliminate(a)
+    if len(pivot_vals) < m.rows:
+        return Fraction(0)
+    return Fraction((-1) ** swaps * pivot_vals[-1], d**m.rows)
+
+
 class TestDeterminant:
+    """The Bareiss pivots are minors: the last one gives the determinant,
+    and without swaps the k-th is the k-th leading principal minor, which
+    is what ``hurwitz_stable`` reads."""
+
     def test_row_swap_and_denominators(self):
         m = RationalMatrix([[0, "1/2"], ["1/3", 0]])
-        assert det_exact(m) == Fraction(-1, 6)
+        assert _pivot_det(m) == Fraction(-1, 6)
 
     def test_three_by_three_with_swap(self):
         m = RationalMatrix([[0, 2, 1], ["1/2", 1, 0], [1, 0, "1/3"]])
-        assert det_exact(m) == _rational_det([list(r) for r in m.data])
-        assert det_exact(m) == Fraction(-4, 3)
+        assert _pivot_det(m) == _rational_det([list(r) for r in m.data])
+        assert _pivot_det(m) == Fraction(-4, 3)
 
     def test_singular(self):
-        assert det_exact(RationalMatrix([[1, "1/2"], [2, 1]])) == 0
-        assert det_exact(RationalMatrix([[0, 1], [0, 2]])) == 0
+        assert _pivot_det(RationalMatrix([[1, "1/2"], [2, 1]])) == 0
+        assert _pivot_det(RationalMatrix([[0, 1], [0, 2]])) == 0
 
     def test_one_by_one(self):
-        assert det_exact(RationalMatrix([["-3/4"]])) == Fraction(-3, 4)
-        assert det_exact(RationalMatrix([[0]])) == 0
-
-    def test_non_square(self):
-        with pytest.raises(ValueError):
-            det_exact(RationalMatrix([[0, 0, 0], [0, 0, 0]]))
+        assert _pivot_det(RationalMatrix([["-3/4"]])) == Fraction(-3, 4)
+        assert _pivot_det(RationalMatrix([[0]])) == 0
 
     def test_agrees_with_rational_elimination(self):
         rng = random.Random(6167)
@@ -216,7 +223,13 @@ class TestDeterminant:
             m = _random_matrix(rng, n, n, bound=4)
             if rng.random() < 0.3:  # force a zero leading entry
                 m = RationalMatrix([[0] + list(m.data[0][1:])] + [list(r) for r in m.data[1:]])
-            assert det_exact(m) == _rational_det([list(r) for r in m.data])
+            assert _pivot_det(m) == _rational_det([list(r) for r in m.data])
+            a, d = _over_common_denominator(m.data)
+            _, pivot_vals, swaps = _eliminate(a)
+            if swaps == 0:
+                for k, p in enumerate(pivot_vals, start=1):
+                    minor = _rational_det([list(r[:k]) for r in m.data[:k]])
+                    assert Fraction(p, d**k) == minor
 
 
 class TestNullspace:
@@ -246,52 +259,6 @@ class TestNullspace:
                 assert lead == 1
 
 
-class TestSolveConstrained:
-    def test_reference_solution(self):
-        m = RationalMatrix([[-1, 1], [1, -1]])
-        x = solve_constrained(m, ["1/2", "-1/2"], ["1/2", "1/2"])
-        assert x == (Fraction(-1, 4), Fraction(1, 4))
-
-    def test_inconsistent_rhs(self):
-        m = RationalMatrix([[-1, 1], [1, -1]])
-        with pytest.raises(InconsistentSystem):
-            solve_constrained(m, [1, 1], [1, 1])
-
-    def test_degenerate_constraint(self):
-        m = RationalMatrix([[-1, 1], [1, -1]])
-        # constraint (1, -1) is orthogonal to the kernel direction (1, 1)
-        with pytest.raises(DegenerateConstraint):
-            solve_constrained(m, ["1/2", "-1/2"], [1, -1])
-
-    def test_random_rank_deficient_systems(self):
-        rng = random.Random(5150)
-        done = 0
-        while done < 60:
-            n = rng.randint(2, 5)
-            h = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n))
-            if all(x == 0 for x in h):
-                continue
-            b = _random_matrix(rng, n, n, bound=4)
-            if det_exact(b) == 0:
-                continue
-            # m = b·(I - h hᵀ/(hᵀh)) has kernel exactly span(h)
-            hh = dot(h, h)
-            proj = RationalMatrix.identity(n) - outer(h, tuple(x / hh for x in h))
-            m = b @ proj
-            z = tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
-            y = m.matvec(z)
-            c = tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
-            if dot(c, h) == 0:
-                continue
-            x = solve_constrained(m, y, c)
-            assert m.matvec(x) == y
-            assert dot(x, c) == 0
-            # differs from z by a kernel multiple
-            diff = tuple(a - b_ for a, b_ in zip(x, z))
-            assert rank_exact(RationalMatrix([list(diff), list(h)])) <= 1
-            done += 1
-
-
 class TestSolveParticular:
     def test_free_variables_are_zero(self):
         # x + 2y + 3z = 6 with y, z free: the particular solution is (6, 0, 0)
@@ -304,7 +271,7 @@ class TestSolveParticular:
         for _ in range(30):
             n = rng.randint(1, 5)
             m = _random_matrix(rng, n, n, bound=4)
-            if det_exact(m) == 0:
+            if rank_exact(m) < n:
                 continue
             y = _random_matrix(rng, n, 3, bound=4)
             assert m @ solve_particular(m, y) == y
@@ -320,25 +287,29 @@ class TestSolveParticular:
 
 
 class TestInverse:
+    """The inverse is the solution of m·X = I."""
+
     def test_round_trip(self):
         rng = random.Random(33)
         for _ in range(25):
             n = rng.randint(1, 5)
             m = _random_matrix(rng, n, n, bound=5)
-            if det_exact(m) == 0:
+            if rank_exact(m) < n:
                 continue
-            assert m @ inverse(m) == RationalMatrix.identity(n)
+            eye = RationalMatrix.identity(n)
+            assert m @ solve_particular(m, eye) == eye
 
     def test_singular_raises(self):
-        with pytest.raises(ValueError):
-            inverse(RationalMatrix([[1, 1], [1, 1]]))
+        with pytest.raises(InconsistentSystem):
+            solve_particular(RationalMatrix([[1, 1], [1, 1]]), RationalMatrix.identity(2))
 
     def test_first_pivot_needs_a_swap(self):
         m = RationalMatrix([[0, 2, 1], ["1/2", 1, 0], [1, 0, "1/3"]])
-        inv = inverse(m)
+        inv = solve_particular(m, RationalMatrix.identity(3))
         assert m @ inv == RationalMatrix.identity(3)
         assert inv @ m == RationalMatrix.identity(3)
-        assert inverse(RationalMatrix([[0, "1/2"], ["1/3", 0]])) == RationalMatrix(
+        swap = RationalMatrix([[0, "1/2"], ["1/3", 0]])
+        assert solve_particular(swap, RationalMatrix.identity(2)) == RationalMatrix(
             [[0, 3], [2, 0]]
         )
 
@@ -370,7 +341,7 @@ def _assert_charpoly_matches_det(m: RationalMatrix) -> None:
         shifted = RationalMatrix(
             [[(lam if i == k else 0) - m[i, k] for k in range(n)] for i in range(n)]
         )
-        assert p(lam) == det_exact(shifted), (m, lam)
+        assert p(lam) == _rational_det(shifted.data), (m, lam)
 
 
 class TestCharpoly:
@@ -414,16 +385,16 @@ class TestCharpoly:
             m = _random_matrix(rng, n, n)
             p = charpoly_exact(m)
             constant = p(0)
-            assert constant == (-1) ** n * det_exact(m)
+            assert constant == (-1) ** n * _rational_det(m.data)
 
     def test_similarity_invariance(self):
         rng = random.Random(88)
         m = _random_matrix(rng, 4, 4)
         while True:
             t = _random_matrix(rng, 4, 4, bound=3)
-            if det_exact(t) != 0:
+            if rank_exact(t) == 4:
                 break
-        conj = t @ m @ inverse(t)
+        conj = t @ m @ solve_particular(t, RationalMatrix.identity(4))
         assert charpoly_exact(conj) == charpoly_exact(m)
 
     def test_size_guard(self):

@@ -10,10 +10,9 @@ from perturbrank.asymptotics import analyze_structure, build_M
 from perturbrank.exact_linalg import (
     RationalMatrix,
     charpoly_exact,
-    det_exact,
     dot,
-    inverse,
     rank_exact,
+    solve_particular,
 )
 from perturbrank.formats import dumps, instance_to_dict
 from perturbrank.model import (
@@ -155,15 +154,15 @@ class TestGeneratorConfig:
 def _fraction_similar(
     rng: random.Random, base: RationalMatrix, bound: int
 ) -> tuple[RationalMatrix, int]:
-    """Oracle: the Fraction route, T @ base @ inverse(T) for the first T
-    with det T != 0, drawn as the generator draws it; also the draw count."""
+    """Oracle: the Fraction route, T @ base @ T⁻¹ for the first T of full
+    rank, drawn as the generator draws it; also the draw count."""
     n = base.rows
     for draws in range(1, 201):
         t = RationalMatrix(
             [[Fraction(rng.randint(-bound, bound)) for _ in range(n)] for _ in range(n)]
         )
-        if det_exact(t) != 0:
-            return t @ base @ inverse(t), draws
+        if rank_exact(t) == n:
+            return t @ base @ solve_particular(t, RationalMatrix.identity(n)), draws
     raise AssertionError("no invertible transform drawn")
 
 

@@ -306,7 +306,7 @@ class TestRunCampaign:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr("perturbrank.search.ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         one_cell = CampaignConfig(
             n_range=(2, 2), K_range=(2, 2), samples_per_cell=1, seed=3, worker_count=5000
         )
