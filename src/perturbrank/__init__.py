@@ -67,7 +67,7 @@ from .formats import (
     load_instance_file,
     parse_rational,
 )
-from .multipoly import MultiPoly, RatFunc, ZeroDenominator, poly_divexact, poly_gcd
+from .multipoly import MultiPoly, RatFunc, ZeroDenominator, poly_divexact
 from .symbolic import (
     MAX_SYMBOLIC_DIRECTIONS,
     ClosedFormSpectrum,

@@ -137,7 +137,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    families = tuple(args.families.split(",")) if args.families else FAMILIES
+    families = FAMILIES if args.families is None else tuple(args.families.split(","))
     workers = args.workers
     if workers is None:
         env = os.environ.get(WORKERS_ENV)

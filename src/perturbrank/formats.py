@@ -60,6 +60,8 @@ def parse_rational(value: object, where: str = "value") -> Fraction:
         return Fraction(value)
     except ZeroDivisionError:
         raise ParseError(f"{where}: zero denominator in {value!r}") from None
+    except ValueError as exc:  # more digits than int() converts
+        raise ParseError(f"{where}: {exc}") from None
 
 
 def _parse_int(data: dict, key: str) -> int:

@@ -9,22 +9,27 @@ coefficients.  Monomials are compared graded-lexicographically (total
 degree first, then the exponent vector), which fixes leading terms,
 printing order, and sign conventions.
 
-Rational functions are kept fully reduced at all times: numerator and
-denominator are divided by their polynomial GCD and scaled so the
-denominator is primitive with integer coefficients and a positive leading
-coefficient.  The GCD first reduces each side to its content in the
-variables the other side lacks, so the primitive pseudo-remainder
-sequence, recursing over the variables, only ever runs on two
-polynomials in the same variables.  Structural equality of the reduced
-pairs is therefore a sound and complete equality test for the
-represented functions.
+A rational function is a numerator over powers of a fixed factor base,
+``num / prod(base[i] ** exps[i])``.  The caller promises that the base
+factors are irreducible over Q and pairwise non-associate, so each is a
+prime of Q[vars]: the lcm of two denominators is the elementwise max of
+their exponents, and a fraction is reduced exactly when no factor with a
+positive exponent divides the numerator, which trial division
+(``poly_divexact``) decides.  The public ``RatFunc`` constructor checks
+the rest of the form: every factor is non-constant, primitive with
+integer coefficients and has a positive leading coefficient.  By Gauss's
+lemma the expanded denominator is then primitive with a positive leading
+coefficient too, so the reduced pair is unique and structural equality
+is a sound and complete equality test.  A reciprocal factors its
+numerator over the base and raises ``ValueError`` when that leaves more
+than a constant: the quotient would need a denominator outside the base.
+The denominator is expanded only to print or export a value.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import reduce
 from operator import add
 from typing import Mapping, Sequence
 
@@ -35,7 +40,6 @@ __all__ = [
     "RatFunc",
     "ZeroDenominator",
     "poly_divexact",
-    "poly_gcd",
     "poly_tree",
     "ratfunc_tree",
 ]
@@ -47,13 +51,6 @@ class ZeroDenominator(ZeroDivisionError):
 
 def _grlex_key(exponents: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     return (sum(exponents), exponents)
-
-
-def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
-    return Fraction(
-        math.gcd(a.numerator, b.numerator),
-        math.lcm(a.denominator, b.denominator),
-    )
 
 
 class MultiPoly:
@@ -117,40 +114,11 @@ class MultiPoly:
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
 
-    def total_degree(self) -> int:
-        """Largest total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
-
-    def degree_in(self, index: int) -> int:
-        return max((e[index] for e in self.terms), default=0)
-
-    def degrees(self) -> tuple[int, ...]:
-        """Degree in every variable, in one pass; all 0 for the zero poly."""
-        if not self.terms:
-            return (0,) * len(self.vars)
-        return tuple(map(max, zip(*self.terms)))
-
     def leading(self) -> tuple[tuple[int, ...], Fraction]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         exps = max(self.terms, key=_grlex_key)
         return exps, self.terms[exps]
-
-    def content(self) -> Fraction:
-        """Positive rational content (gcd of all coefficients); 0 for zero."""
-        if not self.terms:
-            return Fraction(0)
-        return reduce(_frac_gcd, (abs(c) for c in self.terms.values()))
-
-    def primitive(self) -> "MultiPoly":
-        """Divide out the signed content: integer coprime coefficients,
-        positive leading coefficient."""
-        if not self.terms:
-            return self
-        c = self.content()
-        if self.leading()[1] < 0:
-            c = -c
-        return self.scale(Fraction(1) / c)
 
     # -- arithmetic -----------------------------------------------------
 
@@ -262,9 +230,6 @@ class MultiPoly:
         return f"MultiPoly({self})"
 
 
-# -- division and GCD ----------------------------------------------------
-
-
 def poly_divexact(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     """Exact quotient f / g; raises ValueError when g does not divide f.
 
@@ -290,227 +255,143 @@ def poly_divexact(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     return MultiPoly._make(f.vars, quotient)
 
 
-def _divides_degreewise(f: MultiPoly, g: MultiPoly) -> bool:
-    """Cheap necessary condition for g | f on per-variable degrees."""
-    return all(x >= y for x, y in zip(f.degrees(), g.degrees()))
+# -- rational functions over a factor base -------------------------------
 
 
-def _try_divexact(f: MultiPoly, g: MultiPoly) -> MultiPoly | None:
-    if not _divides_degreewise(f, g):
-        return None
-    try:
-        return poly_divexact(f, g)
-    except ValueError:
-        return None
+def _checked_base(base: Sequence[MultiPoly]) -> tuple[MultiPoly, ...]:
+    """The base as a tuple, once every factor has the form RatFunc needs."""
+    base = tuple(base)
+    if not base:
+        raise ValueError("the factor base is empty")
+    for f in base:
+        f._require_same_vars(base[0])
+        coeffs = f.terms.values()
+        if (
+            f.is_constant()
+            or f.leading()[1] < 0
+            or any(c.denominator != 1 for c in coeffs)
+            or math.gcd(*(c.numerator for c in coeffs)) != 1
+        ):
+            raise ValueError(
+                f"base factor {f} is not a non-constant primitive integer "
+                "polynomial with a positive leading coefficient"
+            )
+    return base
 
 
-def _monomial_content(f: MultiPoly) -> tuple[int, ...]:
-    """Per-variable minimum exponent across all terms of a nonzero poly."""
-    exps = iter(f.terms)
-    lows = list(next(exps))
-    for e in exps:
-        for i, x in enumerate(e):
-            if x < lows[i]:
-                lows[i] = x
-    return tuple(lows)
-
-
-def _strip_monomial(f: MultiPoly) -> tuple[tuple[int, ...], MultiPoly]:
-    lows = _monomial_content(f)
-    if not any(lows):
-        return lows, f
-    stripped = MultiPoly._make(
-        f.vars,
-        {tuple(x - m for x, m in zip(e, lows)): c for e, c in f.terms.items()},
-    )
-    return lows, stripped
-
-
-def _strip_cheap(f: MultiPoly) -> MultiPoly:
-    """Remove rational and monomial content (no recursive polynomial GCDs)."""
-    return _strip_monomial(f.primitive())[1]
-
-
-def _coeff_map(
-    f: MultiPoly, idx: tuple[int, ...]
-) -> dict[tuple[int, ...], MultiPoly]:
-    """View f as a polynomial in the variables idx: their exponents ->
-    coefficient polynomial in the remaining variables."""
-    keep = tuple(0 if i in idx else 1 for i in range(len(f.vars)))
-    out: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
-    for e, c in f.terms.items():
-        key = tuple(e[i] for i in idx)
-        stripped = tuple(x * m for x, m in zip(e, keep))
-        out.setdefault(key, {})[stripped] = c
-    return {key: MultiPoly._make(f.vars, terms) for key, terms in out.items()}
-
-
-def _content_wrt(f: MultiPoly, idx: tuple[int, ...]) -> MultiPoly:
-    """GCD of the coefficient polynomials of f viewed as a polynomial in the
-    variables idx."""
-    coeffs = sorted(_coeff_map(f, idx).values(), key=lambda p: len(p.terms))
-    content = coeffs[0].primitive()
-    one = MultiPoly.constant(f.vars, 1)
-    for c in coeffs[1:]:
-        if content == one:
-            return one
-        content = poly_gcd(content, c)
-    return content
-
-
-def _prem(f: MultiPoly, g: MultiPoly, v: int) -> MultiPoly:
-    """Pseudo-remainder of f by g in the variable v, up to multipliers of
-    v-degree zero (sufficient for tracking primitive parts)."""
-    g_map = _coeff_map(g, (v,))
-    (dg,) = max(g_map)
-    lc_g = g_map[(dg,)]
-    rem = f
-    while not rem.is_zero():
-        r_map = _coeff_map(rem, (v,))
-        (dr,) = max(r_map)
-        if dr < dg:
+def _divide_out(
+    num: MultiPoly, factor: MultiPoly, limit: float
+) -> tuple[MultiPoly, int]:
+    """num divided by factor as often as factor divides it, at most limit
+    times, and the number of divisions."""
+    count = 0
+    while count < limit:
+        try:
+            num = poly_divexact(num, factor)
+        except ValueError:
             break
-        lc_r = r_map[(dr,)]
-        shift = tuple(dr - dg if i == v else 0 for i in range(len(f.vars)))
-        rem = lc_g * rem - (lc_r * g)._mul_term(shift, Fraction(1))
-    return rem
+        count += 1
+    return num, count
 
 
-def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """GCD over Q[vars], normalized primitive with positive leading coefficient.
-
-    gcd(0, 0) = 0; nonzero constants are units, so their gcd is 1.  The
-    general case strips monomial content, then reduces to the shared
-    variables: a common factor divides g, so it is free of every variable
-    g lacks, and therefore divides the content of f in those variables
-    (the gcd of f's coefficients as a polynomial in them); likewise for
-    g.  Each side is replaced by that content and the gcd recurses.  On
-    two polynomials in the same variables it tries exact trial divisions
-    and falls back to a pseudo-remainder sequence in a common variable of
-    minimal degree.  Remainders are renormalized per step only by rational
-    and monomial content (both unit-cheap and provably disjoint from the
-    gcd once monomial content is stripped up front); the single recursive
-    content computation happens at the ends, not inside the loop.
-    """
-    f._require_same_vars(g)
-    if f.is_zero() and g.is_zero():
-        return f
-    if f.is_zero():
-        return g.primitive()
-    if g.is_zero():
-        return f.primitive()
-    lows_f, f = _strip_monomial(f)
-    lows_g, g = _strip_monomial(g)
-    shared = tuple(min(a, b) for a, b in zip(lows_f, lows_g))
-    monomial = MultiPoly._make(f.vars, {shared: Fraction(1)})
-    if f.is_constant() or g.is_constant():
-        return monomial
-    if f == g or f == -g:
-        return (monomial * f).primitive()
-    deg_f, deg_g = f.degrees(), g.degrees()
-    common = [i for i, (x, y) in enumerate(zip(deg_f, deg_g)) if x and y]
-    if not common:
-        return monomial  # disjoint supports: no non-unit common factor
-    # a common factor lives in the shared variables only: reduce each side
-    # to its content in the variables the other side lacks
-    own_f = tuple(i for i, (x, y) in enumerate(zip(deg_f, deg_g)) if x and not y)
-    own_g = tuple(i for i, (x, y) in enumerate(zip(deg_f, deg_g)) if y and not x)
-    if own_f or own_g:
-        reduced_f = _content_wrt(f, own_f) if own_f else f
-        reduced_g = _content_wrt(g, own_g) if own_g else g
-        return (monomial * poly_gcd(reduced_f, reduced_g)).primitive()
-    # exact trial division settles the nested-factor cases outright
-    if f.total_degree() >= g.total_degree():
-        if _try_divexact(f, g) is not None:
-            return (monomial * g).primitive()
-    elif _try_divexact(g, f) is not None:
-        return (monomial * f).primitive()
-    v = min(common, key=lambda i: min(deg_f[i], deg_g[i]))
-    cont_f = _content_wrt(f, (v,))
-    cont_g = _content_wrt(g, (v,))
-    cont = poly_gcd(cont_f, cont_g)
-    prim_f = poly_divexact(f, cont_f)
-    prim_g = poly_divexact(g, cont_g)
-    if prim_f.degree_in(v) < prim_g.degree_in(v):
-        prim_f, prim_g = prim_g, prim_f
-    while not prim_g.is_zero() and prim_g.degree_in(v) > 0:
-        rem = _prem(prim_f, prim_g, v)
-        prim_f = prim_g
-        prim_g = rem if rem.is_zero() else _strip_cheap(rem)
-    if prim_g.is_zero():
-        core = poly_divexact(prim_f, _content_wrt(prim_f, (v,)))
-    else:
-        core = MultiPoly.constant(f.vars, 1)  # coprime in the chosen variable
-    return (monomial * cont * core).primitive()
+def _cancel(
+    num: MultiPoly,
+    base: tuple[MultiPoly, ...],
+    exps: tuple[int, ...],
+    trial: Sequence[int],
+) -> tuple[MultiPoly, tuple[int, ...]]:
+    """Cancel base[i] for each i in trial between num and the power exps[i]."""
+    left = list(exps)
+    for i in trial:
+        num, count = _divide_out(num, base[i], left[i])
+        left[i] -= count
+    return num, tuple(left)
 
 
-# -- rational functions ---------------------------------------------------
-
-
-def _unit_scaled(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
-    """Scale a reduced pair so den is primitive-integer with positive
-    leading coefficient (den assumed nonzero, num nonzero)."""
-    scale = den.content()
-    if den.leading()[1] < 0:
-        scale = -scale
-    if scale == 1:
-        return num, den
-    inv = Fraction(1) / scale
-    return num.scale(inv), den.scale(inv)
+def _expand(base: tuple[MultiPoly, ...], exps: tuple[int, ...]) -> MultiPoly:
+    """The polynomial prod(base[i] ** exps[i])."""
+    out = MultiPoly.constant(base[0].vars, 1)
+    for f, e in zip(base, exps):
+        if e:
+            out = out * f**e
+    return out
 
 
 class RatFunc:
-    """Reduced fraction of two MultiPoly values over the same variables."""
+    """Reduced fraction ``num / prod(base[i] ** exps[i])``.
 
-    __slots__ = ("num", "den")
+    The caller promises that the factors of ``base`` are irreducible over
+    Q and pairwise non-associate; the constructor rejects a factor that is
+    constant, not primitive with integer coefficients, or has a negative
+    leading coefficient, and reduces ``num`` against the denominator.
+    Operands of one operation must share the base.
+    """
 
-    def __init__(self, num: MultiPoly, den: MultiPoly | None = None):
-        if den is None:
-            den = MultiPoly.constant(num.vars, 1)
-        num._require_same_vars(den)
-        if den.is_zero():
-            raise ZeroDenominator("rational function with zero denominator")
-        if num.is_zero():
-            den = MultiPoly.constant(num.vars, 1)
-        else:
-            # constants are units: no polynomial cancellation possible
-            if not (num.is_constant() or den.is_constant()):
-                g = poly_gcd(num, den)
-                if not g.is_constant():
-                    num = poly_divexact(num, g)
-                    den = poly_divexact(den, g)
-            num, den = _unit_scaled(num, den)
-        self.num = num
-        self.den = den
+    __slots__ = ("num", "base", "exps")
+
+    def __init__(
+        self,
+        num: MultiPoly,
+        base: Sequence[MultiPoly],
+        exps: Sequence[int] | None = None,
+    ):
+        base = _checked_base(base)
+        num._require_same_vars(base[0])
+        exps = (0,) * len(base) if exps is None else tuple(exps)
+        if len(exps) != len(base) or any(type(e) is not int or e < 0 for e in exps):
+            raise ValueError(f"bad exponent vector {exps} for {len(base)} factors")
+        # every factor divides zero, so a zero numerator keeps no exponent
+        self.num, self.exps = _cancel(num, base, exps, range(len(base)))
+        self.base = base
 
     @classmethod
-    def _reduced(cls, num: MultiPoly, den: MultiPoly) -> "RatFunc":
-        """Trusted constructor for pairs already in canonical form."""
+    def _make(
+        cls, num: MultiPoly, base: tuple[MultiPoly, ...], exps: tuple[int, ...]
+    ) -> "RatFunc":
+        """Trusted constructor: the base is checked and no base[i] with
+        exps[i] > 0 divides num."""
         obj = object.__new__(cls)
         obj.num = num
-        obj.den = den
+        obj.base = base
+        obj.exps = exps if num.terms else (0,) * len(base)
         return obj
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def constant(cls, variables: Sequence[str], value: int | str | Fraction) -> "RatFunc":
-        return cls(MultiPoly.constant(variables, value))
+    def constant(
+        cls, base: Sequence[MultiPoly], value: int | str | Fraction
+    ) -> "RatFunc":
+        base = _checked_base(base)
+        num = MultiPoly.constant(base[0].vars, value)
+        return cls._make(num, base, (0,) * len(base))
 
     @classmethod
-    def variable(cls, variables: Sequence[str], name: str) -> "RatFunc":
-        return cls(MultiPoly.variable(variables, name))
+    def variable(cls, base: Sequence[MultiPoly], name: str) -> "RatFunc":
+        base = _checked_base(base)
+        num = MultiPoly.variable(base[0].vars, name)
+        return cls._make(num, base, (0,) * len(base))
 
     # -- structure ------------------------------------------------------
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
+    @property
+    def den(self) -> MultiPoly:
+        """The expanded denominator."""
+        return _expand(self.base, self.exps)
+
+    def _require_same_base(self, other: "RatFunc") -> None:
+        if self.base != other.base:
+            raise ValueError("rational functions over different factor bases")
+
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, RatFunc)
+            and self.exps == other.exps
             and self.num == other.num
-            and self.den == other.den
+            and self.base == other.base
         )
 
     __hash__ = None
@@ -518,43 +399,53 @@ class RatFunc:
     # -- field arithmetic -------------------------------------------------
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
-        if self.den == other.den:
-            return RatFunc(self.num + other.num, self.den)
-        d = poly_gcd(self.den, other.den)
-        if d.is_constant():
-            return RatFunc(
-                self.num * other.den + other.num * self.den,
-                self.den * other.den,
+        self._require_same_base(other)
+        base, e1, e2 = self.base, self.exps, other.exps
+        if e1 == e2:
+            exps, num = e1, self.num + other.num
+        else:
+            exps = tuple(map(max, e1, e2))
+            num = (
+                self.num * _expand(base, tuple(x - y for x, y in zip(exps, e1)))
+                + other.num * _expand(base, tuple(x - y for x, y in zip(exps, e2)))
             )
-        left = poly_divexact(self.den, d)
-        right = poly_divexact(other.den, d)
-        return RatFunc(self.num * right + other.num * left, self.den * right)
+        # a factor whose powers differ divides exactly one lifted term
+        trial = [i for i, (x, y) in enumerate(zip(e1, e2)) if x == y]
+        num, exps = _cancel(num, base, exps, trial)
+        return RatFunc._make(num, base, exps)
 
     def __sub__(self, other: "RatFunc") -> "RatFunc":
         return self + (-other)
 
     def __neg__(self) -> "RatFunc":
-        if self.is_zero():
-            return self
-        return RatFunc._reduced(-self.num, self.den)
+        return RatFunc._make(-self.num, self.base, self.exps)
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
-        if self.is_zero() or other.is_zero():
-            return RatFunc.constant(self.num.vars, 0)
-        # cancel across the diagonal: the leftovers are pairwise coprime,
-        # so the product is already reduced
-        g1 = poly_gcd(self.num, other.den)
-        g2 = poly_gcd(other.num, self.den)
-        n1 = self.num if g1.is_constant() else poly_divexact(self.num, g1)
-        d2 = other.den if g1.is_constant() else poly_divexact(other.den, g1)
-        n2 = other.num if g2.is_constant() else poly_divexact(other.num, g2)
-        d1 = self.den if g2.is_constant() else poly_divexact(self.den, g2)
-        return RatFunc._reduced(*_unit_scaled(n1 * n2, d1 * d2))
+        self._require_same_base(other)
+        base = self.base
+        # each numerator can only share a factor with the other denominator
+        n1, e2 = _cancel(
+            self.num, base, other.exps, [i for i, x in enumerate(self.exps) if not x]
+        )
+        n2, e1 = _cancel(
+            other.num, base, self.exps, [i for i, x in enumerate(other.exps) if not x]
+        )
+        return RatFunc._make(n1 * n2, base, tuple(map(add, e1, e2)))
 
     def _reciprocal(self) -> "RatFunc":
         if self.is_zero():
             raise ZeroDenominator("reciprocal of the zero rational function")
-        return RatFunc._reduced(*_unit_scaled(self.den, self.num))
+        unit, powers = self.num, []
+        for f, e in zip(self.base, self.exps):
+            # a reduced numerator shares no factor with the denominator
+            unit, count = _divide_out(unit, f, 0 if e else math.inf)
+            powers.append(count)
+        if not unit.is_constant():
+            raise ValueError(
+                f"{self.num} is not a constant times powers of the factor base"
+            )
+        num = _expand(self.base, self.exps).scale(1 / unit.leading()[1])
+        return RatFunc._make(num, self.base, tuple(powers))
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
         return self * other._reciprocal()
@@ -562,19 +453,21 @@ class RatFunc:
     def __pow__(self, power: int) -> "RatFunc":
         if power < 0:
             return self._reciprocal() ** (-power)
-        if power == 0:
-            return RatFunc.constant(self.num.vars, 1)
-        # powers of a reduced pair stay reduced; normalized den stays normalized
-        return RatFunc._reduced(self.num**power, self.den**power)
+        # powers of primes stay coprime to the numerator's power
+        return RatFunc._make(
+            self.num**power, self.base, tuple(e * power for e in self.exps)
+        )
 
     def eval(self, values: Mapping[str, int | str | Fraction]) -> Fraction:
-        den_val = self.den.eval(values)
+        den_val = math.prod(
+            f.eval(values) ** e for f, e in zip(self.base, self.exps) if e
+        )
         if den_val == 0:
             raise ZeroDivisionError("denominator vanishes at the evaluation point")
         return self.num.eval(values) / den_val
 
     def __str__(self) -> str:
-        if self.den.is_constant() and self.den.content() == 1 and not self.den.is_zero():
+        if not any(self.exps):
             return str(self.num)
         return f"({self.num})/({self.den})"
 

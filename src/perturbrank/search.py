@@ -106,6 +106,8 @@ class CampaignConfig:
         unknown = set(self.families) - set(FAMILIES)
         if unknown:
             raise ValueError(f"unknown generator families: {sorted(unknown)}")
+        if len(set(self.families)) != len(self.families):
+            raise ValueError(f"repeated generator families: {list(self.families)}")
         if self.worker_count < 1:
             raise ValueError("worker_count must be at least 1")
 

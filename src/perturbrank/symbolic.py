@@ -13,7 +13,9 @@ the coupling matrix M — is reproduced here over the rational-function
 field Q(a, b, k, d_11, ..., d_K2), following the exact same conventions
 (kernel vectors scaled to leading entry 1, pairing normalized to 1), so
 substituting numbers into the symbolic output must agree with the
-numeric code to the last digit.
+numeric code to the last digit.  Every denominator on the way is a
+product of powers of a, b, k, a + b*k and the Delta_i below, so the
+entries are kept over that factor base (see ``multipoly``).
 
 The punchline is structural: every entry satisfies
 
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact_linalg import InconsistentSystem, SizeLimitExceeded
-from .multipoly import RatFunc, ratfunc_tree
+from .multipoly import MultiPoly, RatFunc, ratfunc_tree
 
 __all__ = [
     "ClosedFormSpectrum",
@@ -100,7 +102,7 @@ def _solve_interaction_constrained(
     """
     if not (y[1] + k_par * y[0]).is_zero():
         raise InconsistentSystem("right-hand side not orthogonal to the left kernel")
-    x = (-(y[0] / a_par), RatFunc.constant(y[0].num.vars, 0))
+    x = (-(y[0] / a_par), RatFunc.constant(y[0].base, 0))
     shift = x[0] * h1_star[0] + x[1] * h1_star[1]
     return (x[0] - shift * h1[0], x[1] - shift * h1[1])
 
@@ -120,12 +122,19 @@ def build_M_parametric(K: int) -> SymbolicStructure:
             f"directions, got {K}"
         )
     names = _family_variables(K)
+    poly = {n: MultiPoly.variable(names, n) for n in names}
+    # the factor base of every entry: each factor has degree one in a
+    # variable whose coefficient is constant, so it is irreducible, and no
+    # two are associates; a division that needs a denominator outside the
+    # base raises ValueError
+    base = (poly["a"], poly["b"], poly["k"], poly["a"] + poly["b"] * poly["k"])
+    base += tuple(poly[f"d{i}_1"] - poly[f"d{i}_2"] for i in range(1, K + 1))
 
-    def const(v: int) -> RatFunc:
-        return RatFunc.constant(names, v)
+    def const(v: int | Fraction) -> RatFunc:
+        return RatFunc.constant(base, v)
 
     def var(n: str) -> RatFunc:
-        return RatFunc.variable(names, n)
+        return RatFunc.variable(base, n)
 
     a, b, k = var("a"), var("b"), var("k")
     one = const(1)
@@ -155,7 +164,7 @@ def build_M_parametric(K: int) -> SymbolicStructure:
     def pairing(i: int, j: int) -> RatFunc:
         return pulled[i][0] * lifted[j][0] + pulled[i][1] * lifted[j][1]
 
-    half = RatFunc.constant(names, Fraction(1, 2))
+    half = const(Fraction(1, 2))
     m_rows: list[tuple[RatFunc, ...]] = []
     entries: dict[tuple[int, int], RatFunc] = {}
     for i in range(K):
@@ -207,7 +216,7 @@ def eigen_closed_form_n2(structure: SymbolicStructure) -> ClosedFormSpectrum:
         raise RankIdentityFailed(
             "M is not the expected rank-one dyad; no closed-form spectrum"
         )
-    total = RatFunc.constant(structure.variables, 0)
+    total = RatFunc.constant(structure.c.base, 0)
     for delta in structure.deltas:
         total = total + delta * delta
     return ClosedFormSpectrum(

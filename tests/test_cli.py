@@ -107,6 +107,16 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert "error:" in err and "D[0][0]" in err
 
+    def test_oversized_rational_names_its_entry(self, tmp_path, capsys):
+        # more digits than int() converts by default
+        path = _write_instance(
+            tmp_path, "bad.json", D=[["1", "0"], ["0", "1" + "0" * 5000]]
+        )
+        assert run_command(["analyze", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: D[1][1]: ")
+        assert len(err) < 300
+
 
 class TestUsageErrors:
     def test_missing_argument_remapped_to_one(self, capsys):
@@ -311,6 +321,25 @@ class TestSearchCommand:
         )
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "families", ["", "markov_generator,", "markov_generator,markov_generator"]
+    )
+    def test_empty_or_repeated_family_exits_one(self, tmp_path, capsys, families):
+        out = tmp_path / "r.json"
+        rc = run_command(
+            [
+                "search",
+                "--n-min", "2", "--n-max", "2",
+                "--k-min", "2", "--k-max", "2",
+                "--samples", "1", "--seed", "0",
+                "--families", families,
+                "--out", str(out),
+            ]
+        )
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSymbolicCommand:

@@ -73,6 +73,8 @@ class TestCampaignConfig:
             {"families": ()},
             {"families": ("markov_generator", "nope")},
             {"worker_count": 0},
+            {"families": ("",)},
+            {"families": ("markov_generator", "markov_generator")},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
