@@ -13,7 +13,6 @@ from .exact_linalg import (
     CHARPOLY_SIZE_LIMIT,
     InconsistentSystem,
     Polynomial,
-    Rational,
     RationalMatrix,
     SizeLimitExceeded,
     Vector,
@@ -23,7 +22,6 @@ from .exact_linalg import (
     dot,
     hurwitz_stable,
     nullspace,
-    outer,
     rank_exact,
 )
 from .model import (

@@ -10,10 +10,10 @@ where Psi_i = D_i - v_i I and G is the constrained pseudo-inverse of A
 determined by A G = I - h1 h1_starᵀ and h1_starᵀ G = 0.  M needs G only
 on the K pushed vectors p_j = Psi_j h1.  Since h1_starᵀ p_j = 0, G p_j
 solves A x = p_j; any other solution differs from it by a multiple of
-h1, and q_i · h1 = 0 for q_i = psi_i ∘ h1_star.  So M = Sym(Qᵀ X) for X
+h1, and q_i · h1 = 0 for q_i = psi_i ∘ h1_star.  So M = Sym(Q X) for X
 from one fraction-free elimination of [A | P] with K right-hand sides,
-assembled on denominator-cleared integers.  The full G (n right-hand
-sides) is built only for reports (``group_inverse``).  The kernel of M,
+assembled on integer rows.  The full G (n right-hand sides) is built
+only for reports (``group_inverse``).  The kernel of M,
 hence its rank, comes from one more run of the same exact elimination
 routine.  The spectrum of M comes from a hand-written cyclic Jacobi
 sweep on its float image, so the two routes stay independent.  The
@@ -32,10 +32,7 @@ from fractions import Fraction
 from .exact_linalg import (
     RationalMatrix,
     Vector,
-    _over_common_denominator,
-    dot,
     nullspace,
-    outer,
     rank_exact,
     solve_particular,
 )
@@ -138,29 +135,27 @@ class ProfileQuery:
 
 def velocities(s: SystemSpec, sd: SpectralData) -> Vector:
     """Exact transport speeds v_i = (D_i h1, h1_star), one Fraction each."""
-    (h, hs), dh = _over_common_denominator((sd.h1, sd.h1_star))
-    d, dd = _over_common_denominator(s.D)
-    den = dd * dh * dh
-    return tuple(Fraction(sum(x * a * b for x, a, b in zip(row, h, hs)), den) for row in d)
+    pair, d = RationalMatrix((sd.h1, sd.h1_star)), RationalMatrix(s.D)
+    h, hs = pair.num
+    den = d.den * pair.den**2
+    return tuple(
+        Fraction(sum(x * a * b for x, a, b in zip(row, h, hs)), den) for row in d.num
+    )
 
 
 def group_inverse(a: RationalMatrix, sd: SpectralData) -> RationalMatrix:
     """Constrained pseudo-inverse: A G = I - h1 h1_starᵀ with h1_starᵀ G = 0.
 
     All columns are solved in one fraction-free elimination of
-    [A | I - h1 h1_starᵀ] (``solve_particular``) and then shifted along h1,
-    the kernel of A, onto the constraint hyperplane h1_starᵀ x = 0, where
-    each column's solution is unique.  Only reports need G; ``build_M``
-    solves K columns instead.
+    [A | I - h1 h1_starᵀ] (``solve_particular``), giving X.  Each column is
+    then shifted along h1, the kernel of A, onto the constraint hyperplane
+    h1_starᵀ x = 0, where its solution is unique: as (h1, h1_star) = 1,
+    G = X - h1 (h1_starᵀ X).  Only reports need G; ``build_M`` solves K
+    columns instead.
     """
-    target = RationalMatrix.identity(a.rows) - outer(sd.h1, sd.h1_star)
-    x = solve_particular(a, target)
-    cols: list[list[Fraction]] = []
-    for j in range(a.cols):
-        col = x.column(j)
-        shift = dot(col, sd.h1_star)  # (h1, h1_star) = 1, so no division needed
-        cols.append([xi - shift * hi for xi, hi in zip(col, sd.h1)])
-    return RationalMatrix(zip(*cols))
+    h, hs = RationalMatrix(zip(sd.h1)), RationalMatrix((sd.h1_star,))
+    x = solve_particular(a, RationalMatrix.identity(a.rows) - h @ hs)
+    return x - h @ (hs @ x)
 
 
 def build_M(s: SystemSpec, sd: SpectralData) -> TransferStructure:
@@ -169,27 +164,26 @@ def build_M(s: SystemSpec, sd: SpectralData) -> TransferStructure:
     M needs G only on P.  As h1_starᵀ P = 0, G P is a solution X of
     A X = P (``solve_particular``, K right-hand sides, not n) shifted
     along h1, and the shift drops out of M because
-    q_i · h1 = h1_starᵀ Psi_i h1 = 0.  So M = Sym(Qᵀ X) with
-    q_i = psi_i ∘ h1_star, assembled on denominator-cleared integers
-    Q / dq and X / dx: one Fraction(num, 2·dq·dx) per entry.  G itself
-    is not built.
+    q_i · h1 = h1_starᵀ Psi_i h1 = 0.  So M = Sym(Q X) with rows
+    q_i = psi_i ∘ h1_star.  Q comes from the integer rows of Psi and
+    h1_star, and M from the integer rows of Q X plus their transpose,
+    over twice its denominator, with no Fraction per entry.  G itself is
+    not built.
     """
     v = velocities(s, sd)
     psi = [tuple(di - vi for di in d) for d, vi in zip(s.D, v)]
     pushed = tuple(tuple(p * h for p, h in zip(row, sd.h1)) for row in psi)
-    solved = solve_particular(s.A, RationalMatrix(zip(*pushed)))
-    x, dx = _over_common_denominator(solved.transpose().data)
-    psi_int, dp = _over_common_denominator(psi)
-    (hs,), ds = _over_common_denominator([sd.h1_star])
-    q = [[a * b for a, b in zip(row, hs)] for row in psi_int]  # Q = dp·ds·q
-    den = 2 * dp * ds * dx
-    m_rows = [[Fraction(0)] * s.K for _ in range(s.K)]
-    for i in range(s.K):
-        for j in range(i, s.K):
-            num = sum(a * b for a, b in zip(q[i], x[j]))
-            num += sum(a * b for a, b in zip(q[j], x[i]))
-            m_rows[i][j] = m_rows[j][i] = Fraction(num, den)
-    return TransferStructure(v=v, P=pushed, M=RationalMatrix(m_rows))
+    x = solve_particular(s.A, RationalMatrix(zip(*pushed)))
+    psi_m, hs = RationalMatrix(psi), RationalMatrix((sd.h1_star,))
+    q = RationalMatrix._make(
+        [[a * b for a, b in zip(row, hs.num[0])] for row in psi_m.num], psi_m.den * hs.den
+    )
+    qx = q @ x
+    m = RationalMatrix._make(
+        [[a + b for a, b in zip(row, col)] for row, col in zip(qx.num, zip(*qx.num))],
+        2 * qx.den,
+    )
+    return TransferStructure(v=v, P=pushed, M=m)
 
 
 def jacobi_eigenvalues(sym: list[list[float]]) -> list[float]:

@@ -1,26 +1,27 @@
 """Exact linear algebra over the rationals.
 
-Scalars are ``fractions.Fraction`` values, which are always in canonical
-form (coprime numerator/denominator, positive denominator).  Matrices are
-immutable, dense and row-major.  Rank, kernels, linear solves and the
+A ``RationalMatrix`` is an immutable dense row-major matrix held as integer
+rows ``num`` over one positive denominator ``den``, in canonical form:
+``gcd(den, *num) == 1``, so equal values have equal fields.  This module
+alone decides that representation.  Rank, kernels, linear solves and the
 Hurwitz test all run one fraction-free (Bareiss) Gauss-Jordan elimination
-on denominator-cleared integer rows, and the characteristic polynomial
-runs the Faddeev-LeVerrier recurrence on the matrix times the lcm of its
-denominators.  One helper clears all denominators, with integer products
-only.  So intermediate values stay integral and every division is checked
-to be exact; Fractions appear again only in the returned values.  Nothing
-here is approximate.
+on the integer rows, each divided by the gcd of its entries, and the
+characteristic polynomial runs the Faddeev-LeVerrier recurrence on
+``num``.  So intermediate values stay integral and every division is
+checked to be exact.  A ``fractions.Fraction`` is built only where an entry
+or a vector leaves the module: ``m[i, j]``, ``repr``, kernel vectors and
+polynomial coefficients.  Nothing here is approximate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
-Rational = Fraction
 Vector = tuple[Fraction, ...]
+_EXACT = (int, Fraction)
 
 #: Dense exact charpoly is quartic in the dimension; refuse silly sizes.
 CHARPOLY_SIZE_LIMIT = 32
@@ -29,7 +30,6 @@ __all__ = [
     "CHARPOLY_SIZE_LIMIT",
     "InconsistentSystem",
     "Polynomial",
-    "Rational",
     "RationalMatrix",
     "SizeLimitExceeded",
     "Vector",
@@ -39,7 +39,6 @@ __all__ = [
     "dot",
     "hurwitz_stable",
     "nullspace",
-    "outer",
     "rank_exact",
     "solve_particular",
 ]
@@ -77,100 +76,106 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
 
 
 class RationalMatrix:
-    """Immutable dense matrix of Fractions.
+    """Immutable dense rational matrix: integer rows ``num`` over ``den``.
 
     Construct from an iterable of rows; entries may be ints, ``"p/q"``
-    strings or Fractions.  Treat instances as frozen values.
+    strings or Fractions.  ``den > 0`` and ``gcd(den, *num) == 1``.  Treat
+    instances as frozen values.
     """
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "num", "den")
 
     def __init__(self, rows: Iterable[Sequence[int | str | Fraction]]):
-        data = tuple(tuple(as_rational(x) for x in row) for row in rows)
+        # ints and Fractions already carry the numerator and denominator
+        data = [[x if type(x) in _EXACT else as_rational(x) for x in row] for row in rows]
         if not data or not data[0]:
             raise ValueError("matrix must have at least one row and column")
         width = len(data[0])
         if any(len(row) != width for row in data):
             raise ValueError("ragged rows")
+        # over the lcm of reduced denominators, the gcd with den is already 1
+        den = lcm(*(x.denominator for row in data for x in row))
         self.rows = len(data)
         self.cols = width
-        self.data = data
+        self.num = tuple(
+            tuple(x.numerator * (den // x.denominator) for x in row) for row in data
+        )
+        self.den = den
+
+    @classmethod
+    def _make(cls, num: Sequence[Sequence[int]], den: int) -> "RationalMatrix":
+        """Trusted constructor from rectangular integer rows over a nonzero
+        ``den``; it only brings the pair to canonical form."""
+        g = gcd(den, *(x for row in num for x in row))
+        if den < 0:
+            g = -g
+        if g != 1:
+            num = [[x // g for x in row] for row in num]
+        obj = object.__new__(cls)
+        obj.num = tuple(map(tuple, num))
+        obj.den = den // g
+        obj.rows = len(obj.num)
+        obj.cols = len(obj.num[0])
+        return obj
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls(
-            tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-        )
+        return cls._make([[int(i == j) for j in range(n)] for i in range(n)], 1)
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
-        return self.data[i][j]
-
-    def column(self, j: int) -> Vector:
-        return tuple(row[j] for row in self.data)
+        return Fraction(self.num[i][j], self.den)
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(zip(*self.data))
-
-    def is_square(self) -> bool:
-        return self.rows == self.cols
+        return RationalMatrix._make(tuple(zip(*self.num)), self.den)
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        self._require_same_shape(other)
-        return RationalMatrix(
-            tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.data, other.data)
-        )
-
-    def __matmul__(self, other):
-        if isinstance(other, RationalMatrix):
-            if self.cols != other.rows:
-                raise ValueError(
-                    f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
-                )
-            cols = other.transpose().data
-            return RationalMatrix(
-                tuple(dot(row, col) for col in cols) for row in self.data
-            )
-        return self.matvec(other)
-
-    def matvec(self, v: Sequence[Fraction]) -> Vector:
-        if len(v) != self.cols:
-            raise ValueError(f"vector of length {len(v)} against {self.cols} columns")
-        return tuple(dot(row, v) for row in self.data)
-
-    def to_float(self) -> list[list[float]]:
-        return [[float(x) for x in row] for row in self.data]
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, RationalMatrix) and self.data == other.data
-
-    def __hash__(self):
-        return hash(self.data)
-
-    def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
-        return f"RationalMatrix[{body}]"
-
-    def _require_same_shape(self, other: "RationalMatrix") -> None:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        return RationalMatrix._make(
+            [[fa * a - fb * b for a, b in zip(ra, rb)] for ra, rb in zip(self.num, other.num)],
+            den,
+        )
+
+    def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
+        if not isinstance(other, RationalMatrix):
+            return NotImplemented
+        if self.cols != other.rows:
+            raise ValueError(
+                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
+            )
+        cols = list(zip(*other.num))
+        return RationalMatrix._make(
+            [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in self.num],
+            self.den * other.den,
+        )
+
+    def to_float(self) -> list[list[float]]:
+        # int / int is correctly rounded, so this is float(self[i, j])
+        return [[x / self.den for x in row] for row in self.num]
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, RationalMatrix)
+            and self.den == other.den
+            and self.num == other.num
+        )
+
+    def __hash__(self):
+        return hash((self.num, self.den))
+
+    def __repr__(self) -> str:
+        body = "; ".join(
+            " ".join(str(Fraction(x, self.den)) for x in row) for row in self.num
+        )
+        return f"RationalMatrix[{body}]"
 
 
-def outer(u: Sequence[Fraction], v: Sequence[Fraction]) -> RationalMatrix:
-    return RationalMatrix(tuple(a * b for b in v) for a in u)
-
-
-def _over_common_denominator(
-    rows: Sequence[Sequence[Fraction]],
-) -> tuple[list[list[int]], int]:
-    """Integer rows N and the lcm d of the denominators, rows = N / d."""
-    d = lcm(*(x.denominator for row in rows for x in row))
-    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
-
-
-def _cleared_int_rows(rows: Iterable[Sequence[Fraction]]) -> list[list[int]]:
-    """Each row times the lcm of its own denominators, as integers."""
-    return [_over_common_denominator((row,))[0][0] for row in rows]
+def _primitive_rows(rows: Iterable[Sequence[int]]) -> list[list[int]]:
+    """Each integer row divided by the gcd of its entries (a zero row stays)."""
+    return [[x // g for x in row] if (g := gcd(*row)) > 1 else list(row) for row in rows]
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -225,7 +230,7 @@ def _eliminate(a: list[list[int]]) -> tuple[list[int], list[int], int]:
 
 def rank_exact(m: RationalMatrix) -> int:
     """Rank over the rationals: the pivot count of the fraction-free elimination."""
-    pivot_cols, _, _ = _eliminate(_cleared_int_rows(m.data))
+    pivot_cols, _, _ = _eliminate(_primitive_rows(m.num))
     return len(pivot_cols)
 
 
@@ -236,7 +241,7 @@ def nullspace(m: RationalMatrix) -> list[Vector]:
     Basis vectors are ordered by their free column, ascending, which makes
     the output deterministic.
     """
-    a = _cleared_int_rows(m.data)
+    a = _primitive_rows(m.num)
     pivot_cols, pivot_vals, _ = _eliminate(a)
     d = pivot_vals[-1] if pivot_vals else 1
     basis: list[Vector] = []
@@ -260,15 +265,19 @@ def solve_particular(m: RationalMatrix, y: RationalMatrix) -> RationalMatrix:
     """
     if y.rows != m.rows:
         raise ValueError(f"right-hand side has {y.rows} rows against {m.rows}")
-    a = _cleared_int_rows(row + yrow for row, yrow in zip(m.data, y.data))
+    # [m | Y] over one denominator; row scaling leaves the solution alone
+    a = _primitive_rows(
+        tuple(y.den * x for x in row) + tuple(m.den * x for x in yrow)
+        for row, yrow in zip(m.num, y.num)
+    )
     pivot_cols, pivot_vals, _ = _eliminate(a)
     if pivot_cols and pivot_cols[-1] >= m.cols:
         raise InconsistentSystem("right-hand side is not in the range")
     d = pivot_vals[-1] if pivot_vals else 1
-    x = [[Fraction(0)] * y.cols for _ in range(m.cols)]
+    x = [[0] * y.cols for _ in range(m.cols)]
     for row, pc in zip(a, pivot_cols):
-        x[pc] = [Fraction(v, d) for v in row[m.cols:]]
-    return RationalMatrix(x)
+        x[pc] = row[m.cols:]
+    return RationalMatrix._make(x, d)
 
 
 @dataclass(frozen=True)
@@ -314,20 +323,20 @@ class Polynomial:
 def charpoly_exact(m: RationalMatrix) -> Polynomial:
     """Characteristic polynomial det(λI - m) by the Faddeev-LeVerrier recurrence.
 
-    The recurrence runs on the integer matrix B = d·m, with d the lcm of
-    all entry denominators (one common multiplier, so B's polynomial is
-    the same one rescaled): B_1 = B, c_k = -tr(B_k) / k, an exact integer
+    The recurrence runs on the integer matrix B = m.num = d·m, with
+    d = m.den (one common multiplier, so B's polynomial is the same one
+    rescaled): B_1 = B, c_k = -tr(B_k) / k, an exact integer
     division, and B_(k+1) = B·(B_k + c_k I).  The coefficient of λ^(n-k)
     in the polynomial of m is then c_k / d^k.
     """
-    if not m.is_square():
+    if m.rows != m.cols:
         raise ValueError("characteristic polynomial of a non-square matrix")
     n = m.rows
     if n > CHARPOLY_SIZE_LIMIT:
         raise SizeLimitExceeded(f"matrix size {n} exceeds limit {CHARPOLY_SIZE_LIMIT}")
-    b, d = _over_common_denominator(m.data)
+    b, d = m.num, m.den
     descending = [Fraction(1)]  # coefficient of λ^n
-    bk = [row[:] for row in b]
+    bk = [list(row) for row in b]
     for k in range(1, n + 1):
         ck = _exact_div(-sum(bk[i][i] for i in range(n)), k)
         descending.append(Fraction(ck, d**k))
@@ -356,7 +365,7 @@ def hurwitz_stable(p: Polynomial) -> bool:
     if n == 0:
         return True
     # A positive multiple clears the denominators and the leading sign.
-    (desc,), _ = _over_common_denominator((coeffs[::-1],))
+    (desc,) = RationalMatrix([coeffs[::-1]]).num
     if desc[0] < 0:
         desc = [-c for c in desc]  # desc[0] > 0 leads
     # Positive coefficients are necessary; bail out early when violated.

@@ -44,7 +44,10 @@ class DimensionError(ValueError):
 
 
 def parse_rational(value: object, where: str = "value") -> Fraction:
-    """Parse "p" or "p/q" (q > 0) or a plain integer into a Fraction."""
+    """Parse "p" or "p/q" (q > 0) or a plain integer into a Fraction.
+
+    Errors echo at most 60 characters of a rejected value (``!r:.60``).
+    """
     if isinstance(value, bool):
         raise ParseError(f"{where}: expected a rational string, got a boolean")
     if isinstance(value, int):
@@ -55,11 +58,11 @@ def parse_rational(value: object, where: str = "value") -> Fraction:
             f'string like "3/10"'
         )
     if not isinstance(value, str) or not _RATIONAL_RE.fullmatch(value):
-        raise ParseError(f"{where}: {value!r} is not of the form 'p' or 'p/q'")
+        raise ParseError(f"{where}: {value!r:.60} is not of the form 'p' or 'p/q'")
     try:
         return Fraction(value)
     except ZeroDivisionError:
-        raise ParseError(f"{where}: zero denominator in {value!r}") from None
+        raise ParseError(f"{where}: zero denominator in {value!r:.60}") from None
     except ValueError as exc:  # more digits than int() converts
         raise ParseError(f"{where}: {exc}") from None
 
@@ -67,7 +70,7 @@ def parse_rational(value: object, where: str = "value") -> Fraction:
 def _parse_int(data: dict, key: str) -> int:
     value = data.get(key)
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{key}: expected an integer, got {value!r}")
+        raise ParseError(f"{key}: expected an integer, got {value!r:.60}")
     return value
 
 
@@ -115,7 +118,7 @@ def _instance_from_dict(data: object) -> tuple[SystemSpec, Vector | None]:
         h = _parse_vector(data["H"], n, "H")
     label = data.get("label", "")
     if not isinstance(label, str):
-        raise ParseError(f"label: expected a string, got {label!r}")
+        raise ParseError(f"label: expected a string, got {label!r:.60}")
     try:
         spec = SystemSpec(n=n, K=k, D=diagonals, A=RationalMatrix(a_rows), label=label)
     except ValueError as exc:
@@ -130,7 +133,7 @@ def load_instance_file(path: str) -> tuple[SystemSpec, Vector | None]:
         text = fh.read()
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal int() refuses to convert
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
     return _instance_from_dict(data)
 

@@ -13,8 +13,8 @@ with positive off-diagonal entries and zero column sums, which satisfy the
 admissibility conditions by construction (irreducible generator: simple
 zero eigenvalue, Hurwitz remainder, strictly positive null vectors).
 ``similarity_transformed`` conjugates such a matrix by a random invertible
-integer matrix T (one fraction-free elimination of [T | I], then integer
-products), producing the same exact spectrum without the sign structure.
+integer matrix T (T⁻¹ from one exact solve of T X = I), producing the
+same exact spectrum without the sign structure.
 Generation is fully deterministic in the seed.
 """
 
@@ -25,16 +25,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact_linalg import (
+    InconsistentSystem,
     Polynomial,
     RationalMatrix,
     Vector,
-    _eliminate,
-    _over_common_denominator,
     charpoly_exact,
     dot,
     hurwitz_stable,
     nullspace,
     rank_exact,
+    solve_particular,
 )
 
 MARKOV_FAMILY = "markov_generator"
@@ -206,27 +206,17 @@ def _markov_generator(rng: random.Random, n: int, bound: int) -> RationalMatrix:
 def _random_similar(rng: random.Random, base: RationalMatrix, bound: int) -> RationalMatrix:
     """T B T⁻¹ for a random integer T, redrawn while singular.
 
-    Eliminating [T | I] finds fewer than n pivots in the T block when T is
-    singular, and otherwise leaves d·T⁻¹ in the right block (d the last
-    pivot).  With B = N / db, T · N · (d·T⁻¹) / (d·db) runs on integers.
+    T⁻¹ is the solution of T X = I, which raises ``InconsistentSystem``
+    exactly when T is singular; the products run on integer rows.
     """
     n = base.rows
     for _ in range(_MAX_GENERATION_ATTEMPTS):
-        t = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
-        rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate(t)]
-        pivot_cols, pivot_vals, _ = _eliminate(rows)
-        if pivot_cols[-1] < n:
-            break
-    else:
-        raise GenerationFailed("could not sample an invertible transform")
-    b, db = _over_common_denominator(base.data)
-    b_cols = list(zip(*b))
-    t_inv = list(zip(*(row[n:] for row in rows)))  # columns of d·T⁻¹
-    tb = [[sum(x * y for x, y in zip(row, col)) for col in b_cols] for row in t]
-    den = pivot_vals[-1] * db
-    return RationalMatrix(
-        [Fraction(sum(x * y for x, y in zip(row, col)), den) for col in t_inv] for row in tb
-    )
+        t = RationalMatrix([rng.randint(-bound, bound) for _ in range(n)] for _ in range(n))
+        try:
+            return t @ base @ solve_particular(t, RationalMatrix.identity(n))
+        except InconsistentSystem:
+            continue
+    raise GenerationFailed("could not sample an invertible transform")
 
 
 def _sample_interaction(

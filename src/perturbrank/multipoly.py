@@ -324,10 +324,11 @@ class RatFunc:
     Q and pairwise non-associate; the constructor rejects a factor that is
     constant, not primitive with integer coefficients, or has a negative
     leading coefficient, and reduces ``num`` against the denominator.
-    Operands of one operation must share the base.
+    Operands of one operation must share the base.  The expanded
+    denominator is built on first use and kept.
     """
 
-    __slots__ = ("num", "base", "exps")
+    __slots__ = ("num", "base", "exps", "_den")
 
     def __init__(
         self,
@@ -343,6 +344,7 @@ class RatFunc:
         # every factor divides zero, so a zero numerator keeps no exponent
         self.num, self.exps = _cancel(num, base, exps, range(len(base)))
         self.base = base
+        self._den = None
 
     @classmethod
     def _make(
@@ -354,6 +356,7 @@ class RatFunc:
         obj.num = num
         obj.base = base
         obj.exps = exps if num.terms else (0,) * len(base)
+        obj._den = None
         return obj
 
     # -- constructors ---------------------------------------------------
@@ -379,8 +382,10 @@ class RatFunc:
 
     @property
     def den(self) -> MultiPoly:
-        """The expanded denominator."""
-        return _expand(self.base, self.exps)
+        """The expanded denominator, which ``str`` and ``ratfunc_tree`` share."""
+        if self._den is None:
+            self._den = _expand(self.base, self.exps)
+        return self._den
 
     def _require_same_base(self, other: "RatFunc") -> None:
         if self.base != other.base:

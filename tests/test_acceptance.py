@@ -23,7 +23,7 @@ from perturbrank.asymptotics import (
     phi0_eval,
 )
 from perturbrank.cli import run_command
-from perturbrank.exact_linalg import RationalMatrix, dot, outer
+from perturbrank.exact_linalg import RationalMatrix, dot
 from perturbrank.formats import load_instance_file
 from perturbrank.model import (
     FAMILIES,
@@ -180,21 +180,24 @@ def test_exact_identity_suite():
         ts = build_M(s, sd)
 
         zero_n = (Fraction(0),) * n
-        assert s.A.matvec(sd.h1) == zero_n
+        assert s.A @ RationalMatrix(zip(sd.h1)) == RationalMatrix([[0]] * n)
         assert tuple(dot(tuple(s.A[i, j] for i in range(n)), sd.h1_star) for j in range(n)) == zero_n
         assert dot(sd.h1, sd.h1_star) == Fraction(1)
         w = [ts.P[i] for i in range(k)]
         for wi in w:
             assert dot(wi, sd.h1_star) == Fraction(0)
         g = group_inverse(s.A, sd)
-        assert s.A @ g == RationalMatrix.identity(n) - outer(sd.h1, sd.h1_star)
+        assert s.A @ g == RationalMatrix.identity(n) - RationalMatrix(
+            zip(sd.h1)
+        ) @ RationalMatrix((sd.h1_star,))
         for i in range(k):
             for j in range(i):
                 assert ts.M[i, j] == ts.M[j, i]
 
         # invariance under the gauge freedom of the pseudo-inverse: shift
         # G by h1 cᵀ and reassemble M from scratch along each direction
-        lifted = [g.matvec(wi) for wi in w]
+        gw = g @ RationalMatrix(zip(*w))
+        lifted = [tuple(gw[r, i] for r in range(n)) for i in range(k)]
         rng = random.Random(seed ^ 0xC0FFEE)
         for _ in range(100):
             c = tuple(

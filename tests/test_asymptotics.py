@@ -25,7 +25,6 @@ from perturbrank.exact_linalg import (
     RationalMatrix,
     dot,
     nullspace,
-    outer,
     rank_exact,
     solve_particular,
 )
@@ -66,7 +65,8 @@ def _solve_constrained(m: RationalMatrix, y, c) -> tuple[Fraction, ...]:
     """Oracle, one column at a time: the x with m·x = y and (x, c) = 0, for
     m with a one-dimensional kernel span(h) and (c, h) != 0."""
     (h,) = nullspace(m)
-    x0 = solve_particular(m, RationalMatrix((yi,) for yi in y)).column(0)
+    x = solve_particular(m, RationalMatrix((yi,) for yi in y))
+    x0 = tuple(x[i, 0] for i in range(x.rows))
     shift = dot(x0, c) / dot(c, h)
     return tuple(a - shift * b for a, b in zip(x0, h))
 
@@ -124,14 +124,19 @@ class TestGroupInverse:
                 )
                 sd = validate_system(s)
                 g = group_inverse(s.A, sd)
-                projector = RationalMatrix.identity(s.n) - outer(sd.h1, sd.h1_star)
+                projector = RationalMatrix.identity(s.n) - RationalMatrix(
+                    zip(sd.h1)
+                ) @ RationalMatrix((sd.h1_star,))
                 assert s.A @ g == projector
-                assert g.transpose().matvec(sd.h1_star) == (Fraction(0),) * s.n
+                assert g.transpose() @ RationalMatrix(zip(sd.h1_star)) == RationalMatrix(
+                    [[0]] * s.n
+                )
                 assert s.A @ g @ s.A == s.A
                 # dual route: each column must equal the one-column solver
                 for j in range(s.n):
-                    col = _solve_constrained(s.A, projector.column(j), sd.h1_star)
-                    assert col == g.column(j)
+                    column = [projector[i, j] for i in range(s.n)]
+                    col = _solve_constrained(s.A, column, sd.h1_star)
+                    assert col == tuple(g[i, j] for i in range(s.n))
 
 
 class TestBuildM:
@@ -171,9 +176,10 @@ class TestBuildM:
                     cases.append(generate_instance(cfg)[0])
         for s in cases:
             sd, ts = _pipeline(s)
+            g = group_inverse(s.A, sd)
             sg = RationalMatrix(
-                [[sd.h1_star[r] / sd.h1[r] * x for x in row]
-                 for r, row in enumerate(group_inverse(s.A, sd).data)]
+                [[sd.h1_star[r] / sd.h1[r] * g[r, c] for c in range(s.n)]
+                 for r in range(s.n)]
             )
             b = RationalMatrix(
                 [[(sg[r, c] + sg[c, r]) / 2 for c in range(s.n)] for r in range(s.n)]

@@ -117,6 +117,28 @@ class TestAnalyze:
         assert err.startswith("error: D[1][1]: ")
         assert len(err) < 300
 
+    def test_oversized_json_integer_names_its_file(self, tmp_path, capsys):
+        # an integer literal, not a string: json.loads itself refuses it
+        path = _write_instance(tmp_path, "bad.json", D=[[1, 0], [0, "big"]])
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read().replace('"big"', "1" + "0" * 5000)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        assert run_command(["analyze", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        assert len(err) < 300
+
+    @pytest.mark.parametrize(
+        "entry", ["x" * 100_000, "1/" + "0" * 4000], ids=["letters", "zero-denominator"]
+    )
+    def test_rejected_rational_echo_is_bounded(self, tmp_path, capsys, entry):
+        path = _write_instance(tmp_path, "bad.json", D=[[entry, "0"], ["0", "1"]])
+        assert run_command(["analyze", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: D[0][0]: ")
+        assert len(err.encode()) < 1000
+
 
 class TestUsageErrors:
     def test_missing_argument_remapped_to_one(self, capsys):

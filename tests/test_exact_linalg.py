@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import ast
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import perturbrank
 from perturbrank.exact_linalg import (
     CHARPOLY_SIZE_LIMIT,
     InconsistentSystem,
@@ -16,15 +19,13 @@ from perturbrank.exact_linalg import (
     RationalMatrix,
     SizeLimitExceeded,
     ZeroPolynomial,
-    _cleared_int_rows,
     _eliminate,
-    _over_common_denominator,
+    _primitive_rows,
     as_rational,
     charpoly_exact,
     dot,
     hurwitz_stable,
     nullspace,
-    outer,
     rank_exact,
     solve_particular,
 )
@@ -35,9 +36,13 @@ fractions_st = st.fractions(
 )
 
 
+def _entries(m: RationalMatrix) -> list[list[Fraction]]:
+    return [[m[i, j] for j in range(m.cols)] for i in range(m.rows)]
+
+
 def _rref_rank(m: RationalMatrix) -> int:
     # Independent oracle: plain rational Gaussian elimination, no Bareiss.
-    rows = [list(r) for r in m.data]
+    rows = _entries(m)
     rank = 0
     for col in range(m.cols):
         pivot = next((i for i in range(rank, m.rows) if rows[i][col] != 0), None)
@@ -112,15 +117,19 @@ class TestRationalMatrix:
 
     def test_diagonal_and_matvec(self):
         d = RationalMatrix([["1/2", 0], [0, 3]])
-        assert d.matvec((2, 2)) == (Fraction(1), Fraction(6))
+        assert d @ RationalMatrix([[2], [2]]) == RationalMatrix([[1], [6]])
 
     def test_outer(self):
-        assert outer((1, 2), (3, 4)) == RationalMatrix([[3, 4], [6, 8]])
+        assert RationalMatrix([[1], [2]]) @ RationalMatrix([[3, 4]]) == RationalMatrix(
+            [[3, 4], [6, 8]]
+        )
 
 
-class TestClearing:
-    def test_matches_fraction_products(self):
-        # Oracle: the Fraction product int(x * mult) the helper replaced.
+class TestCanonicalForm:
+    """Integer rows over one denominator, reduced: den > 0 and
+    gcd(den, *num) == 1, so equal values have equal fields."""
+
+    def test_same_value_same_form(self):
         rng = random.Random(7)
 
         def entry():
@@ -129,14 +138,59 @@ class TestClearing:
             return Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
 
         for _ in range(200):
-            rows = [[entry() for _ in range(rng.randint(1, 6))] for _ in range(rng.randint(1, 4))]
-            mult = lcm(*(x.denominator for row in rows for x in row))
-            ints, d = _over_common_denominator(rows)
-            assert d == mult
-            assert ints == [[int(x * mult) for x in row] for row in rows]
-            mults = [lcm(*(x.denominator for x in row)) for row in rows]
-            expected = [[int(x * m) for x in row] for row, m in zip(rows, mults)]
-            assert _cleared_int_rows(rows) == expected
+            n_rows, n_cols = rng.randint(1, 4), rng.randint(1, 6)
+            rows = [[entry() for _ in range(n_cols)] for _ in range(n_rows)]
+            m = RationalMatrix(rows)
+            scale = rng.choice([-3, -1, 2, 6])
+            same = [
+                m,
+                RationalMatrix([[str(x) for x in row] for row in rows]),
+                m.transpose().transpose(),
+                RationalMatrix._make(m.num, m.den),
+                RationalMatrix._make([[scale * x for x in row] for row in m.num], scale * m.den),
+            ]
+            for other in same:
+                assert other.den > 0
+                assert gcd(other.den, *(x for row in other.num for x in row)) == 1
+                assert other == m and hash(other) == hash(m)
+                assert other.num == m.num and other.den == m.den
+                assert _entries(other) == rows
+                assert other.to_float() == [[float(x) for x in row] for row in rows]
+            # what the elimination receives: each row as a primitive
+            # integer vector, a positive multiple of the rational row
+            for row, prim in zip(rows, _primitive_rows(m.num)):
+                assert gcd(*prim) in (0, 1)
+                j = next((j for j, x in enumerate(row) if x), None)
+                factor = 1 if j is None else Fraction(prim[j], row[j])
+                assert factor > 0 and prim == [factor * x for x in row]
+            if any(x for row in rows for x in row):
+                shifted = [[x + 1 for x in row] for row in rows]
+                assert RationalMatrix(shifted) != m
+
+    def test_integer_and_zero_matrices(self):
+        assert RationalMatrix([[4, -6], [2, 0]]).den == 1
+        zero = RationalMatrix._make([[0, 0]], -5)
+        assert (zero.num, zero.den) == (((0, 0),), 1)
+        assert zero == RationalMatrix([["0/3", 0]])
+
+
+def test_no_module_imports_private_names_from_exact_linalg():
+    # how exact numbers are held is exact_linalg's decision alone
+    leaks = []
+    for path in sorted(Path(perturbrank.__file__).parent.glob("*.py")):
+        if path.stem == "exact_linalg":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[-1] == "exact_linalg"
+            ):
+                leaks += [
+                    f"{path.name}: {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    assert leaks == []
 
 
 class TestRank:
@@ -187,8 +241,8 @@ class TestRank:
 def _pivot_det(m: RationalMatrix) -> Fraction:
     # the determinant as the fraction-free elimination leaves it: the last
     # pivot of the rows over one denominator d, signed by the swaps, over d^n
-    a, d = _over_common_denominator(m.data)
-    _, pivot_vals, swaps = _eliminate(a)
+    _, pivot_vals, swaps = _eliminate([list(r) for r in m.num])
+    d = m.den
     if len(pivot_vals) < m.rows:
         return Fraction(0)
     return Fraction((-1) ** swaps * pivot_vals[-1], d**m.rows)
@@ -205,7 +259,7 @@ class TestDeterminant:
 
     def test_three_by_three_with_swap(self):
         m = RationalMatrix([[0, 2, 1], ["1/2", 1, 0], [1, 0, "1/3"]])
-        assert _pivot_det(m) == _rational_det([list(r) for r in m.data])
+        assert _pivot_det(m) == _rational_det(_entries(m))
         assert _pivot_det(m) == Fraction(-4, 3)
 
     def test_singular(self):
@@ -222,13 +276,13 @@ class TestDeterminant:
             n = rng.randint(1, 6)
             m = _random_matrix(rng, n, n, bound=4)
             if rng.random() < 0.3:  # force a zero leading entry
-                m = RationalMatrix([[0] + list(m.data[0][1:])] + [list(r) for r in m.data[1:]])
-            assert _pivot_det(m) == _rational_det([list(r) for r in m.data])
-            a, d = _over_common_denominator(m.data)
-            _, pivot_vals, swaps = _eliminate(a)
+                m = RationalMatrix([[0] + _entries(m)[0][1:]] + _entries(m)[1:])
+            assert _pivot_det(m) == _rational_det(_entries(m))
+            _, pivot_vals, swaps = _eliminate([list(r) for r in m.num])
+            d = m.den
             if swaps == 0:
                 for k, p in enumerate(pivot_vals, start=1):
-                    minor = _rational_det([list(r[:k]) for r in m.data[:k]])
+                    minor = _rational_det([r[:k] for r in _entries(m)[:k]])
                     assert Fraction(p, d**k) == minor
 
 
@@ -254,7 +308,7 @@ class TestNullspace:
             basis = nullspace(m)
             assert len(basis) == cols - rank_exact(m)
             for v in basis:
-                assert m.matvec(v) == tuple([Fraction(0)] * rows)
+                assert m @ RationalMatrix(zip(v)) == RationalMatrix([[0]] * rows)
                 lead = next(x for x in v if x != 0)
                 assert lead == 1
 
@@ -341,7 +395,7 @@ def _assert_charpoly_matches_det(m: RationalMatrix) -> None:
         shifted = RationalMatrix(
             [[(lam if i == k else 0) - m[i, k] for k in range(n)] for i in range(n)]
         )
-        assert p(lam) == _rational_det(shifted.data), (m, lam)
+        assert p(lam) == _rational_det(_entries(shifted)), (m, lam)
 
 
 class TestCharpoly:
@@ -385,7 +439,7 @@ class TestCharpoly:
             m = _random_matrix(rng, n, n)
             p = charpoly_exact(m)
             constant = p(0)
-            assert constant == (-1) ** n * _rational_det(m.data)
+            assert constant == (-1) ** n * _rational_det(_entries(m))
 
     def test_similarity_invariance(self):
         rng = random.Random(88)

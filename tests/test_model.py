@@ -128,8 +128,10 @@ class TestValidateSystem:
             n = rng.randint(2, 6)
             a = _markov_generator(rng, n, 5)
             data = validate_system(_spec(a))
-            assert a.matvec(data.h1) == (Fraction(0),) * n
-            assert a.transpose().matvec(data.h1_star) == (Fraction(0),) * n
+            assert a @ RationalMatrix(zip(data.h1)) == RationalMatrix([[0]] * n)
+            assert a.transpose() @ RationalMatrix(zip(data.h1_star)) == RationalMatrix(
+                [[0]] * n
+            )
             assert dot(data.h1, data.h1_star) == 1
             lead = next(x for x in data.h1 if x != 0)
             assert lead == 1
@@ -205,8 +207,8 @@ class TestGenerateInstance:
         for _ in range(10):
             seed = rng.getrandbits(32)
             s, _ = generate_instance(GeneratorConfig(n=4, K=3, seed=seed))
-            ones = (Fraction(1),) * 4
-            assert s.A.transpose().matvec(ones) == (Fraction(0),) * 4
+            ones = RationalMatrix([[1]] * 4)
+            assert s.A.transpose() @ ones == RationalMatrix([[0]] * 4)
             for i in range(4):
                 for j in range(4):
                     if i != j:
@@ -282,8 +284,8 @@ class TestGenerateInstance:
             s, _ = generate_instance(
                 GeneratorConfig(n=3, K=2, seed=seed, family=SIMILARITY_FAMILY)
             )
-            ones = (Fraction(1),) * 3
-            if s.A.transpose().matvec(ones) != (Fraction(0),) * 3:
+            ones = RationalMatrix([[1]] * 3)
+            if s.A.transpose() @ ones != RationalMatrix([[0]] * 3):
                 found_non_markov = True
                 break
         assert found_non_markov
