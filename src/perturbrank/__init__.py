@@ -12,7 +12,6 @@ symbolically, and evaluates the limiting Gaussian profile numerically.
 from .exact_linalg import (
     CHARPOLY_SIZE_LIMIT,
     InconsistentSystem,
-    Polynomial,
     RationalMatrix,
     SizeLimitExceeded,
     Vector,

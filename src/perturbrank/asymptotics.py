@@ -11,8 +11,11 @@ determined by A G = I - h1 h1_starᵀ and h1_starᵀ G = 0.  M needs G only
 on the K pushed vectors p_j = Psi_j h1.  Since h1_starᵀ p_j = 0, G p_j
 solves A x = p_j; any other solution differs from it by a multiple of
 h1, and q_i · h1 = 0 for q_i = psi_i ∘ h1_star.  So M = Sym(Q X) for X
-from one fraction-free elimination of [A | P] with K right-hand sides,
-assembled on integer rows.  The full G (n right-hand sides) is built
+from one fraction-free elimination of [A | P] with K right-hand sides.
+Psi, P, Q and M are built with the public matrix algebra of
+``exact_linalg`` (``-``, ``@``, ``+``, ``transpose`` and
+``scale_columns``), which runs on integer rows; this module never sees
+how an exact number is held.  The full G (n right-hand sides) is built
 only for reports (``group_inverse``).  The kernel of M,
 hence its rank, comes from one more run of the same exact elimination
 routine.  The spectrum of M comes from a hand-written cyclic Jacobi
@@ -85,13 +88,14 @@ class TransferStructure:
     """Exact transfer data: speeds v, pushed vectors P and the symmetric
     diffusion matrix M.
 
-    ``P[j]`` is Psi_j h1 = ((D_j[m] - v_j) h1[m])_m.  M is built from K
-    column solves against P; the full pseudo-inverse G is not kept, and
-    reports build it with ``group_inverse``.
+    ``P`` is the K x n matrix whose row j is Psi_j h1 =
+    ((D_j[m] - v_j) h1[m])_m.  M is built from K column solves against
+    Pᵀ; the full pseudo-inverse G is not kept, and reports build it with
+    ``group_inverse``.
     """
 
     v: Vector
-    P: tuple[Vector, ...]
+    P: RationalMatrix
     M: RationalMatrix
 
 
@@ -134,13 +138,9 @@ class ProfileQuery:
 
 
 def velocities(s: SystemSpec, sd: SpectralData) -> Vector:
-    """Exact transport speeds v_i = (D_i h1, h1_star), one Fraction each."""
-    pair, d = RationalMatrix((sd.h1, sd.h1_star)), RationalMatrix(s.D)
-    h, hs = pair.num
-    den = d.den * pair.den**2
-    return tuple(
-        Fraction(sum(x * a * b for x, a, b in zip(row, h, hs)), den) for row in d.num
-    )
+    """Exact transport speeds v_i = (D_i h1, h1_star): D diag(h1) h1_star."""
+    w = RationalMatrix(s.D).scale_columns(sd.h1) @ RationalMatrix(zip(sd.h1_star))
+    return tuple(w[i, 0] for i in range(s.K))
 
 
 def group_inverse(a: RationalMatrix, sd: SpectralData) -> RationalMatrix:
@@ -161,29 +161,19 @@ def group_inverse(a: RationalMatrix, sd: SpectralData) -> RationalMatrix:
 def build_M(s: SystemSpec, sd: SpectralData) -> TransferStructure:
     """Assemble the speeds, the pushed vectors P and the matrix M.
 
-    M needs G only on P.  As h1_starᵀ P = 0, G P is a solution X of
-    A X = P (``solve_particular``, K right-hand sides, not n) shifted
+    M needs G only on P.  As h1_starᵀ Pᵀ = 0, G Pᵀ is a solution X of
+    A X = Pᵀ (``solve_particular``, K right-hand sides, not n) shifted
     along h1, and the shift drops out of M because
-    q_i · h1 = h1_starᵀ Psi_i h1 = 0.  So M = Sym(Q X) with rows
-    q_i = psi_i ∘ h1_star.  Q comes from the integer rows of Psi and
-    h1_star, and M from the integer rows of Q X plus their transpose,
-    over twice its denominator, with no Fraction per entry.  G itself is
-    not built.
+    q_i · h1 = h1_starᵀ Psi_i h1 = 0.  With Psi = D - v 1ᵀ (row i is
+    psi_i), P = Psi diag(h1) and Q = Psi diag(h1_star) / 2, this gives
+    M = Q X + (Q X)ᵀ.  G itself is not built.
     """
     v = velocities(s, sd)
-    psi = [tuple(di - vi for di in d) for d, vi in zip(s.D, v)]
-    pushed = tuple(tuple(p * h for p, h in zip(row, sd.h1)) for row in psi)
-    x = solve_particular(s.A, RationalMatrix(zip(*pushed)))
-    psi_m, hs = RationalMatrix(psi), RationalMatrix((sd.h1_star,))
-    q = RationalMatrix._make(
-        [[a * b for a, b in zip(row, hs.num[0])] for row in psi_m.num], psi_m.den * hs.den
-    )
-    qx = q @ x
-    m = RationalMatrix._make(
-        [[a + b for a, b in zip(row, col)] for row, col in zip(qx.num, zip(*qx.num))],
-        2 * qx.den,
-    )
-    return TransferStructure(v=v, P=pushed, M=m)
+    psi = RationalMatrix(s.D) - RationalMatrix(zip(v)) @ RationalMatrix([[1] * s.n])
+    p = psi.scale_columns(sd.h1)
+    q = psi.scale_columns(tuple(Fraction(x, 2) for x in sd.h1_star))
+    qx = q @ solve_particular(s.A, p.transpose())
+    return TransferStructure(v=v, P=p, M=qx + qx.transpose())
 
 
 def jacobi_eigenvalues(sym: list[list[float]]) -> list[float]:
@@ -244,7 +234,7 @@ def analyze_structure(
         eigenvalues=eigs,
         predicted_rank=predicted,
         rank_matches_prediction=rank == predicted,
-        degenerate=rank_exact(RationalMatrix(ts.P)) < predicted,
+        degenerate=rank_exact(ts.P) < predicted,
         kernel_directions=kernel,
     )
 
@@ -331,6 +321,8 @@ def pde_residual(
     """
     if not h > 0:
         raise ValueError("step h must be positive")
+    if h * h == 0.0:
+        raise ValueError(f"step h = {h!r} is too small: h * h underflows to zero")
     if q.t - h < 0:
         raise ValueError("step h must keep t - h nonnegative")
     k = m.rows

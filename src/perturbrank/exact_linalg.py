@@ -3,19 +3,21 @@
 A ``RationalMatrix`` is an immutable dense row-major matrix held as integer
 rows ``num`` over one positive denominator ``den``, in canonical form:
 ``gcd(den, *num) == 1``, so equal values have equal fields.  This module
-alone decides that representation.  Rank, kernels, linear solves and the
-Hurwitz test all run one fraction-free (Bareiss) Gauss-Jordan elimination
-on the integer rows, each divided by the gcd of its entries, and the
-characteristic polynomial runs the Faddeev-LeVerrier recurrence on
-``num``.  So intermediate values stay integral and every division is
-checked to be exact.  A ``fractions.Fraction`` is built only where an entry
-or a vector leaves the module: ``m[i, j]``, ``repr``, kernel vectors and
-polynomial coefficients.  Nothing here is approximate.
+alone decides that representation: other modules build matrices from
+rows of exact entries and combine them with ``+``, ``-``, ``@``,
+``transpose`` and ``scale_columns``, which all run on the integer rows.
+Rank, kernels, linear solves and the Hurwitz test all run one
+fraction-free (Bareiss) Gauss-Jordan elimination on the integer rows,
+each divided by the gcd of its entries, and the characteristic
+polynomial runs the Faddeev-LeVerrier recurrence on ``num``.  So
+intermediate values stay integral and every division is checked to be
+exact.  A ``fractions.Fraction`` is built only where an entry or a vector
+leaves the module: ``m[i, j]``, ``repr``, kernel vectors and
+characteristic polynomial coefficients.  Nothing here is approximate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -29,7 +31,6 @@ CHARPOLY_SIZE_LIMIT = 32
 __all__ = [
     "CHARPOLY_SIZE_LIMIT",
     "InconsistentSystem",
-    "Polynomial",
     "RationalMatrix",
     "SizeLimitExceeded",
     "Vector",
@@ -129,14 +130,31 @@ class RationalMatrix:
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix._make(tuple(zip(*self.num)), self.den)
 
-    def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
+    def _combine(self, other: "RationalMatrix", sign: int) -> "RationalMatrix":
+        """self + sign·other over the lcm of the two denominators."""
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
         den = lcm(self.den, other.den)
-        fa, fb = den // self.den, den // other.den
+        fa, fb = den // self.den, sign * (den // other.den)
         return RationalMatrix._make(
-            [[fa * a - fb * b for a, b in zip(ra, rb)] for ra, rb in zip(self.num, other.num)],
+            [[fa * a + fb * b for a, b in zip(ra, rb)] for ra, rb in zip(self.num, other.num)],
             den,
+        )
+
+    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
+        return self._combine(other, 1)
+
+    def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
+        return self._combine(other, -1)
+
+    def scale_columns(self, v: Sequence[int | str | Fraction]) -> "RationalMatrix":
+        """``self @ diag(v)``: column j times v[j], on the integer rows."""
+        if len(v) != self.cols:
+            raise ValueError(f"{len(v)} column scales for {self.cols} columns")
+        w = RationalMatrix((v,))
+        (scales,) = w.num
+        return RationalMatrix._make(
+            [[x * c for x, c in zip(row, scales)] for row in self.num], self.den * w.den
         )
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
@@ -280,54 +298,15 @@ def solve_particular(m: RationalMatrix, y: RationalMatrix) -> RationalMatrix:
     return RationalMatrix._make(x, d)
 
 
-@dataclass(frozen=True)
-class Polynomial:
-    """Univariate polynomial, coefficients ascending, trailing zeros trimmed."""
+def charpoly_exact(m: RationalMatrix) -> Vector:
+    """Coefficients of det(λI - m), ascending, by the Faddeev-LeVerrier recurrence.
 
-    coefficients: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        coeffs = tuple(as_rational(c) for c in self.coefficients)
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        object.__setattr__(self, "coefficients", coeffs)
-
-    @property
-    def degree(self) -> int:
-        """Degree, with the zero polynomial at -1."""
-        return len(self.coefficients) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coefficients
-
-    def __call__(self, x: int | str | Fraction) -> Fraction:
-        x = as_rational(x)
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
-
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for power in range(self.degree, -1, -1):
-            c = self.coefficients[power]
-            if c == 0:
-                continue
-            mono = "1" if power == 0 else ("x" if power == 1 else f"x^{power}")
-            parts.append(f"{c}*{mono}" if power else f"{c}")
-        return " + ".join(parts)
-
-
-def charpoly_exact(m: RationalMatrix) -> Polynomial:
-    """Characteristic polynomial det(λI - m) by the Faddeev-LeVerrier recurrence.
-
-    The recurrence runs on the integer matrix B = m.num = d·m, with
-    d = m.den (one common multiplier, so B's polynomial is the same one
-    rescaled): B_1 = B, c_k = -tr(B_k) / k, an exact integer
-    division, and B_(k+1) = B·(B_k + c_k I).  The coefficient of λ^(n-k)
-    in the polynomial of m is then c_k / d^k.
+    The tuple has n + 1 entries and ends in the leading 1.  The
+    recurrence runs on the integer matrix B = m.num = d·m, with d = m.den
+    (one common multiplier, so B's polynomial is the same one rescaled):
+    B_1 = B, c_k = -tr(B_k) / k, an exact integer division, and
+    B_(k+1) = B·(B_k + c_k I).  The coefficient of λ^(n-k) in the
+    polynomial of m is then c_k / d^k.
     """
     if m.rows != m.cols:
         raise ValueError("characteristic polynomial of a non-square matrix")
@@ -345,27 +324,31 @@ def charpoly_exact(m: RationalMatrix) -> Polynomial:
                 bk[i][i] += ck
             cols = list(zip(*bk))
             bk = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in b]
-    return Polynomial(tuple(reversed(descending)))
+    return tuple(reversed(descending))
 
 
-def hurwitz_stable(p: Polynomial) -> bool:
-    """True iff every root of p has strictly negative real part.
+def hurwitz_stable(coeffs: Sequence[int | str | Fraction]) -> bool:
+    """True iff every root of the polynomial with these ascending
+    coefficients has strictly negative real part.
 
-    Classical Hurwitz-determinant criterion, evaluated exactly: after
-    normalizing the leading coefficient positive, all leading principal
-    minors of the Hurwitz matrix must be strictly positive.  One
-    fraction-free elimination of the Hurwitz matrix gives them all as its
-    pivots, so the test is: no row swap, n pivots, every pivot positive.
-    A nonzero constant has no roots and counts as stable.
+    Trailing zero coefficients are dropped; ``ZeroPolynomial`` is raised
+    when nothing is left.  Classical Hurwitz-determinant criterion,
+    evaluated exactly: after normalizing the leading coefficient
+    positive, all leading principal minors of the Hurwitz matrix must be
+    strictly positive.  One fraction-free elimination of the Hurwitz
+    matrix gives them all as its pivots, so the test is: no row swap,
+    n pivots, every pivot positive.  A nonzero constant has no roots and
+    counts as stable.
     """
-    if p.is_zero():
+    # A positive multiple clears the denominators; zeros stay zeros.
+    desc = RationalMatrix([coeffs[::-1]]).num[0] if coeffs else ()
+    lead = next((i for i, c in enumerate(desc) if c), None)
+    if lead is None:
         raise ZeroPolynomial("the zero polynomial has no stability verdict")
-    coeffs = p.coefficients
-    n = len(coeffs) - 1
+    desc = desc[lead:]
+    n = len(desc) - 1
     if n == 0:
         return True
-    # A positive multiple clears the denominators and the leading sign.
-    (desc,) = RationalMatrix([coeffs[::-1]]).num
     if desc[0] < 0:
         desc = [-c for c in desc]  # desc[0] > 0 leads
     # Positive coefficients are necessary; bail out early when violated.

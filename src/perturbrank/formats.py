@@ -130,7 +130,10 @@ def load_instance_file(path: str) -> tuple[SystemSpec, Vector | None]:
     """Read an instance file; returns the system plus the recorded initial
     direction H when present (H is echoed into reports, never computed with)."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc})") from exc
     try:
         data = json.loads(text)
     except ValueError as exc:  # also an integer literal int() refuses to convert

@@ -26,7 +26,6 @@ from fractions import Fraction
 
 from .exact_linalg import (
     InconsistentSystem,
-    Polynomial,
     RationalMatrix,
     Vector,
     charpoly_exact,
@@ -42,6 +41,9 @@ SIMILARITY_FAMILY = "similarity_transformed"
 FAMILIES = (MARKOV_FAMILY, SIMILARITY_FAMILY)
 
 _MAX_GENERATION_ATTEMPTS = 200
+
+#: Largest absolute numerator and denominator of a generated entry.
+_ENTRY_BOUND = 6
 
 __all__ = [
     "FAMILIES",
@@ -115,7 +117,6 @@ class GeneratorConfig:
     K: int
     seed: int
     family: str = MARKOV_FAMILY
-    entry_bound: int = 6
 
     def __post_init__(self):
         if self.n < 2 or self.K < 2:
@@ -124,8 +125,6 @@ class GeneratorConfig:
             raise ValueError("seed must fit in 64 unsigned bits")
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
-        if self.entry_bound < 1:
-            raise ValueError("entry_bound must be positive")
 
 
 def null_pair_normalized(a: RationalMatrix) -> tuple[Vector, Vector]:
@@ -160,14 +159,12 @@ def _check_spectrum(a: RationalMatrix) -> None:
     vectors non-orthogonal, so ``null_pair_normalized`` cannot raise once
     this check has passed.
     """
-    p = charpoly_exact(a)
-    coeffs = p.coefficients
+    coeffs = charpoly_exact(a)
     if coeffs[0] != 0:
         raise KernelDimensionError("zero is not an eigenvalue")
-    if len(coeffs) < 2 or coeffs[1] == 0:
+    if coeffs[1] == 0:
         raise KernelDimensionError("zero eigenvalue is not simple")
-    deflated = Polynomial(coeffs[1:])
-    if not hurwitz_stable(deflated):
+    if not hurwitz_stable(coeffs[1:]):  # the deflated polynomial
         raise NotStable("nonzero spectrum is not contained in the open left half-plane")
 
 
@@ -223,12 +220,12 @@ def _sample_interaction(
     cfg: GeneratorConfig, rng: random.Random
 ) -> tuple[RationalMatrix, tuple[Vector, Vector]]:
     """One interaction matrix with its normalized null pair."""
-    base = _markov_generator(rng, cfg.n, cfg.entry_bound)
+    base = _markov_generator(rng, cfg.n, _ENTRY_BOUND)
     if cfg.family == MARKOV_FAMILY:
         return base, null_pair_normalized(base)
-    t_bound = min(cfg.entry_bound, 3)  # keeps conjugated denominators modest
     for _ in range(_MAX_GENERATION_ATTEMPTS):
-        a = _random_similar(rng, base, t_bound)
+        # T entries in [-3, 3] keep conjugated denominators modest
+        a = _random_similar(rng, base, 3)
         h1, h1_star = pair = null_pair_normalized(a)
         # Stay inside the rank law's evident hypothesis class: the
         # conjugation must not park a null vector on a coordinate plane.
@@ -268,7 +265,7 @@ def _sample_diagonals(cfg: GeneratorConfig, rng: random.Random) -> tuple[Vector,
     diagonals: list[Vector] = []
     for _ in range(cfg.K):
         for _ in range(_MAX_GENERATION_ATTEMPTS):
-            d = tuple(_signed_fraction(rng, cfg.entry_bound) for _ in range(cfg.n))
+            d = tuple(_signed_fraction(rng, _ENTRY_BOUND) for _ in range(cfg.n))
             if len(set(d)) != cfg.n or any(d == prev for prev in diagonals):
                 continue
             if len(diagonals) < cfg.n - 1:

@@ -183,7 +183,7 @@ def test_exact_identity_suite():
         assert s.A @ RationalMatrix(zip(sd.h1)) == RationalMatrix([[0]] * n)
         assert tuple(dot(tuple(s.A[i, j] for i in range(n)), sd.h1_star) for j in range(n)) == zero_n
         assert dot(sd.h1, sd.h1_star) == Fraction(1)
-        w = [ts.P[i] for i in range(k)]
+        w = [tuple(ts.P[i, j] for j in range(n)) for i in range(k)]
         for wi in w:
             assert dot(wi, sd.h1_star) == Fraction(0)
         g = group_inverse(s.A, sd)

@@ -147,7 +147,9 @@ class TestBuildM:
 
     def test_psi_definition(self):
         sd, ts = _pipeline(W1)
-        for p, d, vi in zip(ts.P, W1.D, ts.v):
+        assert (ts.P.rows, ts.P.cols) == (W1.K, W1.n)
+        for i, (d, vi) in enumerate(zip(W1.D, ts.v)):
+            p = tuple(ts.P[i, j] for j in range(W1.n))
             assert p == tuple((x - vi) * h for x, h in zip(d, sd.h1))
 
     def test_solves_only_the_K_pushed_columns(self, monkeypatch):
@@ -184,8 +186,7 @@ class TestBuildM:
             b = RationalMatrix(
                 [[(sg[r, c] + sg[c, r]) / 2 for c in range(s.n)] for r in range(s.n)]
             )
-            p = RationalMatrix(zip(*ts.P))
-            assert p.transpose() @ b @ p == ts.M
+            assert ts.P @ b @ ts.P.transpose() == ts.M
 
     def test_symmetry_exact(self):
         rng = random.Random(11)

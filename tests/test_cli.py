@@ -129,6 +129,14 @@ class TestAnalyze:
         assert err.startswith(f"error: {path}: ")
         assert len(err) < 300
 
+    def test_non_utf8_file_names_itself(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + json.dumps(W1_DICT).encode("utf-16-le"))
+        assert run_command(["analyze", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: not UTF-8 text")
+
     @pytest.mark.parametrize(
         "entry", ["x" * 100_000, "1/" + "0" * 4000], ids=["letters", "zero-denominator"]
     )
@@ -429,6 +437,15 @@ class TestProfileCommands:
         )
         assert rc == 0
         assert json.loads(capsys.readouterr().out) < 1e-5
+
+    def test_residual_step_whose_square_underflows(self, w1_path, capsys):
+        rc = run_command(
+            ["residual", "--instance", w1_path, "--t", "1", "--zeta", "0,0", "--h", "1e-170"]
+        )
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: step h = 1e-170 is too small")
 
     def test_residual_wrong_zeta_length(self, w1_path, capsys):
         rc = run_command(

@@ -26,6 +26,7 @@ from perturbrank.model import (
     NotStable,
     SpectralData,
     SystemSpec,
+    _ENTRY_BOUND,
     _markov_generator,
     _random_similar,
     generate_instance,
@@ -149,8 +150,6 @@ class TestGeneratorConfig:
             GeneratorConfig(n=2, K=2, seed=2**64)
         with pytest.raises(ValueError):
             GeneratorConfig(n=2, K=2, seed=0, family="other")
-        with pytest.raises(ValueError):
-            GeneratorConfig(n=2, K=2, seed=0, entry_bound=0)
 
 
 def _fraction_similar(
@@ -237,7 +236,7 @@ class TestGenerateInstance:
         # so the conjugated instance must share its characteristic polynomial.
         cfg = GeneratorConfig(n=4, K=2, seed=31337, family=SIMILARITY_FAMILY)
         s, _ = generate_instance(cfg)
-        base = _markov_generator(random.Random(cfg.seed), cfg.n, cfg.entry_bound)
+        base = _markov_generator(random.Random(cfg.seed), cfg.n, _ENTRY_BOUND)
         assert charpoly_exact(s.A) == charpoly_exact(base)
 
     def test_null_pair_computed_once_per_draw(self, monkeypatch):
@@ -290,10 +289,13 @@ class TestGenerateInstance:
                 break
         assert found_non_markov
 
-    def test_generation_failure_when_bound_too_tight(self):
-        # entry_bound=1 gives only 3 possible diagonal values; 8 distinct
-        # entries are impossible, so bounded resampling must give up.
-        cfg = GeneratorConfig(n=8, K=2, seed=0, family=MARKOV_FAMILY, entry_bound=1)
+    def test_generation_failure_when_bound_too_tight(self, monkeypatch):
+        # an entry bound of 1 gives only 3 possible diagonal values; 8
+        # distinct entries are impossible, so bounded resampling must give up.
+        import perturbrank.model as model
+
+        monkeypatch.setattr(model, "_ENTRY_BOUND", 1)
+        cfg = GeneratorConfig(n=8, K=2, seed=0, family=MARKOV_FAMILY)
         with pytest.raises(GenerationFailed):
             generate_instance(cfg)
 
