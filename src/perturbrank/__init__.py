@@ -39,6 +39,7 @@ from .model import (
     validate_system,
 )
 from .asymptotics import (
+    BREACH_KINDS,
     DISSIPATIVITY_TOLERANCE,
     RANK_AGREEMENT_TOLERANCE,
     NotDissipative,
@@ -75,13 +76,6 @@ from .symbolic import (
     symbolic_report,
     verify_rank_one_identity,
 )
-from .search import (
-    BREACH_KINDS,
-    CampaignConfig,
-    Classification,
-    classify_instance,
-    derive_instance_seed,
-    run_campaign,
-)
+from .search import CampaignConfig, derive_instance_seed, run_campaign
 
 __version__ = "0.1.0"

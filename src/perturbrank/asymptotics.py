@@ -24,6 +24,26 @@ limiting profile itself is an anisotropic Gaussian with covariance
 sigma0² I - 2 M t, evaluated in floats with numpy; only that Gaussian
 imports numpy, on its first call, so the exact routes never load it.
 Every query value must be finite.
+
+``analyze_structure`` gives the one verdict that ``analyze``, campaigns
+and library calls share.  The outcome comes from exact arithmetic alone:
+
+  match       rank M = min(n-1, K)
+  degenerate  rank span{Psi_i h1} < min(n-1, K); the rank law is not
+              asserted there, and the generator never draws there
+  violation   a rank mismatch on a non-degenerate instance
+
+Two invariants are measured on the float image of M and recorded as
+breaches when they fail; they never change the outcome:
+
+  dissipativity   no numeric eigenvalue of M above tolerance: a theorem
+                  for the markov_generator family (z -> (z, Sym(S G) z),
+                  S = diag(h1*_m / h1_m), pulls back to a nonpositive
+                  Markov Dirichlet form), but not similarity-invariant,
+                  so transformed instances can have indefinite M.
+                  ``phi0_eval`` refuses such an M by the same test.
+  rank_agreement  the numerically nonzero eigenvalue count equals the
+                  exact rank; a breach is float trouble, not mathematics.
 """
 
 from __future__ import annotations
@@ -53,7 +73,14 @@ DISSIPATIVITY_TOLERANCE = 1e-9
 #: cross-checking the exact rank.
 RANK_AGREEMENT_TOLERANCE = 1e-8
 
+MATCH = "match"
+DEGENERATE = "degenerate"
+VIOLATION = "violation"
+
+BREACH_KINDS = ("dissipativity", "rank_agreement")
+
 __all__ = [
+    "BREACH_KINDS",
     "DISSIPATIVITY_TOLERANCE",
     "JACOBI_MAX_SWEEPS",
     "JACOBI_TOLERANCE",
@@ -101,12 +128,18 @@ class TransferStructure:
 
 @dataclass(frozen=True)
 class StructureReport:
+    """Exact rank, Jacobi spectrum and the verdict for one M: ``outcome``
+    (MATCH, DEGENERATE or VIOLATION) and ``breaches``, JSON-ready dicts
+    with a ``kind`` from BREACH_KINDS and the offending numbers."""
+
     rank_exact: int
     eigenvalues: tuple[float, ...]
     predicted_rank: int
     rank_matches_prediction: bool
     degenerate: bool
     kernel_directions: tuple[Vector, ...]
+    outcome: str
+    breaches: tuple[dict, ...]
 
 
 @dataclass(frozen=True)
@@ -139,8 +172,12 @@ class ProfileQuery:
 
 def velocities(s: SystemSpec, sd: SpectralData) -> Vector:
     """Exact transport speeds v_i = (D_i h1, h1_star): D diag(h1) h1_star."""
-    w = RationalMatrix(s.D).scale_columns(sd.h1) @ RationalMatrix(zip(sd.h1_star))
-    return tuple(w[i, 0] for i in range(s.K))
+    return _speeds(RationalMatrix(s.D), sd)
+
+
+def _speeds(d: RationalMatrix, sd: SpectralData) -> Vector:
+    w = d.scale_columns(sd.h1) @ RationalMatrix(zip(sd.h1_star))
+    return tuple(w[i, 0] for i in range(d.rows))
 
 
 def group_inverse(a: RationalMatrix, sd: SpectralData) -> RationalMatrix:
@@ -168,8 +205,9 @@ def build_M(s: SystemSpec, sd: SpectralData) -> TransferStructure:
     psi_i), P = Psi diag(h1) and Q = Psi diag(h1_star) / 2, this gives
     M = Q X + (Q X)ᵀ.  G itself is not built.
     """
-    v = velocities(s, sd)
-    psi = RationalMatrix(s.D) - RationalMatrix(zip(v)) @ RationalMatrix([[1] * s.n])
+    d = RationalMatrix(s.D)
+    v = _speeds(d, sd)
+    psi = d - RationalMatrix(zip(v)) @ RationalMatrix([[1] * s.n])
     p = psi.scale_columns(sd.h1)
     q = psi.scale_columns(tuple(Fraction(x, 2) for x in sd.h1_star))
     qx = q @ solve_particular(s.A, p.transpose())
@@ -212,6 +250,26 @@ def jacobi_eigenvalues(sym: list[list[float]]) -> list[float]:
     return sorted(a[i][i] for i in range(n))
 
 
+def _float_spectrum(m: RationalMatrix) -> tuple[tuple[float, ...], float]:
+    """Jacobi eigenvalues (ascending) of the float image of m, and its max|entry|."""
+    mf = m.to_float()
+    scale = max((abs(x) for row in mf for x in row), default=0.0)
+    return tuple(jacobi_eigenvalues(mf)), scale
+
+
+def _dissipativity_breach(eigs: tuple[float, ...], scale: float) -> dict | None:
+    """The one dissipativity test: a breach record when the largest
+    numeric eigenvalue exceeds ``DISSIPATIVITY_TOLERANCE`` times max|M|."""
+    if eigs and eigs[-1] > DISSIPATIVITY_TOLERANCE * scale:
+        return {
+            "kind": "dissipativity",
+            "max_eigenvalue": eigs[-1],
+            "scale": scale,
+            "tolerance": DISSIPATIVITY_TOLERANCE,
+        }
+    return None
+
+
 def analyze_structure(
     ts: TransferStructure, s: SystemSpec, sd: SpectralData
 ) -> StructureReport:
@@ -221,21 +279,40 @@ def analyze_structure(
     read off one elimination of M; the Jacobi spectrum is the independent
     float route.  The prediction is min(n - 1, K).  ``degenerate`` is the
     one definition of degeneracy, rank span{Psi_i h1} < min(n - 1, K),
-    where the rank law is not asserted; campaigns read it.  The generator
-    screens it out by rank[1; D] - 1, equal to it only for an h1 without
-    zero entries; a hand-fed h1 may have one, so this test stays on P.
+    where the rank law is not asserted; otherwise the outcome is MATCH
+    iff rank M = min(n - 1, K).  The generator screens degeneracy out by
+    rank[1; D] - 1, equal to it only for an h1 without zero entries; a
+    hand-fed h1 may have one, so this test stays on P.  The breaches read
+    the Jacobi spectrum against max|M| of the same float image.
     """
     kernel = tuple(nullspace(ts.M))
     rank = ts.M.cols - len(kernel)
-    eigs = tuple(jacobi_eigenvalues(ts.M.to_float()))
+    eigs, scale = _float_spectrum(ts.M)
     predicted = min(s.n - 1, s.K)
+    degenerate = rank_exact(ts.P) < predicted
+    outcome = DEGENERATE if degenerate else MATCH if rank == predicted else VIOLATION
+    breach = _dissipativity_breach(eigs, scale)
+    breaches = [] if breach is None else [breach]
+    numeric_rank = sum(1 for ev in eigs if abs(ev) > RANK_AGREEMENT_TOLERANCE * scale)
+    if numeric_rank != rank:
+        breaches.append(
+            {
+                "kind": "rank_agreement",
+                "numeric_rank": numeric_rank,
+                "rank_exact": rank,
+                "scale": scale,
+                "tolerance": RANK_AGREEMENT_TOLERANCE,
+            }
+        )
     return StructureReport(
         rank_exact=rank,
         eigenvalues=eigs,
         predicted_rank=predicted,
         rank_matches_prediction=rank == predicted,
-        degenerate=rank_exact(ts.P) < predicted,
+        degenerate=degenerate,
         kernel_directions=kernel,
+        outcome=outcome,
+        breaches=tuple(breaches),
     )
 
 
@@ -247,12 +324,10 @@ def _covariance(m: RationalMatrix, t: float, sigma0: float):
 
 
 def _require_dissipative(m: RationalMatrix) -> None:
-    mf = m.to_float()
-    top = max((abs(x) for row in mf for x in row), default=0.0)
-    eigs = jacobi_eigenvalues(mf)
-    if eigs and eigs[-1] > DISSIPATIVITY_TOLERANCE * top:
+    breach = _dissipativity_breach(*_float_spectrum(m))
+    if breach is not None:
         raise NotDissipative(
-            f"largest numeric eigenvalue {eigs[-1]:.3e} exceeds tolerance"
+            f"largest numeric eigenvalue {breach['max_eigenvalue']:.3e} exceeds tolerance"
         )
 
 
@@ -327,6 +402,8 @@ def pde_residual(
         raise ValueError("step h must keep t - h nonnegative")
     k = m.rows
     center = phi0_eval(m, q, zeta)  # checks zeta and dissipativity once
+    if q.t + h == q.t or any(z + h == z or z - h == z for z in zeta):
+        raise ValueError(f"step h = {h!r} is too small: t or zeta does not move by h")
 
     def phi(tval: float, point: tuple[float, ...]) -> float:
         return _gaussian(m, replace(q, t=tval), point)

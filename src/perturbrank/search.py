@@ -1,36 +1,14 @@
 """Randomized verification of the rank law and search for counterexamples.
 
 Campaigns sweep a grid of (n, K) cells, sample admissible systems from the
-generator families, and classify each instance exactly:
-
-  match       rank M equals min(n-1, K)
-  degenerate  rank span{Psi_i h1} < min(n-1, K), as analyze_structure
-              defines it (the rank law is not asserted there; the
-              generator screens its draws off this stratum)
-  violation   a rank mismatch on a non-degenerate instance
-
-Alongside the rank verdict, two monitored invariants are measured on
-every instance and recorded as breaches when they fail — they never
-affect the match/degenerate/violation partition or the campaign verdict:
-
-  dissipativity    no numeric eigenvalue of M above tolerance.  This is
-                   a theorem for the markov_generator family (the form
-                   z -> (z, Sym(S G) z) with S = diag(h1*_m / h1_m)
-                   pulls back to a Markov Dirichlet form, which is
-                   nonpositive), but it is NOT similarity-invariant:
-                   transformed instances can have mixed-sign h1 * h1*
-                   weights and genuinely indefinite M.  Breaches from
-                   that family are expected findings, captured in full.
-  rank_agreement   the count of numerically nonzero eigenvalues equals
-                   the exact rank; a breach here means the float
-                   eigensolver disagrees with exact arithmetic.
-
-Per-instance seeds are derived by hashing (campaign seed, n, K, index),
-so the result set is a pure function of the configuration no matter how
-work is scheduled across processes.  Violations and breaches are the
-valuable output: each is serialized as a standalone instance file that
-the analyze command can replay.  A clean sweep is evidence for the
-expected structure, never proof.
+generator families, and count each instance under the outcome and the
+breaches of ``asymptotics.analyze_structure``.  Per-instance seeds are
+derived by hashing (campaign seed, n, K, index), so the result set is a
+pure function of the configuration no matter how work is scheduled
+across processes.  Violations and breaches are the valuable output: each
+is serialized as a standalone instance file that the analyze command can
+replay.  A clean sweep is evidence for the expected structure, never
+proof.
 """
 
 from __future__ import annotations
@@ -42,40 +20,24 @@ from dataclasses import dataclass
 from itertools import product, repeat
 
 from .asymptotics import (
-    DISSIPATIVITY_TOLERANCE,
-    RANK_AGREEMENT_TOLERANCE,
-    StructureReport,
-    TransferStructure,
+    BREACH_KINDS,
+    DEGENERATE,
+    MATCH,
+    VIOLATION,
     analyze_structure,
     build_M,
 )
 from .formats import FORMAT_VERSION, build_report, dumps, instance_to_dict
-from .model import (
-    FAMILIES,
-    GeneratorConfig,
-    SpectralData,
-    SystemSpec,
-    GenerationFailed,
-    generate_instance,
-)
+from .model import FAMILIES, GeneratorConfig, GenerationFailed, generate_instance
 
 __all__ = [
-    "BREACH_KINDS",
     "CampaignConfig",
-    "Classification",
     "RANGE_LIMITS",
-    "classify_instance",
     "derive_instance_seed",
     "run_campaign",
 ]
 
 RANGE_LIMITS = (2, 8)
-
-MATCH = "match"
-DEGENERATE = "degenerate"
-VIOLATION = "violation"
-
-BREACH_KINDS = ("dissipativity", "rank_agreement")
 
 
 @dataclass(frozen=True)
@@ -112,79 +74,12 @@ class CampaignConfig:
             raise ValueError("worker_count must be at least 1")
 
 
-@dataclass(frozen=True)
-class Classification:
-    """Rank-law outcome plus any monitored-invariant breaches.
-
-    ``outcome`` depends only on exact degeneracy and the rank law; each
-    entry of ``breaches`` is a JSON-ready detail dict with a ``kind``
-    from BREACH_KINDS and the offending numbers.  ``ts`` is the transfer
-    structure the verdict came from, so a full report needs no second pass.
-    """
-
-    outcome: str
-    report: StructureReport
-    breaches: tuple[dict, ...]
-    ts: TransferStructure
-
-
 def derive_instance_seed(seed: int, n: int, k: int, index: int) -> int:
     """Stable 64-bit per-instance seed from the campaign coordinates."""
     digest = hashlib.blake2b(
         f"{seed}:{n}:{k}:{index}".encode("ascii"), digest_size=8
     ).digest()
     return int.from_bytes(digest, "big")
-
-
-def classify_instance(s: SystemSpec, sd: SpectralData) -> Classification:
-    """Exact verdict for one admissible instance with its spectral data.
-
-    ``sd`` comes from ``validate_system`` or ``generate_instance``; ``s``
-    is not validated again.  The instance is degenerate when
-    rank span{Psi_i h1} < min(n - 1, K) (``StructureReport.degenerate``);
-    otherwise it matches iff rank M = min(n - 1, K) exactly.
-
-    Independently of that partition, two invariants are measured on every
-    instance and returned as breach records when they fail: no numeric
-    eigenvalue of M above the dissipativity tolerance, and agreement
-    between the numerically nonzero eigenvalue count and the exact rank.
-    Breaches never change the outcome.
-    """
-    ts = build_M(s, sd)
-    report = analyze_structure(ts, s, sd)
-
-    scale = max(abs(x) for row in ts.M.to_float() for x in row)
-    breaches: list[dict] = []
-    if report.eigenvalues and report.eigenvalues[-1] > DISSIPATIVITY_TOLERANCE * scale:
-        breaches.append(
-            {
-                "kind": "dissipativity",
-                "max_eigenvalue": report.eigenvalues[-1],
-                "scale": scale,
-                "tolerance": DISSIPATIVITY_TOLERANCE,
-            }
-        )
-    numeric_rank = sum(
-        1 for ev in report.eigenvalues if abs(ev) > RANK_AGREEMENT_TOLERANCE * scale
-    )
-    if numeric_rank != report.rank_exact:
-        breaches.append(
-            {
-                "kind": "rank_agreement",
-                "numeric_rank": numeric_rank,
-                "rank_exact": report.rank_exact,
-                "scale": scale,
-                "tolerance": RANK_AGREEMENT_TOLERANCE,
-            }
-        )
-
-    if report.degenerate:
-        outcome = DEGENERATE
-    elif report.rank_exact == report.predicted_rank:
-        outcome = MATCH
-    else:
-        outcome = VIOLATION
-    return Classification(outcome, report, tuple(breaches), ts)
 
 
 def _violation_name(n: int, k: int, index: int) -> str:
@@ -222,7 +117,8 @@ def _run_cell(cfg: CampaignConfig, n: int, k: int, artifact_dir: str | None) -> 
             spec, sd = generate_instance(gen)
         except GenerationFailed as exc:
             raise GenerationFailed(f"cell n={n}, K={k}, index={index}: {exc}") from exc
-        verdict = classify_instance(spec, sd)
+        ts = build_M(spec, sd)
+        verdict = analyze_structure(ts, spec, sd)
         if verdict.outcome == MATCH:
             cell["matches"] += 1
         elif verdict.outcome == DEGENERATE:
@@ -237,7 +133,7 @@ def _run_cell(cfg: CampaignConfig, n: int, k: int, artifact_dir: str | None) -> 
                     "instance_seed": instance_seed,
                     "family": family,
                     "instance": instance,
-                    "report": build_report(spec, sd, verdict.ts, verdict.report),
+                    "report": build_report(spec, sd, ts, verdict),
                     "artifact": _write_artifact(
                         artifact_dir, _violation_name(n, k, index), instance
                     ),

@@ -16,7 +16,9 @@ from fractions import Fraction
 import pytest
 
 from perturbrank.asymptotics import (
+    NotDissipative,
     ProfileQuery,
+    analyze_structure,
     build_M,
     group_inverse,
     pde_residual,
@@ -35,7 +37,6 @@ from perturbrank.model import (
 )
 from perturbrank.search import (
     CampaignConfig,
-    classify_instance,
     derive_instance_seed,
     run_campaign,
 )
@@ -49,6 +50,12 @@ W1_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "instances", "w1.js
 
 SYMBOLIC_DEADLINE_SECONDS = 10.0
 RESIDUAL_RATIO_WINDOW = (3.2, 4.8)
+
+
+def _verdict(spec):
+    sd = validate_system(spec)
+    ts = build_M(spec, sd)
+    return ts, analyze_structure(ts, spec, sd)
 
 
 def _line(ok: bool, name: str, detail: str) -> bool:
@@ -133,9 +140,9 @@ def test_rank_law_on_extended_grid(extended_grid):
         for violation in cell["violations"]:
             assert violation["artifact"] is not None
             spec = load_instance_file(os.path.join(art, violation["artifact"]))[0]
-            again = classify_instance(spec, validate_system(spec))
+            _, again = _verdict(spec)
             assert again.outcome == "violation"
-            assert again.report.rank_exact == violation["report"]["structure"]["rank_exact"]
+            assert again.rank_exact == violation["report"]["structure"]["rank_exact"]
             replayed += 1
     violations = sum(len(cell["violations"]) for cell in report["cells"])
     ok = violations == 0 and report["verdict"] == "all_match"
@@ -254,12 +261,17 @@ def test_dissipativity_measured_and_breaches_replayable(small_grid, extended_gri
         )
         assert breach["artifact"] is not None
         spec = load_instance_file(os.path.join(art, breach["artifact"]))[0]
-        again = classify_instance(spec, validate_system(spec))
+        ts, again = _verdict(spec)
         replay = next(
             (d for d in again.breaches if d["kind"] == "dissipativity"), None
         )
         assert replay is not None, "breach did not reproduce on replay"
         assert {k: v for k, v in replay.items() if k != "kind"} == breach["detail"]
+        # phi0 refuses the same M by the same predicate
+        origin = (0.0,) * spec.K
+        q = ProfileQuery(epsilon=1.0, t=1.0, x=origin, sigma0=1.0, amplitude=1.0)
+        with pytest.raises(NotDissipative):
+            phi0_eval(ts.M, q, origin)
 
     markov_clean = all(b["family"] != MARKOV_FAMILY for b, _ in breaches)
     ok = markov_clean and all(b["artifact"] is not None for b, _ in breaches)
@@ -268,7 +280,7 @@ def test_dissipativity_measured_and_breaches_replayable(small_grid, extended_gri
         "dissipativity monitoring",
         f"{total} instances measured at 1e-9·max|M|; "
         f"{MARKOV_FAMILY}: 0 breaches; {SIMILARITY_FAMILY}: {len(breaches)} "
-        "breaches, all captured and replayed identically",
+        "breaches, all captured, replayed identically and refused by phi0",
     )
 
 

@@ -438,14 +438,16 @@ class TestProfileCommands:
         assert rc == 0
         assert json.loads(capsys.readouterr().out) < 1e-5
 
-    def test_residual_step_whose_square_underflows(self, w1_path, capsys):
+    @pytest.mark.parametrize("h", ["1e-170", "1e-100"])
+    def test_residual_step_whose_square_underflows(self, w1_path, capsys, h):
+        # 1e-170: h * h underflows; 1e-100: t + h rounds back to t = 1
         rc = run_command(
-            ["residual", "--instance", w1_path, "--t", "1", "--zeta", "0,0", "--h", "1e-170"]
+            ["residual", "--instance", w1_path, "--t", "1", "--zeta", "0,0", "--h", h]
         )
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: step h = 1e-170 is too small")
+        assert captured.err.startswith(f"error: step h = {h} is too small")
 
     def test_residual_wrong_zeta_length(self, w1_path, capsys):
         rc = run_command(

@@ -220,6 +220,28 @@ def test_no_module_reads_how_exact_numbers_are_held():
     assert leaks == []
 
 
+def test_tolerances_are_read_only_in_asymptotics():
+    # one definition of dissipativity and of rank agreement; __init__
+    # only re-exports the names through its import
+    names = {"DISSIPATIVITY_TOLERANCE", "RANK_AGREEMENT_TOLERANCE"}
+    uses = []
+    for path in sorted(Path(perturbrank.__file__).parent.glob("*.py")):
+        if path.stem == "asymptotics":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias) and path.stem != "__init__":
+                name = node.name
+            else:
+                continue
+            if name in names:
+                uses.append(f"{path.name}: {name}")
+    assert uses == []
+
+
 def test_no_module_imports_private_names_from_exact_linalg():
     # how exact numbers are held is exact_linalg's decision alone
     leaks = []

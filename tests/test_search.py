@@ -8,7 +8,7 @@ import os
 import pytest
 
 import perturbrank.model
-from perturbrank.asymptotics import analyze_structure, build_M
+from perturbrank.asymptotics import StructureReport, analyze_structure, build_M
 from perturbrank.cli import run_command
 from perturbrank.exact_linalg import RationalMatrix
 from perturbrank.formats import (
@@ -27,8 +27,6 @@ from perturbrank.model import (
 )
 from perturbrank.search import (
     CampaignConfig,
-    Classification,
-    classify_instance,
     derive_instance_seed,
     run_campaign,
 )
@@ -51,8 +49,9 @@ TRIPLE_A = RationalMatrix([[-2, 1, 1], [1, -2, 1], [1, 1, -2]])
 PATH_A = RationalMatrix([[-1, 1, 0], [1, -2, 1], [0, 1, -1]])
 
 
-def _classify(spec: SystemSpec) -> Classification:
-    return classify_instance(spec, validate_system(spec))
+def _verdict(spec: SystemSpec, sd=None) -> StructureReport:
+    sd = validate_system(spec) if sd is None else sd
+    return analyze_structure(build_M(spec, sd), spec, sd)
 
 
 class TestCampaignConfig:
@@ -103,11 +102,11 @@ class TestSeedDerivation:
 
 class TestClassifyInstance:
     def test_w1_matches(self):
-        verdict = _classify(W1)
-        assert isinstance(verdict, Classification)
+        verdict = _verdict(W1)
+        assert isinstance(verdict, StructureReport)
         assert verdict.outcome == "match"
         assert verdict.breaches == ()
-        assert verdict.report.rank_exact == 1
+        assert verdict.rank_exact == 1
 
     def test_constant_diagonals_degenerate(self):
         spec = SystemSpec(
@@ -116,9 +115,9 @@ class TestClassifyInstance:
             D=((3, 3), (3, 3)),
             A=RationalMatrix([[-1, 1], [1, -1]]),
         )
-        verdict = _classify(spec)
+        verdict = _verdict(spec)
         assert verdict.outcome == "degenerate"
-        assert verdict.report.rank_exact == 0
+        assert verdict.rank_exact == 0
 
     def test_equal_nonconstant_diagonals_degenerate(self):
         # both directions carry diag(1, 2, 3): Psi_i h1 = (-1, 0, 1) != 0,
@@ -126,11 +125,11 @@ class TestClassifyInstance:
         # dimensions, so M is the rank-one multiple -2/9 of the all-ones
         # matrix and the rank law is not asserted
         spec = SystemSpec(n=3, K=2, D=((1, 2, 3), (1, 2, 3)), A=TRIPLE_A)
-        verdict = _classify(spec)
+        verdict = _verdict(spec)
         assert verdict.outcome == "degenerate"
         assert verdict.breaches == ()
-        assert verdict.report.rank_exact == 1
-        assert verdict.report.degenerate
+        assert verdict.rank_exact == 1
+        assert verdict.degenerate
 
     def test_affinely_dependent_diagonals_degenerate(self):
         # D_2 = 2 D_1 - 3 (1,1,1) pushes both directions onto one line:
@@ -139,19 +138,19 @@ class TestClassifyInstance:
         # The span test puts such hand-fed instances off the
         # general-position stratum, where the generator never samples.
         spec = SystemSpec(n=3, K=2, D=((1, 2, 4), (-1, 1, 5)), A=PATH_A)
-        verdict = _classify(spec)
+        verdict = _verdict(spec)
         assert verdict.outcome == "degenerate"
-        assert verdict.report.rank_exact == 1
-        assert verdict.report.predicted_rank == 2
-        assert verdict.report.degenerate
+        assert verdict.rank_exact == 1
+        assert verdict.predicted_rank == 2
+        assert verdict.degenerate
 
     def test_generated_instances_within_rank_ceiling(self):
         for seed in range(6):
             spec, sd = generate_instance(
                 GeneratorConfig(n=4, K=3, seed=seed, family=FAMILIES[seed % 2])
             )
-            verdict = classify_instance(spec, sd)
-            assert verdict.report.rank_exact <= verdict.report.predicted_rank
+            verdict = _verdict(spec, sd)
+            assert verdict.rank_exact <= verdict.predicted_rank
 
     def test_breaches_never_change_the_outcome(self):
         # sweep a handful of generated instances; whenever a breach is
@@ -164,7 +163,7 @@ class TestClassifyInstance:
                     n=2, K=3, seed=seed, family="similarity_transformed"
                 )
             )
-            verdict = classify_instance(spec, sd)
+            verdict = _verdict(spec, sd)
             assert verdict.outcome in ("match", "degenerate", "violation")
             for detail in verdict.breaches:
                 seen_kinds.add(detail["kind"])
@@ -173,9 +172,9 @@ class TestClassifyInstance:
                 else:
                     assert detail["numeric_rank"] != detail["rank_exact"]
             if verdict.outcome == "match":
-                assert verdict.report.rank_exact == verdict.report.predicted_rank
+                assert verdict.rank_exact == verdict.predicted_rank
             elif verdict.outcome == "violation":
-                assert verdict.report.rank_exact != verdict.report.predicted_rank
+                assert verdict.rank_exact != verdict.predicted_rank
         # the similarity family is known to produce indefinite M sometimes;
         # losing that signal entirely would mean the check went dead
         assert "dissipativity" in seen_kinds
@@ -192,7 +191,7 @@ class TestClassifyInstance:
         assert structure["rank_exact"] == 0
         assert structure["predicted_rank"] == 1
         assert structure["degenerate"] is False
-        assert _classify(load_instance_file(path)[0]).outcome == "violation"
+        assert _verdict(load_instance_file(path)[0]).outcome == "violation"
 
     def test_generated_instances_never_degenerate(self):
         # the generator's span screen is the incremental form of the
@@ -202,8 +201,8 @@ class TestClassifyInstance:
             spec, sd = generate_instance(
                 GeneratorConfig(n=n, K=k, seed=700 + index, family=FAMILIES[index % 2])
             )
-            verdict = classify_instance(spec, sd)
-            assert not verdict.report.degenerate
+            verdict = _verdict(spec, sd)
+            assert not verdict.degenerate
             assert verdict.outcome == "match"
 
 
@@ -229,7 +228,7 @@ def test_analyze_and_search_agree_on_degeneracy(name, tmp_path, capsys):
     path.write_text(dumps(instance_to_dict(spec)), encoding="utf-8")
     assert run_command(["analyze", str(path)]) == 0
     structure = json.loads(capsys.readouterr().out)["structure"]
-    verdict = _classify(load_instance_file(str(path))[0])
+    verdict = _verdict(load_instance_file(str(path))[0])
     assert structure["degenerate"] is degenerate
     assert (verdict.outcome == "degenerate") is degenerate
     if not degenerate:
@@ -351,11 +350,11 @@ class TestRunCampaign:
         def fixed_instance(gen_cfg):
             return rigged, validate_system(rigged)
 
-        def always_violation(spec, sd):
-            return dataclasses.replace(classify_instance(spec, sd), outcome="violation")
+        def always_violation(ts, spec, sd):
+            return dataclasses.replace(analyze_structure(ts, spec, sd), outcome="violation")
 
         monkeypatch.setattr("perturbrank.search.generate_instance", fixed_instance)
-        monkeypatch.setattr("perturbrank.search.classify_instance", always_violation)
+        monkeypatch.setattr("perturbrank.search.analyze_structure", always_violation)
         cfg = CampaignConfig(n_range=(3, 3), K_range=(2, 2), samples_per_cell=1, seed=5)
         report = run_campaign(cfg, artifact_dir=str(tmp_path))
         assert report["verdict"] == "violations_found"
@@ -367,8 +366,8 @@ class TestRunCampaign:
         assert os.path.exists(path)
         replayed = load_instance_file(path)[0]
         assert replayed == rigged
-        again = _classify(replayed)
-        assert again.report.rank_exact == violation["report"]["structure"]["rank_exact"] == 1
+        again = _verdict(replayed)
+        assert again.rank_exact == violation["report"]["structure"]["rank_exact"] == 1
 
     def test_violation_report_comes_from_the_single_pass(self, monkeypatch):
         # force the first instance of a tiny campaign to be a violation; its
@@ -383,15 +382,15 @@ class TestRunCampaign:
 
         classified = []
 
-        def first_violates(spec, sd):
-            verdict = classify_instance(spec, sd)
+        def first_violates(ts, spec, sd):
+            verdict = analyze_structure(ts, spec, sd)
             classified.append(spec)
             if len(classified) == 1:
                 verdict = dataclasses.replace(verdict, outcome="violation")
             return verdict
 
         monkeypatch.setattr(perturbrank.model, "charpoly_exact", counted_charpoly)
-        monkeypatch.setattr("perturbrank.search.classify_instance", first_violates)
+        monkeypatch.setattr("perturbrank.search.analyze_structure", first_violates)
         cfg = CampaignConfig(n_range=(2, 3), K_range=(2, 2), samples_per_cell=2, seed=13)
         report = run_campaign(cfg)
         monkeypatch.undo()
@@ -416,14 +415,14 @@ class TestRunCampaign:
         # to a violation, so every report field and artifact kind is pinned
         classified = []
 
-        def first_violates(spec, sd):
-            verdict = classify_instance(spec, sd)
+        def first_violates(ts, spec, sd):
+            verdict = analyze_structure(ts, spec, sd)
             classified.append(spec)
             if len(classified) == 1:
                 verdict = dataclasses.replace(verdict, outcome="violation")
             return verdict
 
-        monkeypatch.setattr("perturbrank.search.classify_instance", first_violates)
+        monkeypatch.setattr("perturbrank.search.analyze_structure", first_violates)
         cfg = CampaignConfig(n_range=(2, 3), K_range=(2, 3), samples_per_cell=6, seed=7)
         report = run_campaign(cfg, artifact_dir=str(tmp_path))
         assert report["totals"]["violations"] == 1
@@ -447,7 +446,7 @@ class TestRunCampaign:
             path = os.path.join(str(tmp_path), breach["artifact"])
             assert os.path.exists(path)
             replayed = load_instance_file(path)[0]
-            again = _classify(replayed)
+            again = _verdict(replayed)
             kinds = [detail["kind"] for detail in again.breaches]
             assert breach["kind"] in kinds
 
