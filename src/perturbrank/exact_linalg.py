@@ -9,7 +9,9 @@ rows of exact entries and combine them with ``+``, ``-``, ``@``,
 Rank, kernels, linear solves and the Hurwitz test all run one
 fraction-free (Bareiss) Gauss-Jordan elimination on the integer rows,
 each divided by the gcd of its entries, and the characteristic
-polynomial runs the Faddeev-LeVerrier recurrence on ``num``.  So
+polynomial runs the Faddeev-LeVerrier recurrence on ``num``.  A screen
+that grows a rank one row at a time keeps plain integer echelon rows and
+reduces each new row against them with ``echelon_reduce``.  So
 intermediate values stay integral and every division is checked to be
 exact.  A ``fractions.Fraction`` is built only where an entry or a vector
 leaves the module: ``m[i, j]``, ``repr``, kernel vectors and
@@ -38,6 +40,7 @@ __all__ = [
     "as_rational",
     "charpoly_exact",
     "dot",
+    "echelon_reduce",
     "hurwitz_stable",
     "nullspace",
     "rank_exact",
@@ -272,6 +275,25 @@ def nullspace(m: RationalMatrix) -> list[Vector]:
         lead = next(x for x in v if x != 0)
         basis.append(tuple(Fraction(x, lead) for x in v))
     return basis
+
+
+def echelon_reduce(echelon: Sequence[Sequence[int]], row: Sequence[int]) -> list[int]:
+    """Reduce an integer row against echelon rows; return the primitive residual.
+
+    Each row of ``echelon`` is nonzero and zero at the leading column of
+    every row before it, which a list of appended nonzero residuals of
+    this function is.  Each step cancels the row's entry at one leading
+    column, fraction-free (r -> p·r - f·e), so the residual is zero
+    exactly when the row lies in the rational span of ``echelon``, and a
+    rank screen grows by one row without re-eliminating the rows it kept.
+    """
+    r = list(row)
+    for e in echelon:
+        lead = next(j for j, x in enumerate(e) if x)
+        if f := r[lead]:
+            p = e[lead]
+            r = [p * x - f * y for x, y in zip(r, e)]
+    return _primitive_rows((r,))[0]
 
 
 def solve_particular(m: RationalMatrix, y: RationalMatrix) -> RationalMatrix:

@@ -181,7 +181,7 @@ def build_report(
         "spectral": {
             "h1": _vector_strs(sd.h1),
             "h1_star": _vector_strs(sd.h1_star),
-            "stable": sd.stable,
+            "stable": True,  # validation raises on an unstable A
         },
         "transfer": {
             "v": _vector_strs(ts.v),

@@ -14,7 +14,12 @@ admissibility conditions by construction (irreducible generator: simple
 zero eigenvalue, Hurwitz remainder, strictly positive null vectors).
 ``similarity_transformed`` conjugates such a matrix by a random invertible
 integer matrix T (T⁻¹ from one exact solve of T X = I), producing the
-same exact spectrum without the sign structure.
+same exact spectrum without the sign structure.  Entries are drawn as
+integer numerators over lcm(1.._ENTRY_BOUND).
+
+The generator builds the null pair from the one kernel of the Markov
+base instead of eliminating A twice, checks it by A h1 = 0 and
+h1_starᵀ A = 0, and proves the spectrum of A by its exact charpoly.
 Generation is fully deterministic in the seed.
 """
 
@@ -23,6 +28,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .exact_linalg import (
     InconsistentSystem,
@@ -30,9 +36,9 @@ from .exact_linalg import (
     Vector,
     charpoly_exact,
     dot,
+    echelon_reduce,
     hurwitz_stable,
     nullspace,
-    rank_exact,
     solve_particular,
 )
 
@@ -104,11 +110,10 @@ class SystemSpec:
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Normalized null pair of A plus the stability verdict."""
+    """Normalized null pair of an admissible A."""
 
     h1: Vector
     h1_star: Vector
-    stable: bool
 
 
 @dataclass(frozen=True)
@@ -144,12 +149,18 @@ def null_pair_normalized(a: RationalMatrix) -> tuple[Vector, Vector]:
         raise KernelDimensionError(
             f"left kernel dimension is {len(left)}, need exactly 1"
         )
-    h1 = right[0]
-    pairing = dot(h1, left[0])
+    return _normalized(right[0], left[0])
+
+
+def _normalized(right: Vector, left: Vector) -> tuple[Vector, Vector]:
+    """Scale a right/left null vector pair to first-nonzero(h1) = 1 and
+    (h1, h1_star) = 1."""
+    lead = next(x for x in right if x != 0)
+    h1 = tuple(x / lead for x in right)
+    pairing = dot(h1, left)
     if pairing == 0:
         raise NonNormalizable("right and left null vectors are orthogonal")
-    h1_star = tuple(x / pairing for x in left[0])
-    return h1, h1_star
+    return h1, tuple(x / pairing for x in left)
 
 
 def _check_spectrum(a: RationalMatrix) -> None:
@@ -177,31 +188,33 @@ def validate_system(s: SystemSpec) -> SpectralData:
     """
     _check_spectrum(s.A)
     h1, h1_star = null_pair_normalized(s.A)
-    return SpectralData(h1=h1, h1_star=h1_star, stable=True)
+    return SpectralData(h1=h1, h1_star=h1_star)
 
 
-def _positive_fraction(rng: random.Random, bound: int) -> Fraction:
-    return Fraction(rng.randint(1, bound), rng.randint(1, bound))
-
-
-def _signed_fraction(rng: random.Random, bound: int) -> Fraction:
-    return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+def _grid_numerator(rng: random.Random, low: int, bound: int, scale: int) -> int:
+    """Fraction(randint(low, bound), randint(1, bound)), drawn in that
+    order, as its numerator over ``scale`` (a multiple of 1..bound)."""
+    p = rng.randint(low, bound)
+    return p * (scale // rng.randint(1, bound))
 
 
 def _markov_generator(rng: random.Random, n: int, bound: int) -> RationalMatrix:
     """Matrix with positive off-diagonal entries and zero column sums,
-    drawn column by column."""
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    drawn column by column as integer numerators over lcm(1..bound)."""
+    scale = lcm(*range(1, bound + 1))
+    num = [[0] * n for _ in range(n)]
     for j in range(n):
         for i in range(n):
             if i != j:
-                rows[i][j] = _positive_fraction(rng, bound)
-        rows[j][j] = -sum(rows[i][j] for i in range(n))
-    return RationalMatrix(rows)
+                num[i][j] = _grid_numerator(rng, 1, bound, scale)
+        num[j][j] = -sum(num[i][j] for i in range(n))
+    return RationalMatrix(num).scale_columns((Fraction(1, scale),) * n)
 
 
-def _random_similar(rng: random.Random, base: RationalMatrix, bound: int) -> RationalMatrix:
-    """T B T⁻¹ for a random integer T, redrawn while singular.
+def _random_similar(
+    rng: random.Random, base: RationalMatrix, bound: int
+) -> tuple[RationalMatrix, RationalMatrix, RationalMatrix]:
+    """(T B T⁻¹, T, T⁻¹) for a random integer T, redrawn while singular.
 
     T⁻¹ is the solution of T X = I, which raises ``InconsistentSystem``
     exactly when T is singular; the products run on integer rows.
@@ -210,27 +223,58 @@ def _random_similar(rng: random.Random, base: RationalMatrix, bound: int) -> Rat
     for _ in range(_MAX_GENERATION_ATTEMPTS):
         t = RationalMatrix([rng.randint(-bound, bound) for _ in range(n)] for _ in range(n))
         try:
-            return t @ base @ solve_particular(t, RationalMatrix.identity(n))
+            t_inv = solve_particular(t, RationalMatrix.identity(n))
         except InconsistentSystem:
             continue
+        return t @ base @ t_inv, t, t_inv
     raise GenerationFailed("could not sample an invertible transform")
+
+
+def _checked_pair(
+    a: RationalMatrix, right: RationalMatrix, left: RationalMatrix
+) -> tuple[Vector, Vector]:
+    """Check a constructed null pair of A by its products, then normalize it.
+
+    ``right`` is a column and ``left`` a row.  A right = 0 and left A = 0
+    cost O(n²), and normalizing only rescales the pair; once
+    ``_check_spectrum`` proves the zero root simple, both kernels are
+    lines, so the result equals ``null_pair_normalized(a)``.
+    """
+    n = a.rows
+    if a @ right != RationalMatrix([[0]] * n):
+        raise ArithmeticError("constructed h1 is not a right null vector of A")
+    if left @ a != RationalMatrix([[0] * n]):
+        raise ArithmeticError("constructed h1_star is not a left null vector of A")
+    return _normalized(
+        tuple(right[i, 0] for i in range(n)), tuple(left[0, j] for j in range(n))
+    )
 
 
 def _sample_interaction(
     cfg: GeneratorConfig, rng: random.Random
 ) -> tuple[RationalMatrix, tuple[Vector, Vector]]:
-    """One interaction matrix with its normalized null pair."""
-    base = _markov_generator(rng, cfg.n, _ENTRY_BOUND)
+    """One interaction matrix with its normalized null pair.
+
+    The pair is known by construction from one kernel of the Markov base
+    B: h1_B spans it, and the zero column sums make 1 its left null
+    vector.  For A = T B T⁻¹, T h1_B and the row 1ᵀ T⁻¹ are the null
+    vectors of A, read off the T⁻¹ already solved.
+    """
+    n = cfg.n
+    base = _markov_generator(rng, n, _ENTRY_BOUND)
+    (kernel,) = nullspace(base)  # a line: B is an irreducible generator
+    h1_base = RationalMatrix(zip(kernel))
+    ones = RationalMatrix([[1] * n])
     if cfg.family == MARKOV_FAMILY:
-        return base, null_pair_normalized(base)
+        return base, _checked_pair(base, h1_base, ones)
     for _ in range(_MAX_GENERATION_ATTEMPTS):
         # T entries in [-3, 3] keep conjugated denominators modest
-        a = _random_similar(rng, base, 3)
-        h1, h1_star = pair = null_pair_normalized(a)
+        a, t, t_inv = _random_similar(rng, base, 3)
+        right, left = t @ h1_base, ones @ t_inv
         # Stay inside the rank law's evident hypothesis class: the
         # conjugation must not park a null vector on a coordinate plane.
-        if all(x != 0 for x in h1) and all(x != 0 for x in h1_star):
-            return a, pair
+        if all(right[i, 0] != 0 for i in range(n)) and all(left[0, j] != 0 for j in range(n)):
+            return a, _checked_pair(a, right, left)
     raise GenerationFailed("similarity transform kept zeroing a null-vector entry")
 
 
@@ -260,23 +304,29 @@ def _sample_diagonals(cfg: GeneratorConfig, rng: random.Random) -> tuple[Vector,
     Entries are rejection-sampled one diagonal at a time, so the retry
     budget bounds the failure odds per vector instead of compounding
     across all K (a whole-batch restart makes n = K = 8 genuinely flaky).
+    Distinctness and the affine rank are tested on the integer numerators
+    over one scale, each candidate reduced once against the echelon rows
+    of [1; accepted diagonals]; only accepted diagonals become Fractions.
     """
-    ones = (Fraction(1),) * cfg.n
-    diagonals: list[Vector] = []
+    n = cfg.n
+    scale = lcm(*range(1, _ENTRY_BOUND + 1))
+    echelon = [[1] * n]  # [1; accepted diagonals] in integer echelon rows
+    drawn: list[tuple[int, ...]] = []  # numerators over scale
     for _ in range(cfg.K):
         for _ in range(_MAX_GENERATION_ATTEMPTS):
-            d = tuple(_signed_fraction(rng, _ENTRY_BOUND) for _ in range(cfg.n))
-            if len(set(d)) != cfg.n or any(d == prev for prev in diagonals):
+            d = tuple(_grid_numerator(rng, -_ENTRY_BOUND, _ENTRY_BOUND, scale) for _ in range(n))
+            if len(set(d)) != n or d in drawn:
                 continue
-            if len(diagonals) < cfg.n - 1:
-                rows = [ones, *diagonals, d]
-                if rank_exact(RationalMatrix(rows)) < len(rows):
+            if len(drawn) < n - 1:
+                residual = echelon_reduce(echelon, d)
+                if not any(residual):
                     continue  # affinely dependent: lower-rank stratum
-            diagonals.append(d)
+                echelon.append(residual)
+            drawn.append(d)
             break
         else:
             raise GenerationFailed("could not sample admissible transport diagonals")
-    return tuple(diagonals)
+    return tuple(tuple(Fraction(x, scale) for x in d) for d in drawn)
 
 
 def generate_instance(cfg: GeneratorConfig) -> tuple[SystemSpec, SpectralData]:
@@ -289,7 +339,7 @@ def generate_instance(cfg: GeneratorConfig) -> tuple[SystemSpec, SpectralData]:
     rng = random.Random(cfg.seed)
     a, (h1, h1_star) = _sample_interaction(cfg, rng)
     _check_spectrum(a)
-    data = SpectralData(h1=h1, h1_star=h1_star, stable=True)
+    data = SpectralData(h1=h1, h1_star=h1_star)
     diagonals = _sample_diagonals(cfg, rng)
     label = f"{cfg.family}-n{cfg.n}-K{cfg.K}-seed{cfg.seed}"
     return SystemSpec(n=cfg.n, K=cfg.K, D=diagonals, A=a, label=label), data

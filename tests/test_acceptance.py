@@ -202,30 +202,30 @@ def test_exact_identity_suite():
                 assert ts.M[i, j] == ts.M[j, i]
 
         # invariance under the gauge freedom of the pseudo-inverse: shift
-        # G by h1 cᵀ and reassemble M from scratch along each direction
-        gw = g @ RationalMatrix(zip(*w))
-        lifted = [tuple(gw[r, i] for r in range(n)) for i in range(k)]
+        # G by h1 cᵀ and reassemble M anew along each direction.
+        # The 100 shifted lifts sit side by side in one n x 100K matrix,
+        # block c = G Pᵀ + h1 (c Pᵀ); block c of Q L, Q = Psi diag(h1_star),
+        # holds first[i][j] = psi_i · (shifted lift j) weighted by h1_star.
         rng = random.Random(seed ^ 0xC0FFEE)
-        for _ in range(100):
-            c = tuple(
-                Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)
-            )
-            gammas = [dot(c, wi) for wi in w]
-            shifted = [
-                tuple(u + gamma * h for u, h in zip(lift, sd.h1))
-                for lift, gamma in zip(lifted, gammas)
-            ]
+        cs = RationalMatrix(
+            [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+            for _ in range(100)
+        )
+        gammas = cs @ ts.P.transpose()  # row c holds c · w_i
+        tile = RationalMatrix([int(j % k == i) for j in range(100 * k)] for i in range(k))
+        lifts = g @ ts.P.transpose() @ tile + RationalMatrix(zip(sd.h1)) @ RationalMatrix(
+            [[gammas[c, i] for c in range(100) for i in range(k)]]
+        )
+        q = RationalMatrix(
+            [(d - ts.v[i]) * hs for d, hs in zip(s.D[i], sd.h1_star)] for i in range(k)
+        )
+        ql = q @ lifts
+        # (first + second) / 2 == M[i, j] on the integer rows of Q L and M
+        for c in range(100):
             for i in range(k):
-                psi_i = tuple(d - ts.v[i] for d in s.D[i])
                 for j in range(i, k):
-                    psi_j = tuple(d - ts.v[j] for d in s.D[j])
-                    first = dot(
-                        tuple(p * u for p, u in zip(psi_i, shifted[j])), sd.h1_star
-                    )
-                    second = dot(
-                        tuple(p * u for p, u in zip(psi_j, shifted[i])), sd.h1_star
-                    )
-                    assert (first + second) / 2 == ts.M[i, j]
+                    first, second = ql.num[i][c * k + j], ql.num[j][c * k + i]
+                    assert (first + second) * ts.M.den == 2 * ts.M.num[i][j] * ql.den
             shifts += 1
         checked += 1
     ok = checked == 500 and shifts == 500 * 100

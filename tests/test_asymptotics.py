@@ -239,7 +239,6 @@ class TestBuildM:
         rescaled = SpectralData(
             h1=tuple(x * scale for x in sd.h1),
             h1_star=tuple(x / scale for x in sd.h1_star),
-            stable=True,
         )
         assert build_M(TRIPLE, rescaled).M == ts.M
 

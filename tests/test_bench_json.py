@@ -57,6 +57,10 @@ def test_pairs_medians_and_quartiles(tool, tmp_path, monkeypatch):
     ops = bench["workloads"]["campaign-wide"]["metrics"]["ops_per_s"]
     assert (ops["better"], ops["change_wins"]) == ("higher", 3)
     assert bench["workloads"]["campaign-wide"]["failed"] == {"parent": 0, "change": 0}
+    # it is recorded apart, as it is
+    assert bench["traced"] == {
+        "campaign-wide": {"parent": {"1": {"wall_s": 9.0, "ops_per_s": 1.0 / 9.0}}}
+    }
     assert bench["parent"]["src_sha256"] != bench["change"]["src_sha256"]
     assert bench["change"]["provenance"] == [
         {"machine": "x86_64", "cpu": None, "cpus": 2, "system": None, "python": None,

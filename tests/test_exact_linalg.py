@@ -23,6 +23,7 @@ from perturbrank.exact_linalg import (
     as_rational,
     charpoly_exact,
     dot,
+    echelon_reduce,
     hurwitz_stable,
     nullspace,
     rank_exact,
@@ -304,6 +305,33 @@ class TestRank:
             prod = left @ right
             assert rank_exact(prod) == _rref_rank(prod)
             assert rank_exact(prod) <= r
+
+
+class TestEchelonReduce:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_grows_the_rank_one_row_at_a_time(self, data):
+        cols = data.draw(st.integers(1, 6))
+        small = st.integers(-3, 3)
+        rows: list[list[int]] = []
+        for _ in range(data.draw(st.integers(1, 8))):
+            if rows and data.draw(st.booleans()):
+                # an integer combination of earlier rows: never a new rank
+                weights = data.draw(st.lists(small, min_size=len(rows), max_size=len(rows)))
+                rows.append([sum(w * r[j] for w, r in zip(weights, rows)) for j in range(cols)])
+            else:
+                rows.append(data.draw(st.lists(small, min_size=cols, max_size=cols)))
+        echelon: list[list[int]] = []
+        for k, row in enumerate(rows):
+            residual = echelon_reduce(echelon, row)
+            grows = rank_exact(RationalMatrix(rows[: k + 1])) > len(echelon)
+            assert any(residual) == grows
+            if grows:
+                assert gcd(*residual) == 1
+                for e in echelon:  # zero at every earlier leading column
+                    assert residual[next(j for j, x in enumerate(e) if x)] == 0
+                echelon.append(residual)
+        assert len(echelon) == rank_exact(RationalMatrix(rows))
 
 
 def _pivot_det(m: RationalMatrix) -> Fraction:

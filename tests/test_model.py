@@ -97,14 +97,12 @@ class TestValidateSystem:
         assert data == SpectralData(
             h1=(Fraction(1), Fraction(1)),
             h1_star=(Fraction(1, 2), Fraction(1, 2)),
-            stable=True,
         )
 
     def test_triple_exchange(self):
         data = validate_system(_spec(TRIPLE_A))
         assert data.h1 == (Fraction(1), Fraction(1), Fraction(1))
         assert data.h1_star == (Fraction(1, 3),) * 3
-        assert data.stable
 
     def test_no_zero_eigenvalue(self):
         with pytest.raises(KernelDimensionError):
@@ -179,7 +177,10 @@ class TestRandomSimilar:
                     ours = random.Random(100 * n + seed)
                     oracle = random.Random(100 * n + seed)
                     expected, draws = _fraction_similar(oracle, s.A, 3)
-                    assert _random_similar(ours, s.A, 3) == expected
+                    a, t, t_inv = _random_similar(ours, s.A, 3)
+                    assert a == expected
+                    assert t @ t_inv == RationalMatrix.identity(n)
+                    assert a == t @ s.A @ t_inv
                     # same draws from the stream, singular ones included
                     assert ours.getstate() == oracle.getstate()
                     redrawn += draws > 1
@@ -223,7 +224,6 @@ class TestGenerateInstance:
                 )
                 s, data = generate_instance(cfg)
                 assert data == validate_system(s)  # the validation it already ran
-                assert data.stable
                 assert all(x != 0 for x in data.h1)
                 assert all(x != 0 for x in data.h1_star)
                 for d in s.D:
@@ -240,11 +240,11 @@ class TestGenerateInstance:
         assert charpoly_exact(s.A) == charpoly_exact(base)
 
     def test_null_pair_computed_once_per_draw(self, monkeypatch):
-        # The similarity family screens each conjugated draw by its null
-        # pair; the accepted draw's pair is the one returned, not recomputed.
+        # The pair is constructed from the one kernel of the Markov base,
+        # not eliminated per draw; it must still be the eliminated pair.
         import perturbrank.model as model
 
-        calls = {"null_pair": 0, "similar": 0, "charpoly": 0}
+        calls = {"null_pair": 0, "nullspace": 0, "similar": 0, "charpoly": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -255,27 +255,56 @@ class TestGenerateInstance:
 
         for attr, name in (
             ("null_pair_normalized", "null_pair"),
+            ("nullspace", "nullspace"),
             ("_random_similar", "similar"),
             ("charpoly_exact", "charpoly"),
         ):
             monkeypatch.setattr(model, attr, counted(name, getattr(model, attr)))
         draws = []
-        for seed in range(12):
-            for key in calls:
-                calls[key] = 0
-            s, data = generate_instance(GeneratorConfig(n=4, K=3, seed=seed))
-            assert calls == {"null_pair": 1, "similar": 0, "charpoly": 1}
-            assert (data.h1, data.h1_star) == null_pair_normalized(s.A)
-            for key in calls:
-                calls[key] = 0
-            s, data = generate_instance(
-                GeneratorConfig(n=4, K=3, seed=seed, family=SIMILARITY_FAMILY)
-            )
-            assert calls["null_pair"] == calls["similar"] >= 1  # one per draw
-            assert calls["charpoly"] == 1
-            assert (data.h1, data.h1_star) == null_pair_normalized(s.A)
-            draws.append(calls["similar"])
-        assert max(draws) > 1  # some seed's screen rejected a draw
+        for n in range(2, 9):
+            for seed in range(12):
+                for family in FAMILIES:
+                    for key in calls:
+                        calls[key] = 0
+                    s, data = generate_instance(
+                        GeneratorConfig(n=n, K=3, seed=seed, family=family)
+                    )
+                    assert calls["null_pair"] == 0
+                    assert calls["nullspace"] == 1
+                    assert calls["charpoly"] == 1
+                    if family == MARKOV_FAMILY:
+                        assert calls["similar"] == 0
+                    else:
+                        draws.append(calls["similar"])
+                    # the oracle runs outside the counted generation
+                    assert (data.h1, data.h1_star) == null_pair_normalized(s.A)
+        assert min(draws) >= 1
+        assert max(draws) > 1  # some seed's zero-entry screen rejected a draw
+
+    def test_wrong_constructed_pair_raises(self, monkeypatch):
+        # The product check is live: a base kernel vector that is not one
+        # makes A h1 = 0 fail in both families.
+        import perturbrank.model as model
+
+        monkeypatch.setattr(model, "nullspace", lambda m: [(Fraction(1),) * m.rows])
+        for family in FAMILIES:
+            with pytest.raises(ArithmeticError, match="right null vector"):
+                generate_instance(GeneratorConfig(n=4, K=2, seed=3, family=family))
+
+    def test_wrong_transform_inverse_raises(self, monkeypatch):
+        # A returned T⁻¹ other than the inverse A was conjugated with puts
+        # the left null vector off: h1_starᵀ A = 0 must fail.
+        import perturbrank.model as model
+
+        similar = model._random_similar
+
+        def skewed(rng, base, bound):
+            a, t, t_inv = similar(rng, base, bound)
+            return a, t, t_inv.scale_columns(range(1, base.rows + 1))
+
+        monkeypatch.setattr(model, "_random_similar", skewed)
+        with pytest.raises(ArithmeticError, match="left null vector"):
+            generate_instance(GeneratorConfig(n=4, K=2, seed=3, family=SIMILARITY_FAMILY))
 
     def test_similarity_is_not_markov(self):
         found_non_markov = False
@@ -330,7 +359,7 @@ class TestGenerateInstance:
                         spectral = [
                             [str(x) for x in data.h1],
                             [str(x) for x in data.h1_star],
-                            data.stable,
+                            True,  # the report's "stable" field, part of the recorded digest
                         ]
                         digest.update(dumps(instance_to_dict(s)).encode("utf-8"))
                         digest.update(dumps(spectral).encode("utf-8"))

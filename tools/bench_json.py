@@ -5,6 +5,9 @@
 
 Each checkout is the root of a tree on which ``perfbench/run.py`` was run
 with ``--trace 0``; its ``.perfbench_out/result-*.json`` files are read.
+Runs made with ``--trace 1`` are no end-to-end measurement: they are kept
+out of the comparison, and their metric values are recorded as they are,
+under ``traced``, per workload, side and seed.
 For every workload and every end-to-end metric declared in the change's
 ``BENCHMARK.json`` the file records, per side, the value of each run (by
 seed), the median and the quartiles, and the pairs (runs of both sides
@@ -38,12 +41,12 @@ def source_digest(root: Path) -> str:
     return digest.hexdigest()
 
 
-def load_runs(root: Path) -> list[dict]:
-    """The untraced, full-size result files of one checkout."""
+def load_runs(root: Path, trace: int = 0) -> list[dict]:
+    """The full-size result files of one checkout made with ``--trace trace``."""
     runs = []
     for path in sorted((root / ".perfbench_out").glob("result-*.json")):
         data = json.loads(path.read_text(encoding="utf-8"))
-        if data["record"]["trace"] == 0 and not data["record"]["tiny"]:
+        if data["record"]["trace"] == trace and not data["record"]["tiny"]:
             runs.append(data)
     return runs
 
@@ -104,6 +107,18 @@ def compare(parent: list[dict], change: list[dict], end_to_end: list[dict]) -> d
     return out
 
 
+def traced(parent: list[dict], change: list[dict]) -> dict:
+    """Every metric value of the traced runs, per workload, side and seed."""
+    out: dict = {}
+    for side_name, runs in (("parent", parent), ("change", change)):
+        for r in runs:
+            seeds = out.setdefault(r["record"]["workload"], {}).setdefault(side_name, {})
+            seeds[str(r["record"]["seed"])] = {
+                name: metric["value"] for name, metric in r["result"]["metrics"].items()
+            }
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("label")
@@ -121,6 +136,7 @@ def main(argv: list[str] | None = None) -> int:
         "parent": side(args.parent, parent),
         "change": side(args.change, change),
         "workloads": compare(parent, change, spec["end_to_end"]),
+        "traced": traced(load_runs(args.parent, 1), load_runs(args.change, 1)),
     }
     path = Path(f"BENCH_{args.label}.json")
     path.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n", encoding="utf-8")
