@@ -17,7 +17,7 @@ from .exact_linalg import (
     Vector,
     ZeroPolynomial,
     as_rational,
-    charpoly_exact,
+    charpoly_adjugate,
     dot,
     hurwitz_stable,
     nullspace,
@@ -30,12 +30,10 @@ from .model import (
     GenerationFailed,
     GeneratorConfig,
     KernelDimensionError,
-    NonNormalizable,
     NotStable,
     SpectralData,
     SystemSpec,
     generate_instance,
-    null_pair_normalized,
     validate_system,
 )
 from .asymptotics import (
@@ -54,7 +52,6 @@ from .asymptotics import (
     leading_term_eval,
     pde_residual,
     phi0_eval,
-    velocities,
 )
 from .formats import (
     FORMAT_VERSION,

@@ -97,7 +97,6 @@ __all__ = [
     "leading_term_eval",
     "pde_residual",
     "phi0_eval",
-    "velocities",
 ]
 
 
@@ -170,16 +169,6 @@ class ProfileQuery:
             raise ValueError("amplitude must be positive")
 
 
-def velocities(s: SystemSpec, sd: SpectralData) -> Vector:
-    """Exact transport speeds v_i = (D_i h1, h1_star): D diag(h1) h1_star."""
-    return _speeds(RationalMatrix(s.D), sd)
-
-
-def _speeds(d: RationalMatrix, sd: SpectralData) -> Vector:
-    w = d.scale_columns(sd.h1) @ RationalMatrix(zip(sd.h1_star))
-    return tuple(w[i, 0] for i in range(d.rows))
-
-
 def group_inverse(a: RationalMatrix, sd: SpectralData) -> RationalMatrix:
     """Constrained pseudo-inverse: A G = I - h1 h1_starᵀ with h1_starᵀ G = 0.
 
@@ -203,10 +192,12 @@ def build_M(s: SystemSpec, sd: SpectralData) -> TransferStructure:
     along h1, and the shift drops out of M because
     q_i · h1 = h1_starᵀ Psi_i h1 = 0.  With Psi = D - v 1ᵀ (row i is
     psi_i), P = Psi diag(h1) and Q = Psi diag(h1_star) / 2, this gives
-    M = Q X + (Q X)ᵀ.  G itself is not built.
+    M = Q X + (Q X)ᵀ.  G itself is not built.  The speeds are
+    v_i = (D_i h1, h1_star), the column D diag(h1) h1_star.
     """
     d = RationalMatrix(s.D)
-    v = _speeds(d, sd)
+    w = d.scale_columns(sd.h1) @ RationalMatrix(zip(sd.h1_star))
+    v = tuple(w[i, 0] for i in range(s.K))
     psi = d - RationalMatrix(zip(v)) @ RationalMatrix([[1] * s.n])
     p = psi.scale_columns(sd.h1)
     q = psi.scale_columns(tuple(Fraction(x, 2) for x in sd.h1_star))
@@ -270,14 +261,13 @@ def _dissipativity_breach(eigs: tuple[float, ...], scale: float) -> dict | None:
     return None
 
 
-def analyze_structure(
-    ts: TransferStructure, s: SystemSpec, sd: SpectralData
-) -> StructureReport:
+def analyze_structure(ts: TransferStructure) -> StructureReport:
     """Exact rank, numeric spectrum, and the rank-law verdict for M.
 
     The exact rank is K minus the dimension of the exact kernel, both
     read off one elimination of M; the Jacobi spectrum is the independent
-    float route.  The prediction is min(n - 1, K).  ``degenerate`` is the
+    float route.  The prediction is min(n - 1, K), with n and K the
+    column and row counts of P.  ``degenerate`` is the
     one definition of degeneracy, rank span{Psi_i h1} < min(n - 1, K),
     where the rank law is not asserted; otherwise the outcome is MATCH
     iff rank M = min(n - 1, K).  The generator screens degeneracy out by
@@ -288,7 +278,7 @@ def analyze_structure(
     kernel = tuple(nullspace(ts.M))
     rank = ts.M.cols - len(kernel)
     eigs, scale = _float_spectrum(ts.M)
-    predicted = min(s.n - 1, s.K)
+    predicted = min(ts.P.cols - 1, ts.P.rows)
     degenerate = rank_exact(ts.P) < predicted
     outcome = DEGENERATE if degenerate else MATCH if rank == predicted else VIOLATION
     breach = _dissipativity_breach(eigs, scale)

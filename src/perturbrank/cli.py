@@ -122,7 +122,7 @@ def _cmd_analyze(args) -> int:
     spec, h = load_instance_file(args.instance)
     sd = validate_system(spec)
     ts = build_M(spec, sd)
-    report = analyze_structure(ts, spec, sd)
+    report = analyze_structure(ts)
     payload = dumps(build_report(spec, sd, ts, report, h=h))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

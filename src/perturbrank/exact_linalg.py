@@ -9,9 +9,10 @@ rows of exact entries and combine them with ``+``, ``-``, ``@``,
 Rank, kernels, linear solves and the Hurwitz test all run one
 fraction-free (Bareiss) Gauss-Jordan elimination on the integer rows,
 each divided by the gcd of its entries, and the characteristic
-polynomial runs the Faddeev-LeVerrier recurrence on ``num``.  A screen
-that grows a rank one row at a time keeps plain integer echelon rows and
-reduces each new row against them with ``echelon_reduce``.  So
+polynomial and the adjugate come from one Faddeev-LeVerrier recurrence
+on ``num``.  A screen that grows a rank one row at a time keeps plain
+integer echelon rows and reduces each new row against them with
+``echelon_reduce``.  So
 intermediate values stay integral and every division is checked to be
 exact.  A ``fractions.Fraction`` is built only where an entry or a vector
 leaves the module: ``m[i, j]``, ``repr``, kernel vectors and
@@ -38,7 +39,7 @@ __all__ = [
     "Vector",
     "ZeroPolynomial",
     "as_rational",
-    "charpoly_exact",
+    "charpoly_adjugate",
     "dot",
     "echelon_reduce",
     "hurwitz_stable",
@@ -320,15 +321,18 @@ def solve_particular(m: RationalMatrix, y: RationalMatrix) -> RationalMatrix:
     return RationalMatrix._make(x, d)
 
 
-def charpoly_exact(m: RationalMatrix) -> Vector:
-    """Coefficients of det(λI - m), ascending, by the Faddeev-LeVerrier recurrence.
+def charpoly_adjugate(m: RationalMatrix) -> tuple[Vector, RationalMatrix]:
+    """Coefficients of det(λI - m), ascending, and adj(m), by one
+    Faddeev-LeVerrier recurrence.
 
     The tuple has n + 1 entries and ends in the leading 1.  The
     recurrence runs on the integer matrix B = m.num = d·m, with d = m.den
     (one common multiplier, so B's polynomial is the same one rescaled):
     B_1 = B, c_k = -tr(B_k) / k, an exact integer division, and
     B_(k+1) = B·(B_k + c_k I).  The coefficient of λ^(n-k) in the
-    polynomial of m is then c_k / d^k.
+    polynomial of m is then c_k / d^k.  Cayley-Hamilton gives
+    B·(B_(n-1) + c_(n-1) I) = -c_n I, so adj(B) = (-1)^(n-1)·(B_(n-1) +
+    c_(n-1) I), I when n = 1, and adj(m) = adj(B) / d^(n-1).
     """
     if m.rows != m.cols:
         raise ValueError("characteristic polynomial of a non-square matrix")
@@ -338,15 +342,18 @@ def charpoly_exact(m: RationalMatrix) -> Vector:
     b, d = m.num, m.den
     descending = [Fraction(1)]  # coefficient of λ^n
     bk = [list(row) for row in b]
+    adj = RationalMatrix.identity(n).num  # B_0 + c_0 I, the n = 1 case
     for k in range(1, n + 1):
         ck = _exact_div(-sum(bk[i][i] for i in range(n)), k)
         descending.append(Fraction(ck, d**k))
         if k < n:
             for i in range(n):
                 bk[i][i] += ck
+            adj = bk
             cols = list(zip(*bk))
             bk = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in b]
-    return tuple(reversed(descending))
+    # the sign (-1)^(n-1) rides on the denominator
+    return tuple(reversed(descending)), RationalMatrix._make(adj, (-d) ** (n - 1))
 
 
 def hurwitz_stable(coeffs: Sequence[int | str | Fraction]) -> bool:

@@ -8,6 +8,13 @@ remaining eigenvalues in the open left half-plane.  The right/left null
 vectors are normalized so that the first nonzero entry of h1 is 1 and
 (h1, h1_star) = 1.
 
+One function decides admissibility for files and the generator alike:
+the Faddeev-LeVerrier pass that gives the exact charpoly of A also gives
+adj(A).  With a simple zero root, rank A = n - 1 and adj(A) = α h1 h1_starᵀ
+with tr adj(A) = ±c_1 != 0, so the first nonzero column and row of the
+adjugate are the null pair and their pairing is nonzero.  The products
+A h1 = 0 and h1_starᵀ A = 0 check the pair independently, in O(n²).
+
 Two generator families are provided.  ``markov_generator`` draws matrices
 with positive off-diagonal entries and zero column sums, which satisfy the
 admissibility conditions by construction (irreducible generator: simple
@@ -15,12 +22,8 @@ zero eigenvalue, Hurwitz remainder, strictly positive null vectors).
 ``similarity_transformed`` conjugates such a matrix by a random invertible
 integer matrix T (T⁻¹ from one exact solve of T X = I), producing the
 same exact spectrum without the sign structure.  Entries are drawn as
-integer numerators over lcm(1.._ENTRY_BOUND).
-
-The generator builds the null pair from the one kernel of the Markov
-base instead of eliminating A twice, checks it by A h1 = 0 and
-h1_starᵀ A = 0, and proves the spectrum of A by its exact charpoly.
-Generation is fully deterministic in the seed.
+integer numerators over lcm(1.._ENTRY_BOUND).  Generation is fully
+deterministic in the seed.
 """
 
 from __future__ import annotations
@@ -34,11 +37,10 @@ from .exact_linalg import (
     InconsistentSystem,
     RationalMatrix,
     Vector,
-    charpoly_exact,
+    charpoly_adjugate,
     dot,
     echelon_reduce,
     hurwitz_stable,
-    nullspace,
     solve_particular,
 )
 
@@ -58,12 +60,10 @@ __all__ = [
     "GenerationFailed",
     "GeneratorConfig",
     "KernelDimensionError",
-    "NonNormalizable",
     "NotStable",
     "SpectralData",
     "SystemSpec",
     "generate_instance",
-    "null_pair_normalized",
     "validate_system",
 ]
 
@@ -74,10 +74,6 @@ class KernelDimensionError(ValueError):
 
 class NotStable(ValueError):
     """Some nonzero eigenvalue fails to lie in the open left half-plane."""
-
-
-class NonNormalizable(ValueError):
-    """The right/left null vectors are orthogonal, so no unit pairing exists."""
 
 
 class GenerationFailed(RuntimeError):
@@ -132,51 +128,37 @@ class GeneratorConfig:
             raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
 
 
-def null_pair_normalized(a: RationalMatrix) -> tuple[Vector, Vector]:
-    """Right/left null vectors with first-nonzero(h1) = 1 and (h1, h1_star) = 1.
+def _certified_pair(a: RationalMatrix) -> SpectralData:
+    """Prove A admissible and return its normalized null pair.
 
-    Requires one-dimensional kernels on both sides; raises
-    ``NonNormalizable`` when the vectors are orthogonal (defective zero
-    eigenvalue), in which case no such scaling exists.
+    One ``charpoly_adjugate`` pass: raises ``KernelDimensionError`` when
+    zero is not a root or not a simple one, then ``NotStable`` when the
+    deflated polynomial is not Hurwitz.  The simple zero root makes
+    adj(A) = α h1 h1_starᵀ, so its first nonzero column is h1 and its
+    first nonzero row h1_star, up to scale; A h1 = 0 and h1_starᵀ A = 0
+    are checked, and the pair is scaled to first-nonzero(h1) = 1 and
+    (h1, h1_star) = 1, a pairing tr adj(A) = ±c_1 keeps nonzero.
     """
-    right = nullspace(a)
-    if len(right) != 1:
-        raise KernelDimensionError(
-            f"right kernel dimension is {len(right)}, need exactly 1"
-        )
-    left = nullspace(a.transpose())
-    if len(left) != 1:
-        raise KernelDimensionError(
-            f"left kernel dimension is {len(left)}, need exactly 1"
-        )
-    return _normalized(right[0], left[0])
-
-
-def _normalized(right: Vector, left: Vector) -> tuple[Vector, Vector]:
-    """Scale a right/left null vector pair to first-nonzero(h1) = 1 and
-    (h1, h1_star) = 1."""
-    lead = next(x for x in right if x != 0)
-    h1 = tuple(x / lead for x in right)
-    pairing = dot(h1, left)
-    if pairing == 0:
-        raise NonNormalizable("right and left null vectors are orthogonal")
-    return h1, tuple(x / pairing for x in left)
-
-
-def _check_spectrum(a: RationalMatrix) -> None:
-    """Raise unless A has a simple zero eigenvalue and a Hurwitz remainder.
-
-    A simple zero root makes both kernels one-dimensional and the null
-    vectors non-orthogonal, so ``null_pair_normalized`` cannot raise once
-    this check has passed.
-    """
-    coeffs = charpoly_exact(a)
+    coeffs, adj = charpoly_adjugate(a)
     if coeffs[0] != 0:
         raise KernelDimensionError("zero is not an eigenvalue")
     if coeffs[1] == 0:
         raise KernelDimensionError("zero eigenvalue is not simple")
     if not hurwitz_stable(coeffs[1:]):  # the deflated polynomial
         raise NotStable("nonzero spectrum is not contained in the open left half-plane")
+    n = a.rows
+    cols = (tuple(adj[i, j] for i in range(n)) for j in range(n))
+    right = next((col for col in cols if any(col)), None)
+    if right is None or a @ RationalMatrix(zip(right)) != RationalMatrix([[0]] * n):
+        raise ArithmeticError("adjugate column is not a right null vector of A")
+    rows = (tuple(adj[i, j] for j in range(n)) for i in range(n))
+    left = next(row for row in rows if any(row))
+    if RationalMatrix((left,)) @ a != RationalMatrix([[0] * n]):
+        raise ArithmeticError("adjugate row is not a left null vector of A")
+    lead = next(x for x in right if x != 0)
+    h1 = tuple(x / lead for x in right)
+    pairing = dot(h1, left)
+    return SpectralData(h1=h1, h1_star=tuple(x / pairing for x in left))
 
 
 def validate_system(s: SystemSpec) -> SpectralData:
@@ -186,9 +168,7 @@ def validate_system(s: SystemSpec) -> SpectralData:
     repeated, or defective (λ² dividing the characteristic polynomial),
     and ``NotStable`` when the deflated polynomial is not Hurwitz.
     """
-    _check_spectrum(s.A)
-    h1, h1_star = null_pair_normalized(s.A)
-    return SpectralData(h1=h1, h1_star=h1_star)
+    return _certified_pair(s.A)
 
 
 def _grid_numerator(rng: random.Random, low: int, bound: int, scale: int) -> int:
@@ -211,10 +191,8 @@ def _markov_generator(rng: random.Random, n: int, bound: int) -> RationalMatrix:
     return RationalMatrix(num).scale_columns((Fraction(1, scale),) * n)
 
 
-def _random_similar(
-    rng: random.Random, base: RationalMatrix, bound: int
-) -> tuple[RationalMatrix, RationalMatrix, RationalMatrix]:
-    """(T B T⁻¹, T, T⁻¹) for a random integer T, redrawn while singular.
+def _random_similar(rng: random.Random, base: RationalMatrix, bound: int) -> RationalMatrix:
+    """T B T⁻¹ for a random integer T, redrawn while singular.
 
     T⁻¹ is the solution of T X = I, which raises ``InconsistentSystem``
     exactly when T is singular; the products run on integer rows.
@@ -226,55 +204,29 @@ def _random_similar(
             t_inv = solve_particular(t, RationalMatrix.identity(n))
         except InconsistentSystem:
             continue
-        return t @ base @ t_inv, t, t_inv
+        return t @ base @ t_inv
     raise GenerationFailed("could not sample an invertible transform")
-
-
-def _checked_pair(
-    a: RationalMatrix, right: RationalMatrix, left: RationalMatrix
-) -> tuple[Vector, Vector]:
-    """Check a constructed null pair of A by its products, then normalize it.
-
-    ``right`` is a column and ``left`` a row.  A right = 0 and left A = 0
-    cost O(n²), and normalizing only rescales the pair; once
-    ``_check_spectrum`` proves the zero root simple, both kernels are
-    lines, so the result equals ``null_pair_normalized(a)``.
-    """
-    n = a.rows
-    if a @ right != RationalMatrix([[0]] * n):
-        raise ArithmeticError("constructed h1 is not a right null vector of A")
-    if left @ a != RationalMatrix([[0] * n]):
-        raise ArithmeticError("constructed h1_star is not a left null vector of A")
-    return _normalized(
-        tuple(right[i, 0] for i in range(n)), tuple(left[0, j] for j in range(n))
-    )
 
 
 def _sample_interaction(
     cfg: GeneratorConfig, rng: random.Random
-) -> tuple[RationalMatrix, tuple[Vector, Vector]]:
-    """One interaction matrix with its normalized null pair.
+) -> tuple[RationalMatrix, SpectralData]:
+    """One interaction matrix with its certified null pair.
 
-    The pair is known by construction from one kernel of the Markov base
-    B: h1_B spans it, and the zero column sums make 1 its left null
-    vector.  For A = T B T⁻¹, T h1_B and the row 1ᵀ T⁻¹ are the null
-    vectors of A, read off the T⁻¹ already solved.
+    The Markov base is admissible by construction; a similarity candidate
+    T B T⁻¹ shares its spectrum and is certified on its own.
     """
-    n = cfg.n
-    base = _markov_generator(rng, n, _ENTRY_BOUND)
-    (kernel,) = nullspace(base)  # a line: B is an irreducible generator
-    h1_base = RationalMatrix(zip(kernel))
-    ones = RationalMatrix([[1] * n])
+    base = _markov_generator(rng, cfg.n, _ENTRY_BOUND)
     if cfg.family == MARKOV_FAMILY:
-        return base, _checked_pair(base, h1_base, ones)
+        return base, _certified_pair(base)
     for _ in range(_MAX_GENERATION_ATTEMPTS):
         # T entries in [-3, 3] keep conjugated denominators modest
-        a, t, t_inv = _random_similar(rng, base, 3)
-        right, left = t @ h1_base, ones @ t_inv
+        a = _random_similar(rng, base, 3)
+        data = _certified_pair(a)
         # Stay inside the rank law's evident hypothesis class: the
         # conjugation must not park a null vector on a coordinate plane.
-        if all(right[i, 0] != 0 for i in range(n)) and all(left[0, j] != 0 for j in range(n)):
-            return a, _checked_pair(a, right, left)
+        if all(data.h1) and all(data.h1_star):
+            return a, data
     raise GenerationFailed("similarity transform kept zeroing a null-vector entry")
 
 
@@ -337,9 +289,7 @@ def generate_instance(cfg: GeneratorConfig) -> tuple[SystemSpec, SpectralData]:
     loops draw from the one seeded stream and are attempt-bounded.
     """
     rng = random.Random(cfg.seed)
-    a, (h1, h1_star) = _sample_interaction(cfg, rng)
-    _check_spectrum(a)
-    data = SpectralData(h1=h1, h1_star=h1_star)
+    a, data = _sample_interaction(cfg, rng)
     diagonals = _sample_diagonals(cfg, rng)
     label = f"{cfg.family}-n{cfg.n}-K{cfg.K}-seed{cfg.seed}"
     return SystemSpec(n=cfg.n, K=cfg.K, D=diagonals, A=a, label=label), data

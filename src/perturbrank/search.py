@@ -118,7 +118,7 @@ def _run_cell(cfg: CampaignConfig, n: int, k: int, artifact_dir: str | None) -> 
         except GenerationFailed as exc:
             raise GenerationFailed(f"cell n={n}, K={k}, index={index}: {exc}") from exc
         ts = build_M(spec, sd)
-        verdict = analyze_structure(ts, spec, sd)
+        verdict = analyze_structure(ts)
         if verdict.outcome == MATCH:
             cell["matches"] += 1
         elif verdict.outcome == DEGENERATE:

@@ -55,7 +55,7 @@ RESIDUAL_RATIO_WINDOW = (3.2, 4.8)
 def _verdict(spec):
     sd = validate_system(spec)
     ts = build_M(spec, sd)
-    return ts, analyze_structure(ts, spec, sd)
+    return ts, analyze_structure(ts)
 
 
 def _line(ok: bool, name: str, detail: str) -> bool:

@@ -19,7 +19,6 @@ from perturbrank.asymptotics import (
     leading_term_eval,
     pde_residual,
     phi0_eval,
-    velocities,
 )
 from perturbrank.exact_linalg import (
     RationalMatrix,
@@ -79,11 +78,11 @@ def _two_state_family(a: Fraction, b: Fraction, k: Fraction, diagonals) -> Syste
 class TestVelocities:
     def test_w1(self):
         sd = validate_system(W1)
-        assert velocities(W1, sd) == (Fraction(1, 2), Fraction(1, 2))
+        assert build_M(W1, sd).v == (Fraction(1, 2), Fraction(1, 2))
 
     def test_uniform_null_vector_averages(self):
         sd = validate_system(TRIPLE)
-        assert velocities(TRIPLE, sd)[0] == 2
+        assert build_M(TRIPLE, sd).v[0] == 2
 
     def test_constant_diagonal_gives_its_value(self):
         s = SystemSpec(
@@ -93,7 +92,7 @@ class TestVelocities:
             A=W1.A,
         )
         sd = validate_system(s)
-        assert velocities(s, sd) == (Fraction(5),)
+        assert build_M(s, sd).v == (Fraction(5),)
 
 
 class TestGroupInverse:
@@ -246,7 +245,7 @@ class TestBuildM:
 class TestAnalyzeStructure:
     def test_w1_report(self):
         sd, ts = _pipeline(W1)
-        report = analyze_structure(ts, W1, sd)
+        report = analyze_structure(ts)
         assert report.rank_exact == 1
         assert report.predicted_rank == 1
         assert report.rank_matches_prediction
@@ -267,7 +266,7 @@ class TestAnalyzeStructure:
             A=W1.A,
         )
         sd, ts = _pipeline(s)
-        report = analyze_structure(ts, s, sd)
+        report = analyze_structure(ts)
         assert not report.degenerate
         assert report.rank_exact == 1
         assert report.rank_matches_prediction
@@ -276,7 +275,7 @@ class TestAnalyzeStructure:
         d = (Fraction(1), Fraction(2), Fraction(3))
         s = SystemSpec(n=3, K=2, D=(d, d), A=TRIPLE.A)
         sd, ts = _pipeline(s)
-        report = analyze_structure(ts, s, sd)
+        report = analyze_structure(ts)
         assert report.degenerate
         assert report.rank_exact == 1  # rank-one despite K = n - 1 = 2
 
@@ -288,7 +287,7 @@ class TestAnalyzeStructure:
         ]
         s = _two_state_family(Fraction(2), Fraction(1), Fraction(3), diagonals)
         sd, ts = _pipeline(s)
-        report = analyze_structure(ts, s, sd)
+        report = analyze_structure(ts)
         assert report.predicted_rank == 1
         assert report.rank_exact == 1
         assert len(report.kernel_directions) == 4

@@ -21,7 +21,7 @@ from perturbrank.exact_linalg import (
     _eliminate,
     _primitive_rows,
     as_rational,
-    charpoly_exact,
+    charpoly_adjugate,
     dot,
     echelon_reduce,
     hurwitz_stable,
@@ -464,11 +464,25 @@ class TestInverse:
         )
 
 
+def _cofactor_adjugate(m: RationalMatrix) -> RationalMatrix:
+    # Independent oracle: adj[i][j] = (-1)^(i+j) det(m without row j, column i).
+    rows = _entries(m)
+    n = m.rows
+    return RationalMatrix(
+        [
+            (-1) ** (i + j)
+            * _rational_det([r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j])
+            for j in range(n)
+        ]
+        for i in range(n)
+    )
+
+
 def _assert_charpoly_matches_det(m: RationalMatrix) -> None:
     # Second route: det(λI - m) by elimination at n + 1 distinct λ fixes a
     # polynomial of degree n.
     n = m.rows
-    p = charpoly_exact(m)
+    p = charpoly_adjugate(m)[0]
     assert len(p) == n + 1 and p[-1] == 1
     for j in range(n + 1):
         lam = Fraction(2 * j - n, 3)
@@ -481,7 +495,7 @@ def _assert_charpoly_matches_det(m: RationalMatrix) -> None:
 class TestCharpoly:
     def test_denominators_enter_per_power(self):
         m = RationalMatrix([["1/2", "1/3"], ["1/5", "1/7"]])
-        assert charpoly_exact(m) == (
+        assert charpoly_adjugate(m)[0] == (
             Fraction(1, 210),
             Fraction(-9, 14),
             Fraction(1),
@@ -501,16 +515,16 @@ class TestCharpoly:
 
     def test_symmetric_exchange_generator(self):
         m = RationalMatrix([[-2, 1, 1], [1, -2, 1], [1, 1, -2]])
-        p = charpoly_exact(m)
+        p = charpoly_adjugate(m)[0]
         assert p == (Fraction(0), Fraction(9), Fraction(6), Fraction(1))
         assert _horner(p, -3) == 0 and _horner(p, Fraction(1, 2)) == Fraction(49, 8)
 
     def test_two_state(self):
-        p = charpoly_exact(RationalMatrix([[-1, 1], [1, -1]]))
+        p = charpoly_adjugate(RationalMatrix([[-1, 1], [1, -1]]))[0]
         assert p == (Fraction(0), Fraction(2), Fraction(1))
 
     def test_identity(self):
-        p = charpoly_exact(RationalMatrix.identity(2))
+        p = charpoly_adjugate(RationalMatrix.identity(2))[0]
         assert p == (Fraction(1), Fraction(-2), Fraction(1))
 
     def test_constant_term_is_signed_determinant(self):
@@ -518,7 +532,7 @@ class TestCharpoly:
         for _ in range(40):
             n = rng.randint(1, 5)
             m = _random_matrix(rng, n, n)
-            p = charpoly_exact(m)
+            p = charpoly_adjugate(m)[0]
             constant = _horner(p, 0)
             assert constant == (-1) ** n * _rational_det(_entries(m))
 
@@ -530,16 +544,59 @@ class TestCharpoly:
             if rank_exact(t) == 4:
                 break
         conj = t @ m @ solve_particular(t, RationalMatrix.identity(4))
-        assert charpoly_exact(conj) == charpoly_exact(m)
+        assert charpoly_adjugate(conj)[0] == charpoly_adjugate(m)[0]
+
+    def test_adjugate_times_matrix_is_determinant(self):
+        # m adj = adj m = det I with det = (-1)^n c_0, and adj equals the
+        # cofactor matrix of plain rational elimination; the rank of adj is
+        # n, 1 or 0 as m has rank n, n - 1 or less.
+        rng = random.Random(6121)
+        adjugate_ranks = {"full": 0, "one": 0, "zero": 0}
+        for trial in range(240):
+            n = rng.randint(1, 8)
+            r = n - trial % 3  # full, n - 1 and n - 2 factor widths
+            if r >= 1:
+                m = _random_matrix(rng, n, r, bound=7) @ _random_matrix(rng, r, n, bound=7)
+            else:
+                m = RationalMatrix([[0] * n] * n)
+            coeffs, adj = charpoly_adjugate(m)
+            det = (-1) ** n * coeffs[0]
+            scalar = RationalMatrix([[det if i == j else 0 for j in range(n)] for i in range(n)])
+            assert m @ adj == adj @ m == scalar
+            if n <= 5:
+                assert adj == _cofactor_adjugate(m)
+            rank = rank_exact(m)
+            if rank == n:
+                assert rank_exact(adj) == n
+                adjugate_ranks["full"] += 1
+            elif rank == n - 1:
+                assert rank_exact(adj) == 1
+                adjugate_ranks["one"] += 1
+            else:
+                assert adj == RationalMatrix([[0] * n] * n)
+                adjugate_ranks["zero"] += 1
+        assert min(adjugate_ranks.values()) > 40
+
+    def test_adjugate_small_cases(self):
+        assert charpoly_adjugate(RationalMatrix([["3/4"]])) == (
+            (Fraction(-3, 4), Fraction(1)),
+            RationalMatrix([[1]]),
+        )
+        # adj [[a, b], [c, d]] = [[d, -b], [-c, a]]
+        _, adj = charpoly_adjugate(RationalMatrix([["1/2", "1/3"], ["1/5", "1/7"]]))
+        assert adj == RationalMatrix([["1/7", "-1/3"], ["-1/5", "1/2"]])
+        # a simple zero root: adj = α h1 h1_starᵀ with α = tr adj = c_1
+        _, adj = charpoly_adjugate(RationalMatrix([[-2, 1, 1], [1, -2, 1], [1, 1, -2]]))
+        assert adj == RationalMatrix([[3] * 3] * 3)
 
     def test_size_guard(self):
         big = RationalMatrix.identity(CHARPOLY_SIZE_LIMIT + 1)
         with pytest.raises(SizeLimitExceeded):
-            charpoly_exact(big)
+            charpoly_adjugate(big)
 
     def test_non_square(self):
         with pytest.raises(ValueError):
-            charpoly_exact(RationalMatrix([[0, 0, 0], [0, 0, 0]]))
+            charpoly_adjugate(RationalMatrix([[0, 0, 0], [0, 0, 0]]))
 
 
 class TestHurwitz:
@@ -626,7 +683,7 @@ class TestHurwitz:
             n = rng.randint(1, 5)
             entries = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
             m = RationalMatrix(entries)
-            verdict = hurwitz_stable(charpoly_exact(m))
+            verdict = hurwitz_stable(charpoly_adjugate(m)[0])
             eigs = np.linalg.eigvals(np.array(entries, dtype=float))
             max_re = max(e.real for e in eigs)
             scale = max(1.0, max(abs(e) for e in eigs))

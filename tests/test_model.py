@@ -9,8 +9,10 @@ import pytest
 from perturbrank.asymptotics import analyze_structure, build_M
 from perturbrank.exact_linalg import (
     RationalMatrix,
-    charpoly_exact,
+    Vector,
+    charpoly_adjugate,
     dot,
+    nullspace,
     rank_exact,
     solve_particular,
 )
@@ -22,7 +24,6 @@ from perturbrank.model import (
     GenerationFailed,
     GeneratorConfig,
     KernelDimensionError,
-    NonNormalizable,
     NotStable,
     SpectralData,
     SystemSpec,
@@ -30,7 +31,6 @@ from perturbrank.model import (
     _markov_generator,
     _random_similar,
     generate_instance,
-    null_pair_normalized,
     validate_system,
 )
 
@@ -63,11 +63,34 @@ class TestSystemSpec:
             SystemSpec(n=3, K=1, D=((Fraction(0),) * 3,), A=W1_A)
 
 
+def null_pair_normalized(a: RationalMatrix) -> tuple[Vector, Vector]:
+    """Oracle: the null pair by two eliminations, one per kernel.
+
+    Requires one-dimensional kernels on both sides and scales the pair to
+    first-nonzero(h1) = 1 and (h1, h1_star) = 1; raises ``ValueError``
+    when the two null vectors are orthogonal (defective zero eigenvalue).
+    """
+    right = nullspace(a)
+    if len(right) != 1:
+        raise KernelDimensionError(f"right kernel dimension is {len(right)}, need exactly 1")
+    left = nullspace(a.transpose())
+    if len(left) != 1:
+        raise KernelDimensionError(f"left kernel dimension is {len(left)}, need exactly 1")
+    (h1,), (raw,) = right, left
+    pairing = dot(h1, raw)
+    if pairing == 0:
+        raise ValueError("right and left null vectors are orthogonal")
+    return h1, tuple(x / pairing for x in raw)
+
+
 class TestNullPair:
+    """``validate_system`` against the elimination oracle on hand-made A."""
+
     def test_two_state_exchange(self):
         h1, h1_star = null_pair_normalized(W1_A)
         assert h1 == (Fraction(1), Fraction(1))
         assert h1_star == (Fraction(1, 2), Fraction(1, 2))
+        assert validate_system(_spec(W1_A)) == SpectralData(h1=h1, h1_star=h1_star)
 
     def test_asymmetric_two_state(self):
         # A = [[-a, b], [k a, -k b]] with a=2, b=1, k=1
@@ -76,19 +99,45 @@ class TestNullPair:
         assert h1 == (Fraction(1), Fraction(2))
         assert h1_star == (Fraction(1, 3), Fraction(1, 3))
         assert dot(h1, h1_star) == 1
+        assert validate_system(_spec(a)) == SpectralData(h1=h1, h1_star=h1_star)
 
     def test_invertible_matrix_rejected(self):
         with pytest.raises(KernelDimensionError):
             null_pair_normalized(RationalMatrix.identity(2))
+        with pytest.raises(KernelDimensionError, match="not an eigenvalue"):
+            validate_system(_spec(RationalMatrix.identity(2)))
 
     def test_defective_zero_not_normalizable(self):
+        # both kernels are lines, but orthogonal: the zero root is double
         nilpotent = RationalMatrix([[0, 1], [0, 0]])
-        with pytest.raises(NonNormalizable):
+        with pytest.raises(ValueError, match="orthogonal"):
             null_pair_normalized(nilpotent)
+        with pytest.raises(KernelDimensionError, match="not simple"):
+            validate_system(_spec(nilpotent))
 
     def test_fat_kernel_rejected(self):
+        zero = RationalMatrix([[0, 0], [0, 0]])
         with pytest.raises(KernelDimensionError):
-            null_pair_normalized(RationalMatrix([[0, 0], [0, 0]]))
+            null_pair_normalized(zero)
+        with pytest.raises(KernelDimensionError, match="not simple"):
+            validate_system(_spec(zero))
+
+
+def _admissible_non_markov(rng: random.Random, n: int) -> RationalMatrix:
+    """X J X⁻¹ for J = [[0, r], [0, S]] with S upper triangular and a
+    negative diagonal, X a random invertible integer matrix: a simple
+    zero root, the rest of the spectrum the diagonal of S, and null
+    vectors X e_1 and X⁻ᵀ (1, -r S⁻¹) that may carry zero entries."""
+    j = [[0] * n for _ in range(n)]
+    for c in range(1, n):
+        j[0][c] = rng.randint(-3, 3)
+        j[c][c] = -Fraction(rng.randint(1, 6), rng.randint(1, 3))
+        for r in range(c + 1, n):
+            j[c][r] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    while True:
+        x = RationalMatrix([rng.randint(-3, 3) for _ in range(n)] for _ in range(n))
+        if rank_exact(x) == n:
+            return x @ RationalMatrix(j) @ solve_particular(x, RationalMatrix.identity(n))
 
 
 class TestValidateSystem:
@@ -135,6 +184,22 @@ class TestValidateSystem:
             lead = next(x for x in data.h1 if x != 0)
             assert lead == 1
 
+    def test_matches_elimination_oracle(self):
+        # the adjugate pair equals the two-elimination pair on admissible
+        # matrices without Markov structure, zero null-vector entries included
+        rng = random.Random(1717)
+        zero_entries = non_markov = 0
+        for _ in range(1000):
+            a = _admissible_non_markov(rng, rng.randint(2, 7))
+            data = validate_system(_spec(a))
+            assert (data.h1, data.h1_star) == null_pair_normalized(a)
+            zero_entries += not (all(data.h1) and all(data.h1_star))
+            non_markov += a.transpose() @ RationalMatrix([[1]] * a.rows) != RationalMatrix(
+                [[0]] * a.rows
+            )
+        assert zero_entries > 0
+        assert non_markov > 990
+
 
 class TestGeneratorConfig:
     def test_bounds(self):
@@ -177,10 +242,7 @@ class TestRandomSimilar:
                     ours = random.Random(100 * n + seed)
                     oracle = random.Random(100 * n + seed)
                     expected, draws = _fraction_similar(oracle, s.A, 3)
-                    a, t, t_inv = _random_similar(ours, s.A, 3)
-                    assert a == expected
-                    assert t @ t_inv == RationalMatrix.identity(n)
-                    assert a == t @ s.A @ t_inv
+                    assert _random_similar(ours, s.A, 3) == expected
                     # same draws from the stream, singular ones included
                     assert ours.getstate() == oracle.getstate()
                     redrawn += draws > 1
@@ -237,14 +299,15 @@ class TestGenerateInstance:
         cfg = GeneratorConfig(n=4, K=2, seed=31337, family=SIMILARITY_FAMILY)
         s, _ = generate_instance(cfg)
         base = _markov_generator(random.Random(cfg.seed), cfg.n, _ENTRY_BOUND)
-        assert charpoly_exact(s.A) == charpoly_exact(base)
+        assert charpoly_adjugate(s.A)[0] == charpoly_adjugate(base)[0]
 
     def test_null_pair_computed_once_per_draw(self, monkeypatch):
-        # The pair is constructed from the one kernel of the Markov base,
-        # not eliminated per draw; it must still be the eliminated pair.
+        # The pair is read off the adjugate of the one charpoly pass per
+        # candidate A, not eliminated; it must still be the eliminated pair.
         import perturbrank.model as model
 
-        calls = {"null_pair": 0, "nullspace": 0, "similar": 0, "charpoly": 0}
+        assert not hasattr(model, "nullspace")
+        calls = {"similar": 0, "charpoly": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -254,10 +317,8 @@ class TestGenerateInstance:
             return wrapper
 
         for attr, name in (
-            ("null_pair_normalized", "null_pair"),
-            ("nullspace", "nullspace"),
             ("_random_similar", "similar"),
-            ("charpoly_exact", "charpoly"),
+            ("charpoly_adjugate", "charpoly"),
         ):
             monkeypatch.setattr(model, attr, counted(name, getattr(model, attr)))
         draws = []
@@ -269,42 +330,39 @@ class TestGenerateInstance:
                     s, data = generate_instance(
                         GeneratorConfig(n=n, K=3, seed=seed, family=family)
                     )
-                    assert calls["null_pair"] == 0
-                    assert calls["nullspace"] == 1
-                    assert calls["charpoly"] == 1
                     if family == MARKOV_FAMILY:
-                        assert calls["similar"] == 0
+                        assert calls == {"similar": 0, "charpoly": 1}
                     else:
+                        assert calls["charpoly"] == calls["similar"] >= 1
                         draws.append(calls["similar"])
                     # the oracle runs outside the counted generation
                     assert (data.h1, data.h1_star) == null_pair_normalized(s.A)
-        assert min(draws) >= 1
         assert max(draws) > 1  # some seed's zero-entry screen rejected a draw
 
     def test_wrong_constructed_pair_raises(self, monkeypatch):
-        # The product check is live: a base kernel vector that is not one
-        # makes A h1 = 0 fail in both families.
+        # The product checks are live: an adjugate whose columns are not
+        # null vectors fails A h1 = 0, and one whose rows are not fails
+        # h1_starᵀ A = 0, in both families.
         import perturbrank.model as model
 
-        monkeypatch.setattr(model, "nullspace", lambda m: [(Fraction(1),) * m.rows])
-        for family in FAMILIES:
-            with pytest.raises(ArithmeticError, match="right null vector"):
-                generate_instance(GeneratorConfig(n=4, K=2, seed=3, family=family))
+        true_pass = model.charpoly_adjugate
 
-    def test_wrong_transform_inverse_raises(self, monkeypatch):
-        # A returned T⁻¹ other than the inverse A was conjugated with puts
-        # the left null vector off: h1_starᵀ A = 0 must fail.
-        import perturbrank.model as model
+        def skew_rows(m):
+            coeffs, adj = true_pass(m)
+            scales = range(1, m.rows + 1)
+            return coeffs, adj.transpose().scale_columns(scales).transpose()
 
-        similar = model._random_similar
+        def skew_columns(m):
+            coeffs, adj = true_pass(m)
+            return coeffs, adj.scale_columns(range(1, m.rows + 1))
 
-        def skewed(rng, base, bound):
-            a, t, t_inv = similar(rng, base, bound)
-            return a, t, t_inv.scale_columns(range(1, base.rows + 1))
-
-        monkeypatch.setattr(model, "_random_similar", skewed)
-        with pytest.raises(ArithmeticError, match="left null vector"):
-            generate_instance(GeneratorConfig(n=4, K=2, seed=3, family=SIMILARITY_FAMILY))
+        for fake, side in ((skew_rows, "right"), (skew_columns, "left")):
+            monkeypatch.setattr(model, "charpoly_adjugate", fake)
+            for family in FAMILIES:
+                with pytest.raises(ArithmeticError, match=f"{side} null vector"):
+                    generate_instance(GeneratorConfig(n=4, K=2, seed=3, family=family))
+            with pytest.raises(ArithmeticError, match=f"{side} null vector"):
+                validate_system(_spec(TRIPLE_A.scale_columns((1, 2, 3))))
 
     def test_similarity_is_not_markov(self):
         found_non_markov = False
@@ -433,4 +491,4 @@ class TestAffineRankLemma:
         assert _affine_rank(spec.D) - 1 == 1 == min(spec.K, spec.n - 1)
         assert _pushed_rank(spec.D, data.h1, data.h1_star) == 0
         ts = build_M(spec, data)
-        assert analyze_structure(ts, spec, data).degenerate
+        assert analyze_structure(ts).degenerate

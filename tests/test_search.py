@@ -8,6 +8,7 @@ import os
 import pytest
 
 import perturbrank.model
+import perturbrank.search
 from perturbrank.asymptotics import StructureReport, analyze_structure, build_M
 from perturbrank.cli import run_command
 from perturbrank.exact_linalg import RationalMatrix
@@ -51,7 +52,7 @@ PATH_A = RationalMatrix([[-1, 1, 0], [1, -2, 1], [0, 1, -1]])
 
 def _verdict(spec: SystemSpec, sd=None) -> StructureReport:
     sd = validate_system(spec) if sd is None else sd
-    return analyze_structure(build_M(spec, sd), spec, sd)
+    return analyze_structure(build_M(spec, sd))
 
 
 class TestCampaignConfig:
@@ -350,8 +351,8 @@ class TestRunCampaign:
         def fixed_instance(gen_cfg):
             return rigged, validate_system(rigged)
 
-        def always_violation(ts, spec, sd):
-            return dataclasses.replace(analyze_structure(ts, spec, sd), outcome="violation")
+        def always_violation(ts):
+            return dataclasses.replace(analyze_structure(ts), outcome="violation")
 
         monkeypatch.setattr("perturbrank.search.generate_instance", fixed_instance)
         monkeypatch.setattr("perturbrank.search.analyze_structure", always_violation)
@@ -371,32 +372,44 @@ class TestRunCampaign:
 
     def test_violation_report_comes_from_the_single_pass(self, monkeypatch):
         # force the first instance of a tiny campaign to be a violation; its
-        # report must equal a fresh analysis, and every instance must be
-        # validated (one characteristic polynomial) exactly once
+        # report must equal a fresh analysis, and every classified A must be
+        # certified (one characteristic polynomial) exactly once; similarity
+        # redraws may add passes on other candidate matrices
         charpolys = []
-        original_charpoly = perturbrank.model.charpoly_exact
+        original_charpoly = perturbrank.model.charpoly_adjugate
 
         def counted_charpoly(a):
             charpolys.append(a)
             return original_charpoly(a)
 
+        generated = []
+        original_generate = perturbrank.search.generate_instance
+
+        def recorded_generate(gen_cfg):
+            spec, sd = original_generate(gen_cfg)
+            generated.append(spec)
+            return spec, sd
+
         classified = []
 
-        def first_violates(ts, spec, sd):
-            verdict = analyze_structure(ts, spec, sd)
-            classified.append(spec)
+        def first_violates(ts):
+            verdict = analyze_structure(ts)
+            classified.append(ts)
             if len(classified) == 1:
                 verdict = dataclasses.replace(verdict, outcome="violation")
             return verdict
 
-        monkeypatch.setattr(perturbrank.model, "charpoly_exact", counted_charpoly)
+        monkeypatch.setattr(perturbrank.model, "charpoly_adjugate", counted_charpoly)
+        monkeypatch.setattr("perturbrank.search.generate_instance", recorded_generate)
         monkeypatch.setattr("perturbrank.search.analyze_structure", first_violates)
         cfg = CampaignConfig(n_range=(2, 3), K_range=(2, 2), samples_per_cell=2, seed=13)
         report = run_campaign(cfg)
         monkeypatch.undo()
 
-        assert len(classified) == 4
-        assert len(charpolys) == len(classified)
+        assert len(classified) == len(generated) == 4
+        for spec, ts in zip(generated, classified):
+            assert sum(a == spec.A for a in charpolys) == 1
+            assert ts == build_M(spec, validate_system(spec))
         assert report["verdict"] == "violations_found"
         (violation,) = report["cells"][0]["violations"]
         spec, _ = generate_instance(
@@ -404,10 +417,10 @@ class TestRunCampaign:
                 n=2, K=2, seed=violation["instance_seed"], family=violation["family"]
             )
         )
-        assert spec == classified[0]
+        assert spec == generated[0]
         sd = validate_system(spec)
         ts = build_M(spec, sd)
-        fresh = build_report(spec, sd, ts, analyze_structure(ts, spec, sd))
+        fresh = build_report(spec, sd, ts, analyze_structure(ts))
         assert dumps(violation["report"]) == dumps(fresh)
 
     def test_report_and_artifacts_pinned_by_digest(self, monkeypatch, tmp_path):
@@ -415,9 +428,9 @@ class TestRunCampaign:
         # to a violation, so every report field and artifact kind is pinned
         classified = []
 
-        def first_violates(ts, spec, sd):
-            verdict = analyze_structure(ts, spec, sd)
-            classified.append(spec)
+        def first_violates(ts):
+            verdict = analyze_structure(ts)
+            classified.append(ts)
             if len(classified) == 1:
                 verdict = dataclasses.replace(verdict, outcome="violation")
             return verdict
