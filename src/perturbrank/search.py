@@ -4,11 +4,12 @@ Campaigns sweep a grid of (n, K) cells, sample admissible systems from the
 generator families, and count each instance under the outcome and the
 breaches of ``asymptotics.analyze_structure``.  Per-instance seeds are
 derived by hashing (campaign seed, n, K, index), so the result set is a
-pure function of the configuration no matter how work is scheduled
-across processes.  Violations and breaches are the valuable output: each
-is serialized as a standalone instance file that the analyze command can
-replay.  A clean sweep is evidence for the expected structure, never
-proof.
+pure function of the configuration no matter how work is scheduled: with
+W workers, the search process and W - 1 children (never more processes
+than cells) take cells off one shared counter, largest (n, K) first.
+Violations and breaches are the valuable output: each is serialized as a
+standalone instance file that the analyze command can replay.  A clean
+sweep is evidence for the expected structure, never proof.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from __future__ import annotations
 import hashlib
 import os
 import time
+from contextlib import suppress
 from dataclasses import dataclass
-from itertools import product, repeat
+from itertools import product
 
 from .asymptotics import (
     BREACH_KINDS,
@@ -158,13 +160,41 @@ def _run_cell(cfg: CampaignConfig, n: int, k: int, artifact_dir: str | None) -> 
     return cell
 
 
+def _claim_cells(counter, grid: list, cfg: CampaignConfig, artifact_dir: str | None, conn=None):
+    """[(grid index, cell)] for cells taken off the shared counter, largest first."""
+    done = []
+    try:
+        while True:
+            with counter.get_lock():
+                index = counter.value = counter.value - 1
+            if index < 0:
+                break
+            done.append((index, _run_cell(cfg, *grid[index], artifact_dir)))
+    except BaseException as exc:
+        counter.value = -1
+        if conn is None or not isinstance(exc, Exception):
+            raise
+        done = exc
+    return done if conn is None else conn.send(done)
+
+
+def _collect(child, receive):
+    """A child's cells or exception, read before the join, as a large result blocks its send."""
+    try:
+        with receive, suppress(EOFError):
+            return receive.recv()
+    finally:
+        child.join()
+    return ChildProcessError(f"campaign worker exited with code {child.exitcode}")
+
+
 def run_campaign(cfg: CampaignConfig, artifact_dir: str | None = None) -> dict:
     """Run the sweep; returns the JSON-ready campaign report.
 
     The report is deterministic except for runtime_seconds.  With
-    worker_count > 1 cells are distributed across processes; the
-    per-instance seed derivation makes the outcome identical to a serial
-    run; no more workers are started than there are cells.  When
+    worker_count W > 1 the search process runs cells, largest (n, K) first,
+    next to W - 1 children, never more processes than cells; a child's
+    exception is raised here, and no child outlives the call.  When
     artifact_dir is given, each violation is written there as a standalone
     instance file named violation-n{n}-K{k}-index{i}.json, and each
     invariant breach as breach-{kind}-n{n}-K{k}-index{i}.json.  An
@@ -177,21 +207,31 @@ def run_campaign(cfg: CampaignConfig, artifact_dir: str | None = None) -> dict:
             raise ValueError(f"artifact directory {artifact_dir} is not empty")
         os.makedirs(artifact_dir, exist_ok=True)
     started = time.monotonic()
-    ns, ks = zip(
-        *product(
-            range(cfg.n_range[0], cfg.n_range[1] + 1),
-            range(cfg.K_range[0], cfg.K_range[1] + 1),
-        )
-    )
-    args = (repeat(cfg), ns, ks, repeat(artifact_dir))
-    if cfg.worker_count > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    (n_lo, n_hi), (k_lo, k_hi) = cfg.n_range, cfg.K_range
+    grid = list(product(range(n_lo, n_hi + 1), range(k_lo, k_hi + 1)))
+    if (workers := min(cfg.worker_count, len(grid))) > 1:
+        import multiprocessing
 
-        workers = min(cfg.worker_count, len(ns))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(_run_cell, *args))
+        counter = multiprocessing.Value("i", len(grid))
+        children = []
+        try:
+            for _ in range(workers - 1):
+                receive, send = multiprocessing.Pipe(duplex=False)
+                args = (counter, grid, cfg, artifact_dir, send)
+                child = multiprocessing.Process(target=_claim_cells, args=args, daemon=True)
+                child.start()
+                send.close()
+                children.append((child, receive))
+            claimed = _claim_cells(counter, grid, cfg, artifact_dir)
+        finally:
+            sent = [_collect(*child) for child in children]
+        for result in sent:
+            if isinstance(result, Exception):
+                raise result
+            claimed += result
+        cells = [cell for _, cell in sorted(claimed)]
     else:
-        cells = list(map(_run_cell, *args))
+        cells = [_run_cell(cfg, n, k, artifact_dir) for n, k in grid]
     totals = {
         key: sum(cell[key] for cell in cells) for key in ("samples", "matches", "degenerate")
     }

@@ -593,7 +593,7 @@ import contextlib, io, json, sys
 from perturbrank.cli import run_command
 
 w1, out = sys.argv[1:]
-lazy = ("numpy", "concurrent.futures")
+lazy = ("numpy", "concurrent.futures", "multiprocessing")
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [
         run_command(["analyze", w1]),

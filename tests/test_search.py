@@ -1,9 +1,17 @@
 """Tests for campaign orchestration, classification, and violation capture."""
 
+import contextlib
 import dataclasses
 import hashlib
 import json
+import multiprocessing
 import os
+import re
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +61,51 @@ PATH_A = RationalMatrix([[-1, 1, 0], [1, -2, 1], [0, 1, -1]])
 def _verdict(spec: SystemSpec, sd=None) -> StructureReport:
     sd = validate_system(spec) if sd is None else sd
     return analyze_structure(build_M(spec, sd))
+
+
+FORK_ONLY = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="monkeypatches reach the campaign's children only through fork",
+)
+
+
+def _meet(flags, search_pid: int) -> str:
+    """This process's role, once the other role is also inside a cell.
+
+    On two cells and two workers, each worker waits here until the other
+    has claimed a cell, so one cell runs in the search process and one in
+    the child, whichever claims first.
+    """
+    role, other = ("search", "child") if os.getpid() == search_pid else ("child", "search")
+    (flags / role).touch()
+    deadline = time.monotonic() + 30
+    while not (flags / other).exists():
+        if time.monotonic() > deadline:
+            raise TimeoutError(f"no {other} cell started")
+        time.sleep(0.005)
+    return role
+
+
+def _own_cell_failure_probe(flags: str) -> None:
+    """The search process's cell raises while its child sends a result
+    larger than a pipe buffer; prints what run_campaign raised."""
+    search_pid = os.getpid()
+
+    def cell(cfg, n, k, artifact_dir):
+        if _meet(Path(flags), search_pid) == "search":
+            raise GenerationFailed("own cell failed")
+        return {"padding": "x" * 200_000}
+
+    perturbrank.search._run_cell = cell
+    cfg = CampaignConfig(
+        n_range=(2, 2), K_range=(2, 3), samples_per_cell=1, seed=0, worker_count=2
+    )
+    try:
+        run_campaign(cfg)
+        error = None
+    except GenerationFailed as exc:
+        error = str(exc)
+    print(json.dumps({"error": error, "active_children": len(multiprocessing.active_children())}))
 
 
 class TestCampaignConfig:
@@ -275,48 +328,67 @@ class TestRunCampaign:
         second.pop("runtime_seconds")
         assert first == second
 
-    def test_worker_count_does_not_change_results(self):
-        serial = CampaignConfig(
-            n_range=(2, 3), K_range=(2, 2), samples_per_cell=4, seed=3
-        )
-        parallel = CampaignConfig(
-            n_range=(2, 3), K_range=(2, 2), samples_per_cell=4, seed=3, worker_count=2
-        )
-        a = run_campaign(serial)
-        b = run_campaign(parallel)
-        a.pop("runtime_seconds")
-        b.pop("runtime_seconds")
-        # worker_count is configuration echo, not result content
-        a["config"].pop("worker_count")
-        b["config"].pop("worker_count")
-        assert a == b
+    def test_worker_count_does_not_change_results(self, tmp_path):
+        # a grid with breaches, so the cells that come back from the workers
+        # carry instances, reports and artifacts
+        outputs = []
+        for workers in (1, 2, 3, 64):
+            cfg = CampaignConfig(
+                n_range=(2, 5), K_range=(2, 5), samples_per_cell=3, seed=7,
+                worker_count=workers,
+            )
+            artifacts = tmp_path / f"workers-{workers}"
+            report = run_campaign(cfg, artifact_dir=str(artifacts))
+            report.pop("runtime_seconds")
+            # worker_count is configuration echo, not result content
+            report["config"].pop("worker_count")
+            files = {path.name: path.read_bytes() for path in sorted(artifacts.iterdir())}
+            outputs.append((dumps(report), files))
+        assert sum(report["breach_totals"].values()) > 0
+        assert len(outputs[0][1]) > 0
+        assert all(output == outputs[0] for output in outputs)
+        assert multiprocessing.active_children() == []
 
     def test_worker_pool_bounded_by_cell_count(self, monkeypatch):
-        # a fake pool records its size and runs the cells in this process
-        sizes = []
+        # the search process is one of the workers: W workers start W - 1
+        # children, and never more processes run than there are cells
+        started = []
+        real_start = multiprocessing.Process.start
 
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+        def recording_start(process):
+            started.append(process)
+            real_start(process)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(multiprocessing.Process, "start", recording_start)
         one_cell = CampaignConfig(
             n_range=(2, 2), K_range=(2, 2), samples_per_cell=1, seed=3, worker_count=5000
         )
         report = run_campaign(one_cell)
+        counts = [len(started)]
         four_cells = dataclasses.replace(one_cell, n_range=(2, 3), K_range=(2, 3))
         run_campaign(four_cells)
-        assert sizes == [1, 4]
+        counts.append(len(started) - counts[0])
+        assert counts == [0, 3]
         assert report["config"]["worker_count"] == 5000
+
+    def test_failed_start_joins_the_started_children(self, monkeypatch):
+        started = []
+        real_start = multiprocessing.Process.start
+
+        def start_once(process):
+            if started:
+                raise OSError("no process left")
+            started.append(process)
+            real_start(process)
+
+        monkeypatch.setattr(multiprocessing.Process, "start", start_once)
+        cfg = CampaignConfig(
+            n_range=(2, 3), K_range=(2, 3), samples_per_cell=1, seed=3, worker_count=3
+        )
+        with pytest.raises(OSError, match="no process left"):
+            run_campaign(cfg)
+        assert len(started) == 1 and started[0].exitcode == 0
+        assert multiprocessing.active_children() == []
 
     def test_non_empty_artifact_dir_rejected_before_any_instance(
         self, monkeypatch, tmp_path
@@ -340,6 +412,71 @@ class TestRunCampaign:
         cfg = CampaignConfig(n_range=(2, 2), K_range=(2, 2), samples_per_cell=1, seed=0)
         with pytest.raises(GenerationFailed, match=r"cell n=2, K=2, index=0"):
             run_campaign(cfg)
+
+    @FORK_ONLY
+    def test_child_generation_failure_carries_cell_context(self, monkeypatch, tmp_path):
+        search_pid = os.getpid()
+        real_generate = perturbrank.search.generate_instance
+
+        def fails_in_child(gen_cfg):
+            if _meet(tmp_path, search_pid) == "child":
+                raise GenerationFailed("synthetic failure")
+            return real_generate(gen_cfg)
+
+        monkeypatch.setattr("perturbrank.search.generate_instance", fails_in_child)
+        cfg = CampaignConfig(
+            n_range=(2, 2), K_range=(2, 3), samples_per_cell=1, seed=0, worker_count=2
+        )
+        with pytest.raises(GenerationFailed, match=r"cell n=2, K=[23], index=0: synthetic"):
+            run_campaign(cfg)
+        assert multiprocessing.active_children() == []
+
+    @FORK_ONLY
+    def test_own_cell_failure_reads_large_child_result(self, tmp_path):
+        # a child blocks in send until its result is read; joining it first
+        # would hang, so the probe runs in a subprocess with a timeout
+        tests_dir = os.path.dirname(os.path.abspath(__file__))
+        package_root = os.path.dirname(os.path.dirname(perturbrank.search.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join((package_root, tests_dir)))
+        probe = [sys.executable, "-c", "import sys, test_search; "
+                 "test_search._own_cell_failure_probe(sys.argv[1])", str(tmp_path)]
+        with subprocess.Popen(
+            probe, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+            start_new_session=True,
+        ) as proc:
+            try:
+                out, err = proc.communicate(timeout=60)
+            finally:
+                # a hung probe would leave its child behind
+                with contextlib.suppress(ProcessLookupError):
+                    os.killpg(proc.pid, signal.SIGKILL)
+        assert proc.returncode == 0, err
+        assert json.loads(out) == {"error": "own cell failed", "active_children": 0}
+
+    @FORK_ONLY
+    def test_child_exit_without_result_exits_one(self, monkeypatch, tmp_path, capsys):
+        search_pid = os.getpid()
+        real_run_cell = perturbrank.search._run_cell
+
+        def exits_in_child(cfg, n, k, artifact_dir):
+            if _meet(tmp_path, search_pid) == "child":
+                os._exit(3)
+            return real_run_cell(cfg, n, k, artifact_dir)
+
+        monkeypatch.setattr("perturbrank.search._run_cell", exits_in_child)
+        rc = run_command(
+            [
+                "search",
+                "--n-min", "2", "--n-max", "2",
+                "--k-min", "2", "--k-max", "3",
+                "--samples", "1", "--seed", "0",
+                "--workers", "2",
+                "--out", str(tmp_path / "r.json"),
+            ]
+        )
+        assert rc == 1
+        assert re.search(r"^error: .*exited with code 3$", capsys.readouterr().err, re.M)
+        assert multiprocessing.active_children() == []
 
     def test_violation_artifact_replays_identically(self, monkeypatch, tmp_path):
         # no known instance breaks the rank law, so the classifier is made
