@@ -47,7 +47,6 @@ from .asymptotics import (
     TransferStructure,
     analyze_structure,
     build_M,
-    group_inverse,
     jacobi_eigenvalues,
     leading_term_eval,
     pde_residual,

@@ -6,23 +6,20 @@ correction is governed by the symmetric K x K matrix
 
     M_ij = ((Psi_i G Psi_j + Psi_j G Psi_i) h1, h1_star) / 2,
 
-where Psi_i = D_i - v_i I and G is the constrained pseudo-inverse of A
-determined by A G = I - h1 h1_starᵀ and h1_starᵀ G = 0.  M needs G only
-on the K pushed vectors p_j = Psi_j h1.  Since h1_starᵀ p_j = 0, G p_j
-solves A x = p_j; any other solution differs from it by a multiple of
-h1, and q_i · h1 = 0 for q_i = psi_i ∘ h1_star.  So M = Sym(Q X) for X
-from one fraction-free elimination of [A | P] with K right-hand sides.
-Psi, P, Q and M are built with the public matrix algebra of
-``exact_linalg`` (``-``, ``@``, ``+``, ``transpose`` and
-``scale_columns``), which runs on integer rows; this module never sees
-how an exact number is held.  The full G (n right-hand sides) is built
-only for reports (``group_inverse``).  The kernel of M,
-hence its rank, comes from one more run of the same exact elimination
-routine.  The spectrum of M comes from a hand-written cyclic Jacobi
-sweep on its float image, so the two routes stay independent.  The
-limiting profile itself is an anisotropic Gaussian with covariance
-sigma0² I - 2 M t, evaluated in floats with numpy; only that Gaussian
-imports numpy, on its first call, so the exact routes never load it.
+where Psi_i = D_i - v_i I and G is the group inverse of A, determined by
+A G = I - h1 h1_starᵀ and h1_starᵀ G = 0.  G comes with the certificate
+of A (``SpectralData.G``, from its one charpoly pass), so M = Sym(Q G Pᵀ)
+with P and Q the pushed vectors Psi_j h1 and psi_i ∘ h1_star / 2, and
+no linear system is solved here.  Psi, P, Q and M are built with the
+public matrix algebra of ``exact_linalg`` (``-``, ``@``, ``+``,
+``transpose`` and ``scale_columns``), which runs on integer rows; this
+module never sees how an exact number is held.  The kernel of M, hence
+its rank, comes from one fraction-free elimination.  The spectrum of M
+comes from a hand-written cyclic Jacobi sweep on its float image, so the
+two routes stay independent.  The limiting profile itself is an
+anisotropic Gaussian with covariance sigma0² I - 2 M t, evaluated in
+floats with numpy; only that Gaussian imports numpy, on its first call,
+so the exact routes never load it.
 Every query value must be finite.
 
 ``analyze_structure`` gives the one verdict that ``analyze``, campaigns
@@ -52,13 +49,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .exact_linalg import (
-    RationalMatrix,
-    Vector,
-    nullspace,
-    rank_exact,
-    solve_particular,
-)
+from .exact_linalg import RationalMatrix, Vector, nullspace, rank_exact
 from .model import SpectralData, SystemSpec
 
 #: Cyclic Jacobi: stop once the off-diagonal Frobenius mass drops below this
@@ -92,7 +83,6 @@ __all__ = [
     "SingularCovariance",
     "analyze_structure",
     "build_M",
-    "group_inverse",
     "jacobi_eigenvalues",
     "leading_term_eval",
     "pde_residual",
@@ -115,9 +105,7 @@ class TransferStructure:
     diffusion matrix M.
 
     ``P`` is the K x n matrix whose row j is Psi_j h1 =
-    ((D_j[m] - v_j) h1[m])_m.  M is built from K column solves against
-    Pᵀ; the full pseudo-inverse G is not kept, and reports build it with
-    ``group_inverse``.
+    ((D_j[m] - v_j) h1[m])_m.
     """
 
     v: Vector
@@ -169,31 +157,13 @@ class ProfileQuery:
             raise ValueError("amplitude must be positive")
 
 
-def group_inverse(a: RationalMatrix, sd: SpectralData) -> RationalMatrix:
-    """Constrained pseudo-inverse: A G = I - h1 h1_starᵀ with h1_starᵀ G = 0.
-
-    All columns are solved in one fraction-free elimination of
-    [A | I - h1 h1_starᵀ] (``solve_particular``), giving X.  Each column is
-    then shifted along h1, the kernel of A, onto the constraint hyperplane
-    h1_starᵀ x = 0, where its solution is unique: as (h1, h1_star) = 1,
-    G = X - h1 (h1_starᵀ X).  Only reports need G; ``build_M`` solves K
-    columns instead.
-    """
-    h, hs = RationalMatrix(zip(sd.h1)), RationalMatrix((sd.h1_star,))
-    x = solve_particular(a, RationalMatrix.identity(a.rows) - h @ hs)
-    return x - h @ (hs @ x)
-
-
 def build_M(s: SystemSpec, sd: SpectralData) -> TransferStructure:
     """Assemble the speeds, the pushed vectors P and the matrix M.
 
-    M needs G only on P.  As h1_starᵀ Pᵀ = 0, G Pᵀ is a solution X of
-    A X = Pᵀ (``solve_particular``, K right-hand sides, not n) shifted
-    along h1, and the shift drops out of M because
-    q_i · h1 = h1_starᵀ Psi_i h1 = 0.  With Psi = D - v 1ᵀ (row i is
-    psi_i), P = Psi diag(h1) and Q = Psi diag(h1_star) / 2, this gives
-    M = Q X + (Q X)ᵀ.  G itself is not built.  The speeds are
-    v_i = (D_i h1, h1_star), the column D diag(h1) h1_star.
+    With Psi = D - v 1ᵀ (row i is psi_i), P = Psi diag(h1) and
+    Q = Psi diag(h1_star) / 2, M = Q G Pᵀ + (Q G Pᵀ)ᵀ for the group
+    inverse G of the certificate.  The speeds are v_i = (D_i h1, h1_star),
+    the column D diag(h1) h1_star.
     """
     d = RationalMatrix(s.D)
     w = d.scale_columns(sd.h1) @ RationalMatrix(zip(sd.h1_star))
@@ -201,7 +171,7 @@ def build_M(s: SystemSpec, sd: SpectralData) -> TransferStructure:
     psi = d - RationalMatrix(zip(v)) @ RationalMatrix([[1] * s.n])
     p = psi.scale_columns(sd.h1)
     q = psi.scale_columns(tuple(Fraction(x, 2) for x in sd.h1_star))
-    qx = q @ solve_particular(s.A, p.transpose())
+    qx = q @ (sd.G @ p.transpose())
     return TransferStructure(v=v, P=p, M=qx + qx.transpose())
 
 

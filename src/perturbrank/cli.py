@@ -32,8 +32,6 @@ from .symbolic import symbolic_report
 
 __all__ = ["main", "run_command"]
 
-WORKERS_ENV = "PERTURB_RANK_WORKERS"
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits usage errors with code 2, which is reserved here for
@@ -84,7 +82,8 @@ def _build_parser() -> _Parser:
     search.add_argument(
         "--workers",
         type=int,
-        help=f"process count (default: ${WORKERS_ENV} or 1)",
+        default=1,
+        help="process count (default: 1)",
     )
     search.add_argument("--out", required=True, help="campaign report file")
 
@@ -138,25 +137,13 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_search(args) -> int:
     families = FAMILIES if args.families is None else tuple(args.families.split(","))
-    workers = args.workers
-    if workers is None:
-        env = os.environ.get(WORKERS_ENV)
-        if env is None:
-            workers = 1
-        else:
-            try:
-                workers = int(env)
-            except ValueError:
-                raise ValueError(
-                    f"{WORKERS_ENV} must be an integer, got {env!r}"
-                ) from None
     cfg = CampaignConfig(
         n_range=(args.n_min, args.n_max),
         K_range=(args.k_min, args.k_max),
         samples_per_cell=args.samples,
         seed=args.seed,
         families=families,
-        worker_count=workers,
+        worker_count=args.workers,
     )
     artifact_dir = os.path.splitext(args.out)[0] + "-artifacts"
     data = run_campaign(cfg, artifact_dir=artifact_dir)

@@ -6,11 +6,12 @@ rows ``num`` over one positive denominator ``den``, in canonical form:
 alone decides that representation: other modules build matrices from
 rows of exact entries and combine them with ``+``, ``-``, ``@``,
 ``transpose`` and ``scale_columns``, which all run on the integer rows.
-Rank, kernels, linear solves and the Hurwitz test all run one
-fraction-free (Bareiss) Gauss-Jordan elimination on the integer rows,
-each divided by the gcd of its entries, and the characteristic
-polynomial and the adjugate come from one Faddeev-LeVerrier recurrence
-on ``num``.  A screen that grows a rank one row at a time keeps plain
+Rank, kernels and the Hurwitz test all run one fraction-free (Bareiss)
+Gauss-Jordan elimination on the integer rows, each divided by the gcd
+of its entries.  The characteristic polynomial, the adjugate and the
+inverse (or, at a simple zero root, the group inverse) come from one
+Faddeev-LeVerrier recurrence on ``num``; no linear system is solved by
+elimination.  A screen that grows a rank one row at a time keeps plain
 integer echelon rows and reduces each new row against them with
 ``echelon_reduce``.  So
 intermediate values stay integral and every division is checked to be
@@ -45,7 +46,6 @@ __all__ = [
     "hurwitz_stable",
     "nullspace",
     "rank_exact",
-    "solve_particular",
 ]
 
 
@@ -297,42 +297,28 @@ def echelon_reduce(echelon: Sequence[Sequence[int]], row: Sequence[int]) -> list
     return _primitive_rows((r,))[0]
 
 
-def solve_particular(m: RationalMatrix, y: RationalMatrix) -> RationalMatrix:
-    """One exact solution X of m·X = Y, with the free variables set to zero.
-
-    ``[m | Y]`` is eliminated once; a pivot in the Y block means some
-    column of Y is not in the range of m, which raises
-    ``InconsistentSystem``.
-    """
-    if y.rows != m.rows:
-        raise ValueError(f"right-hand side has {y.rows} rows against {m.rows}")
-    # [m | Y] over one denominator; row scaling leaves the solution alone
-    a = _primitive_rows(
-        tuple(y.den * x for x in row) + tuple(m.den * x for x in yrow)
-        for row, yrow in zip(m.num, y.num)
-    )
-    pivot_cols, pivot_vals, _ = _eliminate(a)
-    if pivot_cols and pivot_cols[-1] >= m.cols:
-        raise InconsistentSystem("right-hand side is not in the range")
-    d = pivot_vals[-1] if pivot_vals else 1
-    x = [[0] * y.cols for _ in range(m.cols)]
-    for row, pc in zip(a, pivot_cols):
-        x[pc] = row[m.cols:]
-    return RationalMatrix._make(x, d)
-
-
-def charpoly_adjugate(m: RationalMatrix) -> tuple[Vector, RationalMatrix]:
-    """Coefficients of det(λI - m), ascending, and adj(m), by one
-    Faddeev-LeVerrier recurrence.
+def charpoly_adjugate(
+    m: RationalMatrix,
+) -> tuple[Vector, RationalMatrix, RationalMatrix | None]:
+    """Coefficients of det(λI - m), ascending, adj(m) and the group
+    inverse of m, by one Faddeev-LeVerrier recurrence.
 
     The tuple has n + 1 entries and ends in the leading 1.  The
     recurrence runs on the integer matrix B = m.num = d·m, with d = m.den
     (one common multiplier, so B's polynomial is the same one rescaled):
     B_1 = B, c_k = -tr(B_k) / k, an exact integer division, and
-    B_(k+1) = B·(B_k + c_k I).  The coefficient of λ^(n-k) in the
-    polynomial of m is then c_k / d^k.  Cayley-Hamilton gives
-    B·(B_(n-1) + c_(n-1) I) = -c_n I, so adj(B) = (-1)^(n-1)·(B_(n-1) +
-    c_(n-1) I), I when n = 1, and adj(m) = adj(B) / d^(n-1).
+    B_(k+1) = B·N_k with N_k = B_k + c_k I, N_0 = I.  The coefficient of
+    λ^(n-k) in the polynomial of m is then c_k / d^k.  Cayley-Hamilton
+    gives B·N_(n-1) = -c_n I, so adj(B) = (-1)^(n-1)·N_(n-1) and
+    adj(m) = adj(B) / d^(n-1).
+
+    adj(λI - B) = Σ_k λ^(n-1-k) N_k, so the resolvent of B near λ = 0 is
+    N_(n-1) / c_n + O(λ) when c_n != 0, and N_(n-1) / (c_(n-1) λ) +
+    (c_(n-1) N_(n-2) - c_(n-2) N_(n-1)) / c_(n-1)² + O(λ) when zero is a
+    simple root (N_(-1) = 0, c_(-1) = 0); its constant term is -B⁻¹, or
+    -B# for the group inverse B# (Campbell & Meyer, 1979).  The third
+    item is d·B#: m⁻¹ = adj(m) / det(m) when zero is not a root, the
+    group inverse when it is a simple root, and None otherwise.
     """
     if m.rows != m.cols:
         raise ValueError("characteristic polynomial of a non-square matrix")
@@ -340,20 +326,31 @@ def charpoly_adjugate(m: RationalMatrix) -> tuple[Vector, RationalMatrix]:
     if n > CHARPOLY_SIZE_LIMIT:
         raise SizeLimitExceeded(f"matrix size {n} exceeds limit {CHARPOLY_SIZE_LIMIT}")
     b, d = m.num, m.den
-    descending = [Fraction(1)]  # coefficient of λ^n
+    c = [1]  # c_0, ..., c_n
     bk = [list(row) for row in b]
-    adj = RationalMatrix.identity(n).num  # B_0 + c_0 I, the n = 1 case
+    # N_(k-1) and N_k
+    prev, adj = [[0] * n for _ in range(n)], RationalMatrix.identity(n).num
     for k in range(1, n + 1):
-        ck = _exact_div(-sum(bk[i][i] for i in range(n)), k)
-        descending.append(Fraction(ck, d**k))
+        c.append(_exact_div(-sum(bk[i][i] for i in range(n)), k))
         if k < n:
             for i in range(n):
-                bk[i][i] += ck
-            adj = bk
+                bk[i][i] += c[k]
+            prev, adj = adj, bk
             cols = list(zip(*bk))
             bk = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in b]
+    coeffs = tuple(Fraction(ck, d**k) for k, ck in reversed(list(enumerate(c))))
+    a1, a2 = c[n - 1], c[n - 2] if n > 1 else 0
+    if c[n]:
+        inverse = RationalMatrix._make([[-d * x for x in row] for row in adj], c[n])
+    elif a1:
+        inverse = RationalMatrix._make(
+            [[d * (a2 * x - a1 * y) for x, y in zip(r0, r1)] for r0, r1 in zip(adj, prev)],
+            a1 * a1,
+        )
+    else:
+        inverse = None
     # the sign (-1)^(n-1) rides on the denominator
-    return tuple(reversed(descending)), RationalMatrix._make(adj, (-d) ** (n - 1))
+    return coeffs, RationalMatrix._make(adj, (-d) ** (n - 1)), inverse
 
 
 def hurwitz_stable(coeffs: Sequence[int | str | Fraction]) -> bool:

@@ -13,7 +13,7 @@ import json
 import re
 from fractions import Fraction
 
-from .asymptotics import StructureReport, TransferStructure, group_inverse
+from .asymptotics import StructureReport, TransferStructure
 from .exact_linalg import RationalMatrix, Vector
 from .model import SpectralData, SystemSpec
 
@@ -170,11 +170,8 @@ def build_report(
     report: StructureReport,
     h: Vector | None = None,
 ) -> dict:
-    """Assemble the full analysis report for one instance.
-
-    The pseudo-inverse G is printed but not part of ``ts``; it is built
-    here with ``group_inverse``.
-    """
+    """Assemble the full analysis report for one instance; G is the group
+    inverse of the certificate ``sd``."""
     return {
         "format_version": FORMAT_VERSION,
         "instance": instance_to_dict(spec, h),
@@ -185,7 +182,7 @@ def build_report(
         },
         "transfer": {
             "v": _vector_strs(ts.v),
-            "G": _matrix_strs(group_inverse(spec.A, sd)),
+            "G": _matrix_strs(sd.G),
             "M": _matrix_strs(ts.M),
         },
         "structure": {

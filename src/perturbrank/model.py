@@ -14,16 +14,19 @@ adj(A).  With a simple zero root, rank A = n - 1 and adj(A) = α h1 h1_starᵀ
 with tr adj(A) = ±c_1 != 0, so the first nonzero column and row of the
 adjugate are the null pair and their pairing is nonzero.  The products
 A h1 = 0 and h1_starᵀ A = 0 check the pair independently, in O(n²).
+The same pass gives the group inverse G of A (A G = G A = I - h1
+h1_starᵀ, G h1 = 0, h1_starᵀ G = 0) from the two adjugate coefficients
+it forms last, and the certificate keeps it.
 
 Two generator families are provided.  ``markov_generator`` draws matrices
 with positive off-diagonal entries and zero column sums, which satisfy the
 admissibility conditions by construction (irreducible generator: simple
 zero eigenvalue, Hurwitz remainder, strictly positive null vectors).
 ``similarity_transformed`` conjugates such a matrix by a random invertible
-integer matrix T (T⁻¹ from one exact solve of T X = I), producing the
-same exact spectrum without the sign structure.  Entries are drawn as
-integer numerators over lcm(1.._ENTRY_BOUND).  Generation is fully
-deterministic in the seed.
+integer matrix T (T⁻¹ = adj(T) / det(T) from the charpoly pass of T),
+producing the same exact spectrum without the sign structure.  Entries
+are drawn as integer numerators over lcm(1.._ENTRY_BOUND).  Generation
+is fully deterministic in the seed.
 """
 
 from __future__ import annotations
@@ -34,14 +37,12 @@ from fractions import Fraction
 from math import lcm
 
 from .exact_linalg import (
-    InconsistentSystem,
     RationalMatrix,
     Vector,
     charpoly_adjugate,
     dot,
     echelon_reduce,
     hurwitz_stable,
-    solve_particular,
 )
 
 MARKOV_FAMILY = "markov_generator"
@@ -106,10 +107,11 @@ class SystemSpec:
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Normalized null pair of an admissible A."""
+    """Normalized null pair of an admissible A and its group inverse G."""
 
     h1: Vector
     h1_star: Vector
+    G: RationalMatrix
 
 
 @dataclass(frozen=True)
@@ -129,7 +131,7 @@ class GeneratorConfig:
 
 
 def _certified_pair(a: RationalMatrix) -> SpectralData:
-    """Prove A admissible and return its normalized null pair.
+    """Prove A admissible and return its normalized null pair and G.
 
     One ``charpoly_adjugate`` pass: raises ``KernelDimensionError`` when
     zero is not a root or not a simple one, then ``NotStable`` when the
@@ -137,9 +139,10 @@ def _certified_pair(a: RationalMatrix) -> SpectralData:
     adj(A) = α h1 h1_starᵀ, so its first nonzero column is h1 and its
     first nonzero row h1_star, up to scale; A h1 = 0 and h1_starᵀ A = 0
     are checked, and the pair is scaled to first-nonzero(h1) = 1 and
-    (h1, h1_star) = 1, a pairing tr adj(A) = ±c_1 keeps nonzero.
+    (h1, h1_star) = 1, a pairing tr adj(A) = ±c_1 keeps nonzero.  G is
+    the group inverse the same pass returns at the simple zero root.
     """
-    coeffs, adj = charpoly_adjugate(a)
+    coeffs, adj, g = charpoly_adjugate(a)
     if coeffs[0] != 0:
         raise KernelDimensionError("zero is not an eigenvalue")
     if coeffs[1] == 0:
@@ -158,11 +161,11 @@ def _certified_pair(a: RationalMatrix) -> SpectralData:
     lead = next(x for x in right if x != 0)
     h1 = tuple(x / lead for x in right)
     pairing = dot(h1, left)
-    return SpectralData(h1=h1, h1_star=tuple(x / pairing for x in left))
+    return SpectralData(h1=h1, h1_star=tuple(x / pairing for x in left), G=g)
 
 
 def validate_system(s: SystemSpec) -> SpectralData:
-    """Check admissibility of A and return the normalized null pair.
+    """Check admissibility of A and return the normalized null pair and G.
 
     Raises ``KernelDimensionError`` when the zero eigenvalue is missing,
     repeated, or defective (λ² dividing the characteristic polynomial),
@@ -194,17 +197,16 @@ def _markov_generator(rng: random.Random, n: int, bound: int) -> RationalMatrix:
 def _random_similar(rng: random.Random, base: RationalMatrix, bound: int) -> RationalMatrix:
     """T B T⁻¹ for a random integer T, redrawn while singular.
 
-    T⁻¹ is the solution of T X = I, which raises ``InconsistentSystem``
-    exactly when T is singular; the products run on integer rows.
+    One ``charpoly_adjugate`` pass on T: a zero constant coefficient marks
+    a singular T, which is redrawn, and otherwise the pass gives
+    T⁻¹ = adj(T) / det(T); the products run on integer rows.
     """
     n = base.rows
     for _ in range(_MAX_GENERATION_ATTEMPTS):
         t = RationalMatrix([rng.randint(-bound, bound) for _ in range(n)] for _ in range(n))
-        try:
-            t_inv = solve_particular(t, RationalMatrix.identity(n))
-        except InconsistentSystem:
-            continue
-        return t @ base @ t_inv
+        coeffs, _, t_inv = charpoly_adjugate(t)
+        if coeffs[0]:
+            return t @ base @ t_inv
     raise GenerationFailed("could not sample an invertible transform")
 
 

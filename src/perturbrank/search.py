@@ -160,8 +160,17 @@ def _run_cell(cfg: CampaignConfig, n: int, k: int, artifact_dir: str | None) -> 
     return cell
 
 
-def _claim_cells(counter, grid: list, cfg: CampaignConfig, artifact_dir: str | None, conn=None):
-    """[(grid index, cell)] for cells taken off the shared counter, largest first."""
+def _claim_cells(counter, grid: list, cfg: CampaignConfig, artifact_dir: str | None, pipe=None):
+    """[(grid index, cell)] for cells taken off the shared counter, largest first.
+
+    A child gets its ``Pipe`` as (receive, send) and sends the cells or its
+    exception.  It first closes the read end a fork copied into it, so when
+    the search process dies, a result larger than the pipe buffer fails to
+    send instead of blocking the child forever.
+    """
+    if pipe is not None:
+        receive, conn = pipe
+        receive.close()
     done = []
     try:
         while True:
@@ -172,10 +181,10 @@ def _claim_cells(counter, grid: list, cfg: CampaignConfig, artifact_dir: str | N
             done.append((index, _run_cell(cfg, *grid[index], artifact_dir)))
     except BaseException as exc:
         counter.value = -1
-        if conn is None or not isinstance(exc, Exception):
+        if pipe is None or not isinstance(exc, Exception):
             raise
         done = exc
-    return done if conn is None else conn.send(done)
+    return done if pipe is None else conn.send(done)
 
 
 def _collect(child, receive):
@@ -217,7 +226,7 @@ def run_campaign(cfg: CampaignConfig, artifact_dir: str | None = None) -> dict:
         try:
             for _ in range(workers - 1):
                 receive, send = multiprocessing.Pipe(duplex=False)
-                args = (counter, grid, cfg, artifact_dir, send)
+                args = (counter, grid, cfg, artifact_dir, (receive, send))
                 child = multiprocessing.Process(target=_claim_cells, args=args, daemon=True)
                 child.start()
                 send.close()

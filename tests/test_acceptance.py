@@ -20,12 +20,11 @@ from perturbrank.asymptotics import (
     ProfileQuery,
     analyze_structure,
     build_M,
-    group_inverse,
     pde_residual,
     phi0_eval,
 )
 from perturbrank.cli import run_command
-from perturbrank.exact_linalg import RationalMatrix, dot
+from perturbrank.exact_linalg import RationalMatrix, dot, nullspace
 from perturbrank.formats import load_instance_file
 from perturbrank.model import (
     FAMILIES,
@@ -172,10 +171,28 @@ def test_canonical_two_direction_instance(capsys):
     )
 
 
+def _eliminated_group_inverse(a, sd):
+    """G from elimination alone: column j of X solves A x = e_j - h1_star_j h1,
+    read off the kernel of [A | h1 h1_starᵀ - I], then G = X - h1 (h1_starᵀ X)."""
+    n = a.rows
+    h, hs = RationalMatrix(zip(sd.h1)), RationalMatrix((sd.h1_star,))
+    projector = RationalMatrix.identity(n) - h @ hs
+    aug = RationalMatrix(
+        [a[i, j] for j in range(n)] + [-projector[i, j] for j in range(n)] for i in range(n)
+    )
+    # rank A = n - 1 and every column of the projector is in its range, so
+    # the last n free columns are the projector's, in order
+    tail = nullspace(aug)[-n:]
+    columns = [tuple(y / z[n + j] for y in z[:n]) for j, z in enumerate(tail)]
+    x = RationalMatrix(zip(*columns))
+    return x - h @ (hs @ x)
+
+
 def test_exact_identity_suite():
     """500 random valid instances: kernel equations, normalization,
-    centering, the pseudo-inverse equation, symmetry of M, and invariance
-    of M under G -> G + h1 cᵀ for 100 random rational c — all exact."""
+    centering, the pseudo-inverse equation with G from elimination equal
+    to the certificate's G, symmetry of M, and invariance of M under
+    G -> G + h1 cᵀ for 100 random rational c — all exact."""
     grid = [(n, k) for n in range(2, 6) for k in range(2, 6)]
     checked = 0
     shifts = 0
@@ -193,7 +210,8 @@ def test_exact_identity_suite():
         w = [tuple(ts.P[i, j] for j in range(n)) for i in range(k)]
         for wi in w:
             assert dot(wi, sd.h1_star) == Fraction(0)
-        g = group_inverse(s.A, sd)
+        g = _eliminated_group_inverse(s.A, sd)
+        assert g == sd.G
         assert s.A @ g == RationalMatrix.identity(n) - RationalMatrix(
             zip(sd.h1)
         ) @ RationalMatrix((sd.h1_star,))

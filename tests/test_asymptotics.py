@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import ast
+import dataclasses
 import math
 import os
 import random
@@ -14,19 +16,12 @@ from perturbrank.asymptotics import (
     TransferStructure,
     analyze_structure,
     build_M,
-    group_inverse,
     jacobi_eigenvalues,
     leading_term_eval,
     pde_residual,
     phi0_eval,
 )
-from perturbrank.exact_linalg import (
-    RationalMatrix,
-    dot,
-    nullspace,
-    rank_exact,
-    solve_particular,
-)
+from perturbrank.exact_linalg import RationalMatrix, dot, nullspace, rank_exact
 from perturbrank.formats import load_instance_file
 from perturbrank.model import (
     FAMILIES,
@@ -62,12 +57,38 @@ def _pipeline(s: SystemSpec):
 
 def _solve_constrained(m: RationalMatrix, y, c) -> tuple[Fraction, ...]:
     """Oracle, one column at a time: the x with m·x = y and (x, c) = 0, for
-    m with a one-dimensional kernel span(h) and (c, h) != 0."""
+    m with a one-dimensional kernel span(h) and (c, h) != 0.  A solution
+    x0 is read off the kernel of [m | -y], whose last entry scales to 1."""
     (h,) = nullspace(m)
-    x = solve_particular(m, RationalMatrix((yi,) for yi in y))
-    x0 = tuple(x[i, 0] for i in range(x.rows))
+    aug = RationalMatrix(
+        [m[i, j] for j in range(m.cols)] + [-yi] for i, yi in enumerate(y)
+    )
+    z = next(v for v in nullspace(aug) if v[-1] != 0)
+    x0 = tuple(x / z[-1] for x in z[:-1])
     shift = dot(x0, c) / dot(c, h)
     return tuple(a - shift * b for a, b in zip(x0, h))
+
+
+def _eliminated_group_inverse(a: RationalMatrix, sd) -> RationalMatrix:
+    """Oracle: G column by column from ``_solve_constrained``, so it never
+    touches the charpoly recurrence that gives ``sd.G``."""
+    projector = RationalMatrix.identity(a.rows) - RationalMatrix(
+        zip(sd.h1)
+    ) @ RationalMatrix((sd.h1_star,))
+    columns = [
+        _solve_constrained(a, [projector[i, j] for i in range(a.rows)], sd.h1_star)
+        for j in range(a.cols)
+    ]
+    return RationalMatrix(zip(*columns))
+
+
+def _assert_group_inverse(a: RationalMatrix, sd) -> None:
+    n = a.rows
+    h, hs = RationalMatrix(zip(sd.h1)), RationalMatrix((sd.h1_star,))
+    assert a @ sd.G == sd.G @ a == RationalMatrix.identity(n) - h @ hs
+    assert hs @ sd.G == RationalMatrix([[0] * n])
+    assert sd.G @ h == RationalMatrix([[0]] * n)
+    assert sd.G == _eliminated_group_inverse(a, sd)
 
 
 def _two_state_family(a: Fraction, b: Fraction, k: Fraction, diagonals) -> SystemSpec:
@@ -96,46 +117,50 @@ class TestVelocities:
 
 
 class TestGroupInverse:
+    """``SpectralData.G`` from the certificate's charpoly pass is the group
+    inverse, and equals the column-by-column elimination oracle."""
+
     def test_w1_closed_form(self):
         sd = validate_system(W1)
-        g = group_inverse(W1.A, sd)
-        assert g == RationalMatrix([["-1/4", "1/4"], ["1/4", "-1/4"]])
+        assert sd.G == RationalMatrix([["-1/4", "1/4"], ["1/4", "-1/4"]])
+        _assert_group_inverse(W1.A, sd)
 
     def test_triple_closed_form(self):
         sd = validate_system(TRIPLE)
-        g = group_inverse(TRIPLE.A, sd)
         expected = RationalMatrix(
             [
                 [Fraction(1, 9) - Fraction(1, 3) if i == j else Fraction(1, 9) for j in range(3)]
                 for i in range(3)
             ]
         )
-        assert g == expected
+        assert sd.G == expected
+        _assert_group_inverse(TRIPLE.A, sd)
+
+    def test_violation_instance_and_zero_null_vector_entries(self):
+        # an upper-triangular A with a zero first column has h1 = e_1, and
+        # its transpose has h1_star parallel to e_1
+        triangular = RationalMatrix([[0, "1/2", 0], [0, -1, "1/3"], [0, 0, -2]])
+        cases = [load_instance_file(VIOLATION_PATH)[0].A, triangular, triangular.transpose()]
+        pairs = []
+        for a in cases:
+            sd = validate_system(SystemSpec(n=a.rows, K=1, D=((Fraction(0),) * a.rows,), A=a))
+            _assert_group_inverse(a, sd)
+            pairs.append((sd.h1, sd.h1_star))
+        assert pairs[1][0] == (1, 0, 0)
+        assert pairs[2][1] == (1, 0, 0)
 
     def test_defining_relations_and_column_solves(self):
-        rng = random.Random(424242)
+        # 504 generated instances: both families, n in 2..8, 36 seeds each
+        checked = 0
         for family in FAMILIES:
-            for _ in range(6):
-                s, _ = generate_instance(
-                    GeneratorConfig(
-                        n=rng.randint(2, 5), K=2, seed=rng.getrandbits(40), family=family
+            for n in range(2, 9):
+                for seed in range(36):
+                    s, sd = generate_instance(
+                        GeneratorConfig(n=n, K=2, seed=seed, family=family)
                     )
-                )
-                sd = validate_system(s)
-                g = group_inverse(s.A, sd)
-                projector = RationalMatrix.identity(s.n) - RationalMatrix(
-                    zip(sd.h1)
-                ) @ RationalMatrix((sd.h1_star,))
-                assert s.A @ g == projector
-                assert g.transpose() @ RationalMatrix(zip(sd.h1_star)) == RationalMatrix(
-                    [[0]] * s.n
-                )
-                assert s.A @ g @ s.A == s.A
-                # dual route: each column must equal the one-column solver
-                for j in range(s.n):
-                    column = [projector[i, j] for i in range(s.n)]
-                    col = _solve_constrained(s.A, column, sd.h1_star)
-                    assert col == tuple(g[i, j] for i in range(s.n))
+                    _assert_group_inverse(s.A, sd)
+                    checked += 1
+        assert checked == 504
 
 
 class TestBuildM:
@@ -151,24 +176,38 @@ class TestBuildM:
             p = tuple(ts.P[i, j] for j in range(W1.n))
             assert p == tuple((x - vi) * h for x, h in zip(d, sd.h1))
 
-    def test_solves_only_the_K_pushed_columns(self, monkeypatch):
+    def test_builds_M_without_elimination(self, monkeypatch):
+        # build_M multiplies by the certificate's G: asymptotics imports no
+        # solver, and no elimination runs while M is built
         import perturbrank.asymptotics as asymptotics
+        import perturbrank.exact_linalg as exact_linalg
 
-        shapes = []
-        original = asymptotics.solve_particular
-
-        def recorded(m, y):
-            shapes.append((y.rows, y.cols))
-            return original(m, y)
-
-        monkeypatch.setattr(asymptotics, "solve_particular", recorded)
+        tree = ast.parse(open(asymptotics.__file__, encoding="utf-8").read())
+        imported = {
+            alias.name
+            for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.module == "exact_linalg"
+            for alias in node.names
+        }
+        assert imported == {"RationalMatrix", "Vector", "nullspace", "rank_exact"}
         s, sd = generate_instance(GeneratorConfig(n=6, K=3, seed=5))
-        build_M(s, sd)
-        assert shapes == [(6, 3)]
+        eliminations = []
+
+        def recorded(a):
+            eliminations.append(a)
+            return original(a)
+
+        original = exact_linalg._eliminate
+        monkeypatch.setattr(exact_linalg, "_eliminate", recorded)
+        ts = build_M(s, sd)
+        assert eliminations == []
+        analyze_structure(ts)
+        assert eliminations  # the patch is live: the kernel of M eliminates
 
     def test_quadratic_form_route(self):
         # second exact route: M = Pᵀ B P with B = Sym(S G),
-        # S = diag(h1_star_k / h1_k) and G the full n-column group inverse
+        # S = diag(h1_star_k / h1_k) and G from the elimination oracle, so
+        # M has a route that never touches the charpoly recurrence
         cases = [W1, load_instance_file(VIOLATION_PATH)[0]]
         for family in FAMILIES:
             for n in range(2, 9):
@@ -177,7 +216,7 @@ class TestBuildM:
                     cases.append(generate_instance(cfg)[0])
         for s in cases:
             sd, ts = _pipeline(s)
-            g = group_inverse(s.A, sd)
+            g = _eliminated_group_inverse(s.A, sd)
             sg = RationalMatrix(
                 [[sd.h1_star[r] / sd.h1[r] * g[r, c] for c in range(s.n)]
                  for r in range(s.n)]
@@ -231,11 +270,10 @@ class TestBuildM:
     def test_invariance_under_nullpair_rescaling(self):
         # M must not depend on how the null pair is scaled, as long as the
         # pairing stays 1.
-        from perturbrank.model import SpectralData
-
         sd, ts = _pipeline(TRIPLE)
         scale = Fraction(7, 3)
-        rescaled = SpectralData(
+        rescaled = dataclasses.replace(
+            sd,
             h1=tuple(x * scale for x in sd.h1),
             h1_star=tuple(x / scale for x in sd.h1_star),
         )

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 import perturbrank
 from perturbrank.exact_linalg import (
     CHARPOLY_SIZE_LIMIT,
-    InconsistentSystem,
     RationalMatrix,
     SizeLimitExceeded,
     ZeroPolynomial,
@@ -27,7 +26,6 @@ from perturbrank.exact_linalg import (
     hurwitz_stable,
     nullspace,
     rank_exact,
-    solve_particular,
 )
 from perturbrank.model import FAMILIES, GeneratorConfig, generate_instance
 
@@ -409,35 +407,24 @@ class TestNullspace:
                 assert lead == 1
 
 
-class TestSolveParticular:
-    def test_free_variables_are_zero(self):
-        # x + 2y + 3z = 6 with y, z free: the particular solution is (6, 0, 0)
-        m = RationalMatrix([[1, 2, 3], [2, 4, 6]])
-        x = solve_particular(m, RationalMatrix([[6], [12]]))
-        assert x == RationalMatrix([[6], [0], [0]])
-
-    def test_several_right_hand_sides(self):
-        rng = random.Random(2718)
-        for _ in range(30):
-            n = rng.randint(1, 5)
-            m = _random_matrix(rng, n, n, bound=4)
-            if rank_exact(m) < n:
-                continue
-            y = _random_matrix(rng, n, 3, bound=4)
-            assert m @ solve_particular(m, y) == y
-
-    def test_inconsistent(self):
-        m = RationalMatrix([[1, 1], [2, 2]])
-        with pytest.raises(InconsistentSystem):
-            solve_particular(m, RationalMatrix([[1, 0], [2, 1]]))
-
-    def test_row_count_mismatch(self):
-        with pytest.raises(ValueError):
-            solve_particular(RationalMatrix.identity(2), RationalMatrix([[1]]))
+def _rref_inverse(m: RationalMatrix) -> RationalMatrix:
+    # Independent oracle: plain rational Gauss-Jordan on [m | I], no Bareiss.
+    n = m.rows
+    rows = [r + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(_entries(m))]
+    for col in range(n):
+        pivot = next(i for i in range(col, n) if rows[i][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        inv = Fraction(1) / rows[col][col]
+        rows[col] = [x * inv for x in rows[col]]
+        for i in range(n):
+            if i != col and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
+    return RationalMatrix(r[n:] for r in rows)
 
 
 class TestInverse:
-    """The inverse is the solution of m·X = I."""
+    """The third item of the charpoly pass inverts a nonsingular m."""
 
     def test_round_trip(self):
         rng = random.Random(33)
@@ -447,21 +434,84 @@ class TestInverse:
             if rank_exact(m) < n:
                 continue
             eye = RationalMatrix.identity(n)
-            assert m @ solve_particular(m, eye) == eye
+            inv = charpoly_adjugate(m)[2]
+            assert m @ inv == inv @ m == eye
+            assert inv == _rref_inverse(m)
 
-    def test_singular_raises(self):
-        with pytest.raises(InconsistentSystem):
-            solve_particular(RationalMatrix([[1, 1], [1, 1]]), RationalMatrix.identity(2))
+    def test_is_adjugate_over_determinant(self):
+        rng = random.Random(808)
+        for n in range(1, 9):
+            for _ in range(6):
+                m = _random_matrix(rng, n, n, bound=7)
+                coeffs, adj, inv = charpoly_adjugate(m)
+                det = (-1) ** n * coeffs[0]
+                assert det == _rational_det(_entries(m))
+                if det == 0:
+                    continue
+                assert inv == RationalMatrix(
+                    [[adj[i, j] / det for j in range(n)] for i in range(n)]
+                )
+                assert m @ inv == RationalMatrix.identity(n)
+
+    def test_singular_is_not_inverted(self):
+        # a singular m has a zero constant coefficient; with a simple zero
+        # root the third item is its group inverse, which inverts nothing
+        m = RationalMatrix([[1, 1], [1, 1]])
+        coeffs, _, g = charpoly_adjugate(m)
+        assert coeffs[0] == 0
+        assert g == RationalMatrix([["1/4", "1/4"], ["1/4", "1/4"]])
+        assert m @ g != RationalMatrix.identity(2)
 
     def test_first_pivot_needs_a_swap(self):
         m = RationalMatrix([[0, 2, 1], ["1/2", 1, 0], [1, 0, "1/3"]])
-        inv = solve_particular(m, RationalMatrix.identity(3))
+        inv = charpoly_adjugate(m)[2]
         assert m @ inv == RationalMatrix.identity(3)
         assert inv @ m == RationalMatrix.identity(3)
         swap = RationalMatrix([[0, "1/2"], ["1/3", 0]])
-        assert solve_particular(swap, RationalMatrix.identity(2)) == RationalMatrix(
-            [[0, 3], [2, 0]]
-        )
+        assert charpoly_adjugate(swap)[2] == RationalMatrix([[0, 3], [2, 0]])
+
+
+class TestGroupInverse:
+    """At a simple zero root the third item is the group inverse: the one
+    g with m g m = m, g m g = g and m g = g m."""
+
+    def test_defining_equations_on_rank_deficient_matrices(self):
+        # m = X Y with inner width n - 1 has rank n - 1, and zero is a simple
+        # root unless Y X is singular; inner width n - 2 makes it a multiple root
+        rng = random.Random(4711)
+        simple = multiple = 0
+        for trial in range(300):
+            n = rng.randint(2, 8)
+            r = n - 1 - (trial % 5 == 0)
+            if r:
+                m = _random_matrix(rng, n, r, bound=5) @ _random_matrix(rng, r, n, bound=5)
+            else:
+                m = RationalMatrix([[0] * n] * n)
+            coeffs, _, g = charpoly_adjugate(m)
+            assert coeffs[0] == 0
+            if coeffs[1] == 0:
+                assert g is None
+                multiple += 1
+                continue
+            assert m @ g @ m == m
+            assert g @ m @ g == g
+            assert m @ g == g @ m
+            simple += 1
+        assert simple > 200 and multiple >= 60
+
+    def test_one_by_one_zero(self):
+        assert charpoly_adjugate(RationalMatrix([[0]]))[2] == RationalMatrix([[0]])
+
+    def test_multiple_zero_root_gives_none(self):
+        for m in (
+            RationalMatrix([[0, 1], [0, 0]]),  # defective
+            RationalMatrix([[0, 0, 0], [0, 0, 0], [0, 0, -1]]),  # semisimple, double
+            RationalMatrix([[0] * 3] * 3),
+            RationalMatrix([["1/2", "1/2"], ["-1/2", "-1/2"]]),  # nilpotent
+        ):
+            coeffs, _, g = charpoly_adjugate(m)
+            assert coeffs[:2] == (0, 0)
+            assert g is None
 
 
 def _cofactor_adjugate(m: RationalMatrix) -> RationalMatrix:
@@ -543,7 +593,7 @@ class TestCharpoly:
             t = _random_matrix(rng, 4, 4, bound=3)
             if rank_exact(t) == 4:
                 break
-        conj = t @ m @ solve_particular(t, RationalMatrix.identity(4))
+        conj = t @ m @ _rref_inverse(t)
         assert charpoly_adjugate(conj)[0] == charpoly_adjugate(m)[0]
 
     def test_adjugate_times_matrix_is_determinant(self):
@@ -559,7 +609,7 @@ class TestCharpoly:
                 m = _random_matrix(rng, n, r, bound=7) @ _random_matrix(rng, r, n, bound=7)
             else:
                 m = RationalMatrix([[0] * n] * n)
-            coeffs, adj = charpoly_adjugate(m)
+            coeffs, adj, _ = charpoly_adjugate(m)
             det = (-1) ** n * coeffs[0]
             scalar = RationalMatrix([[det if i == j else 0 for j in range(n)] for i in range(n)])
             assert m @ adj == adj @ m == scalar
@@ -581,12 +631,13 @@ class TestCharpoly:
         assert charpoly_adjugate(RationalMatrix([["3/4"]])) == (
             (Fraction(-3, 4), Fraction(1)),
             RationalMatrix([[1]]),
+            RationalMatrix([["4/3"]]),
         )
         # adj [[a, b], [c, d]] = [[d, -b], [-c, a]]
-        _, adj = charpoly_adjugate(RationalMatrix([["1/2", "1/3"], ["1/5", "1/7"]]))
+        _, adj, _ = charpoly_adjugate(RationalMatrix([["1/2", "1/3"], ["1/5", "1/7"]]))
         assert adj == RationalMatrix([["1/7", "-1/3"], ["-1/5", "1/2"]])
         # a simple zero root: adj = α h1 h1_starᵀ with α = tr adj = c_1
-        _, adj = charpoly_adjugate(RationalMatrix([[-2, 1, 1], [1, -2, 1], [1, 1, -2]]))
+        _, adj, _ = charpoly_adjugate(RationalMatrix([[-2, 1, 1], [1, -2, 1], [1, 1, -2]]))
         assert adj == RationalMatrix([[3] * 3] * 3)
 
     def test_size_guard(self):

@@ -14,7 +14,6 @@ from perturbrank.exact_linalg import (
     dot,
     nullspace,
     rank_exact,
-    solve_particular,
 )
 from perturbrank.formats import dumps, instance_to_dict
 from perturbrank.model import (
@@ -90,7 +89,8 @@ class TestNullPair:
         h1, h1_star = null_pair_normalized(W1_A)
         assert h1 == (Fraction(1), Fraction(1))
         assert h1_star == (Fraction(1, 2), Fraction(1, 2))
-        assert validate_system(_spec(W1_A)) == SpectralData(h1=h1, h1_star=h1_star)
+        data = validate_system(_spec(W1_A))
+        assert (data.h1, data.h1_star) == (h1, h1_star)
 
     def test_asymmetric_two_state(self):
         # A = [[-a, b], [k a, -k b]] with a=2, b=1, k=1
@@ -99,7 +99,8 @@ class TestNullPair:
         assert h1 == (Fraction(1), Fraction(2))
         assert h1_star == (Fraction(1, 3), Fraction(1, 3))
         assert dot(h1, h1_star) == 1
-        assert validate_system(_spec(a)) == SpectralData(h1=h1, h1_star=h1_star)
+        data = validate_system(_spec(a))
+        assert (data.h1, data.h1_star) == (h1, h1_star)
 
     def test_invertible_matrix_rejected(self):
         with pytest.raises(KernelDimensionError):
@@ -123,6 +124,19 @@ class TestNullPair:
             validate_system(_spec(zero))
 
 
+def _inverse_by_elimination(x: RationalMatrix) -> RationalMatrix:
+    """Oracle: X⁻¹ read off the kernel of [X | -I], never off a charpoly;
+    kernel vector j is (column j of X⁻¹, e_j) up to scale."""
+    n = x.rows
+    aug = RationalMatrix(
+        [x[i, j] for j in range(n)] + [-int(i == j) for j in range(n)] for i in range(n)
+    )
+    kernel = nullspace(aug)
+    assert len(kernel) == n  # X is invertible
+    columns = [tuple(y / z[n + j] for y in z[:n]) for j, z in enumerate(kernel)]
+    return RationalMatrix(zip(*columns))
+
+
 def _admissible_non_markov(rng: random.Random, n: int) -> RationalMatrix:
     """X J X⁻¹ for J = [[0, r], [0, S]] with S upper triangular and a
     negative diagonal, X a random invertible integer matrix: a simple
@@ -137,7 +151,7 @@ def _admissible_non_markov(rng: random.Random, n: int) -> RationalMatrix:
     while True:
         x = RationalMatrix([rng.randint(-3, 3) for _ in range(n)] for _ in range(n))
         if rank_exact(x) == n:
-            return x @ RationalMatrix(j) @ solve_particular(x, RationalMatrix.identity(n))
+            return x @ RationalMatrix(j) @ _inverse_by_elimination(x)
 
 
 class TestValidateSystem:
@@ -146,6 +160,7 @@ class TestValidateSystem:
         assert data == SpectralData(
             h1=(Fraction(1), Fraction(1)),
             h1_star=(Fraction(1, 2), Fraction(1, 2)),
+            G=RationalMatrix([["-1/4", "1/4"], ["1/4", "-1/4"]]),
         )
 
     def test_triple_exchange(self):
@@ -226,7 +241,7 @@ def _fraction_similar(
             [[Fraction(rng.randint(-bound, bound)) for _ in range(n)] for _ in range(n)]
         )
         if rank_exact(t) == n:
-            return t @ base @ solve_particular(t, RationalMatrix.identity(n)), draws
+            return t @ base @ _inverse_by_elimination(t), draws
     raise AssertionError("no invertible transform drawn")
 
 
@@ -304,37 +319,39 @@ class TestGenerateInstance:
     def test_null_pair_computed_once_per_draw(self, monkeypatch):
         # The pair is read off the adjugate of the one charpoly pass per
         # candidate A, not eliminated; it must still be the eliminated pair.
+        # Each transform T adds a pass of its own, which is not counted.
         import perturbrank.model as model
 
         assert not hasattr(model, "nullspace")
-        calls = {"similar": 0, "charpoly": 0}
+        candidates, passes = [], []
 
-        def counted(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
+        def similar(*args):
+            candidates.append(true_similar(*args))
+            return candidates[-1]
 
-            return wrapper
+        def charpoly(m):
+            passes.append(m)
+            return true_pass(m)
 
-        for attr, name in (
-            ("_random_similar", "similar"),
-            ("charpoly_adjugate", "charpoly"),
-        ):
-            monkeypatch.setattr(model, attr, counted(name, getattr(model, attr)))
+        true_similar, true_pass = model._random_similar, model.charpoly_adjugate
+        monkeypatch.setattr(model, "_random_similar", similar)
+        monkeypatch.setattr(model, "charpoly_adjugate", charpoly)
         draws = []
         for n in range(2, 9):
             for seed in range(12):
                 for family in FAMILIES:
-                    for key in calls:
-                        calls[key] = 0
+                    candidates.clear()
+                    passes.clear()
                     s, data = generate_instance(
                         GeneratorConfig(n=n, K=3, seed=seed, family=family)
                     )
                     if family == MARKOV_FAMILY:
-                        assert calls == {"similar": 0, "charpoly": 1}
+                        assert candidates == [] and passes == [s.A]
                     else:
-                        assert calls["charpoly"] == calls["similar"] >= 1
-                        draws.append(calls["similar"])
+                        on_candidates = [m for m in passes if any(m is a for a in candidates)]
+                        assert len(on_candidates) == len(candidates) >= 1
+                        assert on_candidates[-1] is candidates[-1] == s.A
+                        draws.append(len(candidates))
                     # the oracle runs outside the counted generation
                     assert (data.h1, data.h1_star) == null_pair_normalized(s.A)
         assert max(draws) > 1  # some seed's zero-entry screen rejected a draw
@@ -348,13 +365,13 @@ class TestGenerateInstance:
         true_pass = model.charpoly_adjugate
 
         def skew_rows(m):
-            coeffs, adj = true_pass(m)
+            coeffs, adj, g = true_pass(m)
             scales = range(1, m.rows + 1)
-            return coeffs, adj.transpose().scale_columns(scales).transpose()
+            return coeffs, adj.transpose().scale_columns(scales).transpose(), g
 
         def skew_columns(m):
-            coeffs, adj = true_pass(m)
-            return coeffs, adj.scale_columns(range(1, m.rows + 1))
+            coeffs, adj, g = true_pass(m)
+            return coeffs, adj.scale_columns(range(1, m.rows + 1)), g
 
         for fake, side in ((skew_rows, "right"), (skew_columns, "left")):
             monkeypatch.setattr(model, "charpoly_adjugate", fake)

@@ -108,6 +108,36 @@ def _own_cell_failure_probe(flags: str) -> None:
     print(json.dumps({"error": error, "active_children": len(multiprocessing.active_children())}))
 
 
+def _killed_search_probe(flags: str) -> None:
+    """The search process's cell never ends while its child, with a result
+    larger than a pipe buffer, writes its pid and goes on to send."""
+    search_pid = os.getpid()
+
+    def cell(cfg, n, k, artifact_dir):
+        if _meet(Path(flags), search_pid) == "search":
+            time.sleep(600)
+        pid_file = Path(flags) / "child.pid"
+        pid_file.with_suffix(".tmp").write_text(str(os.getpid()), encoding="ascii")
+        pid_file.with_suffix(".tmp").replace(pid_file)
+        return {"padding": "x" * 200_000}
+
+    perturbrank.search._run_cell = cell
+    run_campaign(
+        CampaignConfig(
+            n_range=(2, 2), K_range=(2, 3), samples_per_cell=1, seed=0, worker_count=2
+        )
+    )
+
+
+def _gone_or_zombie(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            # the state follows the parenthesized command name
+            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
 class TestCampaignConfig:
     def test_accepts_full_small_grid(self):
         cfg = CampaignConfig(n_range=(2, 5), K_range=(2, 5), samples_per_cell=200, seed=1)
@@ -452,6 +482,37 @@ class TestRunCampaign:
                     os.killpg(proc.pid, signal.SIGKILL)
         assert proc.returncode == 0, err
         assert json.loads(out) == {"error": "own cell failed", "active_children": 0}
+
+    @FORK_ONLY
+    def test_killed_search_process_leaves_no_child(self, tmp_path):
+        # a child inherits the read end of its own pipe through fork; unless
+        # it closes it, a search process killed mid-run leaves the child
+        # blocked forever in sending a result larger than the pipe buffer
+        tests_dir = os.path.dirname(os.path.abspath(__file__))
+        package_root = os.path.dirname(os.path.dirname(perturbrank.search.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join((package_root, tests_dir)))
+        probe = [sys.executable, "-c", "import sys, test_search; "
+                 "test_search._killed_search_probe(sys.argv[1])", str(tmp_path)]
+        pid_file = tmp_path / "child.pid"
+        with open(tmp_path / "stderr.txt", "w", encoding="utf-8") as err, subprocess.Popen(
+            probe, stdout=subprocess.DEVNULL, stderr=err, env=env, start_new_session=True
+        ) as proc:
+            try:
+                deadline = time.monotonic() + 60
+                while not pid_file.exists() and proc.poll() is None:
+                    assert time.monotonic() < deadline, "the child never ran its cell"
+                    time.sleep(0.01)
+                assert pid_file.exists(), (tmp_path / "stderr.txt").read_text()
+                child = int(pid_file.read_text(encoding="ascii"))
+                os.kill(proc.pid, signal.SIGKILL)  # the search process alone
+                proc.wait()
+                deadline = time.monotonic() + 10
+                while not _gone_or_zombie(child) and time.monotonic() < deadline:
+                    time.sleep(0.05)
+                assert _gone_or_zombie(child), "the child outlived the search process"
+            finally:
+                with contextlib.suppress(ProcessLookupError):
+                    os.killpg(proc.pid, signal.SIGKILL)
 
     @FORK_ONLY
     def test_child_exit_without_result_exits_one(self, monkeypatch, tmp_path, capsys):
