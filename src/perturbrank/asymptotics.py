@@ -19,7 +19,9 @@ comes from a hand-written cyclic Jacobi sweep on its float image, so the
 two routes stay independent.  The limiting profile itself is an
 anisotropic Gaussian with covariance sigma0² I - 2 M t, evaluated in
 floats with numpy; only that Gaussian imports numpy, on its first call,
-so the exact routes never load it.
+so the exact routes never load it.  Its covariance, determinant and
+prefactor are built once per time level and each point then costs one
+solve, so a residual stencil builds three covariances, not one per point.
 Every query value must be finite.
 
 ``analyze_structure`` gives the one verdict that ``analyze``, campaigns
@@ -276,13 +278,6 @@ def analyze_structure(ts: TransferStructure) -> StructureReport:
     )
 
 
-def _covariance(m: RationalMatrix, t: float, sigma0: float):
-    import numpy as np
-
-    mf = np.array(m.to_float(), dtype=float)
-    return sigma0 * sigma0 * np.eye(m.rows) - 2.0 * t * mf
-
-
 def _require_dissipative(m: RationalMatrix) -> None:
     breach = _dissipativity_breach(*_float_spectrum(m))
     if breach is not None:
@@ -291,24 +286,37 @@ def _require_dissipative(m: RationalMatrix) -> None:
         )
 
 
-def _gaussian(m: RationalMatrix, q: ProfileQuery, zeta: tuple[float, ...]) -> float:
+def _profile(mf: list[list[float]], q: ProfileQuery):
+    """The Gaussian at time q.t, for the float image mf of M, as a function
+    of the comoving point.
+
+    Everything that depends on the time level alone is done here once:
+    the covariance sigma0² I - 2 t M, its determinant and the prefactor
+    amplitude · sqrt(det0 / det).  Each point then costs one solve and
+    one exp.
+    """
     import numpy as np
 
+    k = len(mf)
     try:  # first: a finite sigma0 ** (2K) keeps sigma0² I finite too
-        det0 = q.sigma0 ** (2 * m.rows)
+        det0 = q.sigma0 ** (2 * k)
     except OverflowError:
         raise SingularCovariance(
-            f"sigma0 ** {2 * m.rows} overflows a float; use a smaller sigma0"
+            f"sigma0 ** {2 * k} overflows a float; use a smaller sigma0"
         ) from None
     # an overflowed covariance has a NaN determinant, rejected below
     with np.errstate(over="ignore", invalid="ignore"):
-        sigma = _covariance(m, q.t, q.sigma0)
+        sigma = q.sigma0 * q.sigma0 * np.eye(k) - 2.0 * q.t * np.array(mf, dtype=float)
         det = float(np.linalg.det(sigma))
     if not det > 0:
         raise SingularCovariance("covariance is not positive definite")
-    z = np.array(zeta, dtype=float)
-    quad = float(z @ np.linalg.solve(sigma, z))
-    return q.amplitude * math.sqrt(det0 / det) * math.exp(-0.5 * quad)
+    prefactor = q.amplitude * math.sqrt(det0 / det)
+
+    def at(zeta: tuple[float, ...]) -> float:
+        z = np.array(zeta, dtype=float)
+        return prefactor * math.exp(-0.5 * float(z @ np.linalg.solve(sigma, z)))
+
+    return at
 
 
 def phi0_eval(m: RationalMatrix, q: ProfileQuery, zeta: tuple[float, ...]) -> float:
@@ -324,7 +332,7 @@ def phi0_eval(m: RationalMatrix, q: ProfileQuery, zeta: tuple[float, ...]) -> fl
     if not all(math.isfinite(z) for z in zeta):
         raise ValueError("zeta must be finite")
     _require_dissipative(m)
-    return _gaussian(m, q, zeta)
+    return _profile(m.to_float(), q)(zeta)
 
 
 def leading_term_eval(
@@ -364,32 +372,31 @@ def pde_residual(
     center = phi0_eval(m, q, zeta)  # checks zeta and dissipativity once
     if q.t + h == q.t or any(z + h == z or z - h == z for z in zeta):
         raise ValueError(f"step h = {h!r} is too small: t or zeta does not move by h")
-
-    def phi(tval: float, point: tuple[float, ...]) -> float:
-        return _gaussian(m, replace(q, t=tval), point)
+    mf = m.to_float()
 
     def shifted(base: tuple[float, ...], idx: int, delta: float) -> tuple[float, ...]:
         moved = list(base)
         moved[idx] += delta
         return tuple(moved)
 
-    total = (phi(q.t + h, zeta) - phi(q.t - h, zeta)) / (2.0 * h)
+    total = (
+        _profile(mf, replace(q, t=q.t + h))(zeta) - _profile(mf, replace(q, t=q.t - h))(zeta)
+    ) / (2.0 * h)
+    phi = _profile(mf, q)  # every other stencil point lies at time t
     for i in range(k):
         for j in range(k):
-            mij = float(m[i, j])
+            mij = mf[i][j]
             if mij == 0.0:
                 continue
             if i == j:
                 second = (
-                    phi(q.t, shifted(zeta, i, h))
-                    - 2.0 * center
-                    + phi(q.t, shifted(zeta, i, -h))
+                    phi(shifted(zeta, i, h)) - 2.0 * center + phi(shifted(zeta, i, -h))
                 ) / (h * h)
             else:
-                pp = phi(q.t, shifted(shifted(zeta, i, h), j, h))
-                pm = phi(q.t, shifted(shifted(zeta, i, h), j, -h))
-                mp = phi(q.t, shifted(shifted(zeta, i, -h), j, h))
-                mm = phi(q.t, shifted(shifted(zeta, i, -h), j, -h))
+                pp = phi(shifted(shifted(zeta, i, h), j, h))
+                pm = phi(shifted(shifted(zeta, i, h), j, -h))
+                mp = phi(shifted(shifted(zeta, i, -h), j, h))
+                mm = phi(shifted(shifted(zeta, i, -h), j, -h))
                 second = (pp - pm - mp + mm) / (4.0 * h * h)
             total += mij * second
     return abs(total)

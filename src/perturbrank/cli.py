@@ -14,6 +14,7 @@ notices a potential mathematical finding.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -51,7 +52,10 @@ def _floats_csv(text: str) -> tuple[float, ...]:
         ) from None
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of this process, built on the first command: parsing
+    keeps no state in it, and building it costs more than most commands."""
     parser = _Parser(
         prog="perturbrank",
         description=(

@@ -10,8 +10,10 @@ deterministic: sorted keys, fixed indentation, trailing newline.
 from __future__ import annotations
 
 import json
+import math
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .asymptotics import StructureReport, TransferStructure
 from .exact_linalg import RationalMatrix, Vector
@@ -197,5 +199,47 @@ def build_report(
 
 
 def dumps(obj: object) -> str:
-    """Canonical JSON: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Canonical JSON: sorted keys, two-space indent, trailing newline.
+
+    The text is exactly ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``,
+    written in one recursive pass: with an indent, ``json`` runs its
+    pure-Python generator encoder instead of the C one.  Keys must be
+    strings; a value of any other type than str, int, float, bool, None,
+    list, tuple and dict raises TypeError, as in ``json``.
+    """
+    return _encode(obj, "\n") + "\n"
+
+
+def _encode(o: object, newline: str) -> str:
+    """One JSON value; ``newline`` is the line break and indent it starts at."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == math.inf:
+            return "Infinity"
+        if o == -math.inf:
+            return "-Infinity"
+        return float.__repr__(o)
+    inner = newline + "  "
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        items = [_encode(x, inner) for x in o]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        # encode_basestring_ascii raises TypeError on a key that is no str
+        items = [encode_basestring_ascii(k) + ": " + _encode(o[k], inner) for k in sorted(o)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")

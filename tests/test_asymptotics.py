@@ -13,6 +13,7 @@ import pytest
 from perturbrank.asymptotics import (
     NotDissipative,
     ProfileQuery,
+    SingularCovariance,
     TransferStructure,
     analyze_structure,
     build_M,
@@ -455,6 +456,48 @@ class TestLeadingTerm:
         assert values[0] > values[1] > values[2]
 
 
+def _gaussian_oracle(m: RationalMatrix, q: ProfileQuery, t: float, zeta) -> float:
+    """The profile as one formula per point: a fresh covariance from the
+    float image of m, its numpy determinant and a numpy solve."""
+    sigma = q.sigma0 * q.sigma0 * np.eye(m.rows) - 2.0 * t * np.array(m.to_float(), dtype=float)
+    det = float(np.linalg.det(sigma))
+    z = np.array(zeta, dtype=float)
+    quad = float(z @ np.linalg.solve(sigma, z))
+    return q.amplitude * math.sqrt(q.sigma0 ** (2 * m.rows) / det) * math.exp(-0.5 * quad)
+
+
+def _residual_oracle(m: RationalMatrix, q: ProfileQuery, zeta, h: float) -> float:
+    """The central-difference residual with every stencil point evaluated
+    on its own and every M entry read as float(Fraction)."""
+
+    def phi(t, point):
+        return _gaussian_oracle(m, q, t, point)
+
+    def moved(*steps):
+        point = list(zeta)
+        for idx, delta in steps:
+            point[idx] += delta
+        return tuple(point)
+
+    center = phi(q.t, zeta)
+    total = (phi(q.t + h, zeta) - phi(q.t - h, zeta)) / (2.0 * h)
+    for i in range(m.rows):
+        for j in range(m.rows):
+            mij = float(m[i, j])
+            if mij == 0.0:
+                continue
+            if i == j:
+                second = (phi(q.t, moved((i, h))) - 2.0 * center + phi(q.t, moved((i, -h)))) / (h * h)
+            else:
+                pp = phi(q.t, moved((i, h), (j, h)))
+                pm = phi(q.t, moved((i, h), (j, -h)))
+                mp = phi(q.t, moved((i, -h), (j, h)))
+                mm = phi(q.t, moved((i, -h), (j, -h)))
+                second = (pp - pm - mp + mm) / (4.0 * h * h)
+            total += mij * second
+    return abs(total)
+
+
 class TestResidual:
     def test_zero_matrix_residual_is_tiny(self):
         m = RationalMatrix([[0, 0], [0, 0]])
@@ -501,3 +544,53 @@ class TestResidual:
             pde_residual(ts.M, q, (0.0, 0.0), 0.01)
         with pytest.raises(ValueError):
             pde_residual(ts.M, q, (0.0, 0.0), 0.0)
+
+    def test_bit_identical_to_per_point_oracle(self):
+        rng = random.Random(20)
+        cases = [_pipeline(W1)[1].M]
+        for k in range(2, 9):
+            for n in (2, 3, 5):
+                s, sd = generate_instance(GeneratorConfig(n=n, K=k, seed=rng.getrandbits(40)))
+                cases.append(build_M(s, sd).M)
+        for m in cases:
+            for _ in range(2):
+                q = ProfileQuery(
+                    epsilon=1.0,
+                    t=rng.uniform(0.5, 3.0),
+                    x=(0.0,) * m.rows,
+                    sigma0=rng.uniform(0.5, 2.0),
+                    amplitude=rng.uniform(0.5, 2.0),
+                )
+                zeta = tuple(rng.uniform(-1.5, 1.5) for _ in range(m.rows))
+                h = rng.choice((1e-2, 1e-3, 2.5e-4))
+                assert pde_residual(m, q, zeta, h) == _residual_oracle(m, q, zeta, h)
+                assert phi0_eval(m, q, zeta) == _gaussian_oracle(m, q, q.t, zeta)
+
+    @pytest.mark.parametrize(
+        "m, t, zeta, h, sigma0, error, message",
+        [
+            (RationalMatrix([[1, 0], [0, -1]]), 1.0, (0.0, 0.0), 1e-2, 1.0,
+             NotDissipative, "largest numeric eigenvalue 1.000e+00 exceeds tolerance"),
+            (None, 1.0, (0.0, 0.0), 1e-2, 1e200,
+             SingularCovariance, "sigma0 ** 4 overflows a float; use a smaller sigma0"),
+            (None, 1.0, (0.0, 0.0), 0.0, 1.0, ValueError, "step h must be positive"),
+            (None, 1.0, (0.0, 0.0), -1e-2, 1.0, ValueError, "step h must be positive"),
+            (None, 1.0, (0.0, 0.0), math.nan, 1.0, ValueError, "step h must be positive"),
+            (None, 1.0, (0.0, 0.0), 1e-200, 1.0,
+             ValueError, "step h = 1e-200 is too small: h * h underflows to zero"),
+            (None, 0.005, (0.0, 0.0), 1e-2, 1.0,
+             ValueError, "step h must keep t - h nonnegative"),
+            (None, 1e20, (0.0, 0.0), 1.0, 1.0,
+             SingularCovariance, "covariance is not positive definite"),
+            (RationalMatrix([[-1, 0], [0, -1]]), 1e20, (0.0, 0.0), 1.0, 1.0,
+             ValueError, "step h = 1.0 is too small: t or zeta does not move by h"),
+            (None, 1.0, (0.0, 1e20), 1.0, 1.0,
+             ValueError, "step h = 1.0 is too small: t or zeta does not move by h"),
+        ],
+    )
+    def test_error_paths_keep_type_and_message(self, m, t, zeta, h, sigma0, error, message):
+        m = _pipeline(W1)[1].M if m is None else m
+        q = ProfileQuery(epsilon=1.0, t=t, x=(0.0, 0.0), sigma0=sigma0, amplitude=1.0)
+        with pytest.raises(error) as info:
+            pde_residual(m, q, zeta, h)
+        assert type(info.value) is error and str(info.value) == message

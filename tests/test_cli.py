@@ -11,10 +11,11 @@ import warnings
 import pytest
 
 import perturbrank
+from perturbrank import cli
 from perturbrank.asymptotics import ProfileQuery, build_M, leading_term_eval
 from perturbrank.cli import run_command
 from perturbrank.formats import load_instance_file
-from perturbrank.model import validate_system
+from perturbrank.model import FAMILIES, validate_system
 
 W1_DICT = {
     "format_version": 1,
@@ -179,6 +180,50 @@ class TestUsageErrors:
         )
         assert rc == 1
         assert "--seed" in capsys.readouterr().err
+
+
+class TestSharedParser:
+    """One parser serves every command of a process; no state carries over."""
+
+    def test_built_once_over_many_commands(self, w1_path, capsys):
+        cli._build_parser.cache_clear()
+        for argv in (["analyze", w1_path], ["frobnicate"], ["symbolic", "--k", "2"], ["--help"]):
+            run_command(argv)
+        capsys.readouterr()
+        assert cli._build_parser.cache_info().misses == 1
+        assert cli._build_parser.cache_info().hits == 3
+
+    def test_out_does_not_carry_over(self, w1_path, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert run_command(["analyze", w1_path, "--out", str(out)]) == 0
+        assert "report written to" in capsys.readouterr().out
+        assert run_command(["analyze", w1_path]) == 0
+        assert capsys.readouterr().out == out.read_text(encoding="utf-8")
+
+    def test_usage_error_then_valid_command(self, w1_path, capsys):
+        assert run_command(["analyze", w1_path, "--bogus"]) == 1
+        assert "usage" in capsys.readouterr().err
+        assert run_command(["analyze", w1_path]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["structure"]["rank_exact"] == 1
+        assert captured.err == ""
+
+    def test_help_twice(self, capsys):
+        for _ in range(2):
+            assert run_command(["--help"]) == 0
+            assert "residual" in capsys.readouterr().out
+
+    def test_families_default_per_call(self, tmp_path, capsys):
+        grid = ["--n-min", "2", "--n-max", "2", "--k-min", "2", "--k-max", "2",
+                "--samples", "1", "--seed", "1"]
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        argv = ["search", *grid, "--families", "markov_generator", "--out", str(first)]
+        assert run_command(argv) == 0
+        assert run_command(["search", *grid, "--out", str(second)]) == 0
+        capsys.readouterr()
+        families = [json.loads(p.read_text(encoding="utf-8"))["config"]["families"]
+                    for p in (first, second)]
+        assert families == [["markov_generator"], list(FAMILIES)]
 
 
 class TestSearchCommand:
