@@ -11,7 +11,6 @@ symbolically, and evaluates the limiting Gaussian profile numerically.
 
 from .exact_linalg import (
     CHARPOLY_SIZE_LIMIT,
-    InconsistentSystem,
     RationalMatrix,
     SizeLimitExceeded,
     Vector,

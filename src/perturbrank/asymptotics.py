@@ -314,7 +314,15 @@ def _profile(mf: list[list[float]], q: ProfileQuery):
 
     def at(zeta: tuple[float, ...]) -> float:
         z = np.array(zeta, dtype=float)
-        return prefactor * math.exp(-0.5 * float(z @ np.linalg.solve(sigma, z)))
+        # at a far point the products in the form can overflow, to ±inf or
+        # NaN; the form is then redone on z / m, with m the power of two
+        # just under max|z| (an exact scaling), and m² put back
+        with np.errstate(over="ignore", invalid="ignore"):
+            form = float(z @ np.linalg.solve(sigma, z))
+            if not math.isfinite(form):
+                m = 2.0 ** (math.frexp(float(np.abs(z).max()))[1] - 1)
+                form = float((z / m) @ np.linalg.solve(sigma, z / m)) * m * m
+        return prefactor * math.exp(-0.5 * form)
 
     return at
 

@@ -34,7 +34,6 @@ CHARPOLY_SIZE_LIMIT = 32
 
 __all__ = [
     "CHARPOLY_SIZE_LIMIT",
-    "InconsistentSystem",
     "RationalMatrix",
     "SizeLimitExceeded",
     "Vector",
@@ -55,10 +54,6 @@ class SizeLimitExceeded(ValueError):
 
 class ZeroPolynomial(ValueError):
     """The zero polynomial has no root-location verdict."""
-
-
-class InconsistentSystem(ValueError):
-    """The right-hand side is not in the range of the matrix."""
 
 
 def as_rational(value: int | str | Fraction) -> Fraction:

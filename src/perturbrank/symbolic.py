@@ -8,14 +8,17 @@ rates scaled by a third parameter:
 
 with K transport directions carrying free diagonal speeds
 D_i = diag(d_i1, d_i2).  Everything the numeric pipeline computes for a
-concrete instance — kernel pair, drift velocities, constrained inverse,
-the coupling matrix M — is reproduced here over the rational-function
-field Q(a, b, k, d_11, ..., d_K2), following the exact same conventions
-(kernel vectors scaled to leading entry 1, pairing normalized to 1), so
+concrete instance — kernel pair, drift velocities, group inverse G, the
+coupling matrix M — is reproduced here over the rational-function field
+Q(a, b, k, d_11, ..., d_K2), following the exact same conventions
+(kernel vectors scaled to leading entry 1, pairing normalized to 1) and
+the formula M = Q G Pᵀ + (Q G Pᵀ)ᵀ of ``asymptotics.build_M``, so
 substituting numbers into the symbolic output must agree with the
-numeric code to the last digit.  Every denominator on the way is a
-product of powers of a, b, k, a + b*k and the Delta_i below, so the
-entries are kept over that factor base (see ``multipoly``).
+numeric code to the last digit.  A has rank one and A² = -(a + b*k) A,
+so G = A / (a + b*k)², as ``charpoly_adjugate`` gives it for n = 2.
+Every denominator on the way is a product of powers of a, b, k,
+a + b*k and the Delta_i below, so the entries are kept over that factor
+base (see ``multipoly``).
 
 The punchline is structural: every entry satisfies
 
@@ -33,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_linalg import InconsistentSystem, SizeLimitExceeded
+from .exact_linalg import SizeLimitExceeded
 from .multipoly import MultiPoly, RatFunc, ratfunc_tree
 
 __all__ = [
@@ -56,13 +59,15 @@ class RankIdentityFailed(ValueError):
 
 @dataclass(frozen=True)
 class SymbolicStructure:
-    """Exact transfer structure of the two-state family with K directions."""
+    """Exact transfer structure of the two-state family with K directions;
+    ``G`` is the group inverse of A, as ``SpectralData.G`` is."""
 
     K: int
     variables: tuple[str, ...]
     h1: tuple[RatFunc, RatFunc]
     h1_star: tuple[RatFunc, RatFunc]
     velocities: tuple[RatFunc, ...]
+    G: tuple[tuple[RatFunc, ...], ...]
     M: tuple[tuple[RatFunc, ...], ...]
     c: RatFunc
     deltas: tuple[RatFunc, ...]
@@ -78,41 +83,15 @@ class ClosedFormSpectrum:
 
 def _family_variables(K: int) -> tuple[str, ...]:
     """Variable names: rates a, b, k then speeds d{i}_1, d{i}_2 per direction."""
-    names = ["a", "b", "k"]
-    for i in range(1, K + 1):
-        names.append(f"d{i}_1")
-        names.append(f"d{i}_2")
-    return tuple(names)
-
-
-def _solve_interaction_constrained(
-    a_par: RatFunc,
-    k_par: RatFunc,
-    y: tuple[RatFunc, RatFunc],
-    h1: tuple[RatFunc, RatFunc],
-    h1_star: tuple[RatFunc, RatFunc],
-) -> tuple[RatFunc, RatFunc]:
-    """Solve A(a,b,k) x = y with (x, h1_star) = 0 for the family matrix.
-
-    Row 2 of A is -k times row 1, so the system is consistent exactly when
-    y_2 + k y_1 = 0; the pivot equation -a x_1 + b x_2 = y_1 is solved with
-    the free component set to zero and the result shifted along the kernel
-    h1 to meet the constraint (the pairing (h1, h1_star) is 1 by
-    construction, so the shift is just the stray inner product).
-    """
-    if not (y[1] + k_par * y[0]).is_zero():
-        raise InconsistentSystem("right-hand side not orthogonal to the left kernel")
-    x = (-(y[0] / a_par), RatFunc.constant(y[0].base, 0))
-    shift = x[0] * h1_star[0] + x[1] * h1_star[1]
-    return (x[0] - shift * h1[0], x[1] - shift * h1[1])
+    return ("a", "b", "k", *(f"d{i}_{m}" for i in range(1, K + 1) for m in (1, 2)))
 
 
 def build_M_parametric(K: int) -> SymbolicStructure:
     """Coupling matrix of the two-state family with K transport directions.
 
     Mirrors the numeric pipeline step for step over Q(a, b, k, d_ij):
-    kernel pair, velocities, constrained inverse applied column by column,
-    then the symmetrized quadratic form.  Supports 2 <= K <= 6; the
+    kernel pair, velocities, G = A / (a + b*k)², then M = X + Xᵀ with
+    X = Q G Pᵀ, each entry its own sum.  Supports 2 <= K <= 6; the
     variable count grows as 3 + 2K and exact rational-function arithmetic
     beyond that is not worth the wait.
     """
@@ -144,46 +123,33 @@ def build_M_parametric(K: int) -> SymbolicStructure:
     # right kernel with leading entry 1, left kernel divided by the pairing
     h1 = (one, a / b)
     h1_star = (b * k / s, b / s)
+    # A is rank one with A² = -s A, so its group inverse is A / s²
+    inv_s2 = one / (s * s)
+    G = tuple(tuple(x * inv_s2 for x in row) for row in ((-a, b), (k * a, -(k * b))))
 
     d_vars = [(var(f"d{i}_1"), var(f"d{i}_2")) for i in range(1, K + 1)]
     weights = (h1[0] * h1_star[0], h1[1] * h1_star[1])
-    velocities = tuple(
-        d1 * weights[0] + d2 * weights[1] for d1, d2 in d_vars
-    )
-    # componentwise symbols of Psi_i = D_i - v_i I, their push-through
-    # p_i = Psi_i h1 and their pull-back q_i = psi_i o h1_star
-    psi = [
-        (d1 - v, d2 - v) for (d1, d2), v in zip(d_vars, velocities)
-    ]
-    pushed = [(p0 * h1[0], p1 * h1[1]) for p0, p1 in psi]
-    pulled = [(p0 * h1_star[0], p1 * h1_star[1]) for p0, p1 in psi]
-    lifted = [
-        _solve_interaction_constrained(a, k, w, h1, h1_star) for w in pushed
-    ]
-
-    def pairing(i: int, j: int) -> RatFunc:
-        return pulled[i][0] * lifted[j][0] + pulled[i][1] * lifted[j][1]
-
+    velocities = tuple(d1 * weights[0] + d2 * weights[1] for d1, d2 in d_vars)
+    # as in build_M: rows psi_i of Psi = D - v 1ᵀ, P = Psi diag(h1),
+    # Q = Psi diag(h1_star) / 2 and M = X + Xᵀ with X = Q G Pᵀ
     half = const(Fraction(1, 2))
-    m_rows: list[tuple[RatFunc, ...]] = []
-    entries: dict[tuple[int, int], RatFunc] = {}
-    for i in range(K):
-        for j in range(i, K):
-            value = (pairing(i, j) + pairing(j, i)) * half
-            entries[(i, j)] = value
-            entries[(j, i)] = value
-    for i in range(K):
-        m_rows.append(tuple(entries[(i, j)] for j in range(K)))
+    psi = [(d1 - v, d2 - v) for (d1, d2), v in zip(d_vars, velocities)]
+    P = [(p0 * h1[0], p1 * h1[1]) for p0, p1 in psi]
+    Q = [(p0 * h1_star[0] * half, p1 * h1_star[1] * half) for p0, p1 in psi]
+    gp = [tuple(g0 * p0 + g1 * p1 for g0, g1 in G) for p0, p1 in P]
+    x = [[q0 * c0 + q1 * c1 for c0, c1 in gp] for q0, q1 in Q]
+    m_rows = tuple(tuple(x[i][j] + x[j][i] for j in range(K)) for i in range(K))
 
     deltas = tuple(d1 - d2 for d1, d2 in d_vars)
-    c = -(entries[(0, 0)] / (deltas[0] * deltas[0]))
+    c = -(m_rows[0][0] / (deltas[0] * deltas[0]))
     return SymbolicStructure(
         K=K,
         variables=names,
         h1=h1,
         h1_star=h1_star,
         velocities=velocities,
-        M=tuple(m_rows),
+        G=G,
+        M=m_rows,
         c=c,
         deltas=deltas,
     )
@@ -193,7 +159,8 @@ def verify_rank_one_identity(structure: SymbolicStructure) -> bool:
     """Check M_ij + c * Delta_i * Delta_j == 0 identically for all i, j.
 
     The right-hand side is symmetric, so the identity is tested on j >= i
-    together with M_ji == M_ij.
+    together with M_ji == M_ij; ``build_M_parametric`` sums each triangle
+    on its own, so that equality is a real check.
     """
     M, deltas = structure.M, structure.deltas
     for i in range(structure.K):

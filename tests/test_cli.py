@@ -535,6 +535,41 @@ class TestProfileCommands:
         if "--sigma" in argv and argv[argv.index("--sigma") + 1] != "1":
             assert "sigma0 ** 4 overflows" in lines[0]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--t", "1", "--eps", "1e-300", "--point", "1,0"],
+            ["--t", "10", "--eps", "1e-300", "--point", "6,3"],
+        ],
+        # the comoving point is about 1e300 from the origin, so the products
+        # in the quadratic form overflow; at t = 10, (6, 3) used to make
+        # them cancel to -inf and print [Infinity, Infinity]
+        ids=["overflow-to-inf", "overflow-to-minus-inf"],
+    )
+    def test_phi0_far_point_is_zero_and_quiet(self, w1_path, capsys, argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run_command(
+                ["phi0", "--instance", w1_path, "--sigma", "1", "--amplitude", "1", *argv]
+            )
+        assert rc == 0
+        assert [str(w.message) for w in caught] == []
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("[0.0, 0.0]\n", "")
+
+    def test_residual_far_centre_is_quiet(self, w1_path, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run_command(
+                ["residual", "--instance", w1_path, "--t", "1", "--zeta", "1e200,0",
+                 "--h", "1e-3"]
+            )
+        assert rc == 1
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == (
+            "error: step h = 0.001 is too small: t or zeta does not move by h\n"
+        )
+
     def test_phi0_rejects_nonpositive_epsilon(self, w1_path, capsys):
         rc = run_command(
             [
@@ -586,6 +621,14 @@ def test_console_script_entry_point(w1_path):
     proc = _run_python("-m", "perturbrank", "analyze", w1_path)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["structure"]["rank_exact"] == 1
+
+
+def test_module_entry_point_far_point_writes_no_stderr(w1_path):
+    proc = _run_python(
+        "-m", "perturbrank", "phi0", "--instance", w1_path, "--sigma", "1", "--t", "1",
+        "--eps", "1e-300", "--amplitude", "1", "--point", "1,0",
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[0.0, 0.0]\n", "")
 
 
 def test_module_entry_point_missing_file_exits_one(tmp_path):

@@ -98,6 +98,26 @@ class TestBuildMParametric:
             for j in range(3):
                 assert st.M[i][j] == st.M[j][i]
 
+    def test_group_inverse_identities(self):
+        # A G = G A = I - h1 h1_star^T, G h1 = 0 and h1_star^T G = 0, over
+        # the field, for the closed form G = A / (a + b k)^2
+        st = build_M_parametric(2)
+        base = st.c.base
+        a, b, k = (RatFunc.variable(base, name) for name in "abk")
+        A = ((-a, b), (k * a, -(k * b)))
+        G, h, hs = st.G, st.h1, st.h1_star
+        zero, one = RatFunc.constant(base, 0), RatFunc.constant(base, 1)
+
+        def mul(x, y):
+            return [[x[i][0] * y[0][j] + x[i][1] * y[1][j] for j in range(2)] for i in range(2)]
+
+        projector = [[(one if i == j else zero) - h[i] * hs[j] for j in range(2)] for i in range(2)]
+        assert mul(A, G) == projector
+        assert mul(G, A) == projector
+        for i in range(2):
+            assert G[i][0] * h[0] + G[i][1] * h[1] == zero
+            assert hs[0] * G[0][i] + hs[1] * G[1][i] == zero
+
     def test_pairing_is_one(self):
         st = build_M_parametric(2)
         pairing = st.h1[0] * st.h1_star[0] + st.h1[1] * st.h1_star[1]
@@ -155,12 +175,12 @@ class TestClosedFormSpectrum:
 
 
 class TestNumericAgreement:
-    @pytest.mark.parametrize("K", [2, 3, 4])
+    @pytest.mark.parametrize("K", [2, 3, 4, 5, 6])
     def test_substitution_matches_numeric_pipeline(self, K):
         st = build_M_parametric(K)
         rng = random.Random(1000 + K)
         checked = 0
-        while checked < 100:
+        while checked < (100 if K <= 4 else 20):
             values = random_values(rng, st.variables)
             spec = numeric_counterpart(values, K)
             sd = validate_system(spec)
@@ -171,6 +191,16 @@ class TestNumericAgreement:
                 for j in range(K):
                     assert st.M[i][j].eval(values) == ts.M[i, j]
             checked += 1
+
+    def test_group_inverse_matches_numeric(self):
+        st = build_M_parametric(2)
+        rng = random.Random(78)
+        for _ in range(25):
+            values = random_values(rng, st.variables)
+            sd = validate_system(numeric_counterpart(values, 2))
+            for i in range(2):
+                for j in range(2):
+                    assert st.G[i][j].eval(values) == sd.G[i, j]
 
     def test_kernel_pair_matches_numeric(self):
         st = build_M_parametric(2)
