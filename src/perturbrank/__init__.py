@@ -64,7 +64,6 @@ from .multipoly import MultiPoly, RatFunc, ZeroDenominator, poly_divexact
 from .symbolic import (
     MAX_SYMBOLIC_DIRECTIONS,
     ClosedFormSpectrum,
-    RankIdentityFailed,
     SymbolicStructure,
     build_M_parametric,
     eigen_closed_form_n2,

@@ -75,8 +75,6 @@ BREACH_KINDS = ("dissipativity", "rank_agreement")
 __all__ = [
     "BREACH_KINDS",
     "DISSIPATIVITY_TOLERANCE",
-    "JACOBI_MAX_SWEEPS",
-    "JACOBI_TOLERANCE",
     "RANK_AGREEMENT_TOLERANCE",
     "NotDissipative",
     "ProfileQuery",
@@ -213,9 +211,16 @@ def jacobi_eigenvalues(sym: list[list[float]]) -> list[float]:
     return sorted(a[i][i] for i in range(n))
 
 
-def _float_spectrum(m: RationalMatrix) -> tuple[tuple[float, ...], float]:
-    """Jacobi eigenvalues (ascending) of the float image of m, and its max|entry|."""
-    mf = m.to_float()
+def _float_image(m: RationalMatrix, name: str = "M") -> list[list[float]]:
+    """The float image of m; an entry beyond float range is an input error."""
+    try:
+        return m.to_float()
+    except OverflowError:
+        raise ValueError(f"{name} has an entry beyond float range") from None
+
+
+def _float_spectrum(mf: list[list[float]]) -> tuple[tuple[float, ...], float]:
+    """Jacobi eigenvalues (ascending) of the float image mf, and its max|entry|."""
     scale = max((abs(x) for row in mf for x in row), default=0.0)
     return tuple(jacobi_eigenvalues(mf)), scale
 
@@ -249,7 +254,7 @@ def analyze_structure(ts: TransferStructure) -> StructureReport:
     """
     kernel = tuple(nullspace(ts.M))
     rank = ts.M.cols - len(kernel)
-    eigs, scale = _float_spectrum(ts.M)
+    eigs, scale = _float_spectrum(_float_image(ts.M))
     predicted = min(ts.P.cols - 1, ts.P.rows)
     degenerate = rank_exact(ts.P) < predicted
     outcome = DEGENERATE if degenerate else MATCH if rank == predicted else VIOLATION
@@ -278,12 +283,21 @@ def analyze_structure(ts: TransferStructure) -> StructureReport:
     )
 
 
-def _require_dissipative(m: RationalMatrix) -> None:
-    breach = _dissipativity_breach(*_float_spectrum(m))
+def _dissipative_image(m: RationalMatrix, zeta: tuple[float, ...]) -> list[list[float]]:
+    """The float image of m, once zeta is a finite point of length K and
+    m passes the dissipativity test on that image."""
+    k = m.rows
+    if len(zeta) != k:
+        raise ValueError(f"zeta must have length {k}")
+    if not all(math.isfinite(z) for z in zeta):
+        raise ValueError("zeta must be finite")
+    mf = _float_image(m)
+    breach = _dissipativity_breach(*_float_spectrum(mf))
     if breach is not None:
         raise NotDissipative(
             f"largest numeric eigenvalue {breach['max_eigenvalue']:.3e} exceeds tolerance"
         )
+    return mf
 
 
 def _profile(mf: list[list[float]], q: ProfileQuery):
@@ -334,13 +348,7 @@ def phi0_eval(m: RationalMatrix, q: ProfileQuery, zeta: tuple[float, ...]) -> fl
     phi_t + sum_ij M_ij phi_{zeta_i zeta_j} = 0 with an isotropic Gaussian
     of width sigma0 at t = 0 and peak value ``amplitude``.
     """
-    k = m.rows
-    if len(zeta) != k:
-        raise ValueError(f"zeta must have length {k}")
-    if not all(math.isfinite(z) for z in zeta):
-        raise ValueError("zeta must be finite")
-    _require_dissipative(m)
-    return _profile(m.to_float(), q)(zeta)
+    return _profile(_dissipative_image(m, zeta), q)(zeta)
 
 
 def leading_term_eval(
@@ -349,17 +357,20 @@ def leading_term_eval(
     """Leading-order state vector phi0(zeta, t) · h1 at the lab point q.x.
 
     The comoving coordinates are zeta_i = (x_i - v_i t) / epsilon; the
-    expansion is only valid for t > 0.
+    expansion is only valid for t > 0.  The checks of ``phi0_eval`` run
+    first, on the finite x; a comoving point that overflows to ±inf lies
+    where the Gaussian, its Sigma finite and >= sigma0² I, is 0.
     """
     if len(q.x) != s.K:
         raise ValueError(f"x must have length {s.K}")
     if not q.t > 0:
         raise ValueError("leading-term evaluation requires t > 0")
-    zeta = tuple(
-        (xi - float(vi) * q.t) / q.epsilon for xi, vi in zip(q.x, ts.v)
-    )
-    value = phi0_eval(ts.M, q, zeta)
-    return [value * float(h) for h in sd.h1]
+    phi = _profile(_dissipative_image(ts.M, q.x), q)
+    v = _float_image(RationalMatrix([ts.v]), "v")[0]
+    h1 = _float_image(RationalMatrix([sd.h1]), "h1")[0]
+    zeta = tuple((xi - vi * q.t) / q.epsilon for xi, vi in zip(q.x, v))
+    value = phi(zeta) if all(math.isfinite(z) for z in zeta) else 0.0
+    return [value * h for h in h1]
 
 
 def pde_residual(
@@ -376,11 +387,11 @@ def pde_residual(
         raise ValueError(f"step h = {h!r} is too small: h * h underflows to zero")
     if q.t - h < 0:
         raise ValueError("step h must keep t - h nonnegative")
-    k = m.rows
-    center = phi0_eval(m, q, zeta)  # checks zeta and dissipativity once
+    mf = _dissipative_image(m, zeta)
+    phi = _profile(mf, q)  # every stencil point but two lies at time t
+    center = phi(zeta)
     if q.t + h == q.t or any(z + h == z or z - h == z for z in zeta):
         raise ValueError(f"step h = {h!r} is too small: t or zeta does not move by h")
-    mf = m.to_float()
 
     def shifted(base: tuple[float, ...], idx: int, delta: float) -> tuple[float, ...]:
         moved = list(base)
@@ -390,9 +401,8 @@ def pde_residual(
     total = (
         _profile(mf, replace(q, t=q.t + h))(zeta) - _profile(mf, replace(q, t=q.t - h))(zeta)
     ) / (2.0 * h)
-    phi = _profile(mf, q)  # every other stencil point lies at time t
-    for i in range(k):
-        for j in range(k):
+    for i in range(m.rows):
+        for j in range(m.rows):
             mij = mf[i][j]
             if mij == 0.0:
                 continue

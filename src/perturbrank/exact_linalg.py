@@ -372,9 +372,6 @@ def hurwitz_stable(coeffs: Sequence[int | str | Fraction]) -> bool:
         return True
     if desc[0] < 0:
         desc = [-c for c in desc]  # desc[0] > 0 leads
-    # Positive coefficients are necessary; bail out early when violated.
-    if any(c <= 0 for c in desc[1:]):
-        return False
     hurwitz = [
         [desc[2 * j - i + 1] if 0 <= 2 * j - i + 1 <= n else 0 for j in range(n)]
         for i in range(n)

@@ -136,10 +136,11 @@ def _certified_pair(a: RationalMatrix) -> SpectralData:
     One ``charpoly_adjugate`` pass: raises ``KernelDimensionError`` when
     zero is not a root or not a simple one, then ``NotStable`` when the
     deflated polynomial is not Hurwitz.  The simple zero root makes
-    adj(A) = α h1 h1_starᵀ, so its first nonzero column is h1 and its
-    first nonzero row h1_star, up to scale; A h1 = 0 and h1_starᵀ A = 0
-    are checked, and the pair is scaled to first-nonzero(h1) = 1 and
-    (h1, h1_star) = 1, a pairing tr adj(A) = ±c_1 keeps nonzero.  G is
+    adj(A) = α h1 h1_starᵀ with tr adj(A) = ±c_1 ≠ 0, so its first nonzero
+    column is h1 and its first nonzero row h1_star, up to scale;
+    A h1 = 0 and h1_starᵀ A = 0 are checked, and the pair is scaled to
+    first-nonzero(h1) = 1 and (h1, h1_star) = 1, a pairing that trace
+    keeps nonzero.  G is
     the group inverse the same pass returns at the simple zero root.
     """
     coeffs, adj, g = charpoly_adjugate(a)
@@ -151,8 +152,8 @@ def _certified_pair(a: RationalMatrix) -> SpectralData:
         raise NotStable("nonzero spectrum is not contained in the open left half-plane")
     n = a.rows
     cols = (tuple(adj[i, j] for i in range(n)) for j in range(n))
-    right = next((col for col in cols if any(col)), None)
-    if right is None or a @ RationalMatrix(zip(right)) != RationalMatrix([[0]] * n):
+    right = next(col for col in cols if any(col))
+    if a @ RationalMatrix(zip(right)) != RationalMatrix([[0]] * n):
         raise ArithmeticError("adjugate column is not a right null vector of A")
     rows = (tuple(adj[i, j] for j in range(n)) for i in range(n))
     left = next(row for row in rows if any(row))

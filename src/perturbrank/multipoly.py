@@ -40,7 +40,6 @@ __all__ = [
     "RatFunc",
     "ZeroDenominator",
     "poly_divexact",
-    "poly_tree",
     "ratfunc_tree",
 ]
 
@@ -89,10 +88,6 @@ class MultiPoly:
         return obj
 
     # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def zero(cls, variables: Sequence[str]) -> "MultiPoly":
-        return cls._make(tuple(variables), {})
 
     @classmethod
     def constant(cls, variables: Sequence[str], value: int | str | Fraction) -> "MultiPoly":
@@ -151,12 +146,6 @@ class MultiPoly:
                 e = tuple(map(add, e1, e2))
                 acc[e] = acc[e] + c1 * c2 if e in acc else c1 * c2
         return MultiPoly._make(self.vars, acc)
-
-    def scale(self, factor: int | str | Fraction) -> "MultiPoly":
-        f = as_rational(factor)
-        if f == 0:
-            return MultiPoly.zero(self.vars)
-        return MultiPoly._make(self.vars, {e: c * f for e, c in self.terms.items()})
 
     def _mul_term(self, exponents: tuple[int, ...], coeff: Fraction) -> "MultiPoly":
         """Product with one monomial whose exponents the kernel computed."""
@@ -359,22 +348,6 @@ class RatFunc:
         obj._den = None
         return obj
 
-    # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def constant(
-        cls, base: Sequence[MultiPoly], value: int | str | Fraction
-    ) -> "RatFunc":
-        base = _checked_base(base)
-        num = MultiPoly.constant(base[0].vars, value)
-        return cls._make(num, base, (0,) * len(base))
-
-    @classmethod
-    def variable(cls, base: Sequence[MultiPoly], name: str) -> "RatFunc":
-        base = _checked_base(base)
-        num = MultiPoly.variable(base[0].vars, name)
-        return cls._make(num, base, (0,) * len(base))
-
     # -- structure ------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -449,7 +422,8 @@ class RatFunc:
             raise ValueError(
                 f"{self.num} is not a constant times powers of the factor base"
             )
-        num = _expand(self.base, self.exps).scale(1 / unit.leading()[1])
+        unit_exps, unit_coeff = unit.leading()
+        num = _expand(self.base, self.exps)._mul_term(unit_exps, 1 / unit_coeff)
         return RatFunc._make(num, self.base, tuple(powers))
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":

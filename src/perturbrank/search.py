@@ -34,7 +34,6 @@ from .model import FAMILIES, GeneratorConfig, GenerationFailed, generate_instanc
 
 __all__ = [
     "CampaignConfig",
-    "RANGE_LIMITS",
     "derive_instance_seed",
     "run_campaign",
 ]

@@ -41,7 +41,6 @@ from .multipoly import MultiPoly, RatFunc, ratfunc_tree
 
 __all__ = [
     "ClosedFormSpectrum",
-    "RankIdentityFailed",
     "SymbolicStructure",
     "MAX_SYMBOLIC_DIRECTIONS",
     "build_M_parametric",
@@ -51,10 +50,6 @@ __all__ = [
 ]
 
 MAX_SYMBOLIC_DIRECTIONS = 6
-
-
-class RankIdentityFailed(ValueError):
-    """The dyad identity M_ij = -c*Delta_i*Delta_j does not hold."""
 
 
 @dataclass(frozen=True)
@@ -109,14 +104,9 @@ def build_M_parametric(K: int) -> SymbolicStructure:
     base = (poly["a"], poly["b"], poly["k"], poly["a"] + poly["b"] * poly["k"])
     base += tuple(poly[f"d{i}_1"] - poly[f"d{i}_2"] for i in range(1, K + 1))
 
-    def const(v: int | Fraction) -> RatFunc:
-        return RatFunc.constant(base, v)
-
-    def var(n: str) -> RatFunc:
-        return RatFunc.variable(base, n)
-
-    a, b, k = var("a"), var("b"), var("k")
-    one = const(1)
+    var = {n: RatFunc(p, base) for n, p in poly.items()}
+    a, b, k = var["a"], var["b"], var["k"]
+    one = RatFunc(MultiPoly.constant(names, 1), base)
     s = a + b * k
 
     # kernel pair, scaled exactly as the numeric code does:
@@ -127,12 +117,12 @@ def build_M_parametric(K: int) -> SymbolicStructure:
     inv_s2 = one / (s * s)
     G = tuple(tuple(x * inv_s2 for x in row) for row in ((-a, b), (k * a, -(k * b))))
 
-    d_vars = [(var(f"d{i}_1"), var(f"d{i}_2")) for i in range(1, K + 1)]
+    d_vars = [(var[f"d{i}_1"], var[f"d{i}_2"]) for i in range(1, K + 1)]
     weights = (h1[0] * h1_star[0], h1[1] * h1_star[1])
     velocities = tuple(d1 * weights[0] + d2 * weights[1] for d1, d2 in d_vars)
     # as in build_M: rows psi_i of Psi = D - v 1ᵀ, P = Psi diag(h1),
     # Q = Psi diag(h1_star) / 2 and M = X + Xᵀ with X = Q G Pᵀ
-    half = const(Fraction(1, 2))
+    half = RatFunc(MultiPoly.constant(names, Fraction(1, 2)), base)
     psi = [(d1 - v, d2 - v) for (d1, d2), v in zip(d_vars, velocities)]
     P = [(p0 * h1[0], p1 * h1[1]) for p0, p1 in psi]
     Q = [(p0 * h1_star[0] * half, p1 * h1_star[1] * half) for p0, p1 in psi]
@@ -171,20 +161,18 @@ def verify_rank_one_identity(structure: SymbolicStructure) -> bool:
     return True
 
 
-def eigen_closed_form_n2(structure: SymbolicStructure) -> ClosedFormSpectrum:
+def eigen_closed_form_n2(structure: SymbolicStructure) -> ClosedFormSpectrum | None:
     """Exact spectrum of the rank-one dyad M = -c * Delta Delta^T.
 
     The single nonzero eigenvalue is the trace -c * sum(Delta_i^2) with
-    eigenvector Delta; zero fills the remaining K - 1 dimensions.  Raises
-    RankIdentityFailed if the dyad identity does not actually hold, since
-    the closed form would then be meaningless.
+    eigenvector Delta; zero fills the remaining K - 1 dimensions.  None
+    when the dyad identity does not hold, since the closed form would then
+    be meaningless.
     """
     if not verify_rank_one_identity(structure):
-        raise RankIdentityFailed(
-            "M is not the expected rank-one dyad; no closed-form spectrum"
-        )
-    total = RatFunc.constant(structure.c.base, 0)
-    for delta in structure.deltas:
+        return None
+    total = structure.deltas[0] * structure.deltas[0]
+    for delta in structure.deltas[1:]:
         total = total + delta * delta
     return ClosedFormSpectrum(
         nonzero_eigenvalue=-(structure.c * total),
@@ -199,10 +187,7 @@ def _entry_payload(f: RatFunc) -> dict:
 def symbolic_report(K: int) -> dict:
     """JSON-ready exact description of the K-direction two-state family."""
     structure = build_M_parametric(K)
-    try:
-        spectrum = eigen_closed_form_n2(structure)
-    except RankIdentityFailed:
-        spectrum = None
+    spectrum = eigen_closed_form_n2(structure)
     report: dict = {
         "family": "two-state-exchange",
         "K": K,

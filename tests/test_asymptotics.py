@@ -455,6 +455,18 @@ class TestLeadingTerm:
             values.append(leading_term_eval(W1, sd, ts, q)[0])
         assert values[0] > values[1] > values[2]
 
+    def test_comoving_point_past_float_range_is_zero(self):
+        # (x - v t) / epsilon overflows to ±inf from finite inputs; the
+        # Gaussian is 0 there, once the checks of phi0_eval have passed
+        sd, ts = _pipeline(W1)
+        q = ProfileQuery(epsilon=1e-310, t=1.0, x=(1.0, 0.0), sigma0=1.0, amplitude=1.0)
+        assert leading_term_eval(W1, sd, ts, q) == [0.0, 0.0]
+        unstable = dataclasses.replace(ts, M=RationalMatrix([[1, 0], [0, -1]]))
+        with pytest.raises(NotDissipative):
+            leading_term_eval(W1, sd, unstable, q)
+        with pytest.raises(SingularCovariance, match="not positive definite"):
+            leading_term_eval(W1, sd, ts, dataclasses.replace(q, t=1e20))
+
 
 def _gaussian_oracle(m: RationalMatrix, q: ProfileQuery, t: float, zeta) -> float:
     """The profile as one formula per point: a fresh covariance from the
@@ -536,6 +548,30 @@ class TestResidual:
         assert calls == [3]
         with pytest.raises(NotDissipative):
             pde_residual(RationalMatrix([[1, 0], [0, -1]]), q, (0.0, 0.0), 1e-2)
+
+    def test_one_float_image_and_three_profiles(self, monkeypatch):
+        # the centre value comes from the time-t profile of the stencil, so
+        # one residual makes one float image of M and one profile per time
+        # level t - h, t + h and t
+        import perturbrank.asymptotics as asymptotics
+
+        _, ts = _pipeline(W1)
+        calls = {"to_float": 0, "_profile": 0}
+        to_float, profile = RationalMatrix.to_float, asymptotics._profile
+
+        def counted_to_float(self):
+            calls["to_float"] += 1
+            return to_float(self)
+
+        def counted_profile(mf, q):
+            calls["_profile"] += 1
+            return profile(mf, q)
+
+        monkeypatch.setattr(RationalMatrix, "to_float", counted_to_float)
+        monkeypatch.setattr(asymptotics, "_profile", counted_profile)
+        q = ProfileQuery(epsilon=1.0, t=1.0, x=(0.0, 0.0), sigma0=1.0, amplitude=1.0)
+        pde_residual(ts.M, q, (0.7, -0.3), 1e-2)
+        assert calls == {"to_float": 1, "_profile": 3}
 
     def test_step_validation(self):
         _, ts = _pipeline(W1)

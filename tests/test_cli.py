@@ -27,6 +27,10 @@ W1_DICT = {
 }
 
 
+HUGE = "1" + "0" * 400
+HUGE_D = [[HUGE, "0"], ["0", "1"]]
+
+
 @pytest.fixture
 def w1_path(tmp_path):
     path = tmp_path / "w1.json"
@@ -540,11 +544,14 @@ class TestProfileCommands:
         [
             ["--t", "1", "--eps", "1e-300", "--point", "1,0"],
             ["--t", "10", "--eps", "1e-300", "--point", "6,3"],
+            ["--t", "1", "--eps", "1e-310", "--point", "1,0"],
         ],
         # the comoving point is about 1e300 from the origin, so the products
         # in the quadratic form overflow; at t = 10, (6, 3) used to make
-        # them cancel to -inf and print [Infinity, Infinity]
-        ids=["overflow-to-inf", "overflow-to-minus-inf"],
+        # them cancel to -inf and print [Infinity, Infinity]; at eps 1e-310
+        # the comoving point itself overflows to ±inf from finite inputs,
+        # which used to exit 1 with "zeta must be finite"
+        ids=["overflow-to-inf", "overflow-to-minus-inf", "comoving-point-overflows"],
     )
     def test_phi0_far_point_is_zero_and_quiet(self, w1_path, capsys, argv):
         with warnings.catch_warnings(record=True) as caught:
@@ -629,6 +636,33 @@ def test_module_entry_point_far_point_writes_no_stderr(w1_path):
         "--eps", "1e-300", "--amplitude", "1", "--point", "1,0",
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[0.0, 0.0]\n", "")
+
+
+PHI0_ARGV = ["phi0", "--instance", "{path}", "--sigma", "1", "--t", "1", "--eps", "1",
+             "--amplitude", "1", "--point", "1,0"]
+
+
+@pytest.mark.parametrize(
+    "overrides, argv",
+    [
+        ({"D": HUGE_D}, ["analyze", "{path}"]),
+        ({"D": HUGE_D}, PHI0_ARGV),
+        ({"D": HUGE_D}, ["residual", "--instance", "{path}", "--t", "1", "--zeta", "0,0",
+                         "--h", "0.01"]),
+        ({"D": [[HUGE, HUGE], ["0", "1"]]}, PHI0_ARGV),
+        ({"A": [["-" + HUGE, "1"], [HUGE, "-1"]]}, PHI0_ARGV),
+    ],
+    # D[0][0] = 10^400 puts M beyond float range; equal entries 10^400 in
+    # D[0] leave M finite and put the speed v_1 there, and that A puts
+    # h1 = (1, 10^400) there with M and v finite
+    ids=["analyze", "phi0", "residual", "phi0-speed", "phi0-h1"],
+)
+def test_entry_beyond_float_range_exits_one(tmp_path, overrides, argv):
+    path = _write_instance(tmp_path, "huge.json", **overrides)
+    proc = _run_python("-m", "perturbrank", *(a.format(path=path) for a in argv))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and "beyond float range" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_module_entry_point_missing_file_exits_one(tmp_path):

@@ -1,5 +1,6 @@
 """Tests for tools/src_stats.py, the src/ size and exported-name counter."""
 
+import ast
 import importlib
 import json
 import os
@@ -27,3 +28,23 @@ def test_counts_the_checkout():
                 with open(os.path.join(folder, name), encoding="utf-8") as fh:
                     lines += len(fh.readlines())
     assert stats["src_lines"] == lines > 0
+
+
+def test_exported_names_are_bound():
+    # an __all__ entry names something its module defines, and the
+    # package imports each name from the __all__ of the module it names
+    for m in MODULES:
+        module = importlib.import_module(f"perturbrank.{m}")
+        assert [name for name in module.__all__ if not hasattr(module, name)] == [], m
+    init = os.path.join(ROOT, "src", "perturbrank", "__init__.py")
+    with open(init, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = 0
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            module = importlib.import_module(f"perturbrank.{node.module}")
+            for alias in node.names:
+                assert hasattr(module, alias.name), (node.module, alias.name)
+                assert alias.name in module.__all__, (node.module, alias.name)
+                imported += 1
+    assert imported > 0

@@ -16,7 +16,6 @@ from perturbrank.model import SystemSpec, validate_system
 from perturbrank.multipoly import MultiPoly, RatFunc
 from perturbrank.symbolic import (
     ClosedFormSpectrum,
-    RankIdentityFailed,
     build_M_parametric,
     eigen_closed_form_n2,
     symbolic_report,
@@ -87,8 +86,10 @@ class TestBuildMParametric:
 
     def test_diagonal_entry_closed_form(self):
         st = build_M_parametric(2)
-        d1 = RatFunc.variable(st.c.base, "d1_1")
-        d2 = RatFunc.variable(st.c.base, "d1_2")
+        d1, d2 = (
+            RatFunc(MultiPoly.variable(st.variables, name), st.c.base)
+            for name in ("d1_1", "d1_2")
+        )
         delta = d1 - d2
         assert st.M[0][0] == -(closed_form_c(st.c.base) * delta * delta)
 
@@ -103,10 +104,12 @@ class TestBuildMParametric:
         # the field, for the closed form G = A / (a + b k)^2
         st = build_M_parametric(2)
         base = st.c.base
-        a, b, k = (RatFunc.variable(base, name) for name in "abk")
+        a, b, k = (
+            RatFunc(MultiPoly.variable(st.variables, name), base) for name in "abk"
+        )
         A = ((-a, b), (k * a, -(k * b)))
         G, h, hs = st.G, st.h1, st.h1_star
-        zero, one = RatFunc.constant(base, 0), RatFunc.constant(base, 1)
+        zero, one = (RatFunc(MultiPoly.constant(st.variables, v), base) for v in (0, 1))
 
         def mul(x, y):
             return [[x[i][0] * y[0][j] + x[i][1] * y[1][j] for j in range(2)] for i in range(2)]
@@ -121,7 +124,7 @@ class TestBuildMParametric:
     def test_pairing_is_one(self):
         st = build_M_parametric(2)
         pairing = st.h1[0] * st.h1_star[0] + st.h1[1] * st.h1_star[1]
-        assert pairing == RatFunc.constant(st.c.base, 1)
+        assert pairing == RatFunc(MultiPoly.constant(st.variables, 1), st.c.base)
 
     @pytest.mark.parametrize("K", [2, 3, 4, 5, 6])
     def test_rank_one_identity(self, K):
@@ -129,7 +132,7 @@ class TestBuildMParametric:
 
     def test_identity_detects_mutation(self):
         st = build_M_parametric(2)
-        one = RatFunc.constant(st.c.base, 1)
+        one = RatFunc(MultiPoly.constant(st.variables, 1), st.c.base)
         rows = [list(row) for row in st.M]
         rows[0][1] = rows[0][1] + one
         rows[1][0] = rows[1][0] + one
@@ -137,20 +140,18 @@ class TestBuildMParametric:
             st, M=tuple(tuple(row) for row in rows)
         )
         assert not verify_rank_one_identity(broken)
-        with pytest.raises(RankIdentityFailed):
-            eigen_closed_form_n2(broken)
+        assert eigen_closed_form_n2(broken) is None
 
     def test_identity_detects_lower_triangle_mutation(self):
         st = build_M_parametric(3)
-        one = RatFunc.constant(st.c.base, 1)
+        one = RatFunc(MultiPoly.constant(st.variables, 1), st.c.base)
         rows = [list(row) for row in st.M]
         rows[1][0] = rows[1][0] + one
         broken = dataclasses.replace(
             st, M=tuple(tuple(row) for row in rows)
         )
         assert not verify_rank_one_identity(broken)
-        with pytest.raises(RankIdentityFailed):
-            eigen_closed_form_n2(broken)
+        assert eigen_closed_form_n2(broken) is None
 
 
 class TestClosedFormSpectrum:
@@ -237,7 +238,7 @@ class TestSymbolicReport:
 
     def test_report_without_identity_has_no_spectrum(self, monkeypatch):
         st = build_M_parametric(2)
-        one = RatFunc.constant(st.c.base, 1)
+        one = RatFunc(MultiPoly.constant(st.variables, 1), st.c.base)
         rows = [list(row) for row in st.M]
         rows[0][0] = rows[0][0] + one
         broken = dataclasses.replace(st, M=tuple(tuple(row) for row in rows))
