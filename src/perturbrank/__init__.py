@@ -60,10 +60,9 @@ from .formats import (
     load_instance_file,
     parse_rational,
 )
-from .multipoly import MultiPoly, RatFunc, ZeroDenominator, poly_divexact
+from .multipoly import MultiPoly, RatFunc, poly_divexact
 from .symbolic import (
     MAX_SYMBOLIC_DIRECTIONS,
-    ClosedFormSpectrum,
     SymbolicStructure,
     build_M_parametric,
     eigen_closed_form_n2,

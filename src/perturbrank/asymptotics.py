@@ -122,8 +122,6 @@ class StructureReport:
     rank_exact: int
     eigenvalues: tuple[float, ...]
     predicted_rank: int
-    rank_matches_prediction: bool
-    degenerate: bool
     kernel_directions: tuple[Vector, ...]
     outcome: str
     breaches: tuple[dict, ...]
@@ -244,10 +242,10 @@ def analyze_structure(ts: TransferStructure) -> StructureReport:
     The exact rank is K minus the dimension of the exact kernel, both
     read off one elimination of M; the Jacobi spectrum is the independent
     float route.  The prediction is min(n - 1, K), with n and K the
-    column and row counts of P.  ``degenerate`` is the
-    one definition of degeneracy, rank span{Psi_i h1} < min(n - 1, K),
-    where the rank law is not asserted; otherwise the outcome is MATCH
-    iff rank M = min(n - 1, K).  The generator screens degeneracy out by
+    column and row counts of P.  The outcome DEGENERATE is the one
+    definition of degeneracy, rank span{Psi_i h1} < min(n - 1, K), where
+    the rank law is not asserted; otherwise the outcome is MATCH iff
+    rank M = min(n - 1, K).  The generator screens degeneracy out by
     rank[1; D] - 1, equal to it only for an h1 without zero entries; a
     hand-fed h1 may have one, so this test stays on P.  The breaches read
     the Jacobi spectrum against max|M| of the same float image.
@@ -275,8 +273,6 @@ def analyze_structure(ts: TransferStructure) -> StructureReport:
         rank_exact=rank,
         eigenvalues=eigs,
         predicted_rank=predicted,
-        rank_matches_prediction=rank == predicted,
-        degenerate=degenerate,
         kernel_directions=kernel,
         outcome=outcome,
         breaches=tuple(breaches),
@@ -351,9 +347,7 @@ def phi0_eval(m: RationalMatrix, q: ProfileQuery, zeta: tuple[float, ...]) -> fl
     return _profile(_dissipative_image(m, zeta), q)(zeta)
 
 
-def leading_term_eval(
-    s: SystemSpec, sd: SpectralData, ts: TransferStructure, q: ProfileQuery
-) -> list[float]:
+def leading_term_eval(sd: SpectralData, ts: TransferStructure, q: ProfileQuery) -> list[float]:
     """Leading-order state vector phi0(zeta, t) · h1 at the lab point q.x.
 
     The comoving coordinates are zeta_i = (x_i - v_i t) / epsilon; the
@@ -361,8 +355,9 @@ def leading_term_eval(
     first, on the finite x; a comoving point that overflows to ±inf lies
     where the Gaussian, its Sigma finite and >= sigma0² I, is 0.
     """
-    if len(q.x) != s.K:
-        raise ValueError(f"x must have length {s.K}")
+    k = ts.M.rows
+    if len(q.x) != k:
+        raise ValueError(f"x must have length {k}")
     if not q.t > 0:
         raise ValueError("leading-term evaluation requires t > 0")
     phi = _profile(_dissipative_image(ts.M, q.x), q)

@@ -202,7 +202,7 @@ def _cmd_phi0(args) -> int:
         sigma0=args.sigma,
         amplitude=args.amplitude,
     )
-    print(json.dumps(leading_term_eval(spec, sd, ts, q)))
+    print(json.dumps(leading_term_eval(sd, ts, q)))
     return 0
 
 

@@ -15,7 +15,7 @@ import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .asymptotics import StructureReport, TransferStructure
+from .asymptotics import DEGENERATE, StructureReport, TransferStructure
 from .exact_linalg import RationalMatrix, Vector
 from .model import SpectralData, SystemSpec
 
@@ -91,12 +91,10 @@ def _instance_from_dict(data: object) -> tuple[SystemSpec, Vector | None]:
         raise ParseError("instance file must contain a JSON object")
     unknown = set(data) - _INSTANCE_KEYS
     if unknown:
-        raise ParseError(f"unknown instance fields: {sorted(unknown)}")
-    version = data.get("format_version")
+        raise ParseError(f"unknown instance fields: {sorted(unknown)!r:.60}")
+    version = _parse_int(data, "format_version")
     if version != FORMAT_VERSION:
-        raise ParseError(
-            f"format_version: expected {FORMAT_VERSION}, got {version!r}"
-        )
+        raise ParseError(f"format_version: expected {FORMAT_VERSION}, got {version!r:.60}")
     n = _parse_int(data, "n")
     k = _parse_int(data, "K")
     if "A" not in data or "D" not in data:
@@ -190,10 +188,10 @@ def build_report(
         "structure": {
             "rank_exact": report.rank_exact,
             "predicted_rank": report.predicted_rank,
-            "rank_matches_prediction": report.rank_matches_prediction,
+            "rank_matches_prediction": report.rank_exact == report.predicted_rank,
             "eigenvalues": list(report.eigenvalues),
             "kernel_directions": [_vector_strs(v) for v in report.kernel_directions],
-            "degenerate": report.degenerate,
+            "degenerate": report.outcome == DEGENERATE,
         },
     }
 

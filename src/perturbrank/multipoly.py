@@ -38,14 +38,9 @@ from .exact_linalg import as_rational
 __all__ = [
     "MultiPoly",
     "RatFunc",
-    "ZeroDenominator",
     "poly_divexact",
     "ratfunc_tree",
 ]
-
-
-class ZeroDenominator(ZeroDivisionError):
-    """A rational function with zero denominator was requested."""
 
 
 def _grlex_key(exponents: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -412,7 +407,7 @@ class RatFunc:
 
     def _reciprocal(self) -> "RatFunc":
         if self.is_zero():
-            raise ZeroDenominator("reciprocal of the zero rational function")
+            raise ZeroDivisionError("reciprocal of the zero rational function")
         unit, powers = self.num, []
         for f, e in zip(self.base, self.exps):
             # a reduced numerator shares no factor with the denominator

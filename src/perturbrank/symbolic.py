@@ -40,7 +40,6 @@ from .exact_linalg import SizeLimitExceeded
 from .multipoly import MultiPoly, RatFunc, ratfunc_tree
 
 __all__ = [
-    "ClosedFormSpectrum",
     "SymbolicStructure",
     "MAX_SYMBOLIC_DIRECTIONS",
     "build_M_parametric",
@@ -66,14 +65,6 @@ class SymbolicStructure:
     M: tuple[tuple[RatFunc, ...], ...]
     c: RatFunc
     deltas: tuple[RatFunc, ...]
-
-
-@dataclass(frozen=True)
-class ClosedFormSpectrum:
-    """Spectrum of a rank-one M: one nonzero eigenvalue, rest zeros."""
-
-    nonzero_eigenvalue: RatFunc
-    zero_multiplicity: int
 
 
 def _family_variables(K: int) -> tuple[str, ...]:
@@ -161,23 +152,19 @@ def verify_rank_one_identity(structure: SymbolicStructure) -> bool:
     return True
 
 
-def eigen_closed_form_n2(structure: SymbolicStructure) -> ClosedFormSpectrum | None:
-    """Exact spectrum of the rank-one dyad M = -c * Delta Delta^T.
+def eigen_closed_form_n2(structure: SymbolicStructure) -> RatFunc | None:
+    """The nonzero eigenvalue of the rank-one dyad M = -c * Delta Delta^T.
 
-    The single nonzero eigenvalue is the trace -c * sum(Delta_i^2) with
-    eigenvector Delta; zero fills the remaining K - 1 dimensions.  None
-    when the dyad identity does not hold, since the closed form would then
-    be meaningless.
+    It is the trace -c * sum(Delta_i^2), with eigenvector Delta; zero
+    fills the remaining K - 1 dimensions.  None when the dyad identity
+    does not hold, since the closed form would then be meaningless.
     """
     if not verify_rank_one_identity(structure):
         return None
     total = structure.deltas[0] * structure.deltas[0]
     for delta in structure.deltas[1:]:
         total = total + delta * delta
-    return ClosedFormSpectrum(
-        nonzero_eigenvalue=-(structure.c * total),
-        zero_multiplicity=structure.K - 1,
-    )
+    return -(structure.c * total)
 
 
 def _entry_payload(f: RatFunc) -> dict:
@@ -187,7 +174,7 @@ def _entry_payload(f: RatFunc) -> dict:
 def symbolic_report(K: int) -> dict:
     """JSON-ready exact description of the K-direction two-state family."""
     structure = build_M_parametric(K)
-    spectrum = eigen_closed_form_n2(structure)
+    eigenvalue = eigen_closed_form_n2(structure)
     report: dict = {
         "family": "two-state-exchange",
         "K": K,
@@ -202,11 +189,11 @@ def symbolic_report(K: int) -> dict:
         "M": [[_entry_payload(f) for f in row] for row in structure.M],
         "c": _entry_payload(structure.c),
         "deltas": [_entry_payload(f) for f in structure.deltas],
-        "rank_one_identity": spectrum is not None,
+        "rank_one_identity": eigenvalue is not None,
     }
-    if spectrum is not None:
+    if eigenvalue is not None:
         report["spectrum"] = {
-            "nonzero_eigenvalue": _entry_payload(spectrum.nonzero_eigenvalue),
-            "zero_multiplicity": spectrum.zero_multiplicity,
+            "nonzero_eigenvalue": _entry_payload(eigenvalue),
+            "zero_multiplicity": K - 1,
         }
     return report

@@ -87,19 +87,18 @@ def test_symbolic_closed_forms_within_deadline(capsys):
         assert run_command(["symbolic", "--k", str(k)]) == 0
         elapsed = time.monotonic() - started
         worst = max(worst, elapsed)
+        assert f"zero eigenvalue multiplicity: {k - 1}\n" in capsys.readouterr().out
 
         structure = build_M_parametric(k)
         assert verify_rank_one_identity(structure)
-        spectrum = eigen_closed_form_n2(structure)
-        assert spectrum.zero_multiplicity == k - 1
+        eigenvalue = eigen_closed_form_n2(structure)
         # independent route: the nonzero eigenvalue of a symmetric rank-one
         # matrix is its trace
         trace = structure.M[0][0]
         for i in range(1, k):
             trace = trace + structure.M[i][i]
-        assert spectrum.nonzero_eigenvalue == trace
+        assert eigenvalue == trace
         assert elapsed < SYMBOLIC_DEADLINE_SECONDS
-    capsys.readouterr()  # swallow the CLI chatter; keep only the verdict line
     ok = worst < SYMBOLIC_DEADLINE_SECONDS
     assert _line(
         ok,

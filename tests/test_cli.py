@@ -103,6 +103,13 @@ class TestAnalyze:
         assert run_command(["analyze", path]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("version", [True, 1.0], ids=["boolean", "float"])
+    def test_format_version_must_be_an_integer(self, tmp_path, capsys, version):
+        # True == 1.0 == 1 in Python, but only the integer is the version
+        path = _write_instance(tmp_path, "bad.json", format_version=version)
+        assert run_command(["analyze", path]) == 1
+        assert capsys.readouterr().err.startswith("error: format_version: expected an integer")
+
     @pytest.mark.parametrize("entry", ["1\n", "\u0661", "1/\u0662"])
     def test_non_canonical_rational_exits_one(self, tmp_path, capsys, entry):
         # A trailing newline and non-ASCII digits both parse as Fractions,
@@ -143,13 +150,20 @@ class TestAnalyze:
         assert captured.err.startswith(f"error: {path}: not UTF-8 text")
 
     @pytest.mark.parametrize(
-        "entry", ["x" * 100_000, "1/" + "0" * 4000], ids=["letters", "zero-denominator"]
+        "overrides, prefix",
+        [
+            ({"D": [["x" * 100_000, "0"], ["0", "1"]]}, "error: D[0][0]: "),
+            ({"D": [["1/" + "0" * 4000, "0"], ["0", "1"]]}, "error: D[0][0]: "),
+            ({"format_version": "x" * 100_000}, "error: format_version: "),
+            ({"y" * 100_000: 0}, "error: unknown instance fields: "),
+        ],
+        ids=["letters", "zero-denominator", "format-version", "unknown-field"],
     )
-    def test_rejected_rational_echo_is_bounded(self, tmp_path, capsys, entry):
-        path = _write_instance(tmp_path, "bad.json", D=[[entry, "0"], ["0", "1"]])
+    def test_rejected_rational_echo_is_bounded(self, tmp_path, capsys, overrides, prefix):
+        path = _write_instance(tmp_path, "bad.json", **overrides)
         assert run_command(["analyze", path]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: D[0][0]: ")
+        assert err.startswith(prefix)
         assert len(err.encode()) < 1000
 
 
@@ -443,7 +457,7 @@ class TestProfileCommands:
         q = ProfileQuery(
             epsilon=0.05, t=0.7, x=(0.41, 0.29), sigma0=1.5, amplitude=2.0
         )
-        assert cli_value == leading_term_eval(spec, sd, ts, q)
+        assert cli_value == leading_term_eval(sd, ts, q)
 
     def test_residual_is_second_order_small(self, w1_path, capsys):
         rc = run_command(
@@ -719,3 +733,14 @@ def test_installed_console_script(w1_path):
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["structure"]["rank_exact"] == 1
     assert proc.stdout == _run_python("-m", "perturbrank", "analyze", w1_path).stdout
+
+
+def test_readme_library_snippet_runs():
+    # the python block under "## Library" is the documented library API
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    namespace = {}
+    exec(section.split("```python\n", 1)[1].split("\n```", 1)[0], namespace)
+    assert namespace["report"].outcome == "match"
+    assert len(namespace["values"]) == namespace["s"].n

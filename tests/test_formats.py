@@ -76,7 +76,9 @@ class TestDumps:
             text = (artifact_dir / name).read_text(encoding="utf-8")
             assert text == _reference(json.loads(text))
 
-    @pytest.mark.parametrize("name", ["w1.json", "violation-n3-K1.json"])
+    @pytest.mark.parametrize(
+        "name", ["w1.json", "violation-n3-K1.json", "violation-n3-K2.json", "violation-n4-K3.json"]
+    )
     def test_analyze_reports(self, name):
         spec, h = load_instance_file(os.path.join(INSTANCES, name))
         sd = validate_system(spec)

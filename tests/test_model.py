@@ -508,4 +508,4 @@ class TestAffineRankLemma:
         assert _affine_rank(spec.D) - 1 == 1 == min(spec.K, spec.n - 1)
         assert _pushed_rank(spec.D, data.h1, data.h1_star) == 0
         ts = build_M(spec, data)
-        assert analyze_structure(ts).degenerate
+        assert analyze_structure(ts).outcome == "degenerate"

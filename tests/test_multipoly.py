@@ -8,7 +8,6 @@ import pytest
 from perturbrank.multipoly import (
     MultiPoly,
     RatFunc,
-    ZeroDenominator,
     poly_divexact,
     poly_tree,
     ratfunc_tree,
@@ -170,7 +169,7 @@ class TestRatFunc:
         assert f.den == s * s
 
     def test_zero_denominator(self):
-        with pytest.raises(ZeroDenominator):
+        with pytest.raises(ZeroDivisionError):
             RatFunc(ONE, BASE) / RatFunc(ZERO, BASE)
         with pytest.raises(ValueError):
             RatFunc(A, (ZERO,))
@@ -263,9 +262,9 @@ class TestRatFunc:
         assert over(const(4) * A, B) / over(const(2) * A, K) == over(
             const(2) * K, B
         )
-        with pytest.raises(ZeroDenominator):
+        with pytest.raises(ZeroDivisionError):
             f / RatFunc(ZERO, BASE)
-        with pytest.raises(ZeroDenominator):
+        with pytest.raises(ZeroDivisionError):
             RatFunc(ZERO, BASE) ** -1  # noqa: B018
 
     def test_eval_pole(self):

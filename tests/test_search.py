@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import hashlib
+import itertools
 import json
 import multiprocessing
 import os
@@ -19,7 +20,7 @@ import perturbrank.model
 import perturbrank.search
 from perturbrank.asymptotics import StructureReport, analyze_structure, build_M
 from perturbrank.cli import run_command
-from perturbrank.exact_linalg import RationalMatrix
+from perturbrank.exact_linalg import RationalMatrix, charpoly_adjugate, nullspace
 from perturbrank.formats import (
     build_report,
     dumps,
@@ -30,6 +31,8 @@ from perturbrank.model import (
     FAMILIES,
     GenerationFailed,
     GeneratorConfig,
+    KernelDimensionError,
+    NotStable,
     SystemSpec,
     generate_instance,
     validate_system,
@@ -213,7 +216,6 @@ class TestClassifyInstance:
         assert verdict.outcome == "degenerate"
         assert verdict.breaches == ()
         assert verdict.rank_exact == 1
-        assert verdict.degenerate
 
     def test_affinely_dependent_diagonals_degenerate(self):
         # D_2 = 2 D_1 - 3 (1,1,1) pushes both directions onto one line:
@@ -226,7 +228,6 @@ class TestClassifyInstance:
         assert verdict.outcome == "degenerate"
         assert verdict.rank_exact == 1
         assert verdict.predicted_rank == 2
-        assert verdict.degenerate
 
     def test_generated_instances_within_rank_ceiling(self):
         for seed in range(6):
@@ -275,6 +276,7 @@ class TestClassifyInstance:
         assert structure["rank_exact"] == 0
         assert structure["predicted_rank"] == 1
         assert structure["degenerate"] is False
+        assert structure["rank_matches_prediction"] is False
         assert _verdict(load_instance_file(path)[0]).outcome == "violation"
 
     def test_generated_instances_never_degenerate(self):
@@ -286,7 +288,6 @@ class TestClassifyInstance:
                 GeneratorConfig(n=n, K=k, seed=700 + index, family=FAMILIES[index % 2])
             )
             verdict = _verdict(spec, sd)
-            assert not verdict.degenerate
             assert verdict.outcome == "match"
 
 
@@ -314,9 +315,99 @@ def test_analyze_and_search_agree_on_degeneracy(name, tmp_path, capsys):
     structure = json.loads(capsys.readouterr().out)["structure"]
     verdict = _verdict(load_instance_file(str(path))[0])
     assert structure["degenerate"] is degenerate
+    assert structure["rank_matches_prediction"] is (
+        structure["rank_exact"] == structure["predicted_rank"]
+    )
     assert (verdict.outcome == "degenerate") is degenerate
     if not degenerate:
         assert verdict.outcome == "match"
+
+
+def _constructed_violation(spec: SystemSpec, sd, coeffs) -> SystemSpec | None:
+    """spec with A0 replaced by A0 + x u wᵀ, x chosen so rank M drops to n - 2.
+
+    R0 = G0 + h1 h1*ᵀ is the inverse of A0 + h1 h1*ᵀ.  With u = C coeffs
+    for a basis C of W = ker h1*ᵀ and w = R0⁻ᵀ S R0 u, S = diag(h1* / h1),
+    wᵀ h1 = h1*ᵀ u = 0, so the null pair stays.  Sherman-Morrison turns
+    B = S G + (S G)ᵀ into B0 - 2 τ a aᵀ, with a = S R0 u, τ = x / (1 + x β)
+    and β = wᵀ R0 u, and the matrix determinant lemma makes
+    B|W = Cᵀ B C singular at τ* = 1 / (2 cᵀ (B0|W)⁻¹ c), c = Cᵀ a.  None
+    where a denominator of the construction vanishes.
+    """
+    n = spec.n
+    h1, h1_star = sd.h1, sd.h1_star
+    outer = RationalMatrix(zip(h1)) @ RationalMatrix([h1_star])
+    r0 = sd.G + outer
+    s = RationalMatrix([[h1_star[i] / h1[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    basis = RationalMatrix(zip(*nullspace(RationalMatrix([h1_star]))))
+    u = basis @ RationalMatrix(zip(coeffs))
+    a = s @ r0 @ u
+    w = (spec.A + outer).transpose() @ a
+    beta = (w.transpose() @ r0 @ u)[0, 0]
+    sg = s @ sd.G
+    restricted, c = basis.transpose() @ (sg + sg.transpose()) @ basis, basis.transpose() @ a
+    det_coeffs, _, inverse = charpoly_adjugate(restricted)
+    if det_coeffs[0] == 0:
+        return None
+    quadratic = (c.transpose() @ inverse @ c)[0, 0]
+    if quadratic == 0 or 2 * quadratic == beta:
+        return None
+    x = 1 / (2 * quadratic - beta)  # τ* / (1 - τ* β)
+    return dataclasses.replace(spec, A=spec.A + (u @ w.transpose()).scale_columns((x,) * n))
+
+
+def test_constructed_violations_at_full_rank_K():
+    # K = n - 1 puts the pushed vectors on all of W, so rank M = rank B|W,
+    # and every A the certificate proves admissible is a violation with
+    # rank n - 2.  The update leaves the Markov class, on which B|W is
+    # negative definite and the rank law holds.
+    coefficient_tuples = {
+        n: [t for t in itertools.product(range(-2, 3), repeat=n - 1) if any(t)][:8]
+        for n in (3, 4, 5)
+    }
+    built = rejected = 0
+    for n, tuples in coefficient_tuples.items():
+        for seed in (0, 1):
+            base, sd = generate_instance(GeneratorConfig(n=n, K=n - 1, seed=seed))
+            for coeffs in tuples:
+                spec = _constructed_violation(base, sd, coeffs)
+                if spec is None:
+                    continue
+                try:
+                    witness_sd = validate_system(spec)
+                except (KernelDimensionError, NotStable):
+                    rejected += 1
+                    continue
+                built += 1
+                verdict = _verdict(spec, witness_sd)
+                assert witness_sd.h1 == sd.h1 and witness_sd.h1_star == sd.h1_star
+                assert verdict.outcome == "violation"
+                assert verdict.rank_exact == n - 2
+    assert built + rejected == 48
+    assert rejected < 8, (built, rejected)
+
+
+@pytest.mark.parametrize(
+    "name, seed, coeffs",
+    [("violation-n3-K2.json", 74, (-2, -2)), ("violation-n4-K3.json", 150, (-2, 0, 0))],
+)
+def test_shipped_constructed_violation(name, seed, coeffs, capsys):
+    # the shipped files are the witnesses with the shortest longest entry
+    # that the construction gave on Markov bases with seeds 0..299 and
+    # coefficients in -2..2
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "instances", name)
+    shipped = load_instance_file(path)[0]
+    n = shipped.n
+    base, sd = generate_instance(GeneratorConfig(n=n, K=n - 1, seed=seed))
+    rebuilt = _constructed_violation(base, sd, coeffs)
+    assert (rebuilt.A, rebuilt.D) == (shipped.A, shipped.D)
+    assert run_command(["analyze", path]) == 0
+    structure = json.loads(capsys.readouterr().out)["structure"]
+    assert (structure["rank_exact"], structure["predicted_rank"]) == (n - 2, n - 1)
+    assert structure["degenerate"] is False
+    assert structure["rank_matches_prediction"] is False
+    verdict = _verdict(shipped)
+    assert (verdict.outcome, verdict.breaches) == ("violation", ())
 
 
 class TestRunCampaign:

@@ -15,7 +15,6 @@ from perturbrank.formats import dumps
 from perturbrank.model import SystemSpec, validate_system
 from perturbrank.multipoly import MultiPoly, RatFunc
 from perturbrank.symbolic import (
-    ClosedFormSpectrum,
     build_M_parametric,
     eigen_closed_form_n2,
     symbolic_report,
@@ -154,25 +153,23 @@ class TestBuildMParametric:
         assert eigen_closed_form_n2(broken) is None
 
 
-class TestClosedFormSpectrum:
+class TestClosedFormEigenvalue:
     def test_zero_multiplicity(self):
         for K in (2, 4):
-            spec = eigen_closed_form_n2(build_M_parametric(K))
-            assert isinstance(spec, ClosedFormSpectrum)
-            assert spec.zero_multiplicity == K - 1
+            assert isinstance(eigen_closed_form_n2(build_M_parametric(K)), RatFunc)
+            assert symbolic_report(K)["spectrum"]["zero_multiplicity"] == K - 1
 
     def test_unit_rates_give_eighth(self):
         # a = b = k = 1 makes c = 1/8; speeds (1,0),(0,1) give
         # sum of squared gaps 2, so the nonzero eigenvalue is -1/4
-        spec = eigen_closed_form_n2(build_M_parametric(2))
+        eigenvalue = eigen_closed_form_n2(build_M_parametric(2))
         values = {"a": 1, "b": 1, "k": 1, "d1_1": 1, "d1_2": 0, "d2_1": 0, "d2_2": 1}
-        assert spec.nonzero_eigenvalue.eval(values) == Fraction(-1, 4)
+        assert eigenvalue.eval(values) == Fraction(-1, 4)
 
     def test_eigenvalue_is_trace(self):
         st = build_M_parametric(3)
-        spec = eigen_closed_form_n2(st)
         trace = st.M[0][0] + st.M[1][1] + st.M[2][2]
-        assert spec.nonzero_eigenvalue == trace
+        assert eigen_closed_form_n2(st) == trace
 
 
 class TestNumericAgreement:
