@@ -14,7 +14,6 @@ from .exact_linalg import (
     RationalMatrix,
     SizeLimitExceeded,
     Vector,
-    ZeroPolynomial,
     as_rational,
     charpoly_adjugate,
     dot,

@@ -36,11 +36,13 @@ __all__ = ["main", "run_command"]
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits usage errors with code 2, which is reserved here for
-    violation findings; remap them onto the validation exit code 1."""
+    violation findings; remap them onto the validation exit code 1.  The
+    message names the option first and quotes the rejected value in full,
+    so it is cut to 300 characters."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        self.exit(1, f"{self.prog}: error: {message:.300}\n")
 
 
 def _floats_csv(text: str) -> tuple[float, ...]:
@@ -48,7 +50,7 @@ def _floats_csv(text: str) -> tuple[float, ...]:
         return tuple(float(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected comma-separated numbers, got {text!r}"
+            f"expected comma-separated numbers, got {text!r:.60}"
         ) from None
 
 
@@ -117,16 +119,15 @@ def _build_parser() -> _Parser:
     )
     residual.add_argument("--h", type=float, required=True, help="difference step")
     residual.add_argument("--sigma", type=float, default=1.0, help="initial Gaussian width")
-    residual.add_argument("--amplitude", type=float, default=1.0)
     return parser
 
 
 def _cmd_analyze(args) -> int:
-    spec, h = load_instance_file(args.instance)
+    spec = load_instance_file(args.instance)
     sd = validate_system(spec)
     ts = build_M(spec, sd)
     report = analyze_structure(ts)
-    payload = dumps(build_report(spec, sd, ts, report, h=h))
+    payload = dumps(build_report(spec, sd, ts, report))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload)
@@ -192,7 +193,7 @@ def _cmd_symbolic(args) -> int:
 
 
 def _cmd_phi0(args) -> int:
-    spec, _ = load_instance_file(args.instance)
+    spec = load_instance_file(args.instance)
     sd = validate_system(spec)
     ts = build_M(spec, sd)
     q = ProfileQuery(
@@ -207,7 +208,7 @@ def _cmd_phi0(args) -> int:
 
 
 def _cmd_residual(args) -> int:
-    spec, _ = load_instance_file(args.instance)
+    spec = load_instance_file(args.instance)
     sd = validate_system(spec)
     ts = build_M(spec, sd)
     q = ProfileQuery(
@@ -215,7 +216,7 @@ def _cmd_residual(args) -> int:
         t=args.t,
         x=(0.0,) * spec.K,
         sigma0=args.sigma,
-        amplitude=args.amplitude,
+        amplitude=1.0,  # the residual is linear in the amplitude
     )
     print(json.dumps(pde_residual(ts.M, q, args.zeta, args.h)))
     return 0

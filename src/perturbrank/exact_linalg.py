@@ -37,7 +37,6 @@ __all__ = [
     "RationalMatrix",
     "SizeLimitExceeded",
     "Vector",
-    "ZeroPolynomial",
     "as_rational",
     "charpoly_adjugate",
     "dot",
@@ -50,10 +49,6 @@ __all__ = [
 
 class SizeLimitExceeded(ValueError):
     """Input is larger than the guard for dense exact computation."""
-
-
-class ZeroPolynomial(ValueError):
-    """The zero polynomial has no root-location verdict."""
 
 
 def as_rational(value: int | str | Fraction) -> Fraction:
@@ -352,7 +347,7 @@ def hurwitz_stable(coeffs: Sequence[int | str | Fraction]) -> bool:
     """True iff every root of the polynomial with these ascending
     coefficients has strictly negative real part.
 
-    Trailing zero coefficients are dropped; ``ZeroPolynomial`` is raised
+    Trailing zero coefficients are dropped; ``ValueError`` is raised
     when nothing is left.  Classical Hurwitz-determinant criterion,
     evaluated exactly: after normalizing the leading coefficient
     positive, all leading principal minors of the Hurwitz matrix must be
@@ -365,7 +360,7 @@ def hurwitz_stable(coeffs: Sequence[int | str | Fraction]) -> bool:
     desc = RationalMatrix([coeffs[::-1]]).num[0] if coeffs else ()
     lead = next((i for i, c in enumerate(desc) if c), None)
     if lead is None:
-        raise ZeroPolynomial("the zero polynomial has no stability verdict")
+        raise ValueError("the zero polynomial has no stability verdict")
     desc = desc[lead:]
     n = len(desc) - 1
     if n == 0:

@@ -34,7 +34,7 @@ FORMAT_VERSION = 1
 
 _RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
-_INSTANCE_KEYS = {"format_version", "n", "K", "A", "D", "H", "label"}
+_INSTANCE_KEYS = {"format_version", "n", "K", "A", "D", "label"}
 
 
 class ParseError(ValueError):
@@ -86,7 +86,7 @@ def _parse_vector(raw: object, length: int, where: str) -> Vector:
     )
 
 
-def _instance_from_dict(data: object) -> tuple[SystemSpec, Vector | None]:
+def _instance_from_dict(data: object) -> SystemSpec:
     if not isinstance(data, dict):
         raise ParseError("instance file must contain a JSON object")
     unknown = set(data) - _INSTANCE_KEYS
@@ -113,22 +113,20 @@ def _instance_from_dict(data: object) -> tuple[SystemSpec, Vector | None]:
     diagonals = tuple(
         _parse_vector(row, n, f"D[{i}]") for i, row in enumerate(raw_d)
     )
-    h: Vector | None = None
-    if "H" in data and data["H"] is not None:
-        h = _parse_vector(data["H"], n, "H")
     label = data.get("label", "")
     if not isinstance(label, str):
         raise ParseError(f"label: expected a string, got {label!r:.60}")
     try:
-        spec = SystemSpec(n=n, K=k, D=diagonals, A=RationalMatrix(a_rows), label=label)
+        return SystemSpec(n=n, K=k, D=diagonals, A=RationalMatrix(a_rows), label=label)
     except ValueError as exc:
         raise DimensionError(str(exc)) from exc
-    return spec, h
 
 
-def load_instance_file(path: str) -> tuple[SystemSpec, Vector | None]:
-    """Read an instance file; returns the system plus the recorded initial
-    direction H when present (H is echoed into reports, never computed with)."""
+def load_instance_file(path: str) -> SystemSpec:
+    """Read an instance file into the system it describes.
+
+    An unknown field, a malformed value or inconsistent dimensions raise
+    ``ParseError`` or ``DimensionError``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             text = fh.read()
@@ -149,8 +147,10 @@ def _matrix_strs(m: RationalMatrix) -> list[list[str]]:
     return [[str(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
 
 
-def instance_to_dict(spec: SystemSpec, h: Vector | None = None) -> dict:
-    out = {
+def instance_to_dict(spec: SystemSpec) -> dict:
+    """The instance-file object of ``spec``; ``load_instance_file`` reads
+    its ``dumps`` text back to an equal system."""
+    return {
         "format_version": FORMAT_VERSION,
         "n": spec.n,
         "K": spec.K,
@@ -158,9 +158,6 @@ def instance_to_dict(spec: SystemSpec, h: Vector | None = None) -> dict:
         "D": [_vector_strs(d) for d in spec.D],
         "label": spec.label,
     }
-    if h is not None:
-        out["H"] = _vector_strs(h)
-    return out
 
 
 def build_report(
@@ -168,13 +165,13 @@ def build_report(
     sd: SpectralData,
     ts: TransferStructure,
     report: StructureReport,
-    h: Vector | None = None,
 ) -> dict:
-    """Assemble the full analysis report for one instance; G is the group
-    inverse of the certificate ``sd``."""
+    """Assemble the full analysis report for one instance: the instance as
+    ``instance_to_dict`` writes it, the certificate ``sd`` with G its group
+    inverse, ``ts`` and the exact verdict ``report``."""
     return {
         "format_version": FORMAT_VERSION,
-        "instance": instance_to_dict(spec, h),
+        "instance": instance_to_dict(spec),
         "spectral": {
             "h1": _vector_strs(sd.h1),
             "h1_star": _vector_strs(sd.h1_star),

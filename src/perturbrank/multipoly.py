@@ -405,32 +405,21 @@ class RatFunc:
         )
         return RatFunc._make(n1 * n2, base, tuple(map(add, e1, e2)))
 
-    def _reciprocal(self) -> "RatFunc":
-        if self.is_zero():
+    def __truediv__(self, other: "RatFunc") -> "RatFunc":
+        if other.is_zero():
             raise ZeroDivisionError("reciprocal of the zero rational function")
-        unit, powers = self.num, []
-        for f, e in zip(self.base, self.exps):
+        unit, powers = other.num, []
+        for f, e in zip(other.base, other.exps):
             # a reduced numerator shares no factor with the denominator
             unit, count = _divide_out(unit, f, 0 if e else math.inf)
             powers.append(count)
         if not unit.is_constant():
             raise ValueError(
-                f"{self.num} is not a constant times powers of the factor base"
+                f"{other.num} is not a constant times powers of the factor base"
             )
         unit_exps, unit_coeff = unit.leading()
-        num = _expand(self.base, self.exps)._mul_term(unit_exps, 1 / unit_coeff)
-        return RatFunc._make(num, self.base, tuple(powers))
-
-    def __truediv__(self, other: "RatFunc") -> "RatFunc":
-        return self * other._reciprocal()
-
-    def __pow__(self, power: int) -> "RatFunc":
-        if power < 0:
-            return self._reciprocal() ** (-power)
-        # powers of primes stay coprime to the numerator's power
-        return RatFunc._make(
-            self.num**power, self.base, tuple(e * power for e in self.exps)
-        )
+        num = _expand(other.base, other.exps)._mul_term(unit_exps, 1 / unit_coeff)
+        return self * RatFunc._make(num, other.base, tuple(powers))
 
     def eval(self, values: Mapping[str, int | str | Fraction]) -> Fraction:
         den_val = math.prod(

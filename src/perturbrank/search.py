@@ -58,7 +58,7 @@ class CampaignConfig:
             if not (lo <= first <= last <= hi):
                 raise ValueError(
                     f"{name} must satisfy {lo} <= first <= last <= {hi}, "
-                    f"got {(first, last)}"
+                    f"got {(first, last)!r:.60}"
                 )
         if self.samples_per_cell < 1:
             raise ValueError("samples_per_cell must be at least 1")
@@ -68,9 +68,9 @@ class CampaignConfig:
             raise ValueError("at least one generator family is required")
         unknown = set(self.families) - set(FAMILIES)
         if unknown:
-            raise ValueError(f"unknown generator families: {sorted(unknown)}")
+            raise ValueError(f"unknown generator families: {sorted(unknown)!r:.60}")
         if len(set(self.families)) != len(self.families):
-            raise ValueError(f"repeated generator families: {list(self.families)}")
+            raise ValueError(f"repeated generator families: {list(self.families)!r:.60}")
         if self.worker_count < 1:
             raise ValueError("worker_count must be at least 1")
 

@@ -84,7 +84,7 @@ def build_M_parametric(K: int) -> SymbolicStructure:
     if not 2 <= K <= MAX_SYMBOLIC_DIRECTIONS:
         raise SizeLimitExceeded(
             f"symbolic construction supports 2..{MAX_SYMBOLIC_DIRECTIONS} "
-            f"directions, got {K}"
+            f"directions, got {K!r:.60}"
         )
     names = _family_variables(K)
     poly = {n: MultiPoly.variable(names, n) for n in names}

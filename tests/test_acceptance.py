@@ -137,7 +137,7 @@ def test_rank_law_on_extended_grid(extended_grid):
     for cell in report["cells"]:
         for violation in cell["violations"]:
             assert violation["artifact"] is not None
-            spec = load_instance_file(os.path.join(art, violation["artifact"]))[0]
+            spec = load_instance_file(os.path.join(art, violation["artifact"]))
             _, again = _verdict(spec)
             assert again.outcome == "violation"
             assert again.rank_exact == violation["report"]["structure"]["rank_exact"]
@@ -277,7 +277,7 @@ def test_dissipativity_measured_and_breaches_replayable(small_grid, extended_gri
             breach["detail"]["tolerance"] * breach["detail"]["scale"]
         )
         assert breach["artifact"] is not None
-        spec = load_instance_file(os.path.join(art, breach["artifact"]))[0]
+        spec = load_instance_file(os.path.join(art, breach["artifact"]))
         ts, again = _verdict(spec)
         replay = next(
             (d for d in again.breaches if d["kind"] == "dissipativity"), None
@@ -305,7 +305,7 @@ def test_profile_residual_second_order(capsys):
     """On the canonical instance the discrete residual of
     φ_t + Σ M_ij φ_ij contracts like h² at 20 seeded points, and the
     h = 1e-3 residual sits below 1e-5 of the local profile value."""
-    s = load_instance_file(W1_PATH)[0]
+    s = load_instance_file(W1_PATH)
     sd = validate_system(s)
     ts = build_M(s, sd)
     rng = random.Random(20260818)

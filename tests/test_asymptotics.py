@@ -141,7 +141,7 @@ class TestGroupInverse:
         # an upper-triangular A with a zero first column has h1 = e_1, and
         # its transpose has h1_star parallel to e_1
         triangular = RationalMatrix([[0, "1/2", 0], [0, -1, "1/3"], [0, 0, -2]])
-        cases = [load_instance_file(VIOLATION_PATH)[0].A, triangular, triangular.transpose()]
+        cases = [load_instance_file(VIOLATION_PATH).A, triangular, triangular.transpose()]
         pairs = []
         for a in cases:
             sd = validate_system(SystemSpec(n=a.rows, K=1, D=((Fraction(0),) * a.rows,), A=a))
@@ -209,7 +209,7 @@ class TestBuildM:
         # second exact route: M = Pᵀ B P with B = Sym(S G),
         # S = diag(h1_star_k / h1_k) and G from the elimination oracle, so
         # M has a route that never touches the charpoly recurrence
-        cases = [W1, load_instance_file(VIOLATION_PATH)[0]]
+        cases = [W1, load_instance_file(VIOLATION_PATH)]
         for family in FAMILIES:
             for n in range(2, 9):
                 for k in range(2, 9):
@@ -348,6 +348,27 @@ class TestAnalyzeStructure:
                 sd, ts = _pipeline(s)
                 assert rank_exact(ts.M) <= min(s.n - 1, s.K)
 
+    def test_rank_agreement_breach_leaves_the_outcome(self):
+        # exact rank 2, but -1/10¹⁰ lies under RANK_AGREEMENT_TOLERANCE
+        # times max|M| = 1, so the Jacobi spectrum counts rank 1
+        ts = TransferStructure(
+            v=(Fraction(0), Fraction(0)),
+            P=RationalMatrix([[1, 0, -1], [0, 1, -1]]),
+            M=RationalMatrix([[-1, 0], [0, Fraction(-1, 10**10)]]),
+        )
+        report = analyze_structure(ts)
+        assert report.outcome == "match"
+        assert report.rank_exact == report.predicted_rank == 2
+        assert report.breaches == (
+            {
+                "kind": "rank_agreement",
+                "numeric_rank": 1,
+                "rank_exact": 2,
+                "scale": 1.0,
+                "tolerance": 1e-08,
+            },
+        )
+
 
 class TestJacobi:
     def test_matches_numpy_on_random_symmetric(self):
@@ -440,6 +461,12 @@ class TestLeadingTerm:
         out = leading_term_eval(sd, ts, q)
         peak = math.sqrt(2.0 / 3.0)
         assert out == pytest.approx([peak, peak], rel=1e-12)
+
+    def test_x_length_must_be_K(self):
+        sd, ts = _pipeline(W1)
+        q = ProfileQuery(epsilon=1.0, t=1.0, x=(0.0, 0.0, 0.0), sigma0=1.0, amplitude=1.0)
+        with pytest.raises(ValueError, match=r"^x must have length 2$"):
+            leading_term_eval(sd, ts, q)
 
     def test_requires_positive_time(self):
         sd, ts = _pipeline(W1)

@@ -166,6 +166,58 @@ class TestAnalyze:
         assert err.startswith(prefix)
         assert len(err.encode()) < 1000
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (dict(W1_DICT, D=[[True, "0"], ["0", "1"]]),
+             "D[0][0]: expected a rational string, got a boolean"),
+            (dict(W1_DICT, D=["1", ["0", "1"]]), "D[0]: expected an array"),
+            ([W1_DICT], "instance file must contain a JSON object"),
+            (dict(W1_DICT, format_version=2), "format_version: expected 1, got 2"),
+            ({k: v for k, v in W1_DICT.items() if k != "A"},
+             "instance requires both 'A' and 'D'"),
+            (dict(W1_DICT, A="x"), "A: expected an array of rows"),
+            (dict(W1_DICT, A=[["-1", "1"], ["1", "-1"], ["0", "0"]]),
+             "A: expected 2 rows, found 3"),
+            (dict(W1_DICT, D="x"), "D: expected an array of diagonals"),
+            (dict(W1_DICT, D=[["1", "0"]]), "D: expected 2 diagonals, found 1"),
+            (dict(W1_DICT, label=7), "label: expected a string, got 7"),
+            (dict(W1_DICT, n=1, A=[["0"]], D=[["1"], ["2"]]), "n must be at least 2, got 1"),
+            (dict(W1_DICT, K=0, D=[]), "K must be at least 1, got 0"),
+        ],
+        ids=["boolean-entry", "diagonal-not-array", "top-level-array", "format-version-2",
+             "missing-A", "A-not-array", "A-row-count", "D-not-array", "D-count",
+             "label-not-string", "n-below-2", "K-below-1"],
+    )
+    def test_rejected_instance_names_its_fault(self, tmp_path, capsys, data, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert run_command(["analyze", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_initial_direction_is_an_unknown_field(self, tmp_path, capsys):
+        path = _write_instance(tmp_path, "h.json", H=["1", "1"])
+        assert run_command(["analyze", path]) == 1
+        assert capsys.readouterr().err == "error: unknown instance fields: ['H']\n"
+
+    def test_integer_entries_read_as_their_strings(self, tmp_path, capsys):
+        shipped = os.path.join(os.path.dirname(__file__), os.pardir, "instances", "w1.json")
+        path = _write_instance(tmp_path, "ints.json", A=[[-1, 1], [1, -1]], D=[[1, 0], [0, 1]])
+        assert run_command(["analyze", shipped]) == 0
+        expected = capsys.readouterr().out
+        assert run_command(["analyze", path]) == 0
+        assert capsys.readouterr().out == expected
+
+
+SEARCH_ARGV = [
+    "search",
+    "--n-min", "2", "--n-max", "2",
+    "--k-min", "2", "--k-max", "2",
+    "--samples", "1", "--seed", "0",
+]
+
 
 class TestUsageErrors:
     def test_missing_argument_remapped_to_one(self, capsys):
@@ -185,6 +237,32 @@ class TestUsageErrors:
         out = capsys.readouterr().out
         for command in ("analyze", "search", "symbolic", "phi0", "residual"):
             assert command in out
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["symbolic", "--k", "9" * 100_000], "--k"),
+            (["x" * 100_000], "command"),
+            (["analyze", "w1.json", "--bogus", "x" * 100_000], "--bogus"),
+            (["phi0", "--instance", "w1.json", "--sigma", "1", "--t", "1", "--eps", "1",
+              "--amplitude", "1", "--point", "x" * 100_000], "--point"),
+            # 4000 digits still pass int(), so the value reaches the check;
+            # of a repeated option, the last occurrence wins
+            ([*SEARCH_ARGV, "--n-min", "9" * 4000], "n_range"),
+            ([*SEARCH_ARGV, "--families", "x" * 100_000], "families"),
+            ([*SEARCH_ARGV, "--families", ",".join([FAMILIES[0]] * 10_000)], "families"),
+            (["symbolic", "--k", "9" * 4000], "directions"),
+        ],
+        ids=["int-option", "command", "unrecognized", "point", "n-range", "unknown-family",
+             "repeated-family", "symbolic-k"],
+    )
+    def test_rejected_argument_echo_is_bounded(self, tmp_path, capsys, argv, name):
+        if argv[0] == "search":
+            argv = [*argv, "--out", str(tmp_path / "r.json")]
+        assert run_command(argv) == 1
+        err = capsys.readouterr().err
+        assert name in err
+        assert len(err.encode()) < 1000
 
     def test_seed_is_mandatory_for_search(self, tmp_path, capsys):
         rc = run_command(
@@ -451,7 +529,7 @@ class TestProfileCommands:
         ]
         assert run_command(argv) == 0
         cli_value = json.loads(capsys.readouterr().out)
-        spec = load_instance_file(w1_path)[0]
+        spec = load_instance_file(w1_path)
         sd = validate_system(spec)
         ts = build_M(spec, sd)
         q = ProfileQuery(
@@ -480,6 +558,17 @@ class TestProfileCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: step h = {h} is too small")
+
+    def test_residual_takes_no_amplitude(self, w1_path, capsys):
+        # the residual is linear in the amplitude, which is fixed at 1
+        rc = run_command(
+            ["residual", "--instance", w1_path, "--t", "1", "--zeta", "0,0", "--h", "0.01",
+             "--amplitude", "1"]
+        )
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --amplitude 1" in captured.err
 
     def test_residual_wrong_zeta_length(self, w1_path, capsys):
         rc = run_command(

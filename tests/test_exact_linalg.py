@@ -16,7 +16,6 @@ from perturbrank.exact_linalg import (
     CHARPOLY_SIZE_LIMIT,
     RationalMatrix,
     SizeLimitExceeded,
-    ZeroPolynomial,
     _eliminate,
     _primitive_rows,
     as_rational,
@@ -671,7 +670,7 @@ class TestHurwitz:
         assert hurwitz_stable((5,)) is True
 
     def test_zero_polynomial_raises(self):
-        with pytest.raises(ZeroPolynomial):
+        with pytest.raises(ValueError, match="zero polynomial"):
             hurwitz_stable(())
 
     def test_trailing_zeros_are_dropped(self):
@@ -680,9 +679,9 @@ class TestHurwitz:
         assert hurwitz_stable((-3, Fraction(0))) is True
 
     def test_all_zero_coefficients_raise(self):
-        with pytest.raises(ZeroPolynomial):
+        with pytest.raises(ValueError, match="zero polynomial"):
             hurwitz_stable((0, 0))
-        with pytest.raises(ZeroPolynomial):
+        with pytest.raises(ValueError, match="zero polynomial"):
             hurwitz_stable([Fraction(0)])
 
     def test_positive_coefficients_with_vanishing_minor(self):

@@ -80,10 +80,10 @@ class TestDumps:
         "name", ["w1.json", "violation-n3-K1.json", "violation-n3-K2.json", "violation-n4-K3.json"]
     )
     def test_analyze_reports(self, name):
-        spec, h = load_instance_file(os.path.join(INSTANCES, name))
+        spec = load_instance_file(os.path.join(INSTANCES, name))
         sd = validate_system(spec)
         ts = build_M(spec, sd)
-        report = build_report(spec, sd, ts, analyze_structure(ts), h=h)
+        report = build_report(spec, sd, ts, analyze_structure(ts))
         assert dumps(report) == _reference(report)
 
     @pytest.mark.parametrize("k", range(2, 7))

@@ -277,7 +277,7 @@ class TestClassifyInstance:
         assert structure["predicted_rank"] == 1
         assert structure["degenerate"] is False
         assert structure["rank_matches_prediction"] is False
-        assert _verdict(load_instance_file(path)[0]).outcome == "violation"
+        assert _verdict(load_instance_file(path)).outcome == "violation"
 
     def test_generated_instances_never_degenerate(self):
         # the generator's span screen is the incremental form of the
@@ -313,7 +313,7 @@ def test_analyze_and_search_agree_on_degeneracy(name, tmp_path, capsys):
     path.write_text(dumps(instance_to_dict(spec)), encoding="utf-8")
     assert run_command(["analyze", str(path)]) == 0
     structure = json.loads(capsys.readouterr().out)["structure"]
-    verdict = _verdict(load_instance_file(str(path))[0])
+    verdict = _verdict(load_instance_file(str(path)))
     assert structure["degenerate"] is degenerate
     assert structure["rank_matches_prediction"] is (
         structure["rank_exact"] == structure["predicted_rank"]
@@ -396,7 +396,7 @@ def test_shipped_constructed_violation(name, seed, coeffs, capsys):
     # that the construction gave on Markov bases with seeds 0..299 and
     # coefficients in -2..2
     path = os.path.join(os.path.dirname(__file__), os.pardir, "instances", name)
-    shipped = load_instance_file(path)[0]
+    shipped = load_instance_file(path)
     n = shipped.n
     base, sd = generate_instance(GeneratorConfig(n=n, K=n - 1, seed=seed))
     rebuilt = _constructed_violation(base, sd, coeffs)
@@ -654,7 +654,7 @@ class TestRunCampaign:
 
         path = os.path.join(str(tmp_path), violation["artifact"])
         assert os.path.exists(path)
-        replayed = load_instance_file(path)[0]
+        replayed = load_instance_file(path)
         assert replayed == rigged
         again = _verdict(replayed)
         assert again.rank_exact == violation["report"]["structure"]["rank_exact"] == 1
@@ -747,7 +747,7 @@ class TestRunCampaign:
             assert breach["artifact"].startswith("breach-dissipativity-")
             path = os.path.join(str(tmp_path), breach["artifact"])
             assert os.path.exists(path)
-            replayed = load_instance_file(path)[0]
+            replayed = load_instance_file(path)
             again = _verdict(replayed)
             kinds = [detail["kind"] for detail in again.breaches]
             assert breach["kind"] in kinds

@@ -1,11 +1,15 @@
-"""Tests for tools/src_stats.py, the src/ size and exported-name counter."""
+"""Tests for tools/src_stats.py, the src/ size, exported-name and CLI
+option counter."""
 
+import argparse
 import ast
 import importlib
 import json
 import os
 import subprocess
 import sys
+
+from perturbrank import cli
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 TOOL = os.path.join(ROOT, "tools", "src_stats.py")
@@ -17,7 +21,7 @@ def test_counts_the_checkout():
     proc = subprocess.run([sys.executable, TOOL, ROOT], capture_output=True, text=True,
                           check=True)
     stats = json.loads(proc.stdout)
-    assert sorted(stats) == ["exported_names", "src_lines"]
+    assert sorted(stats) == ["cli_options", "exported_names", "src_lines"]
     # the imported modules' __all__ lists are the independent route
     exported = sum(len(importlib.import_module(f"perturbrank.{m}").__all__) for m in MODULES)
     assert stats["exported_names"] == exported
@@ -28,6 +32,13 @@ def test_counts_the_checkout():
                 with open(os.path.join(folder, name), encoding="utf-8") as fh:
                     lines += len(fh.readlines())
     assert stats["src_lines"] == lines > 0
+    # the live parser is the independent route: each subparser's actions
+    # less its -h
+    options = 0
+    for action in cli._build_parser()._subparsers._group_actions:
+        for sub in action.choices.values():
+            options += sum(not isinstance(a, argparse._HelpAction) for a in sub._actions)
+    assert stats["cli_options"] == options > 0
 
 
 def test_exported_names_are_bound():

@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
-"""Print the design numbers ROADMAP tracks: src/ lines and exported names.
+"""Print the design numbers ROADMAP tracks: src/ lines, exported names
+and CLI options.
 
     python3 tools/src_stats.py [CHECKOUT]
 
 ``src_lines`` is the newline count over every ``.py`` file under
 ``src/`` (what ``wc -l`` gives).  ``exported_names`` is the sum of the
-lengths of the ``__all__`` lists of the eight package modules, read with
-``ast`` so that nothing is imported.  CHECKOUT defaults to the current
-directory.  Prints one JSON object.  Standard library only.
+lengths of the ``__all__`` lists of the eight package modules, and
+``cli_options`` the number of ``add_argument`` calls in ``cli.py``; both
+are read with ``ast`` so that nothing is imported.  CHECKOUT defaults to
+the current directory.  Prints one JSON object.  Standard library only.
 """
 
 from __future__ import annotations
@@ -40,6 +42,17 @@ def exported_names(module: Path) -> int:
     raise ValueError(f"{module} has no literal __all__")
 
 
+def cli_options(module: Path) -> int:
+    """Number of ``add_argument`` calls: one per settable option or
+    positional argument of the command line."""
+    return sum(
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "add_argument"
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8")))
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkout", nargs="?", type=Path, default=Path("."))
@@ -48,6 +61,7 @@ def main(argv: list[str] | None = None) -> int:
     stats = {
         "src_lines": src_lines(args.checkout),
         "exported_names": sum(exported_names(package / f"{m}.py") for m in MODULES),
+        "cli_options": cli_options(package / "cli.py"),
     }
     print(json.dumps(stats))
     return 0
