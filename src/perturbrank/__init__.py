@@ -52,12 +52,9 @@ from .asymptotics import (
 )
 from .formats import (
     FORMAT_VERSION,
-    DimensionError,
-    ParseError,
     build_report,
     instance_to_dict,
     load_instance_file,
-    parse_rational,
 )
 from .multipoly import MultiPoly, RatFunc, poly_divexact
 from .symbolic import (

@@ -150,6 +150,9 @@ def _cmd_search(args) -> int:
         families=families,
         worker_count=args.workers,
     )
+    # checked before the campaign, whose report could not be written there
+    if not os.path.basename(args.out) or os.path.isdir(args.out):
+        raise ValueError(f"--out {args.out!r:.60} names a directory, not a file")
     artifact_dir = os.path.splitext(args.out)[0] + "-artifacts"
     data = run_campaign(cfg, artifact_dir=artifact_dir)
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -242,6 +245,9 @@ def run_command(argv: list[str]) -> int:
     try:
         return _HANDLERS[args.command](args)
     except (ValueError, OSError, GenerationFailed) as exc:
+        if isinstance(exc, OSError) and exc.filename is not None:
+            # str(exc) quotes the path in full; bound it like any rejected value
+            exc = f"[Errno {exc.errno}] {exc.strerror}: {exc.filename!r:.60}"
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -20,14 +20,11 @@ from .exact_linalg import RationalMatrix, Vector
 from .model import SpectralData, SystemSpec
 
 __all__ = [
-    "DimensionError",
     "FORMAT_VERSION",
-    "ParseError",
     "build_report",
     "dumps",
     "instance_to_dict",
     "load_instance_file",
-    "parse_rational",
 ]
 
 FORMAT_VERSION = 1
@@ -37,105 +34,94 @@ _RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 _INSTANCE_KEYS = {"format_version", "n", "K", "A", "D", "label"}
 
 
-class ParseError(ValueError):
-    """Malformed instance content (bad rational, bad structure, bad JSON)."""
-
-
-class DimensionError(ValueError):
-    """Structurally valid content with inconsistent dimensions."""
-
-
-def parse_rational(value: object, where: str = "value") -> Fraction:
+def _parse_rational(value: object, where: str = "value") -> Fraction:
     """Parse "p" or "p/q" (q > 0) or a plain integer into a Fraction.
 
     Errors echo at most 60 characters of a rejected value (``!r:.60``).
     """
     if isinstance(value, bool):
-        raise ParseError(f"{where}: expected a rational string, got a boolean")
+        raise ValueError(f"{where}: expected a rational string, got a boolean")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
-        raise ParseError(
+        raise ValueError(
             f"{where}: floats are not accepted; write an exact rational "
             f'string like "3/10"'
         )
     if not isinstance(value, str) or not _RATIONAL_RE.fullmatch(value):
-        raise ParseError(f"{where}: {value!r:.60} is not of the form 'p' or 'p/q'")
+        raise ValueError(f"{where}: {value!r:.60} is not of the form 'p' or 'p/q'")
     try:
         return Fraction(value)
     except ZeroDivisionError:
-        raise ParseError(f"{where}: zero denominator in {value!r:.60}") from None
+        raise ValueError(f"{where}: zero denominator in {value!r:.60}") from None
     except ValueError as exc:  # more digits than int() converts
-        raise ParseError(f"{where}: {exc}") from None
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def _parse_int(data: dict, key: str) -> int:
     value = data.get(key)
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{key}: expected an integer, got {value!r:.60}")
+        raise ValueError(f"{key}: expected an integer, got {value!r:.60}")
     return value
 
 
 def _parse_vector(raw: object, length: int, where: str) -> Vector:
     if not isinstance(raw, list):
-        raise ParseError(f"{where}: expected an array")
+        raise ValueError(f"{where}: expected an array")
     if len(raw) != length:
-        raise DimensionError(f"{where}: expected {length} entries, found {len(raw)}")
+        raise ValueError(f"{where}: expected {length} entries, found {len(raw)}")
     return tuple(
-        parse_rational(entry, f"{where}[{j}]") for j, entry in enumerate(raw)
+        _parse_rational(entry, f"{where}[{j}]") for j, entry in enumerate(raw)
     )
 
 
 def _instance_from_dict(data: object) -> SystemSpec:
     if not isinstance(data, dict):
-        raise ParseError("instance file must contain a JSON object")
+        raise ValueError("instance file must contain a JSON object")
     unknown = set(data) - _INSTANCE_KEYS
     if unknown:
-        raise ParseError(f"unknown instance fields: {sorted(unknown)!r:.60}")
+        raise ValueError(f"unknown instance fields: {sorted(unknown)!r:.60}")
     version = _parse_int(data, "format_version")
     if version != FORMAT_VERSION:
-        raise ParseError(f"format_version: expected {FORMAT_VERSION}, got {version!r:.60}")
+        raise ValueError(f"format_version: expected {FORMAT_VERSION}, got {version!r:.60}")
     n = _parse_int(data, "n")
     k = _parse_int(data, "K")
     if "A" not in data or "D" not in data:
-        raise ParseError("instance requires both 'A' and 'D'")
+        raise ValueError("instance requires both 'A' and 'D'")
     raw_a = data["A"]
     if not isinstance(raw_a, list):
-        raise ParseError("A: expected an array of rows")
+        raise ValueError("A: expected an array of rows")
     if len(raw_a) != n:
-        raise DimensionError(f"A: expected {n} rows, found {len(raw_a)}")
+        raise ValueError(f"A: expected {n} rows, found {len(raw_a)}")
     a_rows = [_parse_vector(row, n, f"A[{i}]") for i, row in enumerate(raw_a)]
     raw_d = data["D"]
     if not isinstance(raw_d, list):
-        raise ParseError("D: expected an array of diagonals")
+        raise ValueError("D: expected an array of diagonals")
     if len(raw_d) != k:
-        raise DimensionError(f"D: expected {k} diagonals, found {len(raw_d)}")
+        raise ValueError(f"D: expected {k} diagonals, found {len(raw_d)}")
     diagonals = tuple(
         _parse_vector(row, n, f"D[{i}]") for i, row in enumerate(raw_d)
     )
     label = data.get("label", "")
     if not isinstance(label, str):
-        raise ParseError(f"label: expected a string, got {label!r:.60}")
-    try:
-        return SystemSpec(n=n, K=k, D=diagonals, A=RationalMatrix(a_rows), label=label)
-    except ValueError as exc:
-        raise DimensionError(str(exc)) from exc
+        raise ValueError(f"label: expected a string, got {label!r:.60}")
+    return SystemSpec(n=n, K=k, D=diagonals, A=RationalMatrix(a_rows), label=label)
 
 
 def load_instance_file(path: str) -> SystemSpec:
     """Read an instance file into the system it describes.
 
     An unknown field, a malformed value or inconsistent dimensions raise
-    ``ParseError`` or ``DimensionError``."""
+    ``ValueError``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: not UTF-8 text ({exc})") from exc
+            raise ValueError(f"{path}: not UTF-8 text ({exc})") from exc
     try:
         data = json.loads(text)
     except ValueError as exc:  # also an integer literal int() refuses to convert
-        raise ParseError(f"{path}: invalid JSON ({exc})") from exc
+        raise ValueError(f"{path}: invalid JSON ({exc})") from exc
     return _instance_from_dict(data)
 
 

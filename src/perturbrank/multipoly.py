@@ -20,10 +20,10 @@ the rest of the form: every factor is non-constant, primitive with
 integer coefficients and has a positive leading coefficient.  By Gauss's
 lemma the expanded denominator is then primitive with a positive leading
 coefficient too, so the reduced pair is unique and structural equality
-is a sound and complete equality test.  A reciprocal factors its
-numerator over the base and raises ``ValueError`` when that leaves more
-than a constant: the quotient would need a denominator outside the base.
-The denominator is expanded only to print or export a value.
+is a sound and complete equality test.  There is no division: a
+quotient is built with the constructor, and sums, differences, products
+and negations of fractions over the base stay over the base.  The
+denominator is expanded only to print or export a value.
 """
 
 from __future__ import annotations
@@ -263,21 +263,6 @@ def _checked_base(base: Sequence[MultiPoly]) -> tuple[MultiPoly, ...]:
     return base
 
 
-def _divide_out(
-    num: MultiPoly, factor: MultiPoly, limit: float
-) -> tuple[MultiPoly, int]:
-    """num divided by factor as often as factor divides it, at most limit
-    times, and the number of divisions."""
-    count = 0
-    while count < limit:
-        try:
-            num = poly_divexact(num, factor)
-        except ValueError:
-            break
-        count += 1
-    return num, count
-
-
 def _cancel(
     num: MultiPoly,
     base: tuple[MultiPoly, ...],
@@ -287,8 +272,12 @@ def _cancel(
     """Cancel base[i] for each i in trial between num and the power exps[i]."""
     left = list(exps)
     for i in trial:
-        num, count = _divide_out(num, base[i], left[i])
-        left[i] -= count
+        while left[i]:
+            try:
+                num = poly_divexact(num, base[i])
+            except ValueError:
+                break
+            left[i] -= 1
     return num, tuple(left)
 
 
@@ -369,7 +358,7 @@ class RatFunc:
 
     __hash__ = None
 
-    # -- field arithmetic -------------------------------------------------
+    # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
         self._require_same_base(other)
@@ -404,22 +393,6 @@ class RatFunc:
             other.num, base, self.exps, [i for i, x in enumerate(other.exps) if not x]
         )
         return RatFunc._make(n1 * n2, base, tuple(map(add, e1, e2)))
-
-    def __truediv__(self, other: "RatFunc") -> "RatFunc":
-        if other.is_zero():
-            raise ZeroDivisionError("reciprocal of the zero rational function")
-        unit, powers = other.num, []
-        for f, e in zip(other.base, other.exps):
-            # a reduced numerator shares no factor with the denominator
-            unit, count = _divide_out(unit, f, 0 if e else math.inf)
-            powers.append(count)
-        if not unit.is_constant():
-            raise ValueError(
-                f"{other.num} is not a constant times powers of the factor base"
-            )
-        unit_exps, unit_coeff = unit.leading()
-        num = _expand(other.base, other.exps)._mul_term(unit_exps, 1 / unit_coeff)
-        return self * RatFunc._make(num, other.base, tuple(powers))
 
     def eval(self, values: Mapping[str, int | str | Fraction]) -> Fraction:
         den_val = math.prod(

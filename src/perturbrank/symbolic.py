@@ -77,9 +77,12 @@ def build_M_parametric(K: int) -> SymbolicStructure:
 
     Mirrors the numeric pipeline step for step over Q(a, b, k, d_ij):
     kernel pair, velocities, G = A / (a + b*k)², then M = X + Xᵀ with
-    X = Q G Pᵀ, each entry its own sum.  Supports 2 <= K <= 6; the
-    variable count grows as 3 + 2K and exact rational-function arithmetic
-    beyond that is not worth the wait.
+    X = Q G Pᵀ, each entry its own sum.  The kernel pair, G and c are
+    built from their closed forms over the factor base; c is not read off
+    M, so ``verify_rank_one_identity`` checks every entry against a value
+    the pipeline did not produce.  Supports 2 <= K <= 6; the variable
+    count grows as 3 + 2K and exact rational-function arithmetic beyond
+    that is not worth the wait.
     """
     if not 2 <= K <= MAX_SYMBOLIC_DIRECTIONS:
         raise SizeLimitExceeded(
@@ -88,32 +91,34 @@ def build_M_parametric(K: int) -> SymbolicStructure:
         )
     names = _family_variables(K)
     poly = {n: MultiPoly.variable(names, n) for n in names}
+    a, b, k = poly["a"], poly["b"], poly["k"]
+    s = a + b * k
     # the factor base of every entry: each factor has degree one in a
     # variable whose coefficient is constant, so it is irreducible, and no
-    # two are associates; a division that needs a denominator outside the
-    # base raises ValueError
-    base = (poly["a"], poly["b"], poly["k"], poly["a"] + poly["b"] * poly["k"])
-    base += tuple(poly[f"d{i}_1"] - poly[f"d{i}_2"] for i in range(1, K + 1))
+    # two are associates; RatFunc has no division, so no entry can need a
+    # denominator outside the base
+    base = (a, b, k, s, *(poly[f"d{i}_1"] - poly[f"d{i}_2"] for i in range(1, K + 1)))
 
-    var = {n: RatFunc(p, base) for n, p in poly.items()}
-    a, b, k = var["a"], var["b"], var["k"]
-    one = RatFunc(MultiPoly.constant(names, 1), base)
-    s = a + b * k
+    def over(num: MultiPoly, *factors: MultiPoly) -> RatFunc:
+        """num over the product of the listed base factors."""
+        exps = [0] * len(base)
+        for f in factors:
+            exps[base.index(f)] += 1
+        return RatFunc(num, base, exps)
 
     # kernel pair, scaled exactly as the numeric code does:
     # right kernel with leading entry 1, left kernel divided by the pairing
-    h1 = (one, a / b)
-    h1_star = (b * k / s, b / s)
+    h1 = (over(MultiPoly.constant(names, 1)), over(a, b))
+    h1_star = (over(b * k, s), over(b, s))
     # A is rank one with A² = -s A, so its group inverse is A / s²
-    inv_s2 = one / (s * s)
-    G = tuple(tuple(x * inv_s2 for x in row) for row in ((-a, b), (k * a, -(k * b))))
+    G = tuple(tuple(over(x, s, s) for x in row) for row in ((-a, b), (k * a, -(k * b))))
 
-    d_vars = [(var[f"d{i}_1"], var[f"d{i}_2"]) for i in range(1, K + 1)]
+    d_vars = [(over(poly[f"d{i}_1"]), over(poly[f"d{i}_2"])) for i in range(1, K + 1)]
     weights = (h1[0] * h1_star[0], h1[1] * h1_star[1])
     velocities = tuple(d1 * weights[0] + d2 * weights[1] for d1, d2 in d_vars)
     # as in build_M: rows psi_i of Psi = D - v 1ᵀ, P = Psi diag(h1),
     # Q = Psi diag(h1_star) / 2 and M = X + Xᵀ with X = Q G Pᵀ
-    half = RatFunc(MultiPoly.constant(names, Fraction(1, 2)), base)
+    half = over(MultiPoly.constant(names, Fraction(1, 2)))
     psi = [(d1 - v, d2 - v) for (d1, d2), v in zip(d_vars, velocities)]
     P = [(p0 * h1[0], p1 * h1[1]) for p0, p1 in psi]
     Q = [(p0 * h1_star[0] * half, p1 * h1_star[1] * half) for p0, p1 in psi]
@@ -122,7 +127,7 @@ def build_M_parametric(K: int) -> SymbolicStructure:
     m_rows = tuple(tuple(x[i][j] + x[j][i] for j in range(K)) for i in range(K))
 
     deltas = tuple(d1 - d2 for d1, d2 in d_vars)
-    c = -(m_rows[0][0] / (deltas[0] * deltas[0]))
+    c = over(a * b * k, s, s, s)
     return SymbolicStructure(
         K=K,
         variables=names,

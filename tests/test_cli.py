@@ -252,9 +252,11 @@ class TestUsageErrors:
             ([*SEARCH_ARGV, "--families", "x" * 100_000], "families"),
             ([*SEARCH_ARGV, "--families", ",".join([FAMILIES[0]] * 10_000)], "families"),
             (["symbolic", "--k", "9" * 4000], "directions"),
+            # the OS error quotes the path, cut like any rejected value
+            (["analyze", "x" * 100_000], "File name too long"),
         ],
         ids=["int-option", "command", "unrecognized", "point", "n-range", "unknown-family",
-             "repeated-family", "symbolic-k"],
+             "repeated-family", "symbolic-k", "os-error-path"],
     )
     def test_rejected_argument_echo_is_bounded(self, tmp_path, capsys, argv, name):
         if argv[0] == "search":
@@ -389,6 +391,33 @@ class TestSearchCommand:
         assert "error:" in captured.err and str(artifact_dir) in captured.err
         after = {p.name: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
         assert after == first
+
+    @pytest.mark.parametrize("name", ["outdir", "newdir/"])
+    def test_directory_out_rejected_before_the_campaign(
+        self, tmp_path, monkeypatch, capsys, name
+    ):
+        (tmp_path / "outdir").mkdir()
+        out = os.path.join(str(tmp_path), name)  # pathlib drops a trailing "/"
+
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a campaign cell ran")
+
+        monkeypatch.setattr("perturbrank.search._run_cell", no_cell)
+        rc = run_command(
+            [
+                "search",
+                "--n-min", "2", "--n-max", "3",
+                "--k-min", "2", "--k-max", "3",
+                "--samples", "6", "--seed", "1",
+                "--out", out,
+            ]
+        )
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--out" in captured.err and "directory" in captured.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["outdir"]
+        assert not any((tmp_path / "outdir").iterdir())
 
     def test_exit_two_on_rank_violations(self, tmp_path, monkeypatch):
         report = {

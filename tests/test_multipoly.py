@@ -169,8 +169,6 @@ class TestRatFunc:
         assert f.den == s * s
 
     def test_zero_denominator(self):
-        with pytest.raises(ZeroDivisionError):
-            RatFunc(ONE, BASE) / RatFunc(ZERO, BASE)
         with pytest.raises(ValueError):
             RatFunc(A, (ZERO,))
 
@@ -232,41 +230,30 @@ class TestRatFunc:
             den = power_product(exps).eval(point)
             if den != 0:
                 assert f.eval(point) == (num * power_product(extra)).eval(point) / den
-            g = RatFunc(
-                MultiPoly.constant(VARS, rng.choice([-3, -1, Fraction(2, 5), 7]))
-                * power_product(random_exps(rng)),
-                BASE,
-                random_exps(rng),
-            )
+            # g is a constant times base powers over base powers, so its
+            # reciprocal is one too
+            unit = Fraction(rng.choice([-3, -1, Fraction(2, 5), 7]))
+            up, down = random_exps(rng), random_exps(rng)
+            g = RatFunc(const(unit) * power_product(up), BASE, down)
+            g_inv = RatFunc(const(1 / unit) * power_product(down), BASE, up)
             h = RatFunc(random_poly(rng), BASE, random_exps(rng))
             assert (f + h) - h == f
-            assert (f * g) / g == f
+            assert (f * g) * g_inv == f
             checked += 1
-
-    def test_off_base_division_raises(self):
-        base = (A, B, K, A + B * K)
-        with pytest.raises(ValueError):
-            RatFunc(ONE, base) / RatFunc(A + B, base)
-        with pytest.raises(ValueError):
-            RatFunc(ONE, base) / RatFunc(A * A + ONE, base)
 
     def test_operands_share_the_base(self):
         with pytest.raises(ValueError):
             over(A, B) + RatFunc(A, (A, B))
 
-    def test_product_and_division(self):
+    def test_product_and_reciprocal(self):
         f = over(A, B)
         one = RatFunc(ONE, BASE)
         assert f * f == over(A * A, B, B)
-        assert one / f == over(B, A)
-        assert f / f == one
-        assert over(const(4) * A, B) / over(const(2) * A, K) == over(
+        assert f * over(B, A) == one
+        # over(2a, k) has the reciprocal over(k / 2, a)
+        assert over(const(4) * A, B) * over(const(Fraction(1, 2)) * K, A) == over(
             const(2) * K, B
         )
-        with pytest.raises(ZeroDivisionError):
-            f / RatFunc(ZERO, BASE)
-        with pytest.raises(ZeroDivisionError):
-            RatFunc(ONE, BASE) / RatFunc(ZERO, BASE)
 
     def test_eval_pole(self):
         f = over(ONE, A - B)

@@ -11,6 +11,7 @@ import pytest
 
 from perturbrank.exact_linalg import RationalMatrix, SizeLimitExceeded
 from perturbrank.asymptotics import build_M
+from perturbrank.cli import run_command
 from perturbrank.formats import dumps
 from perturbrank.model import SystemSpec, validate_system
 from perturbrank.multipoly import MultiPoly, RatFunc
@@ -243,6 +244,17 @@ class TestSymbolicReport:
         report = symbolic_report(2)
         assert report["rank_one_identity"] is False
         assert "spectrum" not in report
+
+    @pytest.mark.parametrize("K", [2, 4])
+    def test_scaled_M_fails_the_identity(self, K, monkeypatch, capsys):
+        # half = 1 doubles every M_ij; c is its closed form, not a quotient
+        # of M, so the dyad identity must fail and the command exit 1
+        monkeypatch.setattr("perturbrank.symbolic.Fraction", lambda num, den: num)
+        report = symbolic_report(K)
+        assert report["rank_one_identity"] is False
+        assert "spectrum" not in report
+        assert run_command(["symbolic", "--k", str(K)]) == 1
+        assert "failed to reduce" in capsys.readouterr().err
 
     def test_report_is_json_serializable_and_deterministic(self):
         first = json.dumps(symbolic_report(3), sort_keys=True)
