@@ -32,6 +32,15 @@ _EXACT = (int, Fraction)
 #: Dense exact charpoly is quartic in the dimension; refuse silly sizes.
 CHARPOLY_SIZE_LIMIT = 32
 
+#: Decimal digits an instance file may spend on the numerators and
+#: denominators of all entries of A and D together.  Measured on Markov
+#: generators for n = 2..8 (distinct random denominators, or one large
+#: entry of A or D), no entry of h1, h1_star, v, G, M or a kernel
+#: direction has more than twice that total (M is quadratic in D), so
+#: every output entry stays under the 4300 digits that CPython's
+#: ``str(int)`` converts; generated instances spend at most about 1100.
+INSTANCE_DIGIT_LIMIT = 2000
+
 __all__ = [
     "CHARPOLY_SIZE_LIMIT",
     "RationalMatrix",

@@ -16,7 +16,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .asymptotics import DEGENERATE, StructureReport, TransferStructure
-from .exact_linalg import RationalMatrix, Vector
+from .exact_linalg import INSTANCE_DIGIT_LIMIT, RationalMatrix, Vector
 from .model import SpectralData, SystemSpec
 
 __all__ = [
@@ -102,6 +102,16 @@ def _instance_from_dict(data: object) -> SystemSpec:
     diagonals = tuple(
         _parse_vector(row, n, f"D[{i}]") for i, row in enumerate(raw_d)
     )
+    budget = INSTANCE_DIGIT_LIMIT
+    for name, rows in (("A", a_rows), ("D", diagonals)):
+        for i, row in enumerate(rows):
+            for j, x in enumerate(row):
+                budget -= len(str(abs(x.numerator))) + len(str(x.denominator))
+                if budget < 0:
+                    raise ValueError(
+                        f"{name}[{i}][{j}]: the entries of A and D have more than "
+                        f"{INSTANCE_DIGIT_LIMIT} digits in all"
+                    )
     label = data.get("label", "")
     if not isinstance(label, str):
         raise ValueError(f"label: expected a string, got {label!r:.60}")
@@ -111,17 +121,19 @@ def _instance_from_dict(data: object) -> SystemSpec:
 def load_instance_file(path: str) -> SystemSpec:
     """Read an instance file into the system it describes.
 
-    An unknown field, a malformed value or inconsistent dimensions raise
-    ``ValueError``."""
+    An unknown field, a malformed value, inconsistent dimensions or
+    entries of A and D with more than ``INSTANCE_DIGIT_LIMIT`` digits in
+    all raise ``ValueError``; a message echoes at most 60 characters of
+    the path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: not UTF-8 text ({exc})") from exc
+            raise ValueError(f"{path!r:.60}: not UTF-8 text ({exc})") from exc
     try:
         data = json.loads(text)
     except ValueError as exc:  # also an integer literal int() refuses to convert
-        raise ValueError(f"{path}: invalid JSON ({exc})") from exc
+        raise ValueError(f"{path!r:.60}: invalid JSON ({exc})") from exc
     return _instance_from_dict(data)
 
 

@@ -18,7 +18,11 @@ numeric code to the last digit.  A has rank one and A² = -(a + b*k) A,
 so G = A / (a + b*k)², as ``charpoly_adjugate`` gives it for n = 2.
 Every denominator on the way is a product of powers of a, b, k,
 a + b*k and the Delta_i below, so the entries are kept over that factor
-base (see ``multipoly``).
+base (see ``multipoly``).  Only M_00, M_01, M_10 and the velocity v_0
+are computed: M_ij depends on the speeds of directions i and j alone,
+and renaming directions maps the factor base onto itself, so every other
+entry is one of these with its directions renamed, already reduced and
+canonical (see ``build_M_parametric``).
 
 The punchline is structural: every entry satisfies
 
@@ -77,12 +81,18 @@ def build_M_parametric(K: int) -> SymbolicStructure:
 
     Mirrors the numeric pipeline step for step over Q(a, b, k, d_ij):
     kernel pair, velocities, G = A / (a + b*k)², then M = X + Xᵀ with
-    X = Q G Pᵀ, each entry its own sum.  The kernel pair, G and c are
-    built from their closed forms over the factor base; c is not read off
-    M, so ``verify_rank_one_identity`` checks every entry against a value
-    the pipeline did not produce.  Supports 2 <= K <= 6; the variable
-    count grows as 3 + 2K and exact rational-function arithmetic beyond
-    that is not worth the wait.
+    X = Q G Pᵀ.  Those sums compute v_0, M_00, M_01 and M_10 only; every
+    other velocity, gap Delta_i and entry is one of these templates with
+    its directions renamed.  Renaming direction i to sigma(i) is a field
+    automorphism of Q(a, b, k, d_ij) that fixes a, b, k, a + b*k and the
+    kernel pair and sends Delta_i to Delta_sigma(i), so it permutes the
+    factor base: a renamed value is reduced and canonical as it stands,
+    and one whose exponents did not move (every M_ij is over
+    (a + b*k)³) shares its template's expanded denominator.  The kernel
+    pair, G and c are built from their closed forms over the factor
+    base; c is not read off M, so ``verify_rank_one_identity`` checks
+    every entry against a value the pipeline did not produce.  Supports
+    2 <= K <= 6; the variable count grows as 3 + 2K.
     """
     if not 2 <= K <= MAX_SYMBOLIC_DIRECTIONS:
         raise SizeLimitExceeded(
@@ -113,9 +123,19 @@ def build_M_parametric(K: int) -> SymbolicStructure:
     # A is rank one with A² = -s A, so its group inverse is A / s²
     G = tuple(tuple(over(x, s, s) for x in row) for row in ((-a, b), (k * a, -(k * b))))
 
-    d_vars = [(over(poly[f"d{i}_1"]), over(poly[f"d{i}_2"])) for i in range(1, K + 1)]
+    def renamed(f: RatFunc, *targets: int) -> RatFunc:
+        """f with direction m renamed to targets[m], the rest kept in order."""
+        order = [*targets, *(t for t in range(K) if t not in targets)]
+        source = sorted(range(K), key=order.__getitem__)
+        return f._renamed(
+            (0, 1, 2, *(3 + 2 * m + half for m in source for half in (0, 1))),
+            (0, 1, 2, 3, *(4 + m for m in source)),
+        )
+
+    d_vars = [(over(poly[f"d{i}_1"]), over(poly[f"d{i}_2"])) for i in (1, 2)]
     weights = (h1[0] * h1_star[0], h1[1] * h1_star[1])
-    velocities = tuple(d1 * weights[0] + d2 * weights[1] for d1, d2 in d_vars)
+    v0 = d_vars[0][0] * weights[0] + d_vars[0][1] * weights[1]
+    velocities = (v0, *(renamed(v0, i) for i in range(1, K)))
     # as in build_M: rows psi_i of Psi = D - v 1ᵀ, P = Psi diag(h1),
     # Q = Psi diag(h1_star) / 2 and M = X + Xᵀ with X = Q G Pᵀ
     half = over(MultiPoly.constant(names, Fraction(1, 2)))
@@ -123,10 +143,22 @@ def build_M_parametric(K: int) -> SymbolicStructure:
     P = [(p0 * h1[0], p1 * h1[1]) for p0, p1 in psi]
     Q = [(p0 * h1_star[0] * half, p1 * h1_star[1] * half) for p0, p1 in psi]
     gp = [tuple(g0 * p0 + g1 * p1 for g0, g1 in G) for p0, p1 in P]
-    x = [[q0 * c0 + q1 * c1 for c0, c1 in gp] for q0, q1 in Q]
-    m_rows = tuple(tuple(x[i][j] + x[j][i] for j in range(K)) for i in range(K))
+    x = {(i, j): Q[i][0] * gp[j][0] + Q[i][1] * gp[j][1] for i, j in ((0, 0), (0, 1), (1, 0))}
+    # the upper and lower templates are separate sums, so M_ji == M_ij
+    # stays a check
+    m00, m01, m10 = x[0, 0] + x[0, 0], x[0, 1] + x[1, 0], x[1, 0] + x[0, 1]
+    m_rows = tuple(
+        tuple(
+            renamed(m00, i) if i == j
+            else renamed(m01, i, j) if i < j
+            else renamed(m10, j, i)
+            for j in range(K)
+        )
+        for i in range(K)
+    )
 
-    deltas = tuple(d1 - d2 for d1, d2 in d_vars)
+    delta0 = d_vars[0][0] - d_vars[0][1]
+    deltas = (delta0, *(renamed(delta0, i) for i in range(1, K)))
     c = over(a * b * k, s, s, s)
     return SymbolicStructure(
         K=K,
@@ -144,9 +176,12 @@ def build_M_parametric(K: int) -> SymbolicStructure:
 def verify_rank_one_identity(structure: SymbolicStructure) -> bool:
     """Check M_ij + c * Delta_i * Delta_j == 0 identically for all i, j.
 
-    The right-hand side is symmetric, so the identity is tested on j >= i
-    together with M_ji == M_ij; ``build_M_parametric`` sums each triangle
-    on its own, so that equality is a real check.
+    The right-hand side is symmetric, so the identity is tested on all
+    K(K+1)/2 entries j >= i together with M_ji == M_ij.  Every entry is
+    a renamed template, but ``build_M_parametric`` sums the upper
+    template M_01 and the lower template M_10 on their own, so that
+    equality is a real check, and the identity holds for each renamed
+    entry only if its renaming is right.
     """
     M, deltas = structure.M, structure.deltas
     for i in range(structure.K):

@@ -14,6 +14,7 @@ import perturbrank
 from perturbrank import cli
 from perturbrank.asymptotics import ProfileQuery, build_M, leading_term_eval
 from perturbrank.cli import run_command
+from perturbrank.exact_linalg import INSTANCE_DIGIT_LIMIT
 from perturbrank.formats import load_instance_file
 from perturbrank.model import FAMILIES, validate_system
 
@@ -138,7 +139,7 @@ class TestAnalyze:
             fh.write(text)
         assert run_command(["analyze", path]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: ")
+        assert err.startswith(f"error: {path!r:.60}: invalid JSON")
         assert len(err) < 300
 
     def test_non_utf8_file_names_itself(self, tmp_path, capsys):
@@ -147,7 +148,57 @@ class TestAnalyze:
         assert run_command(["analyze", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error: {path}: not UTF-8 text")
+        assert captured.err.startswith(f"error: {str(path)!r:.60}: not UTF-8 text")
+
+    def test_long_path_is_echoed_bounded(self, tmp_path, capsys):
+        deep = tmp_path.joinpath(*(["d" * 200] * 5))
+        deep.mkdir(parents=True)
+        path = deep / "bad.json"
+        path.write_text("{not json", encoding="utf-8")
+        assert len(str(path)) > 1000
+        assert run_command(["analyze", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "invalid JSON" in err
+        assert len(err.encode()) < 300
+
+    @pytest.mark.parametrize(
+        "big, field",
+        [
+            ("1" * 1500 + "/" + "3" * 1501, "A[0][0]"),
+            ("1" * 1000, "A[1][0]"),
+            (int("1" * 1995), "D[0][0]"),
+        ],
+        ids=["rate-1500-over-1501", "rate-1000", "json-integer-speed"],
+    )
+    def test_instance_over_the_digit_limit_names_its_field(self, tmp_path, capsys, big, field):
+        # each rejected instance is admissible; the first is the Markov
+        # generator whose report once failed to serialise
+        if isinstance(big, int):
+            path = _write_instance(tmp_path, "big.json", D=[[big, 0], [0, 1]])
+        else:
+            path = _write_instance(tmp_path, "big.json", A=[["-" + big, "1"], [big, "-1"]])
+        assert run_command(["analyze", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {field}: the entries of A and D have more than "
+            f"{INSTANCE_DIGIT_LIMIT} digits in all\n"
+        )
+
+    def test_instance_at_the_digit_limit_is_analyzed(self, tmp_path, capsys):
+        # the entries of A and D spend exactly the limit, half of it on one
+        # speed, which M holds squared; each value is near 1, so M stays
+        # in float range, and the report still serialises
+        def near_one(digits):
+            return f"{10 ** (digits - 1) + 1}/{10 ** (digits - 1)}"
+
+        a = INSTANCE_DIGIT_LIMIT // 8
+        x, d = near_one(a), near_one((INSTANCE_DIGIT_LIMIT - 10 - 4 * a) // 2)
+        path = _write_instance(
+            tmp_path, "limit.json", A=[["-" + x, "1"], [x, "-1"]], D=[[d, "0"], ["0", "1"]]
+        )
+        assert run_command(["analyze", path]) == 0
+        assert json.loads(capsys.readouterr().out)["structure"]["rank_exact"] == 1
 
     @pytest.mark.parametrize(
         "overrides, prefix",

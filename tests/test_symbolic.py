@@ -14,6 +14,7 @@ from perturbrank.asymptotics import build_M
 from perturbrank.cli import run_command
 from perturbrank.formats import dumps
 from perturbrank.model import SystemSpec, validate_system
+from perturbrank import multipoly
 from perturbrank.multipoly import MultiPoly, RatFunc
 from perturbrank.symbolic import (
     build_M_parametric,
@@ -42,6 +43,28 @@ def closed_form_c(base):
     exps = [0] * len(base)
     exps[base.index(a + b * k)] = 3
     return RatFunc(a * b * k, base, exps)
+
+
+def direct_construction(st):
+    """Every velocity and every entry of M from its own Q G Pᵀ sum, as in
+    ``build_M``, from the structure's kernel pair and G; the oracle for
+    the renamed templates of ``build_M_parametric``."""
+    names, base = st.variables, st.c.base
+    d_vars = [
+        tuple(RatFunc(MultiPoly.variable(names, f"d{i}_{m}"), base) for m in (1, 2))
+        for i in range(1, st.K + 1)
+    ]
+    h1, h1_star = st.h1, st.h1_star
+    weights = (h1[0] * h1_star[0], h1[1] * h1_star[1])
+    velocities = [d1 * weights[0] + d2 * weights[1] for d1, d2 in d_vars]
+    half = RatFunc(MultiPoly.constant(names, Fraction(1, 2)), base)
+    psi = [(d1 - v, d2 - v) for (d1, d2), v in zip(d_vars, velocities)]
+    P = [(p0 * h1[0], p1 * h1[1]) for p0, p1 in psi]
+    Q = [(p0 * h1_star[0] * half, p1 * h1_star[1] * half) for p0, p1 in psi]
+    gp = [tuple(g0 * p0 + g1 * p1 for g0, g1 in st.G) for p0, p1 in P]
+    x = [[q0 * c0 + q1 * c1 for c0, c1 in gp] for q0, q1 in Q]
+    M = [[x[i][j] + x[j][i] for j in range(st.K)] for i in range(st.K)]
+    return velocities, M
 
 
 def random_values(rng, names):
@@ -92,6 +115,33 @@ class TestBuildMParametric:
         )
         delta = d1 - d2
         assert st.M[0][0] == -(closed_form_c(st.c.base) * delta * delta)
+
+    @pytest.mark.parametrize("K", [2, 3, 4])
+    def test_renamed_entries_match_direct_construction(self, K):
+        st = build_M_parametric(K)
+        velocities, M = direct_construction(st)
+        for i in range(K):
+            assert st.velocities[i] == velocities[i], i
+            for j in range(K):
+                assert st.M[i][j] == M[i][j], (i, j)
+
+    def test_divexact_calls_do_not_grow_with_K(self, monkeypatch):
+        # only the templates for directions 0 and 1 are reduced by trial
+        # division; every renamed value is reduced as it stands
+        calls = []
+        real = multipoly.poly_divexact
+
+        def counted(f, g):
+            calls.append(g)
+            return real(f, g)
+
+        monkeypatch.setattr(multipoly, "poly_divexact", counted)
+        counts = {}
+        for K in range(2, 7):
+            calls.clear()
+            build_M_parametric(K)
+            counts[K] = len(calls)
+        assert len(set(counts.values())) == 1, counts
 
     def test_matrix_is_symmetric(self):
         st = build_M_parametric(3)
