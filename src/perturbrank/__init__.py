@@ -16,7 +16,6 @@ from .exact_linalg import (
     Vector,
     as_rational,
     charpoly_adjugate,
-    dot,
     hurwitz_stable,
     nullspace,
     rank_exact,

@@ -10,11 +10,13 @@ where Psi_i = D_i - v_i I and G is the group inverse of A, determined by
 A G = I - h1 h1_starᵀ and h1_starᵀ G = 0.  G comes with the certificate
 of A (``SpectralData.G``, from its one charpoly pass), so M = Sym(Q G Pᵀ)
 with P and Q the pushed vectors Psi_j h1 and psi_i ∘ h1_star / 2, and
-no linear system is solved here.  Psi, P, Q and M are built with the
-public matrix algebra of ``exact_linalg`` (``-``, ``@``, ``+``,
-``transpose`` and ``scale_columns``), which runs on integer rows; this
-module never sees how an exact number is held.  The kernel of M, hence
-its rank, comes from one fraction-free elimination.  The spectrum of M
+no linear system is solved here.  D, the rows h1 and h1_star, the
+speed column v, Psi, P, Q and M are all ``RationalMatrix`` values, and
+``build_M`` combines them with the public matrix algebra of
+``exact_linalg`` (``-``, ``@``, ``+``, ``transpose``, ``scale`` and
+``scale_columns``), which runs on integer rows with no conversion to
+entries; this module never sees how an exact number is held.  The
+kernel of M, hence its rank, comes from one fraction-free elimination.  The spectrum of M
 comes from a hand-written cyclic Jacobi sweep on its float image, so the
 two routes stay independent.  The limiting profile itself is an
 anisotropic Gaussian with covariance sigma0² I - 2 M t, evaluated in
@@ -104,11 +106,11 @@ class TransferStructure:
     """Exact transfer data: speeds v, pushed vectors P and the symmetric
     diffusion matrix M.
 
-    ``P`` is the K x n matrix whose row j is Psi_j h1 =
-    ((D_j[m] - v_j) h1[m])_m.
+    ``v`` is the K x 1 column of speeds, and ``P`` the K x n matrix whose
+    row j is Psi_j h1 = ((D_j[m] - v_j) h1[m])_m.
     """
 
-    v: Vector
+    v: RationalMatrix
     P: RationalMatrix
     M: RationalMatrix
 
@@ -161,14 +163,13 @@ def build_M(s: SystemSpec, sd: SpectralData) -> TransferStructure:
     With Psi = D - v 1ᵀ (row i is psi_i), P = Psi diag(h1) and
     Q = Psi diag(h1_star) / 2, M = Q G Pᵀ + (Q G Pᵀ)ᵀ for the group
     inverse G of the certificate.  The speeds are v_i = (D_i h1, h1_star),
-    the column D diag(h1) h1_star.
+    the column D diag(h1) h1_star.  Every step is a product, sum or
+    scaling of integer-row matrices; no entry is read.
     """
-    d = RationalMatrix(s.D)
-    w = d.scale_columns(sd.h1) @ RationalMatrix(zip(sd.h1_star))
-    v = tuple(w[i, 0] for i in range(s.K))
-    psi = d - RationalMatrix(zip(v)) @ RationalMatrix([[1] * s.n])
+    v = s.D.scale_columns(sd.h1) @ sd.h1_star.transpose()
+    psi = s.D - v @ RationalMatrix([[1] * s.n])
     p = psi.scale_columns(sd.h1)
-    q = psi.scale_columns(tuple(Fraction(x, 2) for x in sd.h1_star))
+    q = psi.scale_columns(sd.h1_star.scale(Fraction(1, 2)))
     qx = q @ (sd.G @ p.transpose())
     return TransferStructure(v=v, P=p, M=qx + qx.transpose())
 
@@ -361,8 +362,8 @@ def leading_term_eval(sd: SpectralData, ts: TransferStructure, q: ProfileQuery) 
     if not q.t > 0:
         raise ValueError("leading-term evaluation requires t > 0")
     phi = _profile(_dissipative_image(ts.M, q.x), q)
-    v = _float_image(RationalMatrix([ts.v]), "v")[0]
-    h1 = _float_image(RationalMatrix([sd.h1]), "h1")[0]
+    v = _float_image(ts.v.transpose(), "v")[0]
+    h1 = _float_image(sd.h1, "h1")[0]
     zeta = tuple((xi - vi * q.t) / q.epsilon for xi, vi in zip(q.x, v))
     value = phi(zeta) if all(math.isfinite(z) for z in zeta) else 0.0
     return [value * h for h in h1]

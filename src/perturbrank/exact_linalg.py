@@ -4,8 +4,11 @@ A ``RationalMatrix`` is an immutable dense row-major matrix held as integer
 rows ``num`` over one positive denominator ``den``, in canonical form:
 ``gcd(den, *num) == 1``, so equal values have equal fields.  This module
 alone decides that representation: other modules build matrices from
-rows of exact entries and combine them with ``+``, ``-``, ``@``,
-``transpose`` and ``scale_columns``, which all run on the integer rows.
+rows of exact entries, hold vectors as ``1 x n`` rows or ``n x 1``
+columns, and combine them with ``+``, ``-``, ``@``, ``transpose``,
+``row``, ``column``, ``scale`` and ``scale_columns``, which all run on the
+integer rows; ``is_zero`` tests a value without building its entries.
+Products compute each integer dot product as ``sum(map(mul, row, col))``.
 Rank, kernels and the Hurwitz test all run one fraction-free (Bareiss)
 Gauss-Jordan elimination on the integer rows, each divided by the gcd
 of its entries.  The characteristic polynomial, the adjugate and the
@@ -15,15 +18,16 @@ elimination.  A screen that grows a rank one row at a time keeps plain
 integer echelon rows and reduces each new row against them with
 ``echelon_reduce``.  So
 intermediate values stay integral and every division is checked to be
-exact.  A ``fractions.Fraction`` is built only where an entry or a vector
-leaves the module: ``m[i, j]``, ``repr``, kernel vectors and
-characteristic polynomial coefficients.  Nothing here is approximate.
+exact.  A ``fractions.Fraction`` is built only where an entry leaves the
+module: ``m[i, j]``, ``repr``, kernel vectors and characteristic
+polynomial coefficients.  Nothing here is approximate.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -48,7 +52,6 @@ __all__ = [
     "Vector",
     "as_rational",
     "charpoly_adjugate",
-    "dot",
     "echelon_reduce",
     "hurwitz_stable",
     "nullspace",
@@ -71,12 +74,6 @@ def as_rational(value: int | str | Fraction) -> Fraction:
     if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
-
-
-def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    if len(u) != len(v):
-        raise ValueError(f"dot of incompatible lengths {len(u)} and {len(v)}")
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
 class RationalMatrix:
@@ -110,7 +107,8 @@ class RationalMatrix:
     def _make(cls, num: Sequence[Sequence[int]], den: int) -> "RationalMatrix":
         """Trusted constructor from rectangular integer rows over a nonzero
         ``den``; it only brings the pair to canonical form."""
-        g = gcd(den, *(x for row in num for x in row))
+        # den = 1 is already canonical; otherwise one C-level gcd per row
+        g = 1 if den == 1 else gcd(den, *[gcd(*row) for row in num])
         if den < 0:
             g = -g
         if g != 1:
@@ -129,6 +127,17 @@ class RationalMatrix:
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
         return Fraction(self.num[i][j], self.den)
+
+    def row(self, i: int) -> "RationalMatrix":
+        """Row i as a ``1 x cols`` matrix."""
+        return RationalMatrix._make((self.num[i],), self.den)
+
+    def column(self, j: int) -> "RationalMatrix":
+        """Column j as a ``rows x 1`` matrix."""
+        return RationalMatrix._make([(row[j],) for row in self.num], self.den)
+
+    def is_zero(self) -> bool:
+        return not any(map(any, self.num))
 
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix._make(tuple(zip(*self.num)), self.den)
@@ -150,14 +159,22 @@ class RationalMatrix:
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
         return self._combine(other, -1)
 
-    def scale_columns(self, v: Sequence[int | str | Fraction]) -> "RationalMatrix":
-        """``self @ diag(v)``: column j times v[j], on the integer rows."""
-        if len(v) != self.cols:
-            raise ValueError(f"{len(v)} column scales for {self.cols} columns")
-        w = RationalMatrix((v,))
+    def scale(self, c: int | str | Fraction) -> "RationalMatrix":
+        """``c * self``, on the integer rows."""
+        if type(c) not in _EXACT:
+            c = as_rational(c)
+        p = c.numerator
+        return RationalMatrix._make(
+            [[p * x for x in row] for row in self.num], self.den * c.denominator
+        )
+
+    def scale_columns(self, w: "RationalMatrix") -> "RationalMatrix":
+        """``self @ diag(w)`` for a ``1 x cols`` row w: column j times w[0, j]."""
+        if (w.rows, w.cols) != (1, self.cols):
+            raise ValueError(f"{w.rows}x{w.cols} column scales for {self.cols} columns")
         (scales,) = w.num
         return RationalMatrix._make(
-            [[x * c for x, c in zip(row, scales)] for row in self.num], self.den * w.den
+            [list(map(mul, row, scales)) for row in self.num], self.den * w.den
         )
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
@@ -169,7 +186,7 @@ class RationalMatrix:
             )
         cols = list(zip(*other.num))
         return RationalMatrix._make(
-            [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in self.num],
+            [[sum(map(mul, row, col)) for col in cols] for row in self.num],
             self.den * other.den,
         )
 
@@ -336,7 +353,7 @@ def charpoly_adjugate(
                 bk[i][i] += c[k]
             prev, adj = adj, bk
             cols = list(zip(*bk))
-            bk = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in b]
+            bk = [[sum(map(mul, row, col)) for col in cols] for row in b]
     coeffs = tuple(Fraction(ck, d**k) for k, ck in reversed(list(enumerate(c))))
     a1, a2 = c[n - 1], c[n - 2] if n > 1 else 0
     if c[n]:

@@ -137,10 +137,6 @@ def load_instance_file(path: str) -> SystemSpec:
     return _instance_from_dict(data)
 
 
-def _vector_strs(v: Vector) -> list[str]:
-    return [str(x) for x in v]
-
-
 def _matrix_strs(m: RationalMatrix) -> list[list[str]]:
     return [[str(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
 
@@ -153,7 +149,7 @@ def instance_to_dict(spec: SystemSpec) -> dict:
         "n": spec.n,
         "K": spec.K,
         "A": _matrix_strs(spec.A),
-        "D": [_vector_strs(d) for d in spec.D],
+        "D": _matrix_strs(spec.D),
         "label": spec.label,
     }
 
@@ -171,12 +167,12 @@ def build_report(
         "format_version": FORMAT_VERSION,
         "instance": instance_to_dict(spec),
         "spectral": {
-            "h1": _vector_strs(sd.h1),
-            "h1_star": _vector_strs(sd.h1_star),
+            "h1": _matrix_strs(sd.h1)[0],
+            "h1_star": _matrix_strs(sd.h1_star)[0],
             "stable": True,  # validation raises on an unstable A
         },
         "transfer": {
-            "v": _vector_strs(ts.v),
+            "v": _matrix_strs(ts.v.transpose())[0],
             "G": _matrix_strs(sd.G),
             "M": _matrix_strs(ts.M),
         },
@@ -185,7 +181,7 @@ def build_report(
             "predicted_rank": report.predicted_rank,
             "rank_matches_prediction": report.rank_exact == report.predicted_rank,
             "eigenvalues": list(report.eigenvalues),
-            "kernel_directions": [_vector_strs(v) for v in report.kernel_directions],
+            "kernel_directions": [[str(x) for x in v] for v in report.kernel_directions],
             "degenerate": report.outcome == DEGENERATE,
         },
     }

@@ -1,19 +1,22 @@
 """System specification, spectral validation, and random instance generation.
 
 A system is an n x n interaction matrix A together with K diagonal
-transport matrices (stored as their diagonals).  Admissible systems have
-a simple zero eigenvalue of A — one-dimensional right and left kernels,
-with the zero root of the characteristic polynomial simple — and all
-remaining eigenvalues in the open left half-plane.  The right/left null
-vectors are normalized so that the first nonzero entry of h1 is 1 and
-(h1, h1_star) = 1.
+transport matrices, stored as the K x n matrix D of their diagonals.
+Admissible systems have a simple zero eigenvalue of A — one-dimensional
+right and left kernels, with the zero root of the characteristic
+polynomial simple — and all remaining eigenvalues in the open left
+half-plane.  The right/left null vectors are normalized so that the
+first nonzero entry of h1 is 1 and (h1, h1_star) = 1.  Like D, they are
+held as integer rows: h1 and h1_star are 1 x n ``RationalMatrix`` rows,
+and neither certification nor generation converts them to entries.
 
 One function decides admissibility for files and the generator alike:
 the Faddeev-LeVerrier pass that gives the exact charpoly of A also gives
 adj(A).  With a simple zero root, rank A = n - 1 and adj(A) = α h1 h1_starᵀ
 with tr adj(A) = ±c_1 != 0, so the first nonzero column and row of the
-adjugate are the null pair and their pairing is nonzero.  The products
-A h1 = 0 and h1_starᵀ A = 0 check the pair independently, in O(n²).
+adjugate are the null pair and their pairing is nonzero.  The matrix
+products A h1 = 0 and h1_starᵀ A = 0 check the pair independently, in
+O(n²), and two scalar scalings normalize it.
 The same pass gives the group inverse G of A (A G = G A = I - h1
 h1_starᵀ, G h1 = 0, h1_starᵀ G = 0) from the two adjugate coefficients
 it forms last, and the certificate keeps it.
@@ -25,8 +28,9 @@ zero eigenvalue, Hurwitz remainder, strictly positive null vectors).
 ``similarity_transformed`` conjugates such a matrix by a random invertible
 integer matrix T (T⁻¹ = adj(T) / det(T) from the charpoly pass of T),
 producing the same exact spectrum without the sign structure.  Entries
-are drawn as integer numerators over lcm(1.._ENTRY_BOUND).  Generation
-is fully deterministic in the seed.
+are drawn as integer numerators over lcm(1.._ENTRY_BOUND), scaled by
+one over that scale once per matrix.  Generation is fully deterministic
+in the seed.
 """
 
 from __future__ import annotations
@@ -38,9 +42,7 @@ from math import lcm
 
 from .exact_linalg import (
     RationalMatrix,
-    Vector,
     charpoly_adjugate,
-    dot,
     echelon_reduce,
     hurwitz_stable,
 )
@@ -85,12 +87,13 @@ class GenerationFailed(RuntimeError):
 class SystemSpec:
     """An interaction matrix with K diagonal transport directions.
 
-    ``D`` holds the diagonals, one length-n vector per direction.
+    ``D`` is the K x n matrix whose row i is the diagonal of direction i;
+    the constructor also accepts it as K rows of n exact entries.
     """
 
     n: int
     K: int
-    D: tuple[Vector, ...]
+    D: RationalMatrix
     A: RationalMatrix
     label: str = ""
 
@@ -101,16 +104,22 @@ class SystemSpec:
             raise ValueError(f"K must be at least 1, got {self.K}")
         if self.A.rows != self.n or self.A.cols != self.n:
             raise ValueError(f"A must be {self.n}x{self.n}")
-        if len(self.D) != self.K or any(len(d) != self.n for d in self.D):
-            raise ValueError(f"D must hold {self.K} diagonals of length {self.n}")
+        shape = f"D must hold {self.K} diagonals of length {self.n}"
+        if not isinstance(self.D, RationalMatrix):
+            if len(self.D) != self.K or any(len(d) != self.n for d in self.D):
+                raise ValueError(shape)
+            object.__setattr__(self, "D", RationalMatrix(self.D))
+        if (self.D.rows, self.D.cols) != (self.K, self.n):
+            raise ValueError(shape)
 
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Normalized null pair of an admissible A and its group inverse G."""
+    """Normalized null pair of an admissible A, as 1 x n rows, and its
+    group inverse G."""
 
-    h1: Vector
-    h1_star: Vector
+    h1: RationalMatrix
+    h1_star: RationalMatrix
     G: RationalMatrix
 
 
@@ -138,10 +147,10 @@ def _certified_pair(a: RationalMatrix) -> SpectralData:
     deflated polynomial is not Hurwitz.  The simple zero root makes
     adj(A) = α h1 h1_starᵀ with tr adj(A) = ±c_1 ≠ 0, so its first nonzero
     column is h1 and its first nonzero row h1_star, up to scale;
-    A h1 = 0 and h1_starᵀ A = 0 are checked, and the pair is scaled to
-    first-nonzero(h1) = 1 and (h1, h1_star) = 1, a pairing that trace
-    keeps nonzero.  G is
-    the group inverse the same pass returns at the simple zero root.
+    A h1 = 0 and h1_starᵀ A = 0 are checked as matrix products, and the
+    pair is scaled to first-nonzero(h1) = 1 and (h1, h1_star) = 1, a
+    pairing that trace keeps nonzero.  G is the group inverse the same
+    pass returns at the simple zero root.
     """
     coeffs, adj, g = charpoly_adjugate(a)
     if coeffs[0] != 0:
@@ -151,18 +160,16 @@ def _certified_pair(a: RationalMatrix) -> SpectralData:
     if not hurwitz_stable(coeffs[1:]):  # the deflated polynomial
         raise NotStable("nonzero spectrum is not contained in the open left half-plane")
     n = a.rows
-    cols = (tuple(adj[i, j] for i in range(n)) for j in range(n))
-    right = next(col for col in cols if any(col))
-    if a @ RationalMatrix(zip(right)) != RationalMatrix([[0]] * n):
+    right = next(col for col in map(adj.column, range(n)) if not col.is_zero())
+    if not (a @ right).is_zero():
         raise ArithmeticError("adjugate column is not a right null vector of A")
-    rows = (tuple(adj[i, j] for j in range(n)) for i in range(n))
-    left = next(row for row in rows if any(row))
-    if RationalMatrix((left,)) @ a != RationalMatrix([[0] * n]):
+    left = next(row for row in map(adj.row, range(n)) if not row.is_zero())
+    if not (left @ a).is_zero():
         raise ArithmeticError("adjugate row is not a left null vector of A")
-    lead = next(x for x in right if x != 0)
-    h1 = tuple(x / lead for x in right)
-    pairing = dot(h1, left)
-    return SpectralData(h1=h1, h1_star=tuple(x / pairing for x in left), G=g)
+    lead = next(x for x in (right[i, 0] for i in range(n)) if x)
+    h1 = right.transpose().scale(1 / lead)
+    pairing = (h1 @ left.transpose())[0, 0]
+    return SpectralData(h1=h1, h1_star=left.scale(1 / pairing), G=g)
 
 
 def validate_system(s: SystemSpec) -> SpectralData:
@@ -184,7 +191,8 @@ def _grid_numerator(rng: random.Random, low: int, bound: int, scale: int) -> int
 
 def _markov_generator(rng: random.Random, n: int, bound: int) -> RationalMatrix:
     """Matrix with positive off-diagonal entries and zero column sums,
-    drawn column by column as integer numerators over lcm(1..bound)."""
+    drawn column by column as integer numerators over lcm(1..bound) and
+    scaled by one over that scale once."""
     scale = lcm(*range(1, bound + 1))
     num = [[0] * n for _ in range(n)]
     for j in range(n):
@@ -192,7 +200,7 @@ def _markov_generator(rng: random.Random, n: int, bound: int) -> RationalMatrix:
             if i != j:
                 num[i][j] = _grid_numerator(rng, 1, bound, scale)
         num[j][j] = -sum(num[i][j] for i in range(n))
-    return RationalMatrix(num).scale_columns((Fraction(1, scale),) * n)
+    return RationalMatrix(num).scale(Fraction(1, scale))
 
 
 def _random_similar(rng: random.Random, base: RationalMatrix, bound: int) -> RationalMatrix:
@@ -228,13 +236,14 @@ def _sample_interaction(
         data = _certified_pair(a)
         # Stay inside the rank law's evident hypothesis class: the
         # conjugation must not park a null vector on a coordinate plane.
-        if all(data.h1) and all(data.h1_star):
+        if all(data.h1[0, j] and data.h1_star[0, j] for j in range(cfg.n)):
             return a, data
     raise GenerationFailed("similarity transform kept zeroing a null-vector entry")
 
 
-def _sample_diagonals(cfg: GeneratorConfig, rng: random.Random) -> tuple[Vector, ...]:
-    """K diagonals in general position for the rank law.
+def _sample_diagonals(cfg: GeneratorConfig, rng: random.Random) -> RationalMatrix:
+    """K diagonals in general position for the rank law, as the rows of
+    a K x n matrix.
 
     Each diagonal has n distinct entries, the vectors are pairwise
     distinct, and the rows 1, D_1, ..., D_K have rank min(K, n - 1) + 1,
@@ -261,7 +270,8 @@ def _sample_diagonals(cfg: GeneratorConfig, rng: random.Random) -> tuple[Vector,
     across all K (a whole-batch restart makes n = K = 8 genuinely flaky).
     Distinctness and the affine rank are tested on the integer numerators
     over one scale, each candidate reduced once against the echelon rows
-    of [1; accepted diagonals]; only accepted diagonals become Fractions.
+    of [1; accepted diagonals]; the accepted numerators are scaled by one
+    over that scale once, as one matrix.
     """
     n = cfg.n
     scale = lcm(*range(1, _ENTRY_BOUND + 1))
@@ -281,7 +291,7 @@ def _sample_diagonals(cfg: GeneratorConfig, rng: random.Random) -> tuple[Vector,
             break
         else:
             raise GenerationFailed("could not sample admissible transport diagonals")
-    return tuple(tuple(Fraction(x, scale) for x in d) for d in drawn)
+    return RationalMatrix(drawn).scale(Fraction(1, scale))
 
 
 def generate_instance(cfg: GeneratorConfig) -> tuple[SystemSpec, SpectralData]:

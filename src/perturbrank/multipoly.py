@@ -242,7 +242,14 @@ def poly_divexact(f: MultiPoly, g: MultiPoly) -> MultiPoly:
 # -- rational functions over a factor base -------------------------------
 
 
-def _checked_base(base: Sequence[MultiPoly]) -> tuple[MultiPoly, ...]:
+class _FactorBase(tuple):
+    """A factor base that ``_checked_base`` accepted; the ``RatFunc``
+    constructor takes it as it stands."""
+
+    __slots__ = ()
+
+
+def _checked_base(base: Sequence[MultiPoly]) -> _FactorBase:
     """The base as a tuple, once every factor has the form RatFunc needs."""
     base = tuple(base)
     if not base:
@@ -260,7 +267,7 @@ def _checked_base(base: Sequence[MultiPoly]) -> tuple[MultiPoly, ...]:
                 f"base factor {f} is not a non-constant primitive integer "
                 "polynomial with a positive leading coefficient"
             )
-    return base
+    return _FactorBase(base)
 
 
 def _cancel(
@@ -296,7 +303,9 @@ class RatFunc:
     The caller promises that the factors of ``base`` are irreducible over
     Q and pairwise non-associate; the constructor rejects a factor that is
     constant, not primitive with integer coefficients, or has a negative
-    leading coefficient, and reduces ``num`` against the denominator.
+    leading coefficient, and reduces ``num`` against the denominator.  It
+    checks a base once: the ``base`` of a built value is taken as it
+    stands, so values built over it skip the check.
     Operands of one operation must share the base.  The expanded
     denominator is built on first use and kept.
     """
@@ -309,7 +318,8 @@ class RatFunc:
         base: Sequence[MultiPoly],
         exps: Sequence[int] | None = None,
     ):
-        base = _checked_base(base)
+        if type(base) is not _FactorBase:
+            base = _checked_base(base)
         num._require_same_vars(base[0])
         exps = (0,) * len(base) if exps is None else tuple(exps)
         if len(exps) != len(base) or any(type(e) is not int or e < 0 for e in exps):

@@ -106,8 +106,10 @@ def build_M_parametric(K: int) -> SymbolicStructure:
     # the factor base of every entry: each factor has degree one in a
     # variable whose coefficient is constant, so it is irreducible, and no
     # two are associates; RatFunc has no division, so no entry can need a
-    # denominator outside the base
+    # denominator outside the base.  The constructor checks it here, once:
+    # every value below is built over the base of this first one.
     base = (a, b, k, s, *(poly[f"d{i}_1"] - poly[f"d{i}_2"] for i in range(1, K + 1)))
+    base = RatFunc(MultiPoly.constant(names, 1), base).base
 
     def over(num: MultiPoly, *factors: MultiPoly) -> RatFunc:
         """num over the product of the listed base factors."""

@@ -24,7 +24,7 @@ from perturbrank.asymptotics import (
     phi0_eval,
 )
 from perturbrank.cli import run_command
-from perturbrank.exact_linalg import RationalMatrix, dot, nullspace
+from perturbrank.exact_linalg import RationalMatrix, nullspace
 from perturbrank.formats import load_instance_file
 from perturbrank.model import (
     FAMILIES,
@@ -57,6 +57,16 @@ def _verdict(spec):
     return ts, analyze_structure(ts)
 
 
+def dot(u, v) -> Fraction:
+    assert len(u) == len(v)
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+def _flat(m: RationalMatrix) -> tuple[Fraction, ...]:
+    """The entries of a row or a column."""
+    return tuple(m[i, j] for i in range(m.rows) for j in range(m.cols))
+
+
 def _line(ok: bool, name: str, detail: str) -> bool:
     print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     return ok
@@ -66,7 +76,9 @@ def _line(ok: bool, name: str, detail: str) -> bool:
 def small_grid(tmp_path_factory):
     """n, K in 2..5, 200 instances per cell, both families, seed 1."""
     art = str(tmp_path_factory.mktemp("small-grid-artifacts"))
-    cfg = CampaignConfig(n_range=(2, 5), K_range=(2, 5), samples_per_cell=200, seed=1)
+    cfg = CampaignConfig(
+        n_range=(2, 5), K_range=(2, 5), samples_per_cell=200, seed=1, worker_count=2
+    )
     return run_campaign(cfg, artifact_dir=art), art
 
 
@@ -74,7 +86,9 @@ def small_grid(tmp_path_factory):
 def extended_grid(tmp_path_factory):
     """n, K in 2..8, 50 instances per cell, both families, seed 2."""
     art = str(tmp_path_factory.mktemp("extended-grid-artifacts"))
-    cfg = CampaignConfig(n_range=(2, 8), K_range=(2, 8), samples_per_cell=50, seed=2)
+    cfg = CampaignConfig(
+        n_range=(2, 8), K_range=(2, 8), samples_per_cell=50, seed=2, worker_count=2
+    )
     return run_campaign(cfg, artifact_dir=art), art
 
 
@@ -174,7 +188,7 @@ def _eliminated_group_inverse(a, sd):
     """G from elimination alone: column j of X solves A x = e_j - h1_star_j h1,
     read off the kernel of [A | h1 h1_starᵀ - I], then G = X - h1 (h1_starᵀ X)."""
     n = a.rows
-    h, hs = RationalMatrix(zip(sd.h1)), RationalMatrix((sd.h1_star,))
+    h, hs = sd.h1.transpose(), sd.h1_star
     projector = RationalMatrix.identity(n) - h @ hs
     aug = RationalMatrix(
         [a[i, j] for j in range(n)] + [-projector[i, j] for j in range(n)] for i in range(n)
@@ -203,17 +217,16 @@ def test_exact_identity_suite():
         ts = build_M(s, sd)
 
         zero_n = (Fraction(0),) * n
-        assert s.A @ RationalMatrix(zip(sd.h1)) == RationalMatrix([[0]] * n)
-        assert tuple(dot(tuple(s.A[i, j] for i in range(n)), sd.h1_star) for j in range(n)) == zero_n
-        assert dot(sd.h1, sd.h1_star) == Fraction(1)
+        h1, h1_star = _flat(sd.h1), _flat(sd.h1_star)
+        assert s.A @ sd.h1.transpose() == RationalMatrix([[0]] * n)
+        assert tuple(dot(tuple(s.A[i, j] for i in range(n)), h1_star) for j in range(n)) == zero_n
+        assert dot(h1, h1_star) == Fraction(1)
         w = [tuple(ts.P[i, j] for j in range(n)) for i in range(k)]
         for wi in w:
-            assert dot(wi, sd.h1_star) == Fraction(0)
+            assert dot(wi, h1_star) == Fraction(0)
         g = _eliminated_group_inverse(s.A, sd)
         assert g == sd.G
-        assert s.A @ g == RationalMatrix.identity(n) - RationalMatrix(
-            zip(sd.h1)
-        ) @ RationalMatrix((sd.h1_star,))
+        assert s.A @ g == RationalMatrix.identity(n) - sd.h1.transpose() @ sd.h1_star
         for i in range(k):
             for j in range(i):
                 assert ts.M[i, j] == ts.M[j, i]
@@ -230,11 +243,12 @@ def test_exact_identity_suite():
         )
         gammas = cs @ ts.P.transpose()  # row c holds c · w_i
         tile = RationalMatrix([int(j % k == i) for j in range(100 * k)] for i in range(k))
-        lifts = g @ ts.P.transpose() @ tile + RationalMatrix(zip(sd.h1)) @ RationalMatrix(
+        lifts = g @ ts.P.transpose() @ tile + sd.h1.transpose() @ RationalMatrix(
             [[gammas[c, i] for c in range(100) for i in range(k)]]
         )
         q = RationalMatrix(
-            [(d - ts.v[i]) * hs for d, hs in zip(s.D[i], sd.h1_star)] for i in range(k)
+            [(d - ts.v[i, 0]) * hs for d, hs in zip(_flat(s.D.row(i)), h1_star)]
+            for i in range(k)
         )
         ql = q @ lifts
         # (first + second) / 2 == M[i, j] on the integer rows of Q L and M

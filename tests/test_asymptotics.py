@@ -22,7 +22,7 @@ from perturbrank.asymptotics import (
     pde_residual,
     phi0_eval,
 )
-from perturbrank.exact_linalg import RationalMatrix, dot, nullspace, rank_exact
+from perturbrank.exact_linalg import RationalMatrix, nullspace, rank_exact
 from perturbrank.formats import load_instance_file
 from perturbrank.model import (
     FAMILIES,
@@ -51,6 +51,16 @@ TRIPLE = SystemSpec(
 )
 
 
+def dot(u, v) -> Fraction:
+    assert len(u) == len(v)
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+def _flat(m: RationalMatrix) -> tuple[Fraction, ...]:
+    """The entries of a row or a column."""
+    return tuple(m[i, j] for i in range(m.rows) for j in range(m.cols))
+
+
 def _pipeline(s: SystemSpec):
     sd = validate_system(s)
     return sd, build_M(s, sd)
@@ -73,11 +83,9 @@ def _solve_constrained(m: RationalMatrix, y, c) -> tuple[Fraction, ...]:
 def _eliminated_group_inverse(a: RationalMatrix, sd) -> RationalMatrix:
     """Oracle: G column by column from ``_solve_constrained``, so it never
     touches the charpoly recurrence that gives ``sd.G``."""
-    projector = RationalMatrix.identity(a.rows) - RationalMatrix(
-        zip(sd.h1)
-    ) @ RationalMatrix((sd.h1_star,))
+    projector = RationalMatrix.identity(a.rows) - sd.h1.transpose() @ sd.h1_star
     columns = [
-        _solve_constrained(a, [projector[i, j] for i in range(a.rows)], sd.h1_star)
+        _solve_constrained(a, [projector[i, j] for i in range(a.rows)], _flat(sd.h1_star))
         for j in range(a.cols)
     ]
     return RationalMatrix(zip(*columns))
@@ -85,7 +93,7 @@ def _eliminated_group_inverse(a: RationalMatrix, sd) -> RationalMatrix:
 
 def _assert_group_inverse(a: RationalMatrix, sd) -> None:
     n = a.rows
-    h, hs = RationalMatrix(zip(sd.h1)), RationalMatrix((sd.h1_star,))
+    h, hs = sd.h1.transpose(), sd.h1_star
     assert a @ sd.G == sd.G @ a == RationalMatrix.identity(n) - h @ hs
     assert hs @ sd.G == RationalMatrix([[0] * n])
     assert sd.G @ h == RationalMatrix([[0]] * n)
@@ -100,11 +108,11 @@ def _two_state_family(a: Fraction, b: Fraction, k: Fraction, diagonals) -> Syste
 class TestVelocities:
     def test_w1(self):
         sd = validate_system(W1)
-        assert build_M(W1, sd).v == (Fraction(1, 2), Fraction(1, 2))
+        assert _flat(build_M(W1, sd).v) == (Fraction(1, 2), Fraction(1, 2))
 
     def test_uniform_null_vector_averages(self):
         sd = validate_system(TRIPLE)
-        assert build_M(TRIPLE, sd).v[0] == 2
+        assert build_M(TRIPLE, sd).v[0, 0] == 2
 
     def test_constant_diagonal_gives_its_value(self):
         s = SystemSpec(
@@ -114,7 +122,7 @@ class TestVelocities:
             A=W1.A,
         )
         sd = validate_system(s)
-        assert build_M(s, sd).v == (Fraction(5),)
+        assert _flat(build_M(s, sd).v) == (Fraction(5),)
 
 
 class TestGroupInverse:
@@ -146,7 +154,7 @@ class TestGroupInverse:
         for a in cases:
             sd = validate_system(SystemSpec(n=a.rows, K=1, D=((Fraction(0),) * a.rows,), A=a))
             _assert_group_inverse(a, sd)
-            pairs.append((sd.h1, sd.h1_star))
+            pairs.append((_flat(sd.h1), _flat(sd.h1_star)))
         assert pairs[1][0] == (1, 0, 0)
         assert pairs[2][1] == (1, 0, 0)
 
@@ -168,14 +176,14 @@ class TestBuildM:
     def test_w1_matrix(self):
         sd, ts = _pipeline(W1)
         assert ts.M == RationalMatrix([["-1/8", "1/8"], ["1/8", "-1/8"]])
-        assert ts.v == (Fraction(1, 2), Fraction(1, 2))
+        assert _flat(ts.v) == (Fraction(1, 2), Fraction(1, 2))
 
     def test_psi_definition(self):
         sd, ts = _pipeline(W1)
         assert (ts.P.rows, ts.P.cols) == (W1.K, W1.n)
-        for i, (d, vi) in enumerate(zip(W1.D, ts.v)):
+        for i, vi in enumerate(_flat(ts.v)):
             p = tuple(ts.P[i, j] for j in range(W1.n))
-            assert p == tuple((x - vi) * h for x, h in zip(d, sd.h1))
+            assert p == tuple((x - vi) * h for x, h in zip(_flat(W1.D.row(i)), _flat(sd.h1)))
 
     def test_builds_M_without_elimination(self, monkeypatch):
         # build_M multiplies by the certificate's G: asymptotics imports no
@@ -219,7 +227,7 @@ class TestBuildM:
             sd, ts = _pipeline(s)
             g = _eliminated_group_inverse(s.A, sd)
             sg = RationalMatrix(
-                [[sd.h1_star[r] / sd.h1[r] * g[r, c] for c in range(s.n)]
+                [[sd.h1_star[0, r] / sd.h1[0, r] * g[r, c] for c in range(s.n)]
                  for r in range(s.n)]
             )
             b = RationalMatrix(
@@ -275,8 +283,8 @@ class TestBuildM:
         scale = Fraction(7, 3)
         rescaled = dataclasses.replace(
             sd,
-            h1=tuple(x * scale for x in sd.h1),
-            h1_star=tuple(x / scale for x in sd.h1_star),
+            h1=sd.h1.scale(scale),
+            h1_star=sd.h1_star.scale(1 / scale),
         )
         assert build_M(TRIPLE, rescaled).M == ts.M
 
@@ -352,7 +360,7 @@ class TestAnalyzeStructure:
         # exact rank 2, but -1/10¹⁰ lies under RANK_AGREEMENT_TOLERANCE
         # times max|M| = 1, so the Jacobi spectrum counts rank 1
         ts = TransferStructure(
-            v=(Fraction(0), Fraction(0)),
+            v=RationalMatrix([[0], [0]]),
             P=RationalMatrix([[1, 0, -1], [0, 1, -1]]),
             M=RationalMatrix([[-1, 0], [0, Fraction(-1, 10**10)]]),
         )

@@ -20,7 +20,6 @@ from perturbrank.exact_linalg import (
     _primitive_rows,
     as_rational,
     charpoly_adjugate,
-    dot,
     echelon_reduce,
     hurwitz_stable,
     nullspace,
@@ -138,7 +137,7 @@ class TestRationalMatrix:
             diag = RationalMatrix(
                 [[v[i] if i == j else Fraction(0) for j in range(cols)] for i in range(cols)]
             )
-            scaled = a.scale_columns(v)
+            scaled = a.scale_columns(RationalMatrix([v]))
             assert scaled == a @ diag
             assert _entries(scaled) == [[x * c for x, c in zip(row, v)] for row in _entries(a)]
             total = a + b
@@ -151,7 +150,7 @@ class TestRationalMatrix:
             assert total - b == a
             assert ((total - b).num, (total - b).den) == (a.num, a.den)
         with pytest.raises(ValueError):
-            RationalMatrix([[1, 2]]).scale_columns([1])
+            RationalMatrix([[1, 2]]).scale_columns(RationalMatrix([[1]]))
         with pytest.raises(ValueError):
             RationalMatrix([[1, 2]]) + RationalMatrix([[1], [2]])
 

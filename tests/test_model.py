@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,7 +12,6 @@ from perturbrank.exact_linalg import (
     RationalMatrix,
     Vector,
     charpoly_adjugate,
-    dot,
     nullspace,
     rank_exact,
 )
@@ -40,6 +40,20 @@ GENERATOR_DIGEST = "9ff9241370af407c63019b85a1ec2f89a268814cb6790cdc065bf20f3997
 
 W1_A = RationalMatrix([[-1, 1], [1, -1]])
 TRIPLE_A = RationalMatrix([[-2, 1, 1], [1, -2, 1], [1, 1, -2]])
+
+
+def dot(u, v) -> Fraction:
+    assert len(u) == len(v)
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+def _flat(m: RationalMatrix) -> tuple[Fraction, ...]:
+    """The entries of a row or a column."""
+    return tuple(m[i, j] for i in range(m.rows) for j in range(m.cols))
+
+
+def _rows(m: RationalMatrix) -> tuple[tuple[Fraction, ...], ...]:
+    return tuple(_flat(m.row(i)) for i in range(m.rows))
 
 
 def _spec(a: RationalMatrix, k: int = 2) -> SystemSpec:
@@ -90,7 +104,7 @@ class TestNullPair:
         assert h1 == (Fraction(1), Fraction(1))
         assert h1_star == (Fraction(1, 2), Fraction(1, 2))
         data = validate_system(_spec(W1_A))
-        assert (data.h1, data.h1_star) == (h1, h1_star)
+        assert (_flat(data.h1), _flat(data.h1_star)) == (h1, h1_star)
 
     def test_asymmetric_two_state(self):
         # A = [[-a, b], [k a, -k b]] with a=2, b=1, k=1
@@ -100,7 +114,7 @@ class TestNullPair:
         assert h1_star == (Fraction(1, 3), Fraction(1, 3))
         assert dot(h1, h1_star) == 1
         data = validate_system(_spec(a))
-        assert (data.h1, data.h1_star) == (h1, h1_star)
+        assert (_flat(data.h1), _flat(data.h1_star)) == (h1, h1_star)
 
     def test_invertible_matrix_rejected(self):
         with pytest.raises(KernelDimensionError):
@@ -158,15 +172,15 @@ class TestValidateSystem:
     def test_two_state_exchange(self):
         data = validate_system(_spec(W1_A))
         assert data == SpectralData(
-            h1=(Fraction(1), Fraction(1)),
-            h1_star=(Fraction(1, 2), Fraction(1, 2)),
+            h1=RationalMatrix([[1, 1]]),
+            h1_star=RationalMatrix([["1/2", "1/2"]]),
             G=RationalMatrix([["-1/4", "1/4"], ["1/4", "-1/4"]]),
         )
 
     def test_triple_exchange(self):
         data = validate_system(_spec(TRIPLE_A))
-        assert data.h1 == (Fraction(1), Fraction(1), Fraction(1))
-        assert data.h1_star == (Fraction(1, 3),) * 3
+        assert _flat(data.h1) == (Fraction(1), Fraction(1), Fraction(1))
+        assert _flat(data.h1_star) == (Fraction(1, 3),) * 3
 
     def test_no_zero_eigenvalue(self):
         with pytest.raises(KernelDimensionError):
@@ -191,12 +205,12 @@ class TestValidateSystem:
             n = rng.randint(2, 6)
             a = _markov_generator(rng, n, 5)
             data = validate_system(_spec(a))
-            assert a @ RationalMatrix(zip(data.h1)) == RationalMatrix([[0]] * n)
-            assert a.transpose() @ RationalMatrix(zip(data.h1_star)) == RationalMatrix(
+            assert a @ data.h1.transpose() == RationalMatrix([[0]] * n)
+            assert a.transpose() @ data.h1_star.transpose() == RationalMatrix(
                 [[0]] * n
             )
-            assert dot(data.h1, data.h1_star) == 1
-            lead = next(x for x in data.h1 if x != 0)
+            assert dot(_flat(data.h1), _flat(data.h1_star)) == 1
+            lead = next(x for x in _flat(data.h1) if x != 0)
             assert lead == 1
 
     def test_matches_elimination_oracle(self):
@@ -207,8 +221,8 @@ class TestValidateSystem:
         for _ in range(1000):
             a = _admissible_non_markov(rng, rng.randint(2, 7))
             data = validate_system(_spec(a))
-            assert (data.h1, data.h1_star) == null_pair_normalized(a)
-            zero_entries += not (all(data.h1) and all(data.h1_star))
+            assert (_flat(data.h1), _flat(data.h1_star)) == null_pair_normalized(a)
+            zero_entries += not (all(_flat(data.h1)) and all(_flat(data.h1_star)))
             non_markov += a.transpose() @ RationalMatrix([[1]] * a.rows) != RationalMatrix(
                 [[0]] * a.rows
             )
@@ -301,11 +315,11 @@ class TestGenerateInstance:
                 )
                 s, data = generate_instance(cfg)
                 assert data == validate_system(s)  # the validation it already ran
-                assert all(x != 0 for x in data.h1)
-                assert all(x != 0 for x in data.h1_star)
-                for d in s.D:
+                assert all(x != 0 for x in _flat(data.h1))
+                assert all(x != 0 for x in _flat(data.h1_star))
+                for d in _rows(s.D):
                     assert len(set(d)) == s.n
-                assert len(set(s.D)) == s.K
+                assert len(set(_rows(s.D))) == s.K
                 assert s.label == f"{family}-n{cfg.n}-K{cfg.K}-seed{cfg.seed}"
 
     def test_similarity_preserves_spectrum(self):
@@ -353,7 +367,7 @@ class TestGenerateInstance:
                         assert on_candidates[-1] is candidates[-1] == s.A
                         draws.append(len(candidates))
                     # the oracle runs outside the counted generation
-                    assert (data.h1, data.h1_star) == null_pair_normalized(s.A)
+                    assert (_flat(data.h1), _flat(data.h1_star)) == null_pair_normalized(s.A)
         assert max(draws) > 1  # some seed's zero-entry screen rejected a draw
 
     def test_wrong_constructed_pair_raises(self, monkeypatch):
@@ -366,12 +380,12 @@ class TestGenerateInstance:
 
         def skew_rows(m):
             coeffs, adj, g = true_pass(m)
-            scales = range(1, m.rows + 1)
+            scales = RationalMatrix([range(1, m.rows + 1)])
             return coeffs, adj.transpose().scale_columns(scales).transpose(), g
 
         def skew_columns(m):
             coeffs, adj, g = true_pass(m)
-            return coeffs, adj.scale_columns(range(1, m.rows + 1)), g
+            return coeffs, adj.scale_columns(RationalMatrix([range(1, m.rows + 1)])), g
 
         for fake, side in ((skew_rows, "right"), (skew_columns, "left")):
             monkeypatch.setattr(model, "charpoly_adjugate", fake)
@@ -379,7 +393,7 @@ class TestGenerateInstance:
                 with pytest.raises(ArithmeticError, match=f"{side} null vector"):
                     generate_instance(GeneratorConfig(n=4, K=2, seed=3, family=family))
             with pytest.raises(ArithmeticError, match=f"{side} null vector"):
-                validate_system(_spec(TRIPLE_A.scale_columns((1, 2, 3))))
+                validate_system(_spec(TRIPLE_A.scale_columns(RationalMatrix([(1, 2, 3)]))))
 
     def test_similarity_is_not_markov(self):
         found_non_markov = False
@@ -415,11 +429,11 @@ class TestGenerateInstance:
             s, data = generate_instance(
                 GeneratorConfig(n=n, K=k, seed=5000 + index, family=family)
             )
-            weights = tuple(a * b for a, b in zip(data.h1, data.h1_star))
+            weights = tuple(a * b for a, b in zip(_flat(data.h1), _flat(data.h1_star)))
             pushed = []
-            for d in s.D:
+            for d in _rows(s.D):
                 v = dot(d, weights)
-                pushed.append(tuple((di - v) * h for di, h in zip(d, data.h1)))
+                pushed.append(tuple((di - v) * h for di, h in zip(d, _flat(data.h1))))
             assert rank_exact(RationalMatrix(pushed)) == min(k, n - 1)
 
     def test_outputs_pinned_by_digest(self):
@@ -432,13 +446,52 @@ class TestGenerateInstance:
                             GeneratorConfig(n=n, K=k, seed=seed, family=family)
                         )
                         spectral = [
-                            [str(x) for x in data.h1],
-                            [str(x) for x in data.h1_star],
+                            [str(x) for x in _flat(data.h1)],
+                            [str(x) for x in _flat(data.h1_star)],
                             True,  # the report's "stable" field, part of the recorded digest
                         ]
                         digest.update(dumps(instance_to_dict(s)).encode("utf-8"))
                         digest.update(dumps(spectral).encode("utf-8"))
         assert digest.hexdigest() == GENERATOR_DIGEST
+
+
+class TestIntegerRows:
+    """Every exact vector is held as integer rows: D is K x n, h1 and
+    h1_star are 1 x n and v is K x 1, so generating an instance and
+    building its M construct no Fraction per entry."""
+
+    def test_vector_fields_are_matrices(self):
+        for family in FAMILIES:
+            s, data = generate_instance(GeneratorConfig(n=5, K=3, seed=4, family=family))
+            ts = build_M(s, data)
+            shapes = [(m.rows, m.cols) for m in (data.h1, data.h1_star, s.D, ts.v)]
+            assert shapes == [(1, 5), (1, 5), (3, 5), (3, 1)]
+            assert all(isinstance(m, RationalMatrix) for m in (data.h1, data.h1_star, s.D, ts.v))
+
+    def test_fraction_constructions_do_not_grow(self):
+        built = []
+        original = vars(Fraction)["__new__"]
+
+        def counted(cls, *args, **kwargs):
+            built.append(cls)
+            return original.__func__(cls, *args, **kwargs)
+
+        generate, assemble = {}, {}
+        Fraction.__new__ = staticmethod(counted)
+        try:
+            for family in FAMILIES:
+                for n, k in itertools.product((2, 5, 8), repeat=2):
+                    built.clear()
+                    s, data = generate_instance(GeneratorConfig(n=n, K=k, seed=9, family=family))
+                    generate[family, n, k] = len(built)
+                    built.clear()
+                    build_M(s, data)
+                    assemble[family, n, k] = len(built)
+        finally:
+            Fraction.__new__ = original
+        assert len(set(assemble.values())) == 1, assemble
+        for family, n, k in generate:
+            assert generate[family, n, k] == generate[family, n, 2], generate
 
 
 def _pushed_rank(diagonals, h1, h1_star) -> int:
@@ -504,8 +557,8 @@ class TestAffineRankLemma:
         diagonals = ((Fraction(0), Fraction(1)), (Fraction(0), Fraction(2)))
         spec = SystemSpec(n=2, K=2, D=diagonals, A=a)
         data = validate_system(spec)
-        assert data.h1 == (1, 0)
-        assert _affine_rank(spec.D) - 1 == 1 == min(spec.K, spec.n - 1)
-        assert _pushed_rank(spec.D, data.h1, data.h1_star) == 0
+        assert _flat(data.h1) == (1, 0)
+        assert _affine_rank(_rows(spec.D)) - 1 == 1 == min(spec.K, spec.n - 1)
+        assert _pushed_rank(_rows(spec.D), _flat(data.h1), _flat(data.h1_star)) == 0
         ts = build_M(spec, data)
         assert analyze_structure(ts).outcome == "degenerate"

@@ -335,7 +335,7 @@ def _constructed_violation(spec: SystemSpec, sd, coeffs) -> SystemSpec | None:
     where a denominator of the construction vanishes.
     """
     n = spec.n
-    h1, h1_star = sd.h1, sd.h1_star
+    h1, h1_star = (tuple(m[0, j] for j in range(n)) for m in (sd.h1, sd.h1_star))
     outer = RationalMatrix(zip(h1)) @ RationalMatrix([h1_star])
     r0 = sd.G + outer
     s = RationalMatrix([[h1_star[i] / h1[i] if i == j else 0 for j in range(n)] for i in range(n)])
@@ -353,7 +353,8 @@ def _constructed_violation(spec: SystemSpec, sd, coeffs) -> SystemSpec | None:
     if quadratic == 0 or 2 * quadratic == beta:
         return None
     x = 1 / (2 * quadratic - beta)  # τ* / (1 - τ* β)
-    return dataclasses.replace(spec, A=spec.A + (u @ w.transpose()).scale_columns((x,) * n))
+    scales = RationalMatrix([(x,) * n])
+    return dataclasses.replace(spec, A=spec.A + (u @ w.transpose()).scale_columns(scales))
 
 
 def test_constructed_violations_at_full_rank_K():

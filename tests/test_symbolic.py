@@ -143,6 +143,21 @@ class TestBuildMParametric:
             counts[K] = len(calls)
         assert len(set(counts.values())) == 1, counts
 
+    def test_factor_base_checked_once_per_build(self, monkeypatch):
+        # every value of a build shares the base its first value checked
+        checked = []
+        real = multipoly._checked_base
+
+        def counted(base):
+            checked.append(len(base))
+            return real(base)
+
+        monkeypatch.setattr(multipoly, "_checked_base", counted)
+        for K in range(2, 7):
+            checked.clear()
+            build_M_parametric(K)
+            assert checked == [4 + K]
+
     def test_matrix_is_symmetric(self):
         st = build_M_parametric(3)
         for i in range(3):
@@ -236,7 +251,7 @@ class TestNumericAgreement:
             ts = build_M(spec, sd)
             v = ts.v
             for i in range(K):
-                assert st.velocities[i].eval(values) == v[i]
+                assert st.velocities[i].eval(values) == v[i, 0]
                 for j in range(K):
                     assert st.M[i][j].eval(values) == ts.M[i, j]
             checked += 1
@@ -259,8 +274,8 @@ class TestNumericAgreement:
             spec = numeric_counterpart(values, 2)
             sd = validate_system(spec)
             for idx in range(2):
-                assert st.h1[idx].eval(values) == sd.h1[idx]
-                assert st.h1_star[idx].eval(values) == sd.h1_star[idx]
+                assert st.h1[idx].eval(values) == sd.h1[0, idx]
+                assert st.h1_star[idx].eval(values) == sd.h1_star[0, idx]
 
 
 class TestSymbolicReport:
