@@ -18,9 +18,12 @@ elimination.  A screen that grows a rank one row at a time keeps plain
 integer echelon rows and reduces each new row against them with
 ``echelon_reduce``.  So
 intermediate values stay integral and every division is checked to be
-exact.  A ``fractions.Fraction`` is built only where an entry leaves the
-module: ``m[i, j]``, ``repr``, kernel vectors and characteristic
-polynomial coefficients.  Nothing here is approximate.
+exact.  The characteristic polynomial's coefficients come back as one
+``1 x (n + 1)`` row, which ``hurwitz_stable`` reads as it stands.
+``to_strings`` writes the entries as ``"p"``/``"p/q"`` strings straight
+off the integer rows (``rational_str``), so a ``fractions.Fraction`` is
+built only where an entry leaves the module as a number: ``m[i, j]`` and
+kernel vectors.  Nothing here is approximate.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ __all__ = [
     "hurwitz_stable",
     "nullspace",
     "rank_exact",
+    "rational_str",
 ]
 
 
@@ -74,6 +78,13 @@ def as_rational(value: int | str | Fraction) -> Fraction:
     if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
+
+
+def rational_str(num: int, den: int) -> str:
+    """``str(Fraction(num, den))`` for ``den > 0``, without the Fraction:
+    ``"p"`` or ``"p/q"`` in lowest terms, reduced with one gcd."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 class RationalMatrix:
@@ -136,6 +147,10 @@ class RationalMatrix:
         """Column j as a ``rows x 1`` matrix."""
         return RationalMatrix._make([(row[j],) for row in self.num], self.den)
 
+    def columns(self, start: int) -> "RationalMatrix":
+        """Columns start, ..., cols - 1 as a ``rows x (cols - start)`` matrix."""
+        return RationalMatrix._make([row[start:] for row in self.num], self.den)
+
     def is_zero(self) -> bool:
         return not any(map(any, self.num))
 
@@ -190,6 +205,14 @@ class RationalMatrix:
             self.den * other.den,
         )
 
+    def to_strings(self) -> list[list[str]]:
+        """The entries as ``str(self[i, j])`` writes them, ``"p"`` or
+        ``"p/q"`` in lowest terms, without building a Fraction."""
+        den = self.den
+        if den == 1:
+            return [list(map(str, row)) for row in self.num]
+        return [[rational_str(x, den) for x in row] for row in self.num]
+
     def to_float(self) -> list[list[float]]:
         # int / int is correctly rounded, so this is float(self[i, j])
         return [[x / self.den for x in row] for row in self.num]
@@ -205,9 +228,7 @@ class RationalMatrix:
         return hash((self.num, self.den))
 
     def __repr__(self) -> str:
-        body = "; ".join(
-            " ".join(str(Fraction(x, self.den)) for x in row) for row in self.num
-        )
+        body = "; ".join(" ".join(row) for row in self.to_strings())
         return f"RationalMatrix[{body}]"
 
 
@@ -315,11 +336,12 @@ def echelon_reduce(echelon: Sequence[Sequence[int]], row: Sequence[int]) -> list
 
 def charpoly_adjugate(
     m: RationalMatrix,
-) -> tuple[Vector, RationalMatrix, RationalMatrix | None]:
+) -> tuple[RationalMatrix, RationalMatrix, RationalMatrix | None]:
     """Coefficients of det(λI - m), ascending, adj(m) and the group
     inverse of m, by one Faddeev-LeVerrier recurrence.
 
-    The tuple has n + 1 entries and ends in the leading 1.  The
+    The coefficients are one ``1 x (n + 1)`` row that ends in the
+    leading 1, over the common denominator d^n.  The
     recurrence runs on the integer matrix B = m.num = d·m, with d = m.den
     (one common multiplier, so B's polynomial is the same one rescaled):
     B_1 = B, c_k = -tr(B_k) / k, an exact integer division, and
@@ -354,7 +376,10 @@ def charpoly_adjugate(
             prev, adj = adj, bk
             cols = list(zip(*bk))
             bk = [[sum(map(mul, row, col)) for col in cols] for row in b]
-    coeffs = tuple(Fraction(ck, d**k) for k, ck in reversed(list(enumerate(c))))
+    # the coefficient of λ^(n-k) is c_k / d^k = c_k d^(n-k) / d^n
+    coeffs = RationalMatrix._make(
+        [[ck * d ** (n - k) for k, ck in reversed(list(enumerate(c)))]], d**n
+    )
     a1, a2 = c[n - 1], c[n - 2] if n > 1 else 0
     if c[n]:
         inverse = RationalMatrix._make([[-d * x for x in row] for row in adj], c[n])
@@ -369,9 +394,9 @@ def charpoly_adjugate(
     return coeffs, RationalMatrix._make(adj, (-d) ** (n - 1)), inverse
 
 
-def hurwitz_stable(coeffs: Sequence[int | str | Fraction]) -> bool:
-    """True iff every root of the polynomial with these ascending
-    coefficients has strictly negative real part.
+def hurwitz_stable(coeffs: RationalMatrix) -> bool:
+    """True iff every root of the polynomial whose ascending coefficients
+    are the ``1 x m`` row ``coeffs`` has strictly negative real part.
 
     Trailing zero coefficients are dropped; ``ValueError`` is raised
     when nothing is left.  Classical Hurwitz-determinant criterion,
@@ -382,8 +407,10 @@ def hurwitz_stable(coeffs: Sequence[int | str | Fraction]) -> bool:
     n pivots, every pivot positive.  A nonzero constant has no roots and
     counts as stable.
     """
-    # A positive multiple clears the denominators; zeros stay zeros.
-    desc = RationalMatrix([coeffs[::-1]]).num[0] if coeffs else ()
+    if coeffs.rows != 1:
+        raise ValueError(f"{coeffs.rows}x{coeffs.cols} coefficients, expected one row")
+    # the integer row is a positive multiple of the polynomial
+    desc = coeffs.num[0][::-1]
     lead = next((i for i, c in enumerate(desc) if c), None)
     if lead is None:
         raise ValueError("the zero polynomial has no stability verdict")

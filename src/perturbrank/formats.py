@@ -9,6 +9,7 @@ deterministic: sorted keys, fixed indentation, trailing newline.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -29,7 +30,7 @@ __all__ = [
 
 FORMAT_VERSION = 1
 
-_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 _INSTANCE_KEYS = {"format_version", "n", "K", "A", "D", "label"}
 
@@ -48,10 +49,12 @@ def _parse_rational(value: object, where: str = "value") -> Fraction:
             f"{where}: floats are not accepted; write an exact rational "
             f'string like "3/10"'
         )
-    if not isinstance(value, str) or not _RATIONAL_RE.fullmatch(value):
+    match = _RATIONAL_RE.fullmatch(value) if isinstance(value, str) else None
+    if match is None:
         raise ValueError(f"{where}: {value!r:.60} is not of the form 'p' or 'p/q'")
+    p, q = match.groups()
     try:
-        return Fraction(value)
+        return Fraction(int(p), int(q or 1))
     except ZeroDivisionError:
         raise ValueError(f"{where}: zero denominator in {value!r:.60}") from None
     except ValueError as exc:  # more digits than int() converts
@@ -137,8 +140,19 @@ def load_instance_file(path: str) -> SystemSpec:
     return _instance_from_dict(data)
 
 
-def _matrix_strs(m: RationalMatrix) -> list[list[str]]:
-    return [[str(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
+def _matrix_strs(m: RationalMatrix, where: str) -> list[list[str]]:
+    """The entries of m as "p" or "p/q" strings.  An entry with more
+    digits than ``str(int)`` converts raises ValueError naming it as
+    ``where`` formatted with its row i and column j."""
+    try:
+        return m.to_strings()
+    except ValueError as exc:
+        for i, j in itertools.product(range(m.rows), range(m.cols)):
+            try:
+                str(m[i, j])
+            except ValueError:
+                raise ValueError(f"{where.format(i=i, j=j)}: {exc}") from None
+        raise
 
 
 def instance_to_dict(spec: SystemSpec) -> dict:
@@ -148,8 +162,8 @@ def instance_to_dict(spec: SystemSpec) -> dict:
         "format_version": FORMAT_VERSION,
         "n": spec.n,
         "K": spec.K,
-        "A": _matrix_strs(spec.A),
-        "D": _matrix_strs(spec.D),
+        "A": _matrix_strs(spec.A, "A[{i}][{j}]"),
+        "D": _matrix_strs(spec.D, "D[{i}][{j}]"),
         "label": spec.label,
     }
 
@@ -162,26 +176,38 @@ def build_report(
 ) -> dict:
     """Assemble the full analysis report for one instance: the instance as
     ``instance_to_dict`` writes it, the certificate ``sd`` with G its group
-    inverse, ``ts`` and the exact verdict ``report``."""
+    inverse, ``ts`` and the exact verdict ``report``.
+
+    An exact entry with more digits than ``str(int)`` converts raises
+    ValueError naming its report field, e.g. ``transfer.M[0][1]``."""
+    try:
+        instance = instance_to_dict(spec)
+    except ValueError as exc:
+        raise ValueError(f"instance.{exc}") from None
+    kernel = report.kernel_directions
     return {
         "format_version": FORMAT_VERSION,
-        "instance": instance_to_dict(spec),
+        "instance": instance,
         "spectral": {
-            "h1": _matrix_strs(sd.h1)[0],
-            "h1_star": _matrix_strs(sd.h1_star)[0],
+            "h1": _matrix_strs(sd.h1, "spectral.h1[{j}]")[0],
+            "h1_star": _matrix_strs(sd.h1_star, "spectral.h1_star[{j}]")[0],
             "stable": True,  # validation raises on an unstable A
         },
         "transfer": {
-            "v": _matrix_strs(ts.v.transpose())[0],
-            "G": _matrix_strs(sd.G),
-            "M": _matrix_strs(ts.M),
+            "v": _matrix_strs(ts.v.transpose(), "transfer.v[{j}]")[0],
+            "G": _matrix_strs(sd.G, "transfer.G[{i}][{j}]"),
+            "M": _matrix_strs(ts.M, "transfer.M[{i}][{j}]"),
         },
         "structure": {
             "rank_exact": report.rank_exact,
             "predicted_rank": report.predicted_rank,
             "rank_matches_prediction": report.rank_exact == report.predicted_rank,
             "eigenvalues": list(report.eigenvalues),
-            "kernel_directions": [[str(x) for x in v] for v in report.kernel_directions],
+            "kernel_directions": (
+                _matrix_strs(RationalMatrix(kernel), "structure.kernel_directions[{i}][{j}]")
+                if kernel
+                else []
+            ),
             "degenerate": report.outcome == DEGENERATE,
         },
     }

@@ -153,11 +153,11 @@ def _certified_pair(a: RationalMatrix) -> SpectralData:
     pass returns at the simple zero root.
     """
     coeffs, adj, g = charpoly_adjugate(a)
-    if coeffs[0] != 0:
+    if not coeffs.column(0).is_zero():
         raise KernelDimensionError("zero is not an eigenvalue")
-    if coeffs[1] == 0:
+    if coeffs.column(1).is_zero():
         raise KernelDimensionError("zero eigenvalue is not simple")
-    if not hurwitz_stable(coeffs[1:]):  # the deflated polynomial
+    if not hurwitz_stable(coeffs.columns(1)):  # the deflated polynomial
         raise NotStable("nonzero spectrum is not contained in the open left half-plane")
     n = a.rows
     right = next(col for col in map(adj.column, range(n)) if not col.is_zero())
@@ -214,7 +214,7 @@ def _random_similar(rng: random.Random, base: RationalMatrix, bound: int) -> Rat
     for _ in range(_MAX_GENERATION_ATTEMPTS):
         t = RationalMatrix([rng.randint(-bound, bound) for _ in range(n)] for _ in range(n))
         coeffs, _, t_inv = charpoly_adjugate(t)
-        if coeffs[0]:
+        if not coeffs.column(0).is_zero():
             return t @ base @ t_inv
     raise GenerationFailed("could not sample an invertible transform")
 

@@ -1,13 +1,17 @@
 """Multivariate polynomials and rational functions with exact coefficients.
 
 Polynomials live over a fixed, ordered tuple of variable names; terms map
-dense exponent vectors of non-negative ``int`` to ``fractions.Fraction``
-coefficients, with zero coefficients never stored.  The public constructor
-validates and coerces its input; arithmetic inside the module builds its
-results through the trusted ``MultiPoly._make``, which only drops zero
-coefficients.  Monomials are compared graded-lexicographically (total
-degree first, then the exponent vector), which fixes leading terms,
-printing order, and sign conventions.
+dense exponent vectors of non-negative ``int`` to ``int`` coefficients
+over one positive denominator ``den``, with zero coefficients never
+stored.  The pair is canonical, ``gcd(den, *coefficients) == 1`` (the
+zero polynomial has ``den == 1``), so equal values have equal fields,
+and sums, products and quotients run on Python ints.  The public
+constructor validates and coerces its input; arithmetic inside the
+module builds its results through the trusted ``MultiPoly._make``, which
+drops zero coefficients and brings the pair to canonical form.
+Monomials are compared graded-lexicographically (total degree first,
+then the exponent vector), which fixes leading terms, printing order,
+and sign conventions.
 
 A rational function is a numerator over powers of a fixed factor base,
 ``num / prod(base[i] ** exps[i])``.  The caller promises that the base
@@ -30,10 +34,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add
+from operator import add, sub
 from typing import Mapping, Sequence
 
-from .exact_linalg import as_rational
+from .exact_linalg import as_rational, rational_str
 
 __all__ = [
     "MultiPoly",
@@ -48,9 +52,10 @@ def _grlex_key(exponents: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
 
 
 class MultiPoly:
-    """Dense-exponent multivariate polynomial over Fraction coefficients."""
+    """Dense-exponent multivariate polynomial: integer coefficients
+    ``terms`` over one positive denominator ``den``."""
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "terms", "den")
 
     def __init__(
         self,
@@ -64,22 +69,30 @@ class MultiPoly:
             e = tuple(exps)
             if len(e) != width or any(type(x) is not int or x < 0 for x in e):
                 raise ValueError(f"bad exponent vector {e} for {width} variables")
-            c = as_rational(coeff)
-            if c != 0:
-                clean[e] = c
+            clean[e] = as_rational(coeff)
+        den = math.lcm(*(c.denominator for c in clean.values()))
         self.vars = names
-        self.terms = clean
+        self.terms = {e: c.numerator * (den // c.denominator) for e, c in clean.items() if c}
+        self.den = den if self.terms else 1
 
     @classmethod
     def _make(
-        cls, names: tuple[str, ...], terms: Mapping[tuple[int, ...], Fraction]
+        cls, names: tuple[str, ...], terms: Mapping[tuple[int, ...], int], den: int = 1
     ) -> "MultiPoly":
         """Trusted constructor for terms built by the kernel itself: exponent
-        vectors and Fraction coefficients are taken as valid, and only zero
-        coefficients are dropped."""
+        vectors and int coefficients over a positive ``den`` are taken as
+        valid; zero coefficients are dropped and the pair is brought to
+        canonical form."""
         obj = object.__new__(cls)
         obj.vars = names
-        obj.terms = {e: c for e, c in terms.items() if c}
+        terms = {e: c for e, c in terms.items() if c}
+        if den != 1:
+            g = math.gcd(den, *terms.values())
+            if g != 1:
+                terms = {e: c // g for e, c in terms.items()}
+                den //= g
+        obj.terms = terms
+        obj.den = den
         return obj
 
     # -- constructors ---------------------------------------------------
@@ -87,14 +100,16 @@ class MultiPoly:
     @classmethod
     def constant(cls, variables: Sequence[str], value: int | str | Fraction) -> "MultiPoly":
         names = tuple(variables)
-        return cls._make(names, {(0,) * len(names): as_rational(value)})
+        if type(value) is not int:
+            value = as_rational(value)
+        return cls._make(names, {(0,) * len(names): value.numerator}, value.denominator)
 
     @classmethod
     def variable(cls, variables: Sequence[str], name: str) -> "MultiPoly":
         names = tuple(variables)
         idx = names.index(name)
         exps = tuple(1 if i == idx else 0 for i in range(len(names)))
-        return cls._make(names, {exps: Fraction(1)})
+        return cls._make(names, {exps: 1})
 
     # -- basic structure ------------------------------------------------
 
@@ -104,7 +119,9 @@ class MultiPoly:
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
 
-    def leading(self) -> tuple[tuple[int, ...], Fraction]:
+    def leading(self) -> tuple[tuple[int, ...], int]:
+        """The leading exponent vector and its coefficient in ``terms``,
+        an int over ``den``."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         exps = max(self.terms, key=_grlex_key)
@@ -116,41 +133,33 @@ class MultiPoly:
         if self.vars != other.vars:
             raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
 
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
+    def _combine(self, other: "MultiPoly", sign: int) -> "MultiPoly":
+        """self + sign·other over the lcm of the two denominators."""
         self._require_same_vars(other)
-        acc = dict(self.terms)
+        den = math.lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        acc = dict(self.terms) if fa == 1 else {e: fa * c for e, c in self.terms.items()}
         for e, c in other.terms.items():
-            acc[e] = acc[e] + c if e in acc else c
-        return MultiPoly._make(self.vars, acc)
+            acc[e] = acc[e] + fb * c if e in acc else fb * c
+        return MultiPoly._make(self.vars, acc, den)
+
+    def __add__(self, other: "MultiPoly") -> "MultiPoly":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        self._require_same_vars(other)
-        acc = dict(self.terms)
-        for e, c in other.terms.items():
-            acc[e] = acc[e] - c if e in acc else -c
-        return MultiPoly._make(self.vars, acc)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly._make(self.vars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._make(self.vars, {e: -c for e, c in self.terms.items()}, self.den)
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._require_same_vars(other)
-        acc: dict[tuple[int, ...], Fraction] = {}
+        acc: dict[tuple[int, ...], int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(map(add, e1, e2))
                 acc[e] = acc[e] + c1 * c2 if e in acc else c1 * c2
-        return MultiPoly._make(self.vars, acc)
-
-    def _mul_term(self, exponents: tuple[int, ...], coeff: Fraction) -> "MultiPoly":
-        """Product with one monomial whose exponents the kernel computed."""
-        return MultiPoly._make(
-            self.vars,
-            {
-                tuple(map(add, e, exponents)): c * coeff
-                for e, c in self.terms.items()
-            },
-        )
+        return MultiPoly._make(self.vars, acc, self.den * other.den)
 
     def __pow__(self, power: int) -> "MultiPoly":
         if power < 0:
@@ -169,6 +178,7 @@ class MultiPoly:
         return (
             isinstance(other, MultiPoly)
             and self.vars == other.vars
+            and self.den == other.den
             and self.terms == other.terms
         )
 
@@ -183,11 +193,12 @@ class MultiPoly:
                 if power:
                     prod *= base**power
             total += prod
-        return total
+        return total / self.den
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
+        den = self.den
         parts: list[str] = []
         for e in sorted(self.terms, key=_grlex_key, reverse=True):
             c = self.terms[e]
@@ -197,13 +208,13 @@ class MultiPoly:
                 if p > 0
             )
             if not mono:
-                piece = str(c)
-            elif c == 1:
+                piece = rational_str(c, den)
+            elif c == den:
                 piece = mono
-            elif c == -1:
+            elif c == -den:
                 piece = f"-{mono}"
             else:
-                piece = f"{c}*{mono}"
+                piece = f"{rational_str(c, den)}*{mono}"
             parts.append(piece)
         out = parts[0]
         for piece in parts[1:]:
@@ -217,26 +228,42 @@ class MultiPoly:
 def poly_divexact(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     """Exact quotient f / g; raises ValueError when g does not divide f.
 
-    Repeated leading-term elimination under graded-lex order: for a true
-    factorization the leading term of the remainder is always divisible
-    by the leading term of g, so failure of that test proves
-    non-divisibility.
+    Repeated leading-term elimination under graded-lex order, on
+    integers: the integer polynomial F = f.den·f is divided by the
+    primitive part G of g.den·g, and the content of g.den·g is folded
+    into the quotient's denominator.  For a true factorization the
+    leading term of the remainder is always divisible by the leading
+    term of G, and by Gauss's lemma the quotient F / G has integer
+    coefficients, so a quotient step whose exponents go negative or
+    whose coefficient is not an integer proves non-divisibility.
     """
     f._require_same_vars(g)
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    quotient: dict[tuple[int, ...], Fraction] = {}
-    rem = f
+    content = math.gcd(*g.terms.values())
+    divisor = [(e, c // content) for e, c in g.terms.items()]
     g_exps, g_coeff = g.leading()
-    while not rem.is_zero():
-        r_exps, r_coeff = rem.leading()
-        diff = tuple(a - b for a, b in zip(r_exps, g_exps))
-        if any(d < 0 for d in diff):
+    g_coeff //= content
+    quotient: dict[tuple[int, ...], int] = {}
+    rem = dict(f.terms)
+    while rem:
+        r_exps = max(rem, key=_grlex_key)
+        diff = tuple(map(sub, r_exps, g_exps))
+        c, r = divmod(rem[r_exps], g_coeff)
+        if r or min(diff) < 0:
             raise ValueError("polynomials do not divide exactly")
-        c = r_coeff / g_coeff
         quotient[diff] = c
-        rem = rem - g._mul_term(diff, c)
-    return MultiPoly._make(f.vars, quotient)
+        for e, gc in divisor:
+            e = tuple(map(add, e, diff))
+            left = rem.get(e, 0) - c * gc
+            if left:
+                rem[e] = left
+            else:
+                del rem[e]
+    # f / g = (F / G) · g.den / (f.den · content)
+    return MultiPoly._make(
+        f.vars, {e: c * g.den for e, c in quotient.items()}, f.den * content
+    )
 
 
 # -- rational functions over a factor base -------------------------------
@@ -256,12 +283,11 @@ def _checked_base(base: Sequence[MultiPoly]) -> _FactorBase:
         raise ValueError("the factor base is empty")
     for f in base:
         f._require_same_vars(base[0])
-        coeffs = f.terms.values()
         if (
             f.is_constant()
             or f.leading()[1] < 0
-            or any(c.denominator != 1 for c in coeffs)
-            or math.gcd(*(c.numerator for c in coeffs)) != 1
+            or f.den != 1
+            or math.gcd(*f.terms.values()) != 1
         ):
             raise ValueError(
                 f"base factor {f} is not a non-constant primitive integer "
@@ -352,6 +378,7 @@ class RatFunc:
         num = MultiPoly._make(
             self.num.vars,
             {tuple(e[p] for p in variables): c for e, c in self.num.terms.items()},
+            self.num.den,
         )
         out = RatFunc._make(num, self.base, tuple(self.exps[i] for i in factors))
         if out.exps == self.exps:
@@ -445,7 +472,7 @@ def poly_tree(p: MultiPoly) -> dict:
     for e in sorted(p.terms, key=_grlex_key, reverse=True):
         powers = {name: power for name, power in zip(p.vars, e) if power > 0}
         terms.append(
-            {"op": "term", "coefficient": str(p.terms[e]), "powers": powers}
+            {"op": "term", "coefficient": rational_str(p.terms[e], p.den), "powers": powers}
         )
     return {"op": "sum", "terms": terms}
 

@@ -213,6 +213,18 @@ def _entry_payload(f: RatFunc) -> dict:
     return {"text": str(f), "tree": ratfunc_tree(f)}
 
 
+def _matrix_payload(M: tuple[tuple[RatFunc, ...], ...], symmetric: bool) -> list:
+    """The payloads of M; once M_ji == M_ij is verified, each unordered
+    pair of entries shares one payload."""
+    if not symmetric:
+        return [[_entry_payload(f) for f in row] for row in M]
+    out = [[None] * len(M) for _ in M]
+    for i, row in enumerate(M):
+        for j in range(i, len(row)):
+            out[i][j] = out[j][i] = _entry_payload(row[j])
+    return out
+
+
 def symbolic_report(K: int) -> dict:
     """JSON-ready exact description of the K-direction two-state family."""
     structure = build_M_parametric(K)
@@ -228,7 +240,7 @@ def symbolic_report(K: int) -> dict:
         "h1": [_entry_payload(f) for f in structure.h1],
         "h1_star": [_entry_payload(f) for f in structure.h1_star],
         "velocities": [_entry_payload(f) for f in structure.velocities],
-        "M": [[_entry_payload(f) for f in row] for row in structure.M],
+        "M": _matrix_payload(structure.M, eigenvalue is not None),
         "c": _entry_payload(structure.c),
         "deltas": [_entry_payload(f) for f in structure.deltas],
         "rank_one_identity": eigenvalue is not None,

@@ -83,6 +83,16 @@ def _random_matrix(rng: random.Random, rows: int, cols: int, bound: int = 6) -> 
     )
 
 
+def _coeffs(row: RationalMatrix) -> tuple[Fraction, ...]:
+    # the entries of a 1 x m coefficient row
+    return tuple(_entries(row)[0])
+
+
+def _row(*entries) -> RationalMatrix:
+    # ascending polynomial coefficients as the 1 x m row hurwitz_stable reads
+    return RationalMatrix([entries])
+
+
 def _horner(coeffs, x) -> Fraction:
     # the polynomial with these ascending coefficients, evaluated at x
     acc = Fraction(0)
@@ -442,7 +452,7 @@ class TestInverse:
             for _ in range(6):
                 m = _random_matrix(rng, n, n, bound=7)
                 coeffs, adj, inv = charpoly_adjugate(m)
-                det = (-1) ** n * coeffs[0]
+                det = (-1) ** n * coeffs[0, 0]
                 assert det == _rational_det(_entries(m))
                 if det == 0:
                     continue
@@ -456,7 +466,7 @@ class TestInverse:
         # root the third item is its group inverse, which inverts nothing
         m = RationalMatrix([[1, 1], [1, 1]])
         coeffs, _, g = charpoly_adjugate(m)
-        assert coeffs[0] == 0
+        assert coeffs[0, 0] == 0
         assert g == RationalMatrix([["1/4", "1/4"], ["1/4", "1/4"]])
         assert m @ g != RationalMatrix.identity(2)
 
@@ -486,8 +496,8 @@ class TestGroupInverse:
             else:
                 m = RationalMatrix([[0] * n] * n)
             coeffs, _, g = charpoly_adjugate(m)
-            assert coeffs[0] == 0
-            if coeffs[1] == 0:
+            assert coeffs[0, 0] == 0
+            if coeffs[0, 1] == 0:
                 assert g is None
                 multiple += 1
                 continue
@@ -508,7 +518,7 @@ class TestGroupInverse:
             RationalMatrix([["1/2", "1/2"], ["-1/2", "-1/2"]]),  # nilpotent
         ):
             coeffs, _, g = charpoly_adjugate(m)
-            assert coeffs[:2] == (0, 0)
+            assert _coeffs(coeffs)[:2] == (0, 0)
             assert g is None
 
 
@@ -530,7 +540,7 @@ def _assert_charpoly_matches_det(m: RationalMatrix) -> None:
     # Second route: det(λI - m) by elimination at n + 1 distinct λ fixes a
     # polynomial of degree n.
     n = m.rows
-    p = charpoly_adjugate(m)[0]
+    p = _coeffs(charpoly_adjugate(m)[0])
     assert len(p) == n + 1 and p[-1] == 1
     for j in range(n + 1):
         lam = Fraction(2 * j - n, 3)
@@ -543,11 +553,13 @@ def _assert_charpoly_matches_det(m: RationalMatrix) -> None:
 class TestCharpoly:
     def test_denominators_enter_per_power(self):
         m = RationalMatrix([["1/2", "1/3"], ["1/5", "1/7"]])
-        assert charpoly_adjugate(m)[0] == (
+        assert _coeffs(charpoly_adjugate(m)[0]) == (
             Fraction(1, 210),
             Fraction(-9, 14),
             Fraction(1),
         )
+        # one 1 x (n + 1) row over the common denominator d^n
+        assert charpoly_adjugate(m)[0] == RationalMatrix([["1/210", "-9/14", 1]])
 
     def test_agrees_with_shifted_determinants(self):
         rng = random.Random(5023)
@@ -563,16 +575,16 @@ class TestCharpoly:
 
     def test_symmetric_exchange_generator(self):
         m = RationalMatrix([[-2, 1, 1], [1, -2, 1], [1, 1, -2]])
-        p = charpoly_adjugate(m)[0]
+        p = _coeffs(charpoly_adjugate(m)[0])
         assert p == (Fraction(0), Fraction(9), Fraction(6), Fraction(1))
         assert _horner(p, -3) == 0 and _horner(p, Fraction(1, 2)) == Fraction(49, 8)
 
     def test_two_state(self):
-        p = charpoly_adjugate(RationalMatrix([[-1, 1], [1, -1]]))[0]
+        p = _coeffs(charpoly_adjugate(RationalMatrix([[-1, 1], [1, -1]]))[0])
         assert p == (Fraction(0), Fraction(2), Fraction(1))
 
     def test_identity(self):
-        p = charpoly_adjugate(RationalMatrix.identity(2))[0]
+        p = _coeffs(charpoly_adjugate(RationalMatrix.identity(2))[0])
         assert p == (Fraction(1), Fraction(-2), Fraction(1))
 
     def test_constant_term_is_signed_determinant(self):
@@ -580,7 +592,7 @@ class TestCharpoly:
         for _ in range(40):
             n = rng.randint(1, 5)
             m = _random_matrix(rng, n, n)
-            p = charpoly_adjugate(m)[0]
+            p = _coeffs(charpoly_adjugate(m)[0])
             constant = _horner(p, 0)
             assert constant == (-1) ** n * _rational_det(_entries(m))
 
@@ -608,7 +620,7 @@ class TestCharpoly:
             else:
                 m = RationalMatrix([[0] * n] * n)
             coeffs, adj, _ = charpoly_adjugate(m)
-            det = (-1) ** n * coeffs[0]
+            det = (-1) ** n * coeffs[0, 0]
             scalar = RationalMatrix([[det if i == j else 0 for j in range(n)] for i in range(n)])
             assert m @ adj == adj @ m == scalar
             if n <= 5:
@@ -627,7 +639,7 @@ class TestCharpoly:
 
     def test_adjugate_small_cases(self):
         assert charpoly_adjugate(RationalMatrix([["3/4"]])) == (
-            (Fraction(-3, 4), Fraction(1)),
+            RationalMatrix([["-3/4", 1]]),
             RationalMatrix([[1]]),
             RationalMatrix([["4/3"]]),
         )
@@ -650,50 +662,55 @@ class TestCharpoly:
 
 class TestHurwitz:
     def test_double_root_at_minus_three(self):
-        assert hurwitz_stable((9, 6, 1)) is True
+        assert hurwitz_stable(_row(9, 6, 1)) is True
 
     def test_root_at_zero(self):
-        assert hurwitz_stable((0, 2, 1)) is False
+        assert hurwitz_stable(_row(0, 2, 1)) is False
 
     def test_right_half_plane_pair(self):
-        assert hurwitz_stable((1, -1, 1)) is False
+        assert hurwitz_stable(_row(1, -1, 1)) is False
 
     def test_pure_imaginary_pair(self):
-        assert hurwitz_stable((1, 0, 1)) is False
+        assert hurwitz_stable(_row(1, 0, 1)) is False
 
     def test_negative_leading_coefficient_normalized(self):
         # -(x+1)(x+2) has the same roots as (x+1)(x+2)
-        assert hurwitz_stable((-2, -3, -1)) is True
+        assert hurwitz_stable(_row(-2, -3, -1)) is True
 
     def test_nonzero_constant_is_stable(self):
-        assert hurwitz_stable((5,)) is True
+        assert hurwitz_stable(_row(5)) is True
 
     def test_zero_polynomial_raises(self):
-        with pytest.raises(ValueError, match="zero polynomial"):
-            hurwitz_stable(())
+        # an empty coefficient list is no 1 x m row
+        with pytest.raises(ValueError, match="at least one row and column"):
+            hurwitz_stable(_row())
+
+    def test_coefficients_are_one_row(self):
+        with pytest.raises(ValueError, match="expected one row"):
+            hurwitz_stable(RationalMatrix([[1], [2]]))
 
     def test_trailing_zeros_are_dropped(self):
-        assert hurwitz_stable((1, 2, 0, 0)) == hurwitz_stable((1, 2)) is True
-        assert hurwitz_stable([Fraction(1, 2), 0, 1, 0]) == hurwitz_stable((1, 0, 2))
-        assert hurwitz_stable((-3, Fraction(0))) is True
+        assert hurwitz_stable(_row(1, 2, 0, 0)) == hurwitz_stable(_row(1, 2)) is True
+        assert hurwitz_stable(_row(Fraction(1, 2), 0, 1, 0)) == hurwitz_stable(_row(1, 0, 2))
+        assert hurwitz_stable(_row(-3, Fraction(0))) is True
 
     def test_all_zero_coefficients_raise(self):
         with pytest.raises(ValueError, match="zero polynomial"):
-            hurwitz_stable((0, 0))
+            hurwitz_stable(_row(0, 0))
         with pytest.raises(ValueError, match="zero polynomial"):
-            hurwitz_stable([Fraction(0)])
+            hurwitz_stable(_row(Fraction(0)))
 
     def test_positive_coefficients_with_vanishing_minor(self):
         # x³ + x² + x + 1 = (x + 1)(x² + 1): roots ±i, Δ2 = 0
-        assert hurwitz_stable((1, 1, 1, 1)) is False
+        assert hurwitz_stable(_row(1, 1, 1, 1)) is False
 
     def test_positive_coefficients_with_negative_minor(self):
         # x³ + x² + x + 2: Δ2 = 1·1 - 1·2 = -1
-        assert hurwitz_stable((2, 1, 1, 1)) is False
+        assert hurwitz_stable(_row(2, 1, 1, 1)) is False
 
     def test_positive_coefficients_stable_cubic(self):
         # (x + 1)(x + 2)(x + 3) = x³ + 6x² + 11x + 6, with denominators
-        assert hurwitz_stable(("3/2", "11/4", "3/2", "1/4")) is True
+        assert hurwitz_stable(_row("3/2", "11/4", "3/2", "1/4")) is True
 
     def test_agreement_with_leading_minors(self):
         # The verdict against each leading Hurwitz minor, computed one by
@@ -718,7 +735,7 @@ class TestHurwitz:
                 _rational_det([[entry(i, j) for j in range(k)] for i in range(k)]) > 0
                 for k in range(1, degree + 1)
             )
-            assert hurwitz_stable(tuple(coeffs)) is expected, coeffs
+            assert hurwitz_stable(_row(*coeffs)) is expected, coeffs
             stable += expected
         assert 200 < stable < 1800
 

@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perturbrank.asymptotics import analyze_structure, build_M
+from perturbrank.exact_linalg import INSTANCE_DIGIT_LIMIT, RationalMatrix
 from perturbrank.formats import build_report, dumps, load_instance_file
-from perturbrank.model import validate_system
+from perturbrank.model import SystemSpec, validate_system
 from perturbrank.search import CampaignConfig, run_campaign
 from perturbrank.symbolic import symbolic_report
 
@@ -97,3 +98,66 @@ class TestDumps:
     def test_unsupported_values_and_keys_raise_type_error(self, obj):
         with pytest.raises(TypeError):
             dumps(obj)
+
+
+class TestBuildReport:
+    @pytest.mark.parametrize(
+        "digits, big_rates, big_speed, field",
+        [
+            (4400, True, False, "instance.A[0][0]"),
+            (2200, True, False, "transfer.G[0][0]"),
+            (1500, True, True, "transfer.M[0][0]"),
+        ],
+    )
+    def test_oversized_entry_names_its_field(self, digits, big_rates, big_speed, field):
+        # a library-built system is not held to the instance-file digit
+        # limit; an exact entry str(int) refuses to convert is named
+        big = 10 ** (digits - 1) + 7
+        a = [[-big, 1], [big, -1]] if big_rates else [[-1, 1], [1, -1]]
+        spec = SystemSpec(n=2, K=2, A=RationalMatrix(a), D=[[big if big_speed else 2, 0], [0, 1]])
+        sd = validate_system(spec)
+        ts = build_M(spec, sd)
+        report = analyze_structure(ts)
+        with pytest.raises(ValueError) as refused:
+            str(10**4300)
+        with pytest.raises(ValueError) as exc:
+            build_report(spec, sd, ts, report)
+        assert str(exc.value) == f"{field}: {refused.value}"
+
+
+def _load(tmp_path, d) -> SystemSpec:
+    data = {"format_version": 1, "n": 2, "K": 2, "A": [["-1", "1"], ["1", "-1"]], "D": d}
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return load_instance_file(str(path))
+
+
+class TestParseRational:
+    """Entries are read as "p" or "p/q", reduced; A costs 8 digits."""
+
+    def test_digit_budget_counts_reduced_values(self, tmp_path):
+        # 10/20 costs the two digits of 1/2: with it the entries spend the
+        # limit exactly, with the irreducible 10/21 two digits more
+        rest = "1" * (INSTANCE_DIGIT_LIMIT - 15)
+        spec = _load(tmp_path, [["10/20", "0"], ["0", rest]])
+        assert spec.D[0, 0] == Fraction(1, 2)
+        with pytest.raises(ValueError, match=r"^D\[1\]\[1\]: the entries of A and D"):
+            _load(tmp_path, [["10/21", "0"], ["0", rest]])
+
+    def test_signed_zero_and_leading_zeros(self, tmp_path):
+        spec = _load(tmp_path, [["-0/7", "007"], ["-007/014", "0"]])
+        assert spec.D == _load(tmp_path, [["0", "7"], ["-1/2", "0"]]).D
+
+    def test_zero_denominator(self, tmp_path):
+        with pytest.raises(ValueError) as exc:
+            _load(tmp_path, [["1/0", "0"], ["0", "1"]])
+        assert str(exc.value) == "D[0][0]: zero denominator in '1/0'"
+
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_numerator_over_the_int_limit(self, tmp_path, sign):
+        digits = "1" * 4301
+        with pytest.raises(ValueError) as refused:
+            int(digits)
+        with pytest.raises(ValueError) as exc:
+            _load(tmp_path, [[sign + digits + "/3", "0"], ["0", "1"]])
+        assert str(exc.value) == f"D[0][0]: {refused.value}"

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -132,6 +133,58 @@ class TestMultiPoly:
         assert str(p) == "3*a^2 - b*k + 1/2"
         assert str(ZERO) == "0"
         assert str(ONE) == "1"
+
+
+def assert_canonical(p):
+    assert p.den > 0 and all(type(c) is int and c for c in p.terms.values())
+    assert gcd(p.den, *p.terms.values()) == 1
+
+
+class TestCanonicalForm:
+    """Integer coefficients over one positive denominator, in lowest terms."""
+
+    def test_results_are_canonical(self):
+        rng = random.Random(2024)
+        for _ in range(60):
+            f, g, h = (random_poly(rng) for _ in range(3))
+            for p in (f, f + g, f - g, -f, f * g, f * g - g * f, (f + h) ** 2):
+                assert_canonical(p)
+            assert (f - f).den == 1
+            if not g.is_zero():
+                assert_canonical(poly_divexact(f * g, g))
+
+    def test_equal_values_have_equal_fields(self):
+        rng = random.Random(99)
+        for _ in range(60):
+            f, g, h = (random_poly(rng) for _ in range(3))
+            for left, right in ((f * (g + h), f * g + f * h), ((f + g) - g, f)):
+                assert left == right
+                assert (left.terms, left.den) == (right.terms, right.den)
+        half = const(Fraction(1, 2))
+        assert (const(3) * half).terms == {(0, 0, 0): 3} and (const(3) * half).den == 2
+        assert (half + half).den == 1 and (half + half) == ONE
+
+    def test_str_matches_fraction_coefficients(self):
+        p = P({(1, 0, 0): Fraction(6, 4), (0, 1, 0): Fraction(-2, 6), (0, 0, 1): 1, (0, 0, 0): -1})
+        assert (p.terms, p.den) == ({(1, 0, 0): 9, (0, 1, 0): -2, (0, 0, 1): 6, (0, 0, 0): -6}, 6)
+        assert str(p) == "3/2*a - 1/3*b + k - 1"
+        assert [t["coefficient"] for t in poly_tree(p)["terms"]] == ["3/2", "-1/3", "1", "-1"]
+
+    def test_divexact_by_non_primitive_divisor(self):
+        two_a_two_b = const(2) * A + const(2) * B
+        f = const(Fraction(1, 3)) * (A * A - B * B)
+        assert poly_divexact(f, two_a_two_b) == const(Fraction(1, 6)) * (A - B)
+        third = const(Fraction(2, 3)) * (A + B)
+        assert poly_divexact(f, third) == const(Fraction(1, 2)) * (A - B)
+        assert poly_divexact(two_a_two_b, two_a_two_b) == ONE
+        with pytest.raises(ValueError):
+            poly_divexact(A * A + ONE, two_a_two_b)
+        # a quotient step with a non-integer coefficient: a + 1 by 2a + 1
+        with pytest.raises(ValueError):
+            poly_divexact(A + ONE, const(2) * A + ONE)
+        assert poly_divexact(A + const(Fraction(1, 2)), const(2) * A + ONE) == const(
+            Fraction(1, 2)
+        )
 
 
 class TestDivision:

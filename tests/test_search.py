@@ -347,7 +347,7 @@ def _constructed_violation(spec: SystemSpec, sd, coeffs) -> SystemSpec | None:
     sg = s @ sd.G
     restricted, c = basis.transpose() @ (sg + sg.transpose()) @ basis, basis.transpose() @ a
     det_coeffs, _, inverse = charpoly_adjugate(restricted)
-    if det_coeffs[0] == 0:
+    if det_coeffs[0, 0] == 0:
         return None
     quadratic = (c.transpose() @ inverse @ c)[0, 0]
     if quadratic == 0 or 2 * quadratic == beta:

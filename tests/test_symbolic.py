@@ -158,6 +158,30 @@ class TestBuildMParametric:
             build_M_parametric(K)
             assert checked == [4 + K]
 
+    def test_fraction_constructions_do_not_grow_with_K(self):
+        # coefficients are integers over one denominator, so a build and a
+        # report construct the same few Fractions whatever K is
+        built = []
+        original = vars(Fraction)["__new__"]
+
+        def counted(cls, *args, **kwargs):
+            built.append(cls)
+            return original.__func__(cls, *args, **kwargs)
+
+        counts = {}
+        Fraction.__new__ = staticmethod(counted)
+        try:
+            for K in range(2, 7):
+                built.clear()
+                build_M_parametric(K)
+                counts[K] = [len(built)]
+                built.clear()
+                symbolic_report(K)
+                counts[K].append(len(built))
+        finally:
+            Fraction.__new__ = original
+        assert len({tuple(c) for c in counts.values()}) == 1, counts
+
     def test_matrix_is_symmetric(self):
         st = build_M_parametric(3)
         for i in range(3):
@@ -309,6 +333,14 @@ class TestSymbolicReport:
         report = symbolic_report(2)
         assert report["rank_one_identity"] is False
         assert "spectrum" not in report
+
+    def test_symmetric_entries_share_a_payload_once_verified(self, monkeypatch):
+        M = symbolic_report(3)["M"]
+        assert all(M[i][j] is M[j][i] for i in range(3) for j in range(3))
+        # unverified, M_ji == M_ij may fail, so each entry has its own payload
+        monkeypatch.setattr("perturbrank.symbolic.verify_rank_one_identity", lambda st: False)
+        M = symbolic_report(3)["M"]
+        assert not any(M[i][j] is M[j][i] for i in range(3) for j in range(i))
 
     @pytest.mark.parametrize("K", [2, 4])
     def test_scaled_M_fails_the_identity(self, K, monkeypatch, capsys):
