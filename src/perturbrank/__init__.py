@@ -13,7 +13,6 @@ from .exact_linalg import (
     CHARPOLY_SIZE_LIMIT,
     RationalMatrix,
     SizeLimitExceeded,
-    Vector,
     as_rational,
     charpoly_adjugate,
     hurwitz_stable,

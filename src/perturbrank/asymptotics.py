@@ -53,7 +53,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .exact_linalg import RationalMatrix, Vector, nullspace, rank_exact
+from .exact_linalg import RationalMatrix, nullspace, rank_exact
 from .model import SpectralData, SystemSpec
 
 #: Cyclic Jacobi: stop once the off-diagonal Frobenius mass drops below this
@@ -117,14 +117,14 @@ class TransferStructure:
 
 @dataclass(frozen=True)
 class StructureReport:
-    """Exact rank, Jacobi spectrum and the verdict for one M: ``outcome``
-    (MATCH, DEGENERATE or VIOLATION) and ``breaches``, JSON-ready dicts
-    with a ``kind`` from BREACH_KINDS and the offending numbers."""
+    """Exact rank, kernel rows, Jacobi spectrum and the verdict for one M:
+    ``outcome`` (MATCH, DEGENERATE or VIOLATION) and ``breaches``, JSON-ready
+    dicts with a ``kind`` from BREACH_KINDS and the offending numbers."""
 
     rank_exact: int
     eigenvalues: tuple[float, ...]
     predicted_rank: int
-    kernel_directions: tuple[Vector, ...]
+    kernel_directions: tuple[RationalMatrix, ...]
     outcome: str
     breaches: tuple[dict, ...]
 

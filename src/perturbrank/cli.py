@@ -122,10 +122,15 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _cmd_analyze(args) -> int:
-    spec = load_instance_file(args.instance)
+def _load(path: str):
+    """The instance in the file at ``path``, its certificate and its M."""
+    spec = load_instance_file(path)
     sd = validate_system(spec)
-    ts = build_M(spec, sd)
+    return spec, sd, build_M(spec, sd)
+
+
+def _cmd_analyze(args) -> int:
+    spec, sd, ts = _load(args.instance)
     report = analyze_structure(ts)
     payload = dumps(build_report(spec, sd, ts, report))
     if args.out:
@@ -196,9 +201,7 @@ def _cmd_symbolic(args) -> int:
 
 
 def _cmd_phi0(args) -> int:
-    spec = load_instance_file(args.instance)
-    sd = validate_system(spec)
-    ts = build_M(spec, sd)
+    _, sd, ts = _load(args.instance)
     q = ProfileQuery(
         epsilon=args.eps,
         t=args.t,
@@ -211,9 +214,7 @@ def _cmd_phi0(args) -> int:
 
 
 def _cmd_residual(args) -> int:
-    spec = load_instance_file(args.instance)
-    sd = validate_system(spec)
-    ts = build_M(spec, sd)
+    spec, _, ts = _load(args.instance)
     q = ProfileQuery(
         epsilon=1.0,
         t=args.t,

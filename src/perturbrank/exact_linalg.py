@@ -22,8 +22,8 @@ exact.  The characteristic polynomial's coefficients come back as one
 ``1 x (n + 1)`` row, which ``hurwitz_stable`` reads as it stands.
 ``to_strings`` writes the entries as ``"p"``/``"p/q"`` strings straight
 off the integer rows (``rational_str``), so a ``fractions.Fraction`` is
-built only where an entry leaves the module as a number: ``m[i, j]`` and
-kernel vectors.  Nothing here is approximate.
+built only where an entry leaves the module as a number, ``m[i, j]``.
+Nothing here is approximate.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-Vector = tuple[Fraction, ...]
 _EXACT = (int, Fraction)
 
 #: Dense exact charpoly is quartic in the dimension; refuse silly sizes.
@@ -52,7 +51,6 @@ __all__ = [
     "CHARPOLY_SIZE_LIMIT",
     "RationalMatrix",
     "SizeLimitExceeded",
-    "Vector",
     "as_rational",
     "charpoly_adjugate",
     "echelon_reduce",
@@ -293,25 +291,25 @@ def rank_exact(m: RationalMatrix) -> int:
     return len(pivot_cols)
 
 
-def nullspace(m: RationalMatrix) -> list[Vector]:
-    """Exact kernel basis, each vector scaled so its first nonzero entry is 1.
+def nullspace(m: RationalMatrix) -> list[RationalMatrix]:
+    """Exact kernel basis as ``1 x cols`` rows, each scaled so its first
+    nonzero entry is 1; ``[]`` when m has full column rank.
 
     Solves m·v = 0; the left kernel vᵀ·m = 0 is ``nullspace(m.transpose())``.
-    Basis vectors are ordered by their free column, ascending, which makes
+    Basis rows are ordered by their free column, ascending, which makes
     the output deterministic.
     """
     a = _primitive_rows(m.num)
     pivot_cols, pivot_vals, _ = _eliminate(a)
     d = pivot_vals[-1] if pivot_vals else 1
-    basis: list[Vector] = []
+    basis: list[RationalMatrix] = []
     for free in sorted(set(range(m.cols)) - set(pivot_cols)):
         # d·v with v the RREF kernel vector of this free column
         v = [0] * m.cols
         v[free] = d
         for row, pc in zip(a, pivot_cols):
             v[pc] = -row[free]
-        lead = next(x for x in v if x != 0)
-        basis.append(tuple(Fraction(x, lead) for x in v))
+        basis.append(RationalMatrix._make((v,), next(x for x in v if x != 0)))
     return basis
 
 

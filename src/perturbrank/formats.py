@@ -17,7 +17,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .asymptotics import DEGENERATE, StructureReport, TransferStructure
-from .exact_linalg import INSTANCE_DIGIT_LIMIT, RationalMatrix, Vector
+from .exact_linalg import INSTANCE_DIGIT_LIMIT, RationalMatrix
 from .model import SpectralData, SystemSpec
 
 __all__ = [
@@ -35,15 +35,15 @@ _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 _INSTANCE_KEYS = {"format_version", "n", "K", "A", "D", "label"}
 
 
-def _parse_rational(value: object, where: str = "value") -> Fraction:
-    """Parse "p" or "p/q" (q > 0) or a plain integer into a Fraction.
+def _parse_rational(value: object, where: str) -> tuple[int, int]:
+    """Parse "p" or "p/q" (q > 0) or a plain integer into lowest terms ``(p, q)``.
 
     Errors echo at most 60 characters of a rejected value (``!r:.60``).
     """
     if isinstance(value, bool):
         raise ValueError(f"{where}: expected a rational string, got a boolean")
     if isinstance(value, int):
-        return Fraction(value)
+        return value, 1
     if isinstance(value, float):
         raise ValueError(
             f"{where}: floats are not accepted; write an exact rational "
@@ -54,11 +54,13 @@ def _parse_rational(value: object, where: str = "value") -> Fraction:
         raise ValueError(f"{where}: {value!r:.60} is not of the form 'p' or 'p/q'")
     p, q = match.groups()
     try:
-        return Fraction(int(p), int(q or 1))
-    except ZeroDivisionError:
-        raise ValueError(f"{where}: zero denominator in {value!r:.60}") from None
+        p, q = int(p), int(q or 1)
     except ValueError as exc:  # more digits than int() converts
         raise ValueError(f"{where}: {exc}") from None
+    if q == 0:
+        raise ValueError(f"{where}: zero denominator in {value!r:.60}")
+    g = math.gcd(p, q)
+    return p // g, q // g
 
 
 def _parse_int(data: dict, key: str) -> int:
@@ -68,14 +70,28 @@ def _parse_int(data: dict, key: str) -> int:
     return value
 
 
-def _parse_vector(raw: object, length: int, where: str) -> Vector:
+def _parse_rows(data: dict, name: str, noun: str, count: int, length: int) -> list:
+    """Field ``name``: ``count`` rows (``noun``) of ``length`` entry pairs."""
+    raw = data[name]
     if not isinstance(raw, list):
-        raise ValueError(f"{where}: expected an array")
-    if len(raw) != length:
-        raise ValueError(f"{where}: expected {length} entries, found {len(raw)}")
-    return tuple(
-        _parse_rational(entry, f"{where}[{j}]") for j, entry in enumerate(raw)
-    )
+        raise ValueError(f"{name}: expected an array of {noun}")
+    if len(raw) != count:
+        raise ValueError(f"{name}: expected {count!r:.60} {noun}, found {len(raw)}")
+    rows = []
+    for i, row in enumerate(raw):
+        if not isinstance(row, list):
+            raise ValueError(f"{name}[{i}]: expected an array")
+        if len(row) != length:
+            raise ValueError(f"{name}[{i}]: expected {length!r:.60} entries, found {len(row)}")
+        rows.append([_parse_rational(x, f"{name}[{i}][{j}]") for j, x in enumerate(row)])
+    return rows
+
+
+def _matrix(rows: list) -> RationalMatrix:
+    """Entry pairs as integer rows over the lcm of their denominators, scaled once."""
+    den = math.lcm(*(q for row in rows for _, q in row))
+    num = [[p * (den // q) for p, q in row] for row in rows]
+    return RationalMatrix(num).scale(Fraction(1, den))
 
 
 def _instance_from_dict(data: object) -> SystemSpec:
@@ -91,25 +107,13 @@ def _instance_from_dict(data: object) -> SystemSpec:
     k = _parse_int(data, "K")
     if "A" not in data or "D" not in data:
         raise ValueError("instance requires both 'A' and 'D'")
-    raw_a = data["A"]
-    if not isinstance(raw_a, list):
-        raise ValueError("A: expected an array of rows")
-    if len(raw_a) != n:
-        raise ValueError(f"A: expected {n} rows, found {len(raw_a)}")
-    a_rows = [_parse_vector(row, n, f"A[{i}]") for i, row in enumerate(raw_a)]
-    raw_d = data["D"]
-    if not isinstance(raw_d, list):
-        raise ValueError("D: expected an array of diagonals")
-    if len(raw_d) != k:
-        raise ValueError(f"D: expected {k} diagonals, found {len(raw_d)}")
-    diagonals = tuple(
-        _parse_vector(row, n, f"D[{i}]") for i, row in enumerate(raw_d)
-    )
+    shapes = (("A", "rows", n), ("D", "diagonals", k))
+    fields = {name: _parse_rows(data, name, noun, count, n) for name, noun, count in shapes}
     budget = INSTANCE_DIGIT_LIMIT
-    for name, rows in (("A", a_rows), ("D", diagonals)):
+    for name, rows in fields.items():
         for i, row in enumerate(rows):
-            for j, x in enumerate(row):
-                budget -= len(str(abs(x.numerator))) + len(str(x.denominator))
+            for j, (p, q) in enumerate(row):
+                budget -= len(str(abs(p))) + len(str(q))
                 if budget < 0:
                     raise ValueError(
                         f"{name}[{i}][{j}]: the entries of A and D have more than "
@@ -118,7 +122,8 @@ def _instance_from_dict(data: object) -> SystemSpec:
     label = data.get("label", "")
     if not isinstance(label, str):
         raise ValueError(f"label: expected a string, got {label!r:.60}")
-    return SystemSpec(n=n, K=k, D=diagonals, A=RationalMatrix(a_rows), label=label)
+    SystemSpec.check_sizes(n, k)
+    return SystemSpec(n=n, K=k, D=_matrix(fields["D"]), A=_matrix(fields["A"]), label=label)
 
 
 def load_instance_file(path: str) -> SystemSpec:
@@ -135,7 +140,7 @@ def load_instance_file(path: str) -> SystemSpec:
             raise ValueError(f"{path!r:.60}: not UTF-8 text ({exc})") from exc
     try:
         data = json.loads(text)
-    except ValueError as exc:  # also an integer literal int() refuses to convert
+    except (ValueError, RecursionError) as exc:  # also an int() refuses, or deep nesting
         raise ValueError(f"{path!r:.60}: invalid JSON ({exc})") from exc
     return _instance_from_dict(data)
 
@@ -184,7 +189,6 @@ def build_report(
         instance = instance_to_dict(spec)
     except ValueError as exc:
         raise ValueError(f"instance.{exc}") from None
-    kernel = report.kernel_directions
     return {
         "format_version": FORMAT_VERSION,
         "instance": instance,
@@ -203,11 +207,10 @@ def build_report(
             "predicted_rank": report.predicted_rank,
             "rank_matches_prediction": report.rank_exact == report.predicted_rank,
             "eigenvalues": list(report.eigenvalues),
-            "kernel_directions": (
-                _matrix_strs(RationalMatrix(kernel), "structure.kernel_directions[{i}][{j}]")
-                if kernel
-                else []
-            ),
+            "kernel_directions": [
+                _matrix_strs(row, f"structure.kernel_directions[{i}][{{j}}]")[0]
+                for i, row in enumerate(report.kernel_directions)
+            ],
             "degenerate": report.outcome == DEGENERATE,
         },
     }

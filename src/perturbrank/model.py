@@ -85,11 +85,8 @@ class GenerationFailed(RuntimeError):
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """An interaction matrix with K diagonal transport directions.
-
-    ``D`` is the K x n matrix whose row i is the diagonal of direction i;
-    the constructor also accepts it as K rows of n exact entries.
-    """
+    """An n x n interaction matrix ``A`` with K diagonal transport
+    directions, the rows of the K x n matrix ``D``."""
 
     n: int
     K: int
@@ -97,20 +94,20 @@ class SystemSpec:
     A: RationalMatrix
     label: str = ""
 
+    @staticmethod
+    def check_sizes(n: int, k: int) -> None:
+        """Raise ValueError unless n >= 2 and K >= 1, before any matrix is built."""
+        if n < 2:
+            raise ValueError(f"n must be at least 2, got {n}")
+        if k < 1:
+            raise ValueError(f"K must be at least 1, got {k}")
+
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"n must be at least 2, got {self.n}")
-        if self.K < 1:
-            raise ValueError(f"K must be at least 1, got {self.K}")
+        self.check_sizes(self.n, self.K)
         if self.A.rows != self.n or self.A.cols != self.n:
             raise ValueError(f"A must be {self.n}x{self.n}")
-        shape = f"D must hold {self.K} diagonals of length {self.n}"
-        if not isinstance(self.D, RationalMatrix):
-            if len(self.D) != self.K or any(len(d) != self.n for d in self.D):
-                raise ValueError(shape)
-            object.__setattr__(self, "D", RationalMatrix(self.D))
         if (self.D.rows, self.D.cols) != (self.K, self.n):
-            raise ValueError(shape)
+            raise ValueError(f"D must hold {self.K} diagonals of length {self.n}")
 
 
 @dataclass(frozen=True)

@@ -195,7 +195,7 @@ def _eliminated_group_inverse(a, sd):
     )
     # rank A = n - 1 and every column of the projector is in its range, so
     # the last n free columns are the projector's, in order
-    tail = nullspace(aug)[-n:]
+    tail = list(map(_flat, nullspace(aug)[-n:]))
     columns = [tuple(y / z[n + j] for y in z[:n]) for j, z in enumerate(tail)]
     x = RationalMatrix(zip(*columns))
     return x - h @ (hs @ x)

@@ -38,14 +38,14 @@ VIOLATION_PATH = os.path.join(
 W1 = SystemSpec(
     n=2,
     K=2,
-    D=((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))),
+    D=RationalMatrix([[1, 0], [0, 1]]),
     A=RationalMatrix([[-1, 1], [1, -1]]),
     label="w1",
 )
 TRIPLE = SystemSpec(
     n=3,
     K=2,
-    D=((Fraction(1), Fraction(2), Fraction(3)), (Fraction(0), Fraction(2), Fraction(1))),
+    D=RationalMatrix([[1, 2, 3], [0, 2, 1]]),
     A=RationalMatrix([[-2, 1, 1], [1, -2, 1], [1, 1, -2]]),
     label="triple",
 )
@@ -70,11 +70,11 @@ def _solve_constrained(m: RationalMatrix, y, c) -> tuple[Fraction, ...]:
     """Oracle, one column at a time: the x with m·x = y and (x, c) = 0, for
     m with a one-dimensional kernel span(h) and (c, h) != 0.  A solution
     x0 is read off the kernel of [m | -y], whose last entry scales to 1."""
-    (h,) = nullspace(m)
+    (h,) = map(_flat, nullspace(m))
     aug = RationalMatrix(
         [m[i, j] for j in range(m.cols)] + [-yi] for i, yi in enumerate(y)
     )
-    z = next(v for v in nullspace(aug) if v[-1] != 0)
+    z = next(v for v in map(_flat, nullspace(aug)) if v[-1] != 0)
     x0 = tuple(x / z[-1] for x in z[:-1])
     shift = dot(x0, c) / dot(c, h)
     return tuple(a - shift * b for a, b in zip(x0, h))
@@ -102,7 +102,7 @@ def _assert_group_inverse(a: RationalMatrix, sd) -> None:
 
 def _two_state_family(a: Fraction, b: Fraction, k: Fraction, diagonals) -> SystemSpec:
     mat = RationalMatrix([[-a, b], [k * a, -k * b]])
-    return SystemSpec(n=2, K=len(diagonals), D=tuple(diagonals), A=mat)
+    return SystemSpec(n=2, K=len(diagonals), D=RationalMatrix(diagonals), A=mat)
 
 
 class TestVelocities:
@@ -118,7 +118,7 @@ class TestVelocities:
         s = SystemSpec(
             n=2,
             K=1,
-            D=((Fraction(5), Fraction(5)),),
+            D=RationalMatrix([[5, 5]]),
             A=W1.A,
         )
         sd = validate_system(s)
@@ -152,7 +152,7 @@ class TestGroupInverse:
         cases = [load_instance_file(VIOLATION_PATH).A, triangular, triangular.transpose()]
         pairs = []
         for a in cases:
-            sd = validate_system(SystemSpec(n=a.rows, K=1, D=((Fraction(0),) * a.rows,), A=a))
+            sd = validate_system(SystemSpec(n=a.rows, K=1, D=RationalMatrix([[0] * a.rows]), A=a))
             _assert_group_inverse(a, sd)
             pairs.append((_flat(sd.h1), _flat(sd.h1_star)))
         assert pairs[1][0] == (1, 0, 0)
@@ -198,7 +198,7 @@ class TestBuildM:
             if isinstance(node, ast.ImportFrom) and node.module == "exact_linalg"
             for alias in node.names
         }
-        assert imported == {"RationalMatrix", "Vector", "nullspace", "rank_exact"}
+        assert imported == {"RationalMatrix", "nullspace", "rank_exact"}
         s, sd = generate_instance(GeneratorConfig(n=6, K=3, seed=5))
         eliminations = []
 
@@ -248,7 +248,7 @@ class TestBuildM:
         s = SystemSpec(
             n=2,
             K=2,
-            D=((Fraction(3), Fraction(3)), (Fraction(3), Fraction(3))),
+            D=RationalMatrix([[3, 3], [3, 3]]),
             A=W1.A,
         )
         _, ts = _pipeline(s)
@@ -297,7 +297,7 @@ class TestAnalyzeStructure:
         assert report.predicted_rank == 1
         assert report.rank_exact == report.predicted_rank
         assert report.outcome != "degenerate"
-        assert report.kernel_directions == ((Fraction(1), Fraction(1)),)
+        assert report.kernel_directions == (RationalMatrix([[1, 1]]),)
         assert len(report.eigenvalues) == 2
         assert abs(report.eigenvalues[0] + 0.25) < 1e-10
         assert abs(report.eigenvalues[1]) < 1e-10
@@ -309,7 +309,7 @@ class TestAnalyzeStructure:
         s = SystemSpec(
             n=2,
             K=2,
-            D=((Fraction(3), Fraction(3)), (Fraction(1), Fraction(2))),
+            D=RationalMatrix([[3, 3], [1, 2]]),
             A=W1.A,
         )
         sd, ts = _pipeline(s)
@@ -320,7 +320,7 @@ class TestAnalyzeStructure:
 
     def test_degenerate_equal_diagonals(self):
         d = (Fraction(1), Fraction(2), Fraction(3))
-        s = SystemSpec(n=3, K=2, D=(d, d), A=TRIPLE.A)
+        s = SystemSpec(n=3, K=2, D=RationalMatrix([d, d]), A=TRIPLE.A)
         sd, ts = _pipeline(s)
         report = analyze_structure(ts)
         assert report.outcome == "degenerate"

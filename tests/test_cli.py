@@ -207,8 +207,11 @@ class TestAnalyze:
             ({"D": [["1/" + "0" * 4000, "0"], ["0", "1"]]}, "error: D[0][0]: "),
             ({"format_version": "x" * 100_000}, "error: format_version: "),
             ({"y" * 100_000: 0}, "error: unknown instance fields: "),
+            ({"n": 10**4000}, "error: A: expected 1000"),
+            ({"K": 10**4000}, "error: D: expected 1000"),
         ],
-        ids=["letters", "zero-denominator", "format-version", "unknown-field"],
+        ids=["letters", "zero-denominator", "format-version", "unknown-field",
+             "n-huge", "K-huge"],
     )
     def test_rejected_rational_echo_is_bounded(self, tmp_path, capsys, overrides, prefix):
         path = _write_instance(tmp_path, "bad.json", **overrides)
@@ -234,11 +237,12 @@ class TestAnalyze:
             (dict(W1_DICT, D=[["1", "0"]]), "D: expected 2 diagonals, found 1"),
             (dict(W1_DICT, label=7), "label: expected a string, got 7"),
             (dict(W1_DICT, n=1, A=[["0"]], D=[["1"], ["2"]]), "n must be at least 2, got 1"),
+            (dict(W1_DICT, n=0, A=[], D=[[], []]), "n must be at least 2, got 0"),
             (dict(W1_DICT, K=0, D=[]), "K must be at least 1, got 0"),
         ],
         ids=["boolean-entry", "diagonal-not-array", "top-level-array", "format-version-2",
              "missing-A", "A-not-array", "A-row-count", "D-not-array", "D-count",
-             "label-not-string", "n-below-2", "K-below-1"],
+             "label-not-string", "n-below-2", "n-zero", "K-below-1"],
     )
     def test_rejected_instance_names_its_fault(self, tmp_path, capsys, data, message):
         path = tmp_path / "bad.json"
@@ -819,6 +823,27 @@ def test_module_entry_point_far_point_writes_no_stderr(w1_path):
         "--eps", "1e-300", "--amplitude", "1", "--point", "1,0",
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[0.0, 0.0]\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "{path}"],
+        ["phi0", "--instance", "{path}", "--sigma", "1", "--t", "1", "--eps", "1",
+         "--amplitude", "1", "--point", "1,0"],
+        ["residual", "--instance", "{path}", "--t", "1", "--zeta", "0,0", "--h", "0.01"],
+    ],
+    ids=["analyze", "phi0", "residual"],
+)
+def test_deeply_nested_json_is_invalid_json(tmp_path, argv):
+    # json's decoder recurses once per nesting level
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    proc = _run_python("-m", "perturbrank", *(a.format(path=path) for a in argv))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith(f"error: {str(path)!r:.60}: invalid JSON (")
+    assert proc.stderr.count("\n") == 1 and len(proc.stderr.encode()) < 300
+    assert "Traceback" not in proc.stderr
 
 
 PHI0_ARGV = ["phi0", "--instance", "{path}", "--sigma", "1", "--t", "1", "--eps", "1",

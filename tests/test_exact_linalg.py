@@ -391,12 +391,12 @@ class TestDeterminant:
 class TestNullspace:
     def test_kernel_of_difference_matrix(self):
         m = RationalMatrix([[-1, 1], [1, -1]])
-        assert nullspace(m) == [(Fraction(1), Fraction(1))]
+        assert nullspace(m) == [RationalMatrix([[1, 1]])]
 
     def test_left_kernel(self):
         m = RationalMatrix([[-2, 1], [2, -1]])
-        assert nullspace(m.transpose()) == [(Fraction(1), Fraction(1))]
-        assert nullspace(m) == [(Fraction(1), Fraction(2))]
+        assert nullspace(m.transpose()) == [RationalMatrix([[1, 1]])]
+        assert nullspace(m) == [RationalMatrix([[1, 2]])]
 
     def test_invertible_matrix_has_trivial_kernel(self):
         assert nullspace(RationalMatrix([[2, 1], [1, 1]])) == []
@@ -410,8 +410,9 @@ class TestNullspace:
             basis = nullspace(m)
             assert len(basis) == cols - rank_exact(m)
             for v in basis:
-                assert m @ RationalMatrix(zip(v)) == RationalMatrix([[0]] * rows)
-                lead = next(x for x in v if x != 0)
+                assert (v.rows, v.cols) == (1, cols)
+                assert m @ v.transpose() == RationalMatrix([[0]] * rows)
+                lead = next(x for x in _entries(v)[0] if x != 0)
                 assert lead == 1
 
 

@@ -114,7 +114,8 @@ class TestBuildReport:
         # limit; an exact entry str(int) refuses to convert is named
         big = 10 ** (digits - 1) + 7
         a = [[-big, 1], [big, -1]] if big_rates else [[-1, 1], [1, -1]]
-        spec = SystemSpec(n=2, K=2, A=RationalMatrix(a), D=[[big if big_speed else 2, 0], [0, 1]])
+        d = [[big if big_speed else 2, 0], [0, 1]]
+        spec = SystemSpec(n=2, K=2, A=RationalMatrix(a), D=RationalMatrix(d))
         sd = validate_system(spec)
         ts = build_M(spec, sd)
         report = analyze_structure(ts)

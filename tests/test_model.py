@@ -10,12 +10,11 @@ import pytest
 from perturbrank.asymptotics import analyze_structure, build_M
 from perturbrank.exact_linalg import (
     RationalMatrix,
-    Vector,
     charpoly_adjugate,
     nullspace,
     rank_exact,
 )
-from perturbrank.formats import dumps, instance_to_dict
+from perturbrank.formats import build_report, dumps, instance_to_dict, load_instance_file
 from perturbrank.model import (
     FAMILIES,
     MARKOV_FAMILY,
@@ -61,32 +60,34 @@ def _spec(a: RationalMatrix, k: int = 2) -> SystemSpec:
     diagonals = tuple(
         tuple(Fraction(i + j * n) for i in range(n)) for j in range(k)
     )
-    return SystemSpec(n=n, K=k, D=diagonals, A=a)
+    return SystemSpec(n=n, K=k, D=RationalMatrix(diagonals), A=a)
 
 
 class TestSystemSpec:
     def test_dimension_checks(self):
         with pytest.raises(ValueError):
-            SystemSpec(n=1, K=2, D=((Fraction(0),),) * 2, A=RationalMatrix([[0]]))
+            SystemSpec(n=1, K=2, D=RationalMatrix([[0]] * 2), A=RationalMatrix([[0]]))
         with pytest.raises(ValueError):
-            SystemSpec(n=2, K=0, D=(), A=W1_A)
+            SystemSpec(n=2, K=0, D=RationalMatrix([[0, 0]]), A=W1_A)
         with pytest.raises(ValueError):
-            SystemSpec(n=2, K=1, D=((Fraction(0),),), A=W1_A)
+            SystemSpec(n=2, K=1, D=RationalMatrix([[0]]), A=W1_A)
         with pytest.raises(ValueError):
-            SystemSpec(n=3, K=1, D=((Fraction(0),) * 3,), A=W1_A)
+            SystemSpec(n=3, K=1, D=RationalMatrix([[0] * 3]), A=W1_A)
 
 
-def null_pair_normalized(a: RationalMatrix) -> tuple[Vector, Vector]:
+def null_pair_normalized(
+    a: RationalMatrix,
+) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """Oracle: the null pair by two eliminations, one per kernel.
 
     Requires one-dimensional kernels on both sides and scales the pair to
     first-nonzero(h1) = 1 and (h1, h1_star) = 1; raises ``ValueError``
     when the two null vectors are orthogonal (defective zero eigenvalue).
     """
-    right = nullspace(a)
+    right = list(map(_flat, nullspace(a)))
     if len(right) != 1:
         raise KernelDimensionError(f"right kernel dimension is {len(right)}, need exactly 1")
-    left = nullspace(a.transpose())
+    left = list(map(_flat, nullspace(a.transpose())))
     if len(left) != 1:
         raise KernelDimensionError(f"left kernel dimension is {len(left)}, need exactly 1")
     (h1,), (raw,) = right, left
@@ -145,7 +146,7 @@ def _inverse_by_elimination(x: RationalMatrix) -> RationalMatrix:
     aug = RationalMatrix(
         [x[i, j] for j in range(n)] + [-int(i == j) for j in range(n)] for i in range(n)
     )
-    kernel = nullspace(aug)
+    kernel = list(map(_flat, nullspace(aug)))
     assert len(kernel) == n  # X is invertible
     columns = [tuple(y / z[n + j] for y in z[:n]) for j, z in enumerate(kernel)]
     return RationalMatrix(zip(*columns))
@@ -457,8 +458,9 @@ class TestGenerateInstance:
 
 class TestIntegerRows:
     """Every exact vector is held as integer rows: D is K x n, h1 and
-    h1_star are 1 x n and v is K x 1, so generating an instance and
-    building its M construct no Fraction per entry."""
+    h1_star are 1 x n, v is K x 1 and each kernel direction of M is
+    1 x K, so generating an instance, building its M, loading its file
+    and writing its report construct no Fraction per entry."""
 
     def test_vector_fields_are_matrices(self):
         for family in FAMILIES:
@@ -468,7 +470,7 @@ class TestIntegerRows:
             assert shapes == [(1, 5), (1, 5), (3, 5), (3, 1)]
             assert all(isinstance(m, RationalMatrix) for m in (data.h1, data.h1_star, s.D, ts.v))
 
-    def test_fraction_constructions_do_not_grow(self):
+    def test_fraction_constructions_do_not_grow(self, tmp_path):
         built = []
         original = vars(Fraction)["__new__"]
 
@@ -476,7 +478,7 @@ class TestIntegerRows:
             built.append(cls)
             return original.__func__(cls, *args, **kwargs)
 
-        generate, assemble = {}, {}
+        generate, assemble, load, report = {}, {}, {}, {}
         Fraction.__new__ = staticmethod(counted)
         try:
             for family in FAMILIES:
@@ -485,11 +487,21 @@ class TestIntegerRows:
                     s, data = generate_instance(GeneratorConfig(n=n, K=k, seed=9, family=family))
                     generate[family, n, k] = len(built)
                     built.clear()
-                    build_M(s, data)
+                    ts = build_M(s, data)
                     assemble[family, n, k] = len(built)
+                    path = tmp_path / f"{family}-{n}-{k}.json"
+                    path.write_text(dumps(instance_to_dict(s)), encoding="utf-8")
+                    built.clear()
+                    assert load_instance_file(str(path)) == s
+                    load[family, n, k] = len(built)
+                    built.clear()
+                    build_report(s, data, ts, analyze_structure(ts))
+                    report[family, n, k] = len(built)
         finally:
             Fraction.__new__ = original
         assert len(set(assemble.values())) == 1, assemble
+        assert len(set(load.values())) == 1, load
+        assert len(set(report.values())) == 1, report
         for family, n, k in generate:
             assert generate[family, n, k] == generate[family, n, 2], generate
 
@@ -555,7 +567,7 @@ class TestAffineRankLemma:
         # analyze_structure tests degeneracy on P, not on the diagonals.
         a = RationalMatrix([[0, 1], [0, -1]])
         diagonals = ((Fraction(0), Fraction(1)), (Fraction(0), Fraction(2)))
-        spec = SystemSpec(n=2, K=2, D=diagonals, A=a)
+        spec = SystemSpec(n=2, K=2, D=RationalMatrix(diagonals), A=a)
         data = validate_system(spec)
         assert _flat(data.h1) == (1, 0)
         assert _affine_rank(_rows(spec.D)) - 1 == 1 == min(spec.K, spec.n - 1)

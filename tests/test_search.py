@@ -46,7 +46,7 @@ from perturbrank.search import (
 W1 = SystemSpec(
     n=2,
     K=2,
-    D=((1, 0), (0, 1)),
+    D=RationalMatrix([[1, 0], [0, 1]]),
     A=RationalMatrix([[-1, 1], [1, -1]]),
     label="w1",
 )
@@ -199,7 +199,7 @@ class TestClassifyInstance:
         spec = SystemSpec(
             n=2,
             K=2,
-            D=((3, 3), (3, 3)),
+            D=RationalMatrix([[3, 3], [3, 3]]),
             A=RationalMatrix([[-1, 1], [1, -1]]),
         )
         verdict = _verdict(spec)
@@ -211,7 +211,7 @@ class TestClassifyInstance:
         # but the two pushed vectors coincide and span 1 < min(n-1, K) = 2
         # dimensions, so M is the rank-one multiple -2/9 of the all-ones
         # matrix and the rank law is not asserted
-        spec = SystemSpec(n=3, K=2, D=((1, 2, 3), (1, 2, 3)), A=TRIPLE_A)
+        spec = SystemSpec(n=3, K=2, D=RationalMatrix([[1, 2, 3], [1, 2, 3]]), A=TRIPLE_A)
         verdict = _verdict(spec)
         assert verdict.outcome == "degenerate"
         assert verdict.breaches == ()
@@ -223,7 +223,7 @@ class TestClassifyInstance:
         # of 2 even though neither direction is degenerate on its own.
         # The span test puts such hand-fed instances off the
         # general-position stratum, where the generator never samples.
-        spec = SystemSpec(n=3, K=2, D=((1, 2, 4), (-1, 1, 5)), A=PATH_A)
+        spec = SystemSpec(n=3, K=2, D=RationalMatrix([[1, 2, 4], [-1, 1, 5]]), A=PATH_A)
         verdict = _verdict(spec)
         assert verdict.outcome == "degenerate"
         assert verdict.rank_exact == 1
@@ -296,13 +296,13 @@ class TestClassifyInstance:
 AGREEMENT_CASES = {
     "w1": (W1, False),
     "n3-equal-diagonals": (
-        SystemSpec(n=3, K=2, D=((1, 2, 3), (1, 2, 3)), A=TRIPLE_A), True
+        SystemSpec(n=3, K=2, D=RationalMatrix([[1, 2, 3], [1, 2, 3]]), A=TRIPLE_A), True
     ),
     "n3-affinely-dependent": (
-        SystemSpec(n=3, K=2, D=((1, 2, 4), (-1, 1, 5)), A=PATH_A), True
+        SystemSpec(n=3, K=2, D=RationalMatrix([[1, 2, 4], [-1, 1, 5]]), A=PATH_A), True
     ),
-    "n2-all-constant": (SystemSpec(n=2, K=2, D=((3, 3), (5, 5)), A=W1.A), True),
-    "n2-one-constant": (SystemSpec(n=2, K=2, D=((3, 3), (1, 2)), A=W1.A), False),
+    "n2-all-constant": (SystemSpec(n=2, K=2, D=RationalMatrix([[3, 3], [5, 5]]), A=W1.A), True),
+    "n2-one-constant": (SystemSpec(n=2, K=2, D=RationalMatrix([[3, 3], [1, 2]]), A=W1.A), False),
 }
 
 
@@ -339,7 +339,8 @@ def _constructed_violation(spec: SystemSpec, sd, coeffs) -> SystemSpec | None:
     outer = RationalMatrix(zip(h1)) @ RationalMatrix([h1_star])
     r0 = sd.G + outer
     s = RationalMatrix([[h1_star[i] / h1[i] if i == j else 0 for j in range(n)] for i in range(n)])
-    basis = RationalMatrix(zip(*nullspace(RationalMatrix([h1_star]))))
+    kernel = nullspace(RationalMatrix([h1_star]))
+    basis = RationalMatrix([[v[0, i] for v in kernel] for i in range(n)])
     u = basis @ RationalMatrix(zip(coeffs))
     a = s @ r0 @ u
     w = (spec.A + outer).transpose() @ a
@@ -635,7 +636,7 @@ class TestRunCampaign:
         # no known instance breaks the rank law, so the classifier is made
         # to call this degenerate one a violation
         rigged = SystemSpec(
-            n=3, K=2, D=((1, 2, 3), (1, 2, 3)), A=TRIPLE_A, label="rigged"
+            n=3, K=2, D=RationalMatrix([[1, 2, 3], [1, 2, 3]]), A=TRIPLE_A, label="rigged"
         )
 
         def fixed_instance(gen_cfg):

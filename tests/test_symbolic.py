@@ -84,7 +84,7 @@ def numeric_counterpart(values, K):
     D = tuple(
         (values[f"d{i}_1"], values[f"d{i}_2"]) for i in range(1, K + 1)
     )
-    return SystemSpec(n=2, K=K, D=D, A=A)
+    return SystemSpec(n=2, K=K, D=RationalMatrix(D), A=A)
 
 
 class TestFamilyVariables:
