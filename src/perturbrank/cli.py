@@ -186,6 +186,10 @@ def _cmd_symbolic(args) -> int:
             file=sys.stderr,
         )
         return 1
+    # written first, so a path that cannot be written prints no success
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(dumps(data))
     spectrum = data["spectrum"]
     print(
         f"K = {args.k}: M = -c * Delta Delta^T verified identically "
@@ -194,8 +198,6 @@ def _cmd_symbolic(args) -> int:
     print(f"nonzero eigenvalue: {spectrum['nonzero_eigenvalue']['text']}")
     print(f"zero eigenvalue multiplicity: {spectrum['zero_multiplicity']}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(dumps(data))
         print(f"report written to {args.out}")
     return 0
 

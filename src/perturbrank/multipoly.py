@@ -368,21 +368,20 @@ class RatFunc:
         obj._den = None
         return obj
 
-    def _renamed(self, variables: Sequence[int], factors: Sequence[int]) -> "RatFunc":
+    def _renamed(self, variables: Sequence[int]) -> "RatFunc":
         """Trusted image under a renaming of the variables: variable q of
         the result is variable ``variables[q]`` of ``self``, and the caller
-        promises that the renaming sends ``base[factors[i]]`` to
-        ``base[i]``.  It is then a field automorphism that permutes the
-        base, so the image is reduced without trial division; an image
-        whose exponents did not move shares the expanded denominator."""
+        promises that the renaming fixes every base factor.  It is then a
+        field automorphism that fixes the denominator, so the image is
+        reduced without trial division and shares the expanded
+        denominator."""
         num = MultiPoly._make(
             self.num.vars,
             {tuple(e[p] for p in variables): c for e, c in self.num.terms.items()},
             self.num.den,
         )
-        out = RatFunc._make(num, self.base, tuple(self.exps[i] for i in factors))
-        if out.exps == self.exps:
-            out._den = self.den
+        out = RatFunc._make(num, self.base, self.exps)
+        out._den = self.den
         return out
 
     # -- structure ------------------------------------------------------

@@ -16,13 +16,13 @@ the formula M = Q G Pᵀ + (Q G Pᵀ)ᵀ of ``asymptotics.build_M``, so
 substituting numbers into the symbolic output must agree with the
 numeric code to the last digit.  A has rank one and A² = -(a + b*k) A,
 so G = A / (a + b*k)², as ``charpoly_adjugate`` gives it for n = 2.
-Every denominator on the way is a product of powers of a, b, k,
-a + b*k and the Delta_i below, so the entries are kept over that factor
-base (see ``multipoly``).  Only M_00, M_01, M_10 and the velocity v_0
-are computed: M_ij depends on the speeds of directions i and j alone,
-and renaming directions maps the factor base onto itself, so every other
-entry is one of these with its directions renamed, already reduced and
-canonical (see ``build_M_parametric``).
+The inputs bring two denominators, b in h1 and a + b*k in h1_star, G
+and c, and sums and products need no other, so every value is kept over
+the factor base (b, a + b*k) (see ``multipoly``).  Only M_00, M_01, M_10
+and the velocity v_0 are computed: M_ij depends on the speeds of
+directions i and j alone, and renaming directions fixes both factors, so
+every other entry is one of these with its directions renamed, already
+reduced and canonical (see ``build_M_parametric``).
 
 The punchline is structural: every entry satisfies
 
@@ -82,17 +82,16 @@ def build_M_parametric(K: int) -> SymbolicStructure:
     Mirrors the numeric pipeline step for step over Q(a, b, k, d_ij):
     kernel pair, velocities, G = A / (a + b*k)², then M = X + Xᵀ with
     X = Q G Pᵀ.  Those sums compute v_0, M_00, M_01 and M_10 only; every
-    other velocity, gap Delta_i and entry is one of these templates with
-    its directions renamed.  Renaming direction i to sigma(i) is a field
-    automorphism of Q(a, b, k, d_ij) that fixes a, b, k, a + b*k and the
-    kernel pair and sends Delta_i to Delta_sigma(i), so it permutes the
-    factor base: a renamed value is reduced and canonical as it stands,
-    and one whose exponents did not move (every M_ij is over
-    (a + b*k)³) shares its template's expanded denominator.  The kernel
-    pair, G and c are built from their closed forms over the factor
-    base; c is not read off M, so ``verify_rank_one_identity`` checks
-    every entry against a value the pipeline did not produce.  Supports
-    2 <= K <= 6; the variable count grows as 3 + 2K.
+    other velocity and entry is one of these templates with its
+    directions renamed.  Renaming direction i to sigma(i) is a field
+    automorphism of Q(a, b, k, d_ij) that fixes a, b, k and so both
+    factors of the base (b, a + b*k): a renamed value is reduced and
+    canonical as it stands and shares its template's expanded
+    denominator.  The kernel pair, G, c and the gaps
+    Delta_i = d_i1 - d_i2 are built from their closed forms over the
+    factor base; c is not read off M, so ``verify_rank_one_identity``
+    checks every entry against a value the pipeline did not produce.
+    Supports 2 <= K <= 6; the variable count grows as 3 + 2K.
     """
     if not 2 <= K <= MAX_SYMBOLIC_DIRECTIONS:
         raise SizeLimitExceeded(
@@ -103,13 +102,13 @@ def build_M_parametric(K: int) -> SymbolicStructure:
     poly = {n: MultiPoly.variable(names, n) for n in names}
     a, b, k = poly["a"], poly["b"], poly["k"]
     s = a + b * k
-    # the factor base of every entry: each factor has degree one in a
-    # variable whose coefficient is constant, so it is irreducible, and no
-    # two are associates; RatFunc has no division, so no entry can need a
-    # denominator outside the base.  The constructor checks it here, once:
-    # every value below is built over the base of this first one.
-    base = (a, b, k, s, *(poly[f"d{i}_1"] - poly[f"d{i}_2"] for i in range(1, K + 1)))
-    base = RatFunc(MultiPoly.constant(names, 1), base).base
+    # the factor base of every value: the denominators of h1, h1_star, G
+    # and c.  Each factor has degree one in a variable whose coefficient is
+    # constant, so it is irreducible, and the two are not associates;
+    # RatFunc has no division, so no value can need a denominator outside
+    # the base.  The constructor checks it here, once: every value below
+    # is built over the base of this first one.
+    base = RatFunc(MultiPoly.constant(names, 1), (b, s)).base
 
     def over(num: MultiPoly, *factors: MultiPoly) -> RatFunc:
         """num over the product of the listed base factors."""
@@ -129,10 +128,7 @@ def build_M_parametric(K: int) -> SymbolicStructure:
         """f with direction m renamed to targets[m], the rest kept in order."""
         order = [*targets, *(t for t in range(K) if t not in targets)]
         source = sorted(range(K), key=order.__getitem__)
-        return f._renamed(
-            (0, 1, 2, *(3 + 2 * m + half for m in source for half in (0, 1))),
-            (0, 1, 2, 3, *(4 + m for m in source)),
-        )
+        return f._renamed((0, 1, 2, *(3 + 2 * m + half for m in source for half in (0, 1))))
 
     d_vars = [(over(poly[f"d{i}_1"]), over(poly[f"d{i}_2"])) for i in (1, 2)]
     weights = (h1[0] * h1_star[0], h1[1] * h1_star[1])
@@ -159,8 +155,7 @@ def build_M_parametric(K: int) -> SymbolicStructure:
         for i in range(K)
     )
 
-    delta0 = d_vars[0][0] - d_vars[0][1]
-    deltas = (delta0, *(renamed(delta0, i) for i in range(1, K)))
+    deltas = tuple(over(poly[f"d{i}_1"] - poly[f"d{i}_2"]) for i in range(1, K + 1))
     c = over(a * b * k, s, s, s)
     return SymbolicStructure(
         K=K,

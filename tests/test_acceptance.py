@@ -45,6 +45,8 @@ from perturbrank.symbolic import (
     verify_rank_one_identity,
 )
 
+from common import _flat, dot
+
 W1_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "instances", "w1.json")
 
 SYMBOLIC_DEADLINE_SECONDS = 10.0
@@ -55,16 +57,6 @@ def _verdict(spec):
     sd = validate_system(spec)
     ts = build_M(spec, sd)
     return ts, analyze_structure(ts)
-
-
-def dot(u, v) -> Fraction:
-    assert len(u) == len(v)
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
-
-
-def _flat(m: RationalMatrix) -> tuple[Fraction, ...]:
-    """The entries of a row or a column."""
-    return tuple(m[i, j] for i in range(m.rows) for j in range(m.cols))
 
 
 def _line(ok: bool, name: str, detail: str) -> bool:

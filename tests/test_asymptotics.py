@@ -32,15 +32,10 @@ from perturbrank.model import (
     validate_system,
 )
 
+from common import W1, _flat, dot
+
 VIOLATION_PATH = os.path.join(
     os.path.dirname(__file__), os.pardir, "instances", "violation-n3-K1.json"
-)
-W1 = SystemSpec(
-    n=2,
-    K=2,
-    D=RationalMatrix([[1, 0], [0, 1]]),
-    A=RationalMatrix([[-1, 1], [1, -1]]),
-    label="w1",
 )
 TRIPLE = SystemSpec(
     n=3,
@@ -49,16 +44,6 @@ TRIPLE = SystemSpec(
     A=RationalMatrix([[-2, 1, 1], [1, -2, 1], [1, 1, -2]]),
     label="triple",
 )
-
-
-def dot(u, v) -> Fraction:
-    assert len(u) == len(v)
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
-
-
-def _flat(m: RationalMatrix) -> tuple[Fraction, ...]:
-    """The entries of a row or a column."""
-    return tuple(m[i, j] for i in range(m.rows) for j in range(m.cols))
 
 
 def _pipeline(s: SystemSpec):

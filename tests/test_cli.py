@@ -583,6 +583,14 @@ class TestSymbolicCommand:
         assert data["rank_one_identity"] is True
         assert data["spectrum"]["zero_multiplicity"] == 2
 
+    def test_unwritable_out_prints_no_success(self, tmp_path, capsys):
+        # the report is written before anything is printed
+        assert run_command(["symbolic", "--k", "2", "--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error:")
+
     def test_k_beyond_limit_exits_one(self, capsys):
         assert run_command(["symbolic", "--k", "9"]) == 1
         assert "error:" in capsys.readouterr().err

@@ -32,23 +32,14 @@ from perturbrank.model import (
     validate_system,
 )
 
+from common import TRIPLE_A, _flat, dot
+
 #: SHA-256 of every generated instance and its spectral data over both
 #: families, n, K in 2..8 and seeds 0-2, recorded from the Fraction-based
 #: generator; a change in draw order or in any drawn value changes it.
 GENERATOR_DIGEST = "9ff9241370af407c63019b85a1ec2f89a268814cb6790cdc065bf20f3997df3e"
 
 W1_A = RationalMatrix([[-1, 1], [1, -1]])
-TRIPLE_A = RationalMatrix([[-2, 1, 1], [1, -2, 1], [1, 1, -2]])
-
-
-def dot(u, v) -> Fraction:
-    assert len(u) == len(v)
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
-
-
-def _flat(m: RationalMatrix) -> tuple[Fraction, ...]:
-    """The entries of a row or a column."""
-    return tuple(m[i, j] for i in range(m.rows) for j in range(m.cols))
 
 
 def _rows(m: RationalMatrix) -> tuple[tuple[Fraction, ...], ...]:

@@ -320,16 +320,13 @@ class TestRatFunc:
         assert again.num == f.num and again.exps == f.exps
 
     def test_renamed_is_the_canonical_image(self):
-        # swapping a and b fixes k and a + b and swaps the factors a and b
-        base = (A, B, A + B, K)
-        swap_vars, swap_factors = (1, 0, 2), (1, 0, 2, 3)
-        f = RatFunc(A * A + K, base, (0, 2, 1, 0))
-        assert f._renamed(swap_vars, swap_factors) == RatFunc(B * B + K, base, (2, 0, 1, 0))
-        # exponents that do not move keep the expanded denominator
-        g = RatFunc(A * A * B, base, (0, 0, 1, 0))
-        image = g._renamed(swap_vars, swap_factors)
-        assert image == RatFunc(A * B * B, base, (0, 0, 1, 0))
-        assert image.den is g.den
+        # swapping a and b fixes both factors a + b and k, so the image
+        # keeps the exponents and the expanded denominator
+        base = (A + B, K)
+        f = RatFunc(A * A * B + K, base, (2, 1))
+        image = f._renamed((1, 0, 2))
+        assert image == RatFunc(A * B * B + K, base, (2, 1))
+        assert image.den is f.den
 
     def test_str(self):
         assert str(RatFunc(A + B, BASE)) == "a + b"

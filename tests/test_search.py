@@ -43,13 +43,7 @@ from perturbrank.search import (
     run_campaign,
 )
 
-W1 = SystemSpec(
-    n=2,
-    K=2,
-    D=RationalMatrix([[1, 0], [0, 1]]),
-    A=RationalMatrix([[-1, 1], [1, -1]]),
-    label="w1",
-)
+from common import TRIPLE_A, W1
 
 # SHA-256 of the campaign output of test_report_and_artifacts_pinned_by_digest:
 # the report as dumps writes it, without runtime_seconds, and the artifact
@@ -57,7 +51,6 @@ W1 = SystemSpec(
 REPORT_DIGEST = "d126d22673c53e167bbc0e077d396a5312f9701528b2f9fd932c68cc130eb835"
 ARTIFACT_DIGEST = "faf9acb8f02960c84333f96b6d80e7bf41a80ebea3829a0d172a9ac089694cbe"
 
-TRIPLE_A = RationalMatrix([[-2, 1, 1], [1, -2, 1], [1, 1, -2]])
 PATH_A = RationalMatrix([[-1, 1, 0], [1, -2, 1], [0, 1, -1]])
 
 

@@ -156,7 +156,29 @@ class TestBuildMParametric:
         for K in range(2, 7):
             checked.clear()
             build_M_parametric(K)
-            assert checked == [4 + K]
+            assert checked == [2]
+
+    def test_factor_base_is_the_input_denominators(self):
+        for K in range(2, 7):
+            st = build_M_parametric(K)
+            b, k, a = (MultiPoly.variable(st.variables, name) for name in "bka")
+            assert st.c.base == (b, a + b * k)
+
+    def test_renamed_values_share_the_template_denominator(self):
+        # velocity 0 is the template of every velocity; every diagonal,
+        # upper and lower entry of M is a renamed image of one template, so
+        # each group shares one expanded denominator object
+        for K in range(2, 7):
+            st = build_M_parametric(K)
+            M = st.M
+            groups = (
+                st.velocities,
+                [M[i][i] for i in range(K)],
+                [M[i][j] for i in range(K) for j in range(i + 1, K)],
+                [M[j][i] for i in range(K) for j in range(i + 1, K)],
+            )
+            for group in groups:
+                assert all(f.den is group[0].den for f in group), K
 
     def test_fraction_constructions_do_not_grow_with_K(self):
         # coefficients are integers over one denominator, so a build and a
