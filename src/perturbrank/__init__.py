@@ -54,7 +54,7 @@ from .formats import (
     instance_to_dict,
     load_instance_file,
 )
-from .multipoly import MultiPoly, RatFunc, poly_divexact
+from .multipoly import MultiPoly
 from .symbolic import (
     MAX_SYMBOLIC_DIRECTIONS,
     SymbolicStructure,

@@ -229,7 +229,41 @@ def dumps(obj: object) -> str:
 
 
 def _encode(o: object, newline: str) -> str:
-    """One JSON value; ``newline`` is the line break and indent it starts at."""
+    """One JSON value; ``newline`` is the line break and indent it starts at.
+
+    Exact dicts, lists and tuples come first, and their exact str and int
+    children are written inside the loop, without a call; every other
+    value, subclasses included, takes the general branches below."""
+    t = type(o)
+    if t is dict:
+        if not o:
+            return "{}"
+        inner = newline + "  "
+        items = []
+        for k in sorted(o):
+            x = o[k]
+            if type(x) is str:
+                text = encode_basestring_ascii(x)
+            elif type(x) is int:
+                text = int.__repr__(x)
+            else:
+                text = _encode(x, inner)
+            # encode_basestring_ascii raises TypeError on a key that is no str
+            items.append(encode_basestring_ascii(k) + ": " + text)
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if t is list or t is tuple:
+        if not o:
+            return "[]"
+        inner = newline + "  "
+        items = []
+        for x in o:
+            if type(x) is str:
+                items.append(encode_basestring_ascii(x))
+            elif type(x) is int:
+                items.append(int.__repr__(x))
+            else:
+                items.append(_encode(x, inner))
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
     if isinstance(o, str):
         return encode_basestring_ascii(o)
     if o is None:
@@ -257,7 +291,6 @@ def _encode(o: object, newline: str) -> str:
     if isinstance(o, dict):
         if not o:
             return "{}"
-        # encode_basestring_ascii raises TypeError on a key that is no str
         items = [encode_basestring_ascii(k) + ": " + _encode(o[k], inner) for k in sorted(o)]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")

@@ -16,13 +16,21 @@ the formula M = Q G Pᵀ + (Q G Pᵀ)ᵀ of ``asymptotics.build_M``, so
 substituting numbers into the symbolic output must agree with the
 numeric code to the last digit.  A has rank one and A² = -(a + b*k) A,
 so G = A / (a + b*k)², as ``charpoly_adjugate`` gives it for n = 2.
-The inputs bring two denominators, b in h1 and a + b*k in h1_star, G
-and c, and sums and products need no other, so every value is kept over
-the factor base (b, a + b*k) (see ``multipoly``).  Only M_00, M_01, M_10
-and the velocity v_0 are computed: M_ij depends on the speeds of
-directions i and j alone, and renaming directions fixes both factors, so
-every other entry is one of these with its directions renamed, already
-reduced and canonical (see ``build_M_parametric``).
+
+The inputs bring two denominators, b in h1 and s = a + b*k in h1_star, G
+and c, and sums and products need no other.  So every value lies in
+Q[a, b, k, d][1/b, 1/s], which the substitution a = s - b*k turns into
+the Laurent ring Q[s^±1, b^±1, k, d]: each value is a ``MultiPoly`` over
+(s, b, k, d_11, ..., d_K2) whose exponents of s and b may be negative.
+A Laurent polynomial has one representation, so sums, products and
+equality need no division, no reduced form and no check of the
+denominators.  Only M_00, M_01, M_10 and the velocity v_0 are computed:
+M_ij depends on the speeds of directions i and j alone, and renaming
+directions permutes exponent positions of the speeds only, so every
+other entry is one of these with its directions renamed (see
+``build_M_parametric``).  The report writes a value as num/den over
+(a, b, k, d_11, ..., d_K2), converting each template once (see
+``_Fractions``).
 
 The punchline is structural: every entry satisfies
 
@@ -39,9 +47,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .exact_linalg import SizeLimitExceeded
-from .multipoly import MultiPoly, RatFunc, ratfunc_tree
+from .multipoly import MultiPoly, poly_tree
 
 __all__ = [
     "SymbolicStructure",
@@ -58,17 +67,21 @@ MAX_SYMBOLIC_DIRECTIONS = 6
 @dataclass(frozen=True)
 class SymbolicStructure:
     """Exact transfer structure of the two-state family with K directions;
-    ``G`` is the group inverse of A, as ``SpectralData.G`` is."""
+    ``G`` is the group inverse of A, as ``SpectralData.G`` is.
+
+    ``variables`` are the family's (a, b, k, d_11, ..., d_K2).  Every
+    value is a Laurent polynomial over the same names with s = a + b*k in
+    place of a, so a value f stands for f(a + b*k, b, k, d_11, ...)."""
 
     K: int
     variables: tuple[str, ...]
-    h1: tuple[RatFunc, RatFunc]
-    h1_star: tuple[RatFunc, RatFunc]
-    velocities: tuple[RatFunc, ...]
-    G: tuple[tuple[RatFunc, ...], ...]
-    M: tuple[tuple[RatFunc, ...], ...]
-    c: RatFunc
-    deltas: tuple[RatFunc, ...]
+    h1: tuple[MultiPoly, MultiPoly]
+    h1_star: tuple[MultiPoly, MultiPoly]
+    velocities: tuple[MultiPoly, ...]
+    G: tuple[tuple[MultiPoly, ...], ...]
+    M: tuple[tuple[MultiPoly, ...], ...]
+    c: MultiPoly
+    deltas: tuple[MultiPoly, ...]
 
 
 def _family_variables(K: int) -> tuple[str, ...]:
@@ -76,21 +89,30 @@ def _family_variables(K: int) -> tuple[str, ...]:
     return ("a", "b", "k", *(f"d{i}_{m}" for i in range(1, K + 1) for m in (1, 2)))
 
 
+@cache  # K <= 6 and at most two targets: a few hundred entries at most
+def _renaming(K: int, *targets: int) -> tuple[int, ...]:
+    """Exponent positions that rename direction m to targets[m] and keep
+    the rest in order, for ``MultiPoly._renamed``."""
+    order = [*targets, *(t for t in range(K) if t not in targets)]
+    source = sorted(range(K), key=order.__getitem__)
+    return (0, 1, 2, *(3 + 2 * m + half for m in source for half in (0, 1)))
+
+
 def build_M_parametric(K: int) -> SymbolicStructure:
     """Coupling matrix of the two-state family with K transport directions.
 
     Mirrors the numeric pipeline step for step over Q(a, b, k, d_ij):
     kernel pair, velocities, G = A / (a + b*k)², then M = X + Xᵀ with
-    X = Q G Pᵀ.  Those sums compute v_0, M_00, M_01 and M_10 only; every
-    other velocity and entry is one of these templates with its
-    directions renamed.  Renaming direction i to sigma(i) is a field
-    automorphism of Q(a, b, k, d_ij) that fixes a, b, k and so both
-    factors of the base (b, a + b*k): a renamed value is reduced and
-    canonical as it stands and shares its template's expanded
-    denominator.  The kernel pair, G, c and the gaps
-    Delta_i = d_i1 - d_i2 are built from their closed forms over the
-    factor base; c is not read off M, so ``verify_rank_one_identity``
-    checks every entry against a value the pipeline did not produce.
+    X = Q G Pᵀ.  Every value is a Laurent polynomial in s = a + b*k and
+    b (see the module docstring).  Those sums compute v_0, M_00, M_01
+    and M_10 only; every other velocity and entry is one of these
+    templates with its directions renamed.  Renaming direction i to
+    sigma(i) is a ring automorphism that fixes s, b and k and permutes
+    the speeds, so an image is a permutation of exponent positions and
+    canonical as it stands.  The kernel pair, G, c and the gaps
+    Delta_i = d_i1 - d_i2 are built from their closed forms; c is not
+    read off M, so ``verify_rank_one_identity`` checks every entry
+    against a value the pipeline did not produce.
     Supports 2 <= K <= 6; the variable count grows as 3 + 2K.
     """
     if not 2 <= K <= MAX_SYMBOLIC_DIRECTIONS:
@@ -98,45 +120,31 @@ def build_M_parametric(K: int) -> SymbolicStructure:
             f"symbolic construction supports 2..{MAX_SYMBOLIC_DIRECTIONS} "
             f"directions, got {K!r:.60}"
         )
-    names = _family_variables(K)
+    variables = _family_variables(K)
+    names = ("s", *variables[1:])
     poly = {n: MultiPoly.variable(names, n) for n in names}
-    a, b, k = poly["a"], poly["b"], poly["k"]
-    s = a + b * k
-    # the factor base of every value: the denominators of h1, h1_star, G
-    # and c.  Each factor has degree one in a variable whose coefficient is
-    # constant, so it is irreducible, and the two are not associates;
-    # RatFunc has no division, so no value can need a denominator outside
-    # the base.  The constructor checks it here, once: every value below
-    # is built over the base of this first one.
-    base = RatFunc(MultiPoly.constant(names, 1), (b, s)).base
-
-    def over(num: MultiPoly, *factors: MultiPoly) -> RatFunc:
-        """num over the product of the listed base factors."""
-        exps = [0] * len(base)
-        for f in factors:
-            exps[base.index(f)] += 1
-        return RatFunc(num, base, exps)
+    s, b, k = poly["s"], poly["b"], poly["k"]
+    one = MultiPoly.constant(names, 1)
+    rest = (0,) * (len(names) - 2)
+    inv_s = MultiPoly._monomial(names, (-1, 0, *rest))
+    inv_b = MultiPoly._monomial(names, (0, -1, *rest))
+    a = s - b * k
 
     # kernel pair, scaled exactly as the numeric code does:
     # right kernel with leading entry 1, left kernel divided by the pairing
-    h1 = (over(MultiPoly.constant(names, 1)), over(a, b))
-    h1_star = (over(b * k, s), over(b, s))
+    h1 = (one, a * inv_b)
+    h1_star = (b * k * inv_s, b * inv_s)
     # A is rank one with A² = -s A, so its group inverse is A / s²
-    G = tuple(tuple(over(x, s, s) for x in row) for row in ((-a, b), (k * a, -(k * b))))
+    inv_s2 = inv_s * inv_s
+    G = tuple(tuple(x * inv_s2 for x in row) for row in ((-a, b), (k * a, -(k * b))))
 
-    def renamed(f: RatFunc, *targets: int) -> RatFunc:
-        """f with direction m renamed to targets[m], the rest kept in order."""
-        order = [*targets, *(t for t in range(K) if t not in targets)]
-        source = sorted(range(K), key=order.__getitem__)
-        return f._renamed((0, 1, 2, *(3 + 2 * m + half for m in source for half in (0, 1))))
-
-    d_vars = [(over(poly[f"d{i}_1"]), over(poly[f"d{i}_2"])) for i in (1, 2)]
+    d_vars = [(poly[f"d{i}_1"], poly[f"d{i}_2"]) for i in (1, 2)]
     weights = (h1[0] * h1_star[0], h1[1] * h1_star[1])
     v0 = d_vars[0][0] * weights[0] + d_vars[0][1] * weights[1]
-    velocities = (v0, *(renamed(v0, i) for i in range(1, K)))
+    velocities = (v0, *(v0._renamed(_renaming(K, i)) for i in range(1, K)))
     # as in build_M: rows psi_i of Psi = D - v 1ᵀ, P = Psi diag(h1),
     # Q = Psi diag(h1_star) / 2 and M = X + Xᵀ with X = Q G Pᵀ
-    half = over(MultiPoly.constant(names, Fraction(1, 2)))
+    half = MultiPoly.constant(names, Fraction(1, 2))
     psi = [(d1 - v, d2 - v) for (d1, d2), v in zip(d_vars, velocities)]
     P = [(p0 * h1[0], p1 * h1[1]) for p0, p1 in psi]
     Q = [(p0 * h1_star[0] * half, p1 * h1_star[1] * half) for p0, p1 in psi]
@@ -147,19 +155,19 @@ def build_M_parametric(K: int) -> SymbolicStructure:
     m00, m01, m10 = x[0, 0] + x[0, 0], x[0, 1] + x[1, 0], x[1, 0] + x[0, 1]
     m_rows = tuple(
         tuple(
-            renamed(m00, i) if i == j
-            else renamed(m01, i, j) if i < j
-            else renamed(m10, j, i)
+            m00._renamed(_renaming(K, i)) if i == j
+            else m01._renamed(_renaming(K, i, j)) if i < j
+            else m10._renamed(_renaming(K, j, i))
             for j in range(K)
         )
         for i in range(K)
     )
 
-    deltas = tuple(over(poly[f"d{i}_1"] - poly[f"d{i}_2"]) for i in range(1, K + 1))
-    c = over(a * b * k, s, s, s)
+    deltas = tuple(poly[f"d{i}_1"] - poly[f"d{i}_2"] for i in range(1, K + 1))
+    c = a * b * k * inv_s2 * inv_s
     return SymbolicStructure(
         K=K,
-        variables=names,
+        variables=variables,
         h1=h1,
         h1_star=h1_star,
         velocities=velocities,
@@ -189,7 +197,7 @@ def verify_rank_one_identity(structure: SymbolicStructure) -> bool:
     return True
 
 
-def eigen_closed_form_n2(structure: SymbolicStructure) -> RatFunc | None:
+def eigen_closed_form_n2(structure: SymbolicStructure) -> MultiPoly | None:
     """The nonzero eigenvalue of the rank-one dyad M = -c * Delta Delta^T.
 
     It is the trace -c * sum(Delta_i^2), with eigenvector Delta; zero
@@ -204,26 +212,85 @@ def eigen_closed_form_n2(structure: SymbolicStructure) -> RatFunc | None:
     return -(structure.c * total)
 
 
-def _entry_payload(f: RatFunc) -> dict:
-    return {"text": str(f), "tree": ratfunc_tree(f)}
+class _Fractions:
+    """Writes the Laurent values of one structure as payloads over the
+    family variables (a, b, k, d_11, ...): a reduced fraction with the
+    denominator b^i (a + b*k)^j, its text and its expression tree.
+
+    A value f is multiplied by b^i s^j, the least power that clears its
+    negative exponents, and s = a + b*k is substituted into the product
+    from cached powers of a + b*k (``MultiPoly._fraction``).  When j > 0
+    some term of the product has no s, and when i > 0 some term has no
+    b, so the fraction is reduced.  A denominator, its text and its tree
+    are built once per (i, j).  The substitution leaves the speeds alone,
+    so it commutes with renaming directions: a renamed value is its
+    template's numerator renamed over the same denominator.
+    """
+
+    def __init__(self, variables: tuple[str, ...]):
+        a, b, k = (MultiPoly.variable(variables, n) for n in "abk")
+        self.variables = variables
+        self.s_powers = [MultiPoly.constant(variables, 1), a + b * k]
+        self.dens: dict[tuple[int, ...], tuple[MultiPoly, str | None, dict]] = {}
+
+    def _s_power(self, j: int) -> MultiPoly:
+        while len(self.s_powers) <= j:
+            self.s_powers.append(self.s_powers[-1] * self.s_powers[1])
+        return self.s_powers[j]
+
+    def convert(self, f: MultiPoly) -> tuple[MultiPoly, tuple[MultiPoly, str | None, dict]]:
+        """The numerator of f, and its denominator with the denominator's
+        text (None for 1) and tree."""
+        num, clear = f._fraction(0, self._s_power)
+        den = self.dens.get(clear)
+        if den is None:
+            poly = MultiPoly._monomial(self.variables, (0, *clear[1:])) * self._s_power(clear[0])
+            den = self.dens[clear] = (poly, f"({poly})" if any(clear) else None, poly_tree(poly))
+        return num, den
+
+    def payload(self, f: MultiPoly) -> dict:
+        return _payload(*self.convert(f))
+
+    def renamed(self, template: MultiPoly, renamings: list[tuple[int, ...]]) -> list[dict]:
+        """The payload of ``template`` under each renaming, from one conversion."""
+        num, den = self.convert(template)
+        return [_payload(num._renamed(r), den) for r in renamings]
 
 
-def _matrix_payload(M: tuple[tuple[RatFunc, ...], ...], symmetric: bool) -> list:
-    """The payloads of M; once M_ji == M_ij is verified, each unordered
-    pair of entries shares one payload."""
-    if not symmetric:
-        return [[_entry_payload(f) for f in row] for row in M]
-    out = [[None] * len(M) for _ in M]
-    for i, row in enumerate(M):
-        for j in range(i, len(row)):
-            out[i][j] = out[j][i] = _entry_payload(row[j])
-    return out
+def _payload(num: MultiPoly, den: tuple[MultiPoly, str | None, dict]) -> dict:
+    _, text, tree = den
+    return {
+        "text": str(num) if text is None else f"({num})/{text}",
+        "tree": {"op": "div", "numerator": poly_tree(num), "denominator": tree},
+    }
 
 
 def symbolic_report(K: int) -> dict:
-    """JSON-ready exact description of the K-direction two-state family."""
+    """JSON-ready exact description of the K-direction two-state family.
+
+    Every velocity and entry of M is written from the conversion of its
+    template, the value ``build_M_parametric`` renamed to build it."""
     structure = build_M_parametric(K)
     eigenvalue = eigen_closed_form_n2(structure)
+    write = _Fractions(structure.variables)
+
+    def renamed(template: MultiPoly, targets: list[tuple[int, ...]]) -> list[dict]:
+        return write.renamed(template, [_renaming(K, *t) for t in targets])
+
+    pairs = [(i, j) for i in range(K) for j in range(i + 1, K)]
+    M: list[list] = [[None] * K for _ in range(K)]
+    for i, p in enumerate(renamed(structure.M[0][0], [(i,) for i in range(K)])):
+        M[i][i] = p
+    for (i, j), p in zip(pairs, renamed(structure.M[0][1], pairs)):
+        M[i][j] = p
+    # once M_ji == M_ij is verified, each pair of entries shares one
+    # payload; otherwise the lower entries come from their own template
+    if eigenvalue is None:
+        lower = renamed(structure.M[1][0], pairs)
+    else:
+        lower = [M[i][j] for i, j in pairs]
+    for (i, j), p in zip(pairs, lower):
+        M[j][i] = p
     report: dict = {
         "family": "two-state-exchange",
         "K": K,
@@ -232,17 +299,17 @@ def symbolic_report(K: int) -> dict:
             "kernel vectors scaled so each leading entry is 1 and the "
             "pairing (h1, h1_star) is 1; M is invariant under this choice"
         ),
-        "h1": [_entry_payload(f) for f in structure.h1],
-        "h1_star": [_entry_payload(f) for f in structure.h1_star],
-        "velocities": [_entry_payload(f) for f in structure.velocities],
-        "M": _matrix_payload(structure.M, eigenvalue is not None),
-        "c": _entry_payload(structure.c),
-        "deltas": [_entry_payload(f) for f in structure.deltas],
+        "h1": [write.payload(f) for f in structure.h1],
+        "h1_star": [write.payload(f) for f in structure.h1_star],
+        "velocities": renamed(structure.velocities[0], [(i,) for i in range(K)]),
+        "M": M,
+        "c": write.payload(structure.c),
+        "deltas": [write.payload(f) for f in structure.deltas],
         "rank_one_identity": eigenvalue is not None,
     }
     if eigenvalue is not None:
         report["spectrum"] = {
-            "nonzero_eigenvalue": _entry_payload(eigenvalue),
+            "nonzero_eigenvalue": write.payload(eigenvalue),
             "zero_multiplicity": K - 1,
         }
     return report

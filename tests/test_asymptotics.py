@@ -274,6 +274,30 @@ class TestBuildM:
         assert build_M(TRIPLE, rescaled).M == ts.M
 
 
+class TestTheoremB:
+    """The witness of the generic rank law (README, "What is proven").
+    A = J - nI is an admissible Markov generator with h1 = 1, h1* = 1/n
+    and G = -(I - J/n)/n, so build_M gives M = -P Pᵀ / n² exactly and
+    rank M = rank P = min(K, n - 1) for D in general position."""
+
+    def test_witness_identity_and_rank(self):
+        rng = random.Random(2021)
+        cells = 0
+        for n in range(2, 13):
+            A = RationalMatrix([[1 - n if i == j else 1 for j in range(n)] for i in range(n)])
+            for K in range(1, n + 3):
+                D = RationalMatrix(
+                    [[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
+                     for _ in range(K)]
+                )
+                spec = SystemSpec(n=n, K=K, D=D, A=A)
+                ts = build_M(spec, validate_system(spec))
+                assert ts.M == (ts.P @ ts.P.transpose()).scale(Fraction(-1, n * n)), (n, K)
+                assert analyze_structure(ts).rank_exact == min(K, n - 1), (n, K)
+                cells += 1
+        assert cells == 99
+
+
 class TestAnalyzeStructure:
     def test_w1_report(self):
         sd, ts = _pipeline(W1)

@@ -215,8 +215,8 @@ class TestCanonicalForm:
 
 
 def test_no_module_reads_how_exact_numbers_are_held():
-    # num, den and _make belong to exact_linalg; multipoly's MultiPoly and
-    # RatFunc own attributes of the same names
+    # num, den and _make belong to exact_linalg; multipoly's MultiPoly
+    # owns attributes of the same names
     leaks = []
     for path in sorted(Path(perturbrank.__file__).parent.glob("*.py")):
         if path.stem in ("exact_linalg", "multipoly"):

@@ -1,8 +1,10 @@
 """The canonical JSON writer against the standard library's encoder."""
 
+import enum
 import json
 import math
 import os
+from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,26 @@ from perturbrank.search import CampaignConfig, run_campaign
 from perturbrank.symbolic import symbolic_report
 
 INSTANCES = os.path.join(os.path.dirname(__file__), os.pardir, "instances")
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Enum(enum.IntEnum):
+    TWO = 2
+
+
+class _Float(float):
+    pass
+
+
+class _List(list):
+    pass
 
 
 def _reference(obj) -> str:
@@ -61,7 +83,19 @@ class TestDumps:
 
     @pytest.mark.parametrize(
         "obj",
-        [[], {}, (), [[]], {"a": {}}, [(), [[], {}]], "", -0.0, 10**100, -(10**100), True, None],
+        [
+            [], {}, (), [[]], {"a": {}}, [(), [[], {}]], "", -0.0, 10**100, -(10**100), True, None,
+            # subclasses and bools miss the exact-type fast path of the
+            # containers and take the general branches
+            OrderedDict([("b", 1), ("a", [2, "x"])]),
+            {"s": _Str("x\u00e9"), "t": [_Str("")]},
+            {"i": _Int(7), "e": [_Enum.TWO, -_Int(3)]},
+            {"f": _Float(0.5), "g": [_Float("nan"), _Float("-inf")]},
+            _List([1, "a", _List([]), {"k": _List([None])}]),
+            {"t": True, "f": False, "l": [True, False, None, 0, 1]},
+            [OrderedDict([("z", _Str("q")), ("a", (_Int(1), _List([_Float(2.5)])))])],
+            {_Str("k"): _Str("v"), "j": {_Str(""): _Enum.TWO}},
+        ],
     )
     def test_empty_and_edge_values(self, obj):
         assert dumps(obj) == _reference(obj)

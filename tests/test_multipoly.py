@@ -1,4 +1,4 @@
-"""Tests for the exact multivariate polynomial / rational function kernel."""
+"""Tests for the exact multivariate polynomial kernel and its Laurent values."""
 
 import random
 from fractions import Fraction
@@ -6,13 +6,7 @@ from math import gcd
 
 import pytest
 
-from perturbrank.multipoly import (
-    MultiPoly,
-    RatFunc,
-    poly_divexact,
-    poly_tree,
-    ratfunc_tree,
-)
+from perturbrank.multipoly import MultiPoly, poly_tree
 
 VARS = ("a", "b", "k")
 
@@ -32,27 +26,6 @@ def const(value):
 A, B, K = var("a"), var("b"), var("k")
 ONE = MultiPoly.constant(VARS, 1)
 ZERO = MultiPoly(VARS)
-# irreducible, pairwise non-associate, primitive, positive leading terms
-BASE = (A, B, K, A + B * K, A - B)
-
-
-def over(num, *factors):
-    """num divided by the product of the given factors of BASE."""
-    exps = [0] * len(BASE)
-    for f in factors:
-        exps[BASE.index(f)] += 1
-    return RatFunc(num, BASE, exps)
-
-
-def power_product(exps):
-    out = ONE
-    for f, e in zip(BASE, exps):
-        out = out * f**e
-    return out
-
-
-def random_exps(rng):
-    return tuple(rng.randint(0, 2) for _ in BASE)
 
 
 def random_poly(rng, max_terms=3, max_exp=2, bound=5):
@@ -62,6 +35,16 @@ def random_poly(rng, max_terms=3, max_exp=2, bound=5):
         coeff = Fraction(rng.randint(-bound, bound), rng.randint(1, 3))
         terms[exps] = terms.get(exps, Fraction(0)) + coeff
     return P(terms)
+
+
+def monomial(*exps):
+    """The Laurent monomial a^exps[0] b^exps[1] k^exps[2]."""
+    return MultiPoly._make(VARS, {tuple(exps): 1})
+
+
+def random_laurent(rng):
+    """A random polynomial times a random monomial with exponents in -2..1."""
+    return random_poly(rng) * monomial(*(rng.randint(-2, 1) for _ in VARS))
 
 
 def random_point(rng):
@@ -115,13 +98,15 @@ class TestMultiPoly:
             A ** -1  # noqa: B018
 
     def test_leading_term_is_graded_lex(self):
-        # b^2 beats a*k at equal total degree? grlex ties break lexicographically
-        # on the exponent vector: (1,0,1) > (0,2,0).
+        # text and tree lead with the graded-lex largest term; ties in
+        # total degree break lexicographically on the exponent vector:
+        # (1,0,1) > (0,2,0)
         p = P({(1, 0, 1): 1, (0, 2, 0): 5})
-        assert p.leading() == ((1, 0, 1), Fraction(1))
+        assert str(p) == "a*k + 5*b^2"
+        assert poly_tree(p)["terms"][0]["powers"] == {"a": 1, "k": 1}
         # higher total degree wins regardless of coefficients
         q = P({(0, 0, 3): 1, (2, 0, 0): 99})
-        assert q.leading()[0] == (0, 0, 3)
+        assert str(q) == "k^3 + 99*a^2"
 
     def test_eval(self):
         p = A * A - B * K
@@ -150,8 +135,9 @@ class TestCanonicalForm:
             for p in (f, f + g, f - g, -f, f * g, f * g - g * f, (f + h) ** 2):
                 assert_canonical(p)
             assert (f - f).den == 1
-            if not g.is_zero():
-                assert_canonical(poly_divexact(f * g, g))
+            u = random_laurent(rng)
+            for p in (u, u * f, u + g, u * u - f):
+                assert_canonical(p)
 
     def test_equal_values_have_equal_fields(self):
         rng = random.Random(99)
@@ -170,168 +156,72 @@ class TestCanonicalForm:
         assert str(p) == "3/2*a - 1/3*b + k - 1"
         assert [t["coefficient"] for t in poly_tree(p)["terms"]] == ["3/2", "-1/3", "1", "-1"]
 
-    def test_divexact_by_non_primitive_divisor(self):
-        two_a_two_b = const(2) * A + const(2) * B
-        f = const(Fraction(1, 3)) * (A * A - B * B)
-        assert poly_divexact(f, two_a_two_b) == const(Fraction(1, 6)) * (A - B)
-        third = const(Fraction(2, 3)) * (A + B)
-        assert poly_divexact(f, third) == const(Fraction(1, 2)) * (A - B)
-        assert poly_divexact(two_a_two_b, two_a_two_b) == ONE
-        with pytest.raises(ValueError):
-            poly_divexact(A * A + ONE, two_a_two_b)
-        # a quotient step with a non-integer coefficient: a + 1 by 2a + 1
-        with pytest.raises(ValueError):
-            poly_divexact(A + ONE, const(2) * A + ONE)
-        assert poly_divexact(A + const(Fraction(1, 2)), const(2) * A + ONE) == const(
-            Fraction(1, 2)
-        )
 
-
-class TestDivision:
-    def test_divexact_roundtrip(self):
-        rng = random.Random(7)
-        for _ in range(40):
-            f = random_poly(rng)
-            g = random_poly(rng)
-            if g.is_zero():
-                continue
-            assert poly_divexact(f * g, g) == f
-
-    def test_divexact_rejects_nondivisor(self):
-        with pytest.raises(ValueError):
-            poly_divexact(A * A + ONE, A + B)
-
-    def test_divexact_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            poly_divexact(A, ZERO)
-
-
-class TestRatFunc:
-    def test_difference_of_squares_cancels(self):
-        f = over(A * A - B * B, A - B)
-        assert f == RatFunc(A + B, BASE)
-        assert f.den == ONE
+class TestLaurent:
+    """Values built through _make may carry negative exponents; the ring
+    operations and equality stay exact and need no division."""
 
     def test_commuted_product_is_one(self):
-        assert over(A * B, B, A) == RatFunc(ONE, BASE)
-
-    def test_shared_cubic_factor(self):
-        s = A + B * K
-        f = over(A * B * s, s, s, s)
-        assert f.num == A * B
-        assert f.den == s * s
-
-    def test_zero_denominator(self):
-        with pytest.raises(ValueError):
-            RatFunc(A, (ZERO,))
-
-    def test_zero_numerator_canonical(self):
-        f = over(ZERO, A - B, A - B)
-        assert f.is_zero()
-        assert f.exps == (0,) * len(BASE)
-        assert f.den == ONE
-
-    def test_denominator_sign_and_content(self):
-        # a base factor must be primitive-integer with a positive leading
-        # coefficient, so the expanded denominator is too
-        for bad in (
-            B - A,
-            const(2) * (A - B),
-            const(Fraction(1, 2)) * (A - B),
-            MultiPoly.constant(VARS, 3),
-        ):
-            with pytest.raises(ValueError):
-                RatFunc(A, (A, bad))
-        f = over(const(Fraction(3, 2)) * A, A - B)
-        assert f.den == A - B
-        assert f.num == const(Fraction(3, 2)) * A
-
-    def test_bad_base_or_exponents_rejected(self):
-        with pytest.raises(ValueError):
-            RatFunc(A, ())
-        with pytest.raises(ValueError):
-            RatFunc(A, (MultiPoly.variable(("x", "y"), "x"),))
-        for bad in ((1,), (1, 2, 3), (-1, 0), (1.0, 0)):
-            with pytest.raises(ValueError):
-                RatFunc(A, (A, B), bad)
+        assert (A * B) * (monomial(0, -1, 0) * monomial(-1, 0, 0)) == ONE
+        assert monomial(2, -1, 0) * monomial(-2, 1, 0) == ONE
 
     def test_field_identities_exact(self):
         rng = random.Random(11)
-        built = 0
-        while built < 25:
-            f, g, h = (
-                RatFunc(random_poly(rng), BASE, random_exps(rng)) for _ in range(3)
-            )
+        for _ in range(25):
+            f, g, h = (random_laurent(rng) for _ in range(3))
             assert f + g == g + f
             assert f * g == g * f
             assert f * (g + h) == f * g + f * h
-            assert f - f == RatFunc(ZERO, BASE)
-            built += 1
-
-    def test_canonical_form_matches_evaluation(self):
-        rng = random.Random(42)
-        checked = 0
-        while checked < 50:
-            num = random_poly(rng)
-            extra, exps = random_exps(rng), random_exps(rng)
-            f = RatFunc(num * power_product(extra), BASE, exps)
-            for factor, e in zip(BASE, f.exps):
-                if e:
-                    with pytest.raises(ValueError):
-                        poly_divexact(f.num, factor)
-            point = random_point(rng)
-            den = power_product(exps).eval(point)
-            if den != 0:
-                assert f.eval(point) == (num * power_product(extra)).eval(point) / den
-            # g is a constant times base powers over base powers, so its
-            # reciprocal is one too
-            unit = Fraction(rng.choice([-3, -1, Fraction(2, 5), 7]))
-            up, down = random_exps(rng), random_exps(rng)
-            g = RatFunc(const(unit) * power_product(up), BASE, down)
-            g_inv = RatFunc(const(1 / unit) * power_product(down), BASE, up)
-            h = RatFunc(random_poly(rng), BASE, random_exps(rng))
             assert (f + h) - h == f
-            assert (f * g) * g_inv == f
-            checked += 1
+            assert f - f == ZERO
+            # a monomial is a unit
+            e = tuple(rng.randint(-2, 2) for _ in VARS)
+            assert f * monomial(*e) * monomial(*(-x for x in e)) == f
 
-    def test_operands_share_the_base(self):
-        with pytest.raises(ValueError):
-            over(A, B) + RatFunc(A, (A, B))
-
-    def test_product_and_reciprocal(self):
-        f = over(A, B)
-        one = RatFunc(ONE, BASE)
-        assert f * f == over(A * A, B, B)
-        assert f * over(B, A) == one
-        # over(2a, k) has the reciprocal over(k / 2, a)
-        assert over(const(4) * A, B) * over(const(Fraction(1, 2)) * K, A) == over(
-            const(2) * K, B
-        )
+    def test_eval_is_the_quotient(self):
+        rng = random.Random(42)
+        for _ in range(40):
+            num = random_poly(rng)
+            e = tuple(rng.randint(0, 2) for _ in VARS)
+            f = num * monomial(*(-x for x in e))
+            point = random_point(rng)
+            assert f.eval(point) == num.eval(point) / monomial(*e).eval(point)
 
     def test_eval_pole(self):
-        f = over(ONE, A - B)
         with pytest.raises(ZeroDivisionError):
-            f.eval({"a": 1, "b": 1, "k": 0})
+            (A + monomial(0, -1, 0)).eval({"a": 1, "b": 0, "k": 2})
 
-    def test_normalize_idempotent(self):
-        f = over(A * A - B * B, A - B, A - B, B)
-        again = RatFunc(f.num, f.base, f.exps)
-        assert again == f
-        assert again.num == f.num and again.exps == f.exps
+    def test_public_constructor_rejects_negative_exponents(self):
+        with pytest.raises(ValueError):
+            MultiPoly(VARS, {(0, -1, 0): 1})
+        with pytest.raises(ValueError):
+            MultiPoly.constant(VARS, 1) ** -1
 
     def test_renamed_is_the_canonical_image(self):
-        # swapping a and b fixes both factors a + b and k, so the image
-        # keeps the exponents and the expanded denominator
-        base = (A + B, K)
-        f = RatFunc(A * A * B + K, base, (2, 1))
+        # swapping a and b permutes exponent positions, negative ones too
+        f = (const(Fraction(3, 2)) * A * A * B + K) * monomial(0, -1, -2)
         image = f._renamed((1, 0, 2))
-        assert image == RatFunc(A * B * B + K, base, (2, 1))
-        assert image.den is f.den
+        assert image == (const(Fraction(3, 2)) * B * B * A + K) * monomial(-1, 0, -2)
+        assert (image.terms, image.den) == (
+            {(0, 2, -2): 3, (-1, 0, -1): 2},
+            2,
+        )
 
-    def test_str(self):
-        assert str(RatFunc(A + B, BASE)) == "a + b"
-        assert str(over(A, B)) == "(a)/(b)"
-        assert str(over(ONE, B, B)) == "(1)/(b^2)"
+    def test_fraction_clears_and_substitutes(self):
+        # k/(a b) + k over a b, with a replaced by q = b + k
+        q = B + K
+        f = K * monomial(-1, -1, 0) + const(Fraction(1, 3)) * K
+        num, clear = f._fraction(0, lambda j: q**j)
+        assert clear == (1, 1, 0)
+        assert num == K + const(Fraction(1, 3)) * q * B * K
+        assert ZERO._fraction(0, lambda j: q**j) == (ZERO, (0, 0, 0))
+        # exponents that are not negative stay: b^2 k^-1 clears to b^2
+        assert monomial(0, 2, -1)._fraction(0, lambda j: q**j) == (B * B, (0, 0, 1))
+
+    def test_str_and_tree_write_negative_exponents(self):
+        f = A * monomial(0, -1, 0) - monomial(0, 0, -2)
+        assert str(f) == "a*b^-1 - k^-2"
+        assert [t["powers"] for t in poly_tree(f)["terms"]] == [{"a": 1, "b": -1}, {"k": -2}]
 
 
 class TestTrees:
@@ -344,13 +234,3 @@ class TestTrees:
                 {"op": "term", "coefficient": "-1/2", "powers": {}},
             ],
         }
-
-    def test_ratfunc_tree_shape(self):
-        f = over(A, B)
-        tree = ratfunc_tree(f)
-        assert tree["op"] == "div"
-        assert tree["numerator"] == {
-            "op": "sum",
-            "terms": [{"op": "term", "coefficient": "1", "powers": {"a": 1}}],
-        }
-        assert tree["denominator"]["terms"][0]["powers"] == {"b": 1}

@@ -14,8 +14,8 @@ from perturbrank.asymptotics import build_M
 from perturbrank.cli import run_command
 from perturbrank.formats import dumps
 from perturbrank.model import SystemSpec, validate_system
-from perturbrank import multipoly
-from perturbrank.multipoly import MultiPoly, RatFunc
+from perturbrank import symbolic
+from perturbrank.multipoly import MultiPoly
 from perturbrank.symbolic import (
     build_M_parametric,
     eigen_closed_form_n2,
@@ -35,29 +35,49 @@ REPORT_DIGESTS = {
 }
 
 
-def closed_form_c(base):
-    names = base[0].vars
-    a = MultiPoly.variable(names, "a")
-    b = MultiPoly.variable(names, "b")
-    k = MultiPoly.variable(names, "k")
-    exps = [0] * len(base)
-    exps[base.index(a + b * k)] = 3
-    return RatFunc(a * b * k, base, exps)
+def laurent_names(st):
+    """The variables of the structure's values: s = a + b*k in place of a."""
+    return ("s", *st.variables[1:])
+
+
+def var(st, name):
+    return MultiPoly.variable(laurent_names(st), name)
+
+
+def const(st, value):
+    return MultiPoly.constant(laurent_names(st), value)
+
+
+def rates(st):
+    """a, b and k as values of the structure: a = s - b*k."""
+    s, b, k = (var(st, name) for name in "sbk")
+    return s - b * k, b, k
+
+
+def at(f, values):
+    """The value of a structure's value f at a point of (a, b, k, d...)."""
+    return f.eval({**values, "s": values["a"] + values["b"] * values["k"]})
+
+
+def closed_form_c(st):
+    """a*b*k / (a + b*k)^3, with 1/s as the Laurent monomial s^-1."""
+    a, b, k = rates(st)
+    names = laurent_names(st)
+    inv_s3 = MultiPoly._make(names, {(-3,) + (0,) * (len(names) - 1): 1})
+    return a * b * k * inv_s3
 
 
 def direct_construction(st):
     """Every velocity and every entry of M from its own Q G Pᵀ sum, as in
     ``build_M``, from the structure's kernel pair and G; the oracle for
     the renamed templates of ``build_M_parametric``."""
-    names, base = st.variables, st.c.base
     d_vars = [
-        tuple(RatFunc(MultiPoly.variable(names, f"d{i}_{m}"), base) for m in (1, 2))
-        for i in range(1, st.K + 1)
+        tuple(var(st, f"d{i}_{m}") for m in (1, 2)) for i in range(1, st.K + 1)
     ]
     h1, h1_star = st.h1, st.h1_star
     weights = (h1[0] * h1_star[0], h1[1] * h1_star[1])
     velocities = [d1 * weights[0] + d2 * weights[1] for d1, d2 in d_vars]
-    half = RatFunc(MultiPoly.constant(names, Fraction(1, 2)), base)
+    half = const(st, Fraction(1, 2))
     psi = [(d1 - v, d2 - v) for (d1, d2), v in zip(d_vars, velocities)]
     P = [(p0 * h1[0], p1 * h1[1]) for p0, p1 in psi]
     Q = [(p0 * h1_star[0] * half, p1 * h1_star[1] * half) for p0, p1 in psi]
@@ -105,16 +125,12 @@ class TestBuildMParametric:
 
     def test_coupling_constant_closed_form(self):
         st = build_M_parametric(2)
-        assert st.c == closed_form_c(st.c.base)
+        assert st.c == closed_form_c(st)
 
     def test_diagonal_entry_closed_form(self):
         st = build_M_parametric(2)
-        d1, d2 = (
-            RatFunc(MultiPoly.variable(st.variables, name), st.c.base)
-            for name in ("d1_1", "d1_2")
-        )
-        delta = d1 - d2
-        assert st.M[0][0] == -(closed_form_c(st.c.base) * delta * delta)
+        delta = var(st, "d1_1") - var(st, "d1_2")
+        assert st.M[0][0] == -(closed_form_c(st) * delta * delta)
 
     @pytest.mark.parametrize("K", [2, 3, 4])
     def test_renamed_entries_match_direct_construction(self, K):
@@ -125,60 +141,80 @@ class TestBuildMParametric:
             for j in range(K):
                 assert st.M[i][j] == M[i][j], (i, j)
 
-    def test_divexact_calls_do_not_grow_with_K(self, monkeypatch):
-        # only the templates for directions 0 and 1 are reduced by trial
-        # division; every renamed value is reduced as it stands
-        calls = []
-        real = multipoly.poly_divexact
+    def test_conversions_do_not_grow_with_K(self, monkeypatch):
+        # the report converts the templates v_0, M_00 and M_01 once, M_10
+        # too when M_ji == M_ij is not verified, and each closed-form value
+        # once: h1, h1_star, c, the K gaps and the eigenvalue
+        converted = []
+        real = symbolic._Fractions.convert
 
-        def counted(f, g):
-            calls.append(g)
-            return real(f, g)
+        def counted(self, f):
+            converted.append(f)
+            return real(self, f)
 
-        monkeypatch.setattr(multipoly, "poly_divexact", counted)
-        counts = {}
+        monkeypatch.setattr(symbolic._Fractions, "convert", counted)
         for K in range(2, 7):
-            calls.clear()
-            build_M_parametric(K)
-            counts[K] = len(calls)
-        assert len(set(counts.values())) == 1, counts
-
-    def test_factor_base_checked_once_per_build(self, monkeypatch):
-        # every value of a build shares the base its first value checked
-        checked = []
-        real = multipoly._checked_base
-
-        def counted(base):
-            checked.append(len(base))
-            return real(base)
-
-        monkeypatch.setattr(multipoly, "_checked_base", counted)
-        for K in range(2, 7):
-            checked.clear()
-            build_M_parametric(K)
-            assert checked == [2]
-
-    def test_factor_base_is_the_input_denominators(self):
-        for K in range(2, 7):
+            converted.clear()
+            symbolic_report(K)
             st = build_M_parametric(K)
-            b, k, a = (MultiPoly.variable(st.variables, name) for name in "bka")
-            assert st.c.base == (b, a + b * k)
+            renamed = [f for row in st.M for f in row] + list(st.velocities)
+            templates = [f for f in converted if f in renamed]
+            assert templates == [st.M[0][0], st.M[0][1], st.velocities[0]]
+            assert len(converted) == 3 + 6 + K
+        monkeypatch.setattr(symbolic, "verify_rank_one_identity", lambda st: False)
+        for K in range(2, 7):
+            converted.clear()
+            symbolic_report(K)
+            assert len(converted) == 4 + 5 + K
 
     def test_renamed_values_share_the_template_denominator(self):
         # velocity 0 is the template of every velocity; every diagonal,
         # upper and lower entry of M is a renamed image of one template, so
-        # each group shares one expanded denominator object
+        # the payloads of each group share one denominator tree
         for K in range(2, 7):
-            st = build_M_parametric(K)
-            M = st.M
-            groups = (
-                st.velocities,
-                [M[i][i] for i in range(K)],
-                [M[i][j] for i in range(K) for j in range(i + 1, K)],
-                [M[j][i] for i in range(K) for j in range(i + 1, K)],
-            )
-            for group in groups:
-                assert all(f.den is group[0].den for f in group), K
+            for verified in (True, False):
+                with pytest.MonkeyPatch.context() as mp:
+                    if not verified:
+                        mp.setattr(symbolic, "verify_rank_one_identity", lambda st: False)
+                    report = symbolic_report(K)
+                M = report["M"]
+                groups = (
+                    report["velocities"],
+                    [M[i][i] for i in range(K)],
+                    [M[i][j] for i in range(K) for j in range(i + 1, K)],
+                    [M[j][i] for i in range(K) for j in range(i + 1, K)],
+                )
+                for group in groups:
+                    den = group[0]["tree"]["denominator"]
+                    assert all(p["tree"]["denominator"] is den for p in group), K
+
+    @pytest.mark.parametrize("K", [2, 3, 4, 5, 6])
+    def test_renamed_payloads_match_each_value_converted(self, K, monkeypatch):
+        # the report renames converted templates; converting every
+        # velocity and entry on its own gives the same text and tree
+        st = build_M_parametric(K)
+        write = symbolic._Fractions(st.variables)
+        own = [[write.payload(f) for f in row] for row in st.M]
+        report = symbolic_report(K)
+        assert report["velocities"] == [write.payload(f) for f in st.velocities]
+        assert report["M"] == own
+        monkeypatch.setattr(symbolic, "verify_rank_one_identity", lambda st: False)
+        assert symbolic_report(K)["M"] == own
+
+    def test_converted_values_match_their_laurent_form(self):
+        # the numerator over b^i (a + b*k)^j that the report writes is the
+        # value of the Laurent form at every point
+        st = build_M_parametric(3)
+        write = symbolic._Fractions(st.variables)
+        values = [*st.h1, *st.h1_star, *st.velocities, st.c, *st.deltas, *st.G[0], *st.G[1]]
+        values += [f for row in st.M for f in row]
+        rng = random.Random(5)
+        for f in values:
+            num, (den, text, _) = write.convert(f)
+            assert (text is None) == (den == MultiPoly.constant(st.variables, 1))
+            for _ in range(3):
+                point = random_values(rng, st.variables)
+                assert num.eval(point) / den.eval(point) == at(f, point)
 
     def test_fraction_constructions_do_not_grow_with_K(self):
         # coefficients are integers over one denominator, so a build and a
@@ -214,13 +250,10 @@ class TestBuildMParametric:
         # A G = G A = I - h1 h1_star^T, G h1 = 0 and h1_star^T G = 0, over
         # the field, for the closed form G = A / (a + b k)^2
         st = build_M_parametric(2)
-        base = st.c.base
-        a, b, k = (
-            RatFunc(MultiPoly.variable(st.variables, name), base) for name in "abk"
-        )
+        a, b, k = rates(st)
         A = ((-a, b), (k * a, -(k * b)))
         G, h, hs = st.G, st.h1, st.h1_star
-        zero, one = (RatFunc(MultiPoly.constant(st.variables, v), base) for v in (0, 1))
+        zero, one = (const(st, v) for v in (0, 1))
 
         def mul(x, y):
             return [[x[i][0] * y[0][j] + x[i][1] * y[1][j] for j in range(2)] for i in range(2)]
@@ -235,7 +268,7 @@ class TestBuildMParametric:
     def test_pairing_is_one(self):
         st = build_M_parametric(2)
         pairing = st.h1[0] * st.h1_star[0] + st.h1[1] * st.h1_star[1]
-        assert pairing == RatFunc(MultiPoly.constant(st.variables, 1), st.c.base)
+        assert pairing == const(st, 1)
 
     @pytest.mark.parametrize("K", [2, 3, 4, 5, 6])
     def test_rank_one_identity(self, K):
@@ -243,7 +276,7 @@ class TestBuildMParametric:
 
     def test_identity_detects_mutation(self):
         st = build_M_parametric(2)
-        one = RatFunc(MultiPoly.constant(st.variables, 1), st.c.base)
+        one = const(st, 1)
         rows = [list(row) for row in st.M]
         rows[0][1] = rows[0][1] + one
         rows[1][0] = rows[1][0] + one
@@ -255,7 +288,7 @@ class TestBuildMParametric:
 
     def test_identity_detects_lower_triangle_mutation(self):
         st = build_M_parametric(3)
-        one = RatFunc(MultiPoly.constant(st.variables, 1), st.c.base)
+        one = const(st, 1)
         rows = [list(row) for row in st.M]
         rows[1][0] = rows[1][0] + one
         broken = dataclasses.replace(
@@ -268,7 +301,7 @@ class TestBuildMParametric:
 class TestClosedFormEigenvalue:
     def test_zero_multiplicity(self):
         for K in (2, 4):
-            assert isinstance(eigen_closed_form_n2(build_M_parametric(K)), RatFunc)
+            assert isinstance(eigen_closed_form_n2(build_M_parametric(K)), MultiPoly)
             assert symbolic_report(K)["spectrum"]["zero_multiplicity"] == K - 1
 
     def test_unit_rates_give_eighth(self):
@@ -276,7 +309,7 @@ class TestClosedFormEigenvalue:
         # sum of squared gaps 2, so the nonzero eigenvalue is -1/4
         eigenvalue = eigen_closed_form_n2(build_M_parametric(2))
         values = {"a": 1, "b": 1, "k": 1, "d1_1": 1, "d1_2": 0, "d2_1": 0, "d2_2": 1}
-        assert eigenvalue.eval(values) == Fraction(-1, 4)
+        assert at(eigenvalue, values) == Fraction(-1, 4)
 
     def test_eigenvalue_is_trace(self):
         st = build_M_parametric(3)
@@ -297,9 +330,9 @@ class TestNumericAgreement:
             ts = build_M(spec, sd)
             v = ts.v
             for i in range(K):
-                assert st.velocities[i].eval(values) == v[i, 0]
+                assert at(st.velocities[i], values) == v[i, 0]
                 for j in range(K):
-                    assert st.M[i][j].eval(values) == ts.M[i, j]
+                    assert at(st.M[i][j], values) == ts.M[i, j]
             checked += 1
 
     def test_group_inverse_matches_numeric(self):
@@ -310,7 +343,7 @@ class TestNumericAgreement:
             sd = validate_system(numeric_counterpart(values, 2))
             for i in range(2):
                 for j in range(2):
-                    assert st.G[i][j].eval(values) == sd.G[i, j]
+                    assert at(st.G[i][j], values) == sd.G[i, j]
 
     def test_kernel_pair_matches_numeric(self):
         st = build_M_parametric(2)
@@ -320,8 +353,8 @@ class TestNumericAgreement:
             spec = numeric_counterpart(values, 2)
             sd = validate_system(spec)
             for idx in range(2):
-                assert st.h1[idx].eval(values) == sd.h1[0, idx]
-                assert st.h1_star[idx].eval(values) == sd.h1_star[0, idx]
+                assert at(st.h1[idx], values) == sd.h1[0, idx]
+                assert at(st.h1_star[idx], values) == sd.h1_star[0, idx]
 
 
 class TestSymbolicReport:
@@ -347,7 +380,7 @@ class TestSymbolicReport:
 
     def test_report_without_identity_has_no_spectrum(self, monkeypatch):
         st = build_M_parametric(2)
-        one = RatFunc(MultiPoly.constant(st.variables, 1), st.c.base)
+        one = const(st, 1)
         rows = [list(row) for row in st.M]
         rows[0][0] = rows[0][0] + one
         broken = dataclasses.replace(st, M=tuple(tuple(row) for row in rows))
