@@ -7,6 +7,7 @@ from math import gcd
 import pytest
 
 from perturbrank.multipoly import MultiPoly, poly_tree
+from perturbrank.symbolic import _Fractions
 
 VARS = ("a", "b", "k")
 
@@ -157,9 +158,11 @@ class TestCanonicalForm:
         assert [t["coefficient"] for t in poly_tree(p)["terms"]] == ["3/2", "-1/3", "1", "-1"]
 
 
-class TestLaurent:
-    """Values built through _make may carry negative exponents; the ring
-    operations and equality stay exact and need no division."""
+class TestRatFunc:
+    """Rational functions of the symbolic family are Laurent values: built
+    through _make, they may carry negative exponents, and the ring
+    operations and equality stay exact and need no division.  ``_fraction``
+    writes one as a numerator over a monomial times a power of q."""
 
     def test_commuted_product_is_one(self):
         assert (A * B) * (monomial(0, -1, 0) * monomial(-1, 0, 0)) == ONE
@@ -178,24 +181,42 @@ class TestLaurent:
             e = tuple(rng.randint(-2, 2) for _ in VARS)
             assert f * monomial(*e) * monomial(*(-x for x in e)) == f
 
-    def test_eval_is_the_quotient(self):
+    def test_canonical_form_matches_evaluation(self):
         rng = random.Random(42)
         for _ in range(40):
             num = random_poly(rng)
             e = tuple(rng.randint(0, 2) for _ in VARS)
             f = num * monomial(*(-x for x in e))
+            assert_canonical(f)
             point = random_point(rng)
             assert f.eval(point) == num.eval(point) / monomial(*e).eval(point)
+
+    def test_product_and_reciprocal(self):
+        f = A * monomial(0, -1, 0)  # a/b
+        assert f * f == A * A * monomial(0, -2, 0)
+        assert f * (B * monomial(-1, 0, 0)) == ONE
+        # 4a/b times k/(2a) is 2k/b
+        assert (const(4) * A * monomial(0, -1, 0)) * (
+            const(Fraction(1, 2)) * K * monomial(-1, 0, 0)
+        ) == const(2) * K * monomial(0, -1, 0)
 
     def test_eval_pole(self):
         with pytest.raises(ZeroDivisionError):
             (A + monomial(0, -1, 0)).eval({"a": 1, "b": 0, "k": 2})
 
-    def test_public_constructor_rejects_negative_exponents(self):
+    def test_bad_base_or_exponents_rejected(self):
+        # only the trusted _make takes negative exponents
         with pytest.raises(ValueError):
             MultiPoly(VARS, {(0, -1, 0): 1})
         with pytest.raises(ValueError):
             MultiPoly.constant(VARS, 1) ** -1
+
+    def test_operands_share_the_base(self):
+        other = MultiPoly._make(("a", "b"), {(1, -1): 1})
+        with pytest.raises(ValueError):
+            A * monomial(0, -1, 0) + other  # noqa: B018
+        with pytest.raises(ValueError):
+            A * monomial(0, -1, 0) * other  # noqa: B018
 
     def test_renamed_is_the_canonical_image(self):
         # swapping a and b permutes exponent positions, negative ones too
@@ -214,14 +235,50 @@ class TestLaurent:
         num, clear = f._fraction(0, lambda j: q**j)
         assert clear == (1, 1, 0)
         assert num == K + const(Fraction(1, 3)) * q * B * K
-        assert ZERO._fraction(0, lambda j: q**j) == (ZERO, (0, 0, 0))
         # exponents that are not negative stay: b^2 k^-1 clears to b^2
         assert monomial(0, 2, -1)._fraction(0, lambda j: q**j) == (B * B, (0, 0, 1))
 
-    def test_str_and_tree_write_negative_exponents(self):
+    def test_shared_cubic_factor(self):
+        # a b k / k^3 is a b / k^2: the shared factor cancels structurally,
+        # and the fraction clears k twice with k replaced by q = a + b
+        q = A + B
+        f = A * B * K * monomial(0, 0, -3)
+        assert f == A * B * monomial(0, 0, -2)
+        num, clear = f._fraction(2, lambda j: q**j)
+        assert (num, clear) == (A * B, (0, 0, 2))
+
+    def test_zero_numerator_canonical(self):
+        q = B + K
+        zero = A * monomial(0, -1, -2) - monomial(1, -1, -2)
+        assert zero == ZERO and zero.is_zero()
+        assert (zero.terms, zero.den) == ({}, 1)
+        assert zero._fraction(0, lambda j: q**j) == (ZERO, (0, 0, 0))
+
+    def test_denominator_sign_and_content(self):
+        # the denominator b^i (a + b*k)^j of a converted value has integer,
+        # positive coefficients with no common factor, and num/den is the
+        # Laurent value at s = a + b*k
+        names = ("s", "b", "k")
+        family = ("a", "b", "k")
+        writer = _Fractions(family)
+        rng = random.Random(7)
+        for _ in range(40):
+            f = MultiPoly(names, random_poly(rng).terms) * MultiPoly._monomial(
+                names, tuple(rng.randint(-2, 1) for _ in names)
+            )
+            num, (den, text, _) = writer.convert(f)
+            assert den.den == 1 and all(c > 0 for c in den.terms.values())
+            assert gcd(*den.terms.values()) == 1
+            assert (text is None) == (den == MultiPoly.constant(family, 1))
+            point = random_point(rng)
+            at_s = {"s": point["a"] + point["b"] * point["k"], "b": point["b"], "k": point["k"]}
+            assert num.eval(point) / den.eval(point) == f.eval(at_s)
+
+    def test_str(self):
         f = A * monomial(0, -1, 0) - monomial(0, 0, -2)
         assert str(f) == "a*b^-1 - k^-2"
-        assert [t["powers"] for t in poly_tree(f)["terms"]] == [{"a": 1, "b": -1}, {"k": -2}]
+        assert str(A * B * monomial(0, -1, 0)) == "a"
+        assert str(monomial(0, -2, 0)) == "b^-2"
 
 
 class TestTrees:
@@ -232,5 +289,15 @@ class TestTrees:
             "terms": [
                 {"op": "term", "coefficient": "3", "powers": {"a": 2}},
                 {"op": "term", "coefficient": "-1/2", "powers": {}},
+            ],
+        }
+
+    def test_ratfunc_tree_shape(self):
+        f = A * monomial(0, -1, 0) - monomial(0, 0, -2)
+        assert poly_tree(f) == {
+            "op": "sum",
+            "terms": [
+                {"op": "term", "coefficient": "1", "powers": {"a": 1, "b": -1}},
+                {"op": "term", "coefficient": "-1", "powers": {"k": -2}},
             ],
         }
