@@ -231,11 +231,10 @@ def dumps(obj: object) -> str:
 def _encode(o: object, newline: str) -> str:
     """One JSON value; ``newline`` is the line break and indent it starts at.
 
-    Exact dicts, lists and tuples come first, and their exact str and int
-    children are written inside the loop, without a call; every other
-    value, subclasses included, takes the general branches below."""
-    t = type(o)
-    if t is dict:
+    Dicts, lists and tuples come first, and their children of exact type
+    str or int are written inside the loop, without a call; every other
+    child (bool, None, float, subclasses) takes the branches below."""
+    if isinstance(o, dict):
         if not o:
             return "{}"
         inner = newline + "  "
@@ -251,7 +250,7 @@ def _encode(o: object, newline: str) -> str:
             # encode_basestring_ascii raises TypeError on a key that is no str
             items.append(encode_basestring_ascii(k) + ": " + text)
         return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if t is list or t is tuple:
+    if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
         inner = newline + "  "
@@ -282,15 +281,4 @@ def _encode(o: object, newline: str) -> str:
         if o == -math.inf:
             return "-Infinity"
         return float.__repr__(o)
-    inner = newline + "  "
-    if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        items = [_encode(x, inner) for x in o]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if isinstance(o, dict):
-        if not o:
-            return "{}"
-        items = [encode_basestring_ascii(k) + ": " + _encode(o[k], inner) for k in sorted(o)]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")

@@ -104,7 +104,8 @@ class MultiPoly:
     @classmethod
     def _monomial(cls, names: tuple[str, ...], exps: tuple[int, ...]) -> "MultiPoly":
         """Trusted constructor of the monomial with exponent vector
-        ``exps``, negative entries included."""
+        ``exps``, negative entries included: the one way other modules
+        build a Laurent monomial, since ``_make`` stays inside this one."""
         return cls._make(names, {exps: 1})
 
     # -- basic structure ------------------------------------------------
@@ -126,18 +127,18 @@ class MultiPoly:
         return obj
 
     def _fraction(
-        self, index: int, powers: Callable[[int], "MultiPoly"]
+        self, powers: Callable[[int], "MultiPoly"]
     ) -> tuple["MultiPoly", tuple[int, ...]]:
         """A Laurent polynomial as a fraction: the least exponent vector
         e >= 0 for which self * x^e is a polynomial, and that polynomial
-        with variable ``index`` replaced by a polynomial q.  ``powers(j)``
+        with the first variable replaced by a polynomial q.  ``powers(j)``
         is q**j with integer coefficients; the numerator lives over its
         variables, which keep every other position."""
         clear = tuple(max(0, -min(col)) for col in zip(*self.terms)) or (0,) * len(self.vars)
         acc: dict[tuple[int, ...], int] = {}
         for e, c in self.terms.items():
             shifted = list(map(add, e, clear))
-            j, shifted[index] = shifted[index], 0
+            j, shifted[0] = shifted[0], 0
             for e2, c2 in powers(j).terms.items():
                 t = tuple(map(add, shifted, e2))
                 acc[t] = acc[t] + c * c2 if t in acc else c * c2

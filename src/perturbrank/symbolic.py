@@ -98,6 +98,21 @@ def _renaming(K: int, *targets: int) -> tuple[int, ...]:
     return (0, 1, 2, *(3 + 2 * m + half for m in source for half in (0, 1)))
 
 
+@cache
+def _layout(K: int) -> tuple[tuple[tuple[tuple[int, int], tuple[int, ...]], ...], ...]:
+    """For each entry (i, j) of M, the template entry it is built from and
+    the renaming: M_00 on the diagonal, M_01 above it, M_10 below it."""
+    return tuple(
+        tuple(
+            ((0, 0), _renaming(K, i)) if i == j
+            else ((0, 1), _renaming(K, i, j)) if i < j
+            else ((1, 0), _renaming(K, j, i))
+            for j in range(K)
+        )
+        for i in range(K)
+    )
+
+
 def build_M_parametric(K: int) -> SymbolicStructure:
     """Coupling matrix of the two-state family with K transport directions.
 
@@ -152,16 +167,12 @@ def build_M_parametric(K: int) -> SymbolicStructure:
     x = {(i, j): Q[i][0] * gp[j][0] + Q[i][1] * gp[j][1] for i, j in ((0, 0), (0, 1), (1, 0))}
     # the upper and lower templates are separate sums, so M_ji == M_ij
     # stays a check
-    m00, m01, m10 = x[0, 0] + x[0, 0], x[0, 1] + x[1, 0], x[1, 0] + x[0, 1]
-    m_rows = tuple(
-        tuple(
-            m00._renamed(_renaming(K, i)) if i == j
-            else m01._renamed(_renaming(K, i, j)) if i < j
-            else m10._renamed(_renaming(K, j, i))
-            for j in range(K)
-        )
-        for i in range(K)
-    )
+    templates = {
+        (0, 0): x[0, 0] + x[0, 0],
+        (0, 1): x[0, 1] + x[1, 0],
+        (1, 0): x[1, 0] + x[0, 1],
+    }
+    m_rows = tuple(tuple(templates[t]._renamed(r) for t, r in row) for row in _layout(K))
 
     deltas = tuple(poly[f"d{i}_1"] - poly[f"d{i}_2"] for i in range(1, K + 1))
     c = a * b * k * inv_s2 * inv_s
@@ -241,7 +252,7 @@ class _Fractions:
     def convert(self, f: MultiPoly) -> tuple[MultiPoly, tuple[MultiPoly, str | None, dict]]:
         """The numerator of f, and its denominator with the denominator's
         text (None for 1) and tree."""
-        num, clear = f._fraction(0, self._s_power)
+        num, clear = f._fraction(self._s_power)
         den = self.dens.get(clear)
         if den is None:
             poly = MultiPoly._monomial(self.variables, (0, *clear[1:])) * self._s_power(clear[0])
@@ -250,11 +261,6 @@ class _Fractions:
 
     def payload(self, f: MultiPoly) -> dict:
         return _payload(*self.convert(f))
-
-    def renamed(self, template: MultiPoly, renamings: list[tuple[int, ...]]) -> list[dict]:
-        """The payload of ``template`` under each renaming, from one conversion."""
-        num, den = self.convert(template)
-        return [_payload(num._renamed(r), den) for r in renamings]
 
 
 def _payload(num: MultiPoly, den: tuple[MultiPoly, str | None, dict]) -> dict:
@@ -269,28 +275,26 @@ def symbolic_report(K: int) -> dict:
     """JSON-ready exact description of the K-direction two-state family.
 
     Every velocity and entry of M is written from the conversion of its
-    template, the value ``build_M_parametric`` renamed to build it."""
+    template, renamed as ``build_M_parametric`` renamed it (``_layout``)."""
     structure = build_M_parametric(K)
     eigenvalue = eigen_closed_form_n2(structure)
     write = _Fractions(structure.variables)
 
-    def renamed(template: MultiPoly, targets: list[tuple[int, ...]]) -> list[dict]:
-        return write.renamed(template, [_renaming(K, *t) for t in targets])
-
-    pairs = [(i, j) for i in range(K) for j in range(i + 1, K)]
+    converted: dict[tuple[int, int], tuple] = {}
     M: list[list] = [[None] * K for _ in range(K)]
-    for i, p in enumerate(renamed(structure.M[0][0], [(i,) for i in range(K)])):
-        M[i][i] = p
-    for (i, j), p in zip(pairs, renamed(structure.M[0][1], pairs)):
-        M[i][j] = p
-    # once M_ji == M_ij is verified, each pair of entries shares one
-    # payload; otherwise the lower entries come from their own template
-    if eigenvalue is None:
-        lower = renamed(structure.M[1][0], pairs)
-    else:
-        lower = [M[i][j] for i, j in pairs]
-    for (i, j), p in zip(pairs, lower):
-        M[j][i] = p
+    for i, row in enumerate(_layout(K)):
+        for j, (t, r) in enumerate(row):
+            # once M_ji == M_ij is verified, each pair of entries shares
+            # one payload; otherwise the lower entries come from their own
+            # template
+            if j < i and eigenvalue is not None:
+                M[i][j] = M[j][i]
+                continue
+            if t not in converted:
+                converted[t] = write.convert(structure.M[t[0]][t[1]])
+            num, den = converted[t]
+            M[i][j] = _payload(num._renamed(r), den)
+    v_num, v_den = write.convert(structure.velocities[0])
     report: dict = {
         "family": "two-state-exchange",
         "K": K,
@@ -301,7 +305,7 @@ def symbolic_report(K: int) -> dict:
         ),
         "h1": [write.payload(f) for f in structure.h1],
         "h1_star": [write.payload(f) for f in structure.h1_star],
-        "velocities": renamed(structure.velocities[0], [(i,) for i in range(K)]),
+        "velocities": [_payload(v_num._renamed(_renaming(K, i)), v_den) for i in range(K)],
         "M": M,
         "c": write.payload(structure.c),
         "deltas": [write.payload(f) for f in structure.deltas],
