@@ -22,8 +22,11 @@ two routes stay independent.  The limiting profile itself is an
 anisotropic Gaussian with covariance sigma0² I - 2 M t, evaluated in
 floats with numpy; only that Gaussian imports numpy, on its first call,
 so the exact routes never load it.  Its covariance, determinant and
-prefactor are built once per time level and each point then costs one
-solve, so a residual stencil builds three covariances, not one per point.
+prefactor are built once per time level, and a batch of points at that
+level costs one stacked solve, so a residual stencil builds three
+covariances and makes three solve calls, not one per point.  The stacked
+solve and form give each point its one-point value bit for bit; one
+solve with a K x m right-hand side, or an einsum form, does not.
 Every query value must be finite.
 
 ``analyze_structure`` gives the one verdict that ``analyze``, campaigns
@@ -299,12 +302,18 @@ def _dissipative_image(m: RationalMatrix, zeta: tuple[float, ...]) -> list[list[
 
 def _profile(mf: list[list[float]], q: ProfileQuery):
     """The Gaussian at time q.t, for the float image mf of M, as a function
-    of the comoving point.
+    of a batch of comoving points (a sequence of K-tuples) that returns
+    their values in order.
 
     Everything that depends on the time level alone is done here once:
     the covariance sigma0² I - 2 t M, its determinant and the prefactor
-    amplitude · sqrt(det0 / det).  Each point then costs one solve and
-    one exp.
+    amplitude · sqrt(det0 / det).  A batch then costs one stacked solve,
+    ``np.linalg.solve(sigma[None], Z[..., None])``, one stacked form
+    ``(Z[:, None, :] @ X)[:, 0, 0]`` and one exp per point.  Both run one
+    LAPACK gesv and one dot per row, so every value equals the one-point
+    ``z @ solve(sigma, z)`` bit for bit; one solve with a K x m right-hand
+    side, ``solve(sigma, Z.T)``, or an ``np.einsum`` form change the last
+    bit of many values.
     """
     import numpy as np
 
@@ -323,17 +332,21 @@ def _profile(mf: list[list[float]], q: ProfileQuery):
         raise SingularCovariance("covariance is not positive definite")
     prefactor = q.amplitude * math.sqrt(det0 / det)
 
-    def at(zeta: tuple[float, ...]) -> float:
-        z = np.array(zeta, dtype=float)
+    def quad_forms(z):
+        return (z[:, None, :] @ np.linalg.solve(sigma[None], z[..., None]))[:, 0, 0]
+
+    def at(points) -> list[float]:
+        z = np.array(points, dtype=float)
         # at a far point the products in the form can overflow, to ±inf or
-        # NaN; the form is then redone on z / m, with m the power of two
-        # just under max|z| (an exact scaling), and m² put back
+        # NaN; that point's form is then redone on z / m, with m the power
+        # of two just under max|z| (an exact scaling), and m² put back
         with np.errstate(over="ignore", invalid="ignore"):
-            form = float(z @ np.linalg.solve(sigma, z))
-            if not math.isfinite(form):
-                m = 2.0 ** (math.frexp(float(np.abs(z).max()))[1] - 1)
-                form = float((z / m) @ np.linalg.solve(sigma, z / m)) * m * m
-        return prefactor * math.exp(-0.5 * form)
+            quads = quad_forms(z).tolist()
+            for r, quad in enumerate(quads):
+                if not math.isfinite(quad):
+                    m = 2.0 ** (math.frexp(float(np.abs(z[r]).max()))[1] - 1)
+                    quads[r] = float(quad_forms(z[r : r + 1] / m)[0]) * m * m
+        return [prefactor * math.exp(-0.5 * quad) for quad in quads]
 
     return at
 
@@ -345,7 +358,7 @@ def phi0_eval(m: RationalMatrix, q: ProfileQuery, zeta: tuple[float, ...]) -> fl
     phi_t + sum_ij M_ij phi_{zeta_i zeta_j} = 0 with an isotropic Gaussian
     of width sigma0 at t = 0 and peak value ``amplitude``.
     """
-    return _profile(_dissipative_image(m, zeta), q)(zeta)
+    return _profile(_dissipative_image(m, zeta), q)([zeta])[0]
 
 
 def leading_term_eval(sd: SpectralData, ts: TransferStructure, q: ProfileQuery) -> list[float]:
@@ -365,7 +378,7 @@ def leading_term_eval(sd: SpectralData, ts: TransferStructure, q: ProfileQuery) 
     v = _float_image(ts.v.transpose(), "v")[0]
     h1 = _float_image(sd.h1, "h1")[0]
     zeta = tuple((xi - vi * q.t) / q.epsilon for xi, vi in zip(q.x, v))
-    value = phi(zeta) if all(math.isfinite(z) for z in zeta) else 0.0
+    value = phi([zeta])[0] if all(math.isfinite(z) for z in zeta) else 0.0
     return [value * h for h in h1]
 
 
@@ -385,32 +398,37 @@ def pde_residual(
         raise ValueError("step h must keep t - h nonnegative")
     mf = _dissipative_image(m, zeta)
     phi = _profile(mf, q)  # every stencil point but two lies at time t
-    center = phi(zeta)
     if q.t + h == q.t or any(z + h == z or z - h == z for z in zeta):
         raise ValueError(f"step h = {h!r} is too small: t or zeta does not move by h")
 
-    def shifted(base: tuple[float, ...], idx: int, delta: float) -> tuple[float, ...]:
-        moved = list(base)
-        moved[idx] += delta
+    def shifted(*steps: tuple[int, float]) -> tuple[float, ...]:
+        moved = list(zeta)
+        for idx, delta in steps:
+            moved[idx] += delta
         return tuple(moved)
 
+    # the centre, then the stencil of each entry M_ij != 0 in row-major
+    # order (pp, pm, mp, mm off the diagonal): one batch at time t, read
+    # back in the same order
+    entries = [(i, j) for i in range(m.rows) for j in range(m.rows) if mf[i][j] != 0.0]
+    points = [zeta]
+    for i, j in entries:
+        if i == j:
+            points += [shifted((i, h)), shifted((i, -h))]
+        else:
+            points += [shifted((i, a), (j, b)) for a in (h, -h) for b in (h, -h)]
+    values = iter(phi(points))
+    center = next(values)
     total = (
-        _profile(mf, replace(q, t=q.t + h))(zeta) - _profile(mf, replace(q, t=q.t - h))(zeta)
+        _profile(mf, replace(q, t=q.t + h))([zeta])[0]
+        - _profile(mf, replace(q, t=q.t - h))([zeta])[0]
     ) / (2.0 * h)
-    for i in range(m.rows):
-        for j in range(m.rows):
-            mij = mf[i][j]
-            if mij == 0.0:
-                continue
-            if i == j:
-                second = (
-                    phi(shifted(zeta, i, h)) - 2.0 * center + phi(shifted(zeta, i, -h))
-                ) / (h * h)
-            else:
-                pp = phi(shifted(shifted(zeta, i, h), j, h))
-                pm = phi(shifted(shifted(zeta, i, h), j, -h))
-                mp = phi(shifted(shifted(zeta, i, -h), j, h))
-                mm = phi(shifted(shifted(zeta, i, -h), j, -h))
-                second = (pp - pm - mp + mm) / (4.0 * h * h)
-            total += mij * second
+    for i, j in entries:
+        if i == j:
+            up, down = next(values), next(values)
+            second = (up - 2.0 * center + down) / (h * h)
+        else:
+            pp, pm, mp, mm = (next(values) for _ in range(4))
+            second = (pp - pm - mp + mm) / (4.0 * h * h)
+        total += mf[i][j] * second
     return abs(total)

@@ -298,6 +298,34 @@ class TestTheoremB:
         assert cells == 99
 
 
+class TestTheoremA:
+    """The Markov class (README, "What is proven").  For A with
+    nonnegative off-diagonal entries and zero column sums, h1 > 0 and
+    h1* = 1 / sum(h1), Q = diag(h1*) A diag(h1) has nonnegative
+    off-diagonal entries and zero row and column sums, so Sym(Q) is minus
+    a weighted graph Laplacian, Sym(S G) is negative definite on h1*^⊥,
+    and every non-degenerate instance is a MATCH with M <= 0."""
+
+    def test_markov_draws_are_certified_matches(self):
+        checked = 0
+        for n in range(2, 9):
+            for K in range(2, 9):
+                for seed in (1, 2, 3):
+                    s, sd = generate_instance(GeneratorConfig(n=n, K=K, seed=seed))
+                    # Q = diag(h1*) A diag(h1), its rows scaled through a transpose
+                    q = s.A.scale_columns(sd.h1).transpose().scale_columns(sd.h1_star)
+                    q = q.transpose()
+                    assert all(q[i, j] >= 0 for i in range(n) for j in range(n) if i != j)
+                    assert (q @ RationalMatrix([[1]] * n)).is_zero(), (n, K, seed)
+                    assert (RationalMatrix([[1] * n]) @ q).is_zero(), (n, K, seed)
+                    report = analyze_structure(build_M(s, sd))
+                    assert report.outcome == "match", (n, K, seed)
+                    kinds = [b["kind"] for b in report.breaches]
+                    assert "dissipativity" not in kinds, (n, K, seed)
+                    checked += 1
+        assert checked == 147
+
+
 class TestAnalyzeStructure:
     def test_w1_report(self):
         sd, ts = _pipeline(W1)
@@ -616,6 +644,64 @@ class TestResidual:
         q = ProfileQuery(epsilon=1.0, t=1.0, x=(0.0, 0.0), sigma0=1.0, amplitude=1.0)
         pde_residual(ts.M, q, (0.7, -0.3), 1e-2)
         assert calls == {"to_float": 1, "_profile": 3}
+
+    @pytest.mark.parametrize("k", [2, 4, 8])
+    def test_one_stacked_solve_per_time_level(self, monkeypatch, k):
+        # the centre and every stencil point at time t go through one
+        # stacked solve, t + h and t - h through one each: 3 calls at any K
+        s, sd = generate_instance(GeneratorConfig(n=4, K=k, seed=k))
+        m = build_M(s, sd).M
+        batches = []
+        solve = np.linalg.solve
+
+        def counted(a, b):
+            batches.append(b.shape[0])
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        q = ProfileQuery(epsilon=1.0, t=1.0, x=(0.0,) * k, sigma0=2.0, amplitude=1.0)
+        zeta = tuple(0.1 * (i + 1) for i in range(k))
+        pde_residual(m, q, zeta, 1e-2)
+        # every entry of this M is nonzero: the centre, 2 points per
+        # diagonal and 4 per off-diagonal entry
+        assert all(m[i, j] != 0 for i in range(k) for j in range(k))
+        assert batches == [1 + 2 * k + 4 * (k * k - k), 1, 1]
+
+    def test_overflow_fallback_inside_a_batch(self):
+        # both far points overflow the plain form (to NaN and to +inf), so
+        # each is redone on z / m; next to ordinary points in one batch each
+        # point gets the value of a single-point call, bit for bit, and the
+        # NaN becomes the Gaussian's 0 only through the fallback
+        import perturbrank.asymptotics as asymptotics
+
+        mf = _pipeline(W1)[1].M.to_float()
+        q = ProfileQuery(epsilon=1.0, t=1.0, x=(0.0, 0.0), sigma0=0.5, amplitude=1.0)
+        phi = asymptotics._profile(mf, q)
+        points = [(0.3, -0.7), (1.5e308, 0.0), (-1.1, 0.4), (1e200, -1e199)]
+        sigma = 0.25 * np.eye(2) - 2.0 * np.array(mf)
+        with np.errstate(over="ignore", invalid="ignore"):
+            plain = [float(z @ np.linalg.solve(sigma, z)) for z in map(np.array, points)]
+        assert math.isnan(plain[1]) and plain[3] == math.inf
+        single = [phi([point])[0] for point in points]
+        assert single[0] > 0.0 and single[2] > 0.0 and single[1] == single[3] == 0.0
+        assert phi(points) == single
+        assert phi(points[::-1]) == single[::-1]
+
+    def test_stacked_solve_and_form_equal_per_row(self):
+        # the assumption the batch rests on: numpy's stacked gesv and its
+        # stacked (1 x k) @ (k x 1) products give each row exactly what a
+        # one-point solve and z @ x give
+        rng = np.random.default_rng(32)
+        for k in range(1, 9):
+            r = rng.standard_normal((k, k))
+            sigma = r @ r.T + k * np.eye(k)
+            z = rng.standard_normal((50, k)) * 10.0 ** rng.integers(-3, 4, size=(50, 1))
+            x = np.linalg.solve(sigma[None], z[..., None])
+            forms = (z[:, None, :] @ x)[:, 0, 0]
+            for row in range(len(z)):
+                one = np.linalg.solve(sigma, z[row])
+                assert np.array_equal(x[row, :, 0], one), (k, row)
+                assert forms[row] == z[row] @ one, (k, row)
 
     def test_step_validation(self):
         _, ts = _pipeline(W1)
