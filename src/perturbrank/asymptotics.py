@@ -346,7 +346,12 @@ def _profile(mf: list[list[float]], q: ProfileQuery):
                 if not math.isfinite(quad):
                     m = 2.0 ** (math.frexp(float(np.abs(z[r]).max()))[1] - 1)
                     quads[r] = float(quad_forms(z[r : r + 1] / m)[0]) * m * m
-        return [prefactor * math.exp(-0.5 * quad) for quad in quads]
+        try:
+            return [prefactor * math.exp(-0.5 * quad) for quad in quads]
+        except OverflowError:  # exp overflows on a hugely negative form alone
+            form = min(filter(math.isfinite, quads))
+            message = f"covariance is not positive definite: a quadratic form is {form:.3e}"
+            raise SingularCovariance(message) from None
 
     return at
 

@@ -13,9 +13,9 @@ canonical form.  ``_make`` also takes negative exponents, so the same
 class is the ring of Laurent polynomials: a monomial has one
 representation, and sums, products and structural equality need no
 division (``symbolic`` keeps its rational functions this way).
-Monomials are compared graded-lexicographically (total degree first,
-then the exponent vector), which fixes printing order and sign
-conventions.
+``poly_tree`` is the one walk that orders the terms (graded-lex: total
+degree first, then the exponent vector) and writes their coefficients
+and powers; ``str`` renders that tree.
 """
 
 from __future__ import annotations
@@ -30,10 +30,6 @@ from .exact_linalg import as_rational, rational_str
 __all__ = [
     "MultiPoly",
 ]
-
-
-def _grlex_key(exponents: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    return (sum(exponents), exponents)
 
 
 class MultiPoly:
@@ -213,30 +209,7 @@ class MultiPoly:
         return total / self.den
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        den = self.den
-        parts: list[str] = []
-        for e in sorted(self.terms, key=_grlex_key, reverse=True):
-            c = self.terms[e]
-            mono = "*".join(
-                name if p == 1 else f"{name}^{p}"
-                for name, p in zip(self.vars, e)
-                if p
-            )
-            if not mono:
-                piece = rational_str(c, den)
-            elif c == den:
-                piece = mono
-            elif c == -den:
-                piece = f"-{mono}"
-            else:
-                piece = f"{rational_str(c, den)}*{mono}"
-            parts.append(piece)
-        out = parts[0]
-        for piece in parts[1:]:
-            out += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
-        return out
+        return _tree_text(poly_tree(self))
 
     def __repr__(self) -> str:
         return f"MultiPoly({self})"
@@ -246,11 +219,26 @@ class MultiPoly:
 
 
 def poly_tree(p: MultiPoly) -> dict:
+    """The terms of p, highest first in graded-lex order, each with its
+    reduced coefficient text and its nonzero powers."""
     terms = []
-    for e in sorted(p.terms, key=_grlex_key, reverse=True):
+    for e in sorted(p.terms, key=lambda x: (sum(x), x), reverse=True):
         powers = {name: power for name, power in zip(p.vars, e) if power}
         terms.append(
             {"op": "term", "coefficient": rational_str(p.terms[e], p.den), "powers": powers}
         )
     return {"op": "sum", "terms": terms}
 
+
+def _tree_text(tree: dict) -> str:
+    """The text of a ``poly_tree``: ``mono``, ``-mono``, ``c*mono`` or
+    ``c`` per term, joined with `` + `` and `` - ``; ``"0"`` for no terms."""
+    out = ""
+    for term in tree["terms"]:
+        c = term["coefficient"]
+        mono = "*".join(n if p == 1 else f"{n}^{p}" for n, p in term["powers"].items())
+        piece = c if not mono else mono if c == "1" else f"-{mono}" if c == "-1" else f"{c}*{mono}"
+        if out:
+            piece = f" - {piece[1:]}" if piece[0] == "-" else f" + {piece}"
+        out += piece
+    return out or "0"

@@ -50,7 +50,7 @@ from fractions import Fraction
 from functools import cache
 
 from .exact_linalg import SizeLimitExceeded
-from .multipoly import MultiPoly, poly_tree
+from .multipoly import MultiPoly, _tree_text, poly_tree
 
 __all__ = [
     "SymbolicStructure",
@@ -232,10 +232,10 @@ class _Fractions:
     negative exponents, and s = a + b*k is substituted into the product
     from cached powers of a + b*k (``MultiPoly._fraction``).  When j > 0
     some term of the product has no s, and when i > 0 some term has no
-    b, so the fraction is reduced.  A denominator, its text and its tree
-    are built once per (i, j).  The substitution leaves the speeds alone,
-    so it commutes with renaming directions: a renamed value is its
-    template's numerator renamed over the same denominator.
+    b, so the fraction is reduced.  A denominator, its tree and the text
+    of that tree are built once per (i, j).  The substitution leaves the
+    speeds alone, so it commutes with renaming directions: a renamed
+    value is its template's numerator renamed over the same denominator.
     """
 
     def __init__(self, variables: tuple[str, ...]):
@@ -256,7 +256,8 @@ class _Fractions:
         den = self.dens.get(clear)
         if den is None:
             poly = MultiPoly._monomial(self.variables, (0, *clear[1:])) * self._s_power(clear[0])
-            den = self.dens[clear] = (poly, f"({poly})" if any(clear) else None, poly_tree(poly))
+            tree = poly_tree(poly)
+            den = self.dens[clear] = (poly, f"({_tree_text(tree)})" if any(clear) else None, tree)
         return num, den
 
     def payload(self, f: MultiPoly) -> dict:
@@ -264,10 +265,13 @@ class _Fractions:
 
 
 def _payload(num: MultiPoly, den: tuple[MultiPoly, str | None, dict]) -> dict:
-    _, text, tree = den
+    """num over den: its text and its tree, from one ``poly_tree`` of num."""
+    _, text, den_tree = den
+    tree = poly_tree(num)
+    num_text = _tree_text(tree)
     return {
-        "text": str(num) if text is None else f"({num})/{text}",
-        "tree": {"op": "div", "numerator": poly_tree(num), "denominator": tree},
+        "text": num_text if text is None else f"({num_text})/{text}",
+        "tree": {"op": "div", "numerator": tree, "denominator": den_tree},
     }
 
 

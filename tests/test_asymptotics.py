@@ -687,6 +687,22 @@ class TestResidual:
         assert phi(points) == single
         assert phi(points[::-1]) == single[::-1]
 
+    def test_negative_form_is_a_singular_covariance(self):
+        # at t = 1e151 the float covariance of this instance is so
+        # ill-conditioned that the computed form at these far points is
+        # hugely negative, and exp(-form / 2) overflows
+        spec, sd = generate_instance(GeneratorConfig(n=3, K=8, seed=759637858207))
+        m = build_M(spec, sd).M
+        q = ProfileQuery(
+            epsilon=1.0, t=1e151, x=(0.0,) * 8, sigma0=1.2835416569009013, amplitude=1.0
+        )
+        zeta = (-7e151, -9e158, -5e158, -4e159, 5e153, 5e159, 5e152, 6e158)
+        message = r"^covariance is not positive definite: a quadratic form is -\d\.\d{3}e\+\d+$"
+        with pytest.raises(SingularCovariance, match=message):
+            pde_residual(m, q, zeta, 1e145)
+        with pytest.raises(SingularCovariance, match=message):
+            phi0_eval(m, q, zeta)
+
     def test_stacked_solve_and_form_equal_per_row(self):
         # the assumption the batch rests on: numpy's stacked gesv and its
         # stacked (1 x k) @ (k x 1) products give each row exactly what a

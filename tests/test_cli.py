@@ -15,8 +15,8 @@ from perturbrank import cli
 from perturbrank.asymptotics import ProfileQuery, build_M, leading_term_eval
 from perturbrank.cli import run_command
 from perturbrank.exact_linalg import INSTANCE_DIGIT_LIMIT
-from perturbrank.formats import load_instance_file
-from perturbrank.model import FAMILIES, validate_system
+from perturbrank.formats import dumps, instance_to_dict, load_instance_file
+from perturbrank.model import FAMILIES, GeneratorConfig, generate_instance, validate_system
 
 W1_DICT = {
     "format_version": 1,
@@ -733,6 +733,36 @@ class TestProfileCommands:
         assert len(lines) == 1 and lines[0].startswith("error:")
         if "--sigma" in argv and argv[argv.index("--sigma") + 1] != "1":
             assert "sigma0 ** 4 overflows" in lines[0]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["residual", "--t", "1e151", "--h", "1e145", "--sigma", "1.2835416569009013",
+             "--zeta=-7e+151,-9e+158,-5e+158,-4e+159,5e+153,5e+159,5e+152,6e+158"],
+            ["phi0", "--t", "1e151", "--eps", "1", "--amplitude", "1",
+             "--sigma", "1.2835416569009013",
+             "--point=-5e+157,1e+158,7e+155,-9e+155,7e+159,1e+156,-5e+154,8e+159"],
+        ],
+        # the float covariance at t = 1e151 is so ill-conditioned that the
+        # computed form is hugely negative and exp(-form / 2) overflows: an
+        # error line, not a traceback
+        ids=["residual", "phi0"],
+    )
+    def test_negative_form_exits_one(self, tmp_path, capsys, argv):
+        spec, _ = generate_instance(GeneratorConfig(n=3, K=8, seed=759637858207))
+        path = tmp_path / "n3K8.json"
+        path.write_text(dumps(instance_to_dict(spec)), encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run_command([argv[0], "--instance", str(path), *argv[1:]])
+        assert rc == 1
+        assert [str(w.message) for w in caught] == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(
+            "error: covariance is not positive definite: a quadratic form is -"
+        )
 
     @pytest.mark.parametrize(
         "argv",

@@ -119,6 +119,13 @@ class TestMultiPoly:
         assert str(p) == "3*a^2 - b*k + 1/2"
         assert str(ZERO) == "0"
         assert str(ONE) == "1"
+        # a leading -1 keeps its sign on the monomial, a leading negative
+        # fraction on its coefficient, and a later -1 monomial is " - mono"
+        assert str(P({(1, 1, 0): -1, (0, 0, 1): 2, (0, 0, 0): -3})) == "-a*b + 2*k - 3"
+        p = P({(2, 0, 0): Fraction(-1, 2), (0, 1, 0): 1, (0, 0, 1): -1, (0, 0, 0): Fraction(3, 4)})
+        assert str(p) == "-1/2*a^2 + b - k + 3/4"
+        p = P({(2, 0, 0): 1, (1, 1, 0): -1, (0, 0, 2): Fraction(-2, 3)})
+        assert str(p) == "a^2 - a*b - 2/3*k^2"
 
 
 def assert_canonical(p):

@@ -35,6 +35,15 @@ REPORT_DIGESTS = {
 }
 
 
+def _payloads(obj):
+    """Every payload (a dict with a text and a tree) inside a report."""
+    if isinstance(obj, dict) and "text" in obj and "tree" in obj:
+        yield obj
+    elif isinstance(obj, (dict, list)):
+        for child in obj.values() if isinstance(obj, dict) else obj:
+            yield from _payloads(child)
+
+
 def laurent_names(st):
     """The variables of the structure's values: s = a + b*k in place of a."""
     return ("s", *st.variables[1:])
@@ -396,6 +405,22 @@ class TestSymbolicReport:
         monkeypatch.setattr("perturbrank.symbolic.verify_rank_one_identity", lambda st: False)
         M = symbolic_report(3)["M"]
         assert not any(M[i][j] is M[j][i] for i in range(3) for j in range(i))
+
+    def test_each_payload_walks_its_numerator_once(self, monkeypatch):
+        # text and tree of a payload come from one poly_tree of its
+        # numerator, each distinct denominator is walked once, and no value
+        # is printed through str
+        walked, printed = [], []
+        real_tree, real_str = symbolic.poly_tree, MultiPoly.__str__
+        monkeypatch.setattr(symbolic, "poly_tree", lambda p: walked.append(p) or real_tree(p))
+        monkeypatch.setattr(MultiPoly, "__str__", lambda p: printed.append(p) or real_str(p))
+        for K in range(2, 7):
+            walked.clear()
+            report = symbolic_report(K)
+            payloads = {id(p): p for p in _payloads(report)}
+            dens = {id(p["tree"]["denominator"]) for p in payloads.values()}
+            assert len(walked) == len(payloads) + len(dens), K
+        assert printed == []
 
     @pytest.mark.parametrize("K", [2, 4])
     def test_scaled_M_fails_the_identity(self, K, monkeypatch, capsys):
