@@ -11,12 +11,14 @@ A G = I - h1 h1_starᵀ and h1_starᵀ G = 0.  G comes with the certificate
 of A (``SpectralData.G``, from its one charpoly pass), so M = Sym(Q G Pᵀ)
 with P and Q the pushed vectors Psi_j h1 and psi_i ∘ h1_star / 2, and
 no linear system is solved here.  D, the rows h1 and h1_star, the
-speed column v, Psi, P, Q and M are all ``RationalMatrix`` values, and
+speed column v, Psi, P and M are all ``RationalMatrix`` values, and
 ``build_M`` combines them with the public matrix algebra of
-``exact_linalg`` (``-``, ``@``, ``+``, ``transpose``, ``scale`` and
-``scale_columns``), which runs on integer rows with no conversion to
-entries; this module never sees how an exact number is held.  The
-kernel of M, hence its rank, comes from one fraction-free elimination.  The spectrum of M
+``exact_linalg`` (``-``, ``@``, ``scale``, ``scale_columns`` and
+``sym_congruence``, which gives M = Psi (C + Cᵀ) Psiᵀ with
+C = diag(h1_star / 2) G diag(h1) in one symmetric pass), which runs on
+integer rows with no conversion to entries; this module never sees how
+an exact number is held.  The kernel of M, hence its rank, comes from
+one fraction-free elimination.  The spectrum of M
 comes from a hand-written cyclic Jacobi sweep on its float image, so the
 two routes stay independent.  The limiting profile itself is an
 anisotropic Gaussian with covariance sigma0² I - 2 M t, evaluated in
@@ -100,8 +102,9 @@ class NotDissipative(ValueError):
 
 
 class SingularCovariance(ValueError):
-    """The profile covariance failed to be positive definite, or its
-    determinant is out of float range."""
+    """The profile covariance failed to be positive definite, its
+    determinant or the peak value it gives is out of float range, or a
+    profile value would be infinite or NaN."""
 
 
 @dataclass(frozen=True)
@@ -165,16 +168,16 @@ def build_M(s: SystemSpec, sd: SpectralData) -> TransferStructure:
 
     With Psi = D - v 1ᵀ (row i is psi_i), P = Psi diag(h1) and
     Q = Psi diag(h1_star) / 2, M = Q G Pᵀ + (Q G Pᵀ)ᵀ for the group
-    inverse G of the certificate.  The speeds are v_i = (D_i h1, h1_star),
-    the column D diag(h1) h1_star.  Every step is a product, sum or
-    scaling of integer-row matrices; no entry is read.
+    inverse G of the certificate, that is M = Psi (C + Cᵀ) Psiᵀ with
+    C = diag(h1_star / 2) G diag(h1), which ``sym_congruence`` forms in
+    one symmetric pass.  The speeds are v_i = (D_i h1, h1_star), the
+    column D diag(h1) h1_star.  Every step is a product, sum or scaling
+    of integer-row matrices; no entry is read.
     """
     v = s.D.scale_columns(sd.h1) @ sd.h1_star.transpose()
     psi = s.D - v @ RationalMatrix([[1] * s.n])
-    p = psi.scale_columns(sd.h1)
-    q = psi.scale_columns(sd.h1_star.scale(Fraction(1, 2)))
-    qx = q @ (sd.G @ p.transpose())
-    return TransferStructure(v=v, P=p, M=qx + qx.transpose())
+    m = psi.sym_congruence(sd.h1_star.scale(Fraction(1, 2)), sd.G, sd.h1)
+    return TransferStructure(v=v, P=psi.scale_columns(sd.h1), M=m)
 
 
 def jacobi_eigenvalues(sym: list[list[float]]) -> list[float]:
@@ -313,7 +316,9 @@ def _profile(mf: list[list[float]], q: ProfileQuery):
     LAPACK gesv and one dot per row, so every value equals the one-point
     ``z @ solve(sigma, z)`` bit for bit; one solve with a K x m right-hand
     side, ``solve(sigma, Z.T)``, or an ``np.einsum`` form change the last
-    bit of many values.
+    bit of many values.  No value it returns is infinite or NaN: a
+    prefactor beyond float range, and a batch with a NaN or negative form
+    that makes some value so, raise ``SingularCovariance``.
     """
     import numpy as np
 
@@ -331,6 +336,8 @@ def _profile(mf: list[list[float]], q: ProfileQuery):
     if not det > 0:
         raise SingularCovariance("covariance is not positive definite")
     prefactor = q.amplitude * math.sqrt(det0 / det)
+    if prefactor == math.inf:
+        raise SingularCovariance("the peak value amplitude * sqrt(det0 / det) overflows a float")
 
     def quad_forms(z):
         return (z[:, None, :] @ np.linalg.solve(sigma[None], z[..., None]))[:, 0, 0]
@@ -347,11 +354,17 @@ def _profile(mf: list[list[float]], q: ProfileQuery):
                     m = 2.0 ** (math.frexp(float(np.abs(z[r]).max()))[1] - 1)
                     quads[r] = float(quad_forms(z[r : r + 1] / m)[0]) * m * m
         try:
-            return [prefactor * math.exp(-0.5 * quad) for quad in quads]
-        except OverflowError:  # exp overflows on a hugely negative form alone
-            form = min(filter(math.isfinite, quads))
-            message = f"covariance is not positive definite: a quadratic form is {form:.3e}"
-            raise SingularCovariance(message) from None
+            values = [prefactor * math.exp(-0.5 * quad) for quad in quads]
+        except OverflowError:  # exp overflows on a hugely negative form
+            values = [math.inf]
+        if all(map(math.isfinite, values)):
+            return values
+        # with a finite prefactor and every form >= 0 each value is finite,
+        # so some form is NaN or negative (-inf after the fallback); name a
+        # NaN form first, else the most negative one
+        form = min(quads, key=lambda x: (not math.isnan(x), x))
+        message = f"covariance is not positive definite: a quadratic form is {form:.3e}"
+        raise SingularCovariance(message)
 
     return at
 

@@ -4,14 +4,19 @@ A ``RationalMatrix`` is an immutable dense row-major matrix held as integer
 rows ``num`` over one positive denominator ``den``, in canonical form:
 ``gcd(den, *num) == 1``, so equal values have equal fields.  This module
 alone decides that representation: other modules build matrices from
-rows of exact entries, hold vectors as ``1 x n`` rows or ``n x 1``
-columns, and combine them with ``+``, ``-``, ``@``, ``transpose``,
-``row``, ``column``, ``scale`` and ``scale_columns``, which all run on the
-integer rows; ``is_zero`` tests a value without building its entries.
-Products compute each integer dot product as ``sum(map(mul, row, col))``.
-Rank, kernels and the Hurwitz test all run one fraction-free (Bareiss)
-Gauss-Jordan elimination on the integer rows, each divided by the gcd
-of its entries.  The characteristic polynomial, the adjugate and the
+rows of exact entries (rows of plain ints are taken over ``den = 1`` as
+they stand, with no per-entry conversion), hold vectors as ``1 x n`` rows
+or ``n x 1`` columns, and combine them with ``+``, ``-``, ``@``,
+``transpose``, ``row``, ``column``, ``scale``, ``scale_columns`` and the
+symmetric congruence ``sym_congruence``, X (C + Cᵀ) Xᵀ with
+C = diag(l) g diag(r), which all run on the integer rows; ``is_zero``
+tests a value without building its entries.  Products compute each
+integer dot product as ``sum(map(mul, row, col))``.  Rank and the
+Hurwitz test read the pivots of one forward fraction-free (Bareiss)
+elimination, which updates only the rows below each pivot; kernels
+alone run the Gauss-Jordan form, which also clears the rows above it.
+Both run on the integer rows, for rank and kernels each divided by the
+gcd of its entries.  The characteristic polynomial, the adjugate and the
 inverse (or, at a simple zero root, the group inverse) come from one
 Faddeev-LeVerrier recurrence on ``num``; no linear system is solved by
 elimination.  A screen that grows a rank one row at a time keeps plain
@@ -29,6 +34,7 @@ Nothing here is approximate.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -96,20 +102,26 @@ class RationalMatrix:
     __slots__ = ("rows", "cols", "num", "den")
 
     def __init__(self, rows: Iterable[Sequence[int | str | Fraction]]):
-        # ints and Fractions already carry the numerator and denominator
-        data = [[x if type(x) in _EXACT else as_rational(x) for x in row] for row in rows]
+        data = tuple(map(tuple, rows))
+        # rows of ints (not bools) are canonical over den = 1 as they stand
+        ints = set(map(type, chain.from_iterable(data))) == {int}
+        if not ints:
+            # ints and Fractions already carry the numerator and denominator
+            data = [[x if type(x) in _EXACT else as_rational(x) for x in row] for row in data]
         if not data or not data[0]:
             raise ValueError("matrix must have at least one row and column")
         width = len(data[0])
         if any(len(row) != width for row in data):
             raise ValueError("ragged rows")
-        # over the lcm of reduced denominators, the gcd with den is already 1
-        den = lcm(*(x.denominator for row in data for x in row))
+        if ints:
+            num, den = data, 1
+        else:
+            # over the lcm of reduced denominators, the gcd with den is already 1
+            den = lcm(*(x.denominator for row in data for x in row))
+            num = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in data)
         self.rows = len(data)
         self.cols = width
-        self.num = tuple(
-            tuple(x.numerator * (den // x.denominator) for x in row) for row in data
-        )
+        self.num = num
         self.den = den
 
     @classmethod
@@ -190,6 +202,34 @@ class RationalMatrix:
             [list(map(mul, row, scales)) for row in self.num], self.den * w.den
         )
 
+    def sym_congruence(
+        self, l: "RationalMatrix", g: "RationalMatrix", r: "RationalMatrix"
+    ) -> "RationalMatrix":
+        """``X (C + Cᵀ) Xᵀ`` for X = self and C = diag(l) g diag(r), with l
+        and r ``1 x cols`` rows and g a ``cols x cols`` matrix.
+
+        One pass on the integer rows: the symmetric S = C + Cᵀ, the rows of
+        X S (row j of S is its column j), then the upper triangle of
+        (X S) Xᵀ, mirrored; the result is brought to canonical form once.
+        """
+        n = self.cols
+        if (l.rows, l.cols, r.rows, r.cols, g.rows, g.cols) != (1, n, 1, n, n, n):
+            raise ValueError(
+                f"{l.rows}x{l.cols}, {g.rows}x{g.cols} and {r.rows}x{r.cols} "
+                f"factors for {n} columns"
+            )
+        (left,), (right,) = l.num, r.num
+        c = [[a * x for x in map(mul, row, right)] for a, row in zip(left, g.num)]
+        s = [[a + b for a, b in zip(row, col)] for row, col in zip(c, zip(*c))]
+        x = self.num
+        xs = [[sum(map(mul, row, col)) for col in s] for row in x]
+        k = self.rows
+        m = [[0] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(i, k):
+                m[i][j] = m[j][i] = sum(map(mul, xs[i], x[j]))
+        return RationalMatrix._make(m, self.den * self.den * l.den * g.den * r.den)
+
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if not isinstance(other, RationalMatrix):
             return NotImplemented
@@ -243,7 +283,8 @@ def _exact_div(num: int, den: int) -> int:
 
 
 def _eliminate(a: list[list[int]]) -> tuple[list[int], list[int], int]:
-    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place,
+    for ``nullspace``, which reads the reduced form.
 
     Pivots are the first nonzero entry in the current column; each step
     updates every other row as (p·row - f·pivot_row) / previous pivot,
@@ -285,9 +326,52 @@ def _eliminate(a: list[list[int]]) -> tuple[list[int], list[int], int]:
     return pivot_cols, pivot_vals, swaps
 
 
+def _forward(a: list[list[int]]) -> tuple[list[int], list[int], int]:
+    """Forward fraction-free elimination of integer rows; consumes ``a``.
+
+    The pivot search and the Bareiss update of ``_eliminate``, applied
+    only to the rows below each pivot and only to the columns right of
+    it (every entry left of it is zero or never read again).  The rows
+    at and below a pivot go through the same steps as in ``_eliminate``,
+    so the pivot columns, the pivot values and the number of row swaps
+    are the same: without swaps, the k-th pivot value is the k-th
+    leading principal minor of the input rows (Bareiss, Math. Comp.
+    1968).  Every division is checked to be exact.
+    """
+    n_rows = len(a)
+    pivot_cols: list[int] = []
+    pivot_vals: list[int] = []
+    swaps = 0
+    prev = 1
+    for col in range(len(a[0])):
+        k = len(pivot_cols)
+        if k == n_rows:
+            break
+        pivot_row = next((r for r in range(k, n_rows) if a[r][col] != 0), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != k:
+            a[k], a[pivot_row] = a[pivot_row], a[k]
+            swaps += 1
+        p = a[k][col]
+        top = a[k][col + 1 :]
+        for r in range(k + 1, n_rows):
+            row = a[r]
+            f = row[col]
+            # a pair of zeros updates to zero; skip its division
+            row[col + 1 :] = [
+                _exact_div(p * x - f * y, prev) if x or y else 0
+                for x, y in zip(row[col + 1 :], top)
+            ]
+        pivot_cols.append(col)
+        pivot_vals.append(p)
+        prev = p
+    return pivot_cols, pivot_vals, swaps
+
+
 def rank_exact(m: RationalMatrix) -> int:
-    """Rank over the rationals: the pivot count of the fraction-free elimination."""
-    pivot_cols, _, _ = _eliminate(_primitive_rows(m.num))
+    """Rank over the rationals: the pivot count of the forward elimination."""
+    pivot_cols, _, _ = _forward(_primitive_rows(m.num))
     return len(pivot_cols)
 
 
@@ -400,8 +484,8 @@ def hurwitz_stable(coeffs: RationalMatrix) -> bool:
     when nothing is left.  Classical Hurwitz-determinant criterion,
     evaluated exactly: after normalizing the leading coefficient
     positive, all leading principal minors of the Hurwitz matrix must be
-    strictly positive.  One fraction-free elimination of the Hurwitz
-    matrix gives them all as its pivots, so the test is: no row swap,
+    strictly positive.  One forward fraction-free elimination of the
+    Hurwitz matrix gives them all as its pivots, so the test is: no row swap,
     n pivots, every pivot positive.  A nonzero constant has no roots and
     counts as stable.
     """
@@ -422,5 +506,5 @@ def hurwitz_stable(coeffs: RationalMatrix) -> bool:
         [desc[2 * j - i + 1] if 0 <= 2 * j - i + 1 <= n else 0 for j in range(n)]
         for i in range(n)
     ]
-    pivot_cols, pivot_vals, swaps = _eliminate(hurwitz)
+    pivot_cols, pivot_vals, swaps = _forward(hurwitz)
     return swaps == 0 and len(pivot_cols) == n and all(v > 0 for v in pivot_vals)

@@ -35,30 +35,26 @@ _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 _INSTANCE_KEYS = {"format_version", "n", "K", "A", "D", "label"}
 
 
-def _parse_rational(value: object, where: str) -> tuple[int, int]:
+def _parse_rational(value: object) -> tuple[int, int]:
     """Parse "p" or "p/q" (q > 0) or a plain integer into lowest terms ``(p, q)``.
 
-    Errors echo at most 60 characters of a rejected value (``!r:.60``).
+    An error names no location; the caller prefixes it.  Errors echo at
+    most 60 characters of a rejected value (``!r:.60``).
     """
     if isinstance(value, bool):
-        raise ValueError(f"{where}: expected a rational string, got a boolean")
+        raise ValueError("expected a rational string, got a boolean")
     if isinstance(value, int):
         return value, 1
     if isinstance(value, float):
-        raise ValueError(
-            f"{where}: floats are not accepted; write an exact rational "
-            f'string like "3/10"'
-        )
+        raise ValueError('floats are not accepted; write an exact rational string like "3/10"')
     match = _RATIONAL_RE.fullmatch(value) if isinstance(value, str) else None
     if match is None:
-        raise ValueError(f"{where}: {value!r:.60} is not of the form 'p' or 'p/q'")
+        raise ValueError(f"{value!r:.60} is not of the form 'p' or 'p/q'")
     p, q = match.groups()
-    try:
-        p, q = int(p), int(q or 1)
-    except ValueError as exc:  # more digits than int() converts
-        raise ValueError(f"{where}: {exc}") from None
+    # more digits than int() converts raise ValueError here
+    p, q = int(p), int(q or 1)
     if q == 0:
-        raise ValueError(f"{where}: zero denominator in {value!r:.60}")
+        raise ValueError(f"zero denominator in {value!r:.60}")
     g = math.gcd(p, q)
     return p // g, q // g
 
@@ -83,7 +79,14 @@ def _parse_rows(data: dict, name: str, noun: str, count: int, length: int) -> li
             raise ValueError(f"{name}[{i}]: expected an array")
         if len(row) != length:
             raise ValueError(f"{name}[{i}]: expected {length!r:.60} entries, found {len(row)}")
-        rows.append([_parse_rational(x, f"{name}[{i}][{j}]") for j, x in enumerate(row)])
+        entries: list = []
+        try:
+            entries.extend(map(_parse_rational, row))
+        except ValueError as exc:
+            # extend keeps the entries before the rejected one, whose
+            # location is written only now
+            raise ValueError(f"{name}[{i}][{len(entries)}]: {exc}") from None
+        rows.append(entries)
     return rows
 
 

@@ -150,9 +150,9 @@ def _certified_pair(a: RationalMatrix) -> SpectralData:
     pass returns at the simple zero root.
     """
     coeffs, adj, g = charpoly_adjugate(a)
-    if not coeffs.column(0).is_zero():
+    if coeffs[0, 0]:
         raise KernelDimensionError("zero is not an eigenvalue")
-    if coeffs.column(1).is_zero():
+    if not coeffs[0, 1]:
         raise KernelDimensionError("zero eigenvalue is not simple")
     if not hurwitz_stable(coeffs.columns(1)):  # the deflated polynomial
         raise NotStable("nonzero spectrum is not contained in the open left half-plane")
@@ -211,7 +211,7 @@ def _random_similar(rng: random.Random, base: RationalMatrix, bound: int) -> Rat
     for _ in range(_MAX_GENERATION_ATTEMPTS):
         t = RationalMatrix([rng.randint(-bound, bound) for _ in range(n)] for _ in range(n))
         coeffs, _, t_inv = charpoly_adjugate(t)
-        if not coeffs.column(0).is_zero():
+        if coeffs[0, 0]:
             return t @ base @ t_inv
     raise GenerationFailed("could not sample an invertible transform")
 

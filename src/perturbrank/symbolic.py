@@ -12,7 +12,8 @@ concrete instance — kernel pair, drift velocities, group inverse G, the
 coupling matrix M — is reproduced here over the rational-function field
 Q(a, b, k, d_11, ..., d_K2), following the exact same conventions
 (kernel vectors scaled to leading entry 1, pairing normalized to 1) and
-the formula M = Q G Pᵀ + (Q G Pᵀ)ᵀ of ``asymptotics.build_M``, so
+the value M = Q G Pᵀ + (Q G Pᵀ)ᵀ of ``asymptotics.build_M`` (which
+forms it as Psi (C + Cᵀ) Psiᵀ, C = diag(h1_star / 2) G diag(h1)), so
 substituting numbers into the symbolic output must agree with the
 numeric code to the last digit.  A has rank one and A² = -(a + b*k) A,
 so G = A / (a + b*k)², as ``charpoly_adjugate`` gives it for n = 2.

@@ -220,6 +220,36 @@ class TestBuildM:
             )
             assert ts.P @ b @ ts.P.transpose() == ts.M
 
+    def test_symmetric_kernel_equals_two_products(self):
+        # the one symmetric pass against Q G Pᵀ + (Q G Pᵀ)ᵀ from the public
+        # products, canonical fields included; K = 1 from the shipped
+        # violation instance and from the first diagonal of each generated D
+        cases = [W1, load_instance_file(VIOLATION_PATH)]
+        for family in FAMILIES:
+            for n in range(2, 9):
+                for k in range(2, 9):
+                    s = generate_instance(GeneratorConfig(n=n, K=k, seed=n * k, family=family))[0]
+                    cases += [s, dataclasses.replace(s, K=1, D=s.D.row(0))]
+        for s in cases:
+            sd, ts = _pipeline(s)
+            psi = s.D - ts.v @ RationalMatrix([[1] * s.n])
+            half = sd.h1_star.scale(Fraction(1, 2))
+            qx = psi.scale_columns(half) @ (sd.G @ psi.scale_columns(sd.h1).transpose())
+            expected = qx + qx.transpose()
+            m = psi.sym_congruence(half, sd.G, sd.h1)
+            assert (m.num, m.den) == (expected.num, expected.den)
+            assert ts.M == expected and ts.P == psi.scale_columns(sd.h1)
+        assert sum(s.K == 1 for s in cases) == 1 + 2 * 7 * 7
+
+    def test_symmetric_kernel_shapes(self):
+        x = RationalMatrix([[1, 2, 3]])
+        row, square = RationalMatrix([[1, 1, 1]]), RationalMatrix.identity(3)
+        assert x.sym_congruence(row, square, row) == RationalMatrix([[28]])
+        for args in ((row, RationalMatrix.identity(2), row), (RationalMatrix([[1, 1]]), square, row),
+                     (row, square, row.transpose())):
+            with pytest.raises(ValueError):
+                x.sym_congruence(*args)
+
     def test_symmetry_exact(self):
         rng = random.Random(11)
         for _ in range(10):
@@ -702,6 +732,34 @@ class TestResidual:
             pde_residual(m, q, zeta, 1e145)
         with pytest.raises(SingularCovariance, match=message):
             phi0_eval(m, q, zeta)
+
+    def test_no_profile_value_is_infinite_or_nan(self):
+        # at t = 1e25 the form of this far point overflows, and its rescaled
+        # form is negative, so the fallback gives -inf and exp(inf) = inf;
+        # next to it a dissipative M with a tiny positive eigenvalue, at the
+        # t where its covariance is nearly singular, makes the prefactor
+        # overflow (the values were NaN)
+        spec, sd = generate_instance(GeneratorConfig(n=3, K=8, seed=759637858207))
+        m = build_M(spec, sd).M
+        q = ProfileQuery(
+            epsilon=1.0, t=1e25, x=(0.0,) * 8, sigma0=1.2835416569009013, amplitude=1.0
+        )
+        zeta = (3e159, 3e159, 2e159, 9e158, 7e159, 3e159, -1e159, -4e159)
+        with pytest.raises(SingularCovariance) as exc:
+            phi0_eval(m, q, zeta)
+        assert str(exc.value) == "covariance is not positive definite: a quadratic form is -inf"
+        tiny = RationalMatrix([[-1, 0], [0, Fraction(1, 10**10)]])
+        q = ProfileQuery(
+            epsilon=1.0, t=(1 - 1e-12) / 2e-10, x=(0.0, 0.0), sigma0=1.0, amplitude=1e308
+        )
+        for call in (lambda: phi0_eval(tiny, q, (0.1, 0.2)),
+                     lambda: pde_residual(tiny, q, (0.1, 0.2), 1e-6)):
+            with pytest.raises(SingularCovariance) as exc:
+                call()
+            assert str(exc.value) == "the peak value amplitude * sqrt(det0 / det) overflows a float"
+        # the same M at a tenth of the amplitude: finite values
+        q = dataclasses.replace(q, amplitude=1e307)
+        assert math.isfinite(pde_residual(tiny, q, (0.1, 0.2), 1e-6))
 
     def test_stacked_solve_and_form_equal_per_row(self):
         # the assumption the batch rests on: numpy's stacked gesv and its

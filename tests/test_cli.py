@@ -742,11 +742,16 @@ class TestProfileCommands:
             ["phi0", "--t", "1e151", "--eps", "1", "--amplitude", "1",
              "--sigma", "1.2835416569009013",
              "--point=-5e+157,1e+158,7e+155,-9e+155,7e+159,1e+156,-5e+154,8e+159"],
+            ["phi0", "--t", "1e25", "--eps", "1", "--amplitude", "1",
+             "--sigma", "1.2835416569009013",
+             "--point=3e+159,3e+159,2e+159,9e+158,7e+159,3e+159,-1e+159,-4e+159"],
         ],
         # the float covariance at t = 1e151 is so ill-conditioned that the
         # computed form is hugely negative and exp(-form / 2) overflows: an
-        # error line, not a traceback
-        ids=["residual", "phi0"],
+        # error line, not a traceback; at t = 1e25 the far-point fallback
+        # gives this point the form -inf, which printed [Infinity, Infinity,
+        # Infinity] and exited 0
+        ids=["residual", "phi0", "phi0-minus-inf-form"],
     )
     def test_negative_form_exits_one(self, tmp_path, capsys, argv):
         spec, _ = generate_instance(GeneratorConfig(n=3, K=8, seed=759637858207))

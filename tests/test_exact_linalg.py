@@ -17,6 +17,7 @@ from perturbrank.exact_linalg import (
     RationalMatrix,
     SizeLimitExceeded,
     _eliminate,
+    _forward,
     _primitive_rows,
     as_rational,
     charpoly_adjugate,
@@ -165,6 +166,61 @@ class TestRationalMatrix:
             RationalMatrix([[1, 2]]) + RationalMatrix([[1], [2]])
 
 
+class TestIntegerConstructor:
+    """Rows of ints are taken over den = 1 as they stand; every other
+    entry type goes through the rational route, with the same results
+    and errors."""
+
+    def test_int_rows_equal_fraction_rows(self):
+        rng = random.Random(3401)
+        for _ in range(200):
+            n_rows, n_cols = rng.randint(1, 5), rng.randint(1, 6)
+            bound = rng.choice([1, 9, 10**30])
+            rows = [[rng.randint(-bound, bound) for _ in range(n_cols)] for _ in range(n_rows)]
+            m = RationalMatrix(rows)
+            for other in (
+                RationalMatrix([[Fraction(x) for x in row] for row in rows]),
+                RationalMatrix([[str(x) for x in row] for row in rows]),
+                RationalMatrix(tuple(row) for row in rows),
+            ):
+                assert (other.num, other.den, hash(other)) == (m.num, m.den, hash(m))
+            assert m.den == 1 and m.num == tuple(map(tuple, rows))
+            assert (m.rows, m.cols) == (n_rows, n_cols)
+            assert all(type(x) is int for row in m.num for x in row)
+
+    def test_bool_entries_are_ints_in_the_rows(self):
+        m = RationalMatrix([[True, False], [2, True]])
+        assert m == RationalMatrix([[1, 0], [2, 1]])
+        assert all(type(x) is int for row in m.num for x in row)
+        assert repr(m) == "RationalMatrix[1 0; 2 1]"
+
+    def test_mixed_entries_keep_their_denominators(self):
+        m = RationalMatrix([[1, "1/2"], [Fraction(2, 3), 0]])
+        assert (m.num, m.den) == (((6, 3), (4, 0)), 6)
+
+    @pytest.mark.parametrize(
+        "rows, error, message",
+        [
+            ([], ValueError, "matrix must have at least one row and column"),
+            ([[]], ValueError, "matrix must have at least one row and column"),
+            ([[], [1]], ValueError, "matrix must have at least one row and column"),
+            ([[1, 2], [3]], ValueError, "ragged rows"),
+            ([[1], [2, 3]], ValueError, "ragged rows"),
+            ([[1], []], ValueError, "ragged rows"),
+            ([["1/2", 2], [3]], ValueError, "ragged rows"),
+            ([[1.5], [1, 2]], TypeError, "not an exact rational: 1.5"),
+            ([[1, 2.0]], TypeError, "not an exact rational: 2.0"),
+            ([[1, None]], TypeError, "not an exact rational: None"),
+        ],
+        ids=["empty", "empty-row", "empty-first-row", "ragged-int", "ragged-int-long",
+             "ragged-int-empty", "ragged-mixed", "float-before-ragged", "float", "none"],
+    )
+    def test_errors(self, rows, error, message):
+        with pytest.raises(error) as exc:
+            RationalMatrix(rows)
+        assert str(exc.value) == message
+
+
 class TestCanonicalForm:
     """Integer rows over one denominator, reduced: den > 0 and
     gcd(den, *num) == 1, so equal values have equal fields."""
@@ -311,6 +367,98 @@ class TestRank:
             prod = left @ right
             assert rank_exact(prod) == _rref_rank(prod)
             assert rank_exact(prod) <= r
+
+
+def _gauss_jordan_pivots(rows) -> tuple[list[int], list[int], int]:
+    return _eliminate([list(row) for row in rows])
+
+
+class TestForward:
+    """The forward kernel that rank and Hurwitz read gives the pivot
+    columns, values and swaps of the Gauss-Jordan elimination."""
+
+    @staticmethod
+    def _matrices(rng: random.Random):
+        for case in range(240):
+            n_rows, n_cols = rng.randint(1, 7), rng.randint(1, 7)
+            bound = 10**40 if case % 4 == 3 else rng.choice([1, 3, 9])
+            rows = [[rng.randint(-bound, bound) for _ in range(n_cols)] for _ in range(n_rows)]
+            if case % 4 == 1 and n_rows > 1:
+                # rank-deficient: rows that are integer combinations of others
+                keep = rng.randint(1, n_rows - 1)
+                for i in range(keep, n_rows):
+                    w = [rng.randint(-2, 2) for _ in range(keep)]
+                    rows[i] = [sum(a * r[j] for a, r in zip(w, rows)) for j in range(n_cols)]
+            if case % 4 == 2:
+                # zero leading entries: a swap, or a column with no pivot
+                for i in range(rng.randint(1, n_rows)):
+                    rows[i][0] = 0
+                if n_cols > 1 and rng.random() < 0.5:
+                    for row in rows:
+                        row[1] = 0
+            yield rows
+
+    def test_matches_gauss_jordan_on_integer_matrices(self):
+        rng = random.Random(15)
+        kinds = {"swaps": 0, "deficient": 0, "large": 0}
+        for rows in self._matrices(rng):
+            expected = _gauss_jordan_pivots(rows)
+            assert _forward([list(row) for row in rows]) == expected, rows
+            pivot_cols, _, swaps = expected
+            kinds["swaps"] += swaps > 0
+            kinds["deficient"] += len(pivot_cols) < min(len(rows), len(rows[0]))
+            kinds["large"] += max(abs(x) for row in rows for x in row) > 10**30
+        assert min(kinds.values()) >= 30, kinds
+
+    def test_matches_gauss_jordan_on_hurwitz_and_rank_inputs(self, monkeypatch):
+        # the Hurwitz matrices of the deflated charpoly rows of generated
+        # instances, and the P and M whose ranks analyze reads
+        import perturbrank.exact_linalg as exact_linalg
+        from perturbrank.asymptotics import build_M
+
+        cases = []
+        for family in FAMILIES:
+            for n in range(2, 9):
+                for seed in range(3):
+                    s, sd = generate_instance(GeneratorConfig(n=n, K=n, seed=seed, family=family))
+                    ts = build_M(s, sd)
+                    cases.append((charpoly_adjugate(s.A)[0].columns(1), ts.P, ts.M))
+        pivots = []
+
+        def checked(a):
+            expected = _gauss_jordan_pivots(a)
+            result = forward(a)
+            assert result == expected
+            pivots.append(len(result[0]))
+            return result
+
+        forward = exact_linalg._forward
+        monkeypatch.setattr(exact_linalg, "_forward", checked)
+        for coeffs, p, m in cases:
+            assert hurwitz_stable(coeffs)
+            assert rank_exact(p) == p.rows - len(nullspace(p.transpose()))
+            assert rank_exact(m) == m.cols - len(nullspace(m))
+        assert len(pivots) == 3 * len(cases) == 3 * 42
+
+    def test_rank_and_hurwitz_never_run_gauss_jordan(self, monkeypatch):
+        import perturbrank.exact_linalg as exact_linalg
+
+        calls = []
+
+        def recorded(a):
+            calls.append(a)
+            return original(a)
+
+        original = exact_linalg._eliminate
+        monkeypatch.setattr(exact_linalg, "_eliminate", recorded)
+        rng = random.Random(34)
+        for _ in range(50):
+            m = _random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
+            rank_exact(m)
+            hurwitz_stable(charpoly_adjugate(_random_matrix(rng, 3, 3))[0])
+        assert calls == []
+        nullspace(RationalMatrix([[1, 2], [2, 4]]))
+        assert len(calls) == 1  # the patch is live: kernels still eliminate
 
 
 class TestEchelonReduce:

@@ -188,6 +188,35 @@ class TestParseRational:
             _load(tmp_path, [["1/0", "0"], ["0", "1"]])
         assert str(exc.value) == "D[0][0]: zero denominator in '1/0'"
 
+    @pytest.mark.parametrize("field, i, j", [("A", 2, 1), ("D", 1, 0)])
+    @pytest.mark.parametrize(
+        "entry, text",
+        [
+            (True, "expected a rational string, got a boolean"),
+            (0.5, 'floats are not accepted; write an exact rational string like "3/10"'),
+            ("1/0", "zero denominator in '1/0'"),
+            ("x", "'x' is not of the form 'p' or 'p/q'"),
+            ("1" * 4400 + "/3",
+             "Exceeds the limit (4300 digits) for integer string conversion: value has "
+             "4400 digits; use sys.set_int_max_str_digits() to increase the limit"),
+        ],
+        ids=["boolean", "float", "zero-denominator", "letter", "over-int-limit"],
+    )
+    def test_rejected_entry_names_its_location(self, tmp_path, field, i, j, entry, text):
+        # a later row and column of a 3 x 3 A and a 2 x 3 D: the entries
+        # before the rejected one parse, and the message names its place
+        data = {
+            "format_version": 1, "n": 3, "K": 2,
+            "A": [["-2", "1", "1"], ["1", "-2", "1"], ["1", "1", "-2"]],
+            "D": [["1", "2", "3"], ["0", "2", "1"]],
+        }
+        data[field][i][j] = entry
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            load_instance_file(str(path))
+        assert str(exc.value) == f"{field}[{i}][{j}]: {text}"
+
     @pytest.mark.parametrize("sign", ["", "-"])
     def test_numerator_over_the_int_limit(self, tmp_path, sign):
         digits = "1" * 4301
