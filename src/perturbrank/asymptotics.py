@@ -12,16 +12,17 @@ of A (``SpectralData.G``, from its one charpoly pass), so M = Sym(Q G Pᵀ)
 with P and Q the pushed vectors Psi_j h1 and psi_i ∘ h1_star / 2, and
 no linear system is solved here.  D, the rows h1 and h1_star, the
 speed column v, Psi, P and M are all ``RationalMatrix`` values, and
-``build_M`` combines them with the public matrix algebra of
-``exact_linalg`` (``-``, ``@``, ``scale``, ``scale_columns`` and
-``sym_congruence``, which gives M = Psi (C + Cᵀ) Psiᵀ with
-C = diag(h1_star / 2) G diag(h1) in one symmetric pass), which runs on
+``build_M`` forms them with three kernels of ``exact_linalg``: ``center``
+gives v and Psi = D - v 1ᵀ in one pass, ``scale_columns`` gives P, and
+``sym_congruence`` gives M = Psi (C + Cᵀ) Psiᵀ with
+C = diag(h1_star / 2) G diag(h1) in one symmetric pass.  They run on
 integer rows with no conversion to entries; this module never sees how
 an exact number is held.  The kernel of M, hence its rank, comes from
-one fraction-free elimination.  The spectrum of M
-comes from a hand-written cyclic Jacobi sweep on its float image, so the
-two routes stay independent.  The limiting profile itself is an
-anisotropic Gaussian with covariance sigma0² I - 2 M t, evaluated in
+one fraction-free elimination.  The spectrum of M comes from a
+hand-written cyclic Jacobi sweep on its float image (rows p and q bound
+once per rotation), so the two routes stay independent.  The limiting
+profile itself is an anisotropic Gaussian with covariance
+sigma0² I - 2 M t, evaluated in
 floats with numpy; only that Gaussian imports numpy, on its first call,
 so the exact routes never load it.  Its covariance, determinant and
 prefactor are built once per time level, and a batch of points at that
@@ -72,6 +73,8 @@ DISSIPATIVITY_TOLERANCE = 1e-9
 #: Numeric eigenvalues larger than this times max|M| count as nonzero when
 #: cross-checking the exact rank.
 RANK_AGREEMENT_TOLERANCE = 1e-8
+
+_HALF = Fraction(1, 2)
 
 MATCH = "match"
 DEGENERATE = "degenerate"
@@ -171,12 +174,12 @@ def build_M(s: SystemSpec, sd: SpectralData) -> TransferStructure:
     inverse G of the certificate, that is M = Psi (C + Cᵀ) Psiᵀ with
     C = diag(h1_star / 2) G diag(h1), which ``sym_congruence`` forms in
     one symmetric pass.  The speeds are v_i = (D_i h1, h1_star), the
-    column D diag(h1) h1_star.  Every step is a product, sum or scaling
-    of integer-row matrices; no entry is read.
+    column D diag(h1) h1_star, and ``center`` gives v and Psi together in
+    one pass.  So building M takes three integer-row kernels and one
+    scaling, and no entry is read.
     """
-    v = s.D.scale_columns(sd.h1) @ sd.h1_star.transpose()
-    psi = s.D - v @ RationalMatrix([[1] * s.n])
-    m = psi.sym_congruence(sd.h1_star.scale(Fraction(1, 2)), sd.G, sd.h1)
+    v, psi = s.D.center(sd.h1, sd.h1_star)
+    m = psi.sym_congruence(sd.h1_star.scale(_HALF), sd.G, sd.h1)
     return TransferStructure(v=v, P=psi.scale_columns(sd.h1), M=m)
 
 
@@ -185,6 +188,9 @@ def jacobi_eigenvalues(sym: list[list[float]]) -> list[float]:
 
     Off-diagonal mass is driven below ``JACOBI_TOLERANCE`` times the input
     Frobenius norm, or ``JACOBI_MAX_SWEEPS`` sweeps, whichever comes first.
+    Rows p and q are bound once per rotation, and columns p and q are
+    updated row by row; the order of the updates and their float
+    expressions are fixed, so the eigenvalues are reproducible bit for bit.
     """
     n = len(sym)
     a = [row[:] for row in sym]
@@ -192,27 +198,30 @@ def jacobi_eigenvalues(sym: list[list[float]]) -> list[float]:
     if scale == 0.0 or n == 1:
         return sorted(a[i][i] for i in range(n))
     threshold = JACOBI_TOLERANCE * scale
+    skip = threshold / (n * n)
     for _ in range(JACOBI_MAX_SWEEPS):
         off = math.sqrt(sum(a[i][j] ** 2 for i in range(n) for j in range(n) if i != j))
         if off <= threshold:
             break
         for p in range(n - 1):
+            ap = a[p]
             for q in range(p + 1, n):
-                apq = a[p][q]
-                if abs(apq) <= threshold / (n * n):
+                aq = a[q]
+                apq = ap[q]
+                if abs(apq) <= skip:
                     continue
-                tau = (a[q][q] - a[p][p]) / (2.0 * apq)
+                tau = (aq[q] - ap[p]) / (2.0 * apq)
                 t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
                 c = 1.0 / math.hypot(1.0, t)
                 s = t * c
+                for row in a:
+                    akp, akq = row[p], row[q]
+                    row[p] = c * akp - s * akq
+                    row[q] = s * akp + c * akq
                 for k in range(n):
-                    akp, akq = a[k][p], a[k][q]
-                    a[k][p] = c * akp - s * akq
-                    a[k][q] = s * akp + c * akq
-                for k in range(n):
-                    apk, aqk = a[p][k], a[q][k]
-                    a[p][k] = c * apk - s * aqk
-                    a[q][k] = s * apk + c * aqk
+                    apk, aqk = ap[k], aq[k]
+                    ap[k] = c * apk - s * aqk
+                    aq[k] = s * apk + c * aqk
     return sorted(a[i][i] for i in range(n))
 
 
@@ -385,7 +394,9 @@ def leading_term_eval(sd: SpectralData, ts: TransferStructure, q: ProfileQuery) 
     The comoving coordinates are zeta_i = (x_i - v_i t) / epsilon; the
     expansion is only valid for t > 0.  The checks of ``phi0_eval`` run
     first, on the finite x; a comoving point that overflows to ±inf lies
-    where the Gaussian, its Sigma finite and >= sigma0² I, is 0.
+    where the Gaussian, its Sigma finite and >= sigma0² I, is 0.  A
+    state entry phi0 · h1[i] beyond float range raises ``ValueError``
+    naming i, so no entry it returns is infinite.
     """
     k = ts.M.rows
     if len(q.x) != k:
@@ -397,7 +408,11 @@ def leading_term_eval(sd: SpectralData, ts: TransferStructure, q: ProfileQuery) 
     h1 = _float_image(sd.h1, "h1")[0]
     zeta = tuple((xi - vi * q.t) / q.epsilon for xi, vi in zip(q.x, v))
     value = phi([zeta])[0] if all(math.isfinite(z) for z in zeta) else 0.0
-    return [value * h for h in h1]
+    state = [value * h for h in h1]
+    for i, x in enumerate(state):
+        if not math.isfinite(x):
+            raise ValueError(f"the state entry phi0 * h1[{i}] overflows a float")
+    return state
 
 
 def pde_residual(

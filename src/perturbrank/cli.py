@@ -211,7 +211,7 @@ def _cmd_phi0(args) -> int:
         sigma0=args.sigma,
         amplitude=args.amplitude,
     )
-    print(json.dumps(leading_term_eval(sd, ts, q)))
+    print(json.dumps(leading_term_eval(sd, ts, q), allow_nan=False))
     return 0
 
 
@@ -224,7 +224,7 @@ def _cmd_residual(args) -> int:
         sigma0=args.sigma,
         amplitude=1.0,  # the residual is linear in the amplitude
     )
-    print(json.dumps(pde_residual(ts.M, q, args.zeta, args.h)))
+    print(json.dumps(pde_residual(ts.M, q, args.zeta, args.h), allow_nan=False))
     return 0
 
 

@@ -7,24 +7,27 @@ alone decides that representation: other modules build matrices from
 rows of exact entries (rows of plain ints are taken over ``den = 1`` as
 they stand, with no per-entry conversion), hold vectors as ``1 x n`` rows
 or ``n x 1`` columns, and combine them with ``+``, ``-``, ``@``,
-``transpose``, ``row``, ``column``, ``scale``, ``scale_columns`` and the
-symmetric congruence ``sym_congruence``, X (C + Cᵀ) Xᵀ with
-C = diag(l) g diag(r), which all run on the integer rows; ``is_zero``
-tests a value without building its entries.  Products compute each
-integer dot product as ``sum(map(mul, row, col))``.  Rank and the
-Hurwitz test read the pivots of one forward fraction-free (Bareiss)
-elimination, which updates only the rows below each pivot; kernels
-alone run the Gauss-Jordan form, which also clears the rows above it.
-Both run on the integer rows, for rank and kernels each divided by the
-gcd of its entries.  The characteristic polynomial, the adjugate and the
-inverse (or, at a simple zero root, the group inverse) come from one
-Faddeev-LeVerrier recurrence on ``num``; no linear system is solved by
+``transpose``, ``row``, ``scale``, ``scale_columns`` and three fused
+kernels, which all run on the integer rows: ``null_pair``, the checked
+and normalized null pair of A read off adj(A); ``center``, the column
+c = X diag(l) rᵀ with X - c 1ᵀ; and the symmetric congruence
+``sym_congruence``, X (C + Cᵀ) Xᵀ with C = diag(l) g diag(r).  Each
+kernel brings each of its results to canonical form once.  Products
+compute each integer dot product as ``sum(map(mul, row, col))``.  Rank
+and the Hurwitz test read the pivots of one forward fraction-free
+(Bareiss) elimination, which updates only the rows below each pivot;
+kernels alone run the Gauss-Jordan form, which also clears the rows
+above it.  Both run on the integer rows, for rank and kernels each
+divided by the gcd of its entries.  The characteristic polynomial, the
+adjugate and the inverse (or, at a simple zero root, the group inverse)
+come from one Faddeev-LeVerrier recurrence on ``num``, whose last step
+forms only the diagonal it reads; no linear system is solved by
 elimination.  A screen that grows a rank one row at a time keeps plain
 integer echelon rows and reduces each new row against them with
-``echelon_reduce``.  So
-intermediate values stay integral and every division is checked to be
-exact.  The characteristic polynomial's coefficients come back as one
-``1 x (n + 1)`` row, which ``hurwitz_stable`` reads as it stands.
+``echelon_reduce``.  So intermediate values stay integral and every
+division is checked to be exact.  The characteristic polynomial's
+coefficients come back as one ``1 x (n + 1)`` row, which
+``hurwitz_stable`` reads as it stands.
 ``to_strings`` writes the entries as ``"p"``/``"p/q"`` strings straight
 off the integer rows (``rational_str``), so a ``fractions.Fraction`` is
 built only where an entry leaves the module as a number, ``m[i, j]``.
@@ -153,16 +156,9 @@ class RationalMatrix:
         """Row i as a ``1 x cols`` matrix."""
         return RationalMatrix._make((self.num[i],), self.den)
 
-    def column(self, j: int) -> "RationalMatrix":
-        """Column j as a ``rows x 1`` matrix."""
-        return RationalMatrix._make([(row[j],) for row in self.num], self.den)
-
     def columns(self, start: int) -> "RationalMatrix":
         """Columns start, ..., cols - 1 as a ``rows x (cols - start)`` matrix."""
         return RationalMatrix._make([row[start:] for row in self.num], self.den)
-
-    def is_zero(self) -> bool:
-        return not any(map(any, self.num))
 
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix._make(tuple(zip(*self.num)), self.den)
@@ -200,6 +196,54 @@ class RationalMatrix:
         (scales,) = w.num
         return RationalMatrix._make(
             [list(map(mul, row, scales)) for row in self.num], self.den * w.den
+        )
+
+    def null_pair(self, adj: "RationalMatrix") -> tuple["RationalMatrix", "RationalMatrix"]:
+        """The null pair of A = self read off a rank-one adj = adj(A), as
+        ``1 x n`` rows ``(h1, h1_star)``.
+
+        One pass on the integer rows: r is the first nonzero column and l
+        the first nonzero row of ``adj.num``; A r = 0, then l A = 0, are
+        checked as integer dot products (``ArithmeticError`` otherwise).
+        h1 = r / r_lead, r_lead the first nonzero entry of r, and
+        h1_star = l · r_lead / (r · l), so first-nonzero(h1) = 1 and
+        (h1, h1_star) = 1; the scale of adj cancels from both.
+        """
+        a, b = self.num, adj.num
+        r = next(col for col in zip(*b) if any(col))
+        if any(sum(map(mul, row, r)) for row in a):
+            raise ArithmeticError("adjugate column is not a right null vector of A")
+        l = next(row for row in b if any(row))
+        if any(sum(map(mul, l, col)) for col in zip(*a)):
+            raise ArithmeticError("adjugate row is not a left null vector of A")
+        lead = next(x for x in r if x)
+        pairing = sum(map(mul, r, l))
+        if not pairing:
+            raise ZeroDivisionError("adjugate column and row pair to zero")
+        return (
+            RationalMatrix._make((r,), lead),
+            RationalMatrix._make(([lead * x for x in l],), pairing),
+        )
+
+    def center(
+        self, l: "RationalMatrix", r: "RationalMatrix"
+    ) -> tuple["RationalMatrix", "RationalMatrix"]:
+        """``(c, X - c 1ᵀ)`` for X = self and the ``rows x 1`` column
+        c = X diag(l) rᵀ, with l and r ``1 x cols`` rows.
+
+        One pass on the integer rows over the one denominator of c, and
+        one canonical form for each result.
+        """
+        n = self.cols
+        if (l.rows, l.cols, r.rows, r.cols) != (1, n, 1, n):
+            raise ValueError(f"{l.rows}x{l.cols} and {r.rows}x{r.cols} weights for {n} columns")
+        w = list(map(mul, l.num[0], r.num[0]))
+        f = l.den * r.den
+        c = [sum(map(mul, row, w)) for row in self.num]
+        den = self.den * f
+        return (
+            RationalMatrix._make([(x,) for x in c], den),
+            RationalMatrix._make([[f * x - ci for x in row] for row, ci in zip(self.num, c)], den),
         )
 
     def sym_congruence(
@@ -430,7 +474,9 @@ def charpoly_adjugate(
     B_(k+1) = B·N_k with N_k = B_k + c_k I, N_0 = I.  The coefficient of
     λ^(n-k) in the polynomial of m is then c_k / d^k.  Cayley-Hamilton
     gives B·N_(n-1) = -c_n I, so adj(B) = (-1)^(n-1)·N_(n-1) and
-    adj(m) = adj(B) / d^(n-1).
+    adj(m) = adj(B) / d^(n-1).  Since c_n needs only tr(B_n), the last
+    step forms the diagonal of B·N_(n-1) alone, so the pass makes n - 2
+    full products.
 
     adj(λI - B) = Σ_k λ^(n-1-k) N_k, so the resolvent of B near λ = 0 is
     N_(n-1) / c_n + O(λ) when c_n != 0, and N_(n-1) / (c_(n-1) λ) +
@@ -448,16 +494,21 @@ def charpoly_adjugate(
     b, d = m.num, m.den
     c = [1]  # c_0, ..., c_n
     bk = [list(row) for row in b]
+    trace = sum(b[i][i] for i in range(n))  # tr B_k
     # N_(k-1) and N_k
     prev, adj = [[0] * n for _ in range(n)], RationalMatrix.identity(n).num
     for k in range(1, n + 1):
-        c.append(_exact_div(-sum(bk[i][i] for i in range(n)), k))
+        c.append(_exact_div(-trace, k))
         if k < n:
             for i in range(n):
                 bk[i][i] += c[k]
             prev, adj = adj, bk
             cols = list(zip(*bk))
-            bk = [[sum(map(mul, row, col)) for col in cols] for row in b]
+            if k < n - 1:
+                bk = [[sum(map(mul, row, col)) for col in cols] for row in b]
+                trace = sum(bk[i][i] for i in range(n))
+            else:  # c_n reads only the diagonal of B_n = B·N_(n-1)
+                trace = sum(sum(map(mul, row, col)) for row, col in zip(b, cols))
     # the coefficient of λ^(n-k) is c_k / d^k = c_k d^(n-k) / d^n
     coeffs = RationalMatrix._make(
         [[ck * d ** (n - k) for k, ck in reversed(list(enumerate(c)))]], d**n

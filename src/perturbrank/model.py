@@ -14,9 +14,10 @@ One function decides admissibility for files and the generator alike:
 the Faddeev-LeVerrier pass that gives the exact charpoly of A also gives
 adj(A).  With a simple zero root, rank A = n - 1 and adj(A) = α h1 h1_starᵀ
 with tr adj(A) = ±c_1 != 0, so the first nonzero column and row of the
-adjugate are the null pair and their pairing is nonzero.  The matrix
-products A h1 = 0 and h1_starᵀ A = 0 check the pair independently, in
-O(n²), and two scalar scalings normalize it.
+adjugate are the null pair and their pairing is nonzero.  One pass on
+the integer rows (``RationalMatrix.null_pair``) checks A h1 = 0 and
+h1_starᵀ A = 0 independently, as O(n²) integer dot products, and
+normalizes the pair with one canonical form for each row.
 The same pass gives the group inverse G of A (A G = G A = I - h1
 h1_starᵀ, G h1 = 0, h1_starᵀ G = 0) from the two adjugate coefficients
 it forms last, and the certificate keeps it.
@@ -143,11 +144,12 @@ def _certified_pair(a: RationalMatrix) -> SpectralData:
     zero is not a root or not a simple one, then ``NotStable`` when the
     deflated polynomial is not Hurwitz.  The simple zero root makes
     adj(A) = α h1 h1_starᵀ with tr adj(A) = ±c_1 ≠ 0, so its first nonzero
-    column is h1 and its first nonzero row h1_star, up to scale;
-    A h1 = 0 and h1_starᵀ A = 0 are checked as matrix products, and the
-    pair is scaled to first-nonzero(h1) = 1 and (h1, h1_star) = 1, a
-    pairing that trace keeps nonzero.  G is the group inverse the same
-    pass returns at the simple zero root.
+    column is h1 and its first nonzero row h1_star, up to scale.  One
+    ``RationalMatrix.null_pair`` pass on the integer rows checks
+    A h1 = 0 and h1_starᵀ A = 0 as integer dot products and scales the
+    pair to first-nonzero(h1) = 1 and (h1, h1_star) = 1, a pairing that
+    trace keeps nonzero.  G is the group inverse the same pass returns
+    at the simple zero root.
     """
     coeffs, adj, g = charpoly_adjugate(a)
     if coeffs[0, 0]:
@@ -156,17 +158,8 @@ def _certified_pair(a: RationalMatrix) -> SpectralData:
         raise KernelDimensionError("zero eigenvalue is not simple")
     if not hurwitz_stable(coeffs.columns(1)):  # the deflated polynomial
         raise NotStable("nonzero spectrum is not contained in the open left half-plane")
-    n = a.rows
-    right = next(col for col in map(adj.column, range(n)) if not col.is_zero())
-    if not (a @ right).is_zero():
-        raise ArithmeticError("adjugate column is not a right null vector of A")
-    left = next(row for row in map(adj.row, range(n)) if not row.is_zero())
-    if not (left @ a).is_zero():
-        raise ArithmeticError("adjugate row is not a left null vector of A")
-    lead = next(x for x in (right[i, 0] for i in range(n)) if x)
-    h1 = right.transpose().scale(1 / lead)
-    pairing = (h1 @ left.transpose())[0, 0]
-    return SpectralData(h1=h1, h1_star=left.scale(1 / pairing), G=g)
+    h1, h1_star = a.null_pair(adj)
+    return SpectralData(h1=h1, h1_star=h1_star, G=g)
 
 
 def validate_system(s: SystemSpec) -> SpectralData:

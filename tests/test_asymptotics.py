@@ -198,6 +198,33 @@ class TestBuildM:
         analyze_structure(ts)
         assert eliminations  # the patch is live: the kernel of M eliminates
 
+    def test_certificate_and_build_run_fused_kernels(self, monkeypatch):
+        # validate_system and build_M take the null pair, v and Psi from the
+        # one-pass kernels: no product, transpose, sum or difference runs
+        instances = [W1, load_instance_file(VIOLATION_PATH)] + [
+            generate_instance(GeneratorConfig(n=n, K=3, seed=n, family=family))[0]
+            for family in FAMILIES
+            for n in (2, 5, 8)
+        ]
+        calls = []
+
+        def spy(name):
+            original = getattr(RationalMatrix, name)
+
+            def recorded(*args):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(RationalMatrix, name, recorded)
+
+        for name in ("__matmul__", "transpose", "_combine"):
+            spy(name)
+        for s in instances:
+            build_M(s, validate_system(s))
+        assert calls == []
+        W1.A @ W1.A.transpose() - W1.A
+        assert calls == ["transpose", "__matmul__", "_combine"]  # the spies are live
+
     def test_quadratic_form_route(self):
         # second exact route: M = Pᵀ B P with B = Sym(S G),
         # S = diag(h1_star_k / h1_k) and G from the elimination oracle, so
@@ -346,8 +373,8 @@ class TestTheoremA:
                     q = s.A.scale_columns(sd.h1).transpose().scale_columns(sd.h1_star)
                     q = q.transpose()
                     assert all(q[i, j] >= 0 for i in range(n) for j in range(n) if i != j)
-                    assert (q @ RationalMatrix([[1]] * n)).is_zero(), (n, K, seed)
-                    assert (RationalMatrix([[1] * n]) @ q).is_zero(), (n, K, seed)
+                    assert q @ RationalMatrix([[1]] * n) == RationalMatrix([[0]] * n), (n, K, seed)
+                    assert RationalMatrix([[1] * n]) @ q == RationalMatrix([[0] * n]), (n, K, seed)
                     report = analyze_structure(build_M(s, sd))
                     assert report.outcome == "match", (n, K, seed)
                     kinds = [b["kind"] for b in report.breaches]
@@ -445,6 +472,41 @@ class TestAnalyzeStructure:
         )
 
 
+def _index_loop_jacobi(sym: list[list[float]]) -> list[float]:
+    """The cyclic Jacobi sweep written with a[k][p] index loops: the
+    reference that the row-reference sweep must agree with bit for bit."""
+    from perturbrank.asymptotics import JACOBI_MAX_SWEEPS, JACOBI_TOLERANCE
+
+    n = len(sym)
+    a = [row[:] for row in sym]
+    scale = math.sqrt(sum(x * x for row in a for x in row))
+    if scale == 0.0 or n == 1:
+        return sorted(a[i][i] for i in range(n))
+    threshold = JACOBI_TOLERANCE * scale
+    for _ in range(JACOBI_MAX_SWEEPS):
+        off = math.sqrt(sum(a[i][j] ** 2 for i in range(n) for j in range(n) if i != j))
+        if off <= threshold:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p][q]
+                if abs(apq) <= threshold / (n * n):
+                    continue
+                tau = (a[q][q] - a[p][p]) / (2.0 * apq)
+                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+                c = 1.0 / math.hypot(1.0, t)
+                s = t * c
+                for k in range(n):
+                    akp, akq = a[k][p], a[k][q]
+                    a[k][p] = c * akp - s * akq
+                    a[k][q] = s * akp + c * akq
+                for k in range(n):
+                    apk, aqk = a[p][k], a[q][k]
+                    a[p][k] = c * apk - s * aqk
+                    a[q][k] = s * apk + c * aqk
+    return sorted(a[i][i] for i in range(n))
+
+
 class TestJacobi:
     def test_matches_numpy_on_random_symmetric(self):
         rng = np.random.default_rng(9000)
@@ -455,6 +517,29 @@ class TestJacobi:
             ours = jacobi_eigenvalues(sym.tolist())
             ref = np.linalg.eigvalsh(sym)
             assert np.allclose(ours, ref, rtol=1e-9, atol=1e-9 * max(1.0, abs(sym).max()))
+
+    def test_bit_identical_to_index_loop(self):
+        # the row-reference sweep against the index-loop sweep it replaced,
+        # kept verbatim here: generated M and random symmetric matrices of
+        # sizes 1..9 with entry magnitudes from 1e-5 to 1e5
+        mats = []
+        for family in FAMILIES:
+            for n in range(2, 9):
+                for k in range(1, 10):
+                    s = generate_instance(GeneratorConfig(n=n, K=max(k, 2), seed=n * k, family=family))[0]
+                    if k == 1:
+                        s = dataclasses.replace(s, K=1, D=s.D.row(0))
+                    mats.append(_pipeline(s)[1].M.to_float())
+        rng = random.Random(4242)
+        for _ in range(400):
+            n = rng.randint(1, 9)
+            raw = [[rng.uniform(-1, 1) * 10 ** rng.uniform(-5, 5) for _ in range(n)] for _ in range(n)]
+            mats.append([[(raw[i][j] + raw[j][i]) / 2 for j in range(n)] for i in range(n)])
+        assert len(mats) >= 500
+        for sym in mats:
+            expected = _index_loop_jacobi(sym)
+            got = jacobi_eigenvalues(sym)
+            assert [x.hex() for x in got] == [x.hex() for x in expected]
 
     def test_zero_matrix(self):
         assert jacobi_eigenvalues([[0.0, 0.0], [0.0, 0.0]]) == [0.0, 0.0]
@@ -556,6 +641,24 @@ class TestLeadingTerm:
             q = ProfileQuery(epsilon=eps, t=1.0, x=(1.5, 0.5), sigma0=1.0, amplitude=1.0)
             values.append(leading_term_eval(sd, ts, q)[0])
         assert values[0] > values[1] > values[2]
+
+    def test_state_entry_beyond_float_range_names_it(self):
+        # h1 = (1, 10^300): the profile value is finite, its product with
+        # h1[1] is not, and no infinite entry is returned
+        big = 10**300
+        s = SystemSpec(
+            n=2,
+            K=2,
+            D=RationalMatrix([[0, 1], [1, 0]]),
+            A=RationalMatrix([[-big, 1], [big, -1]]),
+        )
+        sd, ts = _pipeline(s)
+        assert _flat(sd.h1) == (1, big)
+        q = ProfileQuery(epsilon=1.0, t=1.0, x=(0.0, 0.0), sigma0=1.0, amplitude=1e10)
+        with pytest.raises(ValueError, match=r"^the state entry phi0 \* h1\[1\] overflows a float$"):
+            leading_term_eval(sd, ts, q)
+        value = leading_term_eval(sd, ts, dataclasses.replace(q, amplitude=1.0))
+        assert value[1] == value[0] * 1e300 and math.isfinite(value[1])
 
     def test_comoving_point_past_float_range_is_zero(self):
         # (x - v t) / epsilon overflows to ±inf from finite inputs; the

@@ -770,6 +770,44 @@ class TestProfileCommands:
         )
 
     @pytest.mark.parametrize(
+        "command, name, value",
+        [("phi0", "leading_term_eval", [1.0, math.inf]), ("residual", "pde_residual", math.nan)],
+    )
+    def test_non_json_float_is_an_error(self, w1_path, capsys, monkeypatch, command, name, value):
+        # the printers refuse Infinity and NaN, which are not JSON
+        monkeypatch.setattr(cli, name, lambda *args: value)
+        argv = {"phi0": ["--t", "1", "--eps", "1", "--sigma", "1", "--amplitude", "1",
+                         "--point", "0,0"],
+                "residual": ["--t", "1", "--zeta", "0,0", "--h", "0.01"]}[command]
+        assert run_command([command, "--instance", w1_path, *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+    def test_state_entry_overflow_exits_one(self, tmp_path, capsys):
+        # h1 = (1, 10^300): phi0 is finite, phi0 * h1[1] is not, and used
+        # to print [6065306597.126334, Infinity] (not JSON) and exit 0
+        big = "1" + "0" * 300
+        path = tmp_path / "far-h1.json"
+        path.write_text(
+            json.dumps(
+                {"format_version": 1, "n": 2, "K": 2, "A": [["-" + big, "1"], [big, "-1"]],
+                 "D": [["0", "1"], ["1", "0"]], "label": "far-h1"}
+            ),
+            encoding="utf-8",
+        )
+        argv = ["phi0", "--instance", str(path), "--t", "1", "--eps", "1", "--sigma", "1",
+                "--point", "0,0"]
+        assert run_command(argv + ["--amplitude", "1e10"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: the state entry phi0 * h1[1] overflows a float"
+        ]
+        assert run_command(argv + ["--amplitude", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)[1] > 1e299
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["--t", "1", "--eps", "1e-300", "--point", "1,0"],

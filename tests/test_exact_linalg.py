@@ -4,6 +4,7 @@ import ast
 import random
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,12 @@ from perturbrank.exact_linalg import (
     nullspace,
     rank_exact,
 )
-from perturbrank.model import FAMILIES, GeneratorConfig, generate_instance
+from perturbrank.formats import load_instance_file
+from perturbrank.model import FAMILIES, GeneratorConfig, generate_instance, validate_system
+
+from common import W1
+
+VIOLATION_PATH = Path(__file__).parent.parent / "instances" / "violation-n3-K1.json"
 
 fractions_st = st.fractions(
     min_value=-9, max_value=9, max_denominator=7
@@ -699,6 +705,40 @@ def _assert_charpoly_matches_det(m: RationalMatrix) -> None:
         assert _horner(p, lam) == _rational_det(_entries(shifted)), (m, lam)
 
 
+def _full_product_charpoly(m: RationalMatrix):
+    """Faddeev-LeVerrier with every product B·N_k formed in full, the
+    last one too: the reference for the trace-only last step."""
+    n = m.rows
+    b, d = m.num, m.den
+    c = [1]
+    bk = [list(row) for row in b]
+    prev, adj = [[0] * n for _ in range(n)], RationalMatrix.identity(n).num
+    for k in range(1, n + 1):
+        trace = -sum(bk[i][i] for i in range(n))
+        assert trace % k == 0
+        c.append(trace // k)
+        if k < n:
+            for i in range(n):
+                bk[i][i] += c[k]
+            prev, adj = adj, bk
+            cols = list(zip(*bk))
+            bk = [[sum(map(mul, row, col)) for col in cols] for row in b]
+    coeffs = RationalMatrix._make(
+        [[ck * d ** (n - k) for k, ck in reversed(list(enumerate(c)))]], d**n
+    )
+    a1, a2 = c[n - 1], c[n - 2] if n > 1 else 0
+    if c[n]:
+        inverse = RationalMatrix._make([[-d * x for x in row] for row in adj], c[n])
+    elif a1:
+        inverse = RationalMatrix._make(
+            [[d * (a2 * x - a1 * y) for x, y in zip(r0, r1)] for r0, r1 in zip(adj, prev)],
+            a1 * a1,
+        )
+    else:
+        inverse = None
+    return coeffs, RationalMatrix._make(adj, (-d) ** (n - 1)), inverse
+
+
 class TestCharpoly:
     def test_denominators_enter_per_power(self):
         m = RationalMatrix([["1/2", "1/3"], ["1/5", "1/7"]])
@@ -798,6 +838,33 @@ class TestCharpoly:
         # a simple zero root: adj = α h1 h1_starᵀ with α = tr adj = c_1
         _, adj, _ = charpoly_adjugate(RationalMatrix([[-2, 1, 1], [1, -2, 1], [1, 1, -2]]))
         assert adj == RationalMatrix([[3] * 3] * 3)
+
+    def test_equals_full_product_recurrence(self):
+        # the trace-only last step against the recurrence that forms every
+        # product B·N_k in full, field by field: full rank, a simple zero
+        # root (group inverse), rank n - 2 and less (no third item), n = 1
+        rng = random.Random(7331)
+        cases = [RationalMatrix([[0]]), RationalMatrix([["-5/3"]]), RationalMatrix([[0, 1], [0, 0]])]
+        for trial in range(240):
+            n = rng.randint(1, 8)
+            r = n - trial % 4 if trial % 4 < 3 else 0
+            if r >= 1:
+                m = _random_matrix(rng, n, r, bound=7) @ _random_matrix(rng, r, n, bound=7)
+            else:
+                m = RationalMatrix([[0] * n] * n)
+            cases.append(m)
+        for family in FAMILIES:
+            for n in range(2, 9):
+                cases.append(generate_instance(GeneratorConfig(n=n, K=2, seed=n, family=family))[0].A)
+        inverses = {"inverse": 0, "group": 0, "none": 0}
+        for m in cases:
+            got, expected = charpoly_adjugate(m), _full_product_charpoly(m)
+            assert [None if x is None else (x.num, x.den) for x in got] == [
+                None if x is None else (x.num, x.den) for x in expected
+            ]
+            kind = "none" if got[2] is None else "inverse" if got[0][0, 0] else "group"
+            inverses[kind] += 1
+        assert len(cases) >= 200 and min(inverses.values()) >= 40
 
     def test_size_guard(self):
         big = RationalMatrix.identity(CHARPOLY_SIZE_LIMIT + 1)
@@ -907,3 +974,86 @@ class TestHurwitz:
             assert verdict == (max_re < 0), f"disagreement on {entries}"
             checked += 1
         assert checked > 900
+
+
+def _kernel_cases():
+    """W1, the shipped violation instance and generated instances, n and K
+    in 2..8, both families."""
+    cases = [W1, load_instance_file(VIOLATION_PATH)]
+    for family in FAMILIES:
+        for n in range(2, 9):
+            for k in range(2, 9):
+                cfg = GeneratorConfig(n=n, K=k, seed=7 * n + k, family=family)
+                cases.append(generate_instance(cfg)[0])
+    return cases
+
+
+def _null_pair_chain(a: RationalMatrix, adj: RationalMatrix):
+    """The null pair by the chain of generic operations that the one-pass
+    ``null_pair`` replaced: column and row extraction, zero tests, two
+    check products, a transpose, two Fraction reciprocals and two
+    scalings."""
+    n = a.rows
+
+    def is_zero(m):
+        return m == RationalMatrix([[0] * m.cols] * m.rows)
+
+    columns = (adj.transpose().row(j).transpose() for j in range(n))
+    right = next(col for col in columns if not is_zero(col))
+    if not is_zero(a @ right):
+        raise ArithmeticError("adjugate column is not a right null vector of A")
+    left = next(row for row in map(adj.row, range(n)) if not is_zero(row))
+    if not is_zero(left @ a):
+        raise ArithmeticError("adjugate row is not a left null vector of A")
+    lead = next(x for x in (right[i, 0] for i in range(n)) if x)
+    h1 = right.transpose().scale(1 / lead)
+    pairing = (h1 @ left.transpose())[0, 0]
+    return h1, left.scale(1 / pairing)
+
+
+class TestFusedKernels:
+    def test_null_pair_equals_operation_chain(self):
+        cases = _kernel_cases()
+        for s in cases:
+            adj = charpoly_adjugate(s.A)[1]
+            got, expected = s.A.null_pair(adj), _null_pair_chain(s.A, adj)
+            assert [(m.num, m.den) for m in got] == [(m.num, m.den) for m in expected]
+            # the scale of the adjugate cancels, sign included
+            for scale in (Fraction(-3, 7), Fraction(5)):
+                assert s.A.null_pair(adj.scale(scale)) == got
+        assert len(cases) == 2 + 2 * 7 * 7
+
+    def test_null_pair_checks_both_sides(self):
+        a = RationalMatrix([[-1, 1], [1, -1]])
+        with pytest.raises(ArithmeticError, match="^adjugate column is not a right null vector of A$"):
+            a.null_pair(RationalMatrix([[1, 0], [0, 0]]))
+        with pytest.raises(ArithmeticError, match="^adjugate row is not a left null vector of A$"):
+            a.null_pair(RationalMatrix([[1, 2], [1, 2]]))
+        # a nilpotent A: both checks pass, but the pair is orthogonal
+        nilpotent = RationalMatrix([[0, 1], [0, 0]])
+        with pytest.raises(ZeroDivisionError):
+            nilpotent.null_pair(charpoly_adjugate(nilpotent)[1])
+
+    def test_center_equals_product_and_difference(self):
+        rng = random.Random(3511)
+        triples = []
+        for s in _kernel_cases():
+            sd = validate_system(s)
+            triples.append((s.D, sd.h1, sd.h1_star))
+        for _ in range(100):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            triples.append(
+                tuple(_random_matrix(rng, *shape) for shape in ((rows, cols), (1, cols), (1, cols)))
+            )
+        for x, l, r in triples:
+            c = x.scale_columns(l) @ r.transpose()
+            centred = x - c @ RationalMatrix([[1] * x.cols])
+            got = x.center(l, r)
+            assert [(m.num, m.den) for m in got] == [(c.num, c.den), (centred.num, centred.den)]
+
+    def test_center_shapes(self):
+        x, row = RationalMatrix([[1, 2, 3]]), RationalMatrix([[1, 1, 1]])
+        assert x.center(row, row) == (RationalMatrix([[6]]), RationalMatrix([[-5, -4, -3]]))
+        for l, r in ((row, RationalMatrix([[1, 1]])), (row.transpose(), row), (x, x.transpose())):
+            with pytest.raises(ValueError):
+                x.center(l, r)
