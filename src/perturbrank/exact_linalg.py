@@ -13,12 +13,12 @@ and normalized null pair of A read off adj(A); ``center``, the column
 c = X diag(l) rᵀ with X - c 1ᵀ; and the symmetric congruence
 ``sym_congruence``, X (C + Cᵀ) Xᵀ with C = diag(l) g diag(r).  Each
 kernel brings each of its results to canonical form once.  Products
-compute each integer dot product as ``sum(map(mul, row, col))``.  Rank
-and the Hurwitz test read the pivots of one forward fraction-free
-(Bareiss) elimination, which updates only the rows below each pivot;
-kernels alone run the Gauss-Jordan form, which also clears the rows
-above it.  Both run on the integer rows, for rank and kernels each
-divided by the gcd of its entries.  The characteristic polynomial, the
+compute each integer dot product as ``sum(map(mul, row, col))``.  Rank,
+kernels and the Hurwitz test run one forward fraction-free (Bareiss)
+elimination, which updates only the rows below each pivot; a kernel then
+back-substitutes each free column, fraction-free, on the echelon rows it
+leaves.  It runs on the integer rows, for rank and kernels each divided
+by the gcd of its entries.  The characteristic polynomial, the
 adjugate and the inverse (or, at a simple zero root, the group inverse)
 come from one Faddeev-LeVerrier recurrence on ``num``, whose last step
 forms only the diagonal it reads; no linear system is solved by
@@ -326,61 +326,17 @@ def _exact_div(num: int, den: int) -> int:
     return q
 
 
-def _eliminate(a: list[list[int]]) -> tuple[list[int], list[int], int]:
-    """Fraction-free Gauss-Jordan elimination of integer rows, in place,
-    for ``nullspace``, which reads the reduced form.
+def _forward(a: list[list[int]]) -> tuple[list[int], list[int], int]:
+    """Forward fraction-free (Bareiss) elimination of integer rows, in place.
 
     Pivots are the first nonzero entry in the current column; each step
-    updates every other row as (p·row - f·pivot_row) / previous pivot,
-    a division that is exact (Bareiss, Math. Comp. 1968).  Returns the
-    pivot columns, the pivot values and the number of row swaps.  After
-    it, row k holds the last pivot value d in pivot column k and zero in
-    every other pivot column, so rows / d is the reduced row echelon
-    form; without swaps, the k-th pivot value is the k-th leading
-    principal minor of the input rows.
-    """
-    n_rows = len(a)
-    pivot_cols: list[int] = []
-    pivot_vals: list[int] = []
-    swaps = 0
-    prev = 1
-    for col in range(len(a[0])):
-        k = len(pivot_cols)
-        if k == n_rows:
-            break
-        pivot_row = next((r for r in range(k, n_rows) if a[r][col] != 0), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            swaps += 1
-        top = a[k]
-        p = top[col]
-        for r in range(n_rows):
-            if r != k:
-                f = a[r][col]
-                # a pair of zeros updates to zero; skip its division
-                a[r] = [
-                    _exact_div(p * x - f * y, prev) if x or y else 0
-                    for x, y in zip(a[r], top)
-                ]
-        pivot_cols.append(col)
-        pivot_vals.append(p)
-        prev = p
-    return pivot_cols, pivot_vals, swaps
-
-
-def _forward(a: list[list[int]]) -> tuple[list[int], list[int], int]:
-    """Forward fraction-free elimination of integer rows; consumes ``a``.
-
-    The pivot search and the Bareiss update of ``_eliminate``, applied
-    only to the rows below each pivot and only to the columns right of
-    it (every entry left of it is zero or never read again).  The rows
-    at and below a pivot go through the same steps as in ``_eliminate``,
-    so the pivot columns, the pivot values and the number of row swaps
-    are the same: without swaps, the k-th pivot value is the k-th
-    leading principal minor of the input rows (Bareiss, Math. Comp.
-    1968).  Every division is checked to be exact.
+    updates the rows below the pivot, right of its column, as
+    (p·row - f·pivot_row) / previous pivot, a division that is exact and
+    checked to be (Bareiss, Math. Comp. 1968).  Returns the pivot columns
+    pc_k, the pivot values and the number of row swaps; without swaps, the
+    k-th pivot value is the k-th leading principal minor of the input
+    rows.  Afterwards row k of ``a`` is final from column pc_k on, and its
+    entries left of pc_k are stale.
     """
     n_rows = len(a)
     pivot_cols: list[int] = []
@@ -425,18 +381,24 @@ def nullspace(m: RationalMatrix) -> list[RationalMatrix]:
 
     Solves m·v = 0; the left kernel vᵀ·m = 0 is ``nullspace(m.transpose())``.
     Basis rows are ordered by their free column, ascending, which makes
-    the output deterministic.
+    the output deterministic.  One forward elimination of the primitive
+    rows, then, per free column f, a fraction-free back substitution on
+    the final entries of the echelon rows: v[f] = d, the last pivot, and
+    bottom up, for each pivot column pc < f, v[pc] = -(row[pc+1:]·v[pc+1:])
+    / row[pc].  d·v is integral for the reduced-echelon kernel vector v
+    (Cramer's rule), so every division is exact, and checked to be.
     """
     a = _primitive_rows(m.num)
-    pivot_cols, pivot_vals, _ = _eliminate(a)
+    pivot_cols, pivot_vals, _ = _forward(a)
     d = pivot_vals[-1] if pivot_vals else 1
+    echelon = list(zip(pivot_cols, pivot_vals, a))[::-1]
     basis: list[RationalMatrix] = []
     for free in sorted(set(range(m.cols)) - set(pivot_cols)):
-        # d·v with v the RREF kernel vector of this free column
         v = [0] * m.cols
         v[free] = d
-        for row, pc in zip(a, pivot_cols):
-            v[pc] = -row[free]
+        for pc, p, row in echelon:
+            if pc < free:
+                v[pc] = -_exact_div(sum(map(mul, row[pc + 1 :], v[pc + 1 :])), p)
         basis.append(RationalMatrix._make((v,), next(x for x in v if x != 0)))
     return basis
 

@@ -191,12 +191,13 @@ class TestBuildM:
             eliminations.append(a)
             return original(a)
 
-        original = exact_linalg._eliminate
-        monkeypatch.setattr(exact_linalg, "_eliminate", recorded)
+        original = exact_linalg._forward
+        monkeypatch.setattr(exact_linalg, "_forward", recorded)
         ts = build_M(s, sd)
         assert eliminations == []
         analyze_structure(ts)
-        assert eliminations  # the patch is live: the kernel of M eliminates
+        # the patch is live: one pass for the kernel of M, one for rank P
+        assert len(eliminations) == 2
 
     def test_certificate_and_build_run_fused_kernels(self, monkeypatch):
         # validate_system and build_M take the null pair, v and Psi from the

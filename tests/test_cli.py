@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -264,6 +265,81 @@ class TestAnalyze:
         expected = capsys.readouterr().out
         assert run_command(["analyze", path]) == 0
         assert capsys.readouterr().out == expected
+
+
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def _mangled_instance(rng, base: dict) -> dict:
+    """``base`` with one to three malformations drawn from a fixed list."""
+    data = json.loads(json.dumps(base))
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice(
+            ["n", "K", "format_version", "ragged", "3/0", "1.5", "digits",
+             "non-string", "extra key", "missing key"]
+        )
+        field = rng.choice(["A", "D"])
+        rows = data.get(field)
+        if not (isinstance(rows, list) and rows and all(isinstance(r, list) and r for r in rows)):
+            rows = None
+        if kind in ("n", "K", "format_version"):
+            data[kind] = rng.choice([0, 1, -3, 2, 3, 9, 10**30, "2", 2.0, None, True, [2]])
+        elif kind == "ragged" and rows:
+            row = rng.choice(rows)
+            if rng.random() < 0.5:
+                row.pop()
+            else:
+                row.append("1")
+        elif kind in ("3/0", "1.5", "digits", "non-string") and rows:
+            value = {
+                "3/0": "3/0",
+                "1.5": "1.5",
+                "digits": rng.choice(["", "-"]) + str(rng.randint(1, 9)) + "0" * 399
+                + rng.choice(["", "/7", "/1" + "3" * 400]),
+                "non-string": rng.choice([1.5, None, True, [], {}, 7]),
+            }[kind]
+            row = rng.choice(rows)
+            row[rng.randrange(len(row))] = value
+        elif kind == "extra key":
+            data[rng.choice(["H", "x", "labels", "n "])] = rng.choice(["1", 1, [], None])
+        elif kind == "missing key" and data:
+            del data[rng.choice(sorted(data))]
+    return data
+
+
+class TestAnalyzeErrorContract:
+    """A seeded, bounded fuzz of malformed instance files: ``analyze``
+    exits 0 with strict JSON, or 1 with an empty stdout and one ``error:``
+    line, and never raises."""
+
+    def test_malformed_instance_files(self, tmp_path, capsys):
+        bases = [W1_DICT] + [
+            instance_to_dict(generate_instance(GeneratorConfig(n=n, K=k, seed=n, family=f))[0])
+            for f in FAMILIES
+            for n, k in ((3, 2), (4, 5))
+        ]
+        rng = random.Random(19)
+        path = tmp_path / "fuzz.json"
+        exits = {0: 0, 1: 0}
+        for _ in range(600):
+            data = _mangled_instance(rng, rng.choice(bases))
+            path.write_text(json.dumps(data), encoding="utf-8")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = run_command(["analyze", str(path)])
+            captured = capsys.readouterr()
+            assert code in exits, (code, data)
+            exits[code] += 1
+            if code == 0:
+                json.loads(captured.out, parse_constant=_reject_constant)
+                assert captured.err == "", data
+            else:
+                assert captured.out == "", data
+                assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, (
+                    captured.err, data,
+                )
+        assert min(exits.values()) >= 10, exits
 
 
 SEARCH_ARGV = [

@@ -17,7 +17,7 @@ from perturbrank.exact_linalg import (
     CHARPOLY_SIZE_LIMIT,
     RationalMatrix,
     SizeLimitExceeded,
-    _eliminate,
+    _exact_div,
     _forward,
     _primitive_rows,
     as_rational,
@@ -375,13 +375,75 @@ class TestRank:
             assert rank_exact(prod) <= r
 
 
+# The Gauss-Jordan loop and kernel of the package before nullspace
+# back-substituted on the forward rows, verbatim: the oracle for the
+# forward kernel, the determinant and the kernel basis.
+def _eliminate(a: list[list[int]]) -> tuple[list[int], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place,
+    for ``nullspace``, which reads the reduced form.
+
+    Pivots are the first nonzero entry in the current column; each step
+    updates every other row as (p·row - f·pivot_row) / previous pivot,
+    a division that is exact (Bareiss, Math. Comp. 1968).  Returns the
+    pivot columns, the pivot values and the number of row swaps.  After
+    it, row k holds the last pivot value d in pivot column k and zero in
+    every other pivot column, so rows / d is the reduced row echelon
+    form; without swaps, the k-th pivot value is the k-th leading
+    principal minor of the input rows.
+    """
+    n_rows = len(a)
+    pivot_cols: list[int] = []
+    pivot_vals: list[int] = []
+    swaps = 0
+    prev = 1
+    for col in range(len(a[0])):
+        k = len(pivot_cols)
+        if k == n_rows:
+            break
+        pivot_row = next((r for r in range(k, n_rows) if a[r][col] != 0), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != k:
+            a[k], a[pivot_row] = a[pivot_row], a[k]
+            swaps += 1
+        top = a[k]
+        p = top[col]
+        for r in range(n_rows):
+            if r != k:
+                f = a[r][col]
+                # a pair of zeros updates to zero; skip its division
+                a[r] = [
+                    _exact_div(p * x - f * y, prev) if x or y else 0
+                    for x, y in zip(a[r], top)
+                ]
+        pivot_cols.append(col)
+        pivot_vals.append(p)
+        prev = p
+    return pivot_cols, pivot_vals, swaps
+
+
 def _gauss_jordan_pivots(rows) -> tuple[list[int], list[int], int]:
     return _eliminate([list(row) for row in rows])
 
 
+def _gauss_jordan_nullspace(m: RationalMatrix) -> list[RationalMatrix]:
+    a = _primitive_rows(m.num)
+    pivot_cols, pivot_vals, _ = _eliminate(a)
+    d = pivot_vals[-1] if pivot_vals else 1
+    basis: list[RationalMatrix] = []
+    for free in sorted(set(range(m.cols)) - set(pivot_cols)):
+        # d·v with v the RREF kernel vector of this free column
+        v = [0] * m.cols
+        v[free] = d
+        for row, pc in zip(a, pivot_cols):
+            v[pc] = -row[free]
+        basis.append(RationalMatrix._make((v,), next(x for x in v if x != 0)))
+    return basis
+
+
 class TestForward:
-    """The forward kernel that rank and Hurwitz read gives the pivot
-    columns, values and swaps of the Gauss-Jordan elimination."""
+    """The forward kernel that rank, kernels and Hurwitz read gives the
+    pivot columns, values and swaps of the Gauss-Jordan elimination."""
 
     @staticmethod
     def _matrices(rng: random.Random):
@@ -444,9 +506,9 @@ class TestForward:
             assert hurwitz_stable(coeffs)
             assert rank_exact(p) == p.rows - len(nullspace(p.transpose()))
             assert rank_exact(m) == m.cols - len(nullspace(m))
-        assert len(pivots) == 3 * len(cases) == 3 * 42
+        assert len(pivots) == 5 * len(cases) == 5 * 42
 
-    def test_rank_and_hurwitz_never_run_gauss_jordan(self, monkeypatch):
+    def test_rank_hurwitz_and_kernel_run_one_forward_pass(self, monkeypatch):
         import perturbrank.exact_linalg as exact_linalg
 
         calls = []
@@ -455,16 +517,16 @@ class TestForward:
             calls.append(a)
             return original(a)
 
-        original = exact_linalg._eliminate
-        monkeypatch.setattr(exact_linalg, "_eliminate", recorded)
+        original = exact_linalg._forward
+        monkeypatch.setattr(exact_linalg, "_forward", recorded)
         rng = random.Random(34)
         for _ in range(50):
             m = _random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-            rank_exact(m)
-            hurwitz_stable(charpoly_adjugate(_random_matrix(rng, 3, 3))[0])
-        assert calls == []
-        nullspace(RationalMatrix([[1, 2], [2, 4]]))
-        assert len(calls) == 1  # the patch is live: kernels still eliminate
+            coeffs = charpoly_adjugate(_random_matrix(rng, 3, 3))[0]
+            for run, arg in ((rank_exact, m), (hurwitz_stable, coeffs), (nullspace, m)):
+                calls.clear()
+                run(arg)
+                assert len(calls) == 1, run.__name__
 
 
 class TestEchelonReduce:
@@ -568,6 +630,68 @@ class TestNullspace:
                 assert m @ v.transpose() == RationalMatrix([[0]] * rows)
                 lead = next(x for x in _entries(v)[0] if x != 0)
                 assert lead == 1
+
+    def test_basis_matches_gauss_jordan_on_generated_M(self):
+        # the back substitution gives the reduced-echelon kernel vector of
+        # each free column, which is unique: the old basis, row for row
+        from perturbrank.asymptotics import build_M
+
+        kernels = 0
+        for family in FAMILIES:
+            for n in range(2, 9):
+                for k in range(2, 9):
+                    for seed in range(4):
+                        cfg = GeneratorConfig(n=n, K=k, seed=seed, family=family)
+                        m = build_M(*generate_instance(cfg)).M
+                        basis = nullspace(m)
+                        assert basis == _gauss_jordan_nullspace(m), cfg
+                        kernels += bool(basis)
+        assert kernels >= 150
+
+    def test_basis_matches_gauss_jordan_on_low_rank_products(self):
+        # integer L R products, up to 8 x 9, and their transposes (left
+        # kernels): rank-deficient, full column rank, 10^40 entries, zero columns
+        rng = random.Random(37)
+        kinds = {"deficient": 0, "full": 0, "large": 0, "zero column": 0}
+        for case in range(400):
+            n_rows, n_cols = rng.randint(1, 8), rng.randint(1, 9)
+            inner = rng.randint(1, min(n_rows, n_cols))
+            if case % 5 == 0:
+                n_cols = min(n_cols, 8)
+                n_rows, inner = rng.randint(n_cols, 8), n_cols
+            bound = 10**40 if case % 4 == 3 else rng.choice([1, 3, 9])
+            left = [[rng.randint(-bound, bound) for _ in range(inner)] for _ in range(n_rows)]
+            right = [[rng.randint(-bound, bound) for _ in range(n_cols)] for _ in range(inner)]
+            if case % 4 == 2:
+                zero = rng.randrange(n_cols)
+                for row in right:
+                    row[zero] = 0
+            m = RationalMatrix([[sum(map(mul, row, col)) for col in zip(*right)] for row in left])
+            for a in (m, m.transpose()):
+                assert nullspace(a) == _gauss_jordan_nullspace(a), a
+            rank = rank_exact(m)
+            kinds["deficient"] += rank < min(n_rows, n_cols)
+            kinds["full"] += rank == n_cols
+            kinds["large"] += bound > 10**30
+            kinds["zero column"] += any(not any(col) for col in zip(*m.num))
+        assert min(kinds.values()) >= 30, kinds
+
+    def test_tampered_echelon_entry_fails_the_exactness_check(self, monkeypatch):
+        import perturbrank.exact_linalg as exact_linalg
+
+        m = RationalMatrix([[2, 1, 1], [0, 3, 1]])
+        assert nullspace(m) == _gauss_jordan_nullspace(m) == [RationalMatrix([[1, 1, -3]])]
+
+        def tampered(a):
+            result = forward(a)
+            assert a[1][1:] == [6, 2]  # the final entries of the second echelon row
+            a[1][2] -= 1
+            return result
+
+        forward = exact_linalg._forward
+        monkeypatch.setattr(exact_linalg, "_forward", tampered)
+        with pytest.raises(ArithmeticError, match="^fraction-free step produced a non-integer$"):
+            nullspace(m)
 
 
 def _rref_inverse(m: RationalMatrix) -> RationalMatrix:
