@@ -227,19 +227,37 @@ def dumps(obj: object) -> str:
     pure-Python generator encoder instead of the C one.  Keys must be
     strings; a value of any other type than str, int, float, bool, None,
     list, tuple and dict raises TypeError, as in ``json``.
+
+    Each dict object is encoded once per call, however often ``obj``
+    holds it (a symbolic report shares its denominator trees and the
+    payloads of M[i][j] and M[j][i]); see ``_encode``.
     """
-    return _encode(obj, "\n") + "\n"
+    return _encode(obj, "\n", {}) + "\n"
 
 
-def _encode(o: object, newline: str) -> str:
+def _encode(o: object, newline: str, memo: dict) -> str:
     """One JSON value; ``newline`` is the line break and indent it starts at.
 
     Dicts, lists and tuples come first, and their children of exact type
     str or int are written inside the loop, without a call; every other
-    child (bool, None, float, subclasses) takes the branches below."""
+    child (bool, None, float, subclasses) takes the branches below.
+
+    ``memo`` maps the id of each non-empty dict written so far to its
+    ``(newline, text)``; the root holds every such dict for the whole
+    call, so no id is reused.  A dict met again is that text, re-indented
+    with one ``text.replace(base, newline)`` where its first ``newline``
+    was ``base``.  The replace is exact: ``encode_basestring_ascii``
+    escapes every line break inside keys and strings, so each ``"\\n"``
+    of the text starts one of its indentation lines, and each of those
+    starts with ``base``.  Lists and tuples, which no report shares, are
+    not remembered."""
     if isinstance(o, dict):
         if not o:
             return "{}"
+        seen = memo.get(id(o))
+        if seen is not None:
+            base, text = seen
+            return text if base == newline else text.replace(base, newline)
         inner = newline + "  "
         items = []
         for k in sorted(o):
@@ -249,10 +267,12 @@ def _encode(o: object, newline: str) -> str:
             elif type(x) is int:
                 text = int.__repr__(x)
             else:
-                text = _encode(x, inner)
+                text = _encode(x, inner, memo)
             # encode_basestring_ascii raises TypeError on a key that is no str
             items.append(encode_basestring_ascii(k) + ": " + text)
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
+        text = "{" + inner + ("," + inner).join(items) + newline + "}"
+        memo[id(o)] = (newline, text)
+        return text
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
@@ -264,7 +284,7 @@ def _encode(o: object, newline: str) -> str:
             elif type(x) is int:
                 items.append(int.__repr__(x))
             else:
-                items.append(_encode(x, inner))
+                items.append(_encode(x, inner, memo))
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     if isinstance(o, str):
         return encode_basestring_ascii(o)

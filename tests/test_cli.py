@@ -342,6 +342,100 @@ class TestAnalyzeErrorContract:
         assert min(exits.values()) >= 10, exits
 
 
+def _assert_one_error_line(code, captured, argv):
+    assert code == 1, argv
+    assert captured.out == "", argv
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, (
+        captured.err, argv,
+    )
+
+
+class TestSearchErrorContract:
+    """A seeded, bounded draw of bad ``search`` arguments: each exits 1
+    with an empty stdout and one ``error:`` line.  The valid values around
+    the bad ones stay small (n, K <= 3, at most 2 samples and 2 workers),
+    so a check that came only after the campaign would still end fast."""
+
+    RANGES = [(1, 2), (0, 3), (3, 2), (2, 9), (-1, 2), (2, 10**20), (9, 9)]
+    FAMILY_LISTS = ["", ",", "x", "markov", f"{FAMILIES[0]},", f"{FAMILIES[1]},{FAMILIES[1]}",
+                    f"{FAMILIES[0]},{FAMILIES[1]},{FAMILIES[0]}"]
+
+    def _argv(self, rng, where):
+        values = {
+            "n": (2, rng.randint(2, 3)),
+            "k": (2, rng.randint(2, 3)),
+            "samples": rng.randint(1, 2),
+            "seed": rng.randint(0, 2**64 - 1),
+            "workers": rng.randint(1, 2),
+            "families": rng.choice([None, FAMILIES[0], ",".join(FAMILIES)]),
+            "out": str(where / "r.json"),
+        }
+        for kind in rng.sample(
+            ["n", "k", "samples", "seed", "families", "workers", "out"], rng.randint(1, 3)
+        ):
+            if kind in ("n", "k"):
+                values[kind] = rng.choice(self.RANGES)
+            elif kind == "samples":
+                values[kind] = rng.choice([0, -1, -(10**20)])
+            elif kind == "seed":
+                values[kind] = rng.choice([-1, 2**64, 2**64 + 5, -(2**70)])
+            elif kind == "families":
+                values[kind] = rng.choice(self.FAMILY_LISTS)
+            elif kind == "workers":
+                values[kind] = rng.choice([0, -1, -(10**20)])
+            else:
+                values[kind] = rng.choice(
+                    [str(where), str(where) + "/", str(where / "r.json") + "/",
+                     str(where / "r\0.json")]
+                )
+        argv = [
+            "search",
+            "--n-min", str(values["n"][0]), "--n-max", str(values["n"][1]),
+            "--k-min", str(values["k"][0]), "--k-max", str(values["k"][1]),
+            "--samples", str(values["samples"]), "--seed", str(values["seed"]),
+            "--workers", str(values["workers"]), "--out", values["out"],
+        ]
+        if values["families"] is not None:
+            argv += ["--families", values["families"]]
+        return argv
+
+    def test_bad_arguments(self, tmp_path, capsys):
+        rng = random.Random(1901)
+        for i in range(120):
+            where = tmp_path / str(i)
+            where.mkdir()
+            argv = self._argv(rng, where)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = run_command(argv)
+            _assert_one_error_line(code, capsys.readouterr(), argv)
+            # nothing is written, and no artifact directory is left behind
+            assert os.listdir(where) == [], argv
+
+
+class TestSymbolicErrorContract:
+    """Bad ``symbolic`` arguments: a K outside 2..6, or an ``--out`` that
+    names a directory or lies in a missing one, exit 1 with an empty
+    stdout and one ``error:`` line."""
+
+    def test_bad_arguments(self, tmp_path, capsys):
+        rng = random.Random(1902)
+        missing = tmp_path / "missing"
+        for _ in range(40):
+            if rng.random() < 0.5:
+                argv = ["symbolic", "--k", str(rng.choice([1, 0, -1, 7, 8, 10**20, -(10**20)]))]
+                if rng.random() < 0.5:
+                    argv += ["--out", str(tmp_path / "s.json")]
+            else:
+                out = rng.choice([str(tmp_path), str(missing / "s.json"), str(tmp_path) + "/s/"])
+                argv = ["symbolic", "--k", str(rng.randint(2, 3)), "--out", out]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = run_command(argv)
+            _assert_one_error_line(code, capsys.readouterr(), argv)
+        assert os.listdir(tmp_path) == []
+
+
 SEARCH_ARGV = [
     "search",
     "--n-min", "2", "--n-max", "2",

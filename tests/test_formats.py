@@ -4,6 +4,7 @@ import enum
 import json
 import math
 import os
+import random
 from collections import OrderedDict
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perturbrank.asymptotics import analyze_structure, build_M
+from perturbrank import formats
 from perturbrank.exact_linalg import INSTANCE_DIGIT_LIMIT, RationalMatrix
 from perturbrank.formats import build_report, dumps, load_instance_file
 from perturbrank.model import SystemSpec, validate_system
@@ -132,6 +134,94 @@ class TestDumps:
     def test_unsupported_values_and_keys_raise_type_error(self, obj):
         with pytest.raises(TypeError):
             dumps(obj)
+
+
+_SHARED_SCALARS = [
+    None, True, False, 0, -7, 10**30, 0.1, -2.5e-300, 1e300, -0.0,
+    "", "x", "a\nb", "\n  ", "\n\n", "é\u2028", "\U0001f600\n\t", '"{\n}"',
+]
+
+
+def _shared_tree(rng: random.Random):
+    """A nested value in which one dict object sits at several depths,
+    twice at one depth, and inside another dict that is itself shared."""
+
+    def scalar():
+        return rng.choice(_SHARED_SCALARS)
+
+    def key():
+        return rng.choice(["a", "b", "\n", "k\nk", "é", " \n  ", "z"]) + str(rng.randrange(4))
+
+    inner = {key(): scalar() for _ in range(rng.randint(1, 4))}
+    inner[key()] = [scalar(), {key(): scalar()}]
+    shared = {key(): scalar() for _ in range(rng.randint(1, 3))}
+    shared["inner"] = inner
+    shared["more"] = [inner, {"deep": inner}]
+
+    def tree(depth: int):
+        if depth == 0 or rng.random() < 0.25:
+            return rng.choice([shared, inner, scalar(), [inner], {}])
+        if rng.random() < 0.5:
+            return [tree(depth - 1) for _ in range(rng.randint(1, 4))]
+        return {key(): tree(depth - 1) for _ in range(rng.randint(1, 4))}
+
+    row = [shared, shared]
+    return {"twice": row, "same": [shared, [shared]], "rest": tree(5), "row": row}
+
+
+def _distinct_dicts(obj, seen: dict) -> dict:
+    """Every non-empty dict object under obj, by id."""
+    if isinstance(obj, dict):
+        if obj:
+            seen[id(obj)] = obj
+        for x in obj.values():
+            _distinct_dicts(x, seen)
+    elif isinstance(obj, (list, tuple)):
+        for x in obj:
+            _distinct_dicts(x, seen)
+    return seen
+
+
+class TestSharedDicts:
+    """One dict object held at several places is encoded once per call,
+    and its text re-indented where it sits deeper or shallower."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_shared_dicts_match_json(self, seed):
+        obj = _shared_tree(random.Random(seed))
+        assert dumps(obj) == _reference(obj)
+
+    def test_symbolic_report_encodes_each_dict_once(self, monkeypatch):
+        # the dict branch sorts the keys of each dict it encodes
+        report = symbolic_report(6)
+        sorted_ids = []
+
+        def spy(iterable, *args, **kwargs):
+            if isinstance(iterable, dict):
+                sorted_ids.append(id(iterable))
+            return sorted(iterable, *args, **kwargs)
+
+        monkeypatch.setattr(formats, "sorted", spy, raising=False)
+        text = dumps(report)
+        monkeypatch.undo()
+        assert text == _reference(report)
+        distinct = _distinct_dicts(report, {})
+        assert sorted(sorted_ids) == sorted(distinct)
+        # the report does share: fewer dicts are encoded than it holds
+        occurrences = text.count("{\n")
+        assert len(sorted_ids) < occurrences
+
+    def test_memo_lives_for_one_call(self):
+        shared = {"k": "v", "n": [1, 2]}
+        obj = {"a": shared, "b": [shared, {"c": shared}]}
+        first = dumps(obj)
+        shared["k"] = "w\nline"
+        shared["new"] = {"x": None}
+        second = dumps(obj)
+        assert first == _reference({"a": {"k": "v", "n": [1, 2]}, "b": [
+            {"k": "v", "n": [1, 2]}, {"c": {"k": "v", "n": [1, 2]}}]})
+        assert second == _reference(obj) != first
+        assert second.count('"w\\nline"') == 3
 
 
 class TestBuildReport:
