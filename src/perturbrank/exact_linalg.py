@@ -29,9 +29,8 @@ division is checked to be exact.  The characteristic polynomial's
 coefficients come back as one ``1 x (n + 1)`` row, which
 ``hurwitz_stable`` reads as it stands.
 ``to_strings`` writes the entries as ``"p"``/``"p/q"`` strings straight
-off the integer rows (``rational_str``), and ``nonzero`` tests an entry
-on them, so a ``fractions.Fraction`` is built only where an entry leaves
-the module as a number, ``m[i, j]``.
+off the integer rows (``rational_str``), so a ``fractions.Fraction`` is
+built only where an entry leaves the module as a number, ``m[i, j]``.
 Nothing here is approximate.
 """
 
@@ -152,10 +151,6 @@ class RationalMatrix:
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
         return Fraction(self.num[i][j], self.den)
-
-    def nonzero(self, i: int, j: int) -> bool:
-        """``self[i, j] != 0``, read off the integer rows without a Fraction."""
-        return self.num[i][j] != 0
 
     def row(self, i: int) -> "RationalMatrix":
         """Row i as a ``1 x cols`` matrix."""
@@ -337,12 +332,11 @@ def _forward(a: list[list[int]]) -> tuple[list[int], list[int], int]:
     Pivots are the first nonzero entry in the current column; each step
     updates the rows below the pivot, right of its column, as
     (p·row - f·pivot_row) / previous pivot, a division that is exact and
-    checked to be (Bareiss, Math. Comp. 1968).  Where the previous pivot
-    is 1, as at the first step, the update is left undivided.  Returns the
-    pivot columns pc_k, the pivot values and the number of row swaps;
-    without swaps, the k-th pivot value is the k-th leading principal
-    minor of the input rows.  Afterwards row k of ``a`` is final from
-    column pc_k on, and its entries left of pc_k are stale.
+    checked to be (Bareiss, Math. Comp. 1968).  Returns the pivot columns
+    pc_k, the pivot values and the number of row swaps; without swaps, the
+    k-th pivot value is the k-th leading principal minor of the input
+    rows.  Afterwards row k of ``a`` is final from column pc_k on, and its
+    entries left of pc_k are stale.
     """
     n_rows = len(a)
     pivot_cols: list[int] = []
@@ -364,14 +358,11 @@ def _forward(a: list[list[int]]) -> tuple[list[int], list[int], int]:
         for r in range(k + 1, n_rows):
             row = a[r]
             f = row[col]
-            if prev == 1:
-                row[col + 1 :] = [p * x - f * y for x, y in zip(row[col + 1 :], top)]
-            else:
-                # a pair of zeros updates to zero; skip its division
-                row[col + 1 :] = [
-                    _exact_div(p * x - f * y, prev) if x or y else 0
-                    for x, y in zip(row[col + 1 :], top)
-                ]
+            # a pair of zeros updates to zero; skip its division
+            row[col + 1 :] = [
+                _exact_div(p * x - f * y, prev) if x or y else 0
+                for x, y in zip(row[col + 1 :], top)
+            ]
         pivot_cols.append(col)
         pivot_vals.append(p)
         prev = p
@@ -467,7 +458,7 @@ def charpoly_adjugate(
     bk = [list(row) for row in b]
     trace = sum(b[i][i] for i in range(n))  # tr B_k
     # N_(k-1) and N_k
-    prev, adj = [[0] * n for _ in range(n)], [[int(i == j) for j in range(n)] for i in range(n)]
+    prev, adj = [[0] * n for _ in range(n)], RationalMatrix.identity(n).num
     for k in range(1, n + 1):
         c.append(_exact_div(-trace, k))
         if k < n:

@@ -152,9 +152,9 @@ def _certified_pair(a: RationalMatrix) -> SpectralData:
     at the simple zero root.
     """
     coeffs, adj, g = charpoly_adjugate(a)
-    if coeffs.nonzero(0, 0):
+    if coeffs[0, 0]:
         raise KernelDimensionError("zero is not an eigenvalue")
-    if not coeffs.nonzero(0, 1):
+    if not coeffs[0, 1]:
         raise KernelDimensionError("zero eigenvalue is not simple")
     if not hurwitz_stable(coeffs.columns(1)):  # the deflated polynomial
         raise NotStable("nonzero spectrum is not contained in the open left half-plane")
@@ -204,7 +204,7 @@ def _random_similar(rng: random.Random, base: RationalMatrix, bound: int) -> Rat
     for _ in range(_MAX_GENERATION_ATTEMPTS):
         t = RationalMatrix([rng.randint(-bound, bound) for _ in range(n)] for _ in range(n))
         coeffs, _, t_inv = charpoly_adjugate(t)
-        if coeffs.nonzero(0, 0):
+        if coeffs[0, 0]:
             return t @ base @ t_inv
     raise GenerationFailed("could not sample an invertible transform")
 
@@ -226,7 +226,7 @@ def _sample_interaction(
         data = _certified_pair(a)
         # Stay inside the rank law's evident hypothesis class: the
         # conjugation must not park a null vector on a coordinate plane.
-        if all(data.h1.nonzero(0, j) and data.h1_star.nonzero(0, j) for j in range(cfg.n)):
+        if all(data.h1[0, j] and data.h1_star[0, j] for j in range(cfg.n)):
             return a, data
     raise GenerationFailed("similarity transform kept zeroing a null-vector entry")
 
