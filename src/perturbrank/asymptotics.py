@@ -20,14 +20,17 @@ integer rows with no conversion to entries; this module never sees how
 an exact number is held.  The kernel of M, hence its rank, comes from
 one fraction-free elimination.  The spectrum of M comes from a
 hand-written cyclic Jacobi sweep on its float image (rows p and q bound
-once per rotation), so the two routes stay independent.  The limiting
+once per rotation), so the two routes stay independent.  The profile
+queries first ask the exact ``inertia`` of M: with no positive
+eigenvalue, M is proven dissipative and Jacobi does not run.  The limiting
 profile itself is an anisotropic Gaussian with covariance
 sigma0² I - 2 M t, evaluated in
 floats with numpy; only that Gaussian imports numpy, on its first call,
 so the exact routes never load it.  Its covariance, determinant and
 prefactor are built once per time level, and a batch of points at that
 level costs one stacked solve, so a residual stencil builds three
-covariances and makes three solve calls, not one per point.  The stacked
+covariances and makes three solve calls, not one per point; the points
+of entries (i, j) and (j, i) are the same four, solved once.  The stacked
 solve and form give each point its one-point value bit for bit; one
 solve with a K x m right-hand side, or an einsum form, does not.
 Every query value must be finite.
@@ -48,7 +51,11 @@ breaches when they fail; they never change the outcome:
                   S = diag(h1*_m / h1_m), pulls back to a nonpositive
                   Markov Dirichlet form), but not similarity-invariant,
                   so transformed instances can have indefinite M.
-                  ``phi0_eval`` refuses such an M by the same test.
+                  ``phi0_eval`` refuses such an M by the same test, which
+                  it runs only when the exact inertia of a symmetric M
+                  has n+ > 0 (or M is not symmetric): for n+ = 0 the
+                  test cannot fire, since Jacobi's error on the float
+                  image stays orders of magnitude below its tolerance.
   rank_agreement  the numerically nonzero eigenvalue count equals the
                   exact rank; a breach is float trouble, not mathematics.
 """
@@ -59,7 +66,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .exact_linalg import RationalMatrix, nullspace, rank_exact
+from .exact_linalg import RationalMatrix, inertia, nullspace, rank_exact
 from .model import SpectralData, SystemSpec
 
 #: Cyclic Jacobi: stop once the off-diagonal Frobenius mass drops below this
@@ -297,13 +304,18 @@ def analyze_structure(ts: TransferStructure) -> StructureReport:
 
 def _dissipative_image(m: RationalMatrix, zeta: tuple[float, ...]) -> list[list[float]]:
     """The float image of m, once zeta is a finite point of length K and
-    m passes the dissipativity test on that image."""
+    m is proven nonpositive (a symmetric m with exact inertia n+ = 0) or
+    passes the dissipativity test on that image."""
     k = m.rows
     if len(zeta) != k:
         raise ValueError(f"zeta must have length {k}")
     if not all(math.isfinite(z) for z in zeta):
         raise ValueError("zeta must be finite")
     mf = _float_image(m)
+    # an exactly nonpositive M passes the float test, whose Jacobi error
+    # stays far below its tolerance: the exact inertia proves it first
+    if m == m.transpose() and inertia(m)[0] == 0:
+        return mf
     breach = _dissipativity_breach(*_float_spectrum(mf))
     if breach is not None:
         raise NotDissipative(
@@ -421,7 +433,11 @@ def pde_residual(
     """Second-order central-difference residual of phi_t + sum M_ij phi_ij.
 
     For the exact Gaussian profile this is O(h²); it is the independent
-    check that the evaluated profile actually solves its equation.
+    check that the evaluated profile actually solves its equation.  The
+    four points of an off-diagonal pair (i, j), (j, i) are solved once
+    and read by both entries, with pm and mp swapped for the second; the
+    sum keeps its row-major order and float expressions, so the value is
+    the same float as when every entry solved its own points.
     """
     if not h > 0:
         raise ValueError("step h must be positive")
@@ -440,28 +456,35 @@ def pde_residual(
             moved[idx] += delta
         return tuple(moved)
 
-    # the centre, then the stencil of each entry M_ij != 0 in row-major
-    # order (pp, pm, mp, mm off the diagonal): one batch at time t, read
-    # back in the same order
-    entries = [(i, j) for i in range(m.rows) for j in range(m.rows) if mf[i][j] != 0.0]
+    # the centre, then the stencil of each pair i <= j with M_ij or M_ji
+    # != 0 (pp, pm, mp, mm off the diagonal): one batch at time t.  Entry
+    # (j, i) reads pair (i, j)'s values with pm and mp swapped, and the sum
+    # runs over the entries M_ij != 0 in row-major order
+    k = m.rows
+    entries = [(i, j) for i in range(k) for j in range(k) if mf[i][j] != 0.0]
+    pairs = sorted({(min(i, j), max(i, j)) for i, j in entries})
     points = [zeta]
-    for i, j in entries:
+    for i, j in pairs:
         if i == j:
             points += [shifted((i, h)), shifted((i, -h))]
         else:
             points += [shifted((i, a), (j, b)) for a in (h, -h) for b in (h, -h)]
     values = iter(phi(points))
     center = next(values)
+    stencil = {(i, j): [next(values) for _ in range(2 if i == j else 4)] for i, j in pairs}
     total = (
         _profile(mf, replace(q, t=q.t + h))([zeta])[0]
         - _profile(mf, replace(q, t=q.t - h))([zeta])[0]
     ) / (2.0 * h)
     for i, j in entries:
         if i == j:
-            up, down = next(values), next(values)
+            up, down = stencil[i, i]
             second = (up - 2.0 * center + down) / (h * h)
         else:
-            pp, pm, mp, mm = (next(values) for _ in range(4))
+            if i < j:
+                pp, pm, mp, mm = stencil[i, j]
+            else:
+                pp, mp, pm, mm = stencil[j, i]
             second = (pp - pm - mp + mm) / (4.0 * h * h)
         total += mf[i][j] * second
     return abs(total)

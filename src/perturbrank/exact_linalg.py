@@ -14,11 +14,14 @@ c = X diag(l) rᵀ with X - c 1ᵀ; and the symmetric congruence
 ``sym_congruence``, X (C + Cᵀ) Xᵀ with C = diag(l) g diag(r).  Each
 kernel brings each of its results to canonical form once.  Products
 compute each integer dot product as ``sum(map(mul, row, col))``.  Rank,
-kernels and the Hurwitz test run one forward fraction-free (Bareiss)
+kernels and the inertia run one forward fraction-free (Bareiss)
 elimination, which updates only the rows below each pivot; a kernel then
 back-substitutes each free column, fraction-free, on the echelon rows it
 leaves.  It runs on the integer rows, for rank and kernels each divided
-by the gcd of its entries.  The characteristic polynomial, the
+by the gcd of its entries.  ``inertia`` runs its symmetric mode, in which
+every step is a congruence, and counts the sign changes of its pivots.
+The Hurwitz test reads the leading Hurwitz minors off the fraction-free
+Routh rows, two short rows per step.  The characteristic polynomial, the
 adjugate and the inverse (or, at a simple zero root, the group inverse)
 come from one Faddeev-LeVerrier recurrence on ``num``, whose last step
 forms only the diagonal it reads; no linear system is solved by
@@ -37,7 +40,7 @@ Nothing here is approximate.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, zip_longest
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -64,6 +67,7 @@ __all__ = [
     "charpoly_adjugate",
     "echelon_reduce",
     "hurwitz_stable",
+    "inertia",
     "nullspace",
     "rank_exact",
     "rational_str",
@@ -326,7 +330,9 @@ def _exact_div(num: int, den: int) -> int:
     return q
 
 
-def _forward(a: list[list[int]]) -> tuple[list[int], list[int], int]:
+def _forward(
+    a: list[list[int]], symmetric: bool = False
+) -> tuple[list[int], list[int], int]:
     """Forward fraction-free (Bareiss) elimination of integer rows, in place.
 
     Pivots are the first nonzero entry in the current column; each step
@@ -337,6 +343,16 @@ def _forward(a: list[list[int]]) -> tuple[list[int], list[int], int]:
     k-th pivot value is the k-th leading principal minor of the input
     rows.  Afterwards row k of ``a`` is final from column pc_k on, and its
     entries left of pc_k are stale.
+
+    With ``symmetric`` (a square symmetric ``a``) every step is a
+    congruence: the pivot is the first nonzero entry of the trailing
+    diagonal, brought to (k, k) by swapping its row and its column; when
+    that diagonal is all zero but some a_ij (i < j) is not, row j is first
+    added to row i and column j to column i, which makes the diagonal entry
+    a_ii + 2 a_ij + a_jj = 2 a_ij.  Every entry is a minor bordered linearly
+    by its row and column, so the divisions stay exact.  The elimination
+    stops at an all-zero trailing block, and the k-th pivot value is then
+    the k-th leading principal minor of a matrix congruent to ``a``.
     """
     n_rows = len(a)
     pivot_cols: list[int] = []
@@ -347,9 +363,26 @@ def _forward(a: list[list[int]]) -> tuple[list[int], list[int], int]:
         k = len(pivot_cols)
         if k == n_rows:
             break
-        pivot_row = next((r for r in range(k, n_rows) if a[r][col] != 0), None)
-        if pivot_row is None:
-            continue
+        if symmetric:
+            pivot_row = next((r for r in range(k, n_rows) if a[r][r] != 0), None)
+            if pivot_row is None:
+                ij = next(
+                    ((i, j) for i in range(k, n_rows) for j in range(i + 1, n_rows) if a[i][j]),
+                    None,
+                )
+                if ij is None:
+                    break
+                pivot_row, j = ij
+                a[pivot_row] = [x + y for x, y in zip(a[pivot_row], a[j])]
+                for row in a:
+                    row[pivot_row] += row[j]
+            if pivot_row != k:
+                for row in a:
+                    row[k], row[pivot_row] = row[pivot_row], row[k]
+        else:
+            pivot_row = next((r for r in range(k, n_rows) if a[r][col] != 0), None)
+            if pivot_row is None:
+                continue
         if pivot_row != k:
             a[k], a[pivot_row] = a[pivot_row], a[k]
             swaps += 1
@@ -489,6 +522,54 @@ def charpoly_adjugate(
     return coeffs, RationalMatrix._make(adj, (-d) ** (n - 1)), inverse
 
 
+def inertia(m: RationalMatrix) -> tuple[int, int, int]:
+    """``(n_pos, n_zero, n_neg)``: how many eigenvalues of the symmetric
+    matrix m are positive, zero and negative.
+
+    One symmetric fraction-free elimination of the integer rows (the
+    ``symmetric`` mode of the forward kernel) gives the nonzero leading
+    principal minors d_1, ..., d_r of a matrix congruent to m and leaves
+    its trailing block zero, so n_zero = rows - r, and n_neg is the number
+    of sign changes in 1, d_1, ..., d_r (Jacobi's rule and Sylvester's law
+    of inertia).  ``ValueError`` unless m is square and symmetric.
+    """
+    if m.num != tuple(zip(*m.num)):
+        raise ValueError(f"inertia of a {m.rows}x{m.cols} matrix that is not symmetric")
+    _, pivots, _ = _forward([list(row) for row in m.num], symmetric=True)
+    n_neg = sum((p < 0) != (q < 0) for p, q in zip([1, *pivots], pivots))
+    return len(pivots) - n_neg, m.rows - len(pivots), n_neg
+
+
+def _routh_column(desc: Sequence[int]) -> list[int]:
+    """The leading Hurwitz minors Δ_1, Δ_2, ... of the integer polynomial
+    with descending coefficients ``desc`` (``desc[0] > 0``, degree n >= 1),
+    up to the first one <= 0 or to Δ_n.
+
+    Fraction-free Routh: R_0 and R_1 are the even- and odd-indexed
+    coefficients, and each step forms only the next row,
+    R_(k+1)[j] = (R_k[0]·R_(k-1)[j+1] - R_(k-1)[0]·R_k[j+1]) / Δ_(k-2),
+    with Δ_(-1) = Δ_0 = 1 and absent entries 0, a division that is exact
+    and checked to be.  Then R_k[0] = Δ_k, in O(n²) steps for the O(n³)
+    of eliminating the n x n Hurwitz matrix.
+    """
+    n = len(desc) - 1
+    upper, lower = desc[0::2], desc[1::2]
+    column: list[int] = []
+    before = last = 1  # Δ_(k-2) and Δ_(k-1)
+    for k in range(1, n + 1):
+        lead = lower[0]
+        column.append(lead)
+        if lead <= 0 or k == n:
+            break
+        top = upper[0]
+        upper, lower = lower, [
+            _exact_div(lead * u - top * l, before)
+            for u, l in zip_longest(upper[1:], lower[1:], fillvalue=0)
+        ]
+        before, last = last, lead
+    return column
+
+
 def hurwitz_stable(coeffs: RationalMatrix) -> bool:
     """True iff every root of the polynomial whose ascending coefficients
     are the ``1 x m`` row ``coeffs`` has strictly negative real part.
@@ -497,10 +578,10 @@ def hurwitz_stable(coeffs: RationalMatrix) -> bool:
     when nothing is left.  Classical Hurwitz-determinant criterion,
     evaluated exactly: after normalizing the leading coefficient
     positive, all leading principal minors of the Hurwitz matrix must be
-    strictly positive.  One forward fraction-free elimination of the
-    Hurwitz matrix gives them all as its pivots, so the test is: no row swap,
-    n pivots, every pivot positive.  A nonzero constant has no roots and
-    counts as stable.
+    strictly positive.  The fraction-free Routh rows give them all as
+    their first entries (``_routh_column``), so the test is: n entries,
+    the last one positive.  A nonzero constant has no roots and counts as
+    stable.
     """
     if coeffs.rows != 1:
         raise ValueError(f"{coeffs.rows}x{coeffs.cols} coefficients, expected one row")
@@ -515,9 +596,5 @@ def hurwitz_stable(coeffs: RationalMatrix) -> bool:
         return True
     if desc[0] < 0:
         desc = [-c for c in desc]  # desc[0] > 0 leads
-    hurwitz = [
-        [desc[2 * j - i + 1] if 0 <= 2 * j - i + 1 <= n else 0 for j in range(n)]
-        for i in range(n)
-    ]
-    pivot_cols, pivot_vals, swaps = _forward(hurwitz)
-    return swaps == 0 and len(pivot_cols) == n and all(v > 0 for v in pivot_vals)
+    column = _routh_column(desc)
+    return len(column) == n and column[-1] > 0

@@ -1,5 +1,7 @@
 """Helpers and fixed instances that several test modules share."""
 
+import math
+import random
 from fractions import Fraction
 
 from perturbrank.exact_linalg import RationalMatrix
@@ -23,3 +25,15 @@ def dot(u, v) -> Fraction:
 def _flat(m: RationalMatrix) -> tuple[Fraction, ...]:
     """The entries of a row or a column."""
     return tuple(m[i, j] for i in range(m.rows) for j in range(m.cols))
+
+
+def extreme_float(rng: random.Random) -> float:
+    """A float input for an error-contract draw: non-finite, at the ends of
+    the float range, subnormal or zero, log-uniform in 1e-300..1e300 with
+    either sign, or (half the time) ordinary."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.choice([math.inf, -math.inf, math.nan, 1e308, -1e308, 1e-310, -1e-310, 0.0])
+    if kind == 1:
+        return rng.choice([1.0, -1.0]) * 10.0 ** rng.uniform(-300.0, 300.0)
+    return rng.uniform(0.05, 3.0)

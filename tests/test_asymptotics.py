@@ -32,7 +32,7 @@ from perturbrank.model import (
     validate_system,
 )
 
-from common import W1, _flat, dot
+from common import W1, _flat, dot, extreme_float
 
 VIOLATION_PATH = os.path.join(
     os.path.dirname(__file__), os.pardir, "instances", "violation-n3-K1.json"
@@ -183,7 +183,7 @@ class TestBuildM:
             if isinstance(node, ast.ImportFrom) and node.module == "exact_linalg"
             for alias in node.names
         }
-        assert imported == {"RationalMatrix", "nullspace", "rank_exact"}
+        assert imported == {"RationalMatrix", "inertia", "nullspace", "rank_exact"}
         s, sd = generate_instance(GeneratorConfig(n=6, K=3, seed=5))
         eliminations = []
 
@@ -716,6 +716,58 @@ def _residual_oracle(m: RationalMatrix, q: ProfileQuery, zeta, h: float) -> floa
     return abs(total)
 
 
+def _per_entry_residual(m: RationalMatrix, q: ProfileQuery, zeta, h: float) -> float:
+    """The residual stencil before each stencil point was solved once,
+    verbatim: every entry M_ij != 0 in row-major order brings its own 2 or
+    4 points into the batch at time t."""
+    from dataclasses import replace
+
+    from perturbrank.asymptotics import _dissipative_image, _profile
+
+    if not h > 0:
+        raise ValueError("step h must be positive")
+    if h * h == 0.0:
+        raise ValueError(f"step h = {h!r} is too small: h * h underflows to zero")
+    if q.t - h < 0:
+        raise ValueError("step h must keep t - h nonnegative")
+    mf = _dissipative_image(m, zeta)
+    phi = _profile(mf, q)  # every stencil point but two lies at time t
+    if q.t + h == q.t or any(z + h == z or z - h == z for z in zeta):
+        raise ValueError(f"step h = {h!r} is too small: t or zeta does not move by h")
+
+    def shifted(*steps: tuple[int, float]) -> tuple[float, ...]:
+        moved = list(zeta)
+        for idx, delta in steps:
+            moved[idx] += delta
+        return tuple(moved)
+
+    # the centre, then the stencil of each entry M_ij != 0 in row-major
+    # order (pp, pm, mp, mm off the diagonal): one batch at time t, read
+    # back in the same order
+    entries = [(i, j) for i in range(m.rows) for j in range(m.rows) if mf[i][j] != 0.0]
+    points = [zeta]
+    for i, j in entries:
+        if i == j:
+            points += [shifted((i, h)), shifted((i, -h))]
+        else:
+            points += [shifted((i, a), (j, b)) for a in (h, -h) for b in (h, -h)]
+    values = iter(phi(points))
+    center = next(values)
+    total = (
+        _profile(mf, replace(q, t=q.t + h))([zeta])[0]
+        - _profile(mf, replace(q, t=q.t - h))([zeta])[0]
+    ) / (2.0 * h)
+    for i, j in entries:
+        if i == j:
+            up, down = next(values), next(values)
+            second = (up - 2.0 * center + down) / (h * h)
+        else:
+            pp, pm, mp, mm = (next(values) for _ in range(4))
+            second = (pp - pm - mp + mm) / (4.0 * h * h)
+        total += mf[i][j] * second
+    return abs(total)
+
+
 class TestResidual:
     def test_zero_matrix_residual_is_tiny(self):
         m = RationalMatrix([[0, 0], [0, 0]])
@@ -738,22 +790,33 @@ class TestResidual:
         assert pde_residual(ts.M, q, zeta, 1e-3) <= 1e-5 * local
 
     def test_dissipativity_checked_once(self, monkeypatch):
+        # an exactly nonpositive M is proven so by one exact inertia pass,
+        # and Jacobi does not run; an M with n+ > 0 goes on to the one float
+        # test, which refuses it with its own message
         import perturbrank.asymptotics as asymptotics
 
         calls = []
-        original = asymptotics.jacobi_eigenvalues
+        jacobi, exact = asymptotics.jacobi_eigenvalues, asymptotics.inertia
 
-        def counted(sym):
-            calls.append(len(sym))
-            return original(sym)
+        def counted_jacobi(sym):
+            calls.append(("jacobi", len(sym)))
+            return jacobi(sym)
 
-        monkeypatch.setattr(asymptotics, "jacobi_eigenvalues", counted)
+        def counted_inertia(m):
+            calls.append(("inertia", m.rows))
+            return exact(m)
+
+        monkeypatch.setattr(asymptotics, "jacobi_eigenvalues", counted_jacobi)
+        monkeypatch.setattr(asymptotics, "inertia", counted_inertia)
         m = RationalMatrix([[-2, 1, 0], [1, -3, 1], [0, 1, -2]])
         q = ProfileQuery(epsilon=1.0, t=1.0, x=(0.0,) * 3, sigma0=2.0, amplitude=1.0)
         assert pde_residual(m, q, (0.1, -0.2, 0.3), 1e-2) < 1e-3
-        assert calls == [3]
-        with pytest.raises(NotDissipative):
+        assert calls == [("inertia", 3)]
+        calls.clear()
+        with pytest.raises(NotDissipative) as info:
             pde_residual(RationalMatrix([[1, 0], [0, -1]]), q, (0.0, 0.0), 1e-2)
+        assert str(info.value) == "largest numeric eigenvalue 1.000e+00 exceeds tolerance"
+        assert calls == [("inertia", 2), ("jacobi", 2)]
 
     def test_one_float_image_and_three_profiles(self, monkeypatch):
         # the centre value comes from the time-t profile of the stencil, so
@@ -797,9 +860,9 @@ class TestResidual:
         zeta = tuple(0.1 * (i + 1) for i in range(k))
         pde_residual(m, q, zeta, 1e-2)
         # every entry of this M is nonzero: the centre, 2 points per
-        # diagonal and 4 per off-diagonal entry
+        # diagonal entry and 4 per off-diagonal pair (i, j) = (j, i)
         assert all(m[i, j] != 0 for i in range(k) for j in range(k))
-        assert batches == [1 + 2 * k + 4 * (k * k - k), 1, 1]
+        assert batches == [1 + 2 * k + 2 * (k * k - k), 1, 1]
 
     def test_overflow_fallback_inside_a_batch(self):
         # both far points overflow the plain form (to NaN and to +inf), so
@@ -910,6 +973,37 @@ class TestResidual:
                 assert pde_residual(m, q, zeta, h) == _residual_oracle(m, q, zeta, h)
                 assert phi0_eval(m, q, zeta) == _gaussian_oracle(m, q, q.t, zeta)
 
+    def test_bit_identical_to_the_per_entry_stencil(self):
+        # each pair (i, j), (j, i) is solved once and read twice: the same
+        # floats as the stencil that solved every entry's points, bit for
+        # bit, on dense generated M, sparse M (one of them not symmetric)
+        # and the shipped w1 instance
+        rng = random.Random(39)
+        shipped = os.path.join(os.path.dirname(VIOLATION_PATH), "w1.json")
+        cases = [_pipeline(load_instance_file(shipped))[1].M]
+        for k in range(2, 9):
+            for n in (2, 4, 8):
+                s, sd = generate_instance(GeneratorConfig(n=n, K=k, seed=rng.getrandbits(40)))
+                cases.append(build_M(s, sd).M)
+        cases += [
+            RationalMatrix([[-2, 0, 1, 0], [0, -1, 0, 0], [1, 0, -3, 0], [0, 0, 0, 0]]),
+            RationalMatrix([[-2, "1/3", 0], [0, -1, 0], [0, 0, "-1/2"]]),
+        ]
+        # a coarse step puts stencil values more than a factor 2 apart, where
+        # pp - pm - mp and pp - mp - pm round differently
+        for m in cases:
+            for h in (1e-2, 1e-3, 2.5e-4, 0.5):
+                q = ProfileQuery(
+                    epsilon=1.0,
+                    t=rng.uniform(0.5, 3.0),
+                    x=(0.0,) * m.rows,
+                    sigma0=rng.uniform(0.3, 2.0),
+                    amplitude=rng.uniform(0.5, 2.0),
+                )
+                zeta = tuple(rng.uniform(-1.5, 1.5) for _ in range(m.rows))
+                got, expected = pde_residual(m, q, zeta, h), _per_entry_residual(m, q, zeta, h)
+                assert got.hex() == expected.hex(), (m, zeta, h)
+
     @pytest.mark.parametrize(
         "m, t, zeta, h, sigma0, error, message",
         [
@@ -938,3 +1032,45 @@ class TestResidual:
         with pytest.raises(error) as info:
             pde_residual(m, q, zeta, h)
         assert type(info.value) is error and str(info.value) == message
+
+
+class TestLibraryErrorContract:
+    """The library half of the error contract (README, Library): on a seeded
+    draw of extreme floats and wrong lengths, the profile calls return
+    finite floats or raise ``ValueError`` (``NotDissipative`` and
+    ``SingularCovariance`` are subclasses), and nothing else."""
+
+    def test_profile_calls_return_finite_floats_or_raise_value_errors(self):
+        cases = [_pipeline(W1)]
+        for family in FAMILIES:
+            for n, k in ((3, 2), (4, 3)):
+                s, sd = generate_instance(GeneratorConfig(n=n, K=k, seed=n + k, family=family))
+                cases.append((sd, build_M(s, sd)))
+        rng = random.Random(1906)
+        outcomes = {"finite": 0, "ValueError": 0}
+        for _ in range(600):
+            sd, ts = rng.choice(cases)
+            k = ts.M.rows
+            fields = {"epsilon": 1.0, "t": rng.uniform(0.5, 3.0), "sigma0": 1.0, "amplitude": 1.0}
+            point = [rng.uniform(-2.0, 2.0) for _ in range(k)]
+            for name in rng.sample([*fields, "point"], rng.randint(1, 2)):
+                if name == "point":
+                    point = [extreme_float(rng) for _ in range(k + rng.choice([0, 0, 0, -1, 1]))]
+                else:
+                    fields[name] = extreme_float(rng)
+            h = rng.choice([1e-2, 1e-3, extreme_float(rng)])
+            call = rng.choice(["phi0", "leading", "residual"])
+            try:
+                q = ProfileQuery(x=tuple(point), **fields)
+                if call == "phi0":
+                    values = [phi0_eval(ts.M, q, tuple(point))]
+                elif call == "leading":
+                    values = leading_term_eval(sd, ts, q)
+                else:
+                    values = [pde_residual(ts.M, q, tuple(point), h)]
+            except ValueError:
+                outcomes["ValueError"] += 1
+            else:
+                assert all(type(v) is float and math.isfinite(v) for v in values), (call, q, h)
+                outcomes["finite"] += 1
+        assert min(outcomes.values()) >= 100, outcomes

@@ -19,6 +19,8 @@ from perturbrank.exact_linalg import INSTANCE_DIGIT_LIMIT
 from perturbrank.formats import dumps, instance_to_dict, load_instance_file
 from perturbrank.model import FAMILIES, GeneratorConfig, generate_instance, validate_system
 
+from common import extreme_float
+
 W1_DICT = {
     "format_version": 1,
     "n": 2,
@@ -434,6 +436,102 @@ class TestSymbolicErrorContract:
                 code = run_command(argv)
             _assert_one_error_line(code, capsys.readouterr(), argv)
         assert os.listdir(tmp_path) == []
+
+
+PROFILE_BASES = [W1_DICT] + [
+    instance_to_dict(generate_instance(GeneratorConfig(n=n, K=k, seed=n + k, family=f))[0])
+    for f in FAMILIES
+    for n, k in ((3, 2), (4, 3))
+]
+
+
+def _profile_instance(rng, tmp_path) -> tuple[str, int]:
+    """An instance file and the K to draw points for: W1 or a generated
+    instance of either family (the similarity family's M can be
+    indefinite), or one in seven times a malformed one."""
+    data = rng.choice(PROFILE_BASES)
+    if rng.random() < 1 / 7:
+        data = _mangled_instance(rng, data)
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    k = data.get("K")
+    return str(path), k if type(k) is int and 1 <= k <= 8 else 2
+
+
+def _wrong_length(rng, coords: list[str]) -> list[str]:
+    """One coordinate too few or too many, never none."""
+    return coords[:-1] if len(coords) > 1 and rng.random() < 0.5 else coords + ["0.5"]
+
+
+def _assert_contract(argv, capsys, exits):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_command(argv)
+    captured = capsys.readouterr()
+    assert code in exits, (code, argv)
+    exits[code] += 1
+    if code == 0:
+        json.loads(captured.out, parse_constant=_reject_constant)
+        assert captured.err == "", argv
+    else:
+        assert captured.out == "", argv
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, (
+            captured.err, argv,
+        )
+
+
+class TestPhi0ErrorContract:
+    """A seeded, bounded draw of extreme floats for every ``phi0`` option, a
+    wrong ``--point`` length and malformed instance files: each exits 0
+    with strict JSON and an empty stderr, or 1 with an empty stdout and one
+    ``error:`` line."""
+
+    def test_extreme_and_malformed_inputs(self, tmp_path, capsys):
+        rng = random.Random(1904)
+        exits = {0: 0, 1: 0}
+        for _ in range(400):
+            path, k = _profile_instance(rng, tmp_path)
+            values = {name: repr(round(rng.uniform(0.05, 3.0), 3))
+                      for name in ("sigma", "t", "eps", "amplitude")}
+            point = [repr(round(rng.uniform(-2.0, 2.0), 3)) for _ in range(k)]
+            for name in rng.sample([*values, "point"], rng.randint(1, 2)):
+                if name == "point":
+                    point = [repr(extreme_float(rng)) for _ in range(k)]
+                    if rng.random() < 0.2:
+                        point = _wrong_length(rng, point)
+                else:
+                    values[name] = repr(extreme_float(rng))
+            argv = ["phi0", "--instance", path, *(f"--{n}={v}" for n, v in values.items()),
+                    f"--point={','.join(point)}"]
+            _assert_contract(argv, capsys, exits)
+        assert min(exits.values()) >= 40, exits
+
+
+class TestResidualErrorContract:
+    """The same draw for ``residual``: extreme ``--t``, ``--h``,
+    ``--sigma`` and ``--zeta`` values, a wrong ``--zeta`` length and
+    malformed instance files."""
+
+    def test_extreme_and_malformed_inputs(self, tmp_path, capsys):
+        rng = random.Random(1905)
+        exits = {0: 0, 1: 0}
+        for _ in range(400):
+            path, k = _profile_instance(rng, tmp_path)
+            values = {"t": repr(round(rng.uniform(0.5, 3.0), 3)),
+                      "h": rng.choice(["0.01", "0.001"]),
+                      "sigma": repr(round(rng.uniform(0.5, 3.0), 3))}
+            zeta = [repr(round(rng.uniform(-2.0, 2.0), 3)) for _ in range(k)]
+            for name in rng.sample([*values, "zeta"], rng.randint(1, 2)):
+                if name == "zeta":
+                    zeta = [repr(extreme_float(rng)) for _ in range(k)]
+                    if rng.random() < 0.2:
+                        zeta = _wrong_length(rng, zeta)
+                else:
+                    values[name] = repr(extreme_float(rng))
+            argv = ["residual", "--instance", path, *(f"--{n}={v}" for n, v in values.items()),
+                    f"--zeta={','.join(zeta)}"]
+            _assert_contract(argv, capsys, exits)
+        assert min(exits.values()) >= 40, exits
 
 
 SEARCH_ARGV = [

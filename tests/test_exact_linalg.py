@@ -20,10 +20,12 @@ from perturbrank.exact_linalg import (
     _exact_div,
     _forward,
     _primitive_rows,
+    _routh_column,
     as_rational,
     charpoly_adjugate,
     echelon_reduce,
     hurwitz_stable,
+    inertia,
     nullspace,
     rank_exact,
 )
@@ -441,6 +443,53 @@ def _gauss_jordan_nullspace(m: RationalMatrix) -> list[RationalMatrix]:
     return basis
 
 
+# hurwitz_stable before it read the fraction-free Routh rows, verbatim:
+# the oracle for the Routh column, one forward elimination of the whole
+# n x n Hurwitz matrix.
+def _bareiss_hurwitz_stable(coeffs: RationalMatrix) -> bool:
+    """True iff every root of the polynomial whose ascending coefficients
+    are the ``1 x m`` row ``coeffs`` has strictly negative real part.
+
+    Trailing zero coefficients are dropped; ``ValueError`` is raised
+    when nothing is left.  Classical Hurwitz-determinant criterion,
+    evaluated exactly: after normalizing the leading coefficient
+    positive, all leading principal minors of the Hurwitz matrix must be
+    strictly positive.  One forward fraction-free elimination of the
+    Hurwitz matrix gives them all as its pivots, so the test is: no row swap,
+    n pivots, every pivot positive.  A nonzero constant has no roots and
+    counts as stable.
+    """
+    if coeffs.rows != 1:
+        raise ValueError(f"{coeffs.rows}x{coeffs.cols} coefficients, expected one row")
+    # the integer row is a positive multiple of the polynomial
+    desc = coeffs.num[0][::-1]
+    lead = next((i for i, c in enumerate(desc) if c), None)
+    if lead is None:
+        raise ValueError("the zero polynomial has no stability verdict")
+    desc = desc[lead:]
+    n = len(desc) - 1
+    if n == 0:
+        return True
+    if desc[0] < 0:
+        desc = [-c for c in desc]  # desc[0] > 0 leads
+    hurwitz = [
+        [desc[2 * j - i + 1] if 0 <= 2 * j - i + 1 <= n else 0 for j in range(n)]
+        for i in range(n)
+    ]
+    pivot_cols, pivot_vals, swaps = _forward(hurwitz)
+    return swaps == 0 and len(pivot_cols) == n and all(v > 0 for v in pivot_vals)
+
+
+def _hurwitz_matrix(desc) -> list[list[int]]:
+    """The n x n Hurwitz matrix of the descending coefficients ``desc``,
+    as the oracle above builds it."""
+    n = len(desc) - 1
+    return [
+        [desc[2 * j - i + 1] if 0 <= 2 * j - i + 1 <= n else 0 for j in range(n)]
+        for i in range(n)
+    ]
+
+
 class TestForward:
     """The forward kernel that rank, kernels and Hurwitz read gives the
     pivot columns, values and swaps of the Gauss-Jordan elimination."""
@@ -503,7 +552,10 @@ class TestForward:
         forward = exact_linalg._forward
         monkeypatch.setattr(exact_linalg, "_forward", checked)
         for coeffs, p, m in cases:
+            # hurwitz_stable reads the Routh rows and runs no elimination;
+            # the Hurwitz matrix its oracle eliminates is checked directly
             assert hurwitz_stable(coeffs)
+            checked(_hurwitz_matrix(coeffs.num[0][::-1]))
             assert rank_exact(p) == p.rows - len(nullspace(p.transpose()))
             assert rank_exact(m) == m.cols - len(nullspace(m))
         assert len(pivots) == 5 * len(cases) == 5 * 42
@@ -513,20 +565,24 @@ class TestForward:
 
         calls = []
 
-        def recorded(a):
+        def recorded(a, **mode):
             calls.append(a)
-            return original(a)
+            return original(a, **mode)
 
         original = exact_linalg._forward
         monkeypatch.setattr(exact_linalg, "_forward", recorded)
         rng = random.Random(34)
         for _ in range(50):
             m = _random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
+            sym = m @ m.transpose() - RationalMatrix.identity(m.rows).scale(rng.randint(0, 9))
             coeffs = charpoly_adjugate(_random_matrix(rng, 3, 3))[0]
-            for run, arg in ((rank_exact, m), (hurwitz_stable, coeffs), (nullspace, m)):
+            # hurwitz_stable reads the Routh rows: no elimination at all
+            for run, arg, passes in (
+                (rank_exact, m, 1), (hurwitz_stable, coeffs, 0), (nullspace, m, 1), (inertia, sym, 1)
+            ):
                 calls.clear()
                 run(arg)
-                assert len(calls) == 1, run.__name__
+                assert len(calls) == passes, run.__name__
 
 
 class TestEchelonReduce:
@@ -1098,6 +1154,232 @@ class TestHurwitz:
             assert verdict == (max_re < 0), f"disagreement on {entries}"
             checked += 1
         assert checked > 900
+
+
+    @staticmethod
+    def _polynomials(rng: random.Random):
+        """Descending integer coefficients: products of roots left of 0,
+        right of it and at it, scaled by a leading coefficient other than 1,
+        and random rows with zero coefficients."""
+        for case in range(6000):
+            degree = case % 13
+            lead = rng.choice([2, 3, 7, 10**6, -5, rng.randint(2, 10**6)])
+            if case % 2:
+                desc = [lead]
+                for _ in range(degree):
+                    root = rng.choice([rng.randint(-9, -1), rng.randint(-9, -1), 0, rng.randint(1, 4)])
+                    if rng.random() < 0.3:  # a complex pair: x² - 2αx + (α² + β²)
+                        alpha, beta = rng.randint(-5, 2), rng.randint(1, 4)
+                        quadratic = [1, -2 * alpha, alpha * alpha + beta * beta]
+                        desc = [sum(desc[i] * quadratic[d - i] for i in range(len(desc))
+                                    if 0 <= d - i < 3) for d in range(len(desc) + 2)]
+                    else:
+                        desc = [a - root * b for a, b in zip(desc + [0], [0] + desc)]
+                desc = desc[: degree + 1] if len(desc) > degree + 1 else desc
+            else:
+                desc = [lead] + [
+                    0 if rng.random() < 0.2 else rng.randint(-3, 40) for _ in range(degree)
+                ]
+            yield desc
+
+    def test_routh_column_equals_bareiss_pivots(self):
+        # verdicts of the Bareiss oracle, and the Routh first column against
+        # its pivots up to the first entry <= 0 (a zero entry is where the
+        # elimination swaps or loses a pivot instead)
+        rng = random.Random(39)
+        kinds = {"stable": 0, "negative minor": 0, "zero minor": 0, "degree 0": 0}
+        count = 0
+        for desc in self._polynomials(rng):
+            coeffs = RationalMatrix([desc[::-1]])
+            verdict = hurwitz_stable(coeffs)
+            assert verdict is _bareiss_hurwitz_stable(coeffs), desc
+            count += 1
+            n = len(desc) - 1
+            if n == 0:
+                kinds["degree 0"] += 1
+                continue
+            positive = desc if desc[0] > 0 else [-c for c in desc]
+            column = _routh_column(positive)
+            pivot_cols, pivot_vals, swaps = _forward(_hurwitz_matrix(positive))
+            assert all(x > 0 for x in column[:-1]) and len(column) <= n
+            if column[-1] != 0:
+                assert pivot_vals[: len(column)] == column, desc
+                kinds["stable" if verdict else "negative minor"] += 1
+            else:
+                assert pivot_vals[: len(column) - 1] == column[:-1], desc
+                assert swaps > 0 or len(pivot_cols) < n, desc
+                kinds["zero minor"] += 1
+        assert count >= 5000
+        assert min(kinds.values()) >= 300, kinds
+
+    def test_routh_column_on_generated_charpolys(self):
+        # the deflated charpoly of every generated A is Hurwitz stable, and
+        # its Routh column is the Bareiss pivots of its Hurwitz matrix
+        checked = 0
+        for family in FAMILIES:
+            for n in range(2, 9):
+                for k in range(2, 9):
+                    for seed in range(4):
+                        s, _ = generate_instance(GeneratorConfig(n=n, K=k, seed=seed, family=family))
+                        coeffs = charpoly_adjugate(s.A)[0].columns(1)
+                        assert hurwitz_stable(coeffs) is _bareiss_hurwitz_stable(coeffs) is True
+                        desc = coeffs.num[0][::-1]
+                        _, pivot_vals, swaps = _forward(_hurwitz_matrix(desc))
+                        assert swaps == 0 and _routh_column(desc) == pivot_vals
+                        checked += 1
+        assert checked == 392
+
+    def test_tampered_routh_entry_fails_the_exactness_check(self, monkeypatch):
+        # (x + 1)(x + 2)(x + 3)(x + 4): the third Routh row is divided by
+        # Δ1 = 10; one unit off in the entry divided is caught
+        import perturbrank.exact_linalg as exact_linalg
+
+        coeffs = _row(24, 50, 35, 10, 1)
+        assert _routh_column([1, 10, 35, 50, 24]) == [10, 300, 12600, 302400]
+        assert hurwitz_stable(coeffs) is True
+        divisors = []
+
+        def tampered(num, den):
+            divisors.append(den)
+            return exact_div(num + 1 if den != 1 else num, den)
+
+        exact_div = exact_linalg._exact_div
+        monkeypatch.setattr(exact_linalg, "_exact_div", tampered)
+        with pytest.raises(ArithmeticError, match="^fraction-free step produced a non-integer$"):
+            hurwitz_stable(coeffs)
+        assert divisors[-1] == 10
+
+
+def _descartes_inertia(m: RationalMatrix) -> tuple[int, int, int]:
+    """(n+, n0, n-) from the signs of the characteristic polynomial: zero's
+    multiplicity is its count of trailing zero coefficients, and Descartes'
+    rule counts the positive and negative roots exactly, since every root
+    of a symmetric matrix is real."""
+    ascending = charpoly_adjugate(m)[0].num[0]
+    zero = next(i for i, c in enumerate(ascending) if c)
+    rest = ascending[zero:]
+
+    def changes(seq):
+        signs = [c > 0 for c in seq if c]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return changes(rest), zero, changes([c * (-1) ** i for i, c in enumerate(rest)])
+
+
+def _jacobi_inertia(m: RationalMatrix) -> tuple[int, int, int]:
+    """(n+, n0, n-) from the float eigenvalues, with |λ| <= the rank
+    agreement tolerance times max|M| counted as zero."""
+    from perturbrank.asymptotics import RANK_AGREEMENT_TOLERANCE, jacobi_eigenvalues
+
+    mf = m.to_float()
+    tol = RANK_AGREEMENT_TOLERANCE * max(abs(x) for row in mf for x in row)
+    eigs = jacobi_eigenvalues(mf)
+    pos, neg = sum(e > tol for e in eigs), sum(e < -tol for e in eigs)
+    return pos, len(eigs) - pos - neg, neg
+
+
+class TestInertia:
+    def test_small_cases(self):
+        assert inertia(RationalMatrix([[0, 1], [1, 0]])) == (1, 0, 1)
+        assert inertia(RationalMatrix([[0, 0], [0, 0]])) == (0, 2, 0)
+        assert inertia(RationalMatrix([[0, 3, 0], [3, 0, 0], [0, 0, 0]])) == (1, 1, 1)
+        assert inertia(RationalMatrix([["-1/8", "1/8"], ["1/8", "-1/8"]])) == (0, 1, 1)
+        assert inertia(RationalMatrix([["1/2", "1/3"], ["1/3", "-1/5"]])) == (1, 0, 1)
+        assert inertia(RationalMatrix([[-7]])) == (0, 0, 1)
+        # an all-zero trailing diagonal: the congruence puts 2 a_01 = 2 on it
+        assert _forward([[0, 1], [1, 0]], symmetric=True) == ([0, 1], [2, -1], 0)
+        # the zero first diagonal entry needs the joint row-and-column swap
+        assert inertia(RationalMatrix([[0, 1, 0], [1, 2, 0], [0, 0, -3]])) == (1, 0, 2)
+
+    def test_rejects_non_symmetric_input(self):
+        with pytest.raises(ValueError, match="^inertia of a 2x2 matrix that is not symmetric$"):
+            inertia(RationalMatrix([[0, 1], [2, 0]]))
+        with pytest.raises(ValueError, match="^inertia of a 1x2 matrix that is not symmetric$"):
+            inertia(RationalMatrix([[0, 1]]))
+
+    def test_generated_M_by_two_routes(self):
+        # Descartes on the exact charpoly and the signs of the Jacobi
+        # spectrum; K - n0 is the exact rank, and n+ = 0 is exactly where
+        # the float dissipativity test passes
+        from perturbrank.asymptotics import analyze_structure, build_M
+
+        signs = {"nonpositive": 0, "indefinite": 0}
+        for family in FAMILIES:
+            for n in range(2, 9):
+                for k in range(2, 9):
+                    for seed in range(4):
+                        cfg = GeneratorConfig(n=n, K=k, seed=seed, family=family)
+                        ts = build_M(*generate_instance(cfg))
+                        counts = inertia(ts.M)
+                        assert counts == _descartes_inertia(ts.M) == _jacobi_inertia(ts.M), cfg
+                        assert k - counts[1] == rank_exact(ts.M), cfg
+                        kinds = {b["kind"] for b in analyze_structure(ts).breaches}
+                        assert ("dissipativity" in kinds) == (counts[0] > 0), cfg
+                        signs["nonpositive" if counts[0] == 0 else "indefinite"] += 1
+        assert sum(signs.values()) == 392
+        assert min(signs.values()) >= 100, signs
+
+    @staticmethod
+    def _symmetric_matrices(rng: random.Random):
+        """Zero-diagonal indefinite matrices (the first step needs the
+        2 a_ij move), low-rank L D Lᵀ products, and 10^40-sized entries."""
+        for case in range(360):
+            n = rng.randint(1, 8)
+            if case % 3 == 0:
+                n = max(n, 2)
+                a = [[0] * n for _ in range(n)]
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        a[i][j] = a[j][i] = rng.choice([0, rng.randint(1, 9), rng.randint(-9, -1)])
+                yield "zero diagonal", a
+            elif case % 3 == 1:
+                r = rng.randint(0, n)
+                bound = 10**40 if rng.random() < 0.25 else 5
+                left = [[rng.randint(-bound, bound) for _ in range(r)] for _ in range(n)]
+                d = [rng.choice([-3, -1, 1, 2]) for _ in range(r)]
+                yield "low rank", [
+                    [sum(x * w * y for x, w, y in zip(left[i], d, left[j])) for j in range(n)]
+                    for i in range(n)
+                ]
+            else:
+                a = [[0] * n for _ in range(n)]
+                for i in range(n):
+                    for j in range(i, n):
+                        a[i][j] = a[j][i] = rng.randint(-(10**40), 10**40)
+                yield "large", a
+
+    def test_seeded_symmetric_integer_matrices(self):
+        rng = random.Random(391)
+        kinds = {"zero diagonal": 0, "low rank": 0, "large": 0, "2 a_ij move": 0}
+        for kind, rows in self._symmetric_matrices(rng):
+            m = RationalMatrix(rows)
+            counts = inertia(m)
+            assert counts == _descartes_inertia(m), rows
+            assert m.rows - counts[1] == rank_exact(m), rows
+            if any(any(row) for row in rows):
+                assert counts == _jacobi_inertia(m), rows
+            kinds[kind] += 1
+            if kind == "zero diagonal" and counts[0] > 0:
+                # the first pivot is 2 a_ij for the first a_ij != 0
+                first = next(x for i, row in enumerate(rows) for x in row[i + 1:] if x)
+                assert _forward([list(r) for r in rows], symmetric=True)[1][0] == 2 * first
+                kinds["2 a_ij move"] += 1
+        assert min(kinds.values()) >= 100, kinds
+
+    def test_tampered_pivot_fails_the_exactness_check(self, monkeypatch):
+        import perturbrank.exact_linalg as exact_linalg
+
+        m = RationalMatrix([[2, 1, 1], [1, 3, 1], [1, 1, 4]])
+        assert inertia(m) == (3, 0, 0)
+
+        def tampered(num, den):
+            # the previous pivot, one unit off, divides the next step
+            return exact_div(num, den + 1 if den != 1 else den)
+
+        exact_div = exact_linalg._exact_div
+        monkeypatch.setattr(exact_linalg, "_exact_div", tampered)
+        with pytest.raises(ArithmeticError, match="^fraction-free step produced a non-integer$"):
+            inertia(m)
 
 
 def _kernel_cases():
