@@ -52,10 +52,11 @@ breaches when they fail; they never change the outcome:
                   Markov Dirichlet form), but not similarity-invariant,
                   so transformed instances can have indefinite M.
                   ``phi0_eval`` refuses such an M by the same test, which
-                  it runs only when the exact inertia of a symmetric M
-                  has n+ > 0 (or M is not symmetric): for n+ = 0 the
-                  test cannot fire, since Jacobi's error on the float
-                  image stays orders of magnitude below its tolerance.
+                  it runs only when the exact inertia of M has n+ > 0:
+                  for n+ = 0 the test cannot fire, since Jacobi's error
+                  on the float image stays orders of magnitude below its
+                  tolerance.  It refuses an M that is not symmetric with
+                  ``ValueError`` before any float work.
   rank_agreement  the numerically nonzero eigenvalue count equals the
                   exact rank; a breach is float trouble, not mathematics.
 """
@@ -303,18 +304,20 @@ def analyze_structure(ts: TransferStructure) -> StructureReport:
 
 
 def _dissipative_image(m: RationalMatrix, zeta: tuple[float, ...]) -> list[list[float]]:
-    """The float image of m, once zeta is a finite point of length K and
-    m is proven nonpositive (a symmetric m with exact inertia n+ = 0) or
-    passes the dissipativity test on that image."""
+    """The float image of m, once zeta is a finite point of length K, m is
+    symmetric and m is proven nonpositive (exact inertia n+ = 0) or passes
+    the dissipativity test on that image."""
     k = m.rows
     if len(zeta) != k:
         raise ValueError(f"zeta must have length {k}")
     if not all(math.isfinite(z) for z in zeta):
         raise ValueError("zeta must be finite")
+    if m != m.transpose():
+        raise ValueError("M must be symmetric")
     mf = _float_image(m)
     # an exactly nonpositive M passes the float test, whose Jacobi error
     # stays far below its tolerance: the exact inertia proves it first
-    if m == m.transpose() and inertia(m)[0] == 0:
+    if inertia(m)[0] == 0:
         return mf
     breach = _dissipativity_breach(*_float_spectrum(mf))
     if breach is not None:

@@ -9,29 +9,54 @@ profile solves its limiting equation).
 Exit codes: 0 on success, 1 on validation/parse/usage errors, and 2 when
 a search finds rank-law violations — a distinct code so automation
 notices a potential mathematical finding.
+
+Importing this module loads only ``model`` and ``exact_linalg``; each
+command imports the modules it runs on its first run.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import json
 import os
 import sys
 
-from .asymptotics import (
-    ProfileQuery,
-    analyze_structure,
-    build_M,
-    leading_term_eval,
-    pde_residual,
-)
-from .formats import build_report, dumps, load_instance_file
 from .model import FAMILIES, GenerationFailed, validate_system
-from .search import CampaignConfig, run_campaign
-from .symbolic import symbolic_report
 
 __all__ = ["main", "run_command"]
+
+# The pipeline names the handlers call, by the module that defines them.
+# A command binds the names of the modules it runs into this module on its
+# first run, so it imports no other module; a name already bound here, as
+# a test or a tracer replaced it, is kept.
+_PIPELINE = {
+    "formats": ("build_report", "dumps", "load_instance_file"),
+    "asymptotics": ("ProfileQuery", "analyze_structure", "build_M", "leading_term_eval",
+                    "pde_residual"),
+    "search": ("CampaignConfig", "run_campaign"),
+    "symbolic": ("symbolic_report",),
+}
+
+
+def _bind(modules: tuple[str, ...]) -> None:
+    bound = globals()
+    for module in modules:
+        for name in _PIPELINE[module]:
+            if name not in bound:
+                source = importlib.import_module(f"{__package__}.{module}")
+                bound[name] = getattr(source, name)
+
+
+def __getattr__(name: str):
+    """A pipeline name read before any command bound it: bound now, so
+    that replacing it replaces what the handler calls."""
+    for module, names in _PIPELINE.items():
+        if name in names:
+            _bind((module,))
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -228,12 +253,13 @@ def _cmd_residual(args) -> int:
     return 0
 
 
+# each command's handler and the modules whose pipeline names it calls
 _HANDLERS = {
-    "analyze": _cmd_analyze,
-    "search": _cmd_search,
-    "symbolic": _cmd_symbolic,
-    "phi0": _cmd_phi0,
-    "residual": _cmd_residual,
+    "analyze": (_cmd_analyze, ("formats", "asymptotics")),
+    "search": (_cmd_search, ("formats", "search")),
+    "symbolic": (_cmd_symbolic, ("formats", "symbolic")),
+    "phi0": (_cmd_phi0, ("formats", "asymptotics")),
+    "residual": (_cmd_residual, ("formats", "asymptotics")),
 }
 
 
@@ -245,8 +271,10 @@ def run_command(argv: list[str]) -> int:
     except SystemExit as exc:
         # --help exits 0; usage errors were remapped to 1 by _Parser
         return int(exc.code or 0)
+    handler, modules = _HANDLERS[args.command]
+    _bind(modules)
     try:
-        return _HANDLERS[args.command](args)
+        return handler(args)
     except (ValueError, OSError, GenerationFailed) as exc:
         if isinstance(exc, OSError) and exc.filename is not None:
             # str(exc) quotes the path in full; bound it like any rejected value

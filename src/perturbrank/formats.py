@@ -15,10 +15,13 @@ import math
 import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from typing import TYPE_CHECKING
 
-from .asymptotics import DEGENERATE, StructureReport, TransferStructure
 from .exact_linalg import INSTANCE_DIGIT_LIMIT, RationalMatrix
 from .model import SpectralData, SystemSpec
+
+if TYPE_CHECKING:  # a report comes from asymptotics, which loads only when needed
+    from .asymptotics import StructureReport, TransferStructure
 
 __all__ = [
     "FORMAT_VERSION",
@@ -188,6 +191,8 @@ def build_report(
 
     An exact entry with more digits than ``str(int)`` converts raises
     ValueError naming its report field, e.g. ``transfer.M[0][1]``."""
+    from .asymptotics import DEGENERATE  # loaded: it made ``report``
+
     try:
         instance = instance_to_dict(spec)
     except ValueError as exc:

@@ -976,8 +976,8 @@ class TestResidual:
     def test_bit_identical_to_the_per_entry_stencil(self):
         # each pair (i, j), (j, i) is solved once and read twice: the same
         # floats as the stencil that solved every entry's points, bit for
-        # bit, on dense generated M, sparse M (one of them not symmetric)
-        # and the shipped w1 instance
+        # bit, on dense generated M, sparse M and the shipped w1 instance;
+        # an M that is not symmetric is refused before any float work
         rng = random.Random(39)
         shipped = os.path.join(os.path.dirname(VIOLATION_PATH), "w1.json")
         cases = [_pipeline(load_instance_file(shipped))[1].M]
@@ -985,10 +985,13 @@ class TestResidual:
             for n in (2, 4, 8):
                 s, sd = generate_instance(GeneratorConfig(n=n, K=k, seed=rng.getrandbits(40)))
                 cases.append(build_M(s, sd).M)
-        cases += [
-            RationalMatrix([[-2, 0, 1, 0], [0, -1, 0, 0], [1, 0, -3, 0], [0, 0, 0, 0]]),
-            RationalMatrix([[-2, "1/3", 0], [0, -1, 0], [0, 0, "-1/2"]]),
-        ]
+        cases.append(
+            RationalMatrix([[-2, 0, 1, 0], [0, -1, 0, 0], [1, 0, -3, 0], [0, 0, 0, 0]])
+        )
+        unsymmetric = RationalMatrix([[-2, "1/3", 0], [0, -1, 0], [0, 0, "-1/2"]])
+        q = ProfileQuery(epsilon=1.0, t=1.0, x=(0.0,) * 3, sigma0=1.0, amplitude=1.0)
+        with pytest.raises(ValueError, match="^M must be symmetric$"):
+            pde_residual(unsymmetric, q, (0.0,) * 3, 1e-2)
         # a coarse step puts stencil values more than a factor 2 apart, where
         # pp - pm - mp and pp - mp - pm round differently
         for m in cases:

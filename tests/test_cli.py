@@ -1238,32 +1238,141 @@ def test_import_does_not_run_module_entry_point():
 
 _IMPORT_SET_PROBE = """
 import contextlib, io, json, sys
-from perturbrank.cli import run_command
 
-w1, out = sys.argv[1:]
-lazy = ("numpy", "concurrent.futures", "multiprocessing")
+watched = ("numpy", "concurrent.futures", "multiprocessing", "hashlib")
+
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m.startswith("perturbrank.") or m in watched)
+
+import perturbrank
+sets = [loaded()]
+from perturbrank.cli import run_command
+sets.append(loaded())
+codes = []
 with contextlib.redirect_stdout(io.StringIO()):
-    codes = [
-        run_command(["analyze", w1]),
-        run_command(["symbolic", "--k", "2"]),
-        run_command(["search", "--n-min", "2", "--n-max", "2", "--k-min", "2",
-                     "--k-max", "2", "--samples", "1", "--seed", "0",
-                     "--workers", "1", "--out", out]),
-    ]
-    exact = [m for m in lazy if m in sys.modules]
-    codes.append(run_command(["phi0", "--instance", w1, "--sigma", "1", "--t", "1",
-                              "--eps", "1", "--amplitude", "1", "--point", "0,0"]))
-print(json.dumps({"codes": codes, "exact": exact, "phi0": "numpy" in sys.modules}))
+    for argv in json.loads(sys.argv[1]):
+        codes.append(run_command(argv))
+        sets.append(loaded())
+print(json.dumps({"codes": codes, "sets": sets}))
 """
+
+_W1 = os.path.join(os.path.dirname(__file__), os.pardir, "instances", "w1.json")
+
+
+def _import_sets(*commands):
+    """The watched modules loaded, in a fresh interpreter, after ``import
+    perturbrank``, after ``import perturbrank.cli`` and after each command."""
+    proc = _run_python("-c", _IMPORT_SET_PROBE, json.dumps(commands))
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0] * len(commands)
+    return [set(loaded) for loaded in result["sets"]]
+
+
+def _search_argv(out):
+    return ["search", "--n-min", "2", "--n-max", "2", "--k-min", "2", "--k-max", "2",
+            "--samples", "1", "--seed", "0", "--workers", "1", "--out", str(out)]
+
+
+_PHI0_ARGV = ["phi0", "--instance", _W1, "--sigma", "1", "--t", "1", "--eps", "1",
+              "--amplitude", "1", "--point", "0,0"]
+_RESIDUAL_ARGV = ["residual", "--instance", _W1, "--t", "1", "--zeta", "0,0", "--h", "0.01"]
 
 
 def test_exact_commands_load_neither_numpy_nor_the_process_pool(tmp_path):
     # a cold start of analyze, symbolic and a one-worker search pays for
     # neither import; the float Gaussian of phi0 still loads numpy
-    w1 = os.path.join(os.path.dirname(__file__), os.pardir, "instances", "w1.json")
-    proc = _run_python("-c", _IMPORT_SET_PROBE, w1, str(tmp_path / "campaign.json"))
+    sets = _import_sets(["analyze", _W1], ["symbolic", "--k", "2"],
+                        _search_argv(tmp_path / "campaign.json"), _PHI0_ARGV)
+    lazy = {"numpy", "concurrent.futures", "multiprocessing"}
+    assert sets[-2] & lazy == set()
+    assert "numpy" in sets[-1]
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        (["analyze", _W1], {"search", "symbolic", "multipoly", "hashlib"}),
+        (_PHI0_ARGV, {"search", "symbolic", "multipoly", "hashlib"}),
+        (_RESIDUAL_ARGV, {"search", "symbolic", "multipoly", "hashlib"}),
+        (["symbolic", "--k", "2"], {"search", "asymptotics", "hashlib"}),
+        (None, {"symbolic", "multipoly"}),
+    ],
+    ids=["analyze", "phi0", "residual", "symbolic", "search"],
+)
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, absent):
+    # the package loads no module on import, the command line only the
+    # parser's model and its exact_linalg, and a command what it calls
+    sets = _import_sets(argv or _search_argv(tmp_path / "campaign.json"))
+    assert sets[0] == set()
+    assert sets[1] == {"perturbrank.cli", "perturbrank.model", "perturbrank.exact_linalg"}
+    names = {m.removeprefix("perturbrank.") for m in sets[2]}
+    assert names & absent == set()
+
+
+# ``from perturbrank import *`` at the commit that made the namespace lazy
+_STAR_NAMES = [
+    "BREACH_KINDS", "CHARPOLY_SIZE_LIMIT", "CampaignConfig", "DISSIPATIVITY_TOLERANCE",
+    "FAMILIES", "FORMAT_VERSION", "GenerationFailed", "GeneratorConfig",
+    "KernelDimensionError", "MARKOV_FAMILY", "MAX_SYMBOLIC_DIRECTIONS", "MultiPoly",
+    "NotDissipative", "NotStable", "ProfileQuery", "RANK_AGREEMENT_TOLERANCE",
+    "RationalMatrix", "SIMILARITY_FAMILY", "SingularCovariance", "SizeLimitExceeded",
+    "SpectralData", "StructureReport", "SymbolicStructure", "SystemSpec",
+    "TransferStructure", "analyze_structure", "as_rational", "asymptotics", "build_M",
+    "build_M_parametric", "build_report", "charpoly_adjugate", "derive_instance_seed",
+    "eigen_closed_form_n2", "exact_linalg", "formats", "generate_instance",
+    "hurwitz_stable", "instance_to_dict", "jacobi_eigenvalues", "leading_term_eval",
+    "load_instance_file", "model", "multipoly", "nullspace", "pde_residual", "phi0_eval",
+    "rank_exact", "run_campaign", "search", "symbolic", "symbolic_report",
+    "validate_system", "verify_rank_one_identity",
+]
+
+_NAMESPACE_PROBE = """
+import importlib, json, sys
+
+route = sys.argv[1]
+import perturbrank
+wrong = []
+for name in perturbrank.__all__:
+    if route == "from":
+        scope = {}
+        exec(f"from perturbrank import {name}", scope)
+        value = scope[name]
+    else:
+        value = getattr(perturbrank, name)
+    if name in perturbrank._ORIGIN:
+        module = importlib.import_module(f"perturbrank.{perturbrank._ORIGIN[name]}")
+        expected = getattr(module, name)
+    else:
+        expected = importlib.import_module(f"perturbrank.{name}")
+    if value is not expected:
+        wrong.append(name)
+star = {}
+exec("from perturbrank import *", star)
+print(json.dumps({"wrong": wrong, "star": sorted(set(star) - {"__builtins__"})}))
+"""
+
+
+@pytest.mark.parametrize("route", ["from", "attr"])
+def test_lazy_namespace_serves_every_exported_name(route):
+    # each name resolves on first access, through either route, to the
+    # object its module defines
+    proc = _run_python("-c", _NAMESPACE_PROBE, route)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"codes": [0, 0, 0, 0], "exact": [], "phi0": True}
+    result = json.loads(proc.stdout)
+    assert result == {"wrong": [], "star": _STAR_NAMES}
+
+
+def test_lazy_namespace_rejects_unknown_names():
+    with pytest.raises(AttributeError, match="'perturbrank' has no attribute 'nope'"):
+        perturbrank.nope
+    with pytest.raises(ImportError):
+        exec("from perturbrank import nope", {})
+    # a tracer probes cli with getattr(cli, name, None) and skips a miss
+    assert getattr(cli, "report_to_dict", None) is None
+    assert perturbrank.cli is cli
+    assert {"cli", "model", "run_campaign", "__version__"} <= set(dir(perturbrank))
 
 
 @pytest.mark.skipif(
