@@ -350,12 +350,9 @@ def _forward(
     that diagonal is all zero but some a_ij (i < j) is not, row j is first
     added to row i and column j to column i, which makes the diagonal entry
     a_ii + 2 a_ij + a_jj = 2 a_ij.  Every entry is a minor bordered linearly
-    by its row and column, so the divisions stay exact.  A step leaves
-    the trailing block symmetric, so each of its rows is formed from the
-    diagonal rightwards and copies the entries left of it from the rows
-    above.  The elimination stops at an all-zero trailing block, and the
-    k-th pivot value is then the k-th leading principal minor of a matrix
-    congruent to ``a``.
+    by its row and column, so the divisions stay exact.  The elimination
+    stops at an all-zero trailing block, and the k-th pivot value is then
+    the k-th leading principal minor of a matrix congruent to ``a``.
     """
     n_rows = len(a)
     pivot_cols: list[int] = []
@@ -391,25 +388,14 @@ def _forward(
             swaps += 1
         p = a[k][col]
         top = a[k][col + 1 :]
-        if symmetric:
-            # left of its diagonal, row r is column r of the rows above it
-            for r in range(k + 1, n_rows):
-                row = a[r]
-                f = row[col]
-                row[col + 1 : r] = [a[c][r] for c in range(col + 1, r)]
-                row[r:] = [
-                    _exact_div(p * x - f * y, prev) if x or y else 0
-                    for x, y in zip(row[r:], top[r - col - 1 :])
-                ]
-        else:
-            for r in range(k + 1, n_rows):
-                row = a[r]
-                f = row[col]
-                # a pair of zeros updates to zero; skip its division
-                row[col + 1 :] = [
-                    _exact_div(p * x - f * y, prev) if x or y else 0
-                    for x, y in zip(row[col + 1 :], top)
-                ]
+        for r in range(k + 1, n_rows):
+            row = a[r]
+            f = row[col]
+            # a pair of zeros updates to zero; skip its division
+            row[col + 1 :] = [
+                _exact_div(p * x - f * y, prev) if x or y else 0
+                for x, y in zip(row[col + 1 :], top)
+            ]
         pivot_cols.append(col)
         pivot_vals.append(p)
         prev = p
