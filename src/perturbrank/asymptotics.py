@@ -51,12 +51,14 @@ breaches when they fail; they never change the outcome:
                   S = diag(h1*_m / h1_m), pulls back to a nonpositive
                   Markov Dirichlet form), but not similarity-invariant,
                   so transformed instances can have indefinite M.
-                  ``phi0_eval`` refuses such an M by the same test, which
-                  it runs only when the exact inertia of M has n+ > 0:
-                  for n+ = 0 the test cannot fire, since Jacobi's error
-                  on the float image stays orders of magnitude below its
-                  tolerance.  It refuses an M that is not symmetric with
-                  ``ValueError`` before any float work.
+                  ``phi0_eval`` refuses every M whose exact inertia has
+                  n+ > 0, with this test's message when it fires and
+                  naming the inertia when an eigenvalue is positive but
+                  under the tolerance; for n+ = 0 the test cannot fire,
+                  since Jacobi's error on the float image stays orders
+                  of magnitude below its tolerance.  It refuses an M
+                  that is not symmetric with ``ValueError`` before any
+                  float work.
   rank_agreement  the numerically nonzero eigenvalue count equals the
                   exact rank; a breach is float trouble, not mathematics.
 """
@@ -305,8 +307,9 @@ def analyze_structure(ts: TransferStructure) -> StructureReport:
 
 def _dissipative_image(m: RationalMatrix, zeta: tuple[float, ...]) -> list[list[float]]:
     """The float image of m, once zeta is a finite point of length K, m is
-    symmetric and m is proven nonpositive (exact inertia n+ = 0) or passes
-    the dissipativity test on that image."""
+    symmetric and m is proven nonpositive (exact inertia n+ = 0).  An m
+    with n+ > 0 raises ``NotDissipative``, with the float test's message
+    when that test flags it too and with the exact inertia otherwise."""
     k = m.rows
     if len(zeta) != k:
         raise ValueError(f"zeta must have length {k}")
@@ -315,16 +318,17 @@ def _dissipative_image(m: RationalMatrix, zeta: tuple[float, ...]) -> list[list[
     if m != m.transpose():
         raise ValueError("M must be symmetric")
     mf = _float_image(m)
-    # an exactly nonpositive M passes the float test, whose Jacobi error
-    # stays far below its tolerance: the exact inertia proves it first
-    if inertia(m)[0] == 0:
+    signs = inertia(m)
+    if signs[0] == 0:
         return mf
     breach = _dissipativity_breach(*_float_spectrum(mf))
     if breach is not None:
         raise NotDissipative(
             f"largest numeric eigenvalue {breach['max_eigenvalue']:.3e} exceeds tolerance"
         )
-    return mf
+    raise NotDissipative(
+        f"M has {signs[0]} positive eigenvalue(s) (exact inertia (n+, n0, n-) = {signs})"
+    )
 
 
 def _profile(mf: list[list[float]], q: ProfileQuery):

@@ -32,7 +32,8 @@ division is checked to be exact.  The characteristic polynomial's
 coefficients come back as one ``1 x (n + 1)`` row, which
 ``hurwitz_stable`` reads as it stands.
 ``to_strings`` writes the entries as ``"p"``/``"p/q"`` strings straight
-off the integer rows (``rational_str``), so a ``fractions.Fraction`` is
+off the integer rows (``rational_str``), and ``sign`` and ``zero_free``
+answer the screens on entries from them, so a ``fractions.Fraction`` is
 built only where an entry leaves the module as a number, ``m[i, j]``.
 Nothing here is approximate.
 """
@@ -155,6 +156,16 @@ class RationalMatrix:
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
         return Fraction(self.num[i][j], self.den)
+
+    def sign(self, i: int, j: int) -> int:
+        """The sign of entry (i, j), -1, 0 or 1, read off its numerator
+        (``den > 0``) without building a Fraction."""
+        x = self.num[i][j]
+        return (x > 0) - (x < 0)
+
+    def zero_free(self) -> bool:
+        """True iff no entry is zero, read off the integer rows."""
+        return not any(0 in row for row in self.num)
 
     def row(self, i: int) -> "RationalMatrix":
         """Row i as a ``1 x cols`` matrix."""

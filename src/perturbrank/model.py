@@ -28,10 +28,17 @@ admissibility conditions by construction (irreducible generator: simple
 zero eigenvalue, Hurwitz remainder, strictly positive null vectors).
 ``similarity_transformed`` conjugates such a matrix by a random invertible
 integer matrix T (T⁻¹ = adj(T) / det(T) from the charpoly pass of T),
-producing the same exact spectrum without the sign structure.  Entries
-are drawn as integer numerators over lcm(1.._ENTRY_BOUND), scaled by
-one over that scale once per matrix.  Generation is fully deterministic
-in the seed.
+producing the same exact spectrum without the sign structure.  Since
+1ᵀ B = 0 for the Markov base B, the left null vector h1_star of T B T⁻¹
+is a multiple of 1ᵀ T⁻¹, so of the column sums 1ᵀ adj(T) that the pass
+already gives: a T with a zero column sum would give h1_star a zero
+entry, and it is rejected before it is conjugated.  Entries are drawn
+as integer numerators over lcm(1.._ENTRY_BOUND), scaled by one over that
+scale once per matrix.  Every draw is ``Random.randint``'s, made a row
+at a time through ``getrandbits`` exactly as ``randint`` makes it (a + r,
+r = getrandbits(k) redrawn while r >= b - a + 1, k the bit length of
+that width), so the values and the stream state equal those of the
+``randint`` calls.  Generation is fully deterministic in the seed.
 """
 
 from __future__ import annotations
@@ -152,9 +159,9 @@ def _certified_pair(a: RationalMatrix) -> SpectralData:
     at the simple zero root.
     """
     coeffs, adj, g = charpoly_adjugate(a)
-    if coeffs[0, 0]:
+    if coeffs.sign(0, 0):
         raise KernelDimensionError("zero is not an eigenvalue")
-    if not coeffs[0, 1]:
+    if not coeffs.sign(0, 1):
         raise KernelDimensionError("zero eigenvalue is not simple")
     if not hurwitz_stable(coeffs.columns(1)):  # the deflated polynomial
         raise NotStable("nonzero spectrum is not contained in the open left half-plane")
@@ -172,11 +179,35 @@ def validate_system(s: SystemSpec) -> SpectralData:
     return _certified_pair(s.A)
 
 
-def _grid_numerator(rng: random.Random, low: int, bound: int, scale: int) -> int:
-    """Fraction(randint(low, bound), randint(1, bound)), drawn in that
-    order, as its numerator over ``scale`` (a multiple of 1..bound)."""
-    p = rng.randint(low, bound)
-    return p * (scale // rng.randint(1, bound))
+def _draw_row(
+    rng: random.Random, count: int, low: int, high: int, scale: int = 0
+) -> list[int]:
+    """``count`` draws of ``rng.randint(low, high)``, in stream order; with
+    a ``scale`` (a multiple of 1..high), each is followed by a denominator
+    q = randint(1, high), and the entry is the numerator over that scale,
+    draw · (scale // q).
+
+    Drawn as ``randint`` draws them, through ``getrandbits``: randint(a, b)
+    is a + r, with r = getrandbits(k) redrawn while r >= w, for the width
+    w = b - a + 1 and k = w.bit_length(), so the values and the state of
+    the stream are those of the ``randint`` calls.
+    """
+    bits = rng.getrandbits
+    width = high - low + 1
+    k, kq = width.bit_length(), high.bit_length()
+    row = []
+    for _ in range(count):
+        r = bits(k)
+        while r >= width:
+            r = bits(k)
+        if scale:
+            q = bits(kq)
+            while q >= high:
+                q = bits(kq)
+            row.append((low + r) * (scale // (q + 1)))
+        else:
+            row.append(low + r)
+    return row
 
 
 def _markov_generator(rng: random.Random, n: int, bound: int) -> RationalMatrix:
@@ -184,27 +215,35 @@ def _markov_generator(rng: random.Random, n: int, bound: int) -> RationalMatrix:
     drawn column by column as integer numerators over lcm(1..bound) and
     scaled by one over that scale once."""
     scale = lcm(*range(1, bound + 1))
-    num = [[0] * n for _ in range(n)]
+    columns = []
     for j in range(n):
-        for i in range(n):
-            if i != j:
-                num[i][j] = _grid_numerator(rng, 1, bound, scale)
-        num[j][j] = -sum(num[i][j] for i in range(n))
-    return RationalMatrix(num).scale(Fraction(1, scale))
+        column = _draw_row(rng, n - 1, 1, bound, scale)
+        column.insert(j, -sum(column))
+        columns.append(column)
+    return RationalMatrix(zip(*columns)).scale(Fraction(1, scale))
 
 
-def _random_similar(rng: random.Random, base: RationalMatrix, bound: int) -> RationalMatrix:
-    """T B T⁻¹ for a random integer T, redrawn while singular.
+def _random_similar(
+    rng: random.Random, base: RationalMatrix, bound: int
+) -> RationalMatrix | None:
+    """T B T⁻¹ for a random integer T, redrawn while singular, or None
+    when a column sum of adj(T) is zero.
 
     One ``charpoly_adjugate`` pass on T: a zero constant coefficient marks
-    a singular T, which is redrawn, and otherwise the pass gives
-    T⁻¹ = adj(T) / det(T); the products run on integer rows.
+    a singular T, which is redrawn, and otherwise the pass gives adj(T)
+    and T⁻¹ = adj(T) / det(T); the products run on integer rows.  For a
+    Markov base B (1ᵀ B = 0, a simple zero eigenvalue) the left null
+    vectors of T B T⁻¹ are the multiples of 1ᵀ T⁻¹, that is of 1ᵀ adj(T),
+    so h1_star of the conjugate has a zero entry exactly when adj(T) has
+    a zero column sum; such a T is rejected before it is conjugated.
     """
     n = base.rows
     for _ in range(_MAX_GENERATION_ATTEMPTS):
-        t = RationalMatrix([rng.randint(-bound, bound) for _ in range(n)] for _ in range(n))
-        coeffs, _, t_inv = charpoly_adjugate(t)
-        if coeffs[0, 0]:
+        t = RationalMatrix([_draw_row(rng, n, -bound, bound) for _ in range(n)])
+        coeffs, adj, t_inv = charpoly_adjugate(t)
+        if coeffs.sign(0, 0):
+            if not (RationalMatrix([[1] * n]) @ adj).zero_free():
+                return None
             return t @ base @ t_inv
     raise GenerationFailed("could not sample an invertible transform")
 
@@ -223,10 +262,12 @@ def _sample_interaction(
     for _ in range(_MAX_GENERATION_ATTEMPTS):
         # T entries in [-3, 3] keep conjugated denominators modest
         a = _random_similar(rng, base, 3)
+        if a is None:  # h1_star would have a zero entry
+            continue
         data = _certified_pair(a)
         # Stay inside the rank law's evident hypothesis class: the
         # conjugation must not park a null vector on a coordinate plane.
-        if all(data.h1[0, j] and data.h1_star[0, j] for j in range(cfg.n)):
+        if data.h1.zero_free() and data.h1_star.zero_free():
             return a, data
     raise GenerationFailed("similarity transform kept zeroing a null-vector entry")
 
@@ -269,7 +310,7 @@ def _sample_diagonals(cfg: GeneratorConfig, rng: random.Random) -> RationalMatri
     drawn: list[tuple[int, ...]] = []  # numerators over scale
     for _ in range(cfg.K):
         for _ in range(_MAX_GENERATION_ATTEMPTS):
-            d = tuple(_grid_numerator(rng, -_ENTRY_BOUND, _ENTRY_BOUND, scale) for _ in range(n))
+            d = tuple(_draw_row(rng, n, -_ENTRY_BOUND, _ENTRY_BOUND, scale))
             if len(set(d)) != n or d in drawn:
                 continue
             if len(drawn) < n - 1:

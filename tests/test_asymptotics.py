@@ -568,6 +568,11 @@ class TestProfile:
         q = ProfileQuery(epsilon=1.0, t=1.0, x=(0.0,), sigma0=1.0, amplitude=1.0)
         with pytest.raises(NotDissipative):
             phi0_eval(RationalMatrix([[1]]), q, (0.0,))
+        # exactly one positive eigenvalue, under the float tolerance
+        q = ProfileQuery(epsilon=1.0, t=1.0, x=(0.0, 0.0), sigma0=1.0, amplitude=1.0)
+        tiny = RationalMatrix([[-1, 0], [0, "1/1000000000000"]])
+        with pytest.raises(NotDissipative, match=r"exact inertia .* = \(1, 0, 1\)"):
+            phi0_eval(tiny, q, (0.0, 0.0))
 
     def test_zero_matrix_is_stationary(self):
         m = RationalMatrix([[0, 0], [0, 0]])
@@ -915,18 +920,26 @@ class TestResidual:
         with pytest.raises(SingularCovariance) as exc:
             phi0_eval(m, q, zeta)
         assert str(exc.value) == "covariance is not positive definite: a quadratic form is -inf"
+        # the profile itself, on the float image of an M with a tiny
+        # positive eigenvalue (which the profile calls refuse by its exact
+        # inertia), at the t where its covariance is nearly singular
+        import perturbrank.asymptotics as asymptotics
+
         tiny = RationalMatrix([[-1, 0], [0, Fraction(1, 10**10)]])
         q = ProfileQuery(
             epsilon=1.0, t=(1 - 1e-12) / 2e-10, x=(0.0, 0.0), sigma0=1.0, amplitude=1e308
         )
+        with pytest.raises(SingularCovariance) as exc:
+            asymptotics._profile(tiny.to_float(), q)
+        assert str(exc.value) == "the peak value amplitude * sqrt(det0 / det) overflows a float"
         for call in (lambda: phi0_eval(tiny, q, (0.1, 0.2)),
                      lambda: pde_residual(tiny, q, (0.1, 0.2), 1e-6)):
-            with pytest.raises(SingularCovariance) as exc:
+            with pytest.raises(NotDissipative) as refused:
                 call()
-            assert str(exc.value) == "the peak value amplitude * sqrt(det0 / det) overflows a float"
+            assert str(refused.value).endswith("exact inertia (n+, n0, n-) = (1, 0, 1))")
         # the same M at a tenth of the amplitude: finite values
         q = dataclasses.replace(q, amplitude=1e307)
-        assert math.isfinite(pde_residual(tiny, q, (0.1, 0.2), 1e-6))
+        assert math.isfinite(asymptotics._profile(tiny.to_float(), q)([(0.1, 0.2)])[0])
 
     def test_stacked_solve_and_form_equal_per_row(self):
         # the assumption the batch rests on: numpy's stacked gesv and its
@@ -1012,6 +1025,8 @@ class TestResidual:
         [
             (RationalMatrix([[1, 0], [0, -1]]), 1.0, (0.0, 0.0), 1e-2, 1.0,
              NotDissipative, "largest numeric eigenvalue 1.000e+00 exceeds tolerance"),
+            (RationalMatrix([[-1, 0], [0, "1/1000000000000"]]), 1.0, (0.0, 0.0), 1e-2, 1.0,
+             NotDissipative, "M has 1 positive eigenvalue(s) (exact inertia (n+, n0, n-) = (1, 0, 1))"),
             (None, 1.0, (0.0, 0.0), 1e-2, 1e200,
              SingularCovariance, "sigma0 ** 4 overflows a float; use a smaller sigma0"),
             (None, 1.0, (0.0, 0.0), 0.0, 1.0, ValueError, "step h must be positive"),

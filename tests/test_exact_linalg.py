@@ -174,6 +174,24 @@ class TestRationalMatrix:
             RationalMatrix([[1, 2]]) + RationalMatrix([[1], [2]])
 
 
+    def test_sign_and_zero_free_match_the_entries(self):
+        # the screens read the integer rows; the Fraction entries decide
+        rng = random.Random(4101)
+        seen = set()
+        for _ in range(300):
+            rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+            m = _random_matrix(rng, rows, cols).scale(rng.choice([1, -1, "-1/7"]))
+            entries = _entries(m)
+            assert m.zero_free() == all(x != 0 for row in entries for x in row)
+            for i in range(rows):
+                for j in range(cols):
+                    x = entries[i][j]
+                    assert m.sign(i, j) == (x > 0) - (x < 0)
+                    seen.add(m.sign(i, j))
+            seen.add(m.zero_free())
+        assert seen == {-1, 0, 1, True, False}
+
+
 class TestIntegerConstructor:
     """Rows of ints are taken over den = 1 as they stand; every other
     entry type goes through the rational route, with the same results

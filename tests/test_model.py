@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -26,6 +27,7 @@ from perturbrank.model import (
     SpectralData,
     SystemSpec,
     _ENTRY_BOUND,
+    _draw_row,
     _markov_generator,
     _random_similar,
     generate_instance,
@@ -238,22 +240,46 @@ class TestGeneratorConfig:
 
 def _fraction_similar(
     rng: random.Random, base: RationalMatrix, bound: int
-) -> tuple[RationalMatrix, int]:
-    """Oracle: the Fraction route, T @ base @ T⁻¹ for the first T of full
-    rank, drawn as the generator draws it; also the draw count."""
+) -> tuple[RationalMatrix, RationalMatrix, int]:
+    """Oracle: the Fraction route, the first T of full rank, drawn as the
+    generator draws it, with T⁻¹ by elimination; also the draw count."""
     n = base.rows
     for draws in range(1, 201):
         t = RationalMatrix(
             [[Fraction(rng.randint(-bound, bound)) for _ in range(n)] for _ in range(n)]
         )
         if rank_exact(t) == n:
-            return t @ base @ _inverse_by_elimination(t), draws
+            return t, _inverse_by_elimination(t), draws
     raise AssertionError("no invertible transform drawn")
+
+
+def _column_sums(m: RationalMatrix) -> tuple[Fraction, ...]:
+    """1ᵀ m, entry by entry."""
+    return tuple(sum(m[i, j] for i in range(m.rows)) for j in range(m.cols))
+
+
+class TestDrawRow:
+    def test_same_stream_as_randint(self):
+        # every width the generator draws from (and those of an entry
+        # bound of 1), as grid numerators over scale or as plain integers
+        scale = lcm(*range(1, _ENTRY_BOUND + 1))
+        widths = ((1, 6, scale), (-6, 6, scale), (-3, 3, 0), (-1, 1, 1), (0, 0, 0))
+        for seed in range(256):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for count in range(1, 9):
+                for low, high, grid in widths:
+                    row = _draw_row(ours, count, low, high, grid)
+                    expected = []
+                    for _ in range(count):
+                        p = theirs.randint(low, high)
+                        expected.append(p * (grid // theirs.randint(1, high)) if grid else p)
+                    assert row == expected
+                    assert ours.getstate() == theirs.getstate()
 
 
 class TestRandomSimilar:
     def test_matches_fraction_conjugation(self):
-        redrawn = 0
+        redrawn = screened = 0
         for family in FAMILIES:
             for n in range(2, 9):
                 for seed in range(20):
@@ -262,12 +288,33 @@ class TestRandomSimilar:
                     )
                     ours = random.Random(100 * n + seed)
                     oracle = random.Random(100 * n + seed)
-                    expected, draws = _fraction_similar(oracle, s.A, 3)
+                    t, t_inv, draws = _fraction_similar(oracle, s.A, 3)
+                    # a zero column sum of T⁻¹ rejects T before conjugation
+                    expected = t @ s.A @ t_inv if all(_column_sums(t_inv)) else None
                     assert _random_similar(ours, s.A, 3) == expected
                     # same draws from the stream, singular ones included
                     assert ours.getstate() == oracle.getstate()
                     redrawn += draws > 1
+                    screened += expected is None
         assert redrawn > 0  # some seed drew a singular transform first
+        assert screened > 0  # and some seed's transform was pre-screened
+
+    def test_adjugate_column_sums_span_the_left_null_vector(self):
+        # Lemma: for a Markov base B (1ᵀ B = 0), h1_star(T B T⁻¹) is a
+        # multiple of 1ᵀ T⁻¹ and so of 1ᵀ adj(T); a zero column sum of
+        # adj(T) is exactly a zero entry of h1_star
+        hits = 0
+        for n in range(2, 9):
+            for seed in range(40):
+                base = _markov_generator(random.Random(seed), n, _ENTRY_BOUND)
+                t, t_inv, _ = _fraction_similar(random.Random(1000 * n + seed), base, 3)
+                _, h1_star = null_pair_normalized(t @ base @ t_inv)
+                sums = _column_sums(charpoly_adjugate(t)[1])
+                lead = next(j for j, x in enumerate(sums) if x)
+                assert all(h * sums[lead] == x * h1_star[lead] for h, x in zip(h1_star, sums))
+                assert (0 in sums) == (0 in h1_star)
+                hits += 0 in sums
+        assert hits > 0  # some seed hits the rejection
 
     def test_always_singular_transform_fails(self):
         with pytest.raises(GenerationFailed, match="invertible"):
@@ -325,42 +372,69 @@ class TestGenerateInstance:
     def test_null_pair_computed_once_per_draw(self, monkeypatch):
         # The pair is read off the adjugate of the one charpoly pass per
         # candidate A, not eliminated; it must still be the eliminated pair.
-        # Each transform T adds a pass of its own, which is not counted.
+        # Each transform T adds a pass of its own, which is not counted,
+        # and a T whose adjugate has a zero column sum is never conjugated.
         import perturbrank.model as model
 
         assert not hasattr(model, "nullspace")
-        candidates, passes = [], []
+        candidates, passes, left = [], [], []
+        screened = 0
 
         def similar(*args):
-            candidates.append(true_similar(*args))
-            return candidates[-1]
+            nonlocal screened
+            a = true_similar(*args)
+            if a is None:
+                screened += 1
+            else:
+                candidates.append(a)
+            return a
 
         def charpoly(m):
-            passes.append(m)
-            return true_pass(m)
+            passes.append((m, true_pass(m)))
+            return passes[-1][1]
+
+        def matmul(x, y):
+            left.append(x)
+            return true_matmul(x, y)
 
         true_similar, true_pass = model._random_similar, model.charpoly_adjugate
+        true_matmul = RationalMatrix.__matmul__
         monkeypatch.setattr(model, "_random_similar", similar)
         monkeypatch.setattr(model, "charpoly_adjugate", charpoly)
-        draws = []
+        draws, prescreened = [], 0
         for n in range(2, 9):
             for seed in range(12):
                 for family in FAMILIES:
                     candidates.clear()
                     passes.clear()
+                    left.clear()
+                    screened = 0
+                    monkeypatch.setattr(RationalMatrix, "__matmul__", matmul)
                     s, data = generate_instance(
                         GeneratorConfig(n=n, K=3, seed=seed, family=family)
                     )
+                    monkeypatch.setattr(RationalMatrix, "__matmul__", true_matmul)
+                    on_candidates = [m for m, _ in passes if any(m is a for a in candidates)]
                     if family == MARKOV_FAMILY:
-                        assert candidates == [] and passes == [s.A]
+                        assert candidates == [] and on_candidates == []
+                        assert [m for m, _ in passes] == [s.A]
                     else:
-                        on_candidates = [m for m in passes if any(m is a for a in candidates)]
                         assert len(on_candidates) == len(candidates) >= 1
                         assert on_candidates[-1] is candidates[-1] == s.A
-                        draws.append(len(candidates))
+                        draws.append(len(candidates) + screened)
+                        rejected = 0
+                        for t, (coeffs, adj, _) in passes:
+                            if t in on_candidates or not coeffs[0, 0]:
+                                continue  # a candidate A or a singular T
+                            if 0 in _column_sums(adj):
+                                assert not any(t is x for x in left)
+                                rejected += 1
+                        assert rejected == screened
+                        prescreened += screened
                     # the oracle runs outside the counted generation
                     assert (_flat(data.h1), _flat(data.h1_star)) == null_pair_normalized(s.A)
         assert max(draws) > 1  # some seed's zero-entry screen rejected a draw
+        assert prescreened > 0
 
     def test_wrong_constructed_pair_raises(self, monkeypatch):
         # The product checks are live: an adjugate whose columns are not
