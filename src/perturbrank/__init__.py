@@ -23,10 +23,10 @@ _EXPORTS = {
     "model": ("FAMILIES", "MARKOV_FAMILY", "SIMILARITY_FAMILY", "GenerationFailed",
               "GeneratorConfig", "KernelDimensionError", "NotStable", "SpectralData",
               "SystemSpec", "generate_instance", "validate_system"),
-    "asymptotics": ("BREACH_KINDS", "DISSIPATIVITY_TOLERANCE", "RANK_AGREEMENT_TOLERANCE",
-                    "NotDissipative", "ProfileQuery", "SingularCovariance", "StructureReport",
-                    "TransferStructure", "analyze_structure", "build_M", "jacobi_eigenvalues",
-                    "leading_term_eval", "pde_residual", "phi0_eval"),
+    "asymptotics": ("BREACH_KINDS", "RANK_AGREEMENT_TOLERANCE", "NotDissipative",
+                    "ProfileQuery", "SingularCovariance", "StructureReport", "TransferStructure",
+                    "analyze_structure", "build_M", "jacobi_eigenvalues", "leading_term_eval",
+                    "pde_residual", "phi0_eval"),
     "formats": ("FORMAT_VERSION", "build_report", "instance_to_dict", "load_instance_file"),
     "multipoly": ("MultiPoly",),
     "symbolic": ("MAX_SYMBOLIC_DIRECTIONS", "SymbolicStructure", "build_M_parametric",

@@ -17,16 +17,15 @@ gives v and Psi = D - v 1ᵀ in one pass, ``scale_columns`` gives P, and
 ``sym_congruence`` gives M = Psi (C + Cᵀ) Psiᵀ with
 C = diag(h1_star / 2) G diag(h1) in one symmetric pass.  They run on
 integer rows with no conversion to entries; this module never sees how
-an exact number is held.  The kernel of M, hence its rank, comes from
-one fraction-free elimination.  The spectrum of M comes from a
-hand-written cyclic Jacobi sweep on its float image (rows p and q bound
-once per rotation), so the two routes stay independent.  The profile
-queries first ask the exact ``inertia`` of M: with no positive
-eigenvalue, M is proven dissipative and Jacobi does not run.  The limiting
-profile itself is an anisotropic Gaussian with covariance
-sigma0² I - 2 M t, evaluated in
-floats with numpy; only that Gaussian imports numpy, on its first call,
-so the exact routes never load it.  Its covariance, determinant and
+an exact number is held.  The inertia (n+, n0, n-) of M, hence its rank
+K - n0 and its dissipativity n+ = 0, comes from one symmetric
+fraction-free elimination (Sylvester's law of inertia).  The spectrum of
+M comes from a hand-written cyclic Jacobi sweep on its float image (rows
+p and q bound once per rotation), so the two routes stay independent.
+The profile queries refuse an M with n+ > 0 and never run Jacobi.  The
+limiting profile is an anisotropic Gaussian with covariance
+sigma0² I - 2 M t, evaluated in floats with numpy; only that Gaussian
+imports numpy, on its first call, so the exact routes never load it.  Its covariance, determinant and
 prefactor are built once per time level, and a batch of points at that
 level costs one stacked solve, so a residual stencil builds three
 covariances and makes three solve calls, not one per point; the points
@@ -43,24 +42,20 @@ and library calls share.  The outcome comes from exact arithmetic alone:
               asserted there, and the generator never draws there
   violation   a rank mismatch on a non-degenerate instance
 
-Two invariants are measured on the float image of M and recorded as
-breaches when they fail; they never change the outcome:
+Two invariants are recorded as breaches when they fail; they never
+change the outcome:
 
-  dissipativity   no numeric eigenvalue of M above tolerance: a theorem
-                  for the markov_generator family (z -> (z, Sym(S G) z),
-                  S = diag(h1*_m / h1_m), pulls back to a nonpositive
-                  Markov Dirichlet form), but not similarity-invariant,
-                  so transformed instances can have indefinite M.
-                  ``phi0_eval`` refuses every M whose exact inertia has
-                  n+ > 0, with this test's message when it fires and
-                  naming the inertia when an eigenvalue is positive but
-                  under the tolerance; for n+ = 0 the test cannot fire,
-                  since Jacobi's error on the float image stays orders
-                  of magnitude below its tolerance.  It refuses an M
-                  that is not symmetric with ``ValueError`` before any
-                  float work.
+  dissipativity   n+ = 0 in the exact inertia of M, the test the profile
+                  calls refuse by too: a theorem for the markov_generator
+                  family (z -> (z, Sym(S G) z), S = diag(h1*_m / h1_m),
+                  pulls back to a nonpositive Markov Dirichlet form), but
+                  not similarity-invariant, so transformed instances can
+                  have indefinite M.  The record names the inertia, and
+                  Jacobi's top eigenvalue and max|M| for artifact replay.
   rank_agreement  the numerically nonzero eigenvalue count equals the
                   exact rank; a breach is float trouble, not mathematics.
+
+An M that is not symmetric is a ``ValueError``, before any float work.
 """
 
 from __future__ import annotations
@@ -69,16 +64,13 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .exact_linalg import RationalMatrix, inertia, nullspace, rank_exact
+from .exact_linalg import RationalMatrix, inertia, rank_exact
 from .model import SpectralData, SystemSpec
 
 #: Cyclic Jacobi: stop once the off-diagonal Frobenius mass drops below this
 #: times the Frobenius norm of the input (or after the sweep cap).
 JACOBI_TOLERANCE = 1e-12
 JACOBI_MAX_SWEEPS = 100
-
-#: A numeric eigenvalue of M above this times max|M| breaks dissipativity.
-DISSIPATIVITY_TOLERANCE = 1e-9
 
 #: Numeric eigenvalues larger than this times max|M| count as nonzero when
 #: cross-checking the exact rank.
@@ -94,7 +86,6 @@ BREACH_KINDS = ("dissipativity", "rank_agreement")
 
 __all__ = [
     "BREACH_KINDS",
-    "DISSIPATIVITY_TOLERANCE",
     "RANK_AGREEMENT_TOLERANCE",
     "NotDissipative",
     "ProfileQuery",
@@ -111,7 +102,7 @@ __all__ = [
 
 
 class NotDissipative(ValueError):
-    """M has a numerically positive eigenvalue; no spreading Gaussian exists."""
+    """M has a positive eigenvalue (exact n+ > 0); no spreading Gaussian exists."""
 
 
 class SingularCovariance(ValueError):
@@ -136,14 +127,14 @@ class TransferStructure:
 
 @dataclass(frozen=True)
 class StructureReport:
-    """Exact rank, kernel rows, Jacobi spectrum and the verdict for one M:
-    ``outcome`` (MATCH, DEGENERATE or VIOLATION) and ``breaches``, JSON-ready
-    dicts with a ``kind`` from BREACH_KINDS and the offending numbers."""
+    """Exact rank, Jacobi spectrum and the verdict for one M: ``outcome``
+    (MATCH, DEGENERATE or VIOLATION) and ``breaches``, JSON-ready dicts
+    with a ``kind`` from BREACH_KINDS and the offending numbers.  The
+    kernel rows are not kept: ``formats.build_report`` computes them."""
 
     rank_exact: int
     eigenvalues: tuple[float, ...]
     predicted_rank: int
-    kernel_directions: tuple[RationalMatrix, ...]
     outcome: str
     breaches: tuple[dict, ...]
 
@@ -243,47 +234,40 @@ def _float_image(m: RationalMatrix, name: str = "M") -> list[list[float]]:
         raise ValueError(f"{name} has an entry beyond float range") from None
 
 
-def _float_spectrum(mf: list[list[float]]) -> tuple[tuple[float, ...], float]:
-    """Jacobi eigenvalues (ascending) of the float image mf, and its max|entry|."""
-    scale = max((abs(x) for row in mf for x in row), default=0.0)
-    return tuple(jacobi_eigenvalues(mf)), scale
-
-
-def _dissipativity_breach(eigs: tuple[float, ...], scale: float) -> dict | None:
-    """The one dissipativity test: a breach record when the largest
-    numeric eigenvalue exceeds ``DISSIPATIVITY_TOLERANCE`` times max|M|."""
-    if eigs and eigs[-1] > DISSIPATIVITY_TOLERANCE * scale:
-        return {
-            "kind": "dissipativity",
-            "max_eigenvalue": eigs[-1],
-            "scale": scale,
-            "tolerance": DISSIPATIVITY_TOLERANCE,
-        }
-    return None
-
-
 def analyze_structure(ts: TransferStructure) -> StructureReport:
     """Exact rank, numeric spectrum, and the rank-law verdict for M.
 
-    The exact rank is K minus the dimension of the exact kernel, both
-    read off one elimination of M; the Jacobi spectrum is the independent
-    float route.  The prediction is min(n - 1, K), with n and K the
-    column and row counts of P.  The outcome DEGENERATE is the one
-    definition of degeneracy, rank span{Psi_i h1} < min(n - 1, K), where
-    the rank law is not asserted; otherwise the outcome is MATCH iff
-    rank M = min(n - 1, K).  The generator screens degeneracy out by
-    rank[1; D] - 1, equal to it only for an h1 without zero entries; a
-    hand-fed h1 may have one, so this test stays on P.  The breaches read
-    the Jacobi spectrum against max|M| of the same float image.
+    One symmetric elimination gives the exact inertia (n+, n0, n-) of M:
+    the rank is K - n0, and n+ > 0 is a dissipativity breach; the Jacobi
+    spectrum is the independent float route.  The prediction is
+    min(n - 1, K), with n and K the column and row counts of P.  The
+    outcome DEGENERATE is the one definition of degeneracy,
+    rank span{Psi_i h1} < min(n - 1, K), where the rank law is not
+    asserted; otherwise the outcome is MATCH iff rank M = min(n - 1, K).
+    The generator screens degeneracy out by rank[1; D] - 1, equal to it
+    only for an h1 without zero entries; a hand-fed h1 may have one, so
+    this test stays on P.  The rank-agreement breach reads the Jacobi
+    spectrum against max|M| of the same float image.  ``ValueError``
+    unless M is symmetric.
     """
-    kernel = tuple(nullspace(ts.M))
-    rank = ts.M.cols - len(kernel)
-    eigs, scale = _float_spectrum(_float_image(ts.M))
+    n_pos, n_zero, n_neg = inertia(ts.M)
+    rank = ts.M.rows - n_zero
+    mf = _float_image(ts.M)
+    eigs = tuple(jacobi_eigenvalues(mf))
+    scale = max((abs(x) for row in mf for x in row), default=0.0)
     predicted = min(ts.P.cols - 1, ts.P.rows)
     degenerate = rank_exact(ts.P) < predicted
     outcome = DEGENERATE if degenerate else MATCH if rank == predicted else VIOLATION
-    breach = _dissipativity_breach(eigs, scale)
-    breaches = [] if breach is None else [breach]
+    breaches = []
+    if n_pos:
+        breaches.append(
+            {
+                "kind": "dissipativity",
+                "inertia": [n_pos, n_zero, n_neg],
+                "max_eigenvalue": eigs[-1],
+                "scale": scale,
+            }
+        )
     numeric_rank = sum(1 for ev in eigs if abs(ev) > RANK_AGREEMENT_TOLERANCE * scale)
     if numeric_rank != rank:
         breaches.append(
@@ -299,7 +283,6 @@ def analyze_structure(ts: TransferStructure) -> StructureReport:
         rank_exact=rank,
         eigenvalues=eigs,
         predicted_rank=predicted,
-        kernel_directions=kernel,
         outcome=outcome,
         breaches=tuple(breaches),
     )
@@ -308,8 +291,7 @@ def analyze_structure(ts: TransferStructure) -> StructureReport:
 def _dissipative_image(m: RationalMatrix, zeta: tuple[float, ...]) -> list[list[float]]:
     """The float image of m, once zeta is a finite point of length K, m is
     symmetric and m is proven nonpositive (exact inertia n+ = 0).  An m
-    with n+ > 0 raises ``NotDissipative``, with the float test's message
-    when that test flags it too and with the exact inertia otherwise."""
+    with n+ > 0 raises ``NotDissipative`` naming its inertia."""
     k = m.rows
     if len(zeta) != k:
         raise ValueError(f"zeta must have length {k}")
@@ -319,16 +301,11 @@ def _dissipative_image(m: RationalMatrix, zeta: tuple[float, ...]) -> list[list[
         raise ValueError("M must be symmetric")
     mf = _float_image(m)
     signs = inertia(m)
-    if signs[0] == 0:
-        return mf
-    breach = _dissipativity_breach(*_float_spectrum(mf))
-    if breach is not None:
+    if signs[0]:
         raise NotDissipative(
-            f"largest numeric eigenvalue {breach['max_eigenvalue']:.3e} exceeds tolerance"
+            f"M has {signs[0]} positive eigenvalue(s) (exact inertia (n+, n0, n-) = {signs})"
         )
-    raise NotDissipative(
-        f"M has {signs[0]} positive eigenvalue(s) (exact inertia (n+, n0, n-) = {signs})"
-    )
+    return mf
 
 
 def _profile(mf: list[list[float]], q: ProfileQuery):

@@ -17,7 +17,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
-from .exact_linalg import INSTANCE_DIGIT_LIMIT, RationalMatrix
+from .exact_linalg import INSTANCE_DIGIT_LIMIT, RationalMatrix, nullspace
 from .model import SpectralData, SystemSpec
 
 if TYPE_CHECKING:  # a report comes from asymptotics, which loads only when needed
@@ -189,10 +189,19 @@ def build_report(
     ``instance_to_dict`` writes it, the certificate ``sd`` with G its group
     inverse, ``ts`` and the exact verdict ``report``.
 
-    An exact entry with more digits than ``str(int)`` converts raises
+    The kernel rows of M come from their own elimination here, and their
+    count must be K minus the rank of ``report``, read off the inertia:
+    ``ArithmeticError`` when the two routes to the rank disagree.  An
+    exact entry with more digits than ``str(int)`` converts raises
     ValueError naming its report field, e.g. ``transfer.M[0][1]``."""
     from .asymptotics import DEGENERATE  # loaded: it made ``report``
 
+    kernel = nullspace(ts.M)
+    if len(kernel) != ts.M.rows - report.rank_exact:
+        raise ArithmeticError(
+            f"rank {report.rank_exact} of M and its kernel dimension {len(kernel)} "
+            f"do not add up to K = {ts.M.rows}"
+        )
     try:
         instance = instance_to_dict(spec)
     except ValueError as exc:
@@ -217,7 +226,7 @@ def build_report(
             "eigenvalues": list(report.eigenvalues),
             "kernel_directions": [
                 _matrix_strs(row, f"structure.kernel_directions[{i}][{{j}}]")[0]
-                for i, row in enumerate(report.kernel_directions)
+                for i, row in enumerate(kernel)
             ],
             "degenerate": report.outcome == DEGENERATE,
         },

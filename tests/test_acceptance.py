@@ -279,9 +279,7 @@ def test_dissipativity_measured_and_breaches_replayable(small_grid, extended_gri
             f"dissipativity breach outside the similarity family: "
             f"{breach['family']} seed {breach['instance_seed']}"
         )
-        assert breach["detail"]["max_eigenvalue"] > (
-            breach["detail"]["tolerance"] * breach["detail"]["scale"]
-        )
+        assert breach["detail"]["inertia"][0] > 0
         assert breach["artifact"] is not None
         spec = load_instance_file(os.path.join(art, breach["artifact"]))
         ts, again = _verdict(spec)

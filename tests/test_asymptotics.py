@@ -183,21 +183,22 @@ class TestBuildM:
             if isinstance(node, ast.ImportFrom) and node.module == "exact_linalg"
             for alias in node.names
         }
-        assert imported == {"RationalMatrix", "inertia", "nullspace", "rank_exact"}
+        assert imported == {"RationalMatrix", "inertia", "rank_exact"}
         s, sd = generate_instance(GeneratorConfig(n=6, K=3, seed=5))
         eliminations = []
 
-        def recorded(a):
-            eliminations.append(a)
-            return original(a)
+        def recorded(a, symmetric=False):
+            eliminations.append((len(a), symmetric))
+            return original(a, symmetric)
 
         original = exact_linalg._forward
         monkeypatch.setattr(exact_linalg, "_forward", recorded)
         ts = build_M(s, sd)
         assert eliminations == []
         analyze_structure(ts)
-        # the patch is live: one pass for the kernel of M, one for rank P
-        assert len(eliminations) == 2
+        # the patch is live: one symmetric pass for the inertia of M, one
+        # for the rank of P
+        assert eliminations == [(3, True), (3, False)]
 
     def test_certificate_and_build_run_fused_kernels(self, monkeypatch):
         # validate_system and build_M take the null pair, v and Psi from the
@@ -392,7 +393,7 @@ class TestAnalyzeStructure:
         assert report.predicted_rank == 1
         assert report.rank_exact == report.predicted_rank
         assert report.outcome != "degenerate"
-        assert report.kernel_directions == (RationalMatrix([[1, 1]]),)
+        assert nullspace(ts.M) == [RationalMatrix([[1, 1]])]
         assert len(report.eigenvalues) == 2
         assert abs(report.eigenvalues[0] + 0.25) < 1e-10
         assert abs(report.eigenvalues[1]) < 1e-10
@@ -432,7 +433,7 @@ class TestAnalyzeStructure:
         report = analyze_structure(ts)
         assert report.predicted_rank == 1
         assert report.rank_exact == 1
-        assert len(report.kernel_directions) == 4
+        assert len(nullspace(ts.M)) == 4
         near_zero = sum(1 for e in report.eigenvalues if abs(e) < 1e-12)
         assert near_zero == 4
 
@@ -471,6 +472,35 @@ class TestAnalyzeStructure:
                 "tolerance": 1e-08,
             },
         )
+
+    def test_one_dissipativity_predicate(self):
+        # an eigenvalue 10⁻¹² times max|M| is lost under a float tolerance,
+        # but the exact inertia has n+ = 1: the verdict records the breach
+        # and the profile refuses the same M
+        m = RationalMatrix([[-1, 0], [0, Fraction(1, 10**12)]])
+        ts = TransferStructure(
+            v=RationalMatrix([[0], [0]]), P=RationalMatrix([[1, 0, -1], [0, 1, -1]]), M=m
+        )
+        report = analyze_structure(ts)
+        assert report.outcome == "match"
+        assert report.breaches[0] == {
+            "kind": "dissipativity",
+            "inertia": [1, 0, 1],
+            "max_eigenvalue": 1e-12,
+            "scale": 1.0,
+        }
+        q = ProfileQuery(epsilon=1.0, t=1.0, x=(0.0, 0.0), sigma0=1.0, amplitude=1.0)
+        with pytest.raises(NotDissipative, match=r"exact inertia .* = \(1, 0, 1\)"):
+            phi0_eval(m, q, (0.0, 0.0))
+
+    def test_non_symmetric_M_is_refused(self):
+        ts = TransferStructure(
+            v=RationalMatrix([[0], [0]]),
+            P=RationalMatrix([[1, 0, -1], [0, 1, -1]]),
+            M=RationalMatrix([[-1, 1], [0, -1]]),
+        )
+        with pytest.raises(ValueError, match="^inertia of a 2x2 matrix that is not symmetric$"):
+            analyze_structure(ts)
 
 
 def _index_loop_jacobi(sym: list[list[float]]) -> list[float]:
@@ -795,9 +825,8 @@ class TestResidual:
         assert pde_residual(ts.M, q, zeta, 1e-3) <= 1e-5 * local
 
     def test_dissipativity_checked_once(self, monkeypatch):
-        # an exactly nonpositive M is proven so by one exact inertia pass,
-        # and Jacobi does not run; an M with n+ > 0 goes on to the one float
-        # test, which refuses it with its own message
+        # an M is proven nonpositive, or refused, by one exact inertia pass,
+        # and Jacobi never runs on the profile path
         import perturbrank.asymptotics as asymptotics
 
         calls = []
@@ -820,8 +849,10 @@ class TestResidual:
         calls.clear()
         with pytest.raises(NotDissipative) as info:
             pde_residual(RationalMatrix([[1, 0], [0, -1]]), q, (0.0, 0.0), 1e-2)
-        assert str(info.value) == "largest numeric eigenvalue 1.000e+00 exceeds tolerance"
-        assert calls == [("inertia", 2), ("jacobi", 2)]
+        assert str(info.value) == (
+            "M has 1 positive eigenvalue(s) (exact inertia (n+, n0, n-) = (1, 0, 1))"
+        )
+        assert calls == [("inertia", 2)]
 
     def test_one_float_image_and_three_profiles(self, monkeypatch):
         # the centre value comes from the time-t profile of the stencil, so
@@ -1024,7 +1055,7 @@ class TestResidual:
         "m, t, zeta, h, sigma0, error, message",
         [
             (RationalMatrix([[1, 0], [0, -1]]), 1.0, (0.0, 0.0), 1e-2, 1.0,
-             NotDissipative, "largest numeric eigenvalue 1.000e+00 exceeds tolerance"),
+             NotDissipative, "M has 1 positive eigenvalue(s) (exact inertia (n+, n0, n-) = (1, 0, 1))"),
             (None, 1.0, (0.0, 0.0), 1e-2, 1e200,
              SingularCovariance, "sigma0 ** 4 overflows a float; use a smaller sigma0"),
             (None, 1.0, (0.0, 0.0), 0.0, 1.0, ValueError, "step h must be positive"),

@@ -310,9 +310,9 @@ def test_no_module_reads_how_exact_numbers_are_held():
 
 
 def test_tolerances_are_read_only_in_asymptotics():
-    # one definition of dissipativity and of rank agreement; __init__
-    # only re-exports the names through its import
-    names = {"DISSIPATIVITY_TOLERANCE", "RANK_AGREEMENT_TOLERANCE"}
+    # one definition of rank agreement; __init__ only re-exports the name
+    # through its import
+    names = {"RANK_AGREEMENT_TOLERANCE"}
     uses = []
     for path in sorted(Path(perturbrank.__file__).parent.glob("*.py")):
         if path.stem == "asymptotics":

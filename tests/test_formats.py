@@ -1,5 +1,6 @@
 """The canonical JSON writer against the standard library's encoder."""
 
+import dataclasses
 import enum
 import json
 import math
@@ -248,6 +249,19 @@ class TestBuildReport:
         with pytest.raises(ValueError) as exc:
             build_report(spec, sd, ts, report)
         assert str(exc.value) == f"{field}: {refused.value}"
+
+    def test_rank_and_kernel_dimension_must_agree(self):
+        # the kernel rows are eliminated anew for the report; a rank that
+        # the inertia got wrong cannot be printed beside them
+        spec = load_instance_file(os.path.join(INSTANCES, "w1.json"))
+        sd = validate_system(spec)
+        ts = build_M(spec, sd)
+        report = analyze_structure(ts)
+        assert build_report(spec, sd, ts, report)["structure"]["kernel_directions"] == [["1", "1"]]
+        wrong = dataclasses.replace(report, rank_exact=report.rank_exact - 1)
+        with pytest.raises(ArithmeticError) as exc:
+            build_report(spec, sd, ts, wrong)
+        assert str(exc.value) == "rank 0 of M and its kernel dimension 1 do not add up to K = 2"
 
 
 def _load(tmp_path, d) -> SystemSpec:
