@@ -11,7 +11,8 @@ a search finds rank-law violations — a distinct code so automation
 notices a potential mathematical finding.
 
 Importing this module loads only ``model`` and ``exact_linalg``; each
-command imports the modules it runs on its first run.
+command imports the modules it runs and binds their ``__all__`` here, so
+a name can be replaced in this module once one command has run.
 """
 
 from __future__ import annotations
@@ -27,36 +28,16 @@ from .model import FAMILIES, GenerationFailed, validate_system
 
 __all__ = ["main", "run_command"]
 
-# The pipeline names the handlers call, by the module that defines them.
-# A command binds the names of the modules it runs into this module on its
-# first run, so it imports no other module; a name already bound here, as
-# a test or a tracer replaced it, is kept.
-_PIPELINE = {
-    "formats": ("build_report", "dumps", "load_instance_file"),
-    "asymptotics": ("ProfileQuery", "analyze_structure", "build_M", "leading_term_eval",
-                    "pde_residual"),
-    "search": ("CampaignConfig", "run_campaign"),
-    "symbolic": ("symbolic_report",),
-}
-
 
 def _bind(modules: tuple[str, ...]) -> None:
+    """Bind each module's ``__all__`` here, the names a handler calls; a
+    name already bound, as a test or a tracer replaced it, is kept."""
     bound = globals()
     for module in modules:
-        for name in _PIPELINE[module]:
+        source = importlib.import_module(f"{__package__}.{module}")
+        for name in source.__all__:
             if name not in bound:
-                source = importlib.import_module(f"{__package__}.{module}")
                 bound[name] = getattr(source, name)
-
-
-def __getattr__(name: str):
-    """A pipeline name read before any command bound it: bound now, so
-    that replacing it replaces what the handler calls."""
-    for module, names in _PIPELINE.items():
-        if name in names:
-            _bind((module,))
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -253,7 +234,7 @@ def _cmd_residual(args) -> int:
     return 0
 
 
-# each command's handler and the modules whose pipeline names it calls
+# each command's handler and the modules whose exported names it calls
 _HANDLERS = {
     "analyze": (_cmd_analyze, ("formats", "asymptotics")),
     "search": (_cmd_search, ("formats", "search")),

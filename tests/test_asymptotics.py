@@ -5,6 +5,7 @@ import dataclasses
 import math
 import os
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -971,6 +972,16 @@ class TestResidual:
         # the same M at a tenth of the amplitude: finite values
         q = dataclasses.replace(q, amplitude=1e307)
         assert math.isfinite(asymptotics._profile(tiny.to_float(), q)([(0.1, 0.2)])[0])
+        # the branch through a public call on a nonpositive M, w1's: LU's
+        # determinant of sigma0² I comes out 4 ulps below sigma0 ** 4, so
+        # sqrt(det0 / det) > 1 and the largest float amplitude overflows
+        q = ProfileQuery(
+            epsilon=1.0, t=0.0, x=(0.0, 0.0), sigma0=6.550770429955353,
+            amplitude=sys.float_info.max,
+        )
+        with pytest.raises(SingularCovariance) as exc:
+            phi0_eval(_pipeline(W1)[1].M, q, (0.0, 0.0))
+        assert str(exc.value) == "the peak value amplitude * sqrt(det0 / det) overflows a float"
 
     def test_stacked_solve_and_form_equal_per_row(self):
         # the assumption the batch rests on: numpy's stacked gesv and its

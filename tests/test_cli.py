@@ -755,7 +755,8 @@ class TestSearchCommand:
             os.makedirs(artifact_dir, exist_ok=True)
             return report
 
-        monkeypatch.setattr("perturbrank.cli.run_campaign", fake_run_campaign)
+        # no name is bound in cli before its first command
+        monkeypatch.setattr("perturbrank.cli.run_campaign", fake_run_campaign, raising=False)
         rc = run_command(
             [
                 "search",
@@ -982,12 +983,16 @@ class TestProfileCommands:
             ["residual", "--sigma", "1e150", "--t", "1", "--zeta", "0.3,-0.2", "--h", "0.01"],
             ["phi0", "--sigma", "1", "--t", "1e308", "--eps", "1",
              "--amplitude", "1", "--point", "0,0"],
+            ["phi0", "--sigma", "6.550770429955353", "--t", "1e-300", "--eps", "1",
+             "--amplitude", "1.7976931348623157e308", "--point", "0,0"],
         ],
         # sigma 1e200 and 1e150 overflow sigma0 ** (2K), which is checked
         # before any numpy arithmetic, and t 1e308 overflows the covariance
-        # (NaN determinant); numpy's overflow warnings must not leak out
+        # (NaN determinant); numpy's overflow warnings must not leak out;
+        # at that sigma the computed det of sigma0² I is 4 ulps below
+        # sigma0 ** 4, and the largest float amplitude overflows the peak
         ids=["phi0-sigma-1e200", "phi0-sigma-1e150", "residual-sigma-1e200",
-             "residual-sigma-1e150", "phi0-t-1e308"],
+             "residual-sigma-1e150", "phi0-t-1e308", "phi0-peak-overflow"],
     )
     def test_float_overflow_exits_one(self, w1_path, capsys, argv):
         with warnings.catch_warnings(record=True) as caught:
@@ -999,8 +1004,10 @@ class TestProfileCommands:
         assert [str(w.message) for w in caught] == []
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
-        if "--sigma" in argv and argv[argv.index("--sigma") + 1] != "1":
+        if argv[argv.index("--sigma") + 1] in ("1e200", "1e150"):
             assert "sigma0 ** 4 overflows" in lines[0]
+        if "1.7976931348623157e308" in argv:
+            assert lines[0] == "error: the peak value amplitude * sqrt(det0 / det) overflows a float"
 
     @pytest.mark.parametrize(
         "argv",
@@ -1043,7 +1050,7 @@ class TestProfileCommands:
     )
     def test_non_json_float_is_an_error(self, w1_path, capsys, monkeypatch, command, name, value):
         # the printers refuse Infinity and NaN, which are not JSON
-        monkeypatch.setattr(cli, name, lambda *args: value)
+        monkeypatch.setattr(cli, name, lambda *args: value, raising=False)
         argv = {"phi0": ["--t", "1", "--eps", "1", "--sigma", "1", "--amplitude", "1",
                          "--point", "0,0"],
                 "residual": ["--t", "1", "--zeta", "0,0", "--h", "0.01"]}[command]
@@ -1309,6 +1316,47 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, absent):
     assert sets[1] == {"perturbrank.cli", "perturbrank.model", "perturbrank.exact_linalg"}
     names = {m.removeprefix("perturbrank.") for m in sets[2]}
     assert names & absent == set()
+
+
+_BINDING_PROBE = """
+import contextlib, importlib, io, json, sys
+from perturbrank import cli
+
+checked, wrong = {}, []
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in json.loads(sys.argv[1]):
+        assert cli.run_command(argv) == 0
+        handler, modules = cli._HANDLERS[argv[0]]
+        calls = {*handler.__code__.co_names, *cli._load.__code__.co_names}
+        for module in modules:
+            source = importlib.import_module(f"perturbrank.{module}")
+            for name in calls & set(source.__all__):
+                checked.setdefault(argv[0], []).append(name)
+                if getattr(cli, name, None) is not getattr(source, name):
+                    wrong.append([argv[0], name])
+print(json.dumps({"checked": {c: sorted(n) for c, n in checked.items()}, "wrong": wrong}))
+"""
+
+
+def test_each_command_binds_the_names_its_handler_calls(tmp_path):
+    # after one run of a command, each exported name of its modules that
+    # its handler (or _load) calls is cli's attribute, the module's own
+    # object: what perfbench's traced runs and the patched tests replace
+    commands = [["analyze", _W1], _PHI0_ARGV, _RESIDUAL_ARGV, ["symbolic", "--k", "2"],
+                _search_argv(tmp_path / "campaign.json")]
+    proc = _run_python("-c", _BINDING_PROBE, json.dumps(commands))
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["wrong"] == []
+    # co_names holds attribute names too: phi0's and residual's json.dumps
+    assert result["checked"] == {
+        "analyze": ["analyze_structure", "build_M", "build_report", "dumps",
+                    "load_instance_file"],
+        "phi0": ["ProfileQuery", "build_M", "dumps", "leading_term_eval", "load_instance_file"],
+        "residual": ["ProfileQuery", "build_M", "dumps", "load_instance_file", "pde_residual"],
+        "symbolic": ["dumps", "load_instance_file", "symbolic_report"],
+        "search": ["CampaignConfig", "dumps", "load_instance_file", "run_campaign"],
+    }
 
 
 # ``from perturbrank import *``: the names of the commit that made the

@@ -134,6 +134,15 @@ class TestRationalMatrix:
         m = RationalMatrix([[1, 2], [3, 4]])
         assert m @ RationalMatrix.identity(2) == m
 
+    def test_matmul_rejects_scalars_and_mismatched_shapes(self):
+        m = RationalMatrix([[1, 2], [3, 4]])
+        with pytest.raises(TypeError):
+            m @ 3
+        row = RationalMatrix([[1, 2]])
+        with pytest.raises(ValueError) as exc:
+            row @ row
+        assert str(exc.value) == "cannot multiply 1x2 by 1x2"
+
     def test_transpose_involution(self):
         m = RationalMatrix([[1, 2, 3], [4, 5, 6]])
         assert m.transpose().transpose() == m

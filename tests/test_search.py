@@ -33,6 +33,7 @@ from perturbrank.model import (
     GeneratorConfig,
     KernelDimensionError,
     NotStable,
+    SIMILARITY_FAMILY,
     SystemSpec,
     generate_instance,
     validate_system,
@@ -528,6 +529,48 @@ class TestRunCampaign:
         cfg = CampaignConfig(n_range=(2, 2), K_range=(2, 2), samples_per_cell=1, seed=0)
         with pytest.raises(GenerationFailed, match=r"cell n=2, K=2, index=0"):
             run_campaign(cfg)
+
+    def test_degenerate_instances_are_counted_and_pass(self, monkeypatch, tmp_path, capsys):
+        # every draw is TRIPLE_A with K equal diagonals (1, 2, 3): rank M is
+        # 1 < min(n - 1, K) = 2, which the campaign counts as degenerate
+        def degenerate(gen_cfg):
+            spec = SystemSpec(
+                n=3, K=gen_cfg.K, D=RationalMatrix([[1, 2, 3]] * gen_cfg.K), A=TRIPLE_A
+            )
+            return spec, validate_system(spec)
+
+        monkeypatch.setattr("perturbrank.search.generate_instance", degenerate)
+        out = tmp_path / "r.json"
+        rc = run_command(
+            ["search", "--n-min", "3", "--n-max", "3", "--k-min", "2", "--k-max", "3",
+             "--samples", "3", "--seed", "0", "--out", str(out)]
+        )
+        assert rc == 0
+        report = json.loads(out.read_text(encoding="utf-8"))
+        assert report["verdict"] == "all_match"
+        assert [(c["K"], c["degenerate"], c["matches"]) for c in report["cells"]] == [
+            (2, 3, 0), (3, 3, 0)
+        ]
+        assert "(0 matches, 6 degenerate, 0 violations in 6 samples)" in capsys.readouterr().out
+
+    def test_similarity_redraws_exhausted_exits_one(self, monkeypatch, tmp_path, capsys):
+        # a pre-screen that rejects every transform spends the attempt
+        # budget of _sample_interaction
+        monkeypatch.setattr("perturbrank.model._random_similar", lambda rng, base, bound: None)
+        gen = GeneratorConfig(n=3, K=2, seed=0, family=SIMILARITY_FAMILY)
+        with pytest.raises(GenerationFailed) as exc:
+            generate_instance(gen)
+        assert str(exc.value) == "similarity transform kept zeroing a null-vector entry"
+        rc = run_command(
+            ["search", "--n-min", "3", "--n-max", "3", "--k-min", "2", "--k-max", "2",
+             "--samples", "1", "--seed", "0", "--families", SIMILARITY_FAMILY,
+             "--out", str(tmp_path / "r.json")]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: cell n=3, K=2, index=0: similarity transform kept zeroing a null-vector"
+            " entry\n"
+        )
 
     @FORK_ONLY
     def test_child_generation_failure_carries_cell_context(self, monkeypatch, tmp_path):
