@@ -1173,6 +1173,19 @@ def test_console_script_entry_point(w1_path):
     assert json.loads(proc.stdout)["structure"]["rank_exact"] == 1
 
 
+def test_declared_version_is_the_package_version():
+    # pyproject.toml reads its version off perturbrank.__version__
+    pytest.importorskip("setuptools")
+    from setuptools.config.pyprojecttoml import read_configuration
+
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+    with warnings.catch_warnings():
+        # setuptools before 69 calls [tool.setuptools] a beta feature
+        warnings.simplefilter("ignore")
+        config = read_configuration(path)
+    assert config["project"]["version"] == perturbrank.__version__
+
+
 def test_module_entry_point_far_point_writes_no_stderr(w1_path):
     proc = _run_python(
         "-m", "perturbrank", "phi0", "--instance", w1_path, "--sigma", "1", "--t", "1",
@@ -1360,7 +1373,9 @@ def test_each_command_binds_the_names_its_handler_calls(tmp_path):
 
 
 # ``from perturbrank import *``: the names of the commit that made the
-# namespace lazy, less DISSIPATIVITY_TOLERANCE (dissipativity is exact)
+# namespace lazy, less DISSIPATIVITY_TOLERANCE (dissipativity is exact),
+# plus the four names of the modules' __all__ that its table left out
+# (dumps, echelon_reduce, inertia, rational_str)
 _STAR_NAMES = [
     "BREACH_KINDS", "CHARPOLY_SIZE_LIMIT", "CampaignConfig", "FAMILIES",
     "FORMAT_VERSION", "GenerationFailed", "GeneratorConfig",
@@ -1370,11 +1385,11 @@ _STAR_NAMES = [
     "SpectralData", "StructureReport", "SymbolicStructure", "SystemSpec",
     "TransferStructure", "analyze_structure", "as_rational", "asymptotics", "build_M",
     "build_M_parametric", "build_report", "charpoly_adjugate", "derive_instance_seed",
-    "eigen_closed_form_n2", "exact_linalg", "formats", "generate_instance",
-    "hurwitz_stable", "instance_to_dict", "jacobi_eigenvalues", "leading_term_eval",
-    "load_instance_file", "model", "multipoly", "nullspace", "pde_residual", "phi0_eval",
-    "rank_exact", "run_campaign", "search", "symbolic", "symbolic_report",
-    "validate_system", "verify_rank_one_identity",
+    "dumps", "echelon_reduce", "eigen_closed_form_n2", "exact_linalg", "formats",
+    "generate_instance", "hurwitz_stable", "inertia", "instance_to_dict",
+    "jacobi_eigenvalues", "leading_term_eval", "load_instance_file", "model", "multipoly",
+    "nullspace", "pde_residual", "phi0_eval", "rank_exact", "rational_str", "run_campaign",
+    "search", "symbolic", "symbolic_report", "validate_system", "verify_rank_one_identity",
 ]
 
 _NAMESPACE_PROBE = """
@@ -1390,9 +1405,11 @@ for name in perturbrank.__all__:
         value = scope[name]
     else:
         value = getattr(perturbrank, name)
-    if name in perturbrank._ORIGIN:
-        module = importlib.import_module(f"perturbrank.{perturbrank._ORIGIN[name]}")
-        expected = getattr(module, name)
+    owners = [m for m in ("exact_linalg", "model", "asymptotics", "formats", "search",
+                          "multipoly", "symbolic")
+              if name in importlib.import_module(f"perturbrank.{m}").__all__]
+    if owners:
+        expected = getattr(importlib.import_module(f"perturbrank.{owners[0]}"), name)
     else:
         expected = importlib.import_module(f"perturbrank.{name}")
     if value is not expected:
@@ -1436,12 +1453,50 @@ def test_installed_console_script(w1_path):
     assert proc.stdout == _run_python("-m", "perturbrank", "analyze", w1_path).stdout
 
 
-def test_readme_library_snippet_runs():
-    # the python block under "## Library" is the documented library API
+_LOADED_PROBE = """
+import json, sys
+exec(sys.argv[1], {})
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("perturbrank."))))
+"""
+
+
+def _loaded_after(code):
+    """The package's modules loaded after ``code`` runs in a fresh interpreter."""
+    proc = _run_python("-c", _LOADED_PROBE, code)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_package_serves_inertia():
+    # the exact inertia that README's Errors list documents as a library call
+    code = ("from perturbrank import inertia\n"
+            "import perturbrank.exact_linalg as own\n"
+            "assert inertia is own.inertia")
+    assert _loaded_after(code) == ["perturbrank.exact_linalg"]
+
+
+def test_dunder_probe_loads_no_module():
+    # pytest looks up __test__ and __bases__ on every module it collects from
+    code = "import perturbrank\nassert not hasattr(perturbrank, '__test__')"
+    assert _loaded_after(code) == []
+
+
+def _readme_library_snippet():
+    """The python block under "## Library", the documented library API."""
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme, encoding="utf-8") as fh:
         section = fh.read().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    return section.split("```python\n", 1)[1].split("\n```", 1)[0]
+
+
+def test_readme_library_snippet_runs():
     namespace = {}
-    exec(section.split("```python\n", 1)[1].split("\n```", 1)[0], namespace)
+    exec(_readme_library_snippet(), namespace)
     assert namespace["report"].outcome == "match"
     assert len(namespace["values"]) == namespace["s"].n
+
+
+def test_readme_library_snippet_loads_three_modules():
+    # as README says: model, exact_linalg and asymptotics, and no other
+    assert _loaded_after(_readme_library_snippet()) == [
+        "perturbrank.asymptotics", "perturbrank.exact_linalg", "perturbrank.model"]

@@ -6,10 +6,11 @@ and CLI options.
 
 ``src_lines`` is the newline count over every ``.py`` file under
 ``src/`` (what ``wc -l`` gives).  ``exported_names`` is the sum of the
-lengths of the ``__all__`` lists of the eight package modules, and
-``cli_options`` the number of ``add_argument`` calls in ``cli.py``; both
-are read with ``ast`` so that nothing is imported.  CHECKOUT defaults to
-the current directory.  Prints one JSON object.  Standard library only.
+lengths of the ``__all__`` lists of every module of the package but
+``__init__`` and ``__main__``, and ``cli_options`` the number of
+``add_argument`` calls in ``cli.py``; both are read with ``ast`` so that
+nothing is imported.  CHECKOUT defaults to the current directory.
+Prints one JSON object.  Standard library only.
 """
 
 from __future__ import annotations
@@ -19,11 +20,6 @@ import ast
 import json
 import sys
 from pathlib import Path
-
-MODULES = (
-    "exact_linalg", "model", "asymptotics", "formats",
-    "multipoly", "symbolic", "search", "cli",
-)
 
 
 def src_lines(root: Path) -> int:
@@ -60,7 +56,10 @@ def main(argv: list[str] | None = None) -> int:
     package = args.checkout / "src" / "perturbrank"
     stats = {
         "src_lines": src_lines(args.checkout),
-        "exported_names": sum(exported_names(package / f"{m}.py") for m in MODULES),
+        "exported_names": sum(
+            exported_names(module) for module in package.glob("*.py")
+            if module.name not in ("__init__.py", "__main__.py")
+        ),
         "cli_options": cli_options(package / "cli.py"),
     }
     print(json.dumps(stats))
